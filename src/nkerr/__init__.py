@@ -15,9 +15,9 @@ from .model import (FieldMode, ManifoldIndex, MultiPhotonDetunings,
                     PerturbationSplit, SystemConfig, build_hamiltonian,
                     manifold_members, multi_photon_detunings,
                     perturbation_strengths, rabi_frequency, split)
-from .oracle import (EigenSolution, characteristic_scale, exact_eigensystem,
-                     fd_extract, ground_eigenvalue_function, propagate,
-                     track_ground)
+from .oracle import (EigenSolution, exact_eigensystem, extraction_radius,
+                     ground_eigenvalue_function, ground_eigenvalue_newton,
+                     propagate, taylor_coefficients, track_ground)
 from .perturb import (DressedBasis, SeriesTable, build_series, dressed_basis,
                       energy_correction, evaluate_energy, state_correction)
 from .suscept import (Coherences, SusceptibilityPoint, SweepRow, chi1,
@@ -37,8 +37,8 @@ __all__ = [
     "DressedBasis", "SeriesTable", "build_series", "dressed_basis",
     "energy_correction", "evaluate_energy", "state_correction",
     "KerrCoefficients", "coefficients", "effective_phase", "pure_cross_kerr",
-    "EigenSolution", "characteristic_scale", "exact_eigensystem", "fd_extract",
-    "ground_eigenvalue_function", "propagate", "track_ground",
+    "EigenSolution", "exact_eigensystem", "extraction_radius", "ground_eigenvalue_function",
+    "ground_eigenvalue_newton", "propagate", "taylor_coefficients", "track_ground",
     "Coherences", "SusceptibilityPoint", "SweepRow", "chi1", "chi3_cross",
     "chi3_cross_conjugate_transition", "chi3_self", "coherence_evaluator",
     "coherences", "susceptibility_point", "sweep",

@@ -14,9 +14,10 @@ Scenario files are JSON documents with the layout::
 ``gamma`` may be omitted (defaults to zeros); unknown keys anywhere are
 rejected; all numbers must be finite and photon numbers integral.
 
-Exit codes: 0 success, 1 validation failure, 2 schema error, 3 domain error
-(pole or degeneracy), 4 regime refusal (a command that needs the lossless
-regime was given decay rates).
+Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
+arguments (including non-finite ``--lo/--hi/--t``) or an output file that
+cannot be written, 3 domain error (pole or degeneracy), 4 regime refusal (a
+command that needs the lossless regime was given decay rates).
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ def _require_finite_number(value: Any, where: str) -> float:
     if not math.isfinite(value):
         raise ScenarioError(f"{where} must be finite, got {value!r}")
     return float(value)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a finite float; nan and inf exit with code 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _require_photon_number(value: Any, where: str) -> int:
@@ -200,15 +212,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep a detuning and write susceptibilities as CSV")
     p.add_argument("scenario")
     p.add_argument("--axis", required=True, choices=["da", "db", "dc"])
-    p.add_argument("--lo", required=True, type=float)
-    p.add_argument("--hi", required=True, type=float)
+    p.add_argument("--lo", required=True, type=_finite_float)
+    p.add_argument("--hi", required=True, type=_finite_float)
     p.add_argument("--steps", required=True, type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("evolve", help="compare effective phase with full propagation")
     p.add_argument("scenario")
-    p.add_argument("--t", required=True, type=float)
+    p.add_argument("--t", required=True, type=_finite_float)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("validate", help="run the acceptance checks")
@@ -235,6 +247,9 @@ def main(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         return 3
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

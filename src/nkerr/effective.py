@@ -6,8 +6,8 @@ the susceptibility module).  In terms of the multi-photon detunings and
 ``D_K = delta_1*delta_2 - G_b``; the cross-Kerr coefficient additionally
 diverges at delta_3 = 0.  The n_a**2 scaling of the fourth-order eigenvalue
 correction forces the self-Kerr numerator to carry |g_a|^4; this form is
-cross-validated against finite-difference extraction of the exact ground
-eigenvalue in the test suite.
+cross-validated against Taylor extraction of the exact ground eigenvalue in
+the test suite.
 """
 
 from __future__ import annotations

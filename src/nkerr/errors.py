@@ -34,7 +34,7 @@ class TrackingError(NKerrError):
 
 
 class StepError(NKerrError):
-    """Finite-difference extrapolations disagree; the step is badly chosen."""
+    """Taylor-extraction self-check failed; the extraction radius is badly chosen."""
 
 
 class ScenarioError(NKerrError):

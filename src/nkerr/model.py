@@ -45,6 +45,9 @@ class FieldMode:
             raise ValueError(f"unknown mode label {self.label!r}; expected one of {_LABELS}")
         if self.n < 0:
             raise ValueError(f"photon number must be >= 0, got {self.n}")
+        if not (cmath.isfinite(self.g) and math.isfinite(self.delta)):
+            raise ValueError(f"coupling and detuning must be finite, got g={self.g!r}, "
+                             f"delta={self.delta!r}")
 
 
 @dataclass(frozen=True)

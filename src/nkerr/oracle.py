@@ -1,10 +1,14 @@
 """Independent ground truth: dense eigensolution, propagation, Taylor extraction.
 
 Everything here is deliberately decoupled from the perturbation engine so the
-two can cross-check each other: eigensystems come from LAPACK (or, for the
-high-precision lane, from the characteristic polynomial in ``mpmath``
-arithmetic), time evolution from spectral decomposition, and series
-coefficients from central finite differences with Richardson extrapolation.
+two can cross-check each other: eigensystems come from LAPACK or from Newton's
+method on the characteristic polynomial, time evolution from spectral
+decomposition, and series coefficients from Cauchy integrals on a
+polycircle, whose trapezoidal rule is one 2-D FFT with an error falling
+exponentially in the node count (Lyness & Moler, SIAM J. Numer. Anal. 4
+(1967) 202; Bornemann, Found. Comput. Math. 11 (2011) 1).  The extractor
+and the Newton sampler check themselves and raise :class:`StepError` when
+the extraction radius is badly chosen.
 """
 
 from __future__ import annotations
@@ -13,15 +17,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
-from . import model
+from . import model, perturb
 from .errors import ConvergenceError, StepError, TrackingError
 from .model import PerturbationSplit, SystemConfig
 
 RESIDUAL_TOL = 1e-12
 TRACK_STEPS = 32  # fixed path resolution keeps tracking bit-reproducible
+NODES = 24
+RADIUS_FRACTION = 0.12
+NEWTON_STEPS = 6
+NEWTON_RTOL = 16 * float(np.finfo(float).eps)  # a few ulps
+TAIL_RTOL = math.sqrt(float(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -101,118 +109,90 @@ def track_ground(config: SystemConfig, eps_scale: float, steps: int = TRACK_STEP
     return value
 
 
-def characteristic_scale(config: SystemConfig) -> float:
-    """max(1, |delta_1|, |delta_2|, |delta_3|, |Omega_b|); sets default FD steps."""
-    d = config.detunings()
-    om_b = abs(model.rabi_frequency(config.mode_b))
-    return max(1.0, abs(d.delta1), abs(d.delta2), abs(d.delta3), om_b)
+def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, float], complex]:
+    """Ground eigenvalue of ``h0 + x*va + y*vc`` as a function of (x, y), by LAPACK.
 
-
-def ground_eigenvalue_function(split: PerturbationSplit,
-                               dps: int | None = None) -> Callable[[float, float], complex]:
-    """Ground eigenvalue of ``h0 + x*va + y*vc`` as a function of (x, y).
-
-    Intended for sampling in a small neighbourhood of (0, 0), where the
-    continuation of the zero eigenvalue of the uncoupled level 1 is
-    unambiguous.  With ``dps`` set, the eigenvalue is found as the
-    smallest-modulus root of the characteristic polynomial in ``mpmath``
-    arithmetic, which keeps the *absolute* error of the near-zero eigenvalue
-    far below double-precision rounding; this matters when high-order finite
-    differences divide by step**4.
+    Intended for a small neighbourhood of (0, 0), where the eigenvector with
+    the largest level-1 component picks the continuation unambiguously.
     """
     h0, va, vc = split.h0, split.va, split.vc
 
-    if dps is None:
-        def f(x: float, y: float) -> complex:
-            h = h0 + x * va + y * vc
-            sol = exact_eigensystem(h)
-            idx = int(np.argmax(np.abs(sol.eigenvectors[0, :])))
-            return complex(sol.eigenvalues[idx])
-        return f
-
-    def f_mp(x: float, y: float) -> complex:
+    def f(x: float, y: float) -> complex:
         h = h0 + x * va + y * vc
-        with mp.workdps(dps):
-            # char poly of the tridiagonal matrix by the three-term recurrence,
-            # as coefficient lists in ascending powers of lambda
-            def polymul(pa, pb):
-                out = [mp.mpc(0)] * (len(pa) + len(pb) - 1)
-                for i, ca in enumerate(pa):
-                    for j, cb in enumerate(pb):
-                        out[i + j] += ca * cb
-                return out
-
-            def polysub(pa, pb):
-                out = list(pa) + [mp.mpc(0)] * (len(pb) - len(pa))
-                for j, cb in enumerate(pb):
-                    out[j] -= cb
-                return out
-
-            d_prev = [mp.mpc(1)]
-            d_cur = [mp.mpc(h[0, 0]), mp.mpc(-1)]
-            for k in range(1, 4):
-                diag = [mp.mpc(h[k, k]), mp.mpc(-1)]
-                off = mp.mpc(h[k, k - 1]) * mp.mpc(h[k - 1, k])
-                nxt = polysub(polymul(diag, d_cur), [off * c for c in d_prev])
-                d_prev, d_cur = d_cur, nxt
-            roots = mp.polyroots(list(reversed(d_cur)), maxsteps=200, extraprec=40)
-            root = min(roots, key=abs)
-            return complex(root)
-
-    return f_mp
+        sol = exact_eigensystem(h)
+        idx = int(np.argmax(np.abs(sol.eigenvectors[0, :])))
+        return complex(sol.eigenvalues[idx])
+    return f
 
 
-_STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-}
+def ground_eigenvalue_newton(split: PerturbationSplit) -> Callable[..., np.ndarray]:
+    """Ground eigenvalue of ``h0 + x*va + y*vc`` on broadcast arrays of (x, y).
 
-
-def fd_extract(target: Callable[[float, float], complex], p: int, q: int, step: float,
-               rel_tol: float = 1e-5, abs_tol: float = 1e-12) -> complex:
-    """Taylor coefficient (1/p!q!) d^{p+q} target / dx^p dy^q at (0, 0).
-
-    Central-difference tensor stencils of second-order accuracy at steps
-    ``step`` and ``step/2``, combined by one level of Richardson
-    extrapolation.  A second extrapolation from steps ``step/2`` and
-    ``step/4`` is evaluated purely as a consistency check: if the two
-    extrapolated values disagree by more than 10x the requested tolerance,
-    the step is badly chosen and :class:`StepError` is raised.
+    ``NEWTON_STEPS`` Newton steps on det(H - lambda) from lambda = 0, with the
+    determinant and its derivative from the tridiagonal three-term
+    recurrence, whose terms all carry small relative errors: the tiny root
+    keeps a small *relative* error, as Taylor extraction at a small radius
+    needs.  The callable raises :class:`StepError` if a last update exceeds
+    ``NEWTON_RTOL`` of its root.
     """
-    if p < 0 or q < 0 or p + q > 4:
-        raise ValueError(f"supported derivative orders are 0 <= p+q <= 4, got ({p},{q})")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if (p, q) == (0, 0):
-        return complex(target(0.0, 0.0))
+    h0, va, vc = split.h0, split.va, split.vc
 
-    cache: dict[tuple[float, float], complex] = {}
+    def f(x, y) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)[..., None, None]
+        y = np.asarray(y, dtype=complex)[..., None, None]
+        h = h0 + x * va + y * vc
+        diag = np.diagonal(h, 0, -2, -1)
+        off = np.diagonal(h, -1, -2, -1) * np.diagonal(h, 1, -2, -1)  # h[k,k-1] h[k-1,k]
+        lam = np.zeros(diag.shape[:-1], dtype=complex)
+        for _ in range(NEWTON_STEPS):
+            det_prev, det = np.ones_like(lam), diag[..., 0] - lam
+            der_prev, der = np.zeros_like(lam), -np.ones_like(lam)
+            for k in range(1, 4):
+                shifted = diag[..., k] - lam
+                det, det_prev, der, der_prev = (
+                    shifted * det - off[..., k - 1] * det_prev, det,
+                    shifted * der - det - off[..., k - 1] * der_prev, der)
+            update = det / der
+            lam = lam - update
+        if not np.all(np.abs(update) <= NEWTON_RTOL * np.abs(lam)):
+            raise StepError("Newton iteration for the ground eigenvalue did not settle; "
+                            "the extraction radius is badly chosen")
+        return lam
 
-    def sample(x: float, y: float) -> complex:
-        key = (x, y)
-        if key not in cache:
-            cache[key] = complex(target(x, y))
-        return cache[key]
+    return f
 
-    norm = math.factorial(p) * math.factorial(q)
 
-    def estimate(h: float) -> complex:
-        acc = 0.0 + 0.0j
-        for ox, wx in _STENCILS[p]:
-            for oy, wy in _STENCILS[q]:
-                acc += wx * wy * sample(ox * h, oy * h)
-        return acc / h ** (p + q) / norm
+def extraction_radius(split: PerturbationSplit) -> float:
+    """``RADIUS_FRACTION`` of the distance from 0 to the nearest other unperturbed eigenvalue."""
+    lam = perturb.dressed_basis(split.h0).eigenvalues
+    return RADIUS_FRACTION * float(np.min(np.abs(lam[1:])))
 
-    a1 = estimate(step)
-    a2 = estimate(step / 2)
-    a3 = estimate(step / 4)
-    r1 = (4.0 * a2 - a1) / 3.0
-    r2 = (4.0 * a3 - a2) / 3.0
-    if abs(r1 - r2) > 10.0 * (rel_tol * max(abs(r1), abs(r2)) + abs_tol):
-        raise StepError(
-            f"extrapolations at steps ({step:.3e}, {step / 2:.3e}) and "
-            f"({step / 2:.3e}, {step / 4:.3e}) disagree: {r1} vs {r2}")
-    return r1
+
+def taylor_coefficients(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                        radius: float, nodes: int = NODES) -> np.ndarray:
+    """Taylor coefficients c[p, q] of x**p y**q in f about (0, 0), for p, q < nodes/2.
+
+    ``f`` is called once, on the (nodes, nodes) polycircle x = radius*w**j,
+    y = radius*w**k with w = exp(2*pi*i/nodes), and returns the samples F;
+    c[p, q] = fft2(F)[p, q] / nodes**2 / radius**(p+q), exact for monomials
+    of degree below nodes in each variable, else aliased by coefficients
+    ``nodes`` orders higher.  The scaled tail |c[p, q]| radius**(p+q) with p
+    or q >= nodes/2 must stay below ``TAIL_RTOL`` = sqrt(eps) of the largest
+    scaled coefficient, which bounds the aliasing error of the kept ones by
+    about the tail squared; else :class:`StepError` is raised.
+    """
+    if nodes < 4 or nodes % 2:
+        raise ValueError(f"nodes must be an even integer >= 4, got {nodes!r}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    circle = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    x, y = np.meshgrid(circle, circle, indexing="ij")
+    scaled = np.fft.fft2(np.asarray(f(x, y), dtype=complex)) / nodes**2
+    size = np.abs(scaled)
+    half = nodes // 2
+    tail = max(size[half:, :].max(), size[:half, half:].max())
+    if not tail <= TAIL_RTOL * size.max():
+        raise StepError(f"Taylor tail {tail:.3e} is not below {TAIL_RTOL:.1e} of the largest "
+                        f"coefficient {size.max():.3e}; the extraction radius is badly chosen")
+    powers = radius ** np.arange(half)
+    return scaled[:half, :half] / np.outer(powers, powers)

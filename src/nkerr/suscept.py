@@ -181,8 +181,8 @@ def coherence_evaluator(config: SystemConfig, order: int = 3,
 
     The series table is built once from the configuration's split; the
     returned callable evaluates the truncated ground-state polynomial at
-    arbitrary strengths, which is what finite-difference Taylor extraction
-    samples.
+    arbitrary strengths, scalars or arrays of them, which is what Taylor
+    extraction samples.
     """
     rows = {"rho21": (1, 0), "rho43": (3, 2)}
     if element not in rows:
@@ -192,10 +192,10 @@ def coherence_evaluator(config: SystemConfig, order: int = 3,
     ket_c = {(p, q): k[ki] for (p, q), k in kets.items()}
     bra_c = {(p, q): b[bi] for (p, q), b in bras.items()}
 
-    def f(x: float, y: float) -> complex:
+    def f(x, y):
         ket = sum(x**p * y**q * c for (p, q), c in ket_c.items())
         bra = sum(x**p * y**q * c for (p, q), c in bra_c.items())
-        return complex(ket * bra)
+        return ket * bra
 
     return f
 

@@ -4,12 +4,10 @@ Each criterion draws its own deterministic random stream from the user seed,
 so a given seed always produces a byte-identical report.  Checks that need
 random scenarios use couplings, detunings and margins chosen to keep every
 draw well inside the perturbative regime and away from the closed-form
-poles; the finite-difference steps are tuned to 2e-3 of the characteristic
-scale, below the oracle module's 1e-2 default: the eigenvalue lane runs in
-high-precision arithmetic, so the smaller step buys pure truncation
-accuracy at no noise cost, and the coherence-polynomial lane carries
-harmless order-5 product terms that a larger step would fold into the
-first derivative.
+poles.  Criteria 3, 4 and 8 read Taylor coefficients from one Cauchy-integral
+extraction per configuration (24 x 24 nodes, radius ``oracle.extraction_radius``)
+of the exact ground eigenvalue (Newton's method at all nodes at once) or of
+the coherence polynomial; its self-check raises ``StepError`` on a bad radius.
 """
 
 from __future__ import annotations
@@ -169,18 +167,23 @@ def _criterion_2(seed: int) -> CheckResult:
     return CheckResult(2, "dark-state cancellation", chk.passed, chk.detail)
 
 
-def _fd_configs(seed: int) -> list[SystemConfig]:
+def _oracle_configs(seed: int) -> list[SystemConfig]:
     rng = _rng(seed, 34)
     return [_random_config(rng, lossy=False) for _ in range(20)]
 
 
+def _ground_coefficients(cfg: SystemConfig):
+    """The split of ``cfg`` and the Taylor coefficients of its exact ground eigenvalue."""
+    sp = model.split(cfg)
+    return sp, oracle.taylor_coefficients(oracle.ground_eigenvalue_newton(sp),
+                                          oracle.extraction_radius(sp))
+
+
 def _criterion_3(seed: int) -> CheckResult:
     chk = _Checker()
-    for cfg in _fd_configs(seed):
-        sp = model.split(cfg)
-        f = oracle.ground_eigenvalue_function(sp, dps=30)
-        h = 2e-3 * oracle.characteristic_scale(cfg)
-        folded = sp.eps_a**2 * sp.eps_c**2 * oracle.fd_extract(f, 2, 2, h)
+    for cfg in _oracle_configs(seed):
+        sp, c = _ground_coefficients(cfg)
+        folded = sp.eps_a**2 * sp.eps_c**2 * complex(c[2, 2])
         expected = effective.coefficients(cfg).cross_kerr * cfg.mode_a.n * cfg.mode_c.n
         chk.close(expected, folded, 1e-5)
     return CheckResult(3, "cross-Kerr closed form vs FD oracle", chk.passed, chk.detail)
@@ -188,11 +191,9 @@ def _criterion_3(seed: int) -> CheckResult:
 
 def _criterion_4(seed: int) -> CheckResult:
     chk = _Checker()
-    for cfg in _fd_configs(seed):
-        sp = model.split(cfg)
-        f = oracle.ground_eigenvalue_function(sp, dps=30)
-        h = 2e-3 * oracle.characteristic_scale(cfg)
-        folded = sp.eps_a**4 * oracle.fd_extract(f, 4, 0, h)
+    for cfg in _oracle_configs(seed):
+        sp, c = _ground_coefficients(cfg)
+        folded = sp.eps_a**4 * complex(c[4, 0])
         expected = effective.coefficients(cfg).self_kerr * cfg.mode_a.n**2
         chk.close(expected, folded, 1e-5)
         # the |g_b|^4 variant must be cleanly rejected whenever |g_a| != |g_b|
@@ -252,11 +253,9 @@ def _criterion_8(seed: int) -> CheckResult:
         ea, ec = model.perturbation_strengths(cfg)
         ga2 = abs(cfg.mode_a.g) ** 2
         gc2 = abs(cfg.mode_c.g) ** 2
-        ev = suscept.coherence_evaluator(cfg, order=3)
-        h = 2e-3 * oracle.characteristic_scale(cfg)
-        t10 = oracle.fd_extract(ev, 1, 0, h)
-        t30 = oracle.fd_extract(ev, 3, 0, h)
-        t12 = oracle.fd_extract(ev, 1, 2, h)
+        t = oracle.taylor_coefficients(suscept.coherence_evaluator(cfg, order=3),
+                                       oracle.extraction_radius(model.split(cfg)))
+        t10, t30, t12 = complex(t[1, 0]), complex(t[3, 0]), complex(t[1, 2])
         chk.close(suscept.chi1(cfg), -ga2 * t10 / ea**2, 1e-6)
         chk.close(suscept.chi3_self(cfg), -ga2**2 * t30 / (3 * ea**4), 1e-6)
         chk.close(suscept.chi3_cross(cfg), -ga2 * gc2 * t12 / (6 * ea**2 * ec**2), 1e-6)

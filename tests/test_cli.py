@@ -156,7 +156,37 @@ def test_sweep_gap_rows_marked_invalid(tmp_path):
     assert lines[2] == "dc,0,,,,,,,0"
 
 
+@pytest.mark.parametrize("bound, value", [("--lo", "nan"), ("--hi", "inf")])
+def test_sweep_nonfinite_bound_exit2(tmp_path, bound, value):
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
+    opath = tmp_path / "out.csv"
+    argv = {"--lo": "-1", "--hi": "1", bound: value}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", spath, "--axis", "dc", "--lo", argv["--lo"], "--hi", argv["--hi"],
+                  "--steps", "3", "--out", str(opath)], stdout=io.StringIO())
+    assert exc.value.code == 2
+    assert not opath.exists()
+
+
+def test_sweep_unwritable_out_exit2(tmp_path, capsys):
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
+    opath = tmp_path / "missing-dir" / "out.csv"
+    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
+                     "--steps", "3", "--out", str(opath)], stdout=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1
+
+
 # -- evolve ------------------------------------------------------------------
+
+def test_evolve_nonfinite_time_exit2(tmp_path):
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5, ga=0.01, gc=0.01))
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", spath, "--t", "inf"], stdout=out)
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+
 
 def test_evolve_zero_time(tmp_path):
     spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5, ga=0.01, gc=0.01))
@@ -193,6 +223,11 @@ def test_validate_reports_are_deterministic():
     assert cli.main(["validate", "--seed", "3"], stdout=a) in (0, 1)
     assert cli.main(["validate", "--seed", "3"], stdout=b) in (0, 1)
     assert a.getvalue() == b.getvalue()
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    code = "import sys, nkerr.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_console_entry_point_runs():

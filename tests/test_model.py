@@ -196,6 +196,13 @@ def test_negative_photon_number_rejected():
         FieldMode("a", 0.1, 0.0, -1)
 
 
+@pytest.mark.parametrize("g, delta", [(float("nan"), 0.0), (complex(0.1, float("inf")), 0.0),
+                                      (0.1, float("inf")), (0.1, float("nan"))])
+def test_nonfinite_mode_rejected(g, delta):
+    with pytest.raises(ValueError, match="finite"):
+        FieldMode("a", g, delta, 1)
+
+
 def test_negative_decay_rejected():
     with pytest.raises(ValueError, match="decay"):
         make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.0, 0.0, 0.0, gamma=(-0.1, 0.0, 0.0))

@@ -118,58 +118,74 @@ def test_track_ground_deterministic(reference_config):
     assert a == b
 
 
-# -- finite differences ------------------------------------------------------
+# -- Taylor extraction -------------------------------------------------------
 
 def test_fd_constant_function():
-    f = lambda x, y: 3.25 + 0j
-    for p, q in [(1, 0), (0, 1), (2, 0), (1, 1), (2, 2), (4, 0)]:
-        assert abs(oracle.fd_extract(f, p, q, 0.1)) < 1e-12
+    c = oracle.taylor_coefficients(lambda x, y: np.full_like(x, 3.25), 1.0)
+    assert c[0, 0] == pytest.approx(3.25, abs=1e-12)
+    c[0, 0] = 0.0
+    assert np.max(np.abs(c)) < 1e-12
 
 
 def test_fd_zeroth_order_is_plain_evaluation():
-    assert oracle.fd_extract(lambda x, y: 2.5 - 1j, 0, 0, 0.1) == 2.5 - 1j
+    c = oracle.taylor_coefficients(lambda x, y: np.exp(x - 2 * y) * (2.5 - 1j), 0.1)
+    assert c[0, 0] == pytest.approx(2.5 - 1j, abs=1e-14)
 
 
 def test_fd_exact_on_monomials():
-    f = lambda x, y: x**2 * y**2
-    assert oracle.fd_extract(f, 2, 2, 0.05) == pytest.approx(1.0, abs=1e-8)
-    g = lambda x, y: x**3 * y
-    assert oracle.fd_extract(g, 3, 1, 0.05) == pytest.approx(1.0, abs=1e-8)
-    h = lambda x, y: 2.0 * x**4
-    assert oracle.fd_extract(h, 4, 0, 0.05) == pytest.approx(2.0, abs=1e-8)
-    k = lambda x, y: x * y
-    assert oracle.fd_extract(k, 1, 1, 0.05) == pytest.approx(1.0, abs=1e-10)
+    # every monomial kept by an n-node rule comes back as a single entry
+    n = 8
+    for p in range(n // 2):
+        for q in range(n // 2):
+            c = oracle.taylor_coefficients(lambda x, y: 2.0 * x**p * y**q, 1.0, nodes=n)
+            expected = np.zeros((n // 2, n // 2))
+            expected[p, q] = 2.0
+            assert np.max(np.abs(c - expected)) < 1e-10
+    # exponents of n/2 or more alias onto the tail and are refused
+    with pytest.raises(StepError):
+        oracle.taylor_coefficients(lambda x, y: x ** (n // 2) * y, 1.0, nodes=n)
 
 
 def test_fd_taylor_normalisation():
     # returns series coefficients, not bare derivatives
-    f = lambda x, y: np.exp(x + 0.5 * y)
-    assert oracle.fd_extract(f, 2, 0, 1e-3) == pytest.approx(0.5, rel=1e-8)
-    assert oracle.fd_extract(f, 1, 1, 1e-3) == pytest.approx(0.5, rel=1e-8)
+    c = oracle.taylor_coefficients(lambda x, y: np.exp(x + 0.5 * y), 0.5)
+    assert c[2, 0] == pytest.approx(0.5, rel=1e-8)
+    assert c[1, 1] == pytest.approx(0.5, rel=1e-8)
+    assert c[4, 0] == pytest.approx(1 / 24, rel=1e-8)
+    assert c[2, 2] == pytest.approx(1 / 16, rel=1e-8)
 
 
-def test_fd_bad_step_raises():
-    f = lambda x, y: x**8
+def test_fd_bad_step_raises(reference_config):
+    # radius outside the disc of convergence of 1/(1 - x), and too close to its edge
+    f = lambda x, y: 1.0 / (1.0 - x) + 0 * y
+    for radius in (2.0, 0.9):
+        with pytest.raises(StepError):
+            oracle.taylor_coefficients(f, radius)
+    assert oracle.taylor_coefficients(f, 0.05)[:5, 0] == pytest.approx(np.ones(5), rel=1e-10)
+    # the ground eigenvalue sampled far beyond its extraction radius
+    sp = model.split(reference_config)
     with pytest.raises(StepError):
-        oracle.fd_extract(f, 4, 0, 0.5)
+        oracle.taylor_coefficients(oracle.ground_eigenvalue_newton(sp),
+                                   8 * oracle.extraction_radius(sp))
 
 
 def test_fd_rejects_unsupported_orders():
     f = lambda x, y: x
-    with pytest.raises(ValueError):
-        oracle.fd_extract(f, 3, 2, 0.1)
-    with pytest.raises(ValueError):
-        oracle.fd_extract(f, 1, 0, -0.1)
+    for radius in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            oracle.taylor_coefficients(f, radius)
+    for nodes in (0, 2, 7):
+        with pytest.raises(ValueError):
+            oracle.taylor_coefficients(f, 0.1, nodes=nodes)
 
 
-def test_ground_eigenvalue_function_lanes_agree(reference_config):
-    sp = model.split(reference_config)
-    f_np = oracle.ground_eigenvalue_function(sp)
-    f_mp = oracle.ground_eigenvalue_function(sp, dps=30)
-    for x, y in [(0.0, 0.0), (0.01, 0.005), (-0.02, 0.01)]:
-        assert f_np(x, y) == pytest.approx(f_mp(x, y), abs=1e-13)
-
-
-def test_characteristic_scale(reference_config):
-    # Omega_b = 2 dominates deltas (0.3, 0.2, 0.7) and the floor of 1
-    assert oracle.characteristic_scale(reference_config) == pytest.approx(2.0)
+def test_ground_eigenvalue_function_lanes_agree(reference_config, lossy_config):
+    # Newton on the tridiagonal continuant against the LAPACK lane
+    for cfg in (reference_config, lossy_config):
+        sp = model.split(cfg)
+        f_lapack = oracle.ground_eigenvalue_function(sp)
+        f_newton = oracle.ground_eigenvalue_newton(sp)
+        points = [(0.0, 0.0), (0.01, 0.005), (-0.02, 0.01), (0.03j, 0.02 - 0.01j)]
+        grid = f_newton(np.array([x for x, _ in points]), np.array([y for _, y in points]))
+        for (x, y), value in zip(points, grid):
+            assert f_lapack(x, y) == pytest.approx(value, abs=1e-13)

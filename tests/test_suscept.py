@@ -9,17 +9,15 @@ from nkerr.errors import PoleError
 from conftest import make_config
 
 
-def _bridge_chis(cfg, order=3, h_factor=2e-3):
+def _bridge_chis(cfg, order=3):
     """Susceptibilities extracted from the coherence series, independently
     of the closed forms."""
     ea, ec = model.perturbation_strengths(cfg)
     ga2 = abs(cfg.mode_a.g) ** 2
     gc2 = abs(cfg.mode_c.g) ** 2
-    ev = suscept.coherence_evaluator(cfg, order=order)
-    h = h_factor * oracle.characteristic_scale(cfg)
-    t10 = oracle.fd_extract(ev, 1, 0, h)
-    t30 = oracle.fd_extract(ev, 3, 0, h)
-    t12 = oracle.fd_extract(ev, 1, 2, h)
+    t = oracle.taylor_coefficients(suscept.coherence_evaluator(cfg, order=order),
+                                   oracle.extraction_radius(model.split(cfg)))
+    t10, t30, t12 = t[1, 0], t[3, 0], t[1, 2]
     return (-ga2 * t10 / ea**2,
             -ga2**2 * t30 / (3 * ea**4),
             -ga2 * gc2 * t12 / (6 * ea**2 * ec**2))
