@@ -19,11 +19,10 @@ from .oracle import (EigenSolution, exact_eigensystem, extraction_radius,
                      ground_eigenvalue_function, ground_eigenvalue_newton,
                      propagate, taylor_coefficients, track_ground)
 from .perturb import (DressedBasis, SeriesTable, build_series, dressed_basis,
-                      energy_correction, evaluate_energy, state_correction)
-from .suscept import (Coherences, SusceptibilityPoint, SweepRow, chi1,
-                      chi3_cross, chi3_cross_conjugate_transition, chi3_self,
-                      coherence_evaluator, coherences, susceptibility_point,
-                      sweep)
+                      evaluate_energy)
+from .suscept import (Coherences, SusceptibilityPoint, SweepRow, chi1, chi3_cross,
+                      chi3_self, coherence_evaluator, coherences,
+                      susceptibility_point, sweep)
 
 __version__ = "0.1.0"
 
@@ -34,13 +33,11 @@ __all__ = [
     "FieldMode", "ManifoldIndex", "MultiPhotonDetunings", "PerturbationSplit",
     "SystemConfig", "build_hamiltonian", "manifold_members",
     "multi_photon_detunings", "perturbation_strengths", "rabi_frequency", "split",
-    "DressedBasis", "SeriesTable", "build_series", "dressed_basis",
-    "energy_correction", "evaluate_energy", "state_correction",
+    "DressedBasis", "SeriesTable", "build_series", "dressed_basis", "evaluate_energy",
     "KerrCoefficients", "coefficients", "effective_phase", "pure_cross_kerr",
     "EigenSolution", "exact_eigensystem", "extraction_radius", "ground_eigenvalue_function",
     "ground_eigenvalue_newton", "propagate", "taylor_coefficients", "track_ground",
     "Coherences", "SusceptibilityPoint", "SweepRow", "chi1", "chi3_cross",
-    "chi3_cross_conjugate_transition", "chi3_self", "coherence_evaluator",
-    "coherences", "susceptibility_point", "sweep",
+    "chi3_self", "coherence_evaluator", "coherences", "susceptibility_point", "sweep",
     "__version__",
 ]

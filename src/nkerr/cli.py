@@ -28,9 +28,7 @@ import math
 import sys
 from typing import Any, TextIO
 
-import numpy as np
-
-from . import effective, model, oracle, perturb, suscept, validate
+from . import effective, suscept, validate
 from .errors import (ConvergenceError, DegeneracyError, MissingOrderError,
                      NotHermitianError, NotResonantError, PoleError,
                      ScenarioError, StepError, TrackingError)
@@ -152,8 +150,10 @@ def _cmd_coeffs(args, out: TextIO) -> int:
 
 def _cmd_sweep(args, out: TextIO) -> int:
     config = load_scenario(args.scenario)
-    rows = suscept.sweep(config, args.axis, args.lo, args.hi, args.steps)
+    if args.steps < 2:  # checked before opening --out, which truncates it
+        raise ValueError(f"steps must be >= 2, got {args.steps}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        rows = suscept.sweep(config, args.axis, args.lo, args.hi, args.steps)
         fh.write("axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid\n")
         for row in rows:
             if row.valid:
@@ -172,24 +172,12 @@ def _cmd_sweep(args, out: TextIO) -> int:
 def _cmd_evolve(args, out: TextIO) -> int:
     config = load_scenario(args.scenario)
     _require_lossless_scenario(config)
-    co = effective.coefficients(config)
-    # the effective description presumes a cleanly gapped unperturbed spectrum
-    perturb.dressed_basis(model.split(config).h0)
-    n_a, n_c = config.mode_a.n, config.mode_c.n
-    t = args.t
-    eff_phase = -(co.linear * n_a + co.self_kerr * n_a**2 + co.cross_kerr * n_a * n_c) * t
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[0] = 1.0
-    psi_t = oracle.propagate(model.build_hamiltonian(config), psi0, t)
-    overlap = complex(np.vdot(psi0, psi_t))
-    oracle_phase = math.atan2(overlap.imag, overlap.real)
-    diff = (oracle_phase - eff_phase + math.pi) % (2.0 * math.pi) - math.pi
-    eps = max(model.perturbation_strengths(config))
-    out.write(f"t={_fmt(t)}\n")
+    eff_phase, oracle_phase, diff, bound = validate.phase_comparison(config, args.t)
+    out.write(f"t={_fmt(args.t)}\n")
     out.write(f"effective_phase={_fmt(eff_phase)}\n")
     out.write(f"oracle_phase={_fmt(oracle_phase)}\n")
     out.write(f"difference={_fmt(diff)}\n")
-    out.write(f"leakage_bound={_fmt(10.0 * eps**2)}\n")
+    out.write(f"leakage_bound={_fmt(bound)}\n")
     return 0
 
 

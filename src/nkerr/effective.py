@@ -4,7 +4,8 @@ The coefficients are defined in the lossless regime only (decay belongs to
 the susceptibility module).  In terms of the multi-photon detunings and
 ``G_b = |g_b|^2 (n_b + 1)`` the shared pole structure is
 ``D_K = delta_1*delta_2 - G_b``; the cross-Kerr coefficient additionally
-diverges at delta_3 = 0.  The n_a**2 scaling of the fourth-order eigenvalue
+diverges at delta_3 = 0.  A denominator within a few ulps of the size of its
+terms is taken as the pole (``model.off_pole``).  The n_a**2 scaling of the fourth-order eigenvalue
 correction forces the self-Kerr numerator to carry |g_a|^4; this form is
 cross-validated against Taylor extraction of the exact ground eigenvalue in
 the test suite.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+from . import model
 from .errors import NotHermitianError, NotResonantError, PoleError
 from .model import SystemConfig
 
@@ -47,12 +49,10 @@ def coefficients(config: SystemConfig) -> KerrCoefficients:
     d1, d2, d3 = config.detunings()
     ga2 = abs(config.mode_a.g) ** 2
     gc2 = abs(config.mode_c.g) ** 2
-    gb2n = abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
-    dk = d1 * d2 - gb2n
-    if d3 == 0:
-        raise PoleError("pole: delta_3 = 0")
-    if dk == 0:
-        raise PoleError("pole: delta_1*delta_2 - |g_b|^2 (n_b+1) = 0")
+    gb2n = model.pump_coupling(config)
+    model.three_photon_denominator(config)
+    dk = model.off_pole(d1 * d2 - gb2n, max(abs(d1 * d2), gb2n),
+                        "pole: delta_1*delta_2 - |g_b|^2 (n_b+1) = 0")
     linear = -d2 * ga2 / dk
     self_kerr = d2 * (d2**2 + gb2n) * ga2**2 / dk**3
     cross_kerr = -ga2 * gb2n * gc2 / (d3 * dk**2)
@@ -70,9 +70,8 @@ def pure_cross_kerr(config: SystemConfig) -> float:
     d1, d2, d3 = config.detunings()
     if abs(d2) > RESONANCE_RTOL * max(1.0, abs(d1), abs(d3)):
         raise NotResonantError(f"delta_2 = {d2!r} is not Raman-resonant")
-    gb2n = abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
-    if d3 == 0:
-        raise PoleError("pole: delta_3 = 0")
+    gb2n = model.pump_coupling(config)
+    model.three_photon_denominator(config)
     if gb2n == 0:
         raise PoleError("pole: |g_b|^2 (n_b+1) = 0")
     return -abs(config.mode_a.g) ** 2 * abs(config.mode_c.g) ** 2 / (d3 * gb2n)

@@ -10,7 +10,7 @@ class DegeneracyError(NKerrError):
 
 
 class MissingOrderError(NKerrError):
-    """A required lower-order series entry has not been computed yet."""
+    """A series entry was read for an order or a state the table does not hold."""
 
 
 class PoleError(NKerrError):

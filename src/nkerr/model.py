@@ -26,9 +26,15 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
+from .errors import PoleError
+
 ModeLabel = Literal["a", "b", "c"]
 
 _LABELS = ("a", "b", "c")
+
+# A denominator within this fraction of the size of the terms it sums is
+# rounding noise around a pole, not a value.
+POLE_RTOL = 4 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -129,12 +135,35 @@ def rabi_frequency(mode: FieldMode) -> complex:
     return 2.0 * complex(mode.g) * math.sqrt(mode.n)
 
 
+def probe_strength(mode: FieldMode) -> float:
+    """|Omega|/2, the perturbation strength of a probe mode."""
+    return abs(rabi_frequency(mode)) / 2.0
+
+
 def perturbation_strengths(config: SystemConfig) -> tuple[float, float]:
     """(eps_a, eps_c) = (|Omega_a|/2, |Omega_c|/2) for the configuration."""
-    return (
-        abs(rabi_frequency(config.mode_a)) / 2.0,
-        abs(rabi_frequency(config.mode_c)) / 2.0,
-    )
+    return probe_strength(config.mode_a), probe_strength(config.mode_c)
+
+
+def pump_coupling(config: SystemConfig) -> float:
+    """G_b = |g_b|^2 (n_b + 1) = |Omega_b|^2 / 4, the squared pump coupling."""
+    return abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
+
+
+def off_pole(value, scale: float, message: str):
+    """``value``, unless it is within ``POLE_RTOL`` of ``scale`` of zero: then PoleError."""
+    if abs(value) <= POLE_RTOL * scale:
+        raise PoleError(message)
+    return value
+
+
+def three_photon_denominator(config: SystemConfig) -> complex:
+    """delta_3 - i*gamma_3, the cross-Kerr denominator, checked against its pole."""
+    d3 = config.detunings().delta3
+    g3 = config.gamma[2]
+    scale = max(abs(config.mode_a.delta), abs(config.mode_b.delta),
+                abs(config.mode_c.delta), g3)
+    return off_pole(d3 - 1j * g3, scale, "pole: delta_3 = 0 and gamma_3 = 0")
 
 
 def build_hamiltonian(config: SystemConfig) -> np.ndarray:
@@ -162,8 +191,7 @@ def split(config: SystemConfig) -> PerturbationSplit:
     h = build_hamiltonian(config)
     om_a = rabi_frequency(config.mode_a)
     om_c = rabi_frequency(config.mode_c)
-    eps_a = abs(om_a) / 2.0
-    eps_c = abs(om_c) / 2.0
+    eps_a, eps_c = perturbation_strengths(config)
     phi_a = cmath.phase(om_a)
     phi_c = cmath.phase(om_c)
 

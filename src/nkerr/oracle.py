@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import model, perturb
-from .errors import ConvergenceError, StepError, TrackingError
+from .errors import ConvergenceError, DegeneracyError, StepError, TrackingError
 from .model import PerturbationSplit, SystemConfig
 
 RESIDUAL_TOL = 1e-12
@@ -82,15 +82,10 @@ def track_ground(config: SystemConfig, eps_scale: float, steps: int = TRACK_STEP
     previous step.
     """
     sp = model.split(config)
-    lam0 = exact_eigensystem(sp.h0).eigenvalues
-    scale = max(1.0, float(np.linalg.norm(sp.h0)))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(lam0[i] - lam0[j]) < 1e-8 * scale:
-                raise TrackingError(
-                    f"unperturbed spectrum nearly degenerate "
-                    f"(|lambda_{i + 1} - lambda_{j + 1}| = {abs(lam0[i] - lam0[j]):.3e}); "
-                    "cannot identify the ground branch")
+    try:
+        perturb.dressed_basis(sp.h0)
+    except DegeneracyError as exc:
+        raise TrackingError(f"cannot identify the ground branch: {exc}") from exc
     prev = np.zeros(4, dtype=complex)
     prev[0] = 1.0
     value = 0.0 + 0.0j

@@ -5,9 +5,10 @@ and leaves levels 1 and 4 bare; the two probe couplings act as independent
 perturbations of strengths eps_a and eps_c.  Eigenvalues and eigenvectors of
 the full matrix are expanded as double power series in (eps_a, eps_c), with
 state coefficients expressed in the dressed eigenbasis of the unperturbed
-operator.  Entries are filled diagonal by diagonal in the total order
-p + q, ascending p within a diagonal, so a table is bit-reproducible and
-extending ``max_order`` never changes lower entries.
+operator.  The coefficients of one state are held in dense arrays filled
+by total order p + q; each entry reads only entries of lower total order,
+so a table is bit-reproducible and extending ``max_order`` never changes
+lower entries.
 
 Pairing convention.  With decay the unperturbed operator is not Hermitian:
 its diagonal carries ``delta_j - i*gamma_j``.  Every bra appearing in the
@@ -60,7 +61,7 @@ class DressedBasis:
     n_plus: complex
 
 
-def dressed_basis(h0: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> DressedBasis:
+def dressed_basis(h0: np.ndarray) -> DressedBasis:
     """Diagonalise the pump block exactly; reject near-degenerate spectra."""
     d1 = h0[1, 1]
     d2 = h0[2, 2]
@@ -71,7 +72,6 @@ def dressed_basis(h0: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> Dre
     lam = np.zeros(4, dtype=complex)
     right = np.zeros((4, 4), dtype=complex)
     left = np.zeros((4, 4), dtype=complex)
-    lam[0] = 0.0
     lam[3] = d3
     right[0, 0] = left[0, 0] = 1.0
     right[3, 3] = left[3, 3] = 1.0
@@ -104,74 +104,59 @@ def dressed_basis(h0: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> Dre
     for i in range(4):
         for j in range(i + 1, 4):
             gap = abs(lam[i] - lam[j])
-            if gap < degeneracy_tol * scale:
+            if gap < DEGENERACY_TOL * scale:
                 raise DegeneracyError(
                     f"unperturbed spectrum is near-degenerate: eigenvalues {i + 1} and "
                     f"{j + 1} separated by only {gap:.3e} "
-                    f"(tolerance {degeneracy_tol:.1e} x {scale:.3e})"
+                    f"(tolerance {DEGENERACY_TOL:.1e} x {scale:.3e})"
                 )
     return DressedBasis(eigenvalues=lam, right=right, left=left,
                         n_minus=n_minus, n_plus=n_plus)
 
 
 class SeriesTable:
-    """Energy corrections and dressed-basis state coefficients for one split.
+    """Energy corrections and dressed-basis state coefficients of one state n.
 
-    Entries are keyed by eigenstate index n (1-based, physical label order of
-    :class:`DressedBasis`) and order (p, q).  Order (0, 0) is seeded for all
-    four states; higher orders are filled on demand for the states that are
-    actually requested.  The companion series of the transposed problem is
-    carried alongside for the normalisation step and for forming bras.
+    Made by :func:`build_series`.  ``E[s, p, q]`` is the order-(p, q)
+    eigenvalue correction and ``A[s, p, q, :]`` the dressed-basis
+    coefficients of the order-(p, q) state correction, for p + q <= ``order``;
+    higher entries are zero.  Series s = 0 is the primary one, s = 1 its
+    companion for the transposed problem.  Methods take the state index n
+    (1-based, label order of :class:`DressedBasis`) and raise
+    :class:`MissingOrderError` for another state or an order not built.
     """
 
-    def __init__(self, split: PerturbationSplit,
-                 degeneracy_tol: float = DEGENERACY_TOL) -> None:
-        self.split = split
-        self.basis = dressed_basis(split.h0, degeneracy_tol)
-        r, l = self.basis.right, self.basis.left
-        self._lam = self.basis.eigenvalues
-        self._vta = l @ split.va @ r
-        self._vtc = l @ split.vc @ r
-        self._e: dict[tuple[int, int, int], complex] = {}
-        self._ed: dict[tuple[int, int, int], complex] = {}
-        self._a: dict[tuple[int, int, int], np.ndarray] = {}
-        self._ad: dict[tuple[int, int, int], np.ndarray] = {}
-        for n in range(1, 5):
-            self._e[(n, 0, 0)] = complex(self._lam[n - 1])
-            self._ed[(n, 0, 0)] = complex(self._lam[n - 1])
-            unit = np.zeros(4, dtype=complex)
-            unit[n - 1] = 1.0
-            self._a[(n, 0, 0)] = unit
-            self._ad[(n, 0, 0)] = unit.copy()
+    def __init__(self, split: PerturbationSplit, n: int, order: int) -> None:
+        self.basis = dressed_basis(split.h0)
+        self.n = n
+        self.order = order
+        self.E = np.zeros((2, order + 1, order + 1), dtype=complex)
+        self.A = np.zeros((2, order + 1, order + 1, 4), dtype=complex)
+        self.E[:, 0, 0] = self.basis.eigenvalues[n - 1]
+        self.A[:, 0, 0, n - 1] = 1.0
 
-    def has_order(self, n: int, p: int, q: int) -> bool:
-        return (n, p, q) in self._e
+    def _require(self, n: int, p: int, q: int) -> None:
+        if n != self.n or min(p, q) < 0 or p + q > self.order:
+            raise MissingOrderError(f"order ({p},{q}) of state {n} is not in this table "
+                                    f"of state {self.n} to total order {self.order}")
 
     def max_order(self, n: int) -> int:
         """Largest total order d such that every (p, q) with p + q <= d is present."""
-        d = 0
-        while all(self.has_order(n, p, d + 1 - p) for p in range(d + 2)):
-            d += 1
-        return d
+        self._require(n, 0, 0)
+        return self.order
 
     def energy(self, n: int, p: int, q: int) -> complex:
-        try:
-            return self._e[(n, p, q)]
-        except KeyError:
-            raise MissingOrderError(f"energy correction ({p},{q}) for state {n} not computed") from None
+        self._require(n, p, q)
+        return complex(self.E[0, p, q])
 
     def coefficient(self, n: int, m: int, p: int, q: int) -> complex:
-        try:
-            return complex(self._a[(n, p, q)][m - 1])
-        except KeyError:
-            raise MissingOrderError(f"state correction ({p},{q}) for state {n} not computed") from None
+        self._require(n, p, q)
+        return complex(self.A[0, p, q, m - 1])
 
     def ket_correction(self, n: int, p: int, q: int) -> np.ndarray:
         """Order-(p, q) ket correction in the bare basis (column vector)."""
-        try:
-            return self.basis.right @ self._a[(n, p, q)]
-        except KeyError:
-            raise MissingOrderError(f"state correction ({p},{q}) for state {n} not computed") from None
+        self._require(n, p, q)
+        return self.basis.right @ self.A[0, p, q]
 
     def bra_correction(self, n: int, p: int, q: int) -> np.ndarray:
         """Order-(p, q) bra correction in the bare basis (row vector).
@@ -179,116 +164,66 @@ class SeriesTable:
         Built from the companion series; in the Hermitian case this equals
         the conjugate of :meth:`ket_correction`.
         """
-        try:
-            return self._ad[(n, p, q)] @ self.basis.left
-        except KeyError:
-            raise MissingOrderError(f"state correction ({p},{q}) for state {n} not computed") from None
+        self._require(n, p, q)
+        return self.A[1, p, q] @ self.basis.left
 
     def normalization_residual(self, n: int, p: int, q: int) -> complex:
         """Order-(p, q) residual of the norm expansion; zero by construction."""
-        total = 0.0 + 0.0j
-        for i in range(p + 1):
-            for j in range(q + 1):
-                total += np.dot(self._ad[(n, i, j)], self._a[(n, p - i, q - j)])
-        if (p, q) == (0, 0):
-            total -= 1.0
-        return total
-
-    # -- recursion ---------------------------------------------------------
-
-    def _require_dependencies(self, n: int, p: int, q: int) -> None:
-        for i in range(p + 1):
-            for j in range(q + 1):
-                if (i, j) == (p, q):
-                    continue
-                if (n, i, j) not in self._e:
-                    raise MissingOrderError(
-                        f"order ({p},{q}) for state {n} needs ({i},{j}) computed first")
-
-    def _rhs(self, coeffs, vta, vtc, n: int, p: int, q: int) -> np.ndarray:
-        rhs = np.zeros(4, dtype=complex)
-        if p >= 1:
-            rhs += vta @ coeffs[(n, p - 1, q)]
-        if q >= 1:
-            rhs += vtc @ coeffs[(n, p, q - 1)]
-        return rhs
-
-    def _advance(self, n: int, p: int, q: int) -> None:
-        if self.has_order(n, p, q):
-            return
-        self._require_dependencies(n, p, q)
-        rhs = self._rhs(self._a, self._vta, self._vtc, n, p, q)
-        rhsd = self._rhs(self._ad, self._vta.T, self._vtc.T, n, p, q)
-
-        corr = np.zeros(4, dtype=complex)
-        corrd = np.zeros(4, dtype=complex)
-        overlap = 0.0 + 0.0j
-        for i in range(p + 1):
-            for j in range(q + 1):
-                if (i, j) in ((0, 0), (p, q)):
-                    continue
-                corr += self._e[(n, i, j)] * self._a[(n, p - i, q - j)]
-                corrd += self._ed[(n, i, j)] * self._ad[(n, p - i, q - j)]
-                overlap += np.dot(self._ad[(n, i, j)], self._a[(n, p - i, q - j)])
-
-        k = n - 1
-        e_new = rhs[k] - corr[k]
-        ed_new = rhsd[k] - corrd[k]
-
-        a_new = np.zeros(4, dtype=complex)
-        ad_new = np.zeros(4, dtype=complex)
-        lam_n = self._lam[k]
-        for m in range(4):
-            if m == k:
-                continue
-            gap = lam_n - self._lam[m]
-            if gap == 0:
-                raise DegeneracyError(f"vanishing energy denominator between states {n} and {m + 1}")
-            a_new[m] = (rhs[m] - corr[m]) / gap
-            ad_new[m] = (rhsd[m] - corrd[m]) / gap
-        # Norm expansion fixes the real part; the residual phase freedom is
-        # resolved by giving both series the same diagonal entry.
-        a_new[k] = ad_new[k] = -0.5 * overlap
-
-        self._e[(n, p, q)] = complex(e_new)
-        self._ed[(n, p, q)] = complex(ed_new)
-        self._a[(n, p, q)] = a_new
-        self._ad[(n, p, q)] = ad_new
+        self._require(n, p, q)
+        total = complex(_overlap(self.A, p, q))
+        return total - 1.0 if (p, q) == (0, 0) else total
 
 
-def energy_correction(table: SeriesTable, n: int, p: int, q: int) -> complex:
-    """Order-(p, q) eigenvalue correction for state n, computing it if needed."""
-    if not table.has_order(n, p, q):
-        table._advance(n, p, q)
-    return table.energy(n, p, q)
+def _overlap(a: np.ndarray, p: int, q: int) -> complex:
+    """sum over i <= p, j <= q of a[1, i, j] . a[0, p - i, q - j]."""
+    return np.einsum("ijm,ijm->", a[1, :p + 1, :q + 1], a[0, p::-1, q::-1])
 
 
-def state_correction(table: SeriesTable, n: int, m: int, p: int, q: int) -> complex:
-    """Dressed-basis coefficient of state m in the order-(p, q) correction of state n."""
-    if not table.has_order(n, p, q):
-        table._advance(n, p, q)
-    return table.coefficient(n, m, p, q)
-
-
-def build_series(split: PerturbationSplit, n: int, max_order: int,
-                 degeneracy_tol: float = DEGENERACY_TOL) -> SeriesTable:
-    """Populate a table for state n with every order p + q <= max_order."""
+def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
+    """Fill a table for state n with every order p + q <= max_order."""
     if not 1 <= n <= 4:
         raise ValueError(f"state index must lie in 1..4, got {n}")
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    table = SeriesTable(split, degeneracy_tol)
+    table = SeriesTable(split, n, max_order)
+    e, a, basis = table.E, table.A, table.basis
+    vta = basis.left @ split.va @ basis.right
+    vtc = basis.left @ split.vc @ basis.right
+    va = np.stack([vta, vta.T])  # the companion series sees the transposed couplings
+    vc = np.stack([vtc, vtc.T])
+    k = n - 1
+    gap = basis.eigenvalues[k] - basis.eigenvalues
+    gap[k] = 1.0  # the diagonal entry comes from the norm expansion instead
     for d in range(1, max_order + 1):
         for p in range(d + 1):
-            table._advance(n, p, d - p)
+            q = d - p
+            # Entries of total order d are still zero, so the full rectangle
+            # sums exactly the products of lower orders.
+            rhs = -np.einsum("sij,sijm->sm", e[:, :p + 1, :q + 1], a[:, p::-1, q::-1])
+            if p:
+                rhs += np.einsum("smj,sj->sm", va, a[:, p - 1, q])
+            if q:
+                rhs += np.einsum("smj,sj->sm", vc, a[:, p, q - 1])
+            overlap = _overlap(a, p, q)
+            e[:, p, q] = rhs[:, k]
+            a[:, p, q] = rhs / gap
+            # Norm expansion fixes the real part; the residual phase freedom is
+            # resolved by giving both series the same diagonal entry.
+            a[:, p, q, k] = -0.5 * overlap
     return table
+
+
+def power_sum(c: np.ndarray, x, y):
+    """sum over (p, q) of c[p, q] x**p y**q, for scalar or array x and y."""
+    xp = np.asarray(x)[..., None] ** np.arange(c.shape[0])
+    yq = np.asarray(y)[..., None] ** np.arange(c.shape[1])
+    return np.sum((xp @ c) * yq, axis=-1)
 
 
 def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
                     total_order: int) -> complex:
     """Partial sum of the eigenvalue series through the given total order."""
-    total = 0.0 + 0.0j
-    for d in range(total_order + 1):
-        for p in range(d + 1):
-            total += eps_a**p * eps_c ** (d - p) * table.energy(n, p, d - p)
-    return total
+    table._require(n, 0, total_order)
+    d = np.arange(total_order + 1)
+    e = table.E[0, :total_order + 1, :total_order + 1]
+    return complex(power_sum(np.where(d[:, None] + d <= total_order, e, 0.0), eps_a, eps_c))

@@ -25,7 +25,9 @@ relaxed ground state (real positive couplings),
     chi3_self  = -|g_a|^4 t^{(3,0)} / (3 eps_a^4)
     chi3_cross = -|g_a|^2 |g_c|^2 t^{(1,2)} / (6 eps_a^2 eps_c^2)
 
-and in the lossless limit chi1 = -L/eps_a^2, chi3_self = -2S/(3 eps_a^4),
+and seen from the 3<->4 probe, with rho43 = sum u^{(p,q)} eps_a^p eps_c^q,
+chi3_cross = -|g_a|^2 |g_c|^2 u^{(2,1)} / (6 eps_a^2 eps_c^2) as well;
+in the lossless limit chi1 = -L/eps_a^2, chi3_self = -2S/(3 eps_a^4),
 chi3_cross = -K/(6 eps_a^2 eps_c^2) against the Kerr coefficients.  These
 identities are what the oracle tests pin down.
 """
@@ -44,6 +46,8 @@ from .model import SystemConfig
 SweepAxis = Literal["da", "db", "dc"]
 
 _AXIS_TO_MODE = {"da": "mode_a", "db": "mode_b", "dc": "mode_c"}
+
+_LEVELS = {"rho21": (1, 0), "rho43": (3, 2)}  # (ket level, bra level) of each coherence
 
 
 @dataclass(frozen=True)
@@ -76,32 +80,27 @@ class SweepRow:
 
 
 def _denominator(config: SystemConfig) -> complex:
+    """D, checked against its pole."""
     d1, d2, _ = config.detunings()
     g1, g2, _ = config.gamma
-    gb2n = abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
-    return (g1 + 1j * d1) * (g2 + 1j * d2) + gb2n
+    gb2n = model.pump_coupling(config)
+    pair = (g1 + 1j * d1) * (g2 + 1j * d2)
+    return model.off_pole(pair + gb2n, max(abs(pair), gb2n),
+                          "pole: (gamma_1+i*delta_1)(gamma_2+i*delta_2) + |g_b|^2 (n_b+1) = 0")
 
 
-def _eps_a(config: SystemConfig) -> float:
-    eps_a, _ = model.perturbation_strengths(config)
-    if eps_a == 0:
-        raise PoleError("pole: eps_a = 0 (probe 'a' carries no photons or no coupling)")
-    return eps_a
-
-
-def _eps_c(config: SystemConfig) -> float:
-    _, eps_c = model.perturbation_strengths(config)
-    if eps_c == 0:
-        raise PoleError("pole: eps_c = 0 (probe 'c' carries no photons or no coupling)")
-    return eps_c
+def _probe_strength(mode: model.FieldMode) -> float:
+    eps = model.probe_strength(mode)
+    if eps == 0:
+        raise PoleError(f"pole: eps_{mode.label} = 0 "
+                        f"(probe '{mode.label}' carries no photons or no coupling)")
+    return eps
 
 
 def chi1(config: SystemConfig) -> complex:
     """Linear susceptibility of the 1<->2 probe."""
     den = _denominator(config)
-    if den == 0:
-        raise PoleError("pole: (gamma_1+i*delta_1)(gamma_2+i*delta_2) + |g_b|^2 (n_b+1) = 0")
-    eps_a = _eps_a(config)
+    eps_a = _probe_strength(config.mode_a)
     _, d2, _ = config.detunings()
     g2 = config.gamma[1]
     return abs(config.mode_a.g) ** 2 * (1j * g2 - d2) / (eps_a**2 * den)
@@ -110,12 +109,10 @@ def chi1(config: SystemConfig) -> complex:
 def chi3_self(config: SystemConfig) -> complex:
     """Self-Kerr susceptibility of the 1<->2 probe."""
     den = _denominator(config)
-    if den == 0:
-        raise PoleError("pole: (gamma_1+i*delta_1)(gamma_2+i*delta_2) + |g_b|^2 (n_b+1) = 0")
-    eps_a = _eps_a(config)
+    eps_a = _probe_strength(config.mode_a)
     _, d2, _ = config.detunings()
     g2 = config.gamma[1]
-    gb2n = abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
+    gb2n = model.pump_coupling(config)
     num = 2.0 * abs(config.mode_a.g) ** 4 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
     return num / (3.0 * eps_a**4 * den**3)
 
@@ -123,23 +120,11 @@ def chi3_self(config: SystemConfig) -> complex:
 def chi3_cross(config: SystemConfig) -> complex:
     """Cross-Kerr susceptibility coupling the two probes."""
     den = _denominator(config)
-    if den == 0:
-        raise PoleError("pole: (gamma_1+i*delta_1)(gamma_2+i*delta_2) + |g_b|^2 (n_b+1) = 0")
-    _, _, d3 = config.detunings()
-    g3 = config.gamma[2]
-    pole3 = d3 - 1j * g3
-    if pole3 == 0:
-        raise PoleError("pole: delta_3 - i*gamma_3 = 0")
-    eps_a = _eps_a(config)
-    eps_c = _eps_c(config)
-    num = (abs(config.mode_a.g) ** 2 * abs(config.mode_b.g) ** 2
-           * abs(config.mode_c.g) ** 2 * (config.mode_b.n + 1))
+    pole3 = model.three_photon_denominator(config)
+    eps_a = _probe_strength(config.mode_a)
+    eps_c = _probe_strength(config.mode_c)
+    num = abs(config.mode_a.g) ** 2 * model.pump_coupling(config) * abs(config.mode_c.g) ** 2
     return num / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2)
-
-
-def chi3_cross_conjugate_transition(config: SystemConfig) -> complex:
-    """Cross-Kerr susceptibility seen from the 3<->4 probe; identical by symmetry."""
-    return chi3_cross(config)
 
 
 def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
@@ -147,16 +132,17 @@ def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
                                chi3_cross=chi3_cross(config), at=config)
 
 
-def _ground_state_polynomials(config: SystemConfig, order: int):
-    sp = model.split(config)
-    table = perturb.build_series(sp, 1, order)
-    kets = {}
-    bras = {}
-    for d in range(order + 1):
-        for p in range(d + 1):
-            kets[(p, d - p)] = table.ket_correction(1, p, d - p)
-            bras[(p, d - p)] = table.bra_correction(1, p, d - p)
-    return sp, kets, bras
+def _coherence_polynomials(config: SystemConfig, order: int) -> dict[str, Callable]:
+    """Each coherence of the relaxed ground state as a polynomial in (eps_a, eps_c)."""
+    table = perturb.build_series(model.split(config), 1, order)
+    kets = table.A[0] @ table.basis.right.T  # [p, q, bare level]
+    bras = table.A[1] @ table.basis.left
+
+    def polynomial(ket_level, bra_level):
+        ket_c, bra_c = kets[..., ket_level], bras[..., bra_level]
+        return lambda x, y: perturb.power_sum(ket_c, x, y) * perturb.power_sum(bra_c, x, y)
+
+    return {element: polynomial(*levels) for element, levels in _LEVELS.items()}
 
 
 def coherences(config: SystemConfig, order: int = 3) -> Coherences:
@@ -168,11 +154,9 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    sp, kets, bras = _ground_state_polynomials(config, order)
-    x, y = sp.eps_a, sp.eps_c
-    ket = sum(x**p * y**q * k for (p, q), k in kets.items())
-    bra = sum(x**p * y**q * b for (p, q), b in bras.items())
-    return Coherences(rho21=complex(ket[1] * bra[0]), rho43=complex(ket[3] * bra[2]))
+    polys = _coherence_polynomials(config, order)
+    x, y = model.perturbation_strengths(config)
+    return Coherences(rho21=complex(polys["rho21"](x, y)), rho43=complex(polys["rho43"](x, y)))
 
 
 def coherence_evaluator(config: SystemConfig, order: int = 3,
@@ -184,20 +168,9 @@ def coherence_evaluator(config: SystemConfig, order: int = 3,
     arbitrary strengths, scalars or arrays of them, which is what Taylor
     extraction samples.
     """
-    rows = {"rho21": (1, 0), "rho43": (3, 2)}
-    if element not in rows:
-        raise ValueError(f"element must be one of {sorted(rows)}, got {element!r}")
-    ki, bi = rows[element]
-    _, kets, bras = _ground_state_polynomials(config, order)
-    ket_c = {(p, q): k[ki] for (p, q), k in kets.items()}
-    bra_c = {(p, q): b[bi] for (p, q), b in bras.items()}
-
-    def f(x, y):
-        ket = sum(x**p * y**q * c for (p, q), c in ket_c.items())
-        bra = sum(x**p * y**q * c for (p, q), c in bra_c.items())
-        return ket * bra
-
-    return f
+    if element not in _LEVELS:
+        raise ValueError(f"element must be one of {sorted(_LEVELS)}, got {element!r}")
+    return _coherence_polynomials(config, order)[element]
 
 
 def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,

@@ -4,10 +4,12 @@ Each criterion draws its own deterministic random stream from the user seed,
 so a given seed always produces a byte-identical report.  Checks that need
 random scenarios use couplings, detunings and margins chosen to keep every
 draw well inside the perturbative regime and away from the closed-form
-poles.  Criteria 3, 4 and 8 read Taylor coefficients from one Cauchy-integral
+poles.  Criteria 3, 4, 7 and 8 read Taylor coefficients from one Cauchy-integral
 extraction per configuration (24 x 24 nodes, radius ``oracle.extraction_radius``)
 of the exact ground eigenvalue (Newton's method at all nodes at once) or of
-the coherence polynomial; its self-check raises ``StepError`` on a bad radius.
+a coherence polynomial; its self-check raises ``StepError`` on a bad radius.
+Criterion 7 reads chi3_cross off the 3<->4 coherence rho43, criterion 8 off
+rho21, and both compare it with the closed form.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from typing import Callable
 import numpy as np
 
 from . import effective, model, oracle, perturb, suscept
+from .errors import DegeneracyError
 from .model import FieldMode, SystemConfig
 
-__all__ = ["CheckResult", "run_all", "report_lines", "run_report"]
+__all__ = ["CheckResult", "phase_comparison", "run_all", "report_lines", "run_report"]
 
 
 @dataclass(frozen=True)
@@ -68,21 +71,17 @@ def _reference_config() -> SystemConfig:
 
 
 def _dressed_gaps_ok(cfg: SystemConfig, min_gap: float) -> bool:
-    d1, d2, d3 = cfg.detunings()
-    g1, g2, g3 = cfg.gamma
-    c1 = d1 - 1j * g1
-    c2 = d2 - 1j * g2
-    c3 = d3 - 1j * g3
-    ob2 = abs(model.rabi_frequency(cfg.mode_b)) ** 2
-    root = np.sqrt((c1 - c2) ** 2 + ob2 + 0j)
-    lam = [0.0, 0.5 * ((c1 + c2) - root), 0.5 * ((c1 + c2) + root), c3]
+    try:
+        lam = perturb.dressed_basis(model.split(cfg).h0).eigenvalues
+    except DegeneracyError:
+        return False
     return all(abs(lam[i] - lam[j]) >= min_gap
                for i in range(4) for j in range(i + 1, 4))
 
 
 def _well_conditioned(cfg: SystemConfig) -> bool:
     d1, d2, d3 = cfg.detunings()
-    gb2n = abs(cfg.mode_b.g) ** 2 * (cfg.mode_b.n + 1)
+    gb2n = model.pump_coupling(cfg)
     dk = d1 * d2 - gb2n
     if not 0.4 <= abs(dk) <= 2.5:
         return False
@@ -117,8 +116,24 @@ def _rng(seed: int, lane: int) -> np.random.Generator:
     return np.random.default_rng([seed, lane])
 
 
-def _wrap_phase(x: float) -> float:
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
+def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, float]:
+    """Effective and propagated phase of the relaxed ground state at time t.
+
+    Returns the effective phase -(L n_a + S n_a^2 + K n_a n_c) t, the phase
+    of the level-1 amplitude under exact propagation, their difference
+    wrapped to [-pi, pi) and its leakage bound 10 eps^2.  Raises
+    DegeneracyError unless the unperturbed spectrum is cleanly gapped.
+    """
+    co = effective.coefficients(cfg)
+    perturb.dressed_basis(model.split(cfg).h0)
+    n_a, n_c = cfg.mode_a.n, cfg.mode_c.n
+    eff_phase = -(co.linear * n_a + co.self_kerr * n_a**2 + co.cross_kerr * n_a * n_c) * t
+    psi0 = np.zeros(4, dtype=complex)
+    psi0[0] = 1.0
+    amp = complex(oracle.propagate(model.build_hamiltonian(cfg), psi0, t)[0])
+    oracle_phase = math.atan2(amp.imag, amp.real)
+    diff = (oracle_phase - eff_phase + math.pi) % (2.0 * math.pi) - math.pi
+    return eff_phase, oracle_phase, diff, 10.0 * max(model.perturbation_strengths(cfg)) ** 2
 
 
 # -- criteria ---------------------------------------------------------------
@@ -198,7 +213,7 @@ def _criterion_4(seed: int) -> CheckResult:
         chk.close(expected, folded, 1e-5)
         # the |g_b|^4 variant must be cleanly rejected whenever |g_a| != |g_b|
         d1, d2, d3 = cfg.detunings()
-        gb2n = abs(cfg.mode_b.g) ** 2 * (cfg.mode_b.n + 1)
+        gb2n = model.pump_coupling(cfg)
         dk = d1 * d2 - gb2n
         s_variant = d2 * (d2**2 + gb2n) * abs(cfg.mode_b.g) ** 4 / dk**3
         wrong = s_variant * cfg.mode_a.n**2
@@ -219,28 +234,22 @@ def _criterion_5(seed: int) -> CheckResult:
 def _criterion_6(seed: int) -> CheckResult:
     chk = _Checker()
     cfg = _reference_config()
-    co = effective.coefficients(cfg)
-    t = (math.pi / 4.0) / abs(co.cross_kerr)
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[0] = 1.0
-    psi_t = oracle.propagate(model.build_hamiltonian(cfg), psi0, t)
-    oracle_phase = math.atan2((psi_t[0]).imag, (psi_t[0]).real)
-    eff = (co.linear + co.self_kerr + co.cross_kerr) * t  # n_a = n_c = 1
-    diff = abs(_wrap_phase(oracle_phase + eff))
-    eps = max(model.perturbation_strengths(cfg))
-    bound = 10.0 * eps**2
-    chk.expect(diff <= bound, f"|phase difference| <= {bound:g}", diff, bound)
+    t = (math.pi / 4.0) / abs(effective.coefficients(cfg).cross_kerr)
+    _, _, diff, bound = phase_comparison(cfg, t)
+    chk.expect(abs(diff) <= bound, f"|phase difference| <= {bound:g}", abs(diff), bound)
     return CheckResult(6, "phase evolution vs propagation", chk.passed, chk.detail)
 
 
 def _criterion_7(seed: int) -> CheckResult:
     chk = _Checker()
     rng = _rng(seed, 7)
-    for _ in range(100):
+    for _ in range(20):
         cfg = _random_config(rng, lossy=True)
-        a = suscept.chi3_cross(cfg)
-        b = suscept.chi3_cross_conjugate_transition(cfg)
-        chk.expect(a == b, a, b, "exact equality")
+        ea, ec = model.perturbation_strengths(cfg)
+        t = oracle.taylor_coefficients(suscept.coherence_evaluator(cfg, 3, "rho43"),
+                                       oracle.extraction_radius(model.split(cfg)))
+        seen_from_c = -abs(cfg.mode_a.g) ** 2 * abs(cfg.mode_c.g) ** 2 * complex(t[2, 1])
+        chk.close(suscept.chi3_cross(cfg), seen_from_c / (6 * ea**2 * ec**2), 1e-9)
     return CheckResult(7, "chi3 symmetry identity", chk.passed, chk.detail)
 
 
@@ -298,14 +307,10 @@ def _criterion_10(seed: int) -> CheckResult:
     rng = _rng(seed, 10)
     for _ in range(20):
         cfg = _random_config(rng, lossy=False)
-        table = perturb.build_series(model.split(cfg), 1, 4)
-        for d in range(1, 5):
-            for p in range(d + 1):
-                q = d - p
-                if p % 2 == 0 and q % 2 == 0:
-                    continue
-                chk.expect(abs(table.energy(1, p, q)) < 1e-14,
-                           0.0, table.energy(1, p, q), 1e-14)
+        energies = perturb.build_series(model.split(cfg), 1, 4).E[0]
+        for (p, q), value in np.ndenumerate(energies):
+            if p % 2 or q % 2:
+                chk.expect(abs(value) < 1e-14, 0.0, complex(value), 1e-14)
     return CheckResult(10, "parity of corrections", chk.passed, chk.detail)
 
 

@@ -23,6 +23,22 @@ def test_criterion(number):
     assert result.passed, f"criterion {number} ({result.name}): {result.detail}"
 
 
+def test_validate_report_text_seed_zero():
+    assert validate.run_report(0)[0] == (
+        "criterion 01 series-vs-exact: PASS\n"
+        "criterion 02 dark-state cancellation: PASS\n"
+        "criterion 03 cross-Kerr closed form vs FD oracle: PASS\n"
+        "criterion 04 self-Kerr |g_a|^4 form adjudicated: PASS\n"
+        "criterion 05 pure cross-Kerr consistency: PASS\n"
+        "criterion 06 phase evolution vs propagation: PASS\n"
+        "criterion 07 chi3 symmetry identity: PASS\n"
+        "criterion 08 chi closed forms vs coherence oracle: PASS\n"
+        "criterion 09 cross-Kerr absorption structure: PASS\n"
+        "criterion 10 parity of corrections: PASS\n"
+        "criterion 11 CLI determinism and CSV format: PASS\n"
+        "all criteria passed\n")
+
+
 def test_validate_command_exits_zero_on_seed_zero(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "nkerr.cli", "validate", "--seed", "0"],
                           capture_output=True, text=True)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nkerr import cli
+from nkerr import cli, suscept
 from nkerr.errors import ScenarioError
 
 
@@ -107,6 +107,15 @@ def test_coeffs_delta3_pole_exit3(tmp_path, capsys):
     assert "pole: delta_3 = 0" in capsys.readouterr().err
 
 
+def test_coeffs_near_pole_exit3(tmp_path, capsys):
+    # delta_1*delta_2 - |g_b|^2 = -1.1e-16, rounding noise against terms of 1
+    path = write_scenario(tmp_path, scenario_doc(da=1.0, db=1e-16, dc=0.5))
+    out = io.StringIO()
+    assert cli.main(["coeffs", path], stdout=out) == 3
+    assert out.getvalue() == ""
+    assert "pole:" in capsys.readouterr().err
+
+
 def test_coeffs_lossy_refused_exit4(tmp_path, capsys):
     path = write_scenario(tmp_path, scenario_doc(gamma={"g1": 0.1, "g2": 0.0, "g3": 0.0}))
     assert cli.main(["coeffs", path], stdout=io.StringIO()) == 4
@@ -175,6 +184,26 @@ def test_sweep_unwritable_out_exit2(tmp_path, capsys):
                      "--steps", "3", "--out", str(opath)], stdout=io.StringIO()) == 2
     err = capsys.readouterr().err
     assert err.startswith("output error:") and err.count("\n") == 1
+
+
+def test_sweep_unwritable_out_fails_before_sweeping(tmp_path, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was opened")
+
+    monkeypatch.setattr(suscept, "sweep", no_sweep)
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
+    opath = tmp_path / "missing-dir" / "out.csv"
+    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
+                     "--steps", "100001", "--out", str(opath)], stdout=io.StringIO()) == 2
+
+
+def test_sweep_too_few_steps_leaves_out_untouched(tmp_path):
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
+    opath = tmp_path / "out.csv"
+    opath.write_text("kept\n", encoding="utf-8")
+    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
+                     "--steps", "1", "--out", str(opath)], stdout=io.StringIO()) == 2
+    assert opath.read_text(encoding="utf-8") == "kept\n"
 
 
 # -- evolve ------------------------------------------------------------------

@@ -64,6 +64,16 @@ def test_pump_pole_rejected():
         effective.coefficients(cfg)
 
 
+@pytest.mark.parametrize("da, db, dc, match", [
+    (1.0, 1e-16, 0.5, "n_b"),  # D_K = -1.1e-16 against delta_1*delta_2 = 1
+    (0.1, 0.3, 0.2, "delta_3"),  # delta_3 = 2.8e-17 against detunings of 0.3
+])
+def test_near_pole_rejected_relative_to_scale(da, db, dc, match):
+    cfg = make_config(0.1, 1.0, 0.1, 1, 0, 1, da, db, dc)
+    with pytest.raises(PoleError, match=match):
+        effective.coefficients(cfg)
+
+
 def test_lossy_config_refused():
     cfg = make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.4, 0.1, 0.6, gamma=(0.1, 0.0, 0.0))
     with pytest.raises(NotHermitianError):

@@ -73,8 +73,8 @@ def test_dressed_normalizers_positive_in_hermitian_case():
 # -- recursion ---------------------------------------------------------------
 
 def test_first_order_energy_vanishes(reference_config):
-    table = perturb.SeriesTable(model.split(reference_config))
-    assert perturb.energy_correction(table, 1, 1, 0) == 0
+    table = perturb.build_series(model.split(reference_config), 1, 1)
+    assert table.energy(1, 1, 0) == 0
 
 
 def test_second_order_energy_matches_closed_form(reference_config):
@@ -100,25 +100,26 @@ def test_mixed_fourth_order_on_raman_resonance():
 
 
 def test_zeroth_order_coefficients_are_kronecker(reference_config):
-    table = perturb.SeriesTable(model.split(reference_config))
+    sp = model.split(reference_config)
     for n in range(1, 5):
+        table = perturb.build_series(sp, n, 0)
         for m in range(1, 5):
-            assert perturb.state_correction(table, n, m, 0, 0) == (1.0 if m == n else 0.0)
+            assert table.coefficient(n, m, 0, 0) == (1.0 if m == n else 0.0)
 
 
 def test_first_order_coefficient_to_level4_vanishes(reference_config):
-    table = perturb.SeriesTable(model.split(reference_config))
-    assert perturb.state_correction(table, 1, 4, 1, 0) == 0
+    table = perturb.build_series(model.split(reference_config), 1, 1)
+    assert table.coefficient(1, 4, 1, 0) == 0
 
 
 def test_first_order_coefficients_textbook_formula(reference_config):
     sp = model.split(reference_config)
-    table = perturb.SeriesTable(sp)
+    table = perturb.build_series(sp, 1, 1)
     basis = table.basis
     for m in (2, 3):
         elem = basis.left[m - 1] @ sp.va @ basis.right[:, 0]
         expected = elem / (0.0 - basis.eigenvalues[m - 1])
-        assert perturb.state_correction(table, 1, m, 1, 0) == pytest.approx(expected, rel=1e-13)
+        assert table.coefficient(1, m, 1, 0) == pytest.approx(expected, rel=1e-13)
 
 
 def test_first_order_coefficients_vs_fd_eigenvector(reference_config):
@@ -190,11 +191,13 @@ def test_order_independence_bit_identical(reference_config):
 
 
 def test_missing_order_raises(reference_config):
-    table = perturb.SeriesTable(model.split(reference_config))
+    table = perturb.build_series(model.split(reference_config), 1, 1)
     with pytest.raises(MissingOrderError):
-        table.energy(1, 2, 0)
+        table.energy(1, 2, 0)  # past max_order
     with pytest.raises(MissingOrderError):
-        perturb.energy_correction(table, 1, 3, 1)  # needs lower orders first
+        table.ket_correction(1, 1, 1)
+    with pytest.raises(MissingOrderError):
+        table.coefficient(2, 1, 0, 0)  # another state
     with pytest.raises(MissingOrderError):
         perturb.evaluate_energy(table, 1, 0.01, 0.01, 2)
 

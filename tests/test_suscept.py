@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from nkerr import effective, model, oracle, suscept
+from nkerr import effective, model, oracle, suscept, validate
 from nkerr.errors import PoleError
 
 from conftest import make_config
@@ -80,21 +80,24 @@ def test_chi3_cross_detuning_flip_conjugates_pole():
     assert b == pytest.approx(-a.conjugate(), rel=1e-12)
 
 
+def _chi3_cross_from_rho43(cfg):
+    """Cross-Kerr susceptibility read off the 3<->4 coherence instead of rho21."""
+    ea, ec = model.perturbation_strengths(cfg)
+    t = oracle.taylor_coefficients(suscept.coherence_evaluator(cfg, 3, "rho43"),
+                                   oracle.extraction_radius(model.split(cfg)))
+    return -abs(cfg.mode_a.g) ** 2 * abs(cfg.mode_c.g) ** 2 * t[2, 1] / (6 * ea**2 * ec**2)
+
+
 def test_conjugate_transition_identity(lossy_config):
-    assert (suscept.chi3_cross_conjugate_transition(lossy_config)
-            == suscept.chi3_cross(lossy_config))
+    assert suscept.chi3_cross(lossy_config) == pytest.approx(
+        _chi3_cross_from_rho43(lossy_config), rel=1e-9)
 
 
 def test_conjugate_transition_identity_random_batch():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        cfg = make_config(rng.uniform(0.005, 0.05), rng.uniform(0.5, 1.5),
-                          rng.uniform(0.005, 0.05), int(rng.integers(1, 4)),
-                          int(rng.integers(0, 3)), int(rng.integers(1, 4)),
-                          rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1),
-                          gamma=tuple(rng.uniform(0.01, 0.5, size=3)))
-        assert (suscept.chi3_cross_conjugate_transition(cfg)
-                == suscept.chi3_cross(cfg))
+        cfg = validate._random_config(rng, lossy=True)
+        assert suscept.chi3_cross(cfg) == pytest.approx(_chi3_cross_from_rho43(cfg), rel=1e-9)
 
 
 def test_hermitian_real_couplings_give_real_chis(reference_config):
@@ -113,6 +116,18 @@ def test_chi_poles_raise():
     pole3 = make_config(0.02, 1.0, 0.02, 1, 0, 1, 0.4, 0.4, 0.0)  # delta_3 = 0, gamma_3 = 0
     with pytest.raises(PoleError, match="delta_3"):
         suscept.chi3_cross(pole3)
+
+
+@pytest.mark.parametrize("chi, deltas, match", [
+    (suscept.chi1, (1.0, 1e-16, 0.5), "n_b"),  # D = 1.1e-16 against terms of 1
+    (suscept.chi3_self, (1.0, 1e-16, 0.5), "n_b"),
+    (suscept.chi3_cross, (1.0, 1e-16, 0.5), "n_b"),
+    (suscept.chi3_cross, (0.1, 0.3, 0.2), "delta_3"),  # delta_3 = 2.8e-17 against 0.3
+])
+def test_chi_near_pole_rejected_relative_to_scale(chi, deltas, match):
+    cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, *deltas)
+    with pytest.raises(PoleError, match=match):
+        chi(cfg)
 
 
 def test_hermitian_limit_matches_kerr_coefficients(reference_config):
