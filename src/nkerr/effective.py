@@ -40,7 +40,7 @@ def _require_lossless(config: SystemConfig) -> None:
     if not config.is_hermitian:
         raise NotHermitianError(
             "Kerr coefficients are defined for gamma = (0, 0, 0) only; "
-            "use the susceptibility module for the lossy response")
+            "the lossy response is given by the susceptibilities ('nkerr sweep')")
 
 
 def coefficients(config: SystemConfig) -> KerrCoefficients:

@@ -150,20 +150,40 @@ def pump_coupling(config: SystemConfig) -> float:
     return abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
 
 
+def near_pole(value, scale):
+    """Where ``value`` is within ``POLE_RTOL`` of ``scale`` of zero; arrays broadcast."""
+    return np.abs(value) <= POLE_RTOL * scale
+
+
 def off_pole(value, scale: float, message: str):
-    """``value``, unless it is within ``POLE_RTOL`` of ``scale`` of zero: then PoleError."""
-    if abs(value) <= POLE_RTOL * scale:
+    """``value``, unless it is near its pole (``near_pole``): then PoleError."""
+    if near_pole(value, scale):
         raise PoleError(message)
     return value
 
 
+THREE_PHOTON_POLE = "pole: delta_3 = 0 and gamma_3 = 0"
+
+
+def three_photon_term(delta_a, delta_b, delta_c, gamma_3: float):
+    """delta_3 - i*gamma_3 at single-photon detunings (scalars or arrays), and its pole mask.
+
+    The pole is judged against the largest of |delta_a|, |delta_b|, |delta_c|
+    and gamma_3, the terms delta_3 - i*gamma_3 is made of.
+    """
+    delta_3 = multi_photon_detunings(delta_a, delta_b, delta_c).delta3
+    scale = np.maximum(np.maximum(abs(delta_a), abs(delta_b)), np.maximum(abs(delta_c), gamma_3))
+    value = delta_3 - 1j * gamma_3
+    return value, near_pole(value, scale)
+
+
 def three_photon_denominator(config: SystemConfig) -> complex:
     """delta_3 - i*gamma_3, the cross-Kerr denominator, checked against its pole."""
-    d3 = config.detunings().delta3
-    g3 = config.gamma[2]
-    scale = max(abs(config.mode_a.delta), abs(config.mode_b.delta),
-                abs(config.mode_c.delta), g3)
-    return off_pole(d3 - 1j * g3, scale, "pole: delta_3 = 0 and gamma_3 = 0")
+    value, pole = three_photon_term(config.mode_a.delta, config.mode_b.delta,
+                                    config.mode_c.delta, config.gamma[2])
+    if pole:
+        raise PoleError(THREE_PHOTON_POLE)
+    return value
 
 
 def build_hamiltonian(config: SystemConfig) -> np.ndarray:

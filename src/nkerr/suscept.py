@@ -1,7 +1,10 @@
 """Complex electrical susceptibilities of the two probe transitions.
 
 Closed forms, the coherence-series route they are validated against, and
-detuning sweeps.
+detuning sweeps.  The closed forms are written once, on numpy arrays of the
+single-photon detunings: a single configuration is a grid of one point, and
+a sweep evaluates its whole grid in one pass, masking the rows where a pole
+sits (``model.near_pole``) instead of stopping there.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -34,8 +37,8 @@ identities are what the oracle tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Literal
+from dataclasses import dataclass
+from typing import Callable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -45,9 +48,11 @@ from .model import SystemConfig
 
 SweepAxis = Literal["da", "db", "dc"]
 
-_AXIS_TO_MODE = {"da": "mode_a", "db": "mode_b", "dc": "mode_c"}
+_AXES = ("da", "db", "dc")  # each sweeps the single-photon detuning of modes a, b, c
 
 _LEVELS = {"rho21": (1, 0), "rho43": (3, 2)}  # (ket level, bra level) of each coherence
+
+_D_POLE = "pole: (gamma_1+i*delta_1)(gamma_2+i*delta_2) + |g_b|^2 (n_b+1) = 0"
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,6 @@ class SusceptibilityPoint:
     chi1: complex
     chi3_self: complex
     chi3_cross: complex
-    at: SystemConfig
 
 
 @dataclass(frozen=True)
@@ -79,57 +83,115 @@ class SweepRow:
     reason: str | None = None
 
 
-def _denominator(config: SystemConfig) -> complex:
-    """D, checked against its pole."""
-    d1, d2, _ = config.detunings()
-    g1, g2, _ = config.gamma
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """A detuning sweep as arrays over its grid ``value``.
+
+    The susceptibilities are NaN on invalid rows; ``reasons`` maps the index
+    of each invalid row to the pole that sits there.  ``len()``, indexing and
+    iteration give one ``SweepRow`` per grid point.
+    """
+
+    axis: SweepAxis
+    value: np.ndarray
+    chi1: np.ndarray
+    chi3_self: np.ndarray
+    chi3_cross: np.ndarray
+    valid: np.ndarray
+    reasons: dict[int, str]
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, k: int) -> SweepRow:
+        k = range(len(self))[k]
+        return self._row(k, *(column[k].item() for column in self._columns()))
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        return map(self._row, range(len(self)), *(column.tolist() for column in self._columns()))
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.value, self.valid, self.chi1, self.chi3_self, self.chi3_cross
+
+    def _row(self, k: int, value: float, valid: bool, chi1: complex, chi3_self: complex,
+             chi3_cross: complex) -> SweepRow:
+        if not valid:
+            return SweepRow(self.axis, value, None, False, self.reasons[k])
+        return SweepRow(self.axis, value, SusceptibilityPoint(chi1, chi3_self, chi3_cross), True)
+
+
+class _ClosedForms(NamedTuple):
+    chi1: np.ndarray
+    chi3_self: np.ndarray
+    chi3_cross: np.ndarray
+    # (mask, message) of each pole, in the order a point reports them; chi1
+    # and chi3_self have only the first two
+    poles: tuple[tuple[np.ndarray, str], ...]
+
+
+def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c) -> _ClosedForms:
+    """chi1, chi3_self and chi3_cross at arrays of single-photon detunings.
+
+    Scalars broadcast.  Every quantity is an array of the common shape, so an
+    element does not depend on how many points are evaluated with it.  Values
+    where a pole sits are not meaningful.
+    """
+    da, db, dc = np.broadcast_arrays(*(np.atleast_1d(np.asarray(d, dtype=float))
+                                       for d in (delta_a, delta_b, delta_c)))
+    d1, d2, _ = model.multi_photon_detunings(da, db, dc)
+    g1, g2, g3 = config.gamma
     gb2n = model.pump_coupling(config)
     pair = (g1 + 1j * d1) * (g2 + 1j * d2)
-    return model.off_pole(pair + gb2n, max(abs(pair), gb2n),
-                          "pole: (gamma_1+i*delta_1)(gamma_2+i*delta_2) + |g_b|^2 (n_b+1) = 0")
+    den = pair + gb2n
+    pole3, at_pole3 = model.three_photon_term(da, db, dc, g3)
+    eps_a = model.probe_strength(config.mode_a)
+    eps_c = model.probe_strength(config.mode_c)
+    poles = ((model.near_pole(den, np.maximum(abs(pair), gb2n)), _D_POLE),
+             (np.broadcast_to(eps_a == 0, da.shape), _no_probe_message(config.mode_a)),
+             (at_pole3, model.THREE_PHOTON_POLE),
+             (np.broadcast_to(eps_c == 0, da.shape), _no_probe_message(config.mode_c)))
+    ga2 = abs(config.mode_a.g) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        chi1 = ga2 * (1j * g2 - d2) / (eps_a**2 * den)
+        chi3_self = (2.0 * ga2**2 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
+                     / (3.0 * eps_a**4 * den**3))
+        chi3_cross = (ga2 * gb2n * abs(config.mode_c.g) ** 2
+                      / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2))
+    return _ClosedForms(chi1, chi3_self, chi3_cross, poles)
 
 
-def _probe_strength(mode: model.FieldMode) -> float:
-    eps = model.probe_strength(mode)
-    if eps == 0:
-        raise PoleError(f"pole: eps_{mode.label} = 0 "
-                        f"(probe '{mode.label}' carries no photons or no coupling)")
-    return eps
+def _no_probe_message(mode: model.FieldMode) -> str:
+    return (f"pole: eps_{mode.label} = 0 "
+            f"(probe '{mode.label}' carries no photons or no coupling)")
+
+
+def _at_config(config: SystemConfig, poles_checked: int | None = None) -> _ClosedForms:
+    """The closed forms at the configuration's own detunings; PoleError at a pole."""
+    forms = _closed_forms(config, config.mode_a.delta, config.mode_b.delta,
+                          config.mode_c.delta)
+    for mask, message in forms.poles[:poles_checked]:
+        if mask[0]:
+            raise PoleError(message)
+    return forms
 
 
 def chi1(config: SystemConfig) -> complex:
     """Linear susceptibility of the 1<->2 probe."""
-    den = _denominator(config)
-    eps_a = _probe_strength(config.mode_a)
-    _, d2, _ = config.detunings()
-    g2 = config.gamma[1]
-    return abs(config.mode_a.g) ** 2 * (1j * g2 - d2) / (eps_a**2 * den)
+    return complex(_at_config(config, 2).chi1[0])
 
 
 def chi3_self(config: SystemConfig) -> complex:
     """Self-Kerr susceptibility of the 1<->2 probe."""
-    den = _denominator(config)
-    eps_a = _probe_strength(config.mode_a)
-    _, d2, _ = config.detunings()
-    g2 = config.gamma[1]
-    gb2n = model.pump_coupling(config)
-    num = 2.0 * abs(config.mode_a.g) ** 4 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
-    return num / (3.0 * eps_a**4 * den**3)
+    return complex(_at_config(config, 2).chi3_self[0])
 
 
 def chi3_cross(config: SystemConfig) -> complex:
     """Cross-Kerr susceptibility coupling the two probes."""
-    den = _denominator(config)
-    pole3 = model.three_photon_denominator(config)
-    eps_a = _probe_strength(config.mode_a)
-    eps_c = _probe_strength(config.mode_c)
-    num = abs(config.mode_a.g) ** 2 * model.pump_coupling(config) * abs(config.mode_c.g) ** 2
-    return num / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2)
+    return complex(_at_config(config).chi3_cross[0])
 
 
 def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
-    return SusceptibilityPoint(chi1=chi1(config), chi3_self=chi3_self(config),
-                               chi3_cross=chi3_cross(config), at=config)
+    return SusceptibilityPoint(*(complex(chi[0]) for chi in _at_config(config)[:3]))
 
 
 def _coherence_polynomials(config: SystemConfig, order: int) -> dict[str, Callable]:
@@ -174,26 +236,25 @@ def coherence_evaluator(config: SystemConfig, order: int = 3,
 
 
 def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,
-          steps: int) -> list[SweepRow]:
+          steps: int) -> Sweep:
     """Evaluate the three susceptibilities on a uniform inclusive grid.
 
-    Grid points where a closed-form denominator vanishes are reported as
-    invalid rows rather than aborting the sweep.
+    The whole grid is evaluated at once.  Grid points where a closed-form
+    denominator vanishes are reported as invalid rows rather than aborting
+    the sweep; each carries the message ``susceptibility_point`` raises there.
     """
-    if axis not in _AXIS_TO_MODE:
-        raise ValueError(f"axis must be one of {sorted(_AXIS_TO_MODE)}, got {axis!r}")
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    attr = _AXIS_TO_MODE[axis]
-    rows: list[SweepRow] = []
-    for value in np.linspace(lo, hi, steps):
-        value = float(value)
-        mode = replace(getattr(config, attr), delta=value)
-        cfg = replace(config, **{attr: mode})
-        try:
-            rows.append(SweepRow(axis=axis, value=value, point=susceptibility_point(cfg),
-                                 valid=True))
-        except PoleError as exc:
-            rows.append(SweepRow(axis=axis, value=value, point=None, valid=False,
-                                 reason=str(exc)))
-    return rows
+    value = np.linspace(lo, hi, steps)
+    deltas = [config.mode_a.delta, config.mode_b.delta, config.mode_c.delta]
+    deltas[_AXES.index(axis)] = value
+    forms = _closed_forms(config, *deltas)
+    first_pole = np.zeros(steps, dtype=np.int8)  # 1 + index into forms.poles, 0 if none
+    for k in reversed(range(len(forms.poles))):
+        first_pole[forms.poles[k][0]] = k + 1
+    valid = first_pole == 0
+    reasons = {int(k): forms.poles[first_pole[k] - 1][1] for k in np.flatnonzero(~valid)}
+    chis = [np.where(valid, chi, np.nan) for chi in forms[:3]]
+    return Sweep(axis, value, *chis, valid, reasons)

@@ -8,12 +8,14 @@ poles.  Criteria 3, 4, 7 and 8 read Taylor coefficients from one Cauchy-integral
 extraction per configuration (24 x 24 nodes, radius ``oracle.extraction_radius``)
 of the exact ground eigenvalue (Newton's method at all nodes at once) or of
 a coherence polynomial; its self-check raises ``StepError`` on a bad radius.
+Criteria 3 and 4 read the same 20 extractions, made once per seed.
 Criterion 7 reads chi3_cross off the 3<->4 coherence rho43, criterion 8 off
 rho21, and both compare it with the closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -27,7 +29,8 @@ from . import effective, model, oracle, perturb, suscept
 from .errors import DegeneracyError
 from .model import FieldMode, SystemConfig
 
-__all__ = ["CheckResult", "phase_comparison", "run_all", "report_lines", "run_report"]
+__all__ = ["CheckResult", "make_config", "phase_comparison", "run_all", "report_lines",
+           "run_report"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,8 @@ class _Checker:
                     f"rel {rel_tol:g}" + (f" floor {floor:g}" if floor else ""))
 
 
-def _make_config(ga, gb, gc, na, nb, nc, da, db, dc, gamma=(0.0, 0.0, 0.0)) -> SystemConfig:
+def make_config(ga, gb, gc, na, nb, nc, da, db, dc, gamma=(0.0, 0.0, 0.0)) -> SystemConfig:
+    """A configuration from couplings, photon numbers, single-photon detunings and decay rates."""
     return SystemConfig(
         FieldMode("a", ga, da, na),
         FieldMode("b", gb, db, nb),
@@ -67,7 +71,7 @@ def _make_config(ga, gb, gc, na, nb, nc, da, db, dc, gamma=(0.0, 0.0, 0.0)) -> S
 
 
 def _reference_config() -> SystemConfig:
-    return _make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+    return make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
 
 
 def _dressed_gaps_ok(cfg: SystemConfig, min_gap: float) -> bool:
@@ -107,7 +111,7 @@ def _random_config(rng: np.random.Generator, lossy: bool) -> SystemConfig:
         gamma = (0.0, 0.0, 0.0)
         if lossy:
             gamma = tuple(float(g) for g in rng.uniform(0.05, 0.25, size=3))
-        cfg = _make_config(ga, gb, gc, na, nb, nc, da, db, dc, gamma)
+        cfg = make_config(ga, gb, gc, na, nb, nc, da, db, dc, gamma)
         if _well_conditioned(cfg):
             return cfg
 
@@ -143,7 +147,7 @@ def _criterion_1(seed: int) -> CheckResult:
     cfg = _reference_config()
     residuals = []
     for scale in (1.0, 0.5):
-        scaled = _make_config(0.01 * scale, 1.0, 0.01 * scale, 1, 0, 1, 0.3, 0.1, 0.5)
+        scaled = make_config(0.01 * scale, 1.0, 0.01 * scale, 1, 0, 1, 0.3, 0.1, 0.5)
         sp = model.split(scaled)
         table = perturb.build_series(sp, 1, 4)
         approx = perturb.evaluate_energy(table, 1, sp.eps_a, sp.eps_c, 4)
@@ -182,22 +186,24 @@ def _criterion_2(seed: int) -> CheckResult:
     return CheckResult(2, "dark-state cancellation", chk.passed, chk.detail)
 
 
-def _oracle_configs(seed: int) -> list[SystemConfig]:
+@functools.lru_cache(maxsize=1)
+def _ground_extractions(seed: int) -> tuple[tuple[SystemConfig, model.PerturbationSplit,
+                                                  np.ndarray], ...]:
+    """(config, split, Taylor coefficients of the exact ground eigenvalue) on 20
+    lossless configurations; criteria 3 and 4 read the same extractions."""
     rng = _rng(seed, 34)
-    return [_random_config(rng, lossy=False) for _ in range(20)]
-
-
-def _ground_coefficients(cfg: SystemConfig):
-    """The split of ``cfg`` and the Taylor coefficients of its exact ground eigenvalue."""
-    sp = model.split(cfg)
-    return sp, oracle.taylor_coefficients(oracle.ground_eigenvalue_newton(sp),
-                                          oracle.extraction_radius(sp))
+    out = []
+    for _ in range(20):
+        cfg = _random_config(rng, lossy=False)
+        sp = model.split(cfg)
+        out.append((cfg, sp, oracle.taylor_coefficients(oracle.ground_eigenvalue_newton(sp),
+                                                        oracle.extraction_radius(sp))))
+    return tuple(out)
 
 
 def _criterion_3(seed: int) -> CheckResult:
     chk = _Checker()
-    for cfg in _oracle_configs(seed):
-        sp, c = _ground_coefficients(cfg)
+    for cfg, sp, c in _ground_extractions(seed):
         folded = sp.eps_a**2 * sp.eps_c**2 * complex(c[2, 2])
         expected = effective.coefficients(cfg).cross_kerr * cfg.mode_a.n * cfg.mode_c.n
         chk.close(expected, folded, 1e-5)
@@ -206,8 +212,7 @@ def _criterion_3(seed: int) -> CheckResult:
 
 def _criterion_4(seed: int) -> CheckResult:
     chk = _Checker()
-    for cfg in _oracle_configs(seed):
-        sp, c = _ground_coefficients(cfg)
+    for cfg, sp, c in _ground_extractions(seed):
         folded = sp.eps_a**4 * complex(c[4, 0])
         expected = effective.coefficients(cfg).self_kerr * cfg.mode_a.n**2
         chk.close(expected, folded, 1e-5)
@@ -274,21 +279,19 @@ def _criterion_8(seed: int) -> CheckResult:
 def _criterion_9(seed: int) -> CheckResult:
     chk = _Checker()
     gamma3 = 0.4
-    cfg = _make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.0,
-                       gamma=(0.0, 0.0, gamma3))
-    rows = suscept.sweep(cfg, "dc", -2.0, 2.0, 101)
-    chk.expect(len(rows) == 101, 101, len(rows), "grid size")
-    chk.expect(all(r.valid for r in rows), "all rows valid", sum(r.valid for r in rows), 101)
-    re = np.array([r.point.chi3_cross.real for r in rows])
-    im = np.array([r.point.chi3_cross.imag for r in rows])
-    vals = np.array([r.value for r in rows])
+    cfg = make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.0,
+                      gamma=(0.0, 0.0, gamma3))
+    s = suscept.sweep(cfg, "dc", -2.0, 2.0, 101)
+    chk.expect(len(s) == 101, 101, len(s), "grid size")
+    chk.expect(bool(s.valid.all()), "all rows valid", int(s.valid.sum()), 101)
+    re, im, vals = s.chi3_cross.real, s.chi3_cross.imag, s.value
     for k, d3 in enumerate(vals):
         if abs(d3) < 1e-9:
             continue
         ratio = re[k] / im[k]
         chk.expect(abs(ratio - d3 / gamma3) <= 1e-12 * max(1.0, abs(d3 / gamma3)),
                    d3 / gamma3, ratio, "1e-12")
-    mid = len(rows) // 2
+    mid = len(s) // 2
     chk.expect(int(np.argmax(im)) == mid, mid, int(np.argmax(im)), "Im peak at delta_3=0")
     sym = np.max(np.abs(im - im[::-1]))
     chk.expect(sym <= 1e-12 * np.max(np.abs(im)), "Im even", sym, "1e-12 relative")
@@ -348,15 +351,14 @@ def _criterion_11(seed: int) -> CheckResult:
         chk.expect(text.endswith("\n"), "trailing newline", repr(text[-1:]), "exact")
         chk.expect(len(lines) == 43, 43, len(lines), "41 rows + header + trailing newline")
         cfg = cli.scenario_config(scenario)
-        rows = suscept.sweep(cfg, "dc", -2.0, 2.0, 41)
-        for line, row in zip(lines[1:42], rows):
+        s = suscept.sweep(cfg, "dc", -2.0, 2.0, 41)
+        columns = zip(s.value.tolist(), s.chi1.real.tolist(), s.chi3_cross.imag.tolist())
+        for line, (value, chi1_re, chi3c_im) in zip(lines[1:42], columns):
             fields = line.split(",")
             chk.expect(fields[0] == "dc", "dc", fields[0], "axis column")
-            chk.expect(float(fields[1]) == row.value, row.value, fields[1], "round-trip")
-            chk.expect(float(fields[2]) == row.point.chi1.real,
-                       row.point.chi1.real, fields[2], "round-trip")
-            chk.expect(float(fields[7]) == row.point.chi3_cross.imag,
-                       row.point.chi3_cross.imag, fields[7], "round-trip")
+            chk.expect(float(fields[1]) == value, value, fields[1], "round-trip")
+            chk.expect(float(fields[2]) == chi1_re, chi1_re, fields[2], "round-trip")
+            chk.expect(float(fields[7]) == chi3c_im, chi3c_im, fields[7], "round-trip")
             chk.expect(fields[8] == "1", "1", fields[8], "valid flag")
     return CheckResult(11, "CLI determinism and CSV format", chk.passed, chk.detail)
 

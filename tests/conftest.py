@@ -1,15 +1,6 @@
 import pytest
 
-from nkerr.model import FieldMode, SystemConfig
-
-
-def make_config(ga, gb, gc, na, nb, nc, da, db, dc, gamma=(0.0, 0.0, 0.0)):
-    return SystemConfig(
-        FieldMode("a", ga, da, na),
-        FieldMode("b", gb, db, nb),
-        FieldMode("c", gc, dc, nc),
-        tuple(gamma),
-    )
+from nkerr.validate import make_config
 
 
 @pytest.fixture

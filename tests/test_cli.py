@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,7 +208,63 @@ def test_sweep_too_few_steps_leaves_out_untouched(tmp_path):
     assert opath.read_text(encoding="utf-8") == "kept\n"
 
 
+def _chunked_sweep_args(spath, opath):
+    """A lossless dc sweep over three chunks and a row; delta_2 = 0, so delta_3 = dc,
+    and the exact grid step 0.5/chunk puts the pole dc = 0 on row 2*chunk."""
+    steps = 3 * cli.SWEEP_CHUNK_ROWS + 1
+    return ["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "0.5",
+            "--steps", str(steps), "--out", str(opath)]
+
+
+def test_sweep_csv_across_chunks_matches_per_row_rendering(tmp_path):
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
+    opath = tmp_path / "out.csv"
+    argv = _chunked_sweep_args(spath, opath)
+    assert cli.main(argv, stdout=io.StringIO()) == 0
+    result = suscept.sweep(cli.load_scenario(spath), "dc", -1.0, 0.5, int(argv[-3]))
+    assert list(map(int, (~result.valid).nonzero()[0])) == [2 * cli.SWEEP_CHUNK_ROWS]
+    expected = ["axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid"]
+    for row in result:
+        fields = [row.axis, cli._fmt(row.value)]
+        if row.valid:
+            p = row.point
+            fields += [cli._fmt(x) for x in (p.chi1.real, p.chi1.imag, p.chi3_self.real,
+                                              p.chi3_self.imag, p.chi3_cross.real,
+                                              p.chi3_cross.imag)] + ["1"]
+        else:
+            fields += [""] * 6 + ["0"]
+        expected.append(",".join(fields))
+    lines = opath.read_text(encoding="utf-8").split("\n")
+    assert len(lines) == len(expected) + 1 and lines[-1] == ""
+    for got, want in zip(lines, expected):
+        assert got == want
+
+
+def test_sweep_byte_identical_across_processes_and_hash_seeds(tmp_path):
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    blobs = []
+    for hash_seed in ("1", "2"):
+        opath = tmp_path / f"out{hash_seed}.csv"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-m", "nkerr.cli",
+                               *_chunked_sweep_args(spath, opath)], env=env)
+        assert proc.returncode == 0
+        blobs.append(opath.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert blobs[0].count(b"\n") == 3 * cli.SWEEP_CHUNK_ROWS + 2
+
+
 # -- evolve ------------------------------------------------------------------
+
+def test_evolve_lossy_refused_exit4(tmp_path, capsys):
+    path = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5, ga=0.01, gc=0.01,
+                                                 gamma={"g3": 0.1}))
+    out = io.StringIO()
+    assert cli.main(["evolve", path, "--t", "1.0"], stdout=out) == 4
+    assert out.getvalue() == ""
+    assert "sweep" in capsys.readouterr().err
+
 
 def test_evolve_nonfinite_time_exit2(tmp_path):
     spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5, ga=0.01, gc=0.01))

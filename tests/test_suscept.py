@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -231,3 +233,47 @@ def test_sweep_even_odd_structure_about_resonance():
     assert np.max(np.abs(im - im[::-1])) < 1e-12 * np.max(np.abs(im))
     assert np.max(np.abs(re + re[::-1])) < 1e-12 * np.max(np.abs(re))
     assert int(np.argmax(im)) == 50
+
+
+def test_sweep_len_indexing_and_iteration_give_rows():
+    cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, 0.3, 0.3, 0.5)
+    s = suscept.sweep(cfg, "dc", -1.0, 1.0, 3)
+    assert len(s) == 3
+    rows = list(s)
+    assert all(isinstance(r, suscept.SweepRow) for r in rows)
+    assert sum(1 for r in s if r.valid) == 2  # a second pass, as a row counter makes
+    assert rows == [s[0], s[1], s[2]] and s[-1] == rows[2]
+    with pytest.raises(IndexError):
+        s[3]
+    assert s.reasons == {1: rows[1].reason}
+    assert np.isnan(s.chi3_cross[1]) and not np.isnan(s.chi3_cross[[0, 2]]).any()
+
+
+def _bits(point):
+    return struct.pack("<6d", *(v for z in (point.chi1, point.chi3_self, point.chi3_cross)
+                                for v in (z.real, z.imag)))
+
+
+# Dyadic detunings on a grid of step 1/128 put exact poles on grid points:
+# lossless, delta_3 = 0 at da = 0.25, db = 0.75, dc = 0 and D = 0 at
+# da = 1, db = -0.5 (G_b = 0.5).
+@pytest.mark.parametrize("axis", ["da", "db", "dc"])
+@pytest.mark.parametrize("gamma, n_c", [((0.0, 0.0, 0.0), 1), ((0.12, 0.2, 0.07), 1),
+                                        ((0.0, 0.0, 0.0), 0)])
+def test_sweep_rows_equal_scalar_point_bit_for_bit(axis, gamma, n_c):
+    cfg = make_config(0.012, 0.5, 0.009, 2, 1, n_c, 0.5, 0.5, 0.25, gamma=gamma)
+    s = suscept.sweep(cfg, axis, -1.0, 1.0, 257)
+    attr = {"da": "mode_a", "db": "mode_b", "dc": "mode_c"}[axis]
+    for row in s:
+        mode = dataclasses.replace(getattr(cfg, attr), delta=row.value)
+        at = dataclasses.replace(cfg, **{attr: mode})
+        if row.valid:
+            assert _bits(row.point) == _bits(suscept.susceptibility_point(at))
+        else:
+            with pytest.raises(PoleError) as exc:
+                suscept.susceptibility_point(at)
+            assert row.reason == str(exc.value)
+    seen = {word for r in s.reasons.values() for word in ("n_b", "delta_3", "eps_c") if word in r}
+    lossless = gamma == (0.0, 0.0, 0.0)
+    expected = {"delta_3": lossless, "n_b": lossless and axis != "dc", "eps_c": n_c == 0}
+    assert seen == {word for word, present in expected.items() if present}
