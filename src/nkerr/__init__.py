@@ -21,7 +21,7 @@ from .oracle import (EigenSolution, exact_eigensystem, extraction_radius,
 from .perturb import (DressedBasis, SeriesTable, build_series, dressed_basis,
                       evaluate_energy)
 from .suscept import (Coherences, SusceptibilityPoint, Sweep, SweepRow, chi1, chi3_cross,
-                      chi3_self, coherence_evaluator, coherences,
+                      chi3_self, coherence_coefficients, coherences,
                       susceptibility_point, sweep)
 
 __version__ = "0.1.0"
@@ -38,6 +38,6 @@ __all__ = [
     "EigenSolution", "exact_eigensystem", "extraction_radius", "ground_eigenvalue_function",
     "ground_eigenvalue_newton", "propagate", "taylor_coefficients", "track_ground",
     "Coherences", "SusceptibilityPoint", "Sweep", "SweepRow", "chi1", "chi3_cross",
-    "chi3_self", "coherence_evaluator", "coherences", "susceptibility_point", "sweep",
+    "chi3_self", "coherence_coefficients", "coherences", "susceptibility_point", "sweep",
     "__version__",
 ]

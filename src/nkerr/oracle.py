@@ -158,9 +158,18 @@ def ground_eigenvalue_newton(split: PerturbationSplit) -> Callable[..., np.ndarr
 
 
 def extraction_radius(split: PerturbationSplit) -> float:
-    """``RADIUS_FRACTION`` of the distance from 0 to the nearest other unperturbed eigenvalue."""
-    lam = perturb.dressed_basis(split.h0).eigenvalues
-    return RADIUS_FRACTION * float(np.min(np.abs(lam[1:])))
+    """``RADIUS_FRACTION`` of the ground eigenvalue's distance to its nearest singularity.
+
+    The probe couplings take the ground state to the dressed 2-3 pair at
+    first order, so a pair eigenvalue at distance ``pair`` from 0 sets a
+    scale ``pair`` in each variable.  Bare level 4 reaches the ground branch
+    only through x*y (level 1 to the pair by x, the pair to level 4 by y), so
+    its eigenvalue lambda_4 limits x*y to about |lambda_4| * pair, a scale
+    sqrt(|lambda_4| * pair) in each variable, not |lambda_4|.
+    """
+    lam = np.abs(perturb.dressed_basis(split.h0).eigenvalues)
+    pair = float(min(lam[1], lam[2]))
+    return RADIUS_FRACTION * min(pair, math.sqrt(float(lam[3]) * pair))
 
 
 def taylor_coefficients(f: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -49,16 +49,12 @@ class DressedBasis:
     Index 0 is bare level 1 (eigenvalue 0), indices 1 and 2 are the minus-
     and plus-root dressed combinations of bare levels 2 and 3, index 3 is
     bare level 4.  ``right`` holds kets as columns, ``left`` holds the
-    paired bras as rows with ``left @ right = identity``.  ``n_minus`` and
-    ``n_plus`` are the dressed-state normalizers, positive reals whenever
-    the operator is Hermitian.
+    paired bras as rows with ``left @ right = identity``.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    n_minus: complex
-    n_plus: complex
 
 
 def dressed_basis(h0: np.ndarray) -> DressedBasis:
@@ -81,12 +77,10 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
         lam[1], lam[2] = d1, d2
         right[1, 1] = left[1, 1] = 1.0
         right[2, 2] = left[2, 2] = 1.0
-        n_minus = n_plus = 1.0 + 0.0j
     else:
         root = np.sqrt((d1 - d2) ** 2 + 4.0 * x * y + 0.0j)
         lam[1] = 0.5 * ((d1 + d2) - root)
         lam[2] = 0.5 * ((d1 + d2) + root)
-        norms = []
         for idx in (1, 2):
             shift = lam[idx] - d1
             pairing = x * y + shift**2
@@ -97,8 +91,6 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
             right[2, idx] = shift / nrm
             left[idx, 1] = y / nrm
             left[idx, 2] = shift / nrm
-            norms.append(2.0 * nrm)
-        n_minus, n_plus = norms
 
     scale = max(1.0, float(np.linalg.norm(h0)))
     for i in range(4):
@@ -110,20 +102,23 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
                     f"{j + 1} separated by only {gap:.3e} "
                     f"(tolerance {DEGENERACY_TOL:.1e} x {scale:.3e})"
                 )
-    return DressedBasis(eigenvalues=lam, right=right, left=left,
-                        n_minus=n_minus, n_plus=n_plus)
+    return DressedBasis(eigenvalues=lam, right=right, left=left)
 
 
 class SeriesTable:
     """Energy corrections and dressed-basis state coefficients of one state n.
 
-    Made by :func:`build_series`.  ``E[s, p, q]`` is the order-(p, q)
-    eigenvalue correction and ``A[s, p, q, :]`` the dressed-basis
-    coefficients of the order-(p, q) state correction, for p + q <= ``order``;
-    higher entries are zero.  Series s = 0 is the primary one, s = 1 its
-    companion for the transposed problem.  Methods take the state index n
-    (1-based, label order of :class:`DressedBasis`) and raise
-    :class:`MissingOrderError` for another state or an order not built.
+    Made by :func:`build_series` and read straight from its arrays.
+    ``E[s, p, q]`` is the order-(p, q) eigenvalue correction and
+    ``A[s, p, q, :]`` the dressed-basis coefficients of the order-(p, q)
+    state correction, for p + q <= ``order``; higher entries are zero.
+    Series s = 0 is the primary one, s = 1 its companion for the transposed
+    problem: ``basis.right @ A[0, p, q]`` is the order-(p, q) ket correction
+    in the bare basis and ``A[1, p, q] @ basis.left`` the bra correction,
+    which in the Hermitian case is the conjugated ket.  ``n`` is the state
+    index (1-based, label order of :class:`DressedBasis`).  Of the readers,
+    only :func:`evaluate_energy` raises :class:`MissingOrderError`, for
+    another state or an order not built.
     """
 
     def __init__(self, split: PerturbationSplit, n: int, order: int) -> None:
@@ -135,48 +130,15 @@ class SeriesTable:
         self.E[:, 0, 0] = self.basis.eigenvalues[n - 1]
         self.A[:, 0, 0, n - 1] = 1.0
 
-    def _require(self, n: int, p: int, q: int) -> None:
-        if n != self.n or min(p, q) < 0 or p + q > self.order:
-            raise MissingOrderError(f"order ({p},{q}) of state {n} is not in this table "
-                                    f"of state {self.n} to total order {self.order}")
 
-    def max_order(self, n: int) -> int:
-        """Largest total order d such that every (p, q) with p + q <= d is present."""
-        self._require(n, 0, 0)
-        return self.order
+def cauchy_term(x: np.ndarray, y: np.ndarray, p: int, q: int) -> complex:
+    """Order-(p, q) term of the product of two double series.
 
-    def energy(self, n: int, p: int, q: int) -> complex:
-        self._require(n, p, q)
-        return complex(self.E[0, p, q])
-
-    def coefficient(self, n: int, m: int, p: int, q: int) -> complex:
-        self._require(n, p, q)
-        return complex(self.A[0, p, q, m - 1])
-
-    def ket_correction(self, n: int, p: int, q: int) -> np.ndarray:
-        """Order-(p, q) ket correction in the bare basis (column vector)."""
-        self._require(n, p, q)
-        return self.basis.right @ self.A[0, p, q]
-
-    def bra_correction(self, n: int, p: int, q: int) -> np.ndarray:
-        """Order-(p, q) bra correction in the bare basis (row vector).
-
-        Built from the companion series; in the Hermitian case this equals
-        the conjugate of :meth:`ket_correction`.
-        """
-        self._require(n, p, q)
-        return self.A[1, p, q] @ self.basis.left
-
-    def normalization_residual(self, n: int, p: int, q: int) -> complex:
-        """Order-(p, q) residual of the norm expansion; zero by construction."""
-        self._require(n, p, q)
-        total = complex(_overlap(self.A, p, q))
-        return total - 1.0 if (p, q) == (0, 0) else total
-
-
-def _overlap(a: np.ndarray, p: int, q: int) -> complex:
-    """sum over i <= p, j <= q of a[1, i, j] . a[0, p - i, q - j]."""
-    return np.einsum("ijm,ijm->", a[1, :p + 1, :q + 1], a[0, p::-1, q::-1])
+    ``x[i, j, :]`` and ``y[i, j, :]`` are the order-(i, j) coefficients of the
+    factors; the term is the sum over i <= p, j <= q of x[i, j] . y[p - i, q - j],
+    contracted over the last axis.
+    """
+    return np.einsum("ijm,ijm->", x[:p + 1, :q + 1], y[p::-1, q::-1])
 
 
 def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
@@ -204,7 +166,7 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
                 rhs += np.einsum("smj,sj->sm", va, a[:, p - 1, q])
             if q:
                 rhs += np.einsum("smj,sj->sm", vc, a[:, p, q - 1])
-            overlap = _overlap(a, p, q)
+            overlap = cauchy_term(a[1], a[0], p, q)
             e[:, p, q] = rhs[:, k]
             a[:, p, q] = rhs / gap
             # Norm expansion fixes the real part; the residual phase freedom is
@@ -222,8 +184,14 @@ def power_sum(c: np.ndarray, x, y):
 
 def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
                     total_order: int) -> complex:
-    """Partial sum of the eigenvalue series through the given total order."""
-    table._require(n, 0, total_order)
+    """Partial sum of the eigenvalue series through the given total order.
+
+    Raises :class:`MissingOrderError` for another state than the table's or
+    an order it was not built to.
+    """
+    if n != table.n or not 0 <= total_order <= table.order:
+        raise MissingOrderError(f"order {total_order} of state {n} is not in this table "
+                                f"of state {table.n} to total order {table.order}")
     d = np.arange(total_order + 1)
     e = table.E[0, :total_order + 1, :total_order + 1]
     return complex(power_sum(np.where(d[:, None] + d <= total_order, e, 0.0), eps_a, eps_c))

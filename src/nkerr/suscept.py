@@ -1,10 +1,14 @@
 """Complex electrical susceptibilities of the two probe transitions.
 
 Closed forms, the coherence-series route they are validated against, and
-detuning sweeps.  The closed forms are written once, on numpy arrays of the
-single-photon detunings: a single configuration is a grid of one point, and
-a sweep evaluates its whole grid in one pass, masking the rows where a pole
-sits (``model.near_pole``) instead of stopping there.
+detuning sweeps.  The coherence route reads its Taylor coefficients straight
+from the perturbation series arrays: each coherence is a product of the
+ground ket and bra series, and ``coherence_coefficients`` takes its Cauchy
+product (``perturb.cauchy_term``), so no sampling is involved.  The closed
+forms are written once, on numpy arrays of the single-photon detunings: a
+single configuration is a grid of one point, and a sweep evaluates its whole
+grid in one pass, masking the rows where a pole sits (``model.near_pole``)
+instead of stopping there.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -38,7 +42,7 @@ identities are what the oracle tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal, NamedTuple
+from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -194,45 +198,47 @@ def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
     return SusceptibilityPoint(*(complex(chi[0]) for chi in _at_config(config)[:3]))
 
 
-def _coherence_polynomials(config: SystemConfig, order: int) -> dict[str, Callable]:
-    """Each coherence of the relaxed ground state as a polynomial in (eps_a, eps_c)."""
+def _ket_bra_coefficients(config: SystemConfig, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bare-basis [p, q, level] coefficients of the relaxed ground ket and its bra."""
     table = perturb.build_series(model.split(config), 1, order)
-    kets = table.A[0] @ table.basis.right.T  # [p, q, bare level]
-    bras = table.A[1] @ table.basis.left
-
-    def polynomial(ket_level, bra_level):
-        ket_c, bra_c = kets[..., ket_level], bras[..., bra_level]
-        return lambda x, y: perturb.power_sum(ket_c, x, y) * perturb.power_sum(bra_c, x, y)
-
-    return {element: polynomial(*levels) for element, levels in _LEVELS.items()}
+    return table.A[0] @ table.basis.right.T, table.A[1] @ table.basis.left
 
 
 def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     """rho21 and rho43 of the relaxed ground state built to the given total order.
 
-    Cross-Kerr content requires order >= 3.  The bra side comes from the
-    companion series of the perturbation table, so the lossless limit is the
-    ordinary conjugate.
+    Each is the product of the ket and bra partial sums, both from one
+    series table.  Cross-Kerr content requires order >= 3.  The bra side
+    comes from the companion series of the perturbation table, so the
+    lossless limit is the ordinary conjugate.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    polys = _coherence_polynomials(config, order)
+    kets, bras = _ket_bra_coefficients(config, order)
     x, y = model.perturbation_strengths(config)
-    return Coherences(rho21=complex(polys["rho21"](x, y)), rho43=complex(polys["rho43"](x, y)))
+    values = {element: complex(perturb.power_sum(kets[..., ket], x, y)
+                               * perturb.power_sum(bras[..., bra], x, y))
+              for element, (ket, bra) in _LEVELS.items()}
+    return Coherences(**values)
 
 
-def coherence_evaluator(config: SystemConfig, order: int = 3,
-                        element: str = "rho21") -> Callable[[float, float], complex]:
-    """The chosen coherence as a function of formal strengths (eps_a, eps_c).
+def coherence_coefficients(config: SystemConfig, order: int = 3,
+                           element: str = "rho21") -> np.ndarray:
+    """Taylor coefficients c[p, q] of eps_a**p eps_c**q in the chosen coherence.
 
-    The series table is built once from the configuration's split; the
-    returned callable evaluates the truncated ground-state polynomial at
-    arbitrary strengths, scalars or arrays of them, which is what Taylor
-    extraction samples.
+    c[p, q] is the order-(p, q) Cauchy product of the ket and bra series of
+    the relaxed ground state, for p + q <= order; higher entries are zero.
     """
     if element not in _LEVELS:
         raise ValueError(f"element must be one of {sorted(_LEVELS)}, got {element!r}")
-    return _coherence_polynomials(config, order)[element]
+    kets, bras = _ket_bra_coefficients(config, order)
+    ket_level, bra_level = _LEVELS[element]
+    ket, bra = kets[..., ket_level, None], bras[..., bra_level, None]
+    c = np.zeros((order + 1, order + 1), dtype=complex)
+    for p in range(order + 1):
+        for q in range(order + 1 - p):
+            c[p, q] = perturb.cauchy_term(ket, bra, p, q)
+    return c
 
 
 def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,

@@ -4,13 +4,15 @@ Each criterion draws its own deterministic random stream from the user seed,
 so a given seed always produces a byte-identical report.  Checks that need
 random scenarios use couplings, detunings and margins chosen to keep every
 draw well inside the perturbative regime and away from the closed-form
-poles.  Criteria 3, 4, 7 and 8 read Taylor coefficients from one Cauchy-integral
-extraction per configuration (24 x 24 nodes, radius ``oracle.extraction_radius``)
-of the exact ground eigenvalue (Newton's method at all nodes at once) or of
-a coherence polynomial; its self-check raises ``StepError`` on a bad radius.
-Criteria 3 and 4 read the same 20 extractions, made once per seed.
-Criterion 7 reads chi3_cross off the 3<->4 coherence rho43, criterion 8 off
-rho21, and both compare it with the closed form.
+poles.  Criteria 3 and 4 read Taylor coefficients of the exact ground
+eigenvalue (Newton's method at all nodes at once) from one Cauchy-integral
+extraction per configuration (24 x 24 nodes, radius ``oracle.extraction_radius``),
+whose self-check raises ``StepError`` on a bad radius; both read the same 20
+extractions, made once per seed.  Criteria 7 and 8 read the coherence
+coefficients straight from the series arrays
+(``suscept.coherence_coefficients``): criterion 7 reads chi3_cross off the
+3<->4 coherence rho43, criterion 8 off rho21, and both compare it with the
+closed form.
 """
 
 from __future__ import annotations
@@ -180,8 +182,7 @@ def _criterion_2(seed: int) -> CheckResult:
         chk.expect(co.self_kerr == 0.0, 0.0, co.self_kerr, "exact")
         sp = model.split(cfg)
         table = perturb.build_series(sp, 1, 4)
-        folded = (sp.eps_a**2 * table.energy(1, 2, 0)
-                  + sp.eps_a**4 * table.energy(1, 4, 0))
+        folded = sp.eps_a**2 * table.E[0, 2, 0] + sp.eps_a**4 * table.E[0, 4, 0]
         chk.expect(abs(folded) < 1e-13, "|folded (2,0)+(4,0)| < 1e-13", abs(folded), 1e-13)
     return CheckResult(2, "dark-state cancellation", chk.passed, chk.detail)
 
@@ -251,8 +252,7 @@ def _criterion_7(seed: int) -> CheckResult:
     for _ in range(20):
         cfg = _random_config(rng, lossy=True)
         ea, ec = model.perturbation_strengths(cfg)
-        t = oracle.taylor_coefficients(suscept.coherence_evaluator(cfg, 3, "rho43"),
-                                       oracle.extraction_radius(model.split(cfg)))
+        t = suscept.coherence_coefficients(cfg, 3, "rho43")
         seen_from_c = -abs(cfg.mode_a.g) ** 2 * abs(cfg.mode_c.g) ** 2 * complex(t[2, 1])
         chk.close(suscept.chi3_cross(cfg), seen_from_c / (6 * ea**2 * ec**2), 1e-9)
     return CheckResult(7, "chi3 symmetry identity", chk.passed, chk.detail)
@@ -267,8 +267,7 @@ def _criterion_8(seed: int) -> CheckResult:
         ea, ec = model.perturbation_strengths(cfg)
         ga2 = abs(cfg.mode_a.g) ** 2
         gc2 = abs(cfg.mode_c.g) ** 2
-        t = oracle.taylor_coefficients(suscept.coherence_evaluator(cfg, order=3),
-                                       oracle.extraction_radius(model.split(cfg)))
+        t = suscept.coherence_coefficients(cfg, order=3)
         t10, t30, t12 = complex(t[1, 0]), complex(t[3, 0]), complex(t[1, 2])
         chk.close(suscept.chi1(cfg), -ga2 * t10 / ea**2, 1e-6)
         chk.close(suscept.chi3_self(cfg), -ga2**2 * t30 / (3 * ea**4), 1e-6)

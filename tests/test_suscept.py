@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from nkerr import effective, model, oracle, suscept, validate
+from nkerr import effective, model, oracle, perturb, suscept, validate
 from nkerr.errors import PoleError
 
 from conftest import make_config
@@ -17,8 +17,7 @@ def _bridge_chis(cfg, order=3):
     ea, ec = model.perturbation_strengths(cfg)
     ga2 = abs(cfg.mode_a.g) ** 2
     gc2 = abs(cfg.mode_c.g) ** 2
-    t = oracle.taylor_coefficients(suscept.coherence_evaluator(cfg, order=order),
-                                   oracle.extraction_radius(model.split(cfg)))
+    t = suscept.coherence_coefficients(cfg, order=order)
     t10, t30, t12 = t[1, 0], t[3, 0], t[1, 2]
     return (-ga2 * t10 / ea**2,
             -ga2**2 * t30 / (3 * ea**4),
@@ -85,8 +84,7 @@ def test_chi3_cross_detuning_flip_conjugates_pole():
 def _chi3_cross_from_rho43(cfg):
     """Cross-Kerr susceptibility read off the 3<->4 coherence instead of rho21."""
     ea, ec = model.perturbation_strengths(cfg)
-    t = oracle.taylor_coefficients(suscept.coherence_evaluator(cfg, 3, "rho43"),
-                                   oracle.extraction_radius(model.split(cfg)))
+    t = suscept.coherence_coefficients(cfg, 3, "rho43")
     return -abs(cfg.mode_a.g) ** 2 * abs(cfg.mode_c.g) ** 2 * t[2, 1] / (6 * ea**2 * ec**2)
 
 
@@ -186,7 +184,32 @@ def test_closed_forms_match_coherence_extraction(gamma):
 
 def test_coherence_evaluator_rejects_unknown_element(reference_config):
     with pytest.raises(ValueError):
-        suscept.coherence_evaluator(reference_config, element="rho31")
+        suscept.coherence_coefficients(reference_config, element="rho31")
+
+
+def _extracted_coherence(cfg, order, ket_level, bra_level):
+    """Cauchy extraction of the product of the ket and bra partial sums."""
+    sp = model.split(cfg)
+    table = perturb.build_series(sp, 1, order)
+    ket = (table.A[0] @ table.basis.right.T)[..., ket_level]
+    bra = (table.A[1] @ table.basis.left)[..., bra_level]
+    return oracle.taylor_coefficients(
+        lambda x, y: perturb.power_sum(ket, x, y) * perturb.power_sum(bra, x, y),
+        oracle.extraction_radius(sp))
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_coherence_coefficients_match_extraction_of_partial_sums(lossy):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        cfg = validate._random_config(rng, lossy=lossy)
+        for element, levels, entries in (("rho21", (1, 0), [(1, 0), (3, 0), (1, 2)]),
+                                         ("rho43", (3, 2), [(2, 1)])):
+            c = suscept.coherence_coefficients(cfg, 3, element)
+            extracted = _extracted_coherence(cfg, 3, *levels)
+            for p, q in entries:
+                assert c[p, q] == pytest.approx(extracted[p, q], rel=1e-11)
+            assert not c[np.add.outer(range(4), range(4)) > 3].any()
 
 
 # -- sweeps ------------------------------------------------------------------
