@@ -34,11 +34,11 @@ from typing import Any, TextIO
 from . import effective, suscept, validate
 from .errors import (ConvergenceError, DegeneracyError, MissingOrderError,
                      NotHermitianError, NotResonantError, PoleError,
-                     ScenarioError, StepError, TrackingError)
+                     ScenarioError, TrackingError)
 from .model import FieldMode, SystemConfig
 
 _DOMAIN_ERRORS = (PoleError, DegeneracyError, NotResonantError, TrackingError,
-                  ConvergenceError, MissingOrderError, StepError)
+                  ConvergenceError, MissingOrderError)
 
 # Rows formatted per write of the sweep CSV; the whole file as one string
 # would take more memory than the sweep itself.

@@ -33,9 +33,5 @@ class TrackingError(NKerrError):
     """Continuity tracking of an eigenbranch lost its target."""
 
 
-class StepError(NKerrError):
-    """Taylor-extraction self-check failed; the extraction radius is badly chosen."""
-
-
 class ScenarioError(NKerrError):
     """Scenario file failed schema validation."""

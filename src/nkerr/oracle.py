@@ -1,35 +1,28 @@
-"""Independent ground truth: dense eigensolution, propagation, Taylor extraction.
+"""Independent ground truth: dense eigensolution, propagation, exact Taylor series.
 
 Everything here is deliberately decoupled from the perturbation engine so the
-two can cross-check each other: eigensystems come from LAPACK or from Newton's
-method on the characteristic polynomial, time evolution from spectral
-decomposition, and series coefficients from Cauchy integrals on a
-polycircle, whose trapezoidal rule is one 2-D FFT with an error falling
-exponentially in the node count (Lyness & Moler, SIAM J. Numer. Anal. 4
-(1967) 202; Bornemann, Found. Comput. Math. 11 (2011) 1).  The extractor
-and the Newton sampler check themselves and raise :class:`StepError` when
-the extraction radius is badly chosen.
+two can cross-check each other: eigensystems come from LAPACK, time evolution
+from spectral decomposition, and the Taylor coefficients of the ground
+eigenvalue from its characteristic polynomial.  The matrix is tridiagonal, so
+det(H - E) is a continuant in E and the squared probe strengths, and its
+root is solved order by order on truncated double power series (Brent &
+Kung, J. ACM 25 (1978) 581): the coefficients come out exact to rounding,
+with no step size, radius or sampling to choose.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import model, perturb
-from .errors import ConvergenceError, DegeneracyError, StepError, TrackingError
+from .errors import ConvergenceError, DegeneracyError, TrackingError
 from .model import PerturbationSplit, SystemConfig
 
 RESIDUAL_TOL = 1e-12
 TRACK_STEPS = 32  # fixed path resolution keeps tracking bit-reproducible
-NODES = 24
-RADIUS_FRACTION = 0.12
-NEWTON_STEPS = 6
-NEWTON_RTOL = 16 * float(np.finfo(float).eps)  # a few ulps
-TAIL_RTOL = math.sqrt(float(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -120,83 +113,50 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
     return f
 
 
-def ground_eigenvalue_newton(split: PerturbationSplit) -> Callable[..., np.ndarray]:
-    """Ground eigenvalue of ``h0 + x*va + y*vc`` on broadcast arrays of (x, y).
+def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
+    """Taylor coefficients c[p, q] of x**p y**q in the exact ground eigenvalue.
 
-    ``NEWTON_STEPS`` Newton steps on det(H - lambda) from lambda = 0, with the
-    determinant and its derivative from the tridiagonal three-term
-    recurrence, whose terms all carry small relative errors: the tiny root
-    keeps a small *relative* error, as Taylor extraction at a small radius
-    needs.  The callable raises :class:`StepError` if a last update exceeds
-    ``NEWTON_RTOL`` of its root.
+    The eigenvalue is that of ``h0 + x*va + y*vc`` continuously connected to
+    0 at x = y = 0; c has the (order+1, order+1) layout of
+    ``build_series(split, 1, order).E[0]`` and its entries with p + q > order
+    are zero.  Only the products P_a, G_b, P_c of the off-diagonal pairs
+    enter det(H - E), so E is a double series in u = x**2 and v = y**2, the
+    root with E(0, 0) = 0 of the continuant f1 = -E,
+    f2 = (h11 - E) f1 - P_a u, f3 = (h22 - E) f2 - G_b f1,
+    f4 = (h33 - E) f3 - P_c v f2.  Each pass of E <- E - f4(E) / f4'(0)
+    fixes one more total degree in (u, v); the slope
+    f4'(0) = -(h11 h22 - G_b) h33 is a number, so no series is divided.
+    Raises :class:`DegeneracyError` where the unperturbed spectrum is
+    near-degenerate, which includes a vanishing slope.
     """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    perturb.dressed_basis(split.h0)
     h0, va, vc = split.h0, split.va, split.vc
+    n = order // 2 + 1  # terms per axis in (u, v)
+    width = 2 * n - 1
 
-    def f(x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)[..., None, None]
-        y = np.asarray(y, dtype=complex)[..., None, None]
-        h = h0 + x * va + y * vc
-        diag = np.diagonal(h, 0, -2, -1)
-        off = np.diagonal(h, -1, -2, -1) * np.diagonal(h, 1, -2, -1)  # h[k,k-1] h[k-1,k]
-        lam = np.zeros(diag.shape[:-1], dtype=complex)
-        for _ in range(NEWTON_STEPS):
-            det_prev, det = np.ones_like(lam), diag[..., 0] - lam
-            der_prev, der = np.zeros_like(lam), -np.ones_like(lam)
-            for k in range(1, 4):
-                shifted = diag[..., k] - lam
-                det, det_prev, der, der_prev = (
-                    shifted * det - off[..., k - 1] * det_prev, det,
-                    shifted * der - det - off[..., k - 1] * der_prev, der)
-            update = det / der
-            lam = lam - update
-        if not np.all(np.abs(update) <= NEWTON_RTOL * np.abs(lam)):
-            raise StepError("Newton iteration for the ground eigenvalue did not settle; "
-                            "the extraction radius is badly chosen")
-        return lam
+    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # Rows zero-padded to the full product width turn the double series
+        # product into one 1-D convolution (Kronecker substitution).
+        pad = np.zeros((2, n, width), dtype=complex)
+        pad[0, :, :n], pad[1, :, :n] = a, b
+        return np.convolve(pad[0].ravel(), pad[1].ravel())[:n * width].reshape(n, width)[:, :n]
 
-    return f
-
-
-def extraction_radius(split: PerturbationSplit) -> float:
-    """``RADIUS_FRACTION`` of the ground eigenvalue's distance to its nearest singularity.
-
-    The probe couplings take the ground state to the dressed 2-3 pair at
-    first order, so a pair eigenvalue at distance ``pair`` from 0 sets a
-    scale ``pair`` in each variable.  Bare level 4 reaches the ground branch
-    only through x*y (level 1 to the pair by x, the pair to level 4 by y), so
-    its eigenvalue lambda_4 limits x*y to about |lambda_4| * pair, a scale
-    sqrt(|lambda_4| * pair) in each variable, not |lambda_4|.
-    """
-    lam = np.abs(perturb.dressed_basis(split.h0).eigenvalues)
-    pair = float(min(lam[1], lam[2]))
-    return RADIUS_FRACTION * min(pair, math.sqrt(float(lam[3]) * pair))
-
-
-def taylor_coefficients(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                        radius: float, nodes: int = NODES) -> np.ndarray:
-    """Taylor coefficients c[p, q] of x**p y**q in f about (0, 0), for p, q < nodes/2.
-
-    ``f`` is called once, on the (nodes, nodes) polycircle x = radius*w**j,
-    y = radius*w**k with w = exp(2*pi*i/nodes), and returns the samples F;
-    c[p, q] = fft2(F)[p, q] / nodes**2 / radius**(p+q), exact for monomials
-    of degree below nodes in each variable, else aliased by coefficients
-    ``nodes`` orders higher.  The scaled tail |c[p, q]| radius**(p+q) with p
-    or q >= nodes/2 must stay below ``TAIL_RTOL`` = sqrt(eps) of the largest
-    scaled coefficient, which bounds the aliasing error of the kept ones by
-    about the tail squared; else :class:`StepError` is raised.
-    """
-    if nodes < 4 or nodes % 2:
-        raise ValueError(f"nodes must be an even integer >= 4, got {nodes!r}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    circle = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    x, y = np.meshgrid(circle, circle, indexing="ij")
-    scaled = np.fft.fft2(np.asarray(f(x, y), dtype=complex)) / nodes**2
-    size = np.abs(scaled)
-    half = nodes // 2
-    tail = max(size[half:, :].max(), size[:half, half:].max())
-    if not tail <= TAIL_RTOL * size.max():
-        raise StepError(f"Taylor tail {tail:.3e} is not below {TAIL_RTOL:.1e} of the largest "
-                        f"coefficient {size.max():.3e}; the extraction radius is badly chosen")
-    powers = radius ** np.arange(half)
-    return scaled[:half, :half] / np.outer(powers, powers)
+    one = np.zeros((n, n), dtype=complex)
+    one[0, 0] = 1.0
+    u = np.zeros((n, n), dtype=complex)
+    u[1:2, 0] = 1.0
+    v = u.T
+    p_a, g_b, p_c = va[0, 1] * va[1, 0], h0[1, 2] * h0[2, 1], vc[2, 3] * vc[3, 2]
+    slope = -(h0[1, 1] * h0[2, 2] - g_b) * h0[3, 3]
+    e = np.zeros((n, n), dtype=complex)
+    for _ in range(n - 1):
+        f1 = -e
+        f2 = mul(h0[1, 1] * one - e, f1) - p_a * u
+        f3 = mul(h0[2, 2] * one - e, f2) - g_b * f1
+        f4 = mul(h0[3, 3] * one - e, f3) - p_c * mul(v, f2)
+        e = e - f4 / slope
+    c = np.zeros((order + 1, order + 1), dtype=complex)
+    c[::2, ::2] = np.where(np.add.outer(range(n), range(n)) < n, e, 0.0)
+    return c

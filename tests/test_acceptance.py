@@ -4,13 +4,14 @@ Each test prints its own PASS/FAIL line (run with ``pytest -s`` to see them
 inline); the same checks back the ``nkerr validate`` command.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from nkerr import validate
+from nkerr import effective, validate
 
 RESULTS = {r.number: r for r in validate.run_all(seed=0)}
 
@@ -21,6 +22,20 @@ def test_criterion(number):
     status = "PASS" if result.passed else "FAIL"
     print(f"criterion {number:02d} {result.name}: {status}")
     assert result.passed, f"criterion {number} ({result.name}): {result.detail}"
+
+
+@pytest.mark.parametrize("field, number", [("cross_kerr", 3), ("self_kerr", 4)])
+def test_criterion_catches_planted_coefficient_error(monkeypatch, field, number):
+    # a relative error of 1e-7 in one closed form, 1e4 times the criterion's gate
+    true_coefficients = effective.coefficients
+
+    def planted(cfg):
+        co = true_coefficients(cfg)
+        return dataclasses.replace(co, **{field: getattr(co, field) * (1 + 1e-7)})
+
+    monkeypatch.setattr(effective, "coefficients", planted)
+    result = {r.number: r for r in validate.run_all(seed=0)}[number]
+    assert not result.passed, f"criterion {number} missed a 1e-7 error in {field}"
 
 
 def test_validate_report_text_seed_zero():

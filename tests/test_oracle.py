@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nkerr import model, oracle
-from nkerr.errors import StepError, TrackingError
+from nkerr import model, oracle, perturb, validate
+from nkerr.errors import DegeneracyError, TrackingError
 
+import cauchy
 from conftest import make_config
 
 
@@ -110,6 +111,8 @@ def test_track_ground_rejects_degenerate_spectrum():
     cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.1 - 0.3 + 1e-12)
     with pytest.raises(TrackingError):
         oracle.track_ground(cfg, 1.0)
+    with pytest.raises(DegeneracyError):
+        oracle.ground_series(model.split(cfg), 4)
 
 
 def test_track_ground_deterministic(reference_config):
@@ -118,17 +121,57 @@ def test_track_ground_deterministic(reference_config):
     assert a == b
 
 
-# -- Taylor extraction -------------------------------------------------------
+# -- exact ground series ----------------------------------------------------
+
+def _seed_zero_configs(lane, lossy):
+    rng = np.random.default_rng([0, lane])
+    return [validate._random_config(rng, lossy=lossy) for _ in range(20)]
+
+
+@pytest.mark.parametrize("lane, lossy", [(34, False), (7, True)])
+def test_ground_series_matches_build_series_through_order_8(lane, lossy):
+    degree = np.add.outer(range(9), range(9))
+    for cfg in _seed_zero_configs(lane, lossy):
+        sp = model.split(cfg)
+        exact = oracle.ground_series(sp, 8)
+        series = perturb.build_series(sp, 1, 8).E[0]
+        for d in range(9):
+            on = degree == d
+            assert np.max(np.abs(exact[on] - series[on])) <= 1e-13 * np.max(np.abs(series[on]))
+
+
+def test_ground_series_structural_zeros(reference_config, lossy_config):
+    for cfg in (reference_config, lossy_config):
+        c = oracle.ground_series(model.split(cfg), 9)
+        p, q = np.indices(c.shape)
+        assert c.shape == (10, 10)
+        assert not c[(p % 2 == 1) | (q % 2 == 1)].any()
+        assert not c[0, :].any()  # no a-photon, no coupling to level 1
+        assert not c[p + q > 9].any()
+        assert c[2, 0] != 0 and c[4, 4] != 0
+
+
+def test_ground_series_low_orders_are_zero(reference_config):
+    sp = model.split(reference_config)
+    for order in (0, 1):
+        c = oracle.ground_series(sp, order)
+        assert c.shape == (order + 1, order + 1)
+        assert not c.any()
+    with pytest.raises(ValueError):
+        oracle.ground_series(sp, -1)
+
+
+# -- Cauchy extraction (the helper tests/cauchy.py) -------------------------
 
 def test_fd_constant_function():
-    c = oracle.taylor_coefficients(lambda x, y: np.full_like(x, 3.25), 1.0)
+    c = cauchy.taylor_coefficients(lambda x, y: np.full_like(x, 3.25), 1.0)
     assert c[0, 0] == pytest.approx(3.25, abs=1e-12)
     c[0, 0] = 0.0
     assert np.max(np.abs(c)) < 1e-12
 
 
 def test_fd_zeroth_order_is_plain_evaluation():
-    c = oracle.taylor_coefficients(lambda x, y: np.exp(x - 2 * y) * (2.5 - 1j), 0.1)
+    c = cauchy.taylor_coefficients(lambda x, y: np.exp(x - 2 * y) * (2.5 - 1j), 0.1)
     assert c[0, 0] == pytest.approx(2.5 - 1j, abs=1e-14)
 
 
@@ -137,18 +180,18 @@ def test_fd_exact_on_monomials():
     n = 8
     for p in range(n // 2):
         for q in range(n // 2):
-            c = oracle.taylor_coefficients(lambda x, y: 2.0 * x**p * y**q, 1.0, nodes=n)
+            c = cauchy.taylor_coefficients(lambda x, y: 2.0 * x**p * y**q, 1.0, nodes=n)
             expected = np.zeros((n // 2, n // 2))
             expected[p, q] = 2.0
             assert np.max(np.abs(c - expected)) < 1e-10
     # exponents of n/2 or more alias onto the tail and are refused
-    with pytest.raises(StepError):
-        oracle.taylor_coefficients(lambda x, y: x ** (n // 2) * y, 1.0, nodes=n)
+    with pytest.raises(RuntimeError):
+        cauchy.taylor_coefficients(lambda x, y: x ** (n // 2) * y, 1.0, nodes=n)
 
 
 def test_fd_taylor_normalisation():
     # returns series coefficients, not bare derivatives
-    c = oracle.taylor_coefficients(lambda x, y: np.exp(x + 0.5 * y), 0.5)
+    c = cauchy.taylor_coefficients(lambda x, y: np.exp(x + 0.5 * y), 0.5)
     assert c[2, 0] == pytest.approx(0.5, rel=1e-8)
     assert c[1, 1] == pytest.approx(0.5, rel=1e-8)
     assert c[4, 0] == pytest.approx(1 / 24, rel=1e-8)
@@ -159,24 +202,24 @@ def test_fd_bad_step_raises(reference_config):
     # radius outside the disc of convergence of 1/(1 - x), and too close to its edge
     f = lambda x, y: 1.0 / (1.0 - x) + 0 * y
     for radius in (2.0, 0.9):
-        with pytest.raises(StepError):
-            oracle.taylor_coefficients(f, radius)
-    assert oracle.taylor_coefficients(f, 0.05)[:5, 0] == pytest.approx(np.ones(5), rel=1e-10)
+        with pytest.raises(RuntimeError):
+            cauchy.taylor_coefficients(f, radius)
+    assert cauchy.taylor_coefficients(f, 0.05)[:5, 0] == pytest.approx(np.ones(5), rel=1e-10)
     # the ground eigenvalue sampled far beyond its extraction radius
     sp = model.split(reference_config)
-    with pytest.raises(StepError):
-        oracle.taylor_coefficients(oracle.ground_eigenvalue_newton(sp),
-                                   8 * oracle.extraction_radius(sp))
+    with pytest.raises(RuntimeError):
+        cauchy.taylor_coefficients(cauchy.ground_eigenvalue_newton(sp),
+                                   8 * cauchy.extraction_radius(sp))
 
 
 def test_fd_rejects_unsupported_orders():
     f = lambda x, y: x
     for radius in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            oracle.taylor_coefficients(f, radius)
+            cauchy.taylor_coefficients(f, radius)
     for nodes in (0, 2, 7):
         with pytest.raises(ValueError):
-            oracle.taylor_coefficients(f, 0.1, nodes=nodes)
+            cauchy.taylor_coefficients(f, 0.1, nodes=nodes)
 
 
 def test_ground_eigenvalue_function_lanes_agree(reference_config, lossy_config):
@@ -184,7 +227,7 @@ def test_ground_eigenvalue_function_lanes_agree(reference_config, lossy_config):
     for cfg in (reference_config, lossy_config):
         sp = model.split(cfg)
         f_lapack = oracle.ground_eigenvalue_function(sp)
-        f_newton = oracle.ground_eigenvalue_newton(sp)
+        f_newton = cauchy.ground_eigenvalue_newton(sp)
         points = [(0.0, 0.0), (0.01, 0.005), (-0.02, 0.01), (0.03j, 0.02 - 0.01j)]
         grid = f_newton(np.array([x for x, _ in points]), np.array([y for _, y in points]))
         for (x, y), value in zip(points, grid):

@@ -4,6 +4,7 @@ import pytest
 from nkerr import effective, model, oracle, perturb
 from nkerr.errors import DegeneracyError, MissingOrderError
 
+import cauchy
 from conftest import make_config
 
 
@@ -200,6 +201,8 @@ def test_build_series_propagates_degeneracy():
     cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.0, 0.0, 0.0)  # delta_3 = 0
     with pytest.raises(DegeneracyError):
         perturb.build_series(model.split(cfg), 1, 2)
+    with pytest.raises(DegeneracyError):  # not a division by the zero slope -D_K * delta_3
+        oracle.ground_series(model.split(cfg), 4)
 
 
 # -- evaluation vs oracle ----------------------------------------------------
@@ -242,8 +245,8 @@ def test_corrections_match_fd_of_exact_eigenvalue(cfg_args):
     cfg = make_config(*cfg_args)
     sp = model.split(cfg)
     table = perturb.build_series(sp, 1, 4)
-    c = oracle.taylor_coefficients(oracle.ground_eigenvalue_newton(sp),
-                                   oracle.extraction_radius(sp))
+    c = cauchy.taylor_coefficients(cauchy.ground_eigenvalue_newton(sp),
+                                   cauchy.extraction_radius(sp))
     for d in range(1, 5):
         for p in range(d + 1):
             q = d - p

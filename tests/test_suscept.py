@@ -5,9 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from nkerr import effective, model, oracle, perturb, suscept, validate
+from nkerr import effective, model, perturb, suscept, validate
 from nkerr.errors import PoleError
 
+import cauchy
 from conftest import make_config
 
 
@@ -193,9 +194,9 @@ def _extracted_coherence(cfg, order, ket_level, bra_level):
     table = perturb.build_series(sp, 1, order)
     ket = (table.A[0] @ table.basis.right.T)[..., ket_level]
     bra = (table.A[1] @ table.basis.left)[..., bra_level]
-    return oracle.taylor_coefficients(
+    return cauchy.taylor_coefficients(
         lambda x, y: perturb.power_sum(ket, x, y) * perturb.power_sum(bra, x, y),
-        oracle.extraction_radius(sp))
+        cauchy.extraction_radius(sp))
 
 
 @pytest.mark.parametrize("lossy", [False, True])
