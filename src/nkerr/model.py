@@ -49,8 +49,8 @@ class FieldMode:
     def __post_init__(self) -> None:
         if self.label not in _LABELS:
             raise ValueError(f"unknown mode label {self.label!r}; expected one of {_LABELS}")
-        if self.n < 0:
-            raise ValueError(f"photon number must be >= 0, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
+            raise ValueError(f"photon number must be an integer >= 0, got {self.n!r}")
         if not (cmath.isfinite(self.g) and math.isfinite(self.delta)):
             raise ValueError(f"coupling and detuning must be finite, got g={self.g!r}, "
                              f"delta={self.delta!r}")
@@ -74,6 +74,7 @@ class SystemConfig:
         for g in self.gamma:
             if not math.isfinite(g) or g < 0:
                 raise ValueError(f"decay rates must be finite and >= 0, got {self.gamma}")
+        object.__setattr__(self, "gamma", tuple(map(float, self.gamma)))  # hashable, comparable
 
     @property
     def is_hermitian(self) -> bool:

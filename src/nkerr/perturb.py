@@ -6,9 +6,10 @@ perturbations of strengths eps_a and eps_c.  Eigenvalues and eigenvectors of
 the full matrix are expanded as double power series in (eps_a, eps_c), with
 state coefficients expressed in the dressed eigenbasis of the unperturbed
 operator.  The coefficients of one state are held in dense arrays filled
-by total order p + q; each entry reads only entries of lower total order,
-so a table is bit-reproducible and extending ``max_order`` never changes
-lower entries.
+by total order p + q.  Each entry reads only entries of lower total order,
+so each order is one batch of array operations on the series packed by
+total order (``cauchy_terms``); a table is bit-reproducible and extending
+``max_order`` never changes lower entries.
 
 Pairing convention.  With decay the unperturbed operator is not Hermitian:
 its diagonal carries ``delta_j - i*gamma_j``.  Every bra appearing in the
@@ -32,6 +33,7 @@ entries at every order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,47 +133,65 @@ class SeriesTable:
         self.A[:, 0, 0, n - 1] = 1.0
 
 
-def cauchy_term(x: np.ndarray, y: np.ndarray, p: int, q: int) -> complex:
-    """Order-(p, q) term of the product of two double series.
+def _row(p, q):
+    """Row of the order-(p, q) coefficient in a series packed by total order."""
+    return (p + q) * (p + q + 1) // 2 + p
 
-    ``x[i, j, :]`` and ``y[i, j, :]`` are the order-(i, j) coefficients of the
-    factors; the term is the sum over i <= p, j <= q of x[i, j] . y[p - i, q - j],
-    contracted over the last axis.
+
+def packed_index(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) of each row of a series packed through total order ``order``, as in ``_row``."""
+    d, p = np.nonzero(np.arange(order + 1)[:, None] >= np.arange(order + 1))  # by d, then p
+    return p, d - p
+
+
+@functools.cache
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the two factors in every pair of the order-d product terms; where each p starts."""
+    p, i, j = np.array([(p, i, j) for p in range(d + 1) for i in range(p + 1)
+                        for j in range(d - p + 1)]).T
+    return _row(i, j), _row(p - i, d - p - j), np.searchsorted(p, np.arange(d + 1))
+
+
+def cauchy_terms(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
+    """Every order-d term of the product of two double series packed by total order.
+
+    Row p of the result is the order-(p, d - p) term, the sum over i <= p,
+    j <= d - p of x[i, j] * y[p - i, d - p - j]; trailing axes broadcast.
     """
-    return np.einsum("ijm,ijm->", x[:p + 1, :q + 1], y[p::-1, q::-1])
+    rows_x, rows_y, starts = _pairs(d)
+    return np.add.reduceat(x.take(rows_x, axis=0) * y.take(rows_y, axis=0), starts, axis=0)
 
 
 def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
-    """Fill a table for state n with every order p + q <= max_order."""
+    """Fill a table for state n with every order p + q <= max_order, one batch per order."""
     if not 1 <= n <= 4:
         raise ValueError(f"state index must lie in 1..4, got {n}")
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     table = SeriesTable(split, n, max_order)
-    e, a, basis = table.E, table.A, table.basis
-    vta = basis.left @ split.va @ basis.right
-    vtc = basis.left @ split.vc @ basis.right
-    va = np.stack([vta, vta.T])  # the companion series sees the transposed couplings
-    vc = np.stack([vtc, vtc.T])
+    basis, (p, q) = table.basis, packed_index(max_order)
+    e = table.E[:, p, q].T.copy()  # e[row, s]
+    a = table.A[:, p, q].transpose(1, 0, 2).copy()  # a[row, s, m]
+    vt = (basis.left @ coupling @ basis.right for coupling in (split.va, split.vc))
+    v = np.array([[w, w.T] for w in vt])  # [coupling, s]; s = 1 sees the transposed couplings
     k = n - 1
     gap = basis.eigenvalues[k] - basis.eigenvalues
     gap[k] = 1.0  # the diagonal entry comes from the norm expansion instead
     for d in range(1, max_order + 1):
-        for p in range(d + 1):
-            q = d - p
-            # Entries of total order d are still zero, so the full rectangle
-            # sums exactly the products of lower orders.
-            rhs = -np.einsum("sij,sijm->sm", e[:, :p + 1, :q + 1], a[:, p::-1, q::-1])
-            if p:
-                rhs += np.einsum("smj,sj->sm", va, a[:, p - 1, q])
-            if q:
-                rhs += np.einsum("smj,sj->sm", vc, a[:, p, q - 1])
-            overlap = cauchy_term(a[1], a[0], p, q)
-            e[:, p, q] = rhs[:, k]
-            a[:, p, q] = rhs / gap
-            # Norm expansion fixes the real part; the residual phase freedom is
-            # resolved by giving both series the same diagonal entry.
-            a[:, p, q, k] = -0.5 * overlap
+        rows = slice(_row(0, d), _row(0, d + 1))
+        coupled = np.einsum("csmj,psj->cpsm", v, a[_row(0, d - 1):rows.start])
+        # The order-d rows are still zero: the full products sum lower orders only.
+        rhs = -cauchy_terms(e[..., None], a, d)
+        rhs[1:] += coupled[0]  # va raises p
+        rhs[:-1] += coupled[1]  # vc raises q
+        e[rows] = rhs[..., k]
+        rhs /= gap
+        # Norm expansion fixes the real part; the residual phase freedom is
+        # resolved by giving both series the same diagonal entry.
+        rhs[..., k] = -0.5 * cauchy_terms(a[:, 1], a[:, 0], d).sum(axis=-1)[:, None]
+        a[rows] = rhs
+    table.E[:, p, q] = e.T
+    table.A[:, p, q] = a.transpose(1, 0, 2)
     return table
 
 

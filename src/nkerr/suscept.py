@@ -4,11 +4,11 @@ Closed forms, the coherence-series route they are validated against, and
 detuning sweeps.  The coherence route reads its Taylor coefficients straight
 from the perturbation series arrays: each coherence is a product of the
 ground ket and bra series, and ``coherence_coefficients`` takes its Cauchy
-product (``perturb.cauchy_term``), so no sampling is involved.  The closed
-forms are written once, on numpy arrays of the single-photon detunings: a
-single configuration is a grid of one point, and a sweep evaluates its whole
-grid in one pass, masking the rows where a pole sits (``model.near_pole``)
-instead of stopping there.
+product one total order at a time (``perturb.cauchy_terms``), so no sampling
+is involved.  The closed forms are written once, on numpy arrays of the
+single-photon detunings: a single configuration is a grid of one point, and
+a sweep evaluates its whole grid in one pass, masking the rows where a pole
+sits (``model.near_pole``) instead of stopping there.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -233,11 +233,10 @@ def coherence_coefficients(config: SystemConfig, order: int = 3,
         raise ValueError(f"element must be one of {sorted(_LEVELS)}, got {element!r}")
     kets, bras = _ket_bra_coefficients(config, order)
     ket_level, bra_level = _LEVELS[element]
-    ket, bra = kets[..., ket_level, None], bras[..., bra_level, None]
+    packed = perturb.packed_index(order)
+    ket, bra = kets[packed][:, ket_level], bras[packed][:, bra_level]
     c = np.zeros((order + 1, order + 1), dtype=complex)
-    for p in range(order + 1):
-        for q in range(order + 1 - p):
-            c[p, q] = perturb.cauchy_term(ket, bra, p, q)
+    c[packed] = np.concatenate([perturb.cauchy_terms(ket, bra, d) for d in range(order + 1)])
     return c
 
 

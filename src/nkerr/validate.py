@@ -66,7 +66,7 @@ def make_config(ga, gb, gc, na, nb, nc, da, db, dc, gamma=(0.0, 0.0, 0.0)) -> Sy
         FieldMode("a", ga, da, na),
         FieldMode("b", gb, db, nb),
         FieldMode("c", gc, dc, nc),
-        tuple(gamma),
+        gamma,
     )
 
 
@@ -110,7 +110,7 @@ def _random_config(rng: np.random.Generator, lossy: bool) -> SystemConfig:
         dc = rng.uniform(-0.9, 0.9)
         gamma = (0.0, 0.0, 0.0)
         if lossy:
-            gamma = tuple(float(g) for g in rng.uniform(0.05, 0.25, size=3))
+            gamma = rng.uniform(0.05, 0.25, size=3)
         cfg = make_config(ga, gb, gc, na, nb, nc, da, db, dc, gamma)
         if _well_conditioned(cfg):
             return cfg

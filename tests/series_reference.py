@@ -1,0 +1,59 @@
+"""Per-entry Rayleigh-Schrodinger recursion, the reference of the batched engine.
+
+``perturb.build_series`` fills each total order in one batch of array work.
+This module keeps the recursion it replaced, which fills one entry (p, q) at
+a time with its own Cauchy products, so the tests can pin the batch against
+a route with a different summation layout.  It writes into the same
+``SeriesTable`` arrays.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from nkerr.model import PerturbationSplit
+from nkerr.perturb import SeriesTable
+
+
+def cauchy_term(x: np.ndarray, y: np.ndarray, p: int, q: int) -> complex:
+    """Order-(p, q) term of the product of two double series.
+
+    ``x[i, j, :]`` and ``y[i, j, :]`` are the order-(i, j) coefficients of the
+    factors; the term is the sum over i <= p, j <= q of x[i, j] . y[p - i, q - j],
+    contracted over the last axis.
+    """
+    return np.einsum("ijm,ijm->", x[:p + 1, :q + 1], y[p::-1, q::-1])
+
+
+def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
+    """Fill a table for state n with every order p + q <= max_order."""
+    if not 1 <= n <= 4:
+        raise ValueError(f"state index must lie in 1..4, got {n}")
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, got {max_order}")
+    table = SeriesTable(split, n, max_order)
+    e, a, basis = table.E, table.A, table.basis
+    vta = basis.left @ split.va @ basis.right
+    vtc = basis.left @ split.vc @ basis.right
+    va = np.stack([vta, vta.T])  # the companion series sees the transposed couplings
+    vc = np.stack([vtc, vtc.T])
+    k = n - 1
+    gap = basis.eigenvalues[k] - basis.eigenvalues
+    gap[k] = 1.0  # the diagonal entry comes from the norm expansion instead
+    for d in range(1, max_order + 1):
+        for p in range(d + 1):
+            q = d - p
+            # Entries of total order d are still zero, so the full rectangle
+            # sums exactly the products of lower orders.
+            rhs = -np.einsum("sij,sijm->sm", e[:, :p + 1, :q + 1], a[:, p::-1, q::-1])
+            if p:
+                rhs += np.einsum("smj,sj->sm", va, a[:, p - 1, q])
+            if q:
+                rhs += np.einsum("smj,sj->sm", vc, a[:, p, q - 1])
+            overlap = cauchy_term(a[1], a[0], p, q)
+            e[:, p, q] = rhs[:, k]
+            a[:, p, q] = rhs / gap
+            # Norm expansion fixes the real part; the residual phase freedom is
+            # resolved by giving both series the same diagonal entry.
+            a[:, p, q, k] = -0.5 * overlap
+    return table

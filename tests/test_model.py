@@ -1,10 +1,11 @@
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nkerr import model
+from nkerr import effective, model
 from nkerr.model import FieldMode, ManifoldIndex, SystemConfig
 
 from conftest import make_config
@@ -194,6 +195,24 @@ def test_manifold_bookkeeping_conserved(na, nb, nc):
 def test_negative_photon_number_rejected():
     with pytest.raises(ValueError, match="photon number"):
         FieldMode("a", 0.1, 0.0, -1)
+
+
+@pytest.mark.parametrize("n", [1.5, 1.0, True, "1", None])
+def test_non_integer_photon_number_rejected(n):
+    with pytest.raises(ValueError, match="photon number must be an integer"):
+        FieldMode("a", 0.1, 0.0, n)
+
+
+def test_numpy_integer_photon_number_accepted():
+    assert FieldMode("a", 0.1, 0.0, np.int64(2)).n == 2
+
+
+def test_decay_rates_normalised_to_a_tuple_of_floats():
+    cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5, gamma=[0, 0.0, np.float64(0.0)])
+    assert cfg.gamma == (0.0, 0.0, 0.0) and all(type(g) is float for g in cfg.gamma)
+    assert cfg.is_hermitian
+    assert hash(cfg) == hash(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5))
+    assert effective.coefficients(cfg) == effective.coefficients(replace(cfg, gamma=(0.0,) * 3))
 
 
 @pytest.mark.parametrize("g, delta", [(float("nan"), 0.0), (complex(0.1, float("inf")), 0.0),

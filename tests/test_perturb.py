@@ -1,10 +1,14 @@
+import cmath
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nkerr import effective, model, oracle, perturb
+from nkerr import effective, model, oracle, perturb, validate
 from nkerr.errors import DegeneracyError, MissingOrderError
 
 import cauchy
+import series_reference
 from conftest import make_config
 
 
@@ -169,22 +173,55 @@ def test_hermitian_corrections_are_real(reference_config):
 def test_normalization_residual_every_order(lossy_config):
     # the order-(p, q) term of the norm <bra|ket> vanishes above order (0, 0)
     table = perturb.build_series(model.split(lossy_config), 1, 4)
-    assert perturb.cauchy_term(table.A[1], table.A[0], 0, 0) == 1
+    packed = perturb.packed_index(4)
+    bra, ket = table.A[1][packed], table.A[0][packed]
+    assert perturb.cauchy_terms(bra, ket, 0).sum() == 1
     for d in range(1, 5):
-        for p in range(d + 1):
-            assert abs(perturb.cauchy_term(table.A[1], table.A[0], p, d - p)) < 1e-12
+        assert np.all(np.abs(perturb.cauchy_terms(bra, ket, d).sum(axis=-1)) < 1e-12)
 
 
-def test_order_independence_bit_identical(reference_config):
-    sp = model.split(reference_config)
-    t2 = perturb.build_series(sp, 1, 2)
-    t4 = perturb.build_series(sp, 1, 4)
-    for d in range(3):
+def _complex_couplings(cfg, rng):
+    """The configuration with each coupling turned by a random phase."""
+    modes = {f"mode_{m}": getattr(cfg, f"mode_{m}") for m in "abc"}
+    return replace(cfg, **{name: replace(mode, g=mode.g * cmath.exp(2j * np.pi * rng.random()))
+                          for name, mode in modes.items()})
+
+
+def test_order_independence_bit_identical(reference_config, lossy_config):
+    d = np.add.outer(np.arange(9), np.arange(9))
+    for cfg in (reference_config, _complex_couplings(lossy_config, np.random.default_rng(3))):
+        sp = model.split(cfg)
+        for n in range(1, 5):
+            t8 = perturb.build_series(sp, n, 8)
+            for k in range(8):
+                tk = perturb.build_series(sp, n, k)
+                low = d[:k + 1, :k + 1] <= k
+                assert np.array_equal(tk.E[:, low], t8.E[:, :k + 1, :k + 1][:, low])
+                assert np.array_equal(tk.A[:, low], t8.A[:, :k + 1, :k + 1][:, low])
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_series_matches_per_entry_recursion(n, lossy):
+    # the batch sums each entry in another order than the recursion it replaced
+    rng = np.random.default_rng([11, n])
+    for _ in range(20):
+        sp = model.split(_complex_couplings(validate._random_config(rng, lossy), rng))
+        table = perturb.build_series(sp, n, 8)
+        ref = series_reference.build_series(sp, n, 8)
+        assert np.max(np.abs(table.E - ref.E)) <= 1e-14 * np.max(np.abs(ref.E))
+        assert np.max(np.abs(table.A - ref.A)) <= 1e-14 * np.max(np.abs(ref.A))
+
+
+def test_cauchy_terms_match_per_entry_products():
+    rng = np.random.default_rng(7)
+    x, y = (rng.normal(size=(6, 6, 4)) + 1j * rng.normal(size=(6, 6, 4)) for _ in range(2))
+    packed = perturb.packed_index(5)
+    for d in range(6):
+        terms = perturb.cauchy_terms(x[packed], y[packed], d).sum(axis=-1)
         for p in range(d + 1):
-            q = d - p
-            assert t2.E[0, p, q] == t4.E[0, p, q]
-            for m in range(4):
-                assert t2.A[0, p, q, m] == t4.A[0, p, q, m]
+            expected = series_reference.cauchy_term(x, y, p, d - p)
+            assert abs(terms[p] - expected) <= 1e-14 * max(1.0, abs(expected))
 
 
 def test_missing_order_raises(reference_config):
