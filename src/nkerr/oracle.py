@@ -51,7 +51,7 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
             v = v[:, order]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    residuals = np.array([np.linalg.norm(h @ v[:, k] - w[k] * v[:, k]) for k in range(4)])
+    residuals = np.linalg.norm(h @ v - v * w, axis=0)
     bound = RESIDUAL_TOL * max(1.0, float(np.linalg.norm(h)))
     if residuals.max() > bound:
         raise ConvergenceError(

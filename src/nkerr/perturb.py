@@ -6,10 +6,19 @@ perturbations of strengths eps_a and eps_c.  Eigenvalues and eigenvectors of
 the full matrix are expanded as double power series in (eps_a, eps_c), with
 state coefficients expressed in the dressed eigenbasis of the unperturbed
 operator.  The coefficients of one state are held in dense arrays filled
-by total order p + q.  Each entry reads only entries of lower total order,
-so each order is one batch of array operations on the series packed by
-total order (``cauchy_terms``); a table is bit-reproducible and extending
-``max_order`` never changes lower entries.
+by total order p + q.  Each entry reads only entries of lower total order;
+a table is bit-reproducible and extending ``max_order`` never changes lower
+entries.
+
+Selection rules.  In the N-configuration probe a couples only bare levels
+1 <-> 2 and probe c only 3 <-> 4, so in the dressed basis eps_a moves index
+0 <-> {1, 2} and eps_c moves {1, 2} <-> 3.  A coefficient A[s, p, q, m] is
+therefore zero unless the parities of (p, q) link the state's index to m,
+and E[s, p, q] is zero unless p and q are both even.  ``_order_plan`` lists,
+once per state and total order, only the products these rules allow, as
+flat index arrays into one work vector holding the dressed couplings and
+both series; ``build_series`` then fills each order with a single
+gather-multiply-reduce.
 
 Pairing convention.  With decay the unperturbed operator is not Hermitian:
 its diagonal carries ``delta_j - i*gamma_j``.  Every bra appearing in the
@@ -162,36 +171,95 @@ def cauchy_terms(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
     return np.add.reduceat(x.take(rows_x, axis=0) * y.take(rows_y, axis=0), starts, axis=0)
 
 
+# Parity class of each dressed index, as the bits (a, c) of the number of
+# probe-a and probe-c transitions that reach it from dressed index 0: probe a
+# moves 0 <-> {1, 2}, probe c moves {1, 2} <-> 3.
+_CLASS = np.array([0b00, 0b10, 0b10, 0b11])
+_SERIES = 64  # w[:_SERIES] holds the dressed couplings as [coupling, s, m, j]
+
+
+def _slot(p, q, s, m):
+    """Slot in the work vector of A[s, p, q, m], or of E[s, p, q] for m = 4."""
+    return _SERIES + (2 * _row(p, q) + s) * 5 + m
+
+
+@functools.cache
+def _order_plan(n: int, d: int) -> tuple[np.ndarray, ...]:
+    """Flat terms of every structurally nonzero order-d entry of state n's two series.
+
+    Returns the two factors' slots and the coefficient of each term, the
+    start of each entry's terms, the entry's slot and its divisor index.
+    Entries are listed by (p, s, m) and their terms in an order fixed by
+    (p, q, m) alone, so a table's lower orders never depend on ``max_order``.
+    """
+    k = n - 1
+    cls = _CLASS ^ _CLASS[k]
+
+    def nonzero(p, q, m):  # E, at m = 4, sits in the class of m = k
+        return cls[k if m == 4 else m] == 2 * (p % 2) + q % 2 and (p + q > 0 or m in (k, 4))
+
+    left, right, coef, counts, out, div = [], [], [], [], [], []
+    for p in range(d + 1):
+        q = d - p
+        lower = [(i, j) for i in range(p + 1) for j in range(q + 1) if 0 < i + j < d]
+        for s in (0, 1):
+            for m in range(5):
+                if not nonzero(p, q, m):
+                    continue
+                if m == k:  # the norm expansion; the same value in both series fixes the phase
+                    terms = [(_slot(i, j, 1, r), _slot(p - i, q - j, 0, r), -0.5)
+                             for i, j in lower for r in range(4)
+                             if nonzero(i, j, r) and nonzero(p - i, q - j, r)]
+                else:
+                    row = k if m == 4 else m
+                    # A coupling element between two entries of the right classes
+                    # is one the selection rules allow; c = 0 is va, c = 1 vc.
+                    terms = [(16 * (2 * c + s) + 4 * row + j, _slot(p - dp, q - dq, s, j), 1.0)
+                             for c, (dp, dq) in enumerate(((1, 0), (0, 1))) if p >= dp and q >= dq
+                             for j in range(4) if nonzero(p - dp, q - dq, j)]
+                    terms += [(_slot(i, j, s, 4), _slot(p - i, q - j, s, row), -1.0)
+                              for i, j in lower if nonzero(i, j, 4) and nonzero(p - i, q - j, row)]
+                if terms:  # an entry without terms stays zero
+                    for column, values in zip((left, right, coef), zip(*terms)):
+                        column.extend(values)
+                    counts.append(len(terms))
+                    out.append(_slot(p, q, s, m))
+                    div.append(k if m in (k, 4) else m)
+    plan = (np.array(left), np.array(right), np.array(coef, dtype=complex),
+            np.cumsum([0] + counts[:-1]), np.array(out), np.array(div))
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
 def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
-    """Fill a table for state n with every order p + q <= max_order, one batch per order."""
+    """Fill a table for state n with every order p + q <= max_order, one fused step per order.
+
+    Both series live in one complex work vector ``w``: the dressed couplings,
+    then the E and A entries packed by total order.  Each order is one
+    gather-multiply-reduce over the terms of ``_order_plan``, and the table
+    receives the packed series in one scatter each.
+    """
     if not 1 <= n <= 4:
         raise ValueError(f"state index must lie in 1..4, got {n}")
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     table = SeriesTable(split, n, max_order)
-    basis, (p, q) = table.basis, packed_index(max_order)
-    e = table.E[:, p, q].T.copy()  # e[row, s]
-    a = table.A[:, p, q].transpose(1, 0, 2).copy()  # a[row, s, m]
-    vt = (basis.left @ coupling @ basis.right for coupling in (split.va, split.vc))
-    v = np.array([[w, w.T] for w in vt])  # [coupling, s]; s = 1 sees the transposed couplings
-    k = n - 1
-    gap = basis.eigenvalues[k] - basis.eigenvalues
-    gap[k] = 1.0  # the diagonal entry comes from the norm expansion instead
+    basis, (p, q), k = table.basis, packed_index(max_order), n - 1
+    w = np.zeros(_SERIES + 10 * len(p), dtype=complex)
+    couplings = w[:_SERIES].reshape(2, 2, 4, 4)  # [coupling, s, m, j]
+    couplings[:, 0] = basis.left @ np.stack((split.va, split.vc)) @ basis.right
+    couplings[:, 1] = couplings[:, 0].transpose(0, 2, 1)  # s = 1 sees the transposed couplings
+    series = w[_SERIES:].reshape(-1, 2, 5)  # [row, s, m], m = 4 holding E
+    series[0, :, k] = 1.0
+    series[0, :, 4] = basis.eigenvalues[k]
+    divisor = basis.eigenvalues[k] - basis.eigenvalues
+    divisor[k] = 1.0  # E and the diagonal entry, which the norm expansion fixes
     for d in range(1, max_order + 1):
-        rows = slice(_row(0, d), _row(0, d + 1))
-        coupled = np.einsum("csmj,psj->cpsm", v, a[_row(0, d - 1):rows.start])
-        # The order-d rows are still zero: the full products sum lower orders only.
-        rhs = -cauchy_terms(e[..., None], a, d)
-        rhs[1:] += coupled[0]  # va raises p
-        rhs[:-1] += coupled[1]  # vc raises q
-        e[rows] = rhs[..., k]
-        rhs /= gap
-        # Norm expansion fixes the real part; the residual phase freedom is
-        # resolved by giving both series the same diagonal entry.
-        rhs[..., k] = -0.5 * cauchy_terms(a[:, 1], a[:, 0], d).sum(axis=-1)[:, None]
-        a[rows] = rhs
-    table.E[:, p, q] = e.T
-    table.A[:, p, q] = a.transpose(1, 0, 2)
+        left, right, coef, starts, out, div = _order_plan(n, d)
+        w[out] = np.add.reduceat(w[left] * w[right] * coef, starts) / divisor[div]
+    table.E[:, p, q] = series[..., 4].T
+    table.A[:, p, q] = series[..., :4].transpose(1, 0, 2)
     return table
 
 

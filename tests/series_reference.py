@@ -1,10 +1,12 @@
-"""Per-entry Rayleigh-Schrodinger recursion, the reference of the batched engine.
+"""Per-entry Rayleigh-Schrodinger recursion, the reference of the pruned engine.
 
-``perturb.build_series`` fills each total order in one batch of array work.
-This module keeps the recursion it replaced, which fills one entry (p, q) at
-a time with its own Cauchy products, so the tests can pin the batch against
-a route with a different summation layout.  It writes into the same
-``SeriesTable`` arrays.
+``perturb.build_series`` fills each total order with one gather-multiply-
+reduce over the products the N-configuration's selection rules allow.  This
+module keeps a recursion that prunes nothing: it fills one entry (p, q) at a
+time with dense Cauchy products over every lower entry, so the tests can pin
+the engine, and the entries it never writes, against a route with another
+term set and summation layout.  It writes into the same ``SeriesTable``
+arrays.
 """
 
 from __future__ import annotations

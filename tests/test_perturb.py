@@ -148,11 +148,42 @@ def test_build_series_order_zero(reference_config):
 
 def test_parity_zeros(reference_config):
     table = perturb.build_series(model.split(reference_config), 1, 4)
+    reach = {0: (0, 0), 1: (1, 0), 2: (1, 0), 3: (1, 1)}  # (p, q) parity reaching each index
     for d in range(1, 5):
         for p in range(d + 1):
             q = d - p
             if p % 2 or q % 2:
-                assert abs(table.E[0, p, q]) < 1e-14
+                assert np.all(table.E[:, p, q] == 0)
+            for m, parity in reach.items():
+                if (p % 2, q % 2) != parity:
+                    assert np.all(table.A[:, p, q, m] == 0)
+
+
+def _selection_rule_configs():
+    """Lossless and lossy configurations with complex couplings, and one with the pump off."""
+    rng = np.random.default_rng(17)
+    lossless, lossy = (_complex_couplings(validate._random_config(rng, loss), rng)
+                       for loss in (False, True))
+    return lossless, lossy, replace(lossy, mode_b=replace(lossy.mode_b, g=0.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_selection_rules_zero_entries_exactly(n):
+    # Probe a moves dressed index 0 <-> {1, 2} and probe c moves {1, 2} <-> 3, so
+    # A[s, p, q, m] needs the (p, q) parity that links index n - 1 to m, and E even p, q.
+    reach = np.array([0b00, 0b10, 0b10, 0b11])  # bits (p mod 2, q mod 2) from index 0
+    bits = np.arange(9) % 2
+    parity = 2 * bits[:, None] + bits
+    forbid_e = parity != 0
+    forbid_a = parity[..., None] != reach ^ reach[n - 1]
+    for cfg in _selection_rule_configs():
+        sp = model.split(cfg)
+        table = perturb.build_series(sp, n, 8)
+        assert np.all(table.E[:, forbid_e] == 0) and np.all(table.A[:, forbid_a] == 0)
+        # the unpruned recursion puts only rounding there
+        ref = series_reference.build_series(sp, n, 8)
+        assert np.max(np.abs(ref.E[:, forbid_e])) <= 1e-15 * np.max(np.abs(ref.E))
+        assert np.max(np.abs(ref.A[:, forbid_a])) <= 1e-15 * np.max(np.abs(ref.A))
 
 
 def test_dark_state_cancellation():
@@ -222,6 +253,21 @@ def test_cauchy_terms_match_per_entry_products():
         for p in range(d + 1):
             expected = series_reference.cauchy_term(x, y, p, d - p)
             assert abs(terms[p] - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("n, max_order", [(0, 4), (5, 4), (1, -1)])
+def test_build_series_rejects_bad_arguments(reference_config, n, max_order):
+    sp = model.split(reference_config)
+    cached = perturb._order_plan.cache_info().currsize
+    with pytest.raises(ValueError):
+        perturb.build_series(sp, n, max_order)
+    assert perturb._order_plan.cache_info().currsize == cached  # never reaches the plan
+
+
+def test_order_plan_is_read_only():
+    for array in perturb._order_plan(1, 3):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_missing_order_raises(reference_config):
