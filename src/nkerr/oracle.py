@@ -7,7 +7,11 @@ eigenvalue from its characteristic polynomial.  The matrix is tridiagonal, so
 det(H - E) is a continuant in E and the squared probe strengths, and its
 root is solved order by order on truncated double power series (Brent &
 Kung, J. ACM 25 (1978) 581): the coefficients come out exact to rounding,
-with no step size, radius or sampling to choose.
+with no step size, radius or sampling to choose.  The only code this shares
+with the perturbation side is the generic product ``perturb.series_product``,
+which ``build_series`` does not use; the tests pin that product against
+per-entry sums, so the continuant and the Rayleigh-Schrodinger recursion
+stay two independent routes to the same coefficients.
 """
 
 from __future__ import annotations
@@ -67,10 +71,10 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     return v @ (np.exp(-1j * sol.eigenvalues * t) * coeffs)
 
 
-def track_ground(config: SystemConfig, eps_scale: float, steps: int = TRACK_STEPS) -> complex:
+def track_ground(config: SystemConfig, eps_scale: float) -> complex:
     """Eigenvalue continuously connected to bare level 1 as the probes ramp on.
 
-    Walks ``steps`` uniform increments of the overall probe strength from 0
+    Walks ``TRACK_STEPS`` uniform increments of the overall probe strength from 0
     to ``eps_scale``, following the eigenvector of maximal overlap with the
     previous step.
     """
@@ -82,15 +86,15 @@ def track_ground(config: SystemConfig, eps_scale: float, steps: int = TRACK_STEP
     prev = np.zeros(4, dtype=complex)
     prev[0] = 1.0
     value = 0.0 + 0.0j
-    for k in range(1, steps + 1):
-        s = eps_scale * k / steps
+    for k in range(1, TRACK_STEPS + 1):
+        s = eps_scale * k / TRACK_STEPS
         h = sp.h0 + (s * sp.eps_a) * sp.va + (s * sp.eps_c) * sp.vc
         sol = exact_eigensystem(h)
         overlaps = np.abs(prev.conj() @ sol.eigenvectors)
         idx = int(np.argmax(overlaps))
         if overlaps[idx] < 0.5:
             raise TrackingError(
-                f"lost the ground branch at ramp step {k}/{steps}: "
+                f"lost the ground branch at ramp step {k}/{TRACK_STEPS}: "
                 f"best overlap {overlaps[idx]:.3f} < 0.5")
         prev = sol.eigenvectors[:, idx]
         value = complex(sol.eigenvalues[idx])
@@ -134,14 +138,7 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     perturb.dressed_basis(split.h0)
     h0, va, vc = split.h0, split.va, split.vc
     n = order // 2 + 1  # terms per axis in (u, v)
-    width = 2 * n - 1
-
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # Rows zero-padded to the full product width turn the double series
-        # product into one 1-D convolution (Kronecker substitution).
-        pad = np.zeros((2, n, width), dtype=complex)
-        pad[0, :, :n], pad[1, :, :n] = a, b
-        return np.convolve(pad[0].ravel(), pad[1].ravel())[:n * width].reshape(n, width)[:, :n]
+    mul = perturb.series_product
 
     one = np.zeros((n, n), dtype=complex)
     one[0, 0] = 1.0
@@ -158,5 +155,5 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
         f4 = mul(h0[3, 3] * one - e, f3) - p_c * mul(v, f2)
         e = e - f4 / slope
     c = np.zeros((order + 1, order + 1), dtype=complex)
-    c[::2, ::2] = np.where(np.add.outer(range(n), range(n)) < n, e, 0.0)
+    c[::2, ::2] = e
     return c

@@ -5,19 +5,24 @@ and leaves levels 1 and 4 bare; the two probe couplings act as independent
 perturbations of strengths eps_a and eps_c.  Eigenvalues and eigenvectors of
 the full matrix are expanded as double power series in (eps_a, eps_c), with
 state coefficients expressed in the dressed eigenbasis of the unperturbed
-operator.  The coefficients of one state are held in dense arrays filled
-by total order p + q.  Each entry reads only entries of lower total order;
-a table is bit-reproducible and extending ``max_order`` never changes lower
-entries.
+operator.
+
+Layout.  A double series c[p, q] is a dense (n, n) array; this is the only
+layout in the package.  One state's series are ``E[s, p, q]`` and
+``A[s, p, q, m]`` of :class:`SeriesTable`, contiguous views of the one work
+vector that ``build_series`` fills by total order p + q.  Each entry reads
+only entries of lower total order; a table is bit-reproducible and
+extending ``max_order`` never changes lower entries.  ``series_product`` is
+the one product of two series in this layout, truncated below total order n.
 
 Selection rules.  In the N-configuration probe a couples only bare levels
 1 <-> 2 and probe c only 3 <-> 4, so in the dressed basis eps_a moves index
 0 <-> {1, 2} and eps_c moves {1, 2} <-> 3.  A coefficient A[s, p, q, m] is
 therefore zero unless the parities of (p, q) link the state's index to m,
 and E[s, p, q] is zero unless p and q are both even.  ``_order_plan`` lists,
-once per state and total order, only the products these rules allow, as
-flat index arrays into one work vector holding the dressed couplings and
-both series; ``build_series`` then fills each order with a single
+once per state and ``max_order``, only the products these rules allow, as
+flat index arrays into the work vector, which holds the dressed couplings
+before E and A; ``build_series`` then fills each order with a single
 gather-multiply-reduce.
 
 Pairing convention.  With decay the unperturbed operator is not Hermitian:
@@ -116,6 +121,7 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     return DressedBasis(eigenvalues=lam, right=right, left=left)
 
 
+@dataclass(frozen=True, eq=False)
 class SeriesTable:
     """Energy corrections and dressed-basis state coefficients of one state n.
 
@@ -132,43 +138,28 @@ class SeriesTable:
     another state or an order not built.
     """
 
-    def __init__(self, split: PerturbationSplit, n: int, order: int) -> None:
-        self.basis = dressed_basis(split.h0)
-        self.n = n
-        self.order = order
-        self.E = np.zeros((2, order + 1, order + 1), dtype=complex)
-        self.A = np.zeros((2, order + 1, order + 1, 4), dtype=complex)
-        self.E[:, 0, 0] = self.basis.eigenvalues[n - 1]
-        self.A[:, 0, 0, n - 1] = 1.0
+    basis: DressedBasis
+    n: int
+    order: int
+    E: np.ndarray
+    A: np.ndarray
 
 
-def _row(p, q):
-    """Row of the order-(p, q) coefficient in a series packed by total order."""
-    return (p + q) * (p + q + 1) // 2 + p
+def series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product c[p, q] of two double series a[p, q] and b[p, q] of shape (n, n).
 
-
-def packed_index(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p, q) of each row of a series packed through total order ``order``, as in ``_row``."""
-    d, p = np.nonzero(np.arange(order + 1)[:, None] >= np.arange(order + 1))  # by d, then p
-    return p, d - p
-
-
-@functools.cache
-def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of the two factors in every pair of the order-d product terms; where each p starts."""
-    p, i, j = np.array([(p, i, j) for p in range(d + 1) for i in range(p + 1)
-                        for j in range(d - p + 1)]).T
-    return _row(i, j), _row(p - i, d - p - j), np.searchsorted(p, np.arange(d + 1))
-
-
-def cauchy_terms(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
-    """Every order-d term of the product of two double series packed by total order.
-
-    Row p of the result is the order-(p, d - p) term, the sum over i <= p,
-    j <= d - p of x[i, j] * y[p - i, d - p - j]; trailing axes broadcast.
+    Terms of total order p + q >= n are dropped; c has the shape of a.  Rows
+    zero-padded to the full product width turn the double series product into
+    one 1-D convolution (Kronecker substitution).
     """
-    rows_x, rows_y, starts = _pairs(d)
-    return np.add.reduceat(x.take(rows_x, axis=0) * y.take(rows_y, axis=0), starts, axis=0)
+    n = len(a)
+    width = 2 * n - 1
+    pad = np.zeros((2, n, width), dtype=complex)
+    pad[0, :, :n], pad[1, :, :n] = a, b
+    c = np.convolve(pad[0].ravel(), pad[1].ravel())[:n * width].reshape(n, width)[:, :n]
+    for p in range(1, n):  # in place: a mask would double the cost at the sizes used
+        c[p, n - p:] = 0.0
+    return c
 
 
 # Parity class of each dressed index, as the bits (a, c) of the number of
@@ -178,89 +169,96 @@ _CLASS = np.array([0b00, 0b10, 0b10, 0b11])
 _SERIES = 64  # w[:_SERIES] holds the dressed couplings as [coupling, s, m, j]
 
 
-def _slot(p, q, s, m):
-    """Slot in the work vector of A[s, p, q, m], or of E[s, p, q] for m = 4."""
-    return _SERIES + (2 * _row(p, q) + s) * 5 + m
+def _layout(w: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dressed couplings, E and A of a work vector for ``size`` orders per axis, as views."""
+    split = _SERIES + 2 * size * size
+    return (w[:_SERIES].reshape(2, 2, 4, 4), w[_SERIES:split].reshape(2, size, size),
+            w[split:].reshape(2, size, size, 4))
 
 
 @functools.cache
-def _order_plan(n: int, d: int) -> tuple[np.ndarray, ...]:
-    """Flat terms of every structurally nonzero order-d entry of state n's two series.
+def _order_plan(n: int, max_order: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Flat terms of every structurally nonzero entry of state n's two series, by total order.
 
-    Returns the two factors' slots and the coefficient of each term, the
-    start of each entry's terms, the entry's slot and its divisor index.
-    Entries are listed by (p, s, m) and their terms in an order fixed by
-    (p, q, m) alone, so a table's lower orders never depend on ``max_order``.
+    For each order d = 1..max_order: the two factors' slots in the work
+    vector of :func:`_layout` and the coefficient of each term, the start of
+    each entry's terms, the entry's slot and its divisor index.  Entries are
+    listed by (p, s, m) and their terms in an order fixed by (p, q, m) alone,
+    so a table's lower orders never depend on ``max_order``.
     """
     k = n - 1
     cls = _CLASS ^ _CLASS[k]
+    size = max_order + 1
+    couplings, e, a = _layout(np.arange(_SERIES + 10 * size * size), size)
 
     def nonzero(p, q, m):  # E, at m = 4, sits in the class of m = k
         return cls[k if m == 4 else m] == 2 * (p % 2) + q % 2 and (p + q > 0 or m in (k, 4))
 
-    left, right, coef, counts, out, div = [], [], [], [], [], []
-    for p in range(d + 1):
-        q = d - p
-        lower = [(i, j) for i in range(p + 1) for j in range(q + 1) if 0 < i + j < d]
-        for s in (0, 1):
-            for m in range(5):
-                if not nonzero(p, q, m):
-                    continue
-                if m == k:  # the norm expansion; the same value in both series fixes the phase
-                    terms = [(_slot(i, j, 1, r), _slot(p - i, q - j, 0, r), -0.5)
-                             for i, j in lower for r in range(4)
-                             if nonzero(i, j, r) and nonzero(p - i, q - j, r)]
-                else:
-                    row = k if m == 4 else m
-                    # A coupling element between two entries of the right classes
-                    # is one the selection rules allow; c = 0 is va, c = 1 vc.
-                    terms = [(16 * (2 * c + s) + 4 * row + j, _slot(p - dp, q - dq, s, j), 1.0)
-                             for c, (dp, dq) in enumerate(((1, 0), (0, 1))) if p >= dp and q >= dq
-                             for j in range(4) if nonzero(p - dp, q - dq, j)]
-                    terms += [(_slot(i, j, s, 4), _slot(p - i, q - j, s, row), -1.0)
-                              for i, j in lower if nonzero(i, j, 4) and nonzero(p - i, q - j, row)]
-                if terms:  # an entry without terms stays zero
-                    for column, values in zip((left, right, coef), zip(*terms)):
-                        column.extend(values)
-                    counts.append(len(terms))
-                    out.append(_slot(p, q, s, m))
-                    div.append(k if m in (k, 4) else m)
-    plan = (np.array(left), np.array(right), np.array(coef, dtype=complex),
-            np.cumsum([0] + counts[:-1]), np.array(out), np.array(div))
-    for array in plan:
-        array.setflags(write=False)
-    return plan
+    def slot(p, q, s, m):  # of A[s, p, q, m], or of E[s, p, q] for m = 4
+        return e[s, p, q] if m == 4 else a[s, p, q, m]
+
+    plan = []
+    for d in range(1, max_order + 1):
+        left, right, coef, counts, out, div = [], [], [], [], [], []
+        for p in range(d + 1):
+            q = d - p
+            lower = [(i, j) for i in range(p + 1) for j in range(q + 1) if 0 < i + j < d]
+            for s in (0, 1):
+                for m in range(5):
+                    if not nonzero(p, q, m):
+                        continue
+                    if m == k:  # the norm expansion; the same value in both series fixes the phase
+                        terms = [(slot(i, j, 1, r), slot(p - i, q - j, 0, r), -0.5)
+                                 for i, j in lower for r in range(4)
+                                 if nonzero(i, j, r) and nonzero(p - i, q - j, r)]
+                    else:
+                        row = k if m == 4 else m
+                        # A coupling element between two entries of the right classes
+                        # is one the selection rules allow; c = 0 is va, c = 1 vc.
+                        terms = [(couplings[c, s, row, j], slot(p - dp, q - dq, s, j), 1.0)
+                                 for c, (dp, dq) in enumerate(((1, 0), (0, 1)))
+                                 if p >= dp and q >= dq
+                                 for j in range(4) if nonzero(p - dp, q - dq, j)]
+                        terms += [(slot(i, j, s, 4), slot(p - i, q - j, s, row), -1.0)
+                                  for i, j in lower
+                                  if nonzero(i, j, 4) and nonzero(p - i, q - j, row)]
+                    if terms:  # an entry without terms stays zero
+                        for column, values in zip((left, right, coef), zip(*terms)):
+                            column.extend(values)
+                        counts.append(len(terms))
+                        out.append(slot(p, q, s, m))
+                        div.append(k if m in (k, 4) else m)
+        arrays = (np.array(left), np.array(right), np.array(coef, dtype=complex),
+                  np.cumsum([0] + counts[:-1]), np.array(out), np.array(div))
+        for array in arrays:
+            array.setflags(write=False)
+        plan.append(arrays)
+    return tuple(plan)
 
 
 def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
     """Fill a table for state n with every order p + q <= max_order, one fused step per order.
 
-    Both series live in one complex work vector ``w``: the dressed couplings,
-    then the E and A entries packed by total order.  Each order is one
-    gather-multiply-reduce over the terms of ``_order_plan``, and the table
-    receives the packed series in one scatter each.
+    Both series live in one complex work vector ``w`` that holds the dressed
+    couplings, then E and A; the table's arrays are views of it.  Each order
+    is one gather-multiply-reduce over its terms in ``_order_plan``.
     """
     if not 1 <= n <= 4:
         raise ValueError(f"state index must lie in 1..4, got {n}")
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    table = SeriesTable(split, n, max_order)
-    basis, (p, q), k = table.basis, packed_index(max_order), n - 1
-    w = np.zeros(_SERIES + 10 * len(p), dtype=complex)
-    couplings = w[:_SERIES].reshape(2, 2, 4, 4)  # [coupling, s, m, j]
+    basis, k, size = dressed_basis(split.h0), n - 1, max_order + 1
+    w = np.zeros(_SERIES + 10 * size * size, dtype=complex)
+    couplings, e, a = _layout(w, size)  # couplings[coupling, s, m, j]
     couplings[:, 0] = basis.left @ np.stack((split.va, split.vc)) @ basis.right
     couplings[:, 1] = couplings[:, 0].transpose(0, 2, 1)  # s = 1 sees the transposed couplings
-    series = w[_SERIES:].reshape(-1, 2, 5)  # [row, s, m], m = 4 holding E
-    series[0, :, k] = 1.0
-    series[0, :, 4] = basis.eigenvalues[k]
+    e[:, 0, 0] = basis.eigenvalues[k]
+    a[:, 0, 0, k] = 1.0
     divisor = basis.eigenvalues[k] - basis.eigenvalues
     divisor[k] = 1.0  # E and the diagonal entry, which the norm expansion fixes
-    for d in range(1, max_order + 1):
-        left, right, coef, starts, out, div = _order_plan(n, d)
+    for left, right, coef, starts, out, div in _order_plan(n, max_order):
         w[out] = np.add.reduceat(w[left] * w[right] * coef, starts) / divisor[div]
-    table.E[:, p, q] = series[..., 4].T
-    table.A[:, p, q] = series[..., :4].transpose(1, 0, 2)
-    return table
+    return SeriesTable(basis, n, max_order, e, a)
 
 
 def power_sum(c: np.ndarray, x, y):

@@ -3,12 +3,12 @@
 Closed forms, the coherence-series route they are validated against, and
 detuning sweeps.  The coherence route reads its Taylor coefficients straight
 from the perturbation series arrays: each coherence is a product of the
-ground ket and bra series, and ``coherence_coefficients`` takes its Cauchy
-product one total order at a time (``perturb.cauchy_terms``), so no sampling
-is involved.  The closed forms are written once, on numpy arrays of the
-single-photon detunings: a single configuration is a grid of one point, and
-a sweep evaluates its whole grid in one pass, masking the rows where a pole
-sits (``model.near_pole``) instead of stopping there.
+ground ket and bra series, and ``coherence_coefficients`` is their truncated
+product (``perturb.series_product``), so no sampling is involved.  The
+closed forms are written once, on numpy arrays of the single-photon
+detunings: a single configuration is a grid of one point, and a sweep
+evaluates its whole grid in one pass, masking the rows where a pole sits
+(``model.near_pole``) instead of stopping there.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -233,11 +233,7 @@ def coherence_coefficients(config: SystemConfig, order: int = 3,
         raise ValueError(f"element must be one of {sorted(_LEVELS)}, got {element!r}")
     kets, bras = _ket_bra_coefficients(config, order)
     ket_level, bra_level = _LEVELS[element]
-    packed = perturb.packed_index(order)
-    ket, bra = kets[packed][:, ket_level], bras[packed][:, bra_level]
-    c = np.zeros((order + 1, order + 1), dtype=complex)
-    c[packed] = np.concatenate([perturb.cauchy_terms(ket, bra, d) for d in range(order + 1)])
-    return c
+    return perturb.series_product(kets[..., ket_level], bras[..., bra_level])
 
 
 def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,
@@ -252,6 +248,8 @@ def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,
         raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    if not np.all(np.isfinite((lo, hi))):
+        raise ValueError(f"lo and hi must be finite, got {lo!r} and {hi!r}")
     value = np.linspace(lo, hi, steps)
     deltas = [config.mode_a.delta, config.mode_b.delta, config.mode_c.delta]
     deltas[_AXES.index(axis)] = value

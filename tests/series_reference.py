@@ -5,8 +5,10 @@ reduce over the products the N-configuration's selection rules allow.  This
 module keeps a recursion that prunes nothing: it fills one entry (p, q) at a
 time with dense Cauchy products over every lower entry, so the tests can pin
 the engine, and the entries it never writes, against a route with another
-term set and summation layout.  It writes into the same ``SeriesTable``
-arrays.
+term set and summation layout.  It allocates its own arrays and returns
+them in a ``SeriesTable``.  Its ``cauchy_term`` is also the per-entry
+reference for ``perturb.series_product``, the Kronecker-substitution
+product that the coherence coefficients and ``oracle.ground_series`` use.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from nkerr.model import PerturbationSplit
-from nkerr.perturb import SeriesTable
+from nkerr.perturb import SeriesTable, dressed_basis
 
 
 def cauchy_term(x: np.ndarray, y: np.ndarray, p: int, q: int) -> complex:
@@ -33,13 +35,15 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         raise ValueError(f"state index must lie in 1..4, got {n}")
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    table = SeriesTable(split, n, max_order)
-    e, a, basis = table.E, table.A, table.basis
+    basis, k = dressed_basis(split.h0), n - 1
+    e = np.zeros((2, max_order + 1, max_order + 1), dtype=complex)
+    a = np.zeros((2, max_order + 1, max_order + 1, 4), dtype=complex)
+    e[:, 0, 0] = basis.eigenvalues[k]
+    a[:, 0, 0, k] = 1.0
     vta = basis.left @ split.va @ basis.right
     vtc = basis.left @ split.vc @ basis.right
     va = np.stack([vta, vta.T])  # the companion series sees the transposed couplings
     vc = np.stack([vtc, vtc.T])
-    k = n - 1
     gap = basis.eigenvalues[k] - basis.eigenvalues
     gap[k] = 1.0  # the diagonal entry comes from the norm expansion instead
     for d in range(1, max_order + 1):
@@ -58,4 +62,4 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
             # Norm expansion fixes the real part; the residual phase freedom is
             # resolved by giving both series the same diagonal entry.
             a[:, p, q, k] = -0.5 * overlap
-    return table
+    return SeriesTable(basis, n, max_order, e, a)

@@ -204,11 +204,11 @@ def test_hermitian_corrections_are_real(reference_config):
 def test_normalization_residual_every_order(lossy_config):
     # the order-(p, q) term of the norm <bra|ket> vanishes above order (0, 0)
     table = perturb.build_series(model.split(lossy_config), 1, 4)
-    packed = perturb.packed_index(4)
-    bra, ket = table.A[1][packed], table.A[0][packed]
-    assert perturb.cauchy_terms(bra, ket, 0).sum() == 1
+    bra, ket = table.A[1], table.A[0]
+    assert series_reference.cauchy_term(bra, ket, 0, 0) == 1
     for d in range(1, 5):
-        assert np.all(np.abs(perturb.cauchy_terms(bra, ket, d).sum(axis=-1)) < 1e-12)
+        for p in range(d + 1):
+            assert abs(series_reference.cauchy_term(bra, ket, p, d - p)) < 1e-12
 
 
 def _complex_couplings(cfg, rng):
@@ -244,15 +244,21 @@ def test_batched_series_matches_per_entry_recursion(n, lossy):
         assert np.max(np.abs(table.A - ref.A)) <= 1e-14 * np.max(np.abs(ref.A))
 
 
-def test_cauchy_terms_match_per_entry_products():
+def test_series_product_matches_per_entry_products():
+    # dense random factors: the physics series' structural zeros would hide
+    # a product that wraps one row's terms into the next
     rng = np.random.default_rng(7)
-    x, y = (rng.normal(size=(6, 6, 4)) + 1j * rng.normal(size=(6, 6, 4)) for _ in range(2))
-    packed = perturb.packed_index(5)
-    for d in range(6):
-        terms = perturb.cauchy_terms(x[packed], y[packed], d).sum(axis=-1)
-        for p in range(d + 1):
-            expected = series_reference.cauchy_term(x, y, p, d - p)
-            assert abs(terms[p] - expected) <= 1e-14 * max(1.0, abs(expected))
+    for n in range(1, 7):
+        x, y = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+        product = perturb.series_product(x, y)
+        assert product.shape == (n, n)
+        for p in range(n):
+            for q in range(n):
+                if p + q < n:
+                    expected = series_reference.cauchy_term(x[..., None], y[..., None], p, q)
+                    assert abs(product[p, q] - expected) <= 1e-14 * max(1.0, abs(expected))
+                else:
+                    assert product[p, q] == 0
 
 
 @pytest.mark.parametrize("n, max_order", [(0, 4), (5, 4), (1, -1)])
@@ -265,9 +271,12 @@ def test_build_series_rejects_bad_arguments(reference_config, n, max_order):
 
 
 def test_order_plan_is_read_only():
-    for array in perturb._order_plan(1, 3):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    plan = perturb._order_plan(1, 3)
+    assert len(plan) == 3  # one step per total order 1..max_order
+    for step in plan:
+        for array in step:
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def test_missing_order_raises(reference_config):

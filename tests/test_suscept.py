@@ -248,6 +248,13 @@ def test_sweep_rejects_bad_arguments(reference_config):
         suscept.sweep(reference_config, "da", 0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("inf")),
+                                    (float("-inf"), 1.0), (0.0, float("nan"))])
+def test_sweep_rejects_non_finite_bounds(reference_config, lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        suscept.sweep(reference_config, "dc", lo, hi, 5)
+
+
 def test_sweep_even_odd_structure_about_resonance():
     cfg = make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.0,
                       gamma=(0.0, 0.0, 0.4))
