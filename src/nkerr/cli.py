@@ -15,7 +15,22 @@ Scenario files are JSON documents with the layout::
 rejected; all numbers must be finite and photon numbers integral.
 
 ``nkerr sweep`` writes its CSV from the sweep's arrays, ``SWEEP_CHUNK_ROWS``
-rows at a time, so the text of the whole file is never held at once.
+rows at a time, so the text of the whole file is never held at once.  The
+``%.17g`` conversions, not the closed forms, take nearly all of its time, and
+each row is independent, so the rows are cut into contiguous parts of whole
+chunks, one per CPU the process may run on (``os.sched_getaffinity``) and no
+more than there are chunks, and the parts are formatted at the same time.  The
+process forks a child for each part after the first: a forked child sees the
+sweep's arrays copy-on-write, so nothing is pickled and nothing is imported
+again.  A child only formats text and calls no BLAS routine, so no lock
+another thread held at the fork is needed; it writes its part chunk by chunk
+into an unlinked temporary file and leaves by ``os._exit``, so no stdio buffer
+it inherited is flushed twice.  The parent writes part 0 straight into
+``--out``, then reaps the children in row order and copies each part in blocks
+of ``_COPY_CHARS``; no process holds more than a chunk or a block of text, and
+the temporary files together hold the parts after the first.  A child that
+fails is an output error (exit 2).  With one CPU, a sweep of one chunk, or a
+platform without ``os.fork`` or ``os.sched_getaffinity``, nothing is forked.
 
 Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
 arguments (including non-finite ``--lo/--hi/--t``) or an output file that
@@ -26,12 +41,17 @@ command that needs the lossless regime was given decay rates).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import shutil
+import signal
 import sys
-from typing import Any, TextIO
+import tempfile
+from typing import Any, NoReturn, TextIO
 
-from . import effective, suscept, validate
+from . import effective, suscept
 from .errors import (ConvergenceError, DegeneracyError, MissingOrderError,
                      NotHermitianError, NotResonantError, PoleError,
                      ScenarioError, TrackingError)
@@ -43,6 +63,8 @@ _DOMAIN_ERRORS = (PoleError, DegeneracyError, NotResonantError, TrackingError,
 # Rows formatted per write of the sweep CSV; the whole file as one string
 # would take more memory than the sweep itself.
 SWEEP_CHUNK_ROWS = 4096
+# Characters per read when a child's part is copied into --out.
+_COPY_CHARS = 1 << 20
 
 _MODE_KEYS = {"g_re", "g_im", "delta", "n"}
 _GAMMA_KEYS = {"g1", "g2", "g3"}
@@ -159,20 +181,80 @@ def _cmd_sweep(args, out: TextIO) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or read its affinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _write_sweep_rows(fh: TextIO, result: suscept.Sweep) -> None:
-    """One %-format per row, the same text as ``_fmt`` per field."""
+    """Write the rows to ``fh`` in contiguous parts, formatted in parallel.
+
+    Part 0 is formatted here, every later part in a forked child into an
+    unlinked temporary file that is then copied after it (see the module
+    docstring).  Raises OSError if a child fails; every child is reaped on
+    every path.
+    """
+    n = len(result)
+    chunks = -(-n // SWEEP_CHUNK_ROWS)
+    parts = min(_usable_cpus(), chunks)
+    bounds = [k * chunks // parts * SWEEP_CHUNK_ROWS for k in range(parts)] + [n]
+    children = []  # (pid, part file, first row, end row) not yet reaped, in row order
+    with contextlib.ExitStack() as files:
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                part = files.enter_context(
+                    tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                pid = os.fork()
+                if pid == 0:
+                    _write_part_and_exit(part, result, start, stop)
+                children.append((pid, part, start, stop))
+            _write_row_range(fh, result, 0, bounds[1])
+            while children:
+                pid, part, start, stop = children[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if code != 0:
+                    raise OSError(f"formatting sweep rows {start}..{stop - 1} failed "
+                                  f"in process {pid} (exit code {code})")
+                part.seek(0)
+                shutil.copyfileobj(part, fh, _COPY_CHARS)
+        finally:
+            for pid, *_ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _write_part_and_exit(part: TextIO, result: suscept.Sweep, start: int,
+                         stop: int) -> NoReturn:
+    """A forked child's whole life: write rows [start, stop) to ``part``, then exit."""
+    code = 1
+    try:
+        _write_row_range(part, result, start, stop)
+        part.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _write_row_range(fh: TextIO, result: suscept.Sweep, start: int, stop: int) -> None:
+    """Rows [start, stop), chunk by chunk from ``start``; one %-format per row,
+    the same text as ``_fmt`` per field."""
     valid_row = result.axis + ",%.17g" * 7 + ",1\n"
     invalid_row = result.axis + ",%.17g,,,,,,,0\n"
     columns = (result.value, result.chi1.real, result.chi1.imag, result.chi3_self.real,
                result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
-    for start in range(0, len(result), SWEEP_CHUNK_ROWS):
-        chunk = slice(start, start + SWEEP_CHUNK_ROWS)
+    for lo in range(start, stop, SWEEP_CHUNK_ROWS):
+        chunk = slice(lo, min(lo + SWEEP_CHUNK_ROWS, stop))
         rows = zip(*(column[chunk].tolist() for column in columns))
         fh.write("".join([valid_row % row if ok else invalid_row % row[0]
                           for ok, row in zip(result.valid[chunk].tolist(), rows)]))
 
 
 def _cmd_evolve(args, out: TextIO) -> int:
+    from . import validate  # here, so coeffs and sweep never load it
+
     config = load_scenario(args.scenario)
     eff_phase, oracle_phase, diff, bound = validate.phase_comparison(config, args.t)
     out.write(f"t={_fmt(args.t)}\n")
@@ -184,6 +266,8 @@ def _cmd_evolve(args, out: TextIO) -> int:
 
 
 def _cmd_validate(args, out: TextIO) -> int:
+    from . import validate
+
     report, ok = validate.run_report(args.seed)
     out.write(report)
     return 0 if ok else 1

@@ -4,19 +4,22 @@ Each criterion draws its own deterministic random stream from the user seed,
 so a given seed always produces a byte-identical report.  Checks that need
 random scenarios use couplings, detunings and margins chosen to keep every
 draw well inside the perturbative regime and away from the closed-form
-poles.  Criteria 3 and 4 draw the same 20 lossless configurations and read
-the Taylor coefficients of their exact ground eigenvalue from
+poles.  Criteria 3 and 4 read the Taylor coefficients of the exact ground
+eigenvalue of the same 20 lossless configurations, computed once per run by
 ``oracle.ground_series``, which solves the tridiagonal continuant
 det(H - E) = 0 order by order on truncated power series, exact to rounding.
 Criteria 7 and 8 read the coherence coefficients straight from the series
 arrays (``suscept.coherence_coefficients``): criterion 7 reads chi3_cross off
 the 3<->4 coherence rho43, criterion 8 off rho21, and both compare it with
-the closed form.
+the closed form.  Criterion 10 checks the parity of the exact (LAPACK)
+ground eigenvalue in each probe strength, which a coupling the
+N-configuration forbids would break.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import math
 import os
 import tempfile
@@ -25,9 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import effective, model, oracle, perturb, suscept
+from . import cli, effective, model, oracle, perturb, suscept
 from .errors import DegeneracyError
-from .model import FieldMode, SystemConfig
+from .model import FieldMode, PerturbationSplit, SystemConfig
 
 __all__ = ["CheckResult", "make_config", "phase_comparison", "run_all", "report_lines",
            "run_report"]
@@ -185,25 +188,33 @@ def _criterion_2(seed: int) -> CheckResult:
     return CheckResult(2, "dark-state cancellation", chk.passed, chk.detail)
 
 
-def _criterion_3(seed: int) -> CheckResult:
-    chk = _Checker()
+_OracleDraws = list[tuple[SystemConfig, PerturbationSplit, np.ndarray]]
+
+
+def _oracle_draws(seed: int) -> _OracleDraws:
+    """Criteria 3 and 4's 20 lossless draws, each with its exact order-4 ground series."""
     rng = _rng(seed, 34)
+    draws = []
     for _ in range(20):
         cfg = _random_config(rng, lossy=False)
         sp = model.split(cfg)
-        folded = sp.eps_a**2 * sp.eps_c**2 * complex(oracle.ground_series(sp, 4)[2, 2])
+        draws.append((cfg, sp, oracle.ground_series(sp, 4)))
+    return draws
+
+
+def _criterion_3(draws: _OracleDraws) -> CheckResult:
+    chk = _Checker()
+    for cfg, sp, series in draws:
+        folded = sp.eps_a**2 * sp.eps_c**2 * complex(series[2, 2])
         expected = effective.coefficients(cfg).cross_kerr * cfg.mode_a.n * cfg.mode_c.n
         chk.close(expected, folded, 1e-11)
     return CheckResult(3, "cross-Kerr closed form vs FD oracle", chk.passed, chk.detail)
 
 
-def _criterion_4(seed: int) -> CheckResult:
+def _criterion_4(draws: _OracleDraws) -> CheckResult:
     chk = _Checker()
-    rng = _rng(seed, 34)
-    for _ in range(20):
-        cfg = _random_config(rng, lossy=False)
-        sp = model.split(cfg)
-        folded = sp.eps_a**4 * complex(oracle.ground_series(sp, 4)[4, 0])
+    for cfg, sp, series in draws:
+        folded = sp.eps_a**4 * complex(series[4, 0])
         expected = effective.coefficients(cfg).self_kerr * cfg.mode_a.n**2
         chk.close(expected, folded, 1e-11)
         # the |g_b|^4 variant must be cleanly rejected whenever |g_a| != |g_b|
@@ -297,17 +308,16 @@ def _criterion_10(seed: int) -> CheckResult:
     chk = _Checker()
     rng = _rng(seed, 10)
     for _ in range(20):
-        cfg = _random_config(rng, lossy=False)
-        energies = perturb.build_series(model.split(cfg), 1, 4).E[0]
-        for (p, q), value in np.ndenumerate(energies):
-            if p % 2 or q % 2:
-                chk.expect(abs(value) < 1e-14, 0.0, complex(value), 1e-14)
+        sp = model.split(_random_config(rng, lossy=False))
+        energy = oracle.ground_eigenvalue_function(sp)
+        x, y = sp.eps_a, sp.eps_c
+        e = energy(x, y)
+        for flipped in (energy(-x, y), energy(x, -y)):
+            chk.expect(abs(e - flipped) <= 1e-14, e, flipped, 1e-14)
     return CheckResult(10, "parity of corrections", chk.passed, chk.detail)
 
 
 def _criterion_11(seed: int) -> CheckResult:
-    from . import cli  # local import: cli imports this module
-
     chk = _Checker()
     scenario = {
         "modes": {
@@ -319,8 +329,6 @@ def _criterion_11(seed: int) -> CheckResult:
     }
     with tempfile.TemporaryDirectory() as tmp:
         spath = os.path.join(tmp, "scenario.json")
-        import json
-
         with open(spath, "w", encoding="utf-8") as fh:
             json.dump(scenario, fh)
         outputs = []
@@ -351,7 +359,8 @@ def _criterion_11(seed: int) -> CheckResult:
     return CheckResult(11, "CLI determinism and CSV format", chk.passed, chk.detail)
 
 
-_CRITERIA: list[Callable[[int], CheckResult]] = [
+# Each takes the seed, except criteria 3 and 4, which take the run's _oracle_draws.
+_CRITERIA: list[Callable[..., CheckResult]] = [
     _criterion_1, _criterion_2, _criterion_3, _criterion_4, _criterion_5,
     _criterion_6, _criterion_7, _criterion_8, _criterion_9, _criterion_10,
     _criterion_11,
@@ -359,7 +368,9 @@ _CRITERIA: list[Callable[[int], CheckResult]] = [
 
 
 def run_all(seed: int) -> list[CheckResult]:
-    return [crit(seed) for crit in _CRITERIA]
+    draws = _oracle_draws(seed)
+    return [crit(draws) if crit in (_criterion_3, _criterion_4) else crit(seed)
+            for crit in _CRITERIA]
 
 
 def report_lines(results: list[CheckResult]) -> list[str]:

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from nkerr import effective, validate
+from nkerr import effective, model, validate
 
 RESULTS = {r.number: r for r in validate.run_all(seed=0)}
 
@@ -36,6 +36,20 @@ def test_criterion_catches_planted_coefficient_error(monkeypatch, field, number)
     monkeypatch.setattr(effective, "coefficients", planted)
     result = {r.number: r for r in validate.run_all(seed=0)}[number]
     assert not result.passed, f"criterion {number} missed a 1e-7 error in {field}"
+
+
+def test_criterion_10_catches_planted_forbidden_coupling(monkeypatch):
+    # probe a coupling levels 1 and 4 directly, which the N-configuration forbids
+    true_split = model.split
+
+    def planted(cfg):
+        sp = true_split(cfg)
+        va = sp.va.copy()
+        va[0, 3] = va[3, 0] = 0.5
+        return dataclasses.replace(sp, va=va)
+
+    monkeypatch.setattr(model, "split", planted)
+    assert not validate._criterion_10(0).passed
 
 
 def test_validate_report_text_seed_zero():

@@ -240,6 +240,71 @@ def test_sweep_csv_across_chunks_matches_per_row_rendering(tmp_path):
         assert got == want
 
 
+def _refuse_fork():
+    raise AssertionError("the sweep forked")
+
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def test_sweep_csv_same_bytes_for_every_part_count(tmp_path, monkeypatch):
+    # at two parts, the pole row 2*chunk is the first row of the second part
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
+    true_fork = os.fork
+    blobs = {}
+    for cpus in (1, 2, 3, 4):
+        forks = []
+
+        def counting_fork():
+            pid = true_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        with monkeypatch.context() as m:
+            _use_cpus(m, cpus)
+            m.setattr(os, "fork", _refuse_fork if cpus == 1 else counting_fork)
+            opath = tmp_path / f"cpus{cpus}.csv"
+            assert cli.main(_chunked_sweep_args(spath, opath), stdout=io.StringIO()) == 0
+        assert len(forks) == cpus - 1
+        blobs[cpus] = opath.read_bytes()
+    assert blobs[2] == blobs[1] and blobs[3] == blobs[1] and blobs[4] == blobs[1]
+
+
+def test_sweep_of_one_chunk_never_forks(tmp_path, monkeypatch):
+    _use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
+    opath = tmp_path / "out.csv"
+    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
+                     "--steps", str(cli.SWEEP_CHUNK_ROWS), "--out", str(opath)],
+                    stdout=io.StringIO()) == 0
+    assert opath.read_bytes().count(b"\n") == cli.SWEEP_CHUNK_ROWS + 1
+
+
+@pytest.mark.parametrize("failing_start", [2 * cli.SWEEP_CHUNK_ROWS, 0],
+                         ids=["child", "parent"])
+def test_sweep_part_failure_is_output_error_and_reaps_every_child(
+        tmp_path, monkeypatch, capsys, failing_start):
+    # three parts over four chunks: rows from 0, 1*chunk (child) and 2*chunk (child)
+    true_write = cli._write_row_range
+
+    def planted(fh, result, start, stop):
+        if start == failing_start:
+            raise OSError("planted write failure")
+        true_write(fh, result, start, stop)
+
+    monkeypatch.setattr(cli, "_write_row_range", planted)
+    _use_cpus(monkeypatch, 3)
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
+    argv = _chunked_sweep_args(spath, tmp_path / "out.csv")
+    assert cli.main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith("output error:")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sweep_byte_identical_across_processes_and_hash_seeds(tmp_path):
     spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -247,7 +312,7 @@ def test_sweep_byte_identical_across_processes_and_hash_seeds(tmp_path):
     for hash_seed in ("1", "2"):
         opath = tmp_path / f"out{hash_seed}.csv"
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
-        proc = subprocess.run([sys.executable, "-m", "nkerr.cli",
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "nkerr.cli",
                                *_chunked_sweep_args(spath, opath)], env=env)
         assert proc.returncode == 0
         blobs.append(opath.read_bytes())
