@@ -8,7 +8,8 @@ diverges at delta_3 = 0.  A denominator within a few ulps of the size of its
 terms is taken as the pole (``model.off_pole``).  The n_a**2 scaling of the fourth-order eigenvalue
 correction forces the self-Kerr numerator to carry |g_a|^4; this form is
 cross-validated against Taylor extraction of the exact ground eigenvalue in
-the test suite.
+the test suite.  ``phase_angle`` and the Raman test in ``pure_cross_kerr``
+are the package's only definitions of those two rules.
 """
 
 from __future__ import annotations
@@ -77,10 +78,14 @@ def pure_cross_kerr(config: SystemConfig) -> float:
     return -abs(config.mode_a.g) ** 2 * abs(config.mode_c.g) ** 2 / (d3 * gb2n)
 
 
-def effective_phase(coeffs: KerrCoefficients, n_a: int, n_c: int, t: float) -> complex:
-    """Phase factor exp(-i*(L*n_a + S*n_a**2 + K*n_a*n_c)*t) on a Fock product."""
+def phase_angle(coeffs: KerrCoefficients, n_a: int, n_c: int, t: float) -> float:
+    """Angle (L*n_a + S*n_a**2 + K*n_a*n_c)*t the Fock product |n_a, n_c> turns by."""
     if n_a < 0 or n_c < 0:
         raise ValueError("photon numbers must be >= 0")
-    phase = (coeffs.linear * n_a + coeffs.self_kerr * n_a**2
-             + coeffs.cross_kerr * n_a * n_c) * t
-    return cmath.exp(-1j * phase)
+    return (coeffs.linear * n_a + coeffs.self_kerr * n_a**2
+            + coeffs.cross_kerr * n_a * n_c) * t
+
+
+def effective_phase(coeffs: KerrCoefficients, n_a: int, n_c: int, t: float) -> complex:
+    """Phase factor exp(-i*(L*n_a + S*n_a**2 + K*n_a*n_c)*t) on a Fock product."""
+    return cmath.exp(-1j * phase_angle(coeffs, n_a, n_c, t))

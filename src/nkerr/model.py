@@ -85,6 +85,8 @@ class SystemConfig:
 
 
 class MultiPhotonDetunings(NamedTuple):
+    """Cumulative one-, two- and three-photon detunings delta_1, delta_2, delta_3."""
+
     delta1: float
     delta2: float
     delta3: float

@@ -3,11 +3,13 @@
 Everything here is deliberately decoupled from the perturbation engine so the
 two can cross-check each other: eigensystems come from LAPACK, time evolution
 from spectral decomposition, and the Taylor coefficients of the ground
-eigenvalue from its characteristic polynomial.  The matrix is tridiagonal, so
-det(H - E) is a continuant in E and the squared probe strengths, and its
-root is solved order by order on truncated double power series (Brent &
-Kung, J. ACM 25 (1978) 581): the coefficients come out exact to rounding,
-with no step size, radius or sampling to choose.  The only code this shares
+eigenvalue from its characteristic polynomial.  The ground branch has one
+rule: walk from bare level 1, keeping the eigenvector of maximal overlap with
+the previous one.  The matrix is tridiagonal, so det(H - E) is a continuant
+in E and the squared probe strengths, and its root is solved order by order
+on truncated double power series (Brent & Kung, J. ACM 25 (1978) 581): the
+coefficients come out exact to rounding, with no step size, radius or
+sampling to choose.  The only code this shares
 with the perturbation side is the generic product ``perturb.series_product``,
 which ``build_series`` does not use; the tests pin that product against
 per-entry sums, so the continuant and the Rayleigh-Schrodinger recursion
@@ -16,8 +18,9 @@ stay two independent routes to the same coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +30,8 @@ from .model import PerturbationSplit, SystemConfig
 
 RESIDUAL_TOL = 1e-12
 TRACK_STEPS = 32  # fixed path resolution keeps tracking bit-reproducible
+
+_BARE_GROUND = np.array([1, 0, 0, 0], dtype=complex)  # bare level 1, where every walk starts
 
 
 @dataclass(frozen=True)
@@ -65,55 +70,58 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
 
 def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*h*t) @ psi0 via spectral decomposition (non-defective inputs)."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     sol = exact_eigensystem(h)
     v = sol.eigenvectors
     coeffs = np.linalg.solve(v, np.asarray(psi0, dtype=complex))
     return v @ (np.exp(-1j * sol.eigenvalues * t) * coeffs)
 
 
+def _walk_ground(split: PerturbationSplit, path: Sequence[tuple[float, float]]) -> complex:
+    """Eigenvalue reached by following bare level 1 along ``path`` of (x, y) strengths.
+
+    Each step keeps the eigenvector of maximal overlap with the previous one;
+    an overlap below 0.5 raises :class:`TrackingError`.
+    """
+    bra = _BARE_GROUND  # of the eigenvector followed so far
+    for k, (x, y) in enumerate(path, 1):
+        sol = exact_eigensystem(split.h0 + x * split.va + y * split.vc)
+        overlaps = np.abs(bra @ sol.eigenvectors)
+        idx = int(np.argmax(overlaps))
+        if overlaps[idx] < 0.5:
+            raise TrackingError(
+                f"lost the ground branch at step {k}/{len(path)}: "
+                f"best overlap {overlaps[idx]:.3f} < 0.5")
+        bra = sol.eigenvectors[:, idx].conj()
+    return complex(sol.eigenvalues[idx])
+
+
 def track_ground(config: SystemConfig, eps_scale: float) -> complex:
     """Eigenvalue continuously connected to bare level 1 as the probes ramp on.
 
     Walks ``TRACK_STEPS`` uniform increments of the overall probe strength from 0
-    to ``eps_scale``, following the eigenvector of maximal overlap with the
-    previous step.
+    to ``eps_scale``, which must be finite.
     """
+    if not math.isfinite(eps_scale):
+        raise ValueError(f"eps_scale must be finite, got {eps_scale!r}")
     sp = model.split(config)
     try:
         perturb.dressed_basis(sp.h0)
     except DegeneracyError as exc:
         raise TrackingError(f"cannot identify the ground branch: {exc}") from exc
-    prev = np.zeros(4, dtype=complex)
-    prev[0] = 1.0
-    value = 0.0 + 0.0j
-    for k in range(1, TRACK_STEPS + 1):
-        s = eps_scale * k / TRACK_STEPS
-        h = sp.h0 + (s * sp.eps_a) * sp.va + (s * sp.eps_c) * sp.vc
-        sol = exact_eigensystem(h)
-        overlaps = np.abs(prev.conj() @ sol.eigenvectors)
-        idx = int(np.argmax(overlaps))
-        if overlaps[idx] < 0.5:
-            raise TrackingError(
-                f"lost the ground branch at ramp step {k}/{TRACK_STEPS}: "
-                f"best overlap {overlaps[idx]:.3f} < 0.5")
-        prev = sol.eigenvectors[:, idx]
-        value = complex(sol.eigenvalues[idx])
-    return value
+    scales = [eps_scale * k / TRACK_STEPS for k in range(1, TRACK_STEPS + 1)]
+    return _walk_ground(sp, [(s * sp.eps_a, s * sp.eps_c) for s in scales])
 
 
 def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, float], complex]:
     """Ground eigenvalue of ``h0 + x*va + y*vc`` as a function of (x, y), by LAPACK.
 
-    Intended for a small neighbourhood of (0, 0), where the eigenvector with
-    the largest level-1 component picks the continuation unambiguously.
+    Each call walks one step from bare level 1, so it keeps the eigenvector
+    with the largest level-1 component: unambiguous near (0, 0).
     """
-    h0, va, vc = split.h0, split.va, split.vc
-
     def f(x: float, y: float) -> complex:
-        h = h0 + x * va + y * vc
-        sol = exact_eigensystem(h)
-        idx = int(np.argmax(np.abs(sol.eigenvectors[0, :])))
-        return complex(sol.eigenvalues[idx])
+        return _walk_ground(split, ((x, y),))
     return f
 
 

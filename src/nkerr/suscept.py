@@ -195,6 +195,7 @@ def chi3_cross(config: SystemConfig) -> complex:
 
 
 def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
+    """All three susceptibilities from one run of the closed forms; PoleError at any pole."""
     return SusceptibilityPoint(*(complex(chi[0]) for chi in _at_config(config)[:3]))
 
 

@@ -133,8 +133,7 @@ def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, 
     """
     co = effective.coefficients(cfg)
     perturb.dressed_basis(model.split(cfg).h0)
-    n_a, n_c = cfg.mode_a.n, cfg.mode_c.n
-    eff_phase = -(co.linear * n_a + co.self_kerr * n_a**2 + co.cross_kerr * n_a * n_c) * t
+    eff_phase = -effective.phase_angle(co, cfg.mode_a.n, cfg.mode_c.n, t)
     psi0 = np.zeros(4, dtype=complex)
     psi0[0] = 1.0
     amp = complex(oracle.propagate(model.build_hamiltonian(cfg), psi0, t)[0])
@@ -269,9 +268,10 @@ def _criterion_8(seed: int) -> CheckResult:
         gc2 = abs(cfg.mode_c.g) ** 2
         t = suscept.coherence_coefficients(cfg, order=3)
         t10, t30, t12 = complex(t[1, 0]), complex(t[3, 0]), complex(t[1, 2])
-        chk.close(suscept.chi1(cfg), -ga2 * t10 / ea**2, 1e-6)
-        chk.close(suscept.chi3_self(cfg), -ga2**2 * t30 / (3 * ea**4), 1e-6)
-        chk.close(suscept.chi3_cross(cfg), -ga2 * gc2 * t12 / (6 * ea**2 * ec**2), 1e-6)
+        chi = suscept.susceptibility_point(cfg)
+        chk.close(chi.chi1, -ga2 * t10 / ea**2, 1e-6)
+        chk.close(chi.chi3_self, -ga2**2 * t30 / (3 * ea**4), 1e-6)
+        chk.close(chi.chi3_cross, -ga2 * gc2 * t12 / (6 * ea**2 * ec**2), 1e-6)
     return CheckResult(8, "chi closed forms vs coherence oracle", chk.passed, chk.detail)
 
 

@@ -118,6 +118,30 @@ def test_coeffs_near_pole_exit3(tmp_path, capsys):
     assert "pole:" in capsys.readouterr().err
 
 
+def test_coeffs_pole_in_pure_form_writes_nothing(tmp_path, capsys):
+    # Raman-resonant within tolerance, not exactly, and no pump: the general
+    # form is finite, the pure form has the pole |g_b|^2 (n_b+1) = 0
+    doc = scenario_doc(da=0.3, db=0.3 - 4e-13, dc=0.5)
+    doc["modes"]["b"]["g_re"] = 0.0
+    out = io.StringIO()
+    assert cli.main(["coeffs", write_scenario(tmp_path, doc)], stdout=out) == 3
+    assert out.getvalue() == ""
+    assert "pole: |g_b|^2 (n_b+1) = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta2, pure_line", [(-4e-13, True), (-3e-12, False)])
+def test_coeffs_pure_kerr_line_at_edge_of_resonance_tolerance(tmp_path, delta2, pure_line):
+    # tolerance RESONANCE_RTOL * max(1, |delta_1|, |delta_3|) = 1e-12 here
+    path = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3 - delta2, dc=0.5))
+    out = io.StringIO()
+    assert cli.main(["coeffs", path], stdout=out) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("L=")
+    assert len(lines) == (2 if pure_line else 1)
+    if pure_line:
+        assert lines[1].startswith("pure-kerr K=")
+
+
 def test_coeffs_lossy_refused_exit4(tmp_path, capsys):
     path = write_scenario(tmp_path, scenario_doc(gamma={"g1": 0.1, "g2": 0.0, "g3": 0.0}))
     assert cli.main(["coeffs", path], stdout=io.StringIO()) == 4

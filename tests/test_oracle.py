@@ -1,8 +1,12 @@
+import cmath
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nkerr import model, oracle, perturb, validate
 from nkerr.errors import DegeneracyError, TrackingError
+from nkerr.oracle import EigenSolution
 
 import cauchy
 from conftest import make_config
@@ -95,7 +99,19 @@ def test_propagate_phase_tracks_ground_energy(reference_config):
     assert abs(np.angle(overlap) + lam.real * t) < 10 * eps**2
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_propagate_rejects_nonfinite_time(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        oracle.propagate(np.eye(4), np.ones(4), t)
+
+
 # -- ground tracking ---------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+def test_track_ground_rejects_nonfinite_scale(reference_config, scale):
+    with pytest.raises(ValueError, match="eps_scale must be finite"):
+        oracle.track_ground(reference_config, scale)
+
 
 def test_track_ground_zero_scale(reference_config):
     assert oracle.track_ground(reference_config, 0.0) == 0
@@ -119,6 +135,38 @@ def test_track_ground_deterministic(reference_config):
     a = oracle.track_ground(reference_config, 1.0)
     b = oracle.track_ground(reference_config, 1.0)
     assert a == b
+
+
+def _phased(cfg, rng):
+    """``cfg`` with a random phase on each of the three couplings."""
+    modes = [replace(m, g=abs(m.g) * cmath.exp(1j * rng.uniform(0, 2 * np.pi)))
+             for m in (cfg.mode_a, cfg.mode_b, cfg.mode_c)]
+    return replace(cfg, mode_a=modes[0], mode_b=modes[1], mode_c=modes[2])
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_both_entry_points_pick_the_same_branch(lossy):
+    # the one-step walk and the ramp end on the same matrix and the same branch
+    rng = np.random.default_rng([12, lossy])
+    for _ in range(20):
+        cfg = _phased(validate._random_config(rng, lossy=lossy), rng)
+        sp = model.split(cfg)
+        assert oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c) == \
+            oracle.track_ground(cfg, 1.0)
+
+
+def test_both_entry_points_raise_where_no_eigenvector_overlaps_level_1(
+        reference_config, monkeypatch):
+    column = np.array([0.4, np.sqrt(0.84), 0.0, 0.0], dtype=complex)  # unit, overlap 0.4
+    planted = EigenSolution(eigenvalues=np.arange(4, dtype=complex),
+                            eigenvectors=np.column_stack([column] * 4),
+                            residuals=np.zeros(4))
+    monkeypatch.setattr(oracle, "exact_eigensystem", lambda h: planted)
+    sp = model.split(reference_config)
+    with pytest.raises(TrackingError, match="overlap 0.400 < 0.5"):
+        oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
+    with pytest.raises(TrackingError, match="overlap 0.400 < 0.5"):
+        oracle.track_ground(reference_config, 1.0)
 
 
 # -- exact ground series ----------------------------------------------------
