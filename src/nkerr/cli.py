@@ -34,8 +34,11 @@ platform without ``os.fork`` or ``os.sched_getaffinity``, nothing is forked.
 
 Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
 arguments (including non-finite ``--lo/--hi/--t``) or an output file that
-cannot be written, 3 domain error (pole or degeneracy), 4 regime refusal (a
-command that needs the lossless regime was given decay rates).
+cannot be written, 3 domain error (a pole, including a closed form whose
+terms leave double range, or a degeneracy), 4 regime refusal (a command that
+needs the lossless regime was given decay rates).  ``coeffs`` prints only
+finite numbers, and so does every valid ``sweep`` row; a sweep whose
+detuning-independent terms leave double range exits 3.
 """
 
 from __future__ import annotations

@@ -4,12 +4,14 @@ The coefficients are defined in the lossless regime only (decay belongs to
 the susceptibility module).  In terms of the multi-photon detunings and
 ``G_b = |g_b|^2 (n_b + 1)`` the shared pole structure is
 ``D_K = delta_1*delta_2 - G_b``; the cross-Kerr coefficient additionally
-diverges at delta_3 = 0.  A denominator within a few ulps of the size of its
-terms is taken as the pole (``model.off_pole``).  The n_a**2 scaling of the fourth-order eigenvalue
-correction forces the self-Kerr numerator to carry |g_a|^4; this form is
-cross-validated against Taylor extraction of the exact ground eigenvalue in
-the test suite.  ``phase_angle`` and the Raman test in ``pure_cross_kerr``
-are the package's only definitions of those two rules.
+diverges at delta_3 = 0.  The poles are read from ``model.POLES``: at gamma = 0
+D_K = -D, its pump-pair entry, and ``pure_cross_kerr`` reads its delta_3 and
+G_b entries.  A result outside double range is its last entry.  The n_a**2
+scaling of the fourth-order eigenvalue correction forces the self-Kerr
+numerator to carry |g_a|^4; this form is cross-validated against Taylor
+extraction of the exact ground eigenvalue in the test suite.  ``phase_angle``
+and the Raman test in ``pure_cross_kerr`` are the package's only definitions
+of those two rules.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import cmath
 from dataclasses import dataclass
 
 from . import model
-from .errors import NotHermitianError, NotResonantError, PoleError
+from .errors import NotHermitianError, NotResonantError
 from .model import SystemConfig
 
 RESONANCE_RTOL = 1e-12
@@ -48,15 +50,16 @@ def coefficients(config: SystemConfig) -> KerrCoefficients:
     """Linear, self-Kerr and cross-Kerr coefficients of the relaxed ground state."""
     _require_lossless(config)
     d1, d2, d3 = config.detunings()
-    ga2 = abs(config.mode_a.g) ** 2
-    gc2 = abs(config.mode_c.g) ** 2
-    gb2n = model.pump_coupling(config)
-    model.three_photon_denominator(config)
-    dk = model.off_pole(d1 * d2 - gb2n, max(abs(d1 * d2), gb2n),
-                        "pole: delta_1*delta_2 - |g_b|^2 (n_b+1) = 0")
-    linear = -d2 * ga2 / dk
-    self_kerr = d2 * (d2**2 + gb2n) * ga2**2 / dk**3
-    cross_kerr = -ga2 * gb2n * gc2 / (d3 * dk**2)
+    with model.in_double_range():
+        ga2 = abs(config.mode_a.g) ** 2
+        gc2 = abs(config.mode_c.g) ** 2
+        gb2n = model.pump_coupling(config)
+        model.check_poles(config, model.PUMP_PAIR, model.THREE_PHOTON)
+        dk = d1 * d2 - gb2n
+        linear = -d2 * ga2 / dk
+        self_kerr = d2 * (d2**2 + gb2n) * ga2**2 / dk**3
+        cross_kerr = -ga2 * gb2n * gc2 / (d3 * dk**2)
+    model.check_finite(linear, self_kerr, cross_kerr)
     return KerrCoefficients(linear=linear, self_kerr=self_kerr, cross_kerr=cross_kerr)
 
 
@@ -71,11 +74,12 @@ def pure_cross_kerr(config: SystemConfig) -> float:
     d1, d2, d3 = config.detunings()
     if abs(d2) > RESONANCE_RTOL * max(1.0, abs(d1), abs(d3)):
         raise NotResonantError(f"delta_2 = {d2!r} is not Raman-resonant")
-    gb2n = model.pump_coupling(config)
-    model.three_photon_denominator(config)
-    if gb2n == 0:
-        raise PoleError("pole: |g_b|^2 (n_b+1) = 0")
-    return -abs(config.mode_a.g) ** 2 * abs(config.mode_c.g) ** 2 / (d3 * gb2n)
+    with model.in_double_range():
+        gb2n = model.pump_coupling(config)
+        model.check_poles(config, model.THREE_PHOTON, model.PUMP)
+        pure = -abs(config.mode_a.g) ** 2 * abs(config.mode_c.g) ** 2 / (d3 * gb2n)
+    model.check_finite(pure)
+    return pure
 
 
 def phase_angle(coeffs: KerrCoefficients, n_a: int, n_c: int, t: float) -> float:

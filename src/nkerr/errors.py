@@ -14,7 +14,11 @@ class MissingOrderError(NKerrError):
 
 
 class PoleError(NKerrError):
-    """A closed-form denominator vanishes at the requested parameters."""
+    """A closed form has no finite value at the requested parameters.
+
+    Either a denominator vanishes, or a term or the result leaves double range
+    (overflow, or an underflow to a zero divisor); ``model.POLES`` lists them.
+    """
 
 
 class NotResonantError(NKerrError):

@@ -15,11 +15,15 @@ Conventions used throughout the package:
   Rabi frequency and (2,1) the unconjugated one, and likewise (3,4)/(4,3)
   for mode "c"; this fixed phase placement is normative for everything
   downstream.
+* ``POLES`` is the one ordered table of where a closed form has no value:
+  ``pole_terms`` gives each denominator with the scale it is judged against
+  (``near_pole``), and ``pole_code`` names the first pole at each point.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
@@ -158,35 +162,69 @@ def near_pole(value, scale):
     return np.abs(value) <= POLE_RTOL * scale
 
 
-def off_pole(value, scale: float, message: str):
-    """``value``, unless it is near its pole (``near_pole``): then PoleError."""
-    if near_pole(value, scale):
-        raise PoleError(message)
-    return value
+# Each closed-form pole as its PoleError message, in the order a point
+# reports them; a point's pole code is 1 + the index of its first pole, or 0.
+# The last is a term or result outside double range: an overflow, or an
+# underflow to a zero divisor.
+POLES = (
+    "pole: (gamma_1+i*delta_1)(gamma_2+i*delta_2) + |g_b|^2 (n_b+1) = 0",
+    "pole: eps_a = 0 (probe 'a' carries no photons or no coupling)",
+    "pole: delta_3 = 0 and gamma_3 = 0",
+    "pole: eps_c = 0 (probe 'c' carries no photons or no coupling)",
+    "pole: |g_b|^2 (n_b+1) = 0",
+    "pole: a term is outside double range",
+)
+PUMP_PAIR, PROBE_A, THREE_PHOTON, PROBE_C, PUMP, OUT_OF_RANGE = range(1, len(POLES) + 1)
 
 
-THREE_PHOTON_POLE = "pole: delta_3 = 0 and gamma_3 = 0"
+def pole_terms(config: SystemConfig, delta_a, delta_b, delta_c) -> tuple:
+    """(value, scale) of the denominator of each pole in ``POLES`` but the last.
 
-
-def three_photon_term(delta_a, delta_b, delta_c, gamma_3: float):
-    """delta_3 - i*gamma_3 at single-photon detunings (scalars or arrays), and its pole mask.
-
-    The pole is judged against the largest of |delta_a|, |delta_b|, |delta_c|
-    and gamma_3, the terms delta_3 - i*gamma_3 is made of.
+    The single-photon detunings are scalars or arrays.  A scale is the size of
+    the terms its value sums; eps_a, eps_c and G_b have scale 0.
     """
-    delta_3 = multi_photon_detunings(delta_a, delta_b, delta_c).delta3
-    scale = np.maximum(np.maximum(abs(delta_a), abs(delta_b)), np.maximum(abs(delta_c), gamma_3))
-    value = delta_3 - 1j * gamma_3
-    return value, near_pole(value, scale)
+    d1, d2, d3 = multi_photon_detunings(delta_a, delta_b, delta_c)
+    g1, g2, g3 = config.gamma
+    gb2n = pump_coupling(config)
+    pair = (g1 + 1j * d1) * (g2 + 1j * d2)
+    scale3 = np.maximum(np.maximum(abs(delta_a), abs(delta_b)), np.maximum(abs(delta_c), g3))
+    return ((pair + gb2n, np.maximum(abs(pair), gb2n)), (probe_strength(config.mode_a), 0.0),
+            (d3 - 1j * g3, scale3), (probe_strength(config.mode_c), 0.0), (gb2n, 0.0))
 
 
-def three_photon_denominator(config: SystemConfig) -> complex:
-    """delta_3 - i*gamma_3, the cross-Kerr denominator, checked against its pole."""
-    value, pole = three_photon_term(config.mode_a.delta, config.mode_b.delta,
-                                    config.mode_c.delta, config.gamma[2])
-    if pole:
-        raise PoleError(THREE_PHOTON_POLE)
-    return value
+def pole_code(terms: tuple, poles: tuple[int, ...], *values) -> np.ndarray:
+    """At each point, the first of ``poles`` whose term is ``near_pole``; else
+    ``OUT_OF_RANGE`` where one of ``values`` is not finite; else 0."""
+    code = np.where(np.logical_and.reduce([np.isfinite(v) for v in values]), 0, OUT_OF_RANGE)
+    for k in reversed(poles):  # so that the first pole is written last
+        code = np.where(near_pole(*terms[k - 1]), k, code)
+    return code
+
+
+def raise_at_pole(code) -> None:
+    """PoleError with the message of pole ``code``, unless it is 0."""
+    if code:
+        raise PoleError(POLES[code - 1])
+
+
+def check_poles(config: SystemConfig, *poles: int) -> None:
+    """PoleError at the first of ``poles`` that the configuration sits on."""
+    deltas = config.mode_a.delta, config.mode_b.delta, config.mode_c.delta
+    raise_at_pole(pole_code(pole_terms(config, *deltas), poles))
+
+
+def check_finite(*values) -> None:
+    """The ``OUT_OF_RANGE`` PoleError unless every value is finite."""
+    raise_at_pole(pole_code((), (), *values))
+
+
+@contextlib.contextmanager
+def in_double_range():
+    """Reraise an ArithmeticError in the block as the ``OUT_OF_RANGE`` PoleError."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        raise PoleError(POLES[OUT_OF_RANGE - 1]) from exc
 
 
 def build_hamiltonian(config: SystemConfig) -> np.ndarray:

@@ -18,6 +18,7 @@ stay two independent routes to the same coefficients.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -72,9 +73,12 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*h*t) @ psi0 via spectral decomposition (non-defective inputs)."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if not np.isfinite(psi0).all():
+        raise ValueError(f"psi0 must be finite, got {psi0!r}")
     sol = exact_eigensystem(h)
     v = sol.eigenvectors
-    coeffs = np.linalg.solve(v, np.asarray(psi0, dtype=complex))
+    coeffs = np.linalg.solve(v, psi0)
     return v @ (np.exp(-1j * sol.eigenvalues * t) * coeffs)
 
 
@@ -118,9 +122,12 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
     """Ground eigenvalue of ``h0 + x*va + y*vc`` as a function of (x, y), by LAPACK.
 
     Each call walks one step from bare level 1, so it keeps the eigenvector
-    with the largest level-1 component: unambiguous near (0, 0).
+    with the largest level-1 component: unambiguous near (0, 0).  x and y
+    must be finite.
     """
     def f(x: float, y: float) -> complex:
+        if not (cmath.isfinite(x) and cmath.isfinite(y)):
+            raise ValueError(f"x and y must be finite, got {x!r} and {y!r}")
         return _walk_ground(split, ((x, y),))
     return f
 

@@ -7,8 +7,10 @@ ground ket and bra series, and ``coherence_coefficients`` is their truncated
 product (``perturb.series_product``), so no sampling is involved.  The
 closed forms are written once, on numpy arrays of the single-photon
 detunings: a single configuration is a grid of one point, and a sweep
-evaluates its whole grid in one pass, masking the rows where a pole sits
-(``model.near_pole``) instead of stopping there.
+evaluates its whole grid in one pass, marking the rows where a pole sits
+instead of stopping there.  Which pole sits at a point is one code per point
+from the table ``model.POLES``; a susceptibility that is not finite is its
+last entry.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -47,7 +49,6 @@ from typing import Iterator, Literal, NamedTuple
 import numpy as np
 
 from . import model, perturb
-from .errors import PoleError
 from .model import SystemConfig
 
 SweepAxis = Literal["da", "db", "dc"]
@@ -55,9 +56,6 @@ SweepAxis = Literal["da", "db", "dc"]
 _AXES = ("da", "db", "dc")  # each sweeps the single-photon detuning of modes a, b, c
 
 _LEVELS = {"rho21": (1, 0), "rho43": (3, 2)}  # (ket level, bra level) of each coherence
-
-_D_POLE = "pole: (gamma_1+i*delta_1)(gamma_2+i*delta_2) + |g_b|^2 (n_b+1) = 0"
-
 
 @dataclass(frozen=True)
 class SusceptibilityPoint:
@@ -128,70 +126,61 @@ class _ClosedForms(NamedTuple):
     chi1: np.ndarray
     chi3_self: np.ndarray
     chi3_cross: np.ndarray
-    # (mask, message) of each pole, in the order a point reports them; chi1
-    # and chi3_self have only the first two
-    poles: tuple[tuple[np.ndarray, str], ...]
+    pole: np.ndarray  # model pole code of each point
 
 
-def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c) -> _ClosedForms:
+_CHI1_POLES = (model.PUMP_PAIR, model.PROBE_A)  # chi1 and chi3_self have only these
+_POLES = (*_CHI1_POLES, model.THREE_PHOTON, model.PROBE_C)
+
+
+def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c,
+                  poles: tuple[int, ...] = _POLES, checked: slice = slice(3)) -> _ClosedForms:
     """chi1, chi3_self and chi3_cross at arrays of single-photon detunings.
 
     Scalars broadcast.  Every quantity is an array of the common shape, so an
     element does not depend on how many points are evaluated with it.  Values
-    where a pole sits are not meaningful.
+    where a pole sits are not meaningful; ``pole`` is ``model.pole_code`` of
+    ``poles`` and of the forms ``checked``.  PoleError where a term that does
+    not depend on the detunings leaves double range.
     """
     da, db, dc = np.broadcast_arrays(*(np.atleast_1d(np.asarray(d, dtype=float))
                                        for d in (delta_a, delta_b, delta_c)))
-    d1, d2, _ = model.multi_photon_detunings(da, db, dc)
-    g1, g2, g3 = config.gamma
-    gb2n = model.pump_coupling(config)
-    pair = (g1 + 1j * d1) * (g2 + 1j * d2)
-    den = pair + gb2n
-    pole3, at_pole3 = model.three_photon_term(da, db, dc, g3)
-    eps_a = model.probe_strength(config.mode_a)
-    eps_c = model.probe_strength(config.mode_c)
-    poles = ((model.near_pole(den, np.maximum(abs(pair), gb2n)), _D_POLE),
-             (np.broadcast_to(eps_a == 0, da.shape), _no_probe_message(config.mode_a)),
-             (at_pole3, model.THREE_PHOTON_POLE),
-             (np.broadcast_to(eps_c == 0, da.shape), _no_probe_message(config.mode_c)))
-    ga2 = abs(config.mode_a.g) ** 2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        chi1 = ga2 * (1j * g2 - d2) / (eps_a**2 * den)
-        chi3_self = (2.0 * ga2**2 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
-                     / (3.0 * eps_a**4 * den**3))
-        chi3_cross = (ga2 * gb2n * abs(config.mode_c.g) ** 2
-                      / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2))
-    return _ClosedForms(chi1, chi3_self, chi3_cross, poles)
+    _, d2, _ = model.multi_photon_detunings(da, db, dc)
+    g2 = config.gamma[1]
+    with model.in_double_range(), np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = model.pole_terms(config, da, db, dc)
+        (den, _), (eps_a, _), (pole3, _), (eps_c, _), (gb2n, _) = terms
+        ga2 = abs(config.mode_a.g) ** 2
+        chis = (ga2 * (1j * g2 - d2) / (eps_a**2 * den),
+                (2.0 * ga2**2 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
+                 / (3.0 * eps_a**4 * den**3)),
+                (ga2 * gb2n * abs(config.mode_c.g) ** 2
+                 / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2)))
+        return _ClosedForms(*chis, model.pole_code(terms, poles, *chis[checked]))
 
 
-def _no_probe_message(mode: model.FieldMode) -> str:
-    return (f"pole: eps_{mode.label} = 0 "
-            f"(probe '{mode.label}' carries no photons or no coupling)")
-
-
-def _at_config(config: SystemConfig, poles_checked: int | None = None) -> _ClosedForms:
+def _at_config(config: SystemConfig, poles: tuple[int, ...] = _POLES,
+               checked: slice = slice(3)) -> _ClosedForms:
     """The closed forms at the configuration's own detunings; PoleError at a pole."""
     forms = _closed_forms(config, config.mode_a.delta, config.mode_b.delta,
-                          config.mode_c.delta)
-    for mask, message in forms.poles[:poles_checked]:
-        if mask[0]:
-            raise PoleError(message)
+                          config.mode_c.delta, poles, checked)
+    model.raise_at_pole(forms.pole[0])
     return forms
 
 
 def chi1(config: SystemConfig) -> complex:
     """Linear susceptibility of the 1<->2 probe."""
-    return complex(_at_config(config, 2).chi1[0])
+    return complex(_at_config(config, _CHI1_POLES, slice(0, 1)).chi1[0])
 
 
 def chi3_self(config: SystemConfig) -> complex:
     """Self-Kerr susceptibility of the 1<->2 probe."""
-    return complex(_at_config(config, 2).chi3_self[0])
+    return complex(_at_config(config, _CHI1_POLES, slice(1, 2)).chi3_self[0])
 
 
 def chi3_cross(config: SystemConfig) -> complex:
     """Cross-Kerr susceptibility coupling the two probes."""
-    return complex(_at_config(config).chi3_cross[0])
+    return complex(_at_config(config, _POLES, slice(2, 3)).chi3_cross[0])
 
 
 def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
@@ -242,8 +231,10 @@ def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,
     """Evaluate the three susceptibilities on a uniform inclusive grid.
 
     The whole grid is evaluated at once.  Grid points where a closed-form
-    denominator vanishes are reported as invalid rows rather than aborting
-    the sweep; each carries the message ``susceptibility_point`` raises there.
+    denominator vanishes or a susceptibility is not finite are reported as
+    invalid rows rather than aborting the sweep; each carries the message
+    ``susceptibility_point`` raises there.  PoleError where a term that does not
+    depend on the grid is outside double range.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
@@ -255,10 +246,7 @@ def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,
     deltas = [config.mode_a.delta, config.mode_b.delta, config.mode_c.delta]
     deltas[_AXES.index(axis)] = value
     forms = _closed_forms(config, *deltas)
-    first_pole = np.zeros(steps, dtype=np.int8)  # 1 + index into forms.poles, 0 if none
-    for k in reversed(range(len(forms.poles))):
-        first_pole[forms.poles[k][0]] = k + 1
-    valid = first_pole == 0
-    reasons = {int(k): forms.poles[first_pole[k] - 1][1] for k in np.flatnonzero(~valid)}
+    valid = forms.pole == 0
+    reasons = {int(k): model.POLES[forms.pole[k] - 1] for k in np.flatnonzero(forms.pole)}
     chis = [np.where(valid, chi, np.nan) for chi in forms[:3]]
     return Sweep(axis, value, *chis, valid, reasons)

@@ -1,11 +1,13 @@
 """Acceptance checks runnable from both the command line and the test suite.
 
-Each criterion draws its own deterministic random stream from the user seed,
-so a given seed always produces a byte-identical report.  Checks that need
-random scenarios use couplings, detunings and margins chosen to keep every
-draw well inside the perturbative regime and away from the closed-form
-poles.  Criteria 3 and 4 read the Taylor coefficients of the exact ground
-eigenvalue of the same 20 lossless configurations, computed once per run by
+Each criterion takes the run's ``_Draws``: the user seed, from which it draws
+its own deterministic random stream, and the draws two criteria share, made
+once per run, so a given seed always produces a byte-identical report.
+Checks that need random scenarios use couplings, detunings and margins chosen
+to keep every draw well inside the perturbative regime and away from the
+closed-form poles.  Criteria 2 and 5 read the same 3 Raman-resonant
+configurations.  Criteria 3 and 4 read the Taylor coefficients of the exact
+ground eigenvalue of the same 20 lossless configurations, computed by
 ``oracle.ground_series``, which solves the tridiagonal continuant
 det(H - E) = 0 order by order on truncated power series, exact to rounding.
 Criteria 7 and 8 read the coherence coefficients straight from the series
@@ -24,7 +26,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -144,7 +146,7 @@ def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, 
 
 # -- criteria ---------------------------------------------------------------
 
-def _criterion_1(seed: int) -> CheckResult:
+def _criterion_1(draws: _Draws) -> CheckResult:
     chk = _Checker()
     cfg = _reference_config()
     residuals = []
@@ -174,9 +176,9 @@ def _resonant_configs(seed: int) -> list[SystemConfig]:
     return out
 
 
-def _criterion_2(seed: int) -> CheckResult:
+def _criterion_2(draws: _Draws) -> CheckResult:
     chk = _Checker()
-    for cfg in _resonant_configs(seed):
+    for cfg in draws.resonant:
         co = effective.coefficients(cfg)
         chk.expect(co.linear == 0.0, 0.0, co.linear, "exact")
         chk.expect(co.self_kerr == 0.0, 0.0, co.self_kerr, "exact")
@@ -201,18 +203,26 @@ def _oracle_draws(seed: int) -> _OracleDraws:
     return draws
 
 
-def _criterion_3(draws: _OracleDraws) -> CheckResult:
+class _Draws(NamedTuple):
+    """A run's seed and the draws that two criteria read, each made once per run."""
+
+    seed: int
+    resonant: list[SystemConfig]  # criteria 2 and 5
+    oracle: _OracleDraws  # criteria 3 and 4
+
+
+def _criterion_3(draws: _Draws) -> CheckResult:
     chk = _Checker()
-    for cfg, sp, series in draws:
+    for cfg, sp, series in draws.oracle:
         folded = sp.eps_a**2 * sp.eps_c**2 * complex(series[2, 2])
         expected = effective.coefficients(cfg).cross_kerr * cfg.mode_a.n * cfg.mode_c.n
         chk.close(expected, folded, 1e-11)
     return CheckResult(3, "cross-Kerr closed form vs FD oracle", chk.passed, chk.detail)
 
 
-def _criterion_4(draws: _OracleDraws) -> CheckResult:
+def _criterion_4(draws: _Draws) -> CheckResult:
     chk = _Checker()
-    for cfg, sp, series in draws:
+    for cfg, sp, series in draws.oracle:
         folded = sp.eps_a**4 * complex(series[4, 0])
         expected = effective.coefficients(cfg).self_kerr * cfg.mode_a.n**2
         chk.close(expected, folded, 1e-11)
@@ -227,16 +237,16 @@ def _criterion_4(draws: _OracleDraws) -> CheckResult:
     return CheckResult(4, "self-Kerr |g_a|^4 form adjudicated", chk.passed, chk.detail)
 
 
-def _criterion_5(seed: int) -> CheckResult:
+def _criterion_5(draws: _Draws) -> CheckResult:
     chk = _Checker()
-    for cfg in _resonant_configs(seed):
+    for cfg in draws.resonant:
         full = effective.coefficients(cfg).cross_kerr
         pure = effective.pure_cross_kerr(cfg)
         chk.close(full, pure, 1e-12)
     return CheckResult(5, "pure cross-Kerr consistency", chk.passed, chk.detail)
 
 
-def _criterion_6(seed: int) -> CheckResult:
+def _criterion_6(draws: _Draws) -> CheckResult:
     chk = _Checker()
     cfg = _reference_config()
     t = (math.pi / 4.0) / abs(effective.coefficients(cfg).cross_kerr)
@@ -245,9 +255,9 @@ def _criterion_6(seed: int) -> CheckResult:
     return CheckResult(6, "phase evolution vs propagation", chk.passed, chk.detail)
 
 
-def _criterion_7(seed: int) -> CheckResult:
+def _criterion_7(draws: _Draws) -> CheckResult:
     chk = _Checker()
-    rng = _rng(seed, 7)
+    rng = _rng(draws.seed, 7)
     for _ in range(20):
         cfg = _random_config(rng, lossy=True)
         ea, ec = model.perturbation_strengths(cfg)
@@ -257,9 +267,9 @@ def _criterion_7(seed: int) -> CheckResult:
     return CheckResult(7, "chi3 symmetry identity", chk.passed, chk.detail)
 
 
-def _criterion_8(seed: int) -> CheckResult:
+def _criterion_8(draws: _Draws) -> CheckResult:
     chk = _Checker()
-    rng = _rng(seed, 8)
+    rng = _rng(draws.seed, 8)
     configs = [_random_config(rng, lossy=False) for _ in range(10)]
     configs += [_random_config(rng, lossy=True) for _ in range(10)]
     for cfg in configs:
@@ -275,7 +285,7 @@ def _criterion_8(seed: int) -> CheckResult:
     return CheckResult(8, "chi closed forms vs coherence oracle", chk.passed, chk.detail)
 
 
-def _criterion_9(seed: int) -> CheckResult:
+def _criterion_9(draws: _Draws) -> CheckResult:
     chk = _Checker()
     gamma3 = 0.4
     cfg = make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.0,
@@ -304,9 +314,9 @@ def _criterion_9(seed: int) -> CheckResult:
     return CheckResult(9, "cross-Kerr absorption structure", chk.passed, chk.detail)
 
 
-def _criterion_10(seed: int) -> CheckResult:
+def _criterion_10(draws: _Draws) -> CheckResult:
     chk = _Checker()
-    rng = _rng(seed, 10)
+    rng = _rng(draws.seed, 10)
     for _ in range(20):
         sp = model.split(_random_config(rng, lossy=False))
         energy = oracle.ground_eigenvalue_function(sp)
@@ -317,7 +327,7 @@ def _criterion_10(seed: int) -> CheckResult:
     return CheckResult(10, "parity of corrections", chk.passed, chk.detail)
 
 
-def _criterion_11(seed: int) -> CheckResult:
+def _criterion_11(draws: _Draws) -> CheckResult:
     chk = _Checker()
     scenario = {
         "modes": {
@@ -359,8 +369,7 @@ def _criterion_11(seed: int) -> CheckResult:
     return CheckResult(11, "CLI determinism and CSV format", chk.passed, chk.detail)
 
 
-# Each takes the seed, except criteria 3 and 4, which take the run's _oracle_draws.
-_CRITERIA: list[Callable[..., CheckResult]] = [
+_CRITERIA: list[Callable[[_Draws], CheckResult]] = [
     _criterion_1, _criterion_2, _criterion_3, _criterion_4, _criterion_5,
     _criterion_6, _criterion_7, _criterion_8, _criterion_9, _criterion_10,
     _criterion_11,
@@ -368,9 +377,8 @@ _CRITERIA: list[Callable[..., CheckResult]] = [
 
 
 def run_all(seed: int) -> list[CheckResult]:
-    draws = _oracle_draws(seed)
-    return [crit(draws) if crit in (_criterion_3, _criterion_4) else crit(seed)
-            for crit in _CRITERIA]
+    draws = _Draws(seed, _resonant_configs(seed), _oracle_draws(seed))
+    return [crit(draws) for crit in _CRITERIA]
 
 
 def report_lines(results: list[CheckResult]) -> list[str]:

@@ -49,7 +49,7 @@ def test_criterion_10_catches_planted_forbidden_coupling(monkeypatch):
         return dataclasses.replace(sp, va=va)
 
     monkeypatch.setattr(model, "split", planted)
-    assert not validate._criterion_10(0).passed
+    assert not validate._criterion_10(validate._Draws(0, [], [])).passed
 
 
 def test_validate_report_text_seed_zero():

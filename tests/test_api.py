@@ -1,6 +1,7 @@
 import ast
 import inspect
 import textwrap
+from pathlib import Path
 
 import nkerr
 
@@ -22,3 +23,29 @@ def test_every_exported_function_and_class_has_a_docstring():
         if not ast.get_docstring(node):
             undocumented.append(name)
     assert not undocumented
+
+
+def _literal_text(node):
+    """The text of a str literal, or the literal parts of an f-string; else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value for part in node.values if isinstance(part, ast.Constant))
+    return None
+
+
+def test_pole_messages_are_written_only_in_model():
+    # model.POLES is the one table of pole messages: elsewhere no PoleError is
+    # built from a literal or an f-string, and no "pole: ..." text is written
+    src = Path(nkerr.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            called = isinstance(node, ast.Call) and "PoleError" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            if (called and any(_literal_text(arg) is not None for arg in node.args)) or (
+                    (_literal_text(node) or "").startswith("pole:")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

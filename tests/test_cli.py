@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nkerr import cli, suscept
@@ -146,6 +147,44 @@ def test_coeffs_lossy_refused_exit4(tmp_path, capsys):
     path = write_scenario(tmp_path, scenario_doc(gamma={"g1": 0.1, "g2": 0.0, "g3": 0.0}))
     assert cli.main(["coeffs", path], stdout=io.StringIO()) == 4
     assert "sweep" in capsys.readouterr().err
+
+
+def _extreme(rng):
+    """0, +-10**k for k uniform in [-300, 200], or U(-2, 2), a third of the time each."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return 0.0
+    if kind == 1:
+        return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 200))
+    return float(rng.uniform(-2, 2))
+
+
+def test_exit_codes_and_finite_output_under_extreme_inputs(tmp_path):
+    # every failure maps to a documented exit code, and nothing non-finite is
+    # printed as a value: coeffs stdout and valid sweep rows stay finite
+    rng = np.random.default_rng(13)
+    opath = tmp_path / "out.csv"
+    for k in range(320):
+        doc = {"modes": {label: {"g_re": _extreme(rng), "g_im": _extreme(rng) * (k % 3 == 0),
+                                 "delta": _extreme(rng), "n": int(rng.choice([0, 1, 2, 5]))}
+                         for label in "abc"},
+               "gamma": {key: _extreme(rng) * (k % 2) for key in ("g1", "g2", "g3")}}
+        if k % 4 == 0:  # Raman resonance, where the pure form is reported
+            doc["modes"]["b"]["delta"] = doc["modes"]["a"]["delta"]
+        spath = write_scenario(tmp_path, doc)
+        out = io.StringIO()
+        assert cli.main(["coeffs", spath], stdout=out) in (0, 2, 3, 4), doc
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), doc
+        opath.unlink(missing_ok=True)
+        code = cli.main(["sweep", spath, "--axis", "da db dc".split()[k % 3],
+                         f"--lo={_extreme(rng)!r}", f"--hi={_extreme(rng)!r}", "--steps", "5",
+                         "--out", str(opath)], stdout=io.StringIO())
+        assert code in (0, 2, 3, 4), doc
+        if code == 0:
+            rows = opath.read_text(encoding="utf-8").splitlines()[1:]
+            assert len(rows) == 5
+            assert not [row for row in rows if row.endswith(",1") and
+                        ("nan" in row or "inf" in row)], doc
 
 
 # -- sweep -------------------------------------------------------------------

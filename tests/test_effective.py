@@ -74,6 +74,17 @@ def test_near_pole_rejected_relative_to_scale(da, db, dc, match):
         effective.coefficients(cfg)
 
 
+@pytest.mark.parametrize("ga, gb, closed_form", [
+    (0.1, 1e-150, effective.coefficients),  # D_K**3 underflows to 0
+    (0.1, 1e-160, effective.pure_cross_kerr),  # delta_3*G_b is subnormal: K = -inf
+    (1e200, 1.0, effective.coefficients),  # |g_a|**2 overflows
+])
+def test_outside_double_range_is_a_pole(ga, gb, closed_form):
+    cfg = make_config(ga, gb, 0.1, 1, 0, 1, 0.3, 0.3, 0.5)  # Raman-resonant
+    with pytest.raises(PoleError, match="outside double range"):
+        closed_form(cfg)
+
+
 def test_lossy_config_refused():
     cfg = make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.4, 0.1, 0.6, gamma=(0.1, 0.0, 0.0))
     with pytest.raises(NotHermitianError):

@@ -105,6 +105,12 @@ def test_propagate_rejects_nonfinite_time(t):
         oracle.propagate(np.eye(4), np.ones(4), t)
 
 
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_propagate_rejects_nonfinite_state(entry):
+    with pytest.raises(ValueError, match="psi0 must be finite"):
+        oracle.propagate(np.eye(4), [entry, 0.0, 0.0, 0.0], 1.0)
+
+
 # -- ground tracking ---------------------------------------------------------
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
@@ -280,3 +286,11 @@ def test_ground_eigenvalue_function_lanes_agree(reference_config, lossy_config):
         grid = f_newton(np.array([x for x, _ in points]), np.array([y for _, y in points]))
         for (x, y), value in zip(points, grid):
             assert f_lapack(x, y) == pytest.approx(value, abs=1e-13)
+
+
+@pytest.mark.parametrize("x, y", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                  (0.01, -float("inf")), (0.0, float("nan"))])
+def test_ground_eigenvalue_function_rejects_nonfinite_strengths(reference_config, x, y):
+    energy = oracle.ground_eigenvalue_function(model.split(reference_config))
+    with pytest.raises(ValueError, match="x and y must be finite"):
+        energy(x, y)

@@ -131,6 +131,22 @@ def test_chi_near_pole_rejected_relative_to_scale(chi, deltas, match):
         chi(cfg)
 
 
+def test_outside_double_range_is_a_pole():
+    # Raman resonance with G_b = 1e-300: D**3 underflows to 0 in chi3_self and
+    # D**2 leaves chi3_cross infinite, while chi1 = 0 is computed
+    cfg = make_config(0.1, 1e-150, 0.1, 1, 0, 1, 0.3, 0.3, -1.0)
+    assert suscept.chi1(cfg) == 0
+    for closed_form in (suscept.chi3_self, suscept.chi3_cross, suscept.susceptibility_point):
+        with pytest.raises(PoleError, match="outside double range"):
+            closed_form(cfg)
+    s = suscept.sweep(cfg, "dc", -1.0, 1.0, 3)
+    out_of_range = model.POLES[model.OUT_OF_RANGE - 1]
+    assert s.reasons == {0: out_of_range, 1: model.POLES[model.THREE_PHOTON - 1],
+                         2: out_of_range}
+    with pytest.raises(PoleError, match="outside double range"):  # |g_a|**4 overflows
+        suscept.sweep(make_config(1e100, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5), "dc", -1.0, 1.0, 3)
+
+
 def test_hermitian_limit_matches_kerr_coefficients(reference_config):
     co = effective.coefficients(reference_config)
     ea, ec = model.perturbation_strengths(reference_config)
