@@ -48,6 +48,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import sys
@@ -68,6 +69,9 @@ _DOMAIN_ERRORS = (PoleError, DegeneracyError, NotResonantError, TrackingError,
 SWEEP_CHUNK_ROWS = 4096
 # Characters per read when a child's part is copied into --out.
 _COPY_CHARS = 1 << 20
+
+# A token that is a negative decimal number, exponent allowed: an option's value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 _MODE_KEYS = {"g_re", "g_im", "delta", "n"}
 _GAMMA_KEYS = {"g1", "g2", "g3"}
@@ -174,10 +178,13 @@ def _cmd_coeffs(args, out: TextIO) -> int:
 
 def _cmd_sweep(args, out: TextIO) -> int:
     config = load_scenario(args.scenario)
-    if args.steps < 2:  # checked before opening --out, which truncates it
+    if args.steps < 2:
         raise ValueError(f"steps must be >= 2, got {args.steps}")
+    # an unwritable --out fails before the sweep, and a failed sweep keeps its bytes
+    with open(args.out, "a", encoding="utf-8"):
+        pass
+    result = suscept.sweep(config, args.axis, args.lo, args.hi, args.steps)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        result = suscept.sweep(config, args.axis, args.lo, args.hi, args.steps)
         fh.write("axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid\n")
         _write_sweep_rows(fh, result)
     out.write(f"wrote {len(result)} rows to {args.out}\n")
@@ -304,6 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True, type=int)
     p.set_defaults(func=_cmd_validate)
 
+    for command in sub.choices.values():  # argparse alone reads "-1e-3" as an option name
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -157,6 +157,13 @@ def pump_coupling(config: SystemConfig) -> float:
     return abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
 
 
+def matrix_scale(h: np.ndarray) -> float:
+    """max(1, Frobenius norm of h), summed as ``np.linalg.norm`` sums it: the size
+    that eigenvalue gaps and residuals of h are judged against."""
+    flat = h.ravel(order="K")
+    return max(1.0, math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag)))
+
+
 def near_pole(value, scale):
     """Where ``value`` is within ``POLE_RTOL`` of ``scale`` of zero; arrays broadcast."""
     return np.abs(value) <= POLE_RTOL * scale
@@ -227,21 +234,27 @@ def in_double_range():
         raise PoleError(POLES[OUT_OF_RANGE - 1]) from exc
 
 
-def build_hamiltonian(config: SystemConfig) -> np.ndarray:
-    """Single-manifold 4x4 matrix with complex diagonal delta_j - i*gamma_j."""
+def _pump_block(config: SystemConfig) -> np.ndarray:
+    """The manifold matrix without its probe entries: the diagonal and the pump pair."""
     d = config.detunings()
-    om_a = rabi_frequency(config.mode_a)
     om_b = rabi_frequency(config.mode_b)
-    om_c = rabi_frequency(config.mode_c)
     g1, g2, g3 = config.gamma
     h = np.zeros((4, 4), dtype=complex)
     h[1, 1] = d.delta1 - 1j * g1
     h[2, 2] = d.delta2 - 1j * g2
     h[3, 3] = d.delta3 - 1j * g3
-    h[0, 1] = np.conj(om_a) / 2.0
-    h[1, 0] = om_a / 2.0
     h[1, 2] = om_b / 2.0
     h[2, 1] = np.conj(om_b) / 2.0
+    return h
+
+
+def build_hamiltonian(config: SystemConfig) -> np.ndarray:
+    """Single-manifold 4x4 matrix with complex diagonal delta_j - i*gamma_j."""
+    om_a = rabi_frequency(config.mode_a)
+    om_c = rabi_frequency(config.mode_c)
+    h = _pump_block(config)
+    h[0, 1] = np.conj(om_a) / 2.0
+    h[1, 0] = om_a / 2.0
     h[2, 3] = np.conj(om_c) / 2.0
     h[3, 2] = om_c / 2.0
     return h
@@ -249,17 +262,8 @@ def build_hamiltonian(config: SystemConfig) -> np.ndarray:
 
 def split(config: SystemConfig) -> PerturbationSplit:
     """Split the manifold matrix into the pump block plus the two probe couplings."""
-    h = build_hamiltonian(config)
     om_a = rabi_frequency(config.mode_a)
     om_c = rabi_frequency(config.mode_c)
-    eps_a, eps_c = perturbation_strengths(config)
-    phi_a = cmath.phase(om_a)
-    phi_c = cmath.phase(om_c)
-
-    h0 = h.copy()
-    h0[0, 1] = h0[1, 0] = 0.0
-    h0[2, 3] = h0[3, 2] = 0.0
-
     # unit phases taken directly from the Rabi frequencies; dividing by the
     # modulus loses less precision than a phase/exp round trip
     ua = om_a / abs(om_a) if om_a != 0 else 1.0 + 0.0j
@@ -270,9 +274,9 @@ def split(config: SystemConfig) -> PerturbationSplit:
     vc = np.zeros((4, 4), dtype=complex)
     vc[2, 3] = np.conj(uc)
     vc[3, 2] = uc
-
-    return PerturbationSplit(h0=h0, va=va, vc=vc, eps_a=eps_a, eps_c=eps_c,
-                             phi_a=phi_a, phi_c=phi_c)
+    return PerturbationSplit(h0=_pump_block(config), va=va, vc=vc, eps_a=abs(om_a) / 2.0,
+                             eps_c=abs(om_c) / 2.0, phi_a=cmath.phase(om_a),
+                             phi_c=cmath.phase(om_c))
 
 
 def manifold_members(seed: ManifoldIndex) -> list[ManifoldIndex]:

@@ -47,13 +47,14 @@ entries at every order.
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneracyError, MissingOrderError
-from .model import PerturbationSplit
+from .model import PerturbationSplit, matrix_scale
 
 DEGENERACY_TOL = 1e-8
 
@@ -74,29 +75,23 @@ class DressedBasis:
 
 
 def dressed_basis(h0: np.ndarray) -> DressedBasis:
-    """Diagonalise the pump block exactly; reject near-degenerate spectra."""
-    d1 = h0[1, 1]
-    d2 = h0[2, 2]
-    d3 = h0[3, 3]
-    x = h0[1, 2]  # Omega_b / 2
-    y = h0[2, 1]  # conj(Omega_b) / 2
+    """Diagonalise the pump block exactly; reject near-degenerate spectra.
 
-    lam = np.zeros(4, dtype=complex)
+    Roots and gaps are taken on Python complex numbers, which round as numpy's
+    do here, but ``nrm`` stays numpy: Python's complex division does not.
+    """
+    rows = h0.tolist()
+    d1, x = rows[1][1:3]  # x = Omega_b / 2
+    y, d2 = rows[2][1:3]  # y = conj(Omega_b) / 2
     right = np.zeros((4, 4), dtype=complex)
     left = np.zeros((4, 4), dtype=complex)
-    lam[3] = d3
-    right[0, 0] = left[0, 0] = 1.0
-    right[3, 3] = left[3, 3] = 1.0
-
-    if x == 0 and y == 0:
-        # Uncoupled pump: the two-level block is already diagonal.
-        lam[1], lam[2] = d1, d2
-        right[1, 1] = left[1, 1] = 1.0
-        right[2, 2] = left[2, 2] = 1.0
+    right[0, 0] = left[0, 0] = right[3, 3] = left[3, 3] = 1.0
+    if x == 0 and y == 0:  # uncoupled pump: the two-level block is already diagonal
+        lam = [0j, d1, d2, rows[3][3]]
+        right[1, 1] = left[1, 1] = right[2, 2] = left[2, 2] = 1.0
     else:
-        root = np.sqrt((d1 - d2) ** 2 + 4.0 * x * y + 0.0j)
-        lam[1] = 0.5 * ((d1 + d2) - root)
-        lam[2] = 0.5 * ((d1 + d2) + root)
+        root = cmath.sqrt((d1 - d2) ** 2 + 4.0 * x * y + 0.0j)
+        lam = [0j, 0.5 * ((d1 + d2) - root), 0.5 * ((d1 + d2) + root), rows[3][3]]
         for idx in (1, 2):
             shift = lam[idx] - d1
             pairing = x * y + shift**2
@@ -108,7 +103,7 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
             left[idx, 1] = y / nrm
             left[idx, 2] = shift / nrm
 
-    scale = max(1.0, float(np.linalg.norm(h0)))
+    scale = matrix_scale(h0)
     for i in range(4):
         for j in range(i + 1, 4):
             gap = abs(lam[i] - lam[j])
@@ -118,7 +113,7 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
                     f"{j + 1} separated by only {gap:.3e} "
                     f"(tolerance {DEGENERACY_TOL:.1e} x {scale:.3e})"
                 )
-    return DressedBasis(eigenvalues=lam, right=right, left=left)
+    return DressedBasis(eigenvalues=np.array(lam), right=right, left=left)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +245,8 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     basis, k, size = dressed_basis(split.h0), n - 1, max_order + 1
     w = np.zeros(_SERIES + 10 * size * size, dtype=complex)
     couplings, e, a = _layout(w, size)  # couplings[coupling, s, m, j]
-    couplings[:, 0] = basis.left @ np.stack((split.va, split.vc)) @ basis.right
+    for c, v in enumerate((split.va, split.vc)):
+        np.matmul(basis.left @ v, basis.right, out=couplings[c, 0])
     couplings[:, 1] = couplings[:, 0].transpose(0, 2, 1)  # s = 1 sees the transposed couplings
     e[:, 0, 0] = basis.eigenvalues[k]
     a[:, 0, 0, k] = 1.0
@@ -278,6 +274,8 @@ def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
     if n != table.n or not 0 <= total_order <= table.order:
         raise MissingOrderError(f"order {total_order} of state {n} is not in this table "
                                 f"of state {table.n} to total order {table.order}")
-    d = np.arange(total_order + 1)
     e = table.E[0, :total_order + 1, :total_order + 1]
-    return complex(power_sum(np.where(d[:, None] + d <= total_order, e, 0.0), eps_a, eps_c))
+    if total_order < table.order:  # entries above the built order are already zeros
+        d = np.arange(total_order + 1)
+        e = np.where(d[:, None] + d <= total_order, e, 0.0)
+    return complex(power_sum(e, eps_a, eps_c))

@@ -188,28 +188,23 @@ def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
     return SusceptibilityPoint(*(complex(chi[0]) for chi in _at_config(config)[:3]))
 
 
-def _ket_bra_coefficients(config: SystemConfig, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bare-basis [p, q, level] coefficients of the relaxed ground ket and its bra."""
-    table = perturb.build_series(model.split(config), 1, order)
-    return table.A[0] @ table.basis.right.T, table.A[1] @ table.basis.left
-
-
 def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     """rho21 and rho43 of the relaxed ground state built to the given total order.
 
     Each is the product of the ket and bra partial sums, both from one
-    series table.  Cross-Kerr content requires order >= 3.  The bra side
-    comes from the companion series of the perturbation table, so the
-    lossless limit is the ordinary conjugate.
+    series table: the dressed coefficients are summed at (eps_a, eps_c)
+    first, then taken to the bare basis.  Cross-Kerr content requires
+    order >= 3.  The bra side comes from the companion series of the
+    perturbation table, so the lossless limit is the ordinary conjugate.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    kets, bras = _ket_bra_coefficients(config, order)
-    x, y = model.perturbation_strengths(config)
-    values = {element: complex(perturb.power_sum(kets[..., ket], x, y)
-                               * perturb.power_sum(bras[..., bra], x, y))
-              for element, (ket, bra) in _LEVELS.items()}
-    return Coherences(**values)
+    sp = model.split(config)
+    table = perturb.build_series(sp, 1, order)
+    powers = np.arange(order + 1)
+    dressed = sp.eps_a**powers @ (sp.eps_c**powers @ table.A)  # [s, m]
+    ket, bra = table.basis.right @ dressed[0], dressed[1] @ table.basis.left
+    return Coherences(*(complex(ket[k] * bra[b]) for k, b in _LEVELS.values()))
 
 
 def coherence_coefficients(config: SystemConfig, order: int = 3,
@@ -221,7 +216,8 @@ def coherence_coefficients(config: SystemConfig, order: int = 3,
     """
     if element not in _LEVELS:
         raise ValueError(f"element must be one of {sorted(_LEVELS)}, got {element!r}")
-    kets, bras = _ket_bra_coefficients(config, order)
+    table = perturb.build_series(model.split(config), 1, order)
+    kets, bras = table.A[0] @ table.basis.right.T, table.A[1] @ table.basis.left  # [p, q, level]
     ket_level, bra_level = _LEVELS[element]
     return perturb.series_product(kets[..., ket_level], bras[..., bra_level])
 

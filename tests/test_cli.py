@@ -271,6 +271,50 @@ def test_sweep_too_few_steps_leaves_out_untouched(tmp_path):
     assert opath.read_text(encoding="utf-8") == "kept\n"
 
 
+def test_failed_sweep_keeps_the_bytes_of_out(tmp_path, capsys):
+    spath = write_scenario(tmp_path, scenario_doc(ga=1e100))  # |g_a|^4 leaves double range
+    opath = tmp_path / "out.csv"
+    opath.write_bytes(b"kept,1\n")
+    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
+                     "--steps", "3", "--out", str(opath)], stdout=io.StringIO()) == 3
+    assert opath.read_bytes() == b"kept,1\n"
+    assert capsys.readouterr().err == "domain error: pole: a term is outside double range\n"
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2E+1", "-.5e0"])
+def test_negative_bounds_in_scientific_notation(tmp_path, value):
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
+
+    def sweep(*bounds):
+        opath = tmp_path / "out.csv"
+        out = io.StringIO()
+        assert cli.main(["sweep", spath, "--axis", "dc", *bounds, "--steps", "5",
+                         "--out", str(opath)], stdout=out) == 0
+        return out.getvalue(), opath.read_bytes()
+
+    def evolve(*time):
+        out = io.StringIO()
+        assert cli.main(["evolve", write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5)),
+                         *time], stdout=out) == 0
+        return out.getvalue()
+
+    assert sweep("--lo", value, "--hi", "1") == sweep(f"--lo={value}", "--hi", "1")
+    assert sweep("--lo", "-30", "--hi", value) == sweep("--lo", "-30", f"--hi={value}")
+    assert evolve("--t", value) == evolve(f"--t={value}")
+
+
+@pytest.mark.parametrize("argv", [["--lo", "-inf", "--hi", "1"], ["--lo", "-1", "--hi", "-nan"],
+                                  ["--lo", "-1e400", "--hi", "1"]])
+def test_negative_non_finite_bound_exit2(tmp_path, argv):
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
+    opath = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", spath, "--axis", "dc", *argv, "--steps", "3", "--out", str(opath)],
+                 stdout=io.StringIO())
+    assert exc.value.code == 2
+    assert not opath.exists()
+
+
 def _chunked_sweep_args(spath, opath):
     """A lossless dc sweep over three chunks and a row; delta_2 = 0, so delta_3 = dc,
     and the exact grid step 0.5/chunk puts the pole dc = 0 on row 2*chunk."""

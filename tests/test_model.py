@@ -100,6 +100,15 @@ def test_split_reconstructs_hamiltonian(cfg):
     assert diff.max() < 1e-15
 
 
+@given(configs())
+def test_split_pump_block_is_the_hamiltonian_without_probe_entries(cfg):
+    sp = model.split(cfg)
+    h = model.build_hamiltonian(cfg)
+    h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = 0.0
+    assert np.array_equal(sp.h0, h)
+    assert (sp.eps_a, sp.eps_c) == model.perturbation_strengths(cfg)
+
+
 @given(configs(lossy=False))
 def test_hermitian_iff_lossless(cfg):
     h = model.build_hamiltonian(cfg)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nkerr import model, oracle, perturb, validate
-from nkerr.errors import DegeneracyError, TrackingError
+from nkerr.errors import ConvergenceError, DegeneracyError, TrackingError
 from nkerr.oracle import EigenSolution
 
 import cauchy
@@ -54,6 +54,38 @@ def test_eigensystem_hermitian_unitary_basis(reference_config):
     v = sol.eigenvectors
     assert np.linalg.norm(v.conj().T @ v - np.eye(4)) < 1e-12
     assert np.max(np.abs(sol.eigenvalues.imag)) < 1e-13
+
+
+@pytest.mark.parametrize("route, lossy", [("eigh", False), ("eig", True)])
+def test_eigensystem_rejects_a_perturbed_eigenvector(reference_config, lossy_config,
+                                                     monkeypatch, route, lossy):
+    solve = getattr(np.linalg, route)
+
+    def perturbed(h):
+        w, v = solve(h)
+        v = v.copy()
+        v[:, 0] += 1e-9
+        return w, v
+
+    monkeypatch.setattr(np.linalg, route, perturbed)
+    h = model.build_hamiltonian(lossy_config if lossy else reference_config)
+    with pytest.raises(ConvergenceError, match="exceeds contract"):
+        oracle.exact_eigensystem(h)
+
+
+def test_eigensystem_route_is_chosen_by_exact_hermiticity(monkeypatch):
+    calls = []
+    for route in ("eig", "eigh"):
+        solve = getattr(np.linalg, route)
+        monkeypatch.setattr(np.linalg, route,
+                            lambda h, route=route, solve=solve: calls.append(route) or solve(h))
+    cfg = make_config(0.3 * cmath.exp(0.4j), 1.1 * cmath.exp(-2.1j), 0.2j, 1, 0, 1, 0.3, 0.1, 0.5)
+    h = model.build_hamiltonian(cfg)
+    assert np.array_equal(h, h.conj().T)
+    oracle.exact_eigensystem(h)
+    h[2, 1] = np.nextafter(h[2, 1].real, 2.0) + 1j * h[2, 1].imag  # one ulp off Hermitian
+    oracle.exact_eigensystem(h)
+    assert calls == ["eigh", "eig"]
 
 
 # -- propagation -------------------------------------------------------------

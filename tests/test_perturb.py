@@ -47,6 +47,15 @@ def test_dressed_basis_degeneracy_rejected():
         perturb.dressed_basis(_h0(0.0, 0.0, 0.0, 2.0))
 
 
+def test_dressed_basis_rejects_near_degenerate_gap_and_defective_pair():
+    # bare level 4 1e-12 above the minus root, the dressed value -1 of (0, 0, 2.0)
+    with pytest.raises(DegeneracyError, match="near-degenerate: eigenvalues 2 and 4"):
+        perturb.dressed_basis(_h0(0.0, 0.0, -1.0 + 1e-12, 2.0))
+    # d1 - d2 = 2i and x*y = 1: the pair is one Jordan block, with no left/right pairing
+    with pytest.raises(DegeneracyError, match="defective"):
+        perturb.dressed_basis(_h0(0.0, -2j, 0.7, 2.0))
+
+
 def test_dressed_basis_eigen_residuals():
     h0 = _h0(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j))
     basis = perturb.dressed_basis(h0)
@@ -304,6 +313,20 @@ def test_evaluate_energy_at_zero_strength(reference_config):
     assert perturb.evaluate_energy(table, 1, 0.0, 0.0, 4) == 0
     t3 = perturb.build_series(model.split(reference_config), 3, 2)
     assert perturb.evaluate_energy(t3, 3, 0.0, 0.0, 2) == t3.basis.eigenvalues[2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluate_energy_is_the_partial_sum_of_the_table(reference_config, lossy_config, n):
+    # at strengths of a few tenths every order counts, so a term summed past
+    # the asked order, or one left out, shows far above rounding
+    for cfg in (reference_config, _complex_couplings(lossy_config, np.random.default_rng(5))):
+        table = perturb.build_series(model.split(cfg), n, 8)
+        for x, y in ((0.4, 0.3), (-0.25, 0.5)):
+            for order in range(table.order + 1):
+                terms = [table.E[0, p, q] * x**p * y**q
+                         for p in range(order + 1) for q in range(order + 1 - p)]
+                got = perturb.evaluate_energy(table, n, x, y, order)
+                assert abs(got - sum(terms)) <= 1e-15 * sum(map(abs, terms))
 
 
 def test_series_matches_exact_with_eps6_scaling(reference_config):

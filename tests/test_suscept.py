@@ -204,6 +204,26 @@ def test_coherence_evaluator_rejects_unknown_element(reference_config):
         suscept.coherence_coefficients(reference_config, element="rho31")
 
 
+@pytest.mark.parametrize("lossy", [False, True])
+def test_coherences_equal_the_product_of_ket_and_bra_partial_sums(lossy):
+    rng = np.random.default_rng([17, lossy])
+    for _ in range(20):
+        cfg = validate._random_config(rng, lossy=lossy)
+        cfg = dataclasses.replace(cfg, **{
+            f"mode_{m}": dataclasses.replace(mode, g=mode.g * cmath.exp(2j * np.pi * rng.random()))
+            for m, mode in zip("abc", (cfg.mode_a, cfg.mode_b, cfg.mode_c))})
+        x, y = model.perturbation_strengths(cfg)
+        for order in (1, 3, 5):
+            table = perturb.build_series(model.split(cfg), 1, order)
+            kets = table.A[0] @ table.basis.right.T
+            bras = table.A[1] @ table.basis.left
+            got = suscept.coherences(cfg, order)
+            for value, (ket, bra) in ((got.rho21, (1, 0)), (got.rho43, (3, 2))):
+                old = (perturb.power_sum(kets[..., ket], x, y)
+                       * perturb.power_sum(bras[..., bra], x, y))
+                assert abs(value - old) <= 1e-14 * abs(old)
+
+
 def _extracted_coherence(cfg, order, ket_level, bra_level):
     """Cauchy extraction of the product of the ket and bra partial sums."""
     sp = model.split(cfg)
