@@ -11,8 +11,10 @@ Scenario files are JSON documents with the layout::
       "gamma": {"g1": 0.0, "g2": 0.0, "g3": 0.0}
     }
 
-``gamma`` may be omitted (defaults to zeros); unknown keys anywhere are
-rejected; all numbers must be finite and photon numbers integral.
+``gamma`` and each of its rates may be omitted (zero by default).  Each rule
+runs once: ``scenario_config`` checks the shape (objects, keys, numbers that
+are not bools and fit a float); ``FieldMode`` and ``SystemConfig`` check the
+values, and their ValueError becomes a ScenarioError naming the mode or gamma.
 
 ``nkerr sweep`` writes its CSV from the sweep's arrays, ``SWEEP_CHUNK_ROWS``
 rows at a time, so the text of the whole file is never held at once.  The
@@ -36,9 +38,9 @@ Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
 arguments (including non-finite ``--lo/--hi/--t``) or an output file that
 cannot be written, 3 domain error (a pole, including a closed form whose
 terms leave double range, or a degeneracy), 4 regime refusal (a command that
-needs the lossless regime was given decay rates).  ``coeffs`` prints only
-finite numbers, and so does every valid ``sweep`` row; a sweep whose
-detuning-independent terms leave double range exits 3.
+needs the lossless regime was given decay rates).  ``coeffs`` and ``evolve``
+print only finite numbers, as does every valid ``sweep`` row; a sweep's
+detuning-independent terms or an ``evolve`` phase beyond double range exit 3.
 """
 
 from __future__ import annotations
@@ -73,16 +75,26 @@ _COPY_CHARS = 1 << 20
 # A token that is a negative decimal number, exponent allowed: an option's value.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
-_MODE_KEYS = {"g_re", "g_im", "delta", "n"}
-_GAMMA_KEYS = {"g1", "g2", "g3"}
+
+def _object(value: Any, where: str, required: tuple, optional: tuple = ()) -> dict:
+    """``value`` as a JSON object with every ``required`` key and no key beyond ``optional``."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
+    if unknown := set(value) - set(required) - set(optional):
+        raise ScenarioError(f"{where} has unknown keys: {sorted(unknown)}")
+    if missing := set(required) - set(value):
+        raise ScenarioError(f"{where} is missing keys: {sorted(missing)}")
+    return value
 
 
-def _require_finite_number(value: Any, where: str) -> float:
+def _number(value: Any, where: str) -> float:
+    """A JSON number, not a bool, as a float; an integer beyond double range is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ScenarioError(f"{where} must be finite, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{where} is an integer outside double range") from None
 
 
 def _finite_float(text: str) -> float:
@@ -96,58 +108,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _require_photon_number(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{where} must be an integer, got {value!r}")
-    if value < 0:
-        raise ScenarioError(f"{where} must be >= 0, got {value}")
-    return value
-
-
 def scenario_config(doc: Any) -> SystemConfig:
-    """Validate a parsed scenario document and build the configuration."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    unknown = set(doc) - {"modes", "gamma"}
-    if unknown:
-        raise ScenarioError(f"unknown top-level keys: {sorted(unknown)}")
-    if "modes" not in doc:
-        raise ScenarioError("missing required key 'modes'")
-    modes = doc["modes"]
-    if not isinstance(modes, dict) or set(modes) != {"a", "b", "c"}:
-        raise ScenarioError("'modes' must hold exactly the keys 'a', 'b', 'c'")
-    built = {}
-    for label in ("a", "b", "c"):
-        entry = modes[label]
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"modes.{label} must be an object")
-        unknown = set(entry) - _MODE_KEYS
-        if unknown:
-            raise ScenarioError(f"modes.{label} has unknown keys: {sorted(unknown)}")
-        missing = _MODE_KEYS - set(entry)
-        if missing:
-            raise ScenarioError(f"modes.{label} is missing keys: {sorted(missing)}")
-        g = complex(_require_finite_number(entry["g_re"], f"modes.{label}.g_re"),
-                    _require_finite_number(entry["g_im"], f"modes.{label}.g_im"))
-        delta = _require_finite_number(entry["delta"], f"modes.{label}.delta")
-        n = _require_photon_number(entry["n"], f"modes.{label}.n")
-        built[label] = FieldMode(label, g, delta, n)
-    gamma = (0.0, 0.0, 0.0)
-    if "gamma" in doc:
-        gdoc = doc["gamma"]
-        if not isinstance(gdoc, dict):
-            raise ScenarioError("'gamma' must be an object")
-        unknown = set(gdoc) - _GAMMA_KEYS
-        if unknown:
-            raise ScenarioError(f"gamma has unknown keys: {sorted(unknown)}")
-        vals = []
-        for key in ("g1", "g2", "g3"):
-            v = _require_finite_number(gdoc.get(key, 0.0), f"gamma.{key}")
-            if v < 0:
-                raise ScenarioError(f"gamma.{key} must be >= 0, got {v}")
-            vals.append(v)
-        gamma = tuple(vals)
-    return SystemConfig(built["a"], built["b"], built["c"], gamma)
+    """Build the configuration of a parsed scenario document (checks: module docstring)."""
+    doc = _object(doc, "scenario", ("modes",), ("gamma",))
+    modes = _object(doc["modes"], "modes", ("a", "b", "c"))
+    built = []
+    try:  # a ValueError of the model names the object being built, ``where``
+        for label in ("a", "b", "c"):
+            where = f"modes.{label}"
+            entry = _object(modes[label], where, ("g_re", "g_im", "delta", "n"))
+            x = {key: _number(entry[key], f"{where}.{key}") for key in ("g_re", "g_im", "delta")}
+            built.append(FieldMode(label, complex(x["g_re"], x["g_im"]), x["delta"], entry["n"]))
+        where = "gamma"
+        rates = _object(doc.get("gamma", {}), where, (), ("g1", "g2", "g3"))
+        gamma = [_number(rates.get(key, 0.0), f"gamma.{key}") for key in ("g1", "g2", "g3")]
+        return SystemConfig(*built, gamma)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def load_scenario(path: str) -> SystemConfig:

@@ -41,6 +41,17 @@ _LABELS = ("a", "b", "c")
 POLE_RTOL = 4 * float(np.finfo(float).eps)
 
 
+def _is_finite(value, isfinite) -> bool:
+    """Whether ``isfinite`` holds for ``value``; a bool, a non-number or an integer
+    beyond double range is not a finite number."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class FieldMode:
     """One driving mode: complex coupling, single-photon detuning, photon number."""
@@ -55,8 +66,8 @@ class FieldMode:
             raise ValueError(f"unknown mode label {self.label!r}; expected one of {_LABELS}")
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise ValueError(f"photon number must be an integer >= 0, got {self.n!r}")
-        if not (cmath.isfinite(self.g) and math.isfinite(self.delta)):
-            raise ValueError(f"coupling and detuning must be finite, got g={self.g!r}, "
+        if not (_is_finite(self.g, cmath.isfinite) and _is_finite(self.delta, math.isfinite)):
+            raise ValueError(f"coupling and detuning must be finite numbers, got g={self.g!r}, "
                              f"delta={self.delta!r}")
 
 
@@ -76,7 +87,7 @@ class SystemConfig:
         if len(self.gamma) != 3:
             raise ValueError("gamma must hold exactly three decay rates")
         for g in self.gamma:
-            if not math.isfinite(g) or g < 0:
+            if not _is_finite(g, math.isfinite) or g < 0:
                 raise ValueError(f"decay rates must be finite and >= 0, got {self.gamma}")
         object.__setattr__(self, "gamma", tuple(map(float, self.gamma)))  # hashable, comparable
 
@@ -107,7 +118,7 @@ class ManifoldIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class PerturbationSplit:
-    """Decomposition H = h0 + eps_a*va + eps_c*vc with the probe phases.
+    """Decomposition H = h0 + eps_a*va + eps_c*vc; the probe phases sit in va and vc.
 
     ``va`` is nonzero only on the (1,2)/(2,1) entries and ``vc`` only on
     (3,4)/(4,3), each with unit modulus; the strengths are
@@ -120,8 +131,6 @@ class PerturbationSplit:
     vc: np.ndarray
     eps_a: float
     eps_c: float
-    phi_a: float
-    phi_c: float
 
     def reconstruct(self) -> np.ndarray:
         return self.h0 + self.eps_a * self.va + self.eps_c * self.vc
@@ -275,8 +284,7 @@ def split(config: SystemConfig) -> PerturbationSplit:
     vc[2, 3] = np.conj(uc)
     vc[3, 2] = uc
     return PerturbationSplit(h0=_pump_block(config), va=va, vc=vc, eps_a=abs(om_a) / 2.0,
-                             eps_c=abs(om_c) / 2.0, phi_a=cmath.phase(om_a),
-                             phi_c=cmath.phase(om_c))
+                             eps_c=abs(om_c) / 2.0)
 
 
 def manifold_members(seed: ManifoldIndex) -> list[ManifoldIndex]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import model, perturb
 from .errors import ConvergenceError, DegeneracyError, TrackingError
-from .model import PerturbationSplit, SystemConfig
+from .model import PerturbationSplit
 
 RESIDUAL_TOL = 1e-12
 TRACK_STEPS = 32  # fixed path resolution keeps tracking bit-reproducible
@@ -67,7 +67,11 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
 
 
 def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*h*t) @ psi0 via spectral decomposition (non-defective inputs)."""
+    """exp(-i*h*t) @ psi0 via spectral decomposition (non-defective inputs).
+
+    Raises the out-of-range PoleError where an exponent -i*lambda*t or its
+    exponential leaves double range.
+    """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     psi0 = np.asarray(psi0, dtype=complex)
@@ -76,7 +80,9 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     sol = exact_eigensystem(h)
     v = sol.eigenvectors
     coeffs = np.linalg.solve(v, psi0)
-    return v @ (np.exp(-1j * sol.eigenvalues * t) * coeffs)
+    with model.in_double_range(), np.errstate(over="raise", invalid="raise"):
+        phases = np.exp(-1j * sol.eigenvalues * t)
+    return v @ (phases * coeffs)
 
 
 def _walk_ground(split: PerturbationSplit, path: Sequence[tuple[float, float]]) -> complex:
@@ -98,21 +104,18 @@ def _walk_ground(split: PerturbationSplit, path: Sequence[tuple[float, float]]) 
     return complex(sol.eigenvalues[idx])
 
 
-def track_ground(config: SystemConfig, eps_scale: float) -> complex:
+def track_ground(split: PerturbationSplit) -> complex:
     """Eigenvalue continuously connected to bare level 1 as the probes ramp on.
 
-    Walks ``TRACK_STEPS`` uniform increments of the overall probe strength from 0
-    to ``eps_scale``, which must be finite.
+    Walks ``TRACK_STEPS`` uniform increments of both probe strengths, from 0
+    to (eps_a, eps_c).
     """
-    if not math.isfinite(eps_scale):
-        raise ValueError(f"eps_scale must be finite, got {eps_scale!r}")
-    sp = model.split(config)
     try:
-        perturb.dressed_basis(sp.h0)
+        perturb.dressed_basis(split.h0)
     except DegeneracyError as exc:
         raise TrackingError(f"cannot identify the ground branch: {exc}") from exc
-    scales = [eps_scale * k / TRACK_STEPS for k in range(1, TRACK_STEPS + 1)]
-    return _walk_ground(sp, [(s * sp.eps_a, s * sp.eps_c) for s in scales])
+    scales = [k / TRACK_STEPS for k in range(1, TRACK_STEPS + 1)]
+    return _walk_ground(split, [(s * split.eps_a, s * split.eps_c) for s in scales])
 
 
 def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, float], complex]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nkerr import cli, suscept
+from nkerr import cli, model, suscept
 from nkerr.errors import ScenarioError
 
 
@@ -49,7 +49,7 @@ def test_scenario_gamma_defaults_and_partial(tmp_path):
 def test_scenario_unknown_top_key_rejected(tmp_path):
     doc = scenario_doc()
     doc["extra"] = 1
-    with pytest.raises(ScenarioError, match="unknown top-level"):
+    with pytest.raises(ScenarioError, match="scenario has unknown keys"):
         cli.load_scenario(write_scenario(tmp_path, doc))
 
 
@@ -87,6 +87,80 @@ def test_scenario_invalid_json_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert cli.main(["coeffs", str(path)], stdout=io.StringIO()) == 2
+
+
+_DELETE = object()
+
+
+def _edited(*changes):
+    """``scenario_doc()`` with each (key path, value) change applied; _DELETE drops the key."""
+    doc = scenario_doc()
+    for path, value in changes:
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        if value is _DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    return doc
+
+
+_BEYOND_DOUBLE = 10**400  # a JSON integer that no float holds
+
+# (id, document, a fragment of the key path the message must name)
+MALFORMED_SCENARIOS = [
+    ("not-an-object", [scenario_doc()], "scenario"),
+    ("missing-modes", _edited(("modes", _DELETE)), "modes"),
+    ("unknown-top-key", _edited(("extra", 1)), "extra"),
+    ("modes-not-an-object", _edited(("modes", [1, 2, 3])), "modes"),
+    ("missing-label", _edited(("modes.c", _DELETE)), "modes"),
+    ("extra-label", _edited(("modes.d", {"g_re": 0.1, "g_im": 0.0, "delta": 0.0, "n": 1})),
+     "modes"),
+    ("mode-not-an-object", _edited(("modes.a", 0.1)), "modes.a"),
+    ("unknown-mode-key", _edited(("modes.a.phase", 0.3)), "modes.a"),
+    ("missing-mode-key", _edited(("modes.b.delta", _DELETE)), "modes.b"),
+    ("bool-number", _edited(("modes.a.g_re", True)), "modes.a.g_re"),
+    ("str-number", _edited(("modes.b.delta", "0.1")), "modes.b.delta"),
+    ("null-number", _edited(("modes.c.g_im", None)), "modes.c.g_im"),
+    ("fractional-n", _edited(("modes.a.n", 1.5)), "modes.a"),
+    ("negative-n", _edited(("modes.c.n", -1)), "modes.c"),
+    ("bool-n", _edited(("modes.b.n", False)), "modes.b"),
+    ("infinite-delta", _edited(("modes.a.delta", float("inf"))), "modes.a"),
+    ("nan-coupling", _edited(("modes.c.g_im", float("nan"))), "modes.c"),
+    ("gamma-not-an-object", _edited(("gamma", [0.0, 0.0, 0.0])), "gamma"),
+    ("unknown-gamma-key", _edited(("gamma", {"g4": 0.1})), "gamma"),
+    ("negative-rate", _edited(("gamma", {"g2": -0.1})), "gamma"),
+    ("infinite-rate", _edited(("gamma", {"g3": float("inf")})), "gamma"),
+    ("nan-rate", _edited(("gamma", {"g1": float("nan")})), "gamma"),
+    ("bool-rate", _edited(("gamma", {"g1": True})), "gamma.g1"),
+    ("coupling-beyond-double-range", _edited(("modes.a.g_re", _BEYOND_DOUBLE)),
+     "modes.a.g_re"),
+    ("detuning-beyond-double-range", _edited(("modes.a.delta", _BEYOND_DOUBLE)),
+     "modes.a.delta"),
+    ("rate-beyond-double-range", _edited(("gamma", {"g2": _BEYOND_DOUBLE})), "gamma.g2"),
+]
+
+
+@pytest.mark.parametrize("doc, where", [case[1:] for case in MALFORMED_SCENARIOS],
+                         ids=[case[0] for case in MALFORMED_SCENARIOS])
+def test_malformed_scenario_is_a_schema_error_naming_its_key(tmp_path, capsys, doc, where):
+    path = write_scenario(tmp_path, doc)  # json writes inf and nan as Infinity and NaN
+    with open(path, encoding="utf-8") as fh:
+        parsed = json.load(fh)
+    with pytest.raises(ScenarioError) as exc:
+        cli.scenario_config(parsed)
+    assert where in str(exc.value)
+    capsys.readouterr()
+    for argv in (["coeffs", path], ["sweep", path, "--axis", "da", "--lo", "0", "--hi", "1",
+                                    "--steps", "3", "--out", str(tmp_path / "out.csv")]):
+        out = io.StringIO()
+        assert cli.main(argv, stdout=out) == 2
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and where in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # -- coeffs ------------------------------------------------------------------
@@ -466,6 +540,31 @@ def test_evolve_quarter_pi_cross_phase(tmp_path):
     assert cli.main(["evolve", spath, "--t", str(t)], stdout=out) == 0
     values = dict(line.split("=") for line in out.getvalue().splitlines())
     assert abs(float(values["difference"])) <= float(values["leakage_bound"])
+
+
+# a strong probe, the weak reference scenario, and a probe c whose 10 eps_c^2
+# leaves double range while every Kerr coefficient is finite
+_EVOLVE_DOCS = {"strong": scenario_doc(da=0.7, db=0.0, dc=0.9, ga=1.0, gc=0.1),
+                "reference": scenario_doc(da=0.3, db=0.1, dc=0.5, ga=0.01, gc=0.01),
+                "huge-probe-c": _edited(("modes.a.g_re", 1e-30), ("modes.c.g_re", 1e154),
+                                           ("modes.c.n", 5))}
+
+
+@pytest.mark.parametrize("name, t, code", [
+    ("strong", "1.7e308", 3), ("strong", "-1.7e308", 3), ("strong", "1e300", 0),
+    ("strong", "1e30", 0), ("reference", "1.7e308", 3), ("reference", "-1.7e308", 3),
+    ("reference", "1e308", 0), ("reference", "-1e300", 0), ("huge-probe-c", "1", 3)])
+def test_evolve_at_extreme_time_prints_finite_values_or_exits3(tmp_path, capsys, name, t, code):
+    # the effective phase, or an exponent of the propagation, may leave double range
+    out = io.StringIO()
+    assert cli.main(["evolve", write_scenario(tmp_path, _EVOLVE_DOCS[name]), "--t", t],
+                    stdout=out) == code
+    if code == 0:
+        values = dict(line.split("=") for line in out.getvalue().splitlines())
+        assert len(values) == 5 and all(math.isfinite(float(v)) for v in values.values())
+    else:
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == f"domain error: {model.POLES[-1]}\n"
 
 
 def test_evolve_near_degenerate_exit3(tmp_path, capsys):

@@ -143,8 +143,8 @@ def test_split_phases_follow_couplings():
     cfg = make_config(0.5 * cmath.exp(0.8j), 1.0, 0.25 * cmath.exp(-1.2j),
                       2, 0, 1, 0.1, 0.2, 0.3)
     sp = model.split(cfg)
-    assert sp.phi_a == pytest.approx(0.8)
-    assert sp.phi_c == pytest.approx(-1.2)
+    assert np.angle(sp.va[1, 0]) == pytest.approx(0.8)
+    assert np.angle(sp.vc[3, 2]) == pytest.approx(-1.2)
     assert abs(sp.va[1, 0]) == pytest.approx(1.0)
     assert abs(sp.vc[3, 2]) == pytest.approx(1.0)
 
@@ -224,11 +224,23 @@ def test_decay_rates_normalised_to_a_tuple_of_floats():
     assert effective.coefficients(cfg) == effective.coefficients(replace(cfg, gamma=(0.0,) * 3))
 
 
-@pytest.mark.parametrize("g, delta", [(float("nan"), 0.0), (complex(0.1, float("inf")), 0.0),
-                                      (0.1, float("inf")), (0.1, float("nan"))])
+@pytest.mark.parametrize("g, delta", [
+    (float("nan"), 0.0), (complex(0.1, float("inf")), 0.0), (0.1, float("inf")),
+    (0.1, float("nan")), pytest.param(0.1, 10**400, id="delta-int-beyond-double"),
+    pytest.param(10**400, 0.0, id="g-int-beyond-double"), pytest.param(0.1, "0.3", id="delta-str"),
+    pytest.param("0.1", 0.0, id="g-str"), pytest.param(True, 0.0, id="g-bool"),
+    pytest.param(0.1, False, id="delta-bool"), pytest.param(0.1, 0.5j, id="delta-complex"),
+    pytest.param(0.1, None, id="delta-none")])
 def test_nonfinite_mode_rejected(g, delta):
     with pytest.raises(ValueError, match="finite"):
         FieldMode("a", g, delta, 1)
+
+
+@pytest.mark.parametrize("rate", [10**400, "0.1", True, None, float("nan")],
+                         ids=["int-beyond-double", "str", "bool", "none", "nan"])
+def test_decay_rate_that_is_no_finite_number_is_a_value_error(rate):
+    with pytest.raises(ValueError, match="decay rates must be finite"):
+        make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.0, 0.0, 0.0, gamma=(0.0, rate, 0.0))
 
 
 def test_negative_decay_rejected():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nkerr import model, oracle, perturb, validate
-from nkerr.errors import ConvergenceError, DegeneracyError, TrackingError
+from nkerr.errors import ConvergenceError, DegeneracyError, PoleError, TrackingError
 from nkerr.oracle import EigenSolution
 
 import cauchy
@@ -123,7 +123,7 @@ def test_propagate_phase_tracks_ground_energy(reference_config):
     h = model.build_hamiltonian(reference_config)
     psi0 = np.zeros(4, dtype=complex)
     psi0[0] = 1.0
-    lam = oracle.track_ground(reference_config, 1.0)
+    lam = oracle.track_ground(model.split(reference_config))
     t = 200.0
     out = oracle.propagate(h, psi0, t)
     overlap = complex(np.vdot(psi0, out))
@@ -137,6 +137,12 @@ def test_propagate_rejects_nonfinite_time(t):
         oracle.propagate(np.eye(4), np.ones(4), t)
 
 
+@pytest.mark.parametrize("t", [1e308, -1.7e308])
+def test_propagate_exponent_beyond_double_range_is_a_pole_error(t):
+    with pytest.raises(PoleError, match="outside double range"):
+        oracle.propagate(np.diag([0.0, 2.0, -3.0, 5.0]).astype(complex), np.ones(4), t)
+
+
 @pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
 def test_propagate_rejects_nonfinite_state(entry):
     with pytest.raises(ValueError, match="psi0 must be finite"):
@@ -145,33 +151,23 @@ def test_propagate_rejects_nonfinite_state(entry):
 
 # -- ground tracking ---------------------------------------------------------
 
-@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
-def test_track_ground_rejects_nonfinite_scale(reference_config, scale):
-    with pytest.raises(ValueError, match="eps_scale must be finite"):
-        oracle.track_ground(reference_config, scale)
-
-
-def test_track_ground_zero_scale(reference_config):
-    assert oracle.track_ground(reference_config, 0.0) == 0
-
-
 def test_track_ground_weak_config(reference_config):
-    lam = oracle.track_ground(reference_config, 1.0)
+    lam = oracle.track_ground(model.split(reference_config))
     assert abs(lam.imag) < 1e-13
     assert abs(lam) < 1e-3  # ground shift is O(eps^2)
 
 
 def test_track_ground_rejects_degenerate_spectrum():
-    cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.1 - 0.3 + 1e-12)
+    sp = model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.1 - 0.3 + 1e-12))
     with pytest.raises(TrackingError):
-        oracle.track_ground(cfg, 1.0)
+        oracle.track_ground(sp)
     with pytest.raises(DegeneracyError):
-        oracle.ground_series(model.split(cfg), 4)
+        oracle.ground_series(sp, 4)
 
 
 def test_track_ground_deterministic(reference_config):
-    a = oracle.track_ground(reference_config, 1.0)
-    b = oracle.track_ground(reference_config, 1.0)
+    a = oracle.track_ground(model.split(reference_config))
+    b = oracle.track_ground(model.split(reference_config))
     assert a == b
 
 
@@ -190,7 +186,7 @@ def test_both_entry_points_pick_the_same_branch(lossy):
         cfg = _phased(validate._random_config(rng, lossy=lossy), rng)
         sp = model.split(cfg)
         assert oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c) == \
-            oracle.track_ground(cfg, 1.0)
+            oracle.track_ground(sp)
 
 
 def test_both_entry_points_raise_where_no_eigenvector_overlaps_level_1(
@@ -204,7 +200,7 @@ def test_both_entry_points_raise_where_no_eigenvector_overlaps_level_1(
     with pytest.raises(TrackingError, match="overlap 0.400 < 0.5"):
         oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
     with pytest.raises(TrackingError, match="overlap 0.400 < 0.5"):
-        oracle.track_ground(reference_config, 1.0)
+        oracle.track_ground(sp)
 
 
 # -- exact ground series ----------------------------------------------------

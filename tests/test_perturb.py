@@ -336,7 +336,7 @@ def test_series_matches_exact_with_eps6_scaling(reference_config):
         sp = model.split(cfg)
         table = perturb.build_series(sp, 1, 4)
         approx = perturb.evaluate_energy(table, 1, sp.eps_a, sp.eps_c, 4)
-        exact = oracle.track_ground(cfg, 1.0)
+        exact = oracle.track_ground(sp)
         residuals.append(abs(approx - exact))
     assert residuals[0] < 1e-9
     assert 32 <= residuals[0] / residuals[1] <= 128
@@ -378,5 +378,5 @@ def test_lossy_series_tracks_complex_eigenvalue(lossy_config):
     sp = model.split(lossy_config)
     table = perturb.build_series(sp, 1, 4)
     approx = perturb.evaluate_energy(table, 1, sp.eps_a, sp.eps_c, 4)
-    exact = oracle.track_ground(lossy_config, 1.0)
+    exact = oracle.track_ground(sp)
     assert abs(approx - exact) < 1e-8
