@@ -8,9 +8,8 @@ closed form against exact diagonalization.
 """
 
 from .effective import KerrCoefficients, coefficients, effective_phase, pure_cross_kerr
-from .errors import (ConvergenceError, DegeneracyError, MissingOrderError,
-                     NKerrError, NotHermitianError, NotResonantError, PoleError,
-                     ScenarioError, TrackingError)
+from .errors import (ConvergenceError, DegeneracyError, NKerrError, NotHermitianError,
+                     NotResonantError, PoleError, ScenarioError, TrackingError)
 from .model import (FieldMode, ManifoldIndex, MultiPhotonDetunings,
                     PerturbationSplit, SystemConfig, build_hamiltonian,
                     manifold_members, multi_photon_detunings,
@@ -26,9 +25,8 @@ from .suscept import (Coherences, SusceptibilityPoint, Sweep, SweepRow, chi1, ch
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "DegeneracyError", "MissingOrderError", "NKerrError",
-    "NotHermitianError", "NotResonantError", "PoleError", "ScenarioError",
-    "TrackingError",
+    "ConvergenceError", "DegeneracyError", "NKerrError", "NotHermitianError",
+    "NotResonantError", "PoleError", "ScenarioError", "TrackingError",
     "FieldMode", "ManifoldIndex", "MultiPhotonDetunings", "PerturbationSplit",
     "SystemConfig", "build_hamiltonian", "manifold_members",
     "multi_photon_detunings", "perturbation_strengths", "rabi_frequency", "split",

@@ -66,17 +66,19 @@ def coefficients(config: SystemConfig) -> KerrCoefficients:
 def pure_cross_kerr(config: SystemConfig) -> float:
     """Cross-Kerr coefficient on Raman resonance, where the response is pure.
 
-    Requires delta_2 = 0 (to within ``RESONANCE_RTOL`` of the detuning
-    scale); then the linear and self-Kerr terms vanish identically and the
-    full coefficient reduces to -|g_a|^2 |g_c|^2 / (delta_3 |g_b|^2 (n_b+1)).
+    Requires delta_2 = 0 to within ``RESONANCE_RTOL`` of max(1, |delta_1|), and
+    delta_1*delta_2 of G_b = |g_b|^2 (n_b+1); then the linear and self-Kerr terms
+    vanish and the full coefficient reduces to -|g_a|^2 |g_c|^2 / (delta_3 G_b).
     """
     _require_lossless(config)
     d1, d2, d3 = config.detunings()
-    if abs(d2) > RESONANCE_RTOL * max(1.0, abs(d1), abs(d3)):
+    if abs(d2) > RESONANCE_RTOL * max(1.0, abs(d1)):
         raise NotResonantError(f"delta_2 = {d2!r} is not Raman-resonant")
     with model.in_double_range():
         gb2n = model.pump_coupling(config)
         model.check_poles(config, model.THREE_PHOTON, model.PUMP)
+        if abs(d1 * d2) > RESONANCE_RTOL * gb2n:
+            raise NotResonantError(f"delta_1*delta_2 = {d1 * d2!r} is not small against G_b")
         pure = -abs(config.mode_a.g) ** 2 * abs(config.mode_c.g) ** 2 / (d3 * gb2n)
     model.check_finite(pure)
     return pure

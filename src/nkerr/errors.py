@@ -9,10 +9,6 @@ class DegeneracyError(NKerrError):
     """Unperturbed spectrum too close to degenerate for a non-degenerate series."""
 
 
-class MissingOrderError(NKerrError):
-    """A series entry was read for an order or a state the table does not hold."""
-
-
 class PoleError(NKerrError):
     """A closed form has no finite value at the requested parameters.
 

@@ -167,10 +167,14 @@ def pump_coupling(config: SystemConfig) -> float:
 
 
 def matrix_scale(h: np.ndarray) -> float:
-    """max(1, Frobenius norm of h), summed as ``np.linalg.norm`` sums it: the size
-    that eigenvalue gaps and residuals of h are judged against."""
+    """max(1, Frobenius norm of h), summed as ``np.linalg.norm`` sums it (of h / max|h_ij|
+    where that overflows): the size that eigenvalue gaps and residuals of h are judged against."""
     flat = h.ravel(order="K")
-    return max(1.0, math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag)))
+    with np.errstate(over="ignore"):
+        squares = flat.real.dot(flat.real) + flat.imag.dot(flat.imag)
+        if not math.isfinite(squares) and (largest := np.max(np.abs(flat))) < math.inf:
+            return float(largest) * matrix_scale(flat / largest)
+    return max(1.0, math.sqrt(squares))
 
 
 def near_pole(value, scale):

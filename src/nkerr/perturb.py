@@ -5,10 +5,10 @@ and leaves levels 1 and 4 bare; the two probe couplings act as independent
 perturbations of strengths eps_a and eps_c.  Eigenvalues and eigenvectors of
 the full matrix are expanded as double power series in (eps_a, eps_c), with
 state coefficients expressed in the dressed eigenbasis of the unperturbed
-operator.
+operator, for the relaxed ground state (dressed index 0) only.
 
 Layout.  A double series c[p, q] is a dense (n, n) array; this is the only
-layout in the package.  One state's series are ``E[s, p, q]`` and
+layout in the package.  The ground state's series are ``E[s, p, q]`` and
 ``A[s, p, q, m]`` of :class:`SeriesTable`, contiguous views of the one work
 vector that ``build_series`` fills by total order p + q.  Each entry reads
 only entries of lower total order; a table is bit-reproducible and
@@ -18,9 +18,9 @@ the one product of two series in this layout, truncated below total order n.
 Selection rules.  In the N-configuration probe a couples only bare levels
 1 <-> 2 and probe c only 3 <-> 4, so in the dressed basis eps_a moves index
 0 <-> {1, 2} and eps_c moves {1, 2} <-> 3.  A coefficient A[s, p, q, m] is
-therefore zero unless the parities of (p, q) link the state's index to m,
-and E[s, p, q] is zero unless p and q are both even.  ``_order_plan`` lists,
-once per state and ``max_order``, only the products these rules allow, as
+therefore zero unless the parities of (p, q) link index 0 to m, and
+E[s, p, q] is zero unless p and q are both even.  ``_order_plan`` lists,
+once per ``max_order``, only the products these rules allow, as
 flat index arrays into the work vector, which holds the dressed couplings
 before E and A; ``build_series`` then fills each order with a single
 gather-multiply-reduce.
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, MissingOrderError
+from .errors import DegeneracyError
 from .model import PerturbationSplit, matrix_scale
 
 DEGENERACY_TOL = 1e-8
@@ -118,7 +118,7 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
 
 @dataclass(frozen=True, eq=False)
 class SeriesTable:
-    """Energy corrections and dressed-basis state coefficients of one state n.
+    """Energy corrections and dressed-basis state coefficients of the ground state.
 
     Made by :func:`build_series` and read straight from its arrays.
     ``E[s, p, q]`` is the order-(p, q) eigenvalue correction and
@@ -127,14 +127,10 @@ class SeriesTable:
     Series s = 0 is the primary one, s = 1 its companion for the transposed
     problem: ``basis.right @ A[0, p, q]`` is the order-(p, q) ket correction
     in the bare basis and ``A[1, p, q] @ basis.left`` the bra correction,
-    which in the Hermitian case is the conjugated ket.  ``n`` is the state
-    index (1-based, label order of :class:`DressedBasis`).  Of the readers,
-    only :func:`evaluate_energy` raises :class:`MissingOrderError`, for
-    another state or an order not built.
+    which in the Hermitian case is the conjugated ket.
     """
 
     basis: DressedBasis
-    n: int
     order: int
     E: np.ndarray
     A: np.ndarray
@@ -172,8 +168,8 @@ def _layout(w: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 @functools.cache
-def _order_plan(n: int, max_order: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Flat terms of every structurally nonzero entry of state n's two series, by total order.
+def _order_plan(max_order: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Flat terms of every structurally nonzero entry of the two series, by total order.
 
     For each order d = 1..max_order: the two factors' slots in the work
     vector of :func:`_layout` and the coefficient of each term, the start of
@@ -181,13 +177,11 @@ def _order_plan(n: int, max_order: int) -> tuple[tuple[np.ndarray, ...], ...]:
     listed by (p, s, m) and their terms in an order fixed by (p, q, m) alone,
     so a table's lower orders never depend on ``max_order``.
     """
-    k = n - 1
-    cls = _CLASS ^ _CLASS[k]
     size = max_order + 1
     couplings, e, a = _layout(np.arange(_SERIES + 10 * size * size), size)
 
-    def nonzero(p, q, m):  # E, at m = 4, sits in the class of m = k
-        return cls[k if m == 4 else m] == 2 * (p % 2) + q % 2 and (p + q > 0 or m in (k, 4))
+    def nonzero(p, q, m):  # E, at m = 4, sits in the class of m = 0
+        return _CLASS[m % 4] == 2 * (p % 2) + q % 2
 
     def slot(p, q, s, m):  # of A[s, p, q, m], or of E[s, p, q] for m = 4
         return e[s, p, q] if m == 4 else a[s, p, q, m]
@@ -202,12 +196,12 @@ def _order_plan(n: int, max_order: int) -> tuple[tuple[np.ndarray, ...], ...]:
                 for m in range(5):
                     if not nonzero(p, q, m):
                         continue
-                    if m == k:  # the norm expansion; the same value in both series fixes the phase
+                    row = m % 4  # E, at m = 4, is row 0 of the eigenvalue equation
+                    if m == 0:  # the norm expansion; the same value in both series fixes the phase
                         terms = [(slot(i, j, 1, r), slot(p - i, q - j, 0, r), -0.5)
                                  for i, j in lower for r in range(4)
                                  if nonzero(i, j, r) and nonzero(p - i, q - j, r)]
                     else:
-                        row = k if m == 4 else m
                         # A coupling element between two entries of the right classes
                         # is one the selection rules allow; c = 0 is va, c = 1 vc.
                         terms = [(couplings[c, s, row, j], slot(p - dp, q - dq, s, j), 1.0)
@@ -222,7 +216,7 @@ def _order_plan(n: int, max_order: int) -> tuple[tuple[np.ndarray, ...], ...]:
                             column.extend(values)
                         counts.append(len(terms))
                         out.append(slot(p, q, s, m))
-                        div.append(k if m in (k, 4) else m)
+                        div.append(row)
         arrays = (np.array(left), np.array(right), np.array(coef, dtype=complex),
                   np.cumsum([0] + counts[:-1]), np.array(out), np.array(div))
         for array in arrays:
@@ -232,29 +226,28 @@ def _order_plan(n: int, max_order: int) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
-    """Fill a table for state n with every order p + q <= max_order, one fused step per order.
+    """Fill the ground-state table with every order p + q <= max_order, one fused step per order.
 
     Both series live in one complex work vector ``w`` that holds the dressed
     couplings, then E and A; the table's arrays are views of it.  Each order
     is one gather-multiply-reduce over its terms in ``_order_plan``.
     """
-    if not 1 <= n <= 4:
-        raise ValueError(f"state index must lie in 1..4, got {n}")
+    if n != 1:  # n stays here and in evaluate_energy only as perfbench/series_loop.py passes it
+        raise ValueError(f"only the ground state n = 1 is built, got n = {n}")
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    basis, k, size = dressed_basis(split.h0), n - 1, max_order + 1
+    basis, size = dressed_basis(split.h0), max_order + 1
     w = np.zeros(_SERIES + 10 * size * size, dtype=complex)
     couplings, e, a = _layout(w, size)  # couplings[coupling, s, m, j]
     for c, v in enumerate((split.va, split.vc)):
         np.matmul(basis.left @ v, basis.right, out=couplings[c, 0])
     couplings[:, 1] = couplings[:, 0].transpose(0, 2, 1)  # s = 1 sees the transposed couplings
-    e[:, 0, 0] = basis.eigenvalues[k]
-    a[:, 0, 0, k] = 1.0
-    divisor = basis.eigenvalues[k] - basis.eigenvalues
-    divisor[k] = 1.0  # E and the diagonal entry, which the norm expansion fixes
-    for left, right, coef, starts, out, div in _order_plan(n, max_order):
+    a[:, 0, 0, 0] = 1.0  # E[:, 0, 0] is the ground eigenvalue 0, as w starts
+    divisor = -basis.eigenvalues
+    divisor[0] = 1.0  # E and the diagonal entry, which the norm expansion fixes
+    for left, right, coef, starts, out, div in _order_plan(max_order):
         w[out] = np.add.reduceat(w[left] * w[right] * coef, starts) / divisor[div]
-    return SeriesTable(basis, n, max_order, e, a)
+    return SeriesTable(basis, max_order, e, a)
 
 
 def power_sum(c: np.ndarray, x, y):
@@ -266,14 +259,10 @@ def power_sum(c: np.ndarray, x, y):
 
 def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
                     total_order: int) -> complex:
-    """Partial sum of the eigenvalue series through the given total order.
-
-    Raises :class:`MissingOrderError` for another state than the table's or
-    an order it was not built to.
-    """
-    if n != table.n or not 0 <= total_order <= table.order:
-        raise MissingOrderError(f"order {total_order} of state {n} is not in this table "
-                                f"of state {table.n} to total order {table.order}")
+    """Partial sum of the ground eigenvalue series; ValueError for n != 1 or an order not built."""
+    if n != 1 or not 0 <= total_order <= table.order:
+        raise ValueError(f"order {total_order} of state {n} is not in this table "
+                         f"of the ground state to total order {table.order}")
     e = table.E[0, :total_order + 1, :total_order + 1]
     if total_order < table.order:  # entries above the built order are already zeros
         d = np.arange(total_order + 1)

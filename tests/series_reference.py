@@ -29,23 +29,20 @@ def cauchy_term(x: np.ndarray, y: np.ndarray, p: int, q: int) -> complex:
     return np.einsum("ijm,ijm->", x[:p + 1, :q + 1], y[p::-1, q::-1])
 
 
-def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
-    """Fill a table for state n with every order p + q <= max_order."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"state index must lie in 1..4, got {n}")
+def build_series(split: PerturbationSplit, max_order: int) -> SeriesTable:
+    """Fill the ground-state table with every order p + q <= max_order."""
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    basis, k = dressed_basis(split.h0), n - 1
-    e = np.zeros((2, max_order + 1, max_order + 1), dtype=complex)
+    basis = dressed_basis(split.h0)
+    e = np.zeros((2, max_order + 1, max_order + 1), dtype=complex)  # E[:, 0, 0] = 0
     a = np.zeros((2, max_order + 1, max_order + 1, 4), dtype=complex)
-    e[:, 0, 0] = basis.eigenvalues[k]
-    a[:, 0, 0, k] = 1.0
+    a[:, 0, 0, 0] = 1.0
     vta = basis.left @ split.va @ basis.right
     vtc = basis.left @ split.vc @ basis.right
     va = np.stack([vta, vta.T])  # the companion series sees the transposed couplings
     vc = np.stack([vtc, vtc.T])
-    gap = basis.eigenvalues[k] - basis.eigenvalues
-    gap[k] = 1.0  # the diagonal entry comes from the norm expansion instead
+    gap = -basis.eigenvalues
+    gap[0] = 1.0  # the diagonal entry comes from the norm expansion instead
     for d in range(1, max_order + 1):
         for p in range(d + 1):
             q = d - p
@@ -57,9 +54,9 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
             if q:
                 rhs += np.einsum("smj,sj->sm", vc, a[:, p, q - 1])
             overlap = cauchy_term(a[1], a[0], p, q)
-            e[:, p, q] = rhs[:, k]
+            e[:, p, q] = rhs[:, 0]
             a[:, p, q] = rhs / gap
             # Norm expansion fixes the real part; the residual phase freedom is
             # resolved by giving both series the same diagonal entry.
-            a[:, p, q, k] = -0.5 * overlap
-    return SeriesTable(basis, n, max_order, e, a)
+            a[:, p, q, 0] = -0.5 * overlap
+    return SeriesTable(basis, max_order, e, a)

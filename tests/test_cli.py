@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nkerr import cli, model, suscept
+from nkerr import cli, effective, model, suscept
 from nkerr.errors import ScenarioError
 
 
@@ -87,6 +87,19 @@ def test_scenario_invalid_json_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert cli.main(["coeffs", str(path)], stdout=io.StringIO()) == 2
+
+
+def test_scenario_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):
+    # json.load refuses integers of more than 4300 digits with a plain ValueError
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(scenario_doc()).replace('"g_re": 0.1', '"g_re": ' + "1" * 5001, 1),
+                    encoding="utf-8")
+    with pytest.raises(ScenarioError, match="4300 digits"):
+        cli.load_scenario(str(path))
+    out = io.StringIO()
+    assert cli.main(["coeffs", str(path)], stdout=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.startswith("scenario error: scenario is not readable JSON")
 
 
 _DELETE = object()
@@ -206,7 +219,8 @@ def test_coeffs_pole_in_pure_form_writes_nothing(tmp_path, capsys):
 
 @pytest.mark.parametrize("delta2, pure_line", [(-4e-13, True), (-3e-12, False)])
 def test_coeffs_pure_kerr_line_at_edge_of_resonance_tolerance(tmp_path, delta2, pure_line):
-    # tolerance RESONANCE_RTOL * max(1, |delta_1|, |delta_3|) = 1e-12 here
+    # |delta_2| <= RESONANCE_RTOL * max(1, |delta_1|) = 1e-12 here, and then
+    # |delta_1 delta_2| <= 3e-13 < RESONANCE_RTOL * G_b = 1e-12
     path = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3 - delta2, dc=0.5))
     out = io.StringIO()
     assert cli.main(["coeffs", path], stdout=out) == 0
@@ -215,6 +229,26 @@ def test_coeffs_pure_kerr_line_at_edge_of_resonance_tolerance(tmp_path, delta2, 
     assert len(lines) == (2 if pure_line else 1)
     if pure_line:
         assert lines[1].startswith("pure-kerr K=")
+
+
+@pytest.mark.parametrize("db, dc", [(0.25, 1e11), (0.1, 1e200)])
+def test_coeffs_prints_no_pure_line_off_raman_resonance(tmp_path, db, dc):
+    # delta_2 = 0.05 and 0.2; a Raman tolerance scaled by |delta_3| once let the
+    # pure form through, 3% and 13% away from K
+    path = write_scenario(tmp_path, scenario_doc(da=0.3, db=db, dc=dc, ga=0.01, gc=0.01))
+    out = io.StringIO()
+    assert cli.main(["coeffs", path], stdout=out) == 0
+    assert out.getvalue().startswith("L=") and out.getvalue().count("\n") == 1
+
+
+def test_coeffs_prints_the_pure_line_only_where_it_agrees_with_k(tmp_path):
+    # delta_1 delta_2 = 8e-13 G_b passes the Raman test, but it puts K 1.6e-12
+    # away from the pure form, past criterion 5's 1e-12
+    doc = scenario_doc(da=1.0, db=1.0 - 8e-13, dc=0.5, ga=0.01, gc=0.01)
+    assert effective.pure_cross_kerr(cli.scenario_config(doc)) < 0
+    out = io.StringIO()
+    assert cli.main(["coeffs", write_scenario(tmp_path, doc)], stdout=out) == 0
+    assert out.getvalue().startswith("L=") and out.getvalue().count("\n") == 1
 
 
 def test_coeffs_lossy_refused_exit4(tmp_path, capsys):
@@ -233,18 +267,25 @@ def _extreme(rng):
     return float(rng.uniform(-2, 2))
 
 
+def _extreme_doc(rng, k):
+    """A scenario of ``_extreme`` values; lossy for odd k, Raman-resonant, where
+    the pure form is reported, for k divisible by 4."""
+    doc = {"modes": {label: {"g_re": _extreme(rng), "g_im": _extreme(rng) * (k % 3 == 0),
+                             "delta": _extreme(rng), "n": int(rng.choice([0, 1, 2, 5]))}
+                     for label in "abc"},
+           "gamma": {key: _extreme(rng) * (k % 2) for key in ("g1", "g2", "g3")}}
+    if k % 4 == 0:
+        doc["modes"]["b"]["delta"] = doc["modes"]["a"]["delta"]
+    return doc
+
+
 def test_exit_codes_and_finite_output_under_extreme_inputs(tmp_path):
     # every failure maps to a documented exit code, and nothing non-finite is
     # printed as a value: coeffs stdout and valid sweep rows stay finite
     rng = np.random.default_rng(13)
     opath = tmp_path / "out.csv"
     for k in range(320):
-        doc = {"modes": {label: {"g_re": _extreme(rng), "g_im": _extreme(rng) * (k % 3 == 0),
-                                 "delta": _extreme(rng), "n": int(rng.choice([0, 1, 2, 5]))}
-                         for label in "abc"},
-               "gamma": {key: _extreme(rng) * (k % 2) for key in ("g1", "g2", "g3")}}
-        if k % 4 == 0:  # Raman resonance, where the pure form is reported
-            doc["modes"]["b"]["delta"] = doc["modes"]["a"]["delta"]
+        doc = _extreme_doc(rng, k)
         spath = write_scenario(tmp_path, doc)
         out = io.StringIO()
         assert cli.main(["coeffs", spath], stdout=out) in (0, 2, 3, 4), doc
@@ -259,6 +300,31 @@ def test_exit_codes_and_finite_output_under_extreme_inputs(tmp_path):
             assert len(rows) == 5
             assert not [row for row in rows if row.endswith(",1") and
                         ("nan" in row or "inf" in row)], doc
+
+
+def test_evolve_and_pure_line_under_extreme_inputs(tmp_path):
+    # evolve at a few times keeps the exit codes and finite output of the
+    # coeffs/sweep fuzz above, and a printed pure-kerr line agrees with K
+    rng = np.random.default_rng(31)
+    pure_lines = 0
+    for k in range(160):
+        doc = _extreme_doc(rng, k)
+        if k % 4 == 2:  # near Raman resonance: delta_2 = 1e-13 delta_1, delta_1 delta_2 any size
+            doc["modes"]["b"]["delta"] = doc["modes"]["a"]["delta"] * (1 - 1e-13)
+        spath = write_scenario(tmp_path, doc)
+        out = io.StringIO()
+        assert cli.main(["coeffs", spath], stdout=out) in (0, 2, 3, 4), doc
+        lines = out.getvalue().splitlines()
+        if len(lines) == 2:
+            general = float(lines[0].split("K=")[1])
+            pure = float(lines[1].split()[1].split("=")[1])
+            assert abs(pure - general) <= 1e-12 * abs(general), doc
+            pure_lines += 1
+        for t in (1.0, -1e3, _extreme(rng)):
+            out = io.StringIO()
+            assert cli.main(["evolve", spath, f"--t={t!r}"], stdout=out) in (0, 2, 3, 4), doc
+            assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), doc
+    assert pure_lines > 0
 
 
 # -- sweep -------------------------------------------------------------------
@@ -565,6 +631,18 @@ def test_evolve_at_extreme_time_prints_finite_values_or_exits3(tmp_path, capsys,
     else:
         assert out.getvalue() == ""
         assert capsys.readouterr().err == f"domain error: {model.POLES[-1]}\n"
+
+
+@pytest.mark.parametrize("db", [0.1, 0.25])
+def test_evolve_with_detuning_past_1e154_exits3_without_warning(tmp_path, capsys, db):
+    # the squared entries of the manifold matrix leave double range; its scale must not
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=db, dc=1e200, ga=0.01, gc=0.01))
+    out = io.StringIO()
+    assert cli.main(["evolve", spath, "--t", "1"], stdout=out) == 3
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: unperturbed spectrum is near-degenerate")
+    assert err.endswith("(tolerance 1.0e-08 x 1.000e+200)\n")
 
 
 def test_evolve_near_degenerate_exit3(tmp_path, capsys):

@@ -51,6 +51,18 @@ def test_pure_cross_kerr_rejects_off_resonance():
         effective.pure_cross_kerr(cfg)
 
 
+@pytest.mark.parametrize("da, db, dc", [
+    (0.3, 0.25, 1e11),  # delta_2 = 0.05; the size of delta_3 does not make it small
+    (0.0, -0.05, 1e11),  # delta_1 = 0, so only |delta_2| itself shows it; L != 0
+    (1e6, 1e6 - 5e-7, 0.5),  # |delta_2| <= 1e-12 |delta_1|, but delta_1 delta_2 = 0.5 G_b
+])
+def test_pure_cross_kerr_rejects_what_delta_2_changes(da, db, dc):
+    cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, da, db, dc)
+    effective.coefficients(cfg)  # the general form has a value
+    with pytest.raises(NotResonantError):
+        effective.pure_cross_kerr(cfg)
+
+
 def test_delta3_pole_rejected():
     cfg = make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.4, 0.4, -0.0)
     with pytest.raises(PoleError, match="delta_3"):

@@ -255,3 +255,16 @@ def test_mislabeled_mode_rejected():
             FieldMode("b", 1.0, 0.0, 0),
             FieldMode("c", 0.1, 0.0, 1),
         )
+
+
+def test_matrix_scale_is_the_norm_and_rescales_only_past_double_range():
+    rng = np.random.default_rng(23)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    assert model.matrix_scale(h) == max(1.0, np.linalg.norm(h))  # the same sum, bit for bit
+    assert model.matrix_scale(1e-3 * h) == 1.0
+    for big in (1e160, 1e200, 1e307):  # the squares overflow; 2**k scaling is exact
+        k = round(np.log2(big))
+        assert model.matrix_scale(2.0**k * h) == pytest.approx(2.0**k * np.linalg.norm(h),
+                                                             rel=1e-15)
+    assert model.matrix_scale(np.diag([0.0, 0.3, 0.25, 1e200])) == 1e200
+    assert model.matrix_scale(np.diag([0.0, 1e308, np.inf, 1.0])) == np.inf  # not rescaled
