@@ -18,8 +18,11 @@ values, and their ValueError becomes a ScenarioError naming the mode or gamma.
 
 ``nkerr sweep`` writes its CSV from the sweep's arrays, ``SWEEP_CHUNK_ROWS``
 rows at a time, so the text of the whole file is never held at once.  The
-``%.17g`` conversions, not the closed forms, take nearly all of its time, and
-each row is independent, so the rows are cut into contiguous parts of whole
+``%.17g`` conversions take more of its time than the closed forms, so a
+column whose bits do not change within a chunk is converted once for the
+chunk: on a ``dc`` sweep that is chi1 and chi3_self, whose closed forms read
+only delta_1 and delta_2, and a row costs 3 conversions instead of 7.  Each
+row is independent, so the rows are cut into contiguous parts of whole
 chunks, one per CPU the process may run on (``os.sched_getaffinity``) and no
 more than there are chunks, and the parts are formatted at the same time.  The
 process forks a child for each part after the first: a forked child sees the
@@ -56,6 +59,8 @@ import signal
 import sys
 import tempfile
 from typing import Any, NoReturn, TextIO
+
+import numpy as np
 
 from . import effective, suscept
 from .errors import (ConvergenceError, DegeneracyError, NotHermitianError,
@@ -225,17 +230,34 @@ def _write_part_and_exit(part: TextIO, result: suscept.Sweep, start: int,
 
 
 def _write_row_range(fh: TextIO, result: suscept.Sweep, start: int, stop: int) -> None:
-    """Rows [start, stop), chunk by chunk from ``start``; one %-format per row,
-    the same text as ``_fmt`` per field."""
-    valid_row = result.axis + ",%.17g" * 7 + ",1\n"
-    invalid_row = result.axis + ",%.17g,,,,,,,0\n"
+    """Rows [start, stop), chunk by chunk from ``start``, each field the text of ``_fmt``.
+
+    A column whose bits are the same on every row of a chunk is formatted
+    once, into that chunk's row template (on a ``dc`` sweep, the four chi1
+    and chi3_self columns); the others go through one %-format per row.
+    The test compares bits, not floats: 0.0 == -0.0, yet they print as "0"
+    and "-0", and a lossless sweep mixes both in one column.  The NaN of an
+    invalid row is one more bit pattern, so its chunk needs no special case.
+    """
     columns = (result.value, result.chi1.real, result.chi1.imag, result.chi3_self.real,
                result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
     for lo in range(start, stop, SWEEP_CHUNK_ROWS):
         chunk = slice(lo, min(lo + SWEEP_CHUNK_ROWS, stop))
-        rows = zip(*(column[chunk].tolist() for column in columns))
-        fh.write("".join([valid_row % row if ok else invalid_row % row[0]
-                          for ok, row in zip(result.valid[chunk].tolist(), rows)]))
+        fields, varying = [], []
+        for column in columns:
+            bits = column[chunk].view(np.int64)
+            if (bits == bits[0]).all():
+                fields.append(_fmt(column[lo]))
+            else:
+                fields.append("%.17g")
+                varying.append(column[chunk].tolist())
+        valid_row = ",".join([result.axis, *fields, "1\n"])
+        invalid_row = f"{result.axis},{fields[0]},,,,,,,0\n"
+        ok = result.valid[chunk].tolist()
+        rows = zip(*varying) if varying else [()] * len(ok)
+        head = slice(1 if fields[0] == "%.17g" else 0)  # the value in ``row``, if it varies
+        fh.write("".join([valid_row % row if k else invalid_row % row[head]
+                          for k, row in zip(ok, rows)]))
 
 
 def _cmd_evolve(args, out: TextIO) -> int:

@@ -248,8 +248,13 @@ def in_double_range():
 
 
 def _pump_block(config: SystemConfig) -> np.ndarray:
-    """The manifold matrix without its probe entries: the diagonal and the pump pair."""
+    """The manifold matrix without its probe entries: the diagonal and the pump pair.
+
+    The ``OUT_OF_RANGE`` PoleError where delta_2 or delta_3 overflows.
+    """
     d = config.detunings()
+    if not (math.isfinite(d.delta2) and math.isfinite(d.delta3)):
+        raise_at_pole(OUT_OF_RANGE)
     om_b = rabi_frequency(config.mode_b)
     g1, g2, g3 = config.gamma
     h = np.zeros((4, 4), dtype=complex)

@@ -145,9 +145,9 @@ def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c,
     """
     da, db, dc = np.broadcast_arrays(*(np.atleast_1d(np.asarray(d, dtype=float))
                                        for d in (delta_a, delta_b, delta_c)))
-    _, d2, _ = model.multi_photon_detunings(da, db, dc)
     g2 = config.gamma[1]
     with model.in_double_range(), np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, d2, _ = model.multi_photon_detunings(da, db, dc)
         terms = model.pole_terms(config, da, db, dc)
         (den, _), (eps_a, _), (pole3, _), (eps_c, _), (gb2n, _) = terms
         ga2 = abs(config.mode_a.g) ** 2

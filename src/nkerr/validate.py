@@ -362,14 +362,11 @@ def _criterion_11(draws: _Draws) -> CheckResult:
         chk.expect(len(lines) == 43, 43, len(lines), "41 rows + header + trailing newline")
         cfg = cli.scenario_config(scenario)
         s = suscept.sweep(cfg, "dc", -2.0, 2.0, 41)
-        columns = zip(s.value.tolist(), s.chi1.real.tolist(), s.chi3_cross.imag.tolist())
-        for line, (value, chi1_re, chi3c_im) in zip(lines[1:42], columns):
-            fields = line.split(",")
-            chk.expect(fields[0] == "dc", "dc", fields[0], "axis column")
-            chk.expect(float(fields[1]) == value, value, fields[1], "round-trip")
-            chk.expect(float(fields[2]) == chi1_re, chi1_re, fields[2], "round-trip")
-            chk.expect(float(fields[7]) == chi3c_im, chi3c_im, fields[7], "round-trip")
-            chk.expect(fields[8] == "1", "1", fields[8], "valid flag")
+        columns = (s.value, s.chi1.real, s.chi1.imag, s.chi3_self.real, s.chi3_self.imag,
+                   s.chi3_cross.real, s.chi3_cross.imag)
+        for k, line in enumerate(lines[1:42]):  # as text, so the sign of a zero counts
+            row = ",".join(["dc", *(cli._fmt(column[k]) for column in columns), "1"])
+            chk.expect(line == row, row, line, "exact row")
     return CheckResult(11, "CLI determinism and CSV format", chk.passed, chk.detail)
 
 

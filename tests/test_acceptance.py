@@ -5,13 +5,17 @@ inline); the same checks back the ``nkerr validate`` command.
 """
 
 import dataclasses
+import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nkerr import effective, model, validate
+from nkerr import cli, effective, model, validate
+
+TRUE_WRITER = cli._write_row_range
 
 RESULTS = {r.number: r for r in validate.run_all(seed=0)}
 
@@ -50,6 +54,30 @@ def test_criterion_10_catches_planted_forbidden_coupling(monkeypatch):
 
     monkeypatch.setattr(model, "split", planted)
     assert not validate._criterion_10(validate._Draws(0, [], [])).passed
+
+
+def _writer_sampling_constancy_at_the_ends(fh, result, start, stop):
+    columns = (result.value, result.chi1.real, result.chi1.imag, result.chi3_self.real,
+               result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
+    ends = [column[[start, stop - 1]].view(np.int64) for column in columns]
+    for k in range(start, stop):
+        fields = (cli._fmt(c[start] if e[0] == e[1] else c[k]) for c, e in zip(columns, ends))
+        fh.write(",".join([result.axis, *fields, "1\n"]))
+
+
+def _writer_dropping_the_sign_of_zero(fh, result, start, stop):
+    part = io.StringIO()
+    TRUE_WRITER(part, result, start, stop)
+    fh.write(part.getvalue().replace(",-0,", ",0,"))
+
+
+# chi3c_im is even in delta_3, so its first and last rows on criterion 11's
+# symmetric grid have the same bits; chi3c_re is -0 at delta_3 = 0
+@pytest.mark.parametrize("writer", [_writer_sampling_constancy_at_the_ends,
+                                    _writer_dropping_the_sign_of_zero])
+def test_criterion_11_catches_a_planted_row_writer(monkeypatch, writer):
+    monkeypatch.setattr(cli, "_write_row_range", writer)
+    assert not validate._criterion_11(validate._Draws(0, [], [])).passed
 
 
 def test_validate_report_text_seed_zero():

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nkerr import cli, effective, model, suscept
 from nkerr.errors import ScenarioError
@@ -565,6 +567,92 @@ def test_sweep_byte_identical_across_processes_and_hash_seeds(tmp_path):
         blobs.append(opath.read_bytes())
     assert blobs[0] == blobs[1]
     assert blobs[0].count(b"\n") == 3 * cli.SWEEP_CHUNK_ROWS + 2
+
+
+def _per_field_rows(result, start=0, stop=None):
+    """Rows [start, stop) of the sweep CSV, each field rendered on its own by ``cli._fmt``."""
+    columns = (result.value, result.chi1.real, result.chi1.imag, result.chi3_self.real,
+               result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
+    rows = []
+    for k in range(start, len(result) if stop is None else stop):
+        if result.valid[k]:
+            fields = [cli._fmt(column[k]) for column in columns] + ["1"]
+        else:
+            fields = [cli._fmt(result.value[k])] + [""] * 6 + ["0"]
+        rows.append(",".join([result.axis, *fields]) + "\n")
+    return "".join(rows)
+
+
+_POOL = (0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 5e-324, -1e308)
+
+
+def _runs(draw, n, elements):
+    """``n`` entries made of constant runs of ``elements``, so runs break anywhere."""
+    runs = draw(st.lists(st.tuples(elements, st.integers(1, n)), min_size=1, max_size=4))
+    values, counts = zip(*runs)
+    return np.resize(np.repeat(values, counts), n)
+
+
+@st.composite
+def _hand_sweeps(draw):
+    """A hand-built Sweep, a chunk size and a row range [start, stop) of it."""
+    n = draw(st.integers(1, 24))
+    value, *parts = (_runs(draw, n, st.sampled_from(_POOL)) for _ in range(7))
+    valid = _runs(draw, n, st.sampled_from([True, True, True, False]))
+    chis = []
+    for re, im in zip(parts[::2], parts[1::2]):
+        chi = np.empty(n, dtype=complex)
+        chi.real, chi.imag = re, im
+        chis.append(np.where(valid, chi, np.nan))  # what suscept.sweep puts on invalid rows
+    reasons = {int(k): "pole" for k in np.flatnonzero(~valid)}
+    result = suscept.Sweep(draw(st.sampled_from(["da", "db", "dc"])), value, *chis, valid,
+                           reasons)
+    start = draw(st.integers(0, n - 1))
+    return result, draw(st.integers(1, 6)), start, draw(st.integers(start + 1, n))
+
+
+@given(_hand_sweeps())
+def test_row_writer_formats_each_field_as_fmt_does(case):
+    # zeros of both signs, invalid rows, constant runs across and inside chunks
+    result, chunk_rows, start, stop = case
+    fh = io.StringIO()
+    with mock.patch.object(cli, "SWEEP_CHUNK_ROWS", chunk_rows):
+        cli._write_row_range(fh, result, start, stop)
+    assert fh.getvalue() == _per_field_rows(result, start, stop)
+
+
+@pytest.mark.parametrize("axis, lo, hi", [("da", "-1", "1"), ("db", "-1", "1"),
+                                          ("dc", "-1", "1"), ("dc", "0.2", "0.2")])
+def test_sweep_csv_keeps_signed_zeros_and_constant_columns(tmp_path, axis, lo, hi):
+    # the lossless reference scenario: each 9-step sweep from -1 to 1 has a
+    # column that prints both -0 and 0; at lo = hi every column is constant
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5, ga=0.01, gc=0.01))
+    opath = tmp_path / "out.csv"
+    assert cli.main(["sweep", spath, "--axis", axis, "--lo", lo, "--hi", hi, "--steps", "9",
+                     "--out", str(opath)], stdout=io.StringIO()) == 0
+    result = suscept.sweep(cli.load_scenario(spath), axis, float(lo), float(hi), 9)
+    rows = opath.read_text(encoding="utf-8").split("\n", 1)[1]
+    assert rows == _per_field_rows(result)
+    fields = [row.split(",") for row in rows.splitlines()]
+    assert len(fields) == 9
+    if lo == hi:
+        assert all(row == fields[0] for row in fields)
+    else:
+        assert any({"-0", "0"} <= {row[i] for row in fields} for i in range(2, 8))
+
+
+def test_sweep_past_double_range_writes_invalid_rows_without_warning(tmp_path, capsys):
+    # delta_2 = delta_a - delta_b overflows: every row sits on the out-of-range pole
+    doc = scenario_doc(da=1e308, db=-1e308, gamma={"g1": 0.1, "g2": 0.1, "g3": 0.1})
+    spath = write_scenario(tmp_path, doc)
+    opath = tmp_path / "out.csv"
+    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1", "--steps", "3",
+                     "--out", str(opath)], stdout=io.StringIO()) == 0
+    assert capsys.readouterr().err == ""
+    lines = opath.read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == ["dc,-1,,,,,,,0", "dc,0,,,,,,,0", "dc,1,,,,,,,0"]
+    result = suscept.sweep(cli.load_scenario(spath), "dc", -1.0, 1.0, 3)
+    assert result.reasons == dict.fromkeys(range(3), model.POLES[model.OUT_OF_RANGE - 1])
 
 
 # -- evolve ------------------------------------------------------------------

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from nkerr import effective, model, perturb, suscept, validate
+from nkerr import effective, model, oracle, perturb, suscept, validate
 from nkerr.errors import PoleError
 
 import cauchy
@@ -145,6 +145,23 @@ def test_outside_double_range_is_a_pole():
                          2: out_of_range}
     with pytest.raises(PoleError, match="outside double range"):  # |g_a|**4 overflows
         suscept.sweep(make_config(1e100, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5), "dc", -1.0, 1.0, 3)
+
+
+@pytest.mark.parametrize("route", [
+    suscept.susceptibility_point,
+    suscept.coherences,
+    suscept.coherence_coefficients,
+    lambda cfg: perturb.build_series(model.split(cfg), 1, 2),
+    lambda cfg: oracle.ground_series(model.split(cfg), 2),
+    lambda cfg: oracle.track_ground(model.split(cfg)),
+], ids=["susceptibility_point", "coherences", "coherence_coefficients", "build_series",
+        "ground_series", "track_ground"])
+@pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.1, 0.1, 0.1)])
+def test_overflowing_cumulative_detuning_is_the_out_of_range_pole(route, gamma):
+    # delta_a = 1e308, delta_b = -1e308: delta_2 = delta_3 = inf
+    cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 1e308, -1e308, 0.5, gamma=gamma)
+    with pytest.raises(PoleError, match="outside double range"):
+        route(cfg)
 
 
 def test_hermitian_limit_matches_kerr_coefficients(reference_config):
