@@ -69,6 +69,8 @@ class FieldMode:
         if not (_is_finite(self.g, cmath.isfinite) and _is_finite(self.delta, math.isfinite)):
             raise ValueError(f"coupling and detuning must be finite numbers, got g={self.g!r}, "
                              f"delta={self.delta!r}")
+        # a Python float, so that a sum of detunings overflows to inf without a warning
+        object.__setattr__(self, "delta", float(self.delta))
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,9 @@ def matrix_scale(h: np.ndarray) -> float:
 
 
 def near_pole(value, scale):
-    """Where ``value`` is within ``POLE_RTOL`` of ``scale`` of zero; arrays broadcast."""
-    return np.abs(value) <= POLE_RTOL * scale
+    """Where ``value`` is finite and within ``POLE_RTOL`` of ``scale`` of zero; arrays
+    broadcast.  A term that overflows is out of range, not at its pole."""
+    return (np.abs(value) <= POLE_RTOL * scale) & np.isfinite(value)
 
 
 # Each closed-form pole as its PoleError message, in the order a point
@@ -214,8 +217,11 @@ def pole_terms(config: SystemConfig, delta_a, delta_b, delta_c) -> tuple:
 
 def pole_code(terms: tuple, poles: tuple[int, ...], *values) -> np.ndarray:
     """At each point, the first of ``poles`` whose term is ``near_pole``; else
-    ``OUT_OF_RANGE`` where one of ``values`` is not finite; else 0."""
-    code = np.where(np.logical_and.reduce([np.isfinite(v) for v in values]), 0, OUT_OF_RANGE)
+    ``OUT_OF_RANGE`` where one of ``values`` or of the terms of ``poles`` is not
+    finite; else 0."""
+    code = np.zeros((), dtype=int)
+    for v in (*values, *(terms[k - 1][0] for k in poles)):
+        code = np.where(np.isfinite(v), code, OUT_OF_RANGE)
     for k in reversed(poles):  # so that the first pole is written last
         code = np.where(near_pole(*terms[k - 1]), k, code)
     return code
@@ -287,10 +293,10 @@ def split(config: SystemConfig) -> PerturbationSplit:
     ua = om_a / abs(om_a) if om_a != 0 else 1.0 + 0.0j
     uc = om_c / abs(om_c) if om_c != 0 else 1.0 + 0.0j
     va = np.zeros((4, 4), dtype=complex)
-    va[0, 1] = np.conj(ua)
+    va[0, 1] = ua.conjugate()
     va[1, 0] = ua
     vc = np.zeros((4, 4), dtype=complex)
-    vc[2, 3] = np.conj(uc)
+    vc[2, 3] = uc.conjugate()
     vc[3, 2] = uc
     return PerturbationSplit(h0=_pump_block(config), va=va, vc=vc, eps_a=abs(om_a) / 2.0,
                              eps_c=abs(om_c) / 2.0)

@@ -10,10 +10,13 @@ operator, for the relaxed ground state (dressed index 0) only.
 Layout.  A double series c[p, q] is a dense (n, n) array; this is the only
 layout in the package.  The ground state's series are ``E[s, p, q]`` and
 ``A[s, p, q, m]`` of :class:`SeriesTable`, contiguous views of the one work
-vector that ``build_series`` fills by total order p + q.  Each entry reads
-only entries of lower total order; a table is bit-reproducible and
-extending ``max_order`` never changes lower entries.  ``series_product`` is
-the one product of two series in this layout, truncated below total order n.
+vector that ``build_series`` fills by total order p + q, after the dressed
+couplings ``left @ v @ right`` of both probes (transposed for s = 1), of
+which it writes only the entries the selection rules below allow.  Each
+entry reads only entries of lower total order; a table is bit-reproducible
+and extending ``max_order`` never changes lower entries.  ``series_product``
+is the one product of two series in this layout, truncated below total
+order n.
 
 Selection rules.  In the N-configuration probe a couples only bare levels
 1 <-> 2 and probe c only 3 <-> 4, so in the dressed basis eps_a moves index
@@ -158,6 +161,13 @@ def series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # moves 0 <-> {1, 2}, probe c moves {1, 2} <-> 3.
 _CLASS = np.array([0b00, 0b10, 0b10, 0b11])
 _SERIES = 64  # w[:_SERIES] holds the dressed couplings as [coupling, s, m, j]
+# The eight couplings [coupling, m, j] these rules allow, in the order
+# build_series computes them, and their flat slots in w for s = 0 and then,
+# transposed, for s = 1; the rest of w[:_SERIES] is never read and stays zero.
+_ALLOWED = [(0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 2, 0), (1, 1, 3), (1, 2, 3), (1, 3, 1), (1, 3, 2)]
+_COUPLING_SLOTS = np.ravel_multi_index(
+    np.transpose([(c, 0, m, j) for c, m, j in _ALLOWED] + [(c, 1, j, m) for c, m, j in _ALLOWED]),
+    (2, 2, 4, 4))
 
 
 def _layout(w: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,8 +239,11 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     """Fill the ground-state table with every order p + q <= max_order, one fused step per order.
 
     Both series live in one complex work vector ``w`` that holds the dressed
-    couplings, then E and A; the table's arrays are views of it.  Each order
-    is one gather-multiply-reduce over its terms in ``_order_plan``.
+    couplings, then E and A; the table's arrays are views of it.  Each
+    allowed entry of ``basis.left @ v @ basis.right``, v = ``split.va`` or
+    ``split.vc``, has one nonzero term: a probe entry of v times one entry of
+    the basis, taken on Python complex numbers.  Each order is one
+    gather-multiply-reduce over its terms in ``_order_plan``.
     """
     if n != 1:  # n stays here and in evaluate_energy only as perfbench/series_loop.py passes it
         raise ValueError(f"only the ground state n = 1 is built, got n = {n}")
@@ -238,10 +251,17 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     basis, size = dressed_basis(split.h0), max_order + 1
     w = np.zeros(_SERIES + 10 * size * size, dtype=complex)
-    couplings, e, a = _layout(w, size)  # couplings[coupling, s, m, j]
-    for c, v in enumerate((split.va, split.vc)):
-        np.matmul(basis.left @ v, basis.right, out=couplings[c, 0])
-    couplings[:, 1] = couplings[:, 0].transpose(0, 2, 1)  # s = 1 sees the transposed couplings
+    _, e, a = _layout(w, size)
+    # Each is one rounded product, as in the matrix product; + 0j turns a -0
+    # part into the +0 that the matrix product's sum gives.  s = 1 sees the transposes.
+    left, right = basis.left.tolist(), basis.right.tolist()
+    a01, a10 = split.va.item(0, 1), split.va.item(1, 0)
+    c23, c32 = split.vc.item(2, 3), split.vc.item(3, 2)
+    allowed = [a01 * right[1][1] + 0j, a01 * right[1][2] + 0j,
+               left[1][1] * a10 + 0j, left[2][1] * a10 + 0j,
+               left[1][2] * c23 + 0j, left[2][2] * c23 + 0j,
+               c32 * right[2][1] + 0j, c32 * right[2][2] + 0j]
+    w[_COUPLING_SLOTS] = allowed * 2
     a[:, 0, 0, 0] = 1.0  # E[:, 0, 0] is the ground eigenvalue 0, as w starts
     divisor = -basis.eigenvalues
     divisor[0] = 1.0  # E and the diagonal entry, which the norm expansion fixes
@@ -254,7 +274,7 @@ def power_sum(c: np.ndarray, x, y):
     """sum over (p, q) of c[p, q] x**p y**q, for scalar or array x and y."""
     xp = np.asarray(x)[..., None] ** np.arange(c.shape[0])
     yq = np.asarray(y)[..., None] ** np.arange(c.shape[1])
-    return np.sum((xp @ c) * yq, axis=-1)
+    return np.add.reduce((xp @ c) * yq, axis=-1)
 
 
 def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,

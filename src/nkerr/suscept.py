@@ -196,6 +196,8 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     first, then taken to the bare basis.  Cross-Kerr content requires
     order >= 3.  The bra side comes from the companion series of the
     perturbation table, so the lossless limit is the ordinary conjugate.
+    Each call builds its own split and table, even where the caller already
+    holds those of the same configuration.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")

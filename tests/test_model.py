@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nkerr import effective, model
+from nkerr.errors import PoleError
 from nkerr.model import FieldMode, ManifoldIndex, SystemConfig
 
 from conftest import make_config
@@ -214,6 +215,15 @@ def test_non_integer_photon_number_rejected(n):
 
 def test_numpy_integer_photon_number_accepted():
     assert FieldMode("a", 0.1, 0.0, np.int64(2)).n == 2
+
+
+def test_numpy_float_detunings_overflow_to_the_out_of_range_pole():
+    # delta_2 = 1e308 - (-1e308): a Python float overflows to inf silently, where
+    # np.float64 would warn before the pump block can raise the out-of-range pole
+    cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, np.float64(1e308), np.float64(-1e308), 0.5)
+    assert all(type(mode.delta) is float for mode in (cfg.mode_a, cfg.mode_b, cfg.mode_c))
+    with pytest.raises(PoleError, match="outside double range"):
+        model.split(cfg)
 
 
 def test_decay_rates_normalised_to_a_tuple_of_floats():

@@ -224,8 +224,13 @@ def _complex_couplings(cfg, rng):
 
 
 def test_order_independence_bit_identical(reference_config, lossy_config):
+    # coherences sums the order-3 table, so its entries must be those of any longer one
     d = np.add.outer(np.arange(9), np.arange(9))
-    for cfg in (reference_config, _complex_couplings(lossy_config, np.random.default_rng(3))):
+    rng = np.random.default_rng(3)
+    phased_lossy = _complex_couplings(lossy_config, rng)
+    phased_lossless = _complex_couplings(validate._random_config(rng, False), rng)
+    uncoupled = replace(phased_lossy, mode_b=replace(phased_lossy.mode_b, g=0.0))
+    for cfg in (reference_config, phased_lossy, phased_lossless, uncoupled):
         sp = model.split(cfg)
         t8 = perturb.build_series(sp, 1, 8)
         for k in range(8):
@@ -233,6 +238,39 @@ def test_order_independence_bit_identical(reference_config, lossy_config):
             low = d[:k + 1, :k + 1] <= k
             assert np.array_equal(tk.E[:, low], t8.E[:, :k + 1, :k + 1][:, low])
             assert np.array_equal(tk.A[:, low], t8.A[:, :k + 1, :k + 1][:, low])
+
+
+def _coupling_configs():
+    """Seeded lossless, lossy and random-phase draws, the pump off, and each probe off."""
+    rng = np.random.default_rng(23)
+    lossless, lossy = (validate._random_config(rng, loss) for loss in (False, True))
+    phased = [_complex_couplings(validate._random_config(rng, loss), rng)
+              for loss in (False, True)]
+    return {"lossless": lossless, "lossy": lossy, "phased-lossless": phased[0],
+            "phased-lossy": phased[1],
+            "uncoupled-pump": replace(phased[1], mode_b=replace(phased[1].mode_b, g=0.0)),
+            "no-a-photons": replace(phased[0], mode_a=replace(phased[0].mode_a, n=0)),
+            "no-c-coupling": replace(phased[1], mode_c=replace(phased[1].mode_c, g=0.0))}
+
+
+@pytest.mark.parametrize("name", list(_coupling_configs()))
+def test_coupling_block_is_the_projected_probe_matrices(name):
+    # build_series writes the allowed entries of left @ v @ right from scalars;
+    # they must be the matrix product's, and every other entry zero
+    sp = model.split(_coupling_configs()[name])
+    table = perturb.build_series(sp, 1, 3)
+    basis = table.basis
+    if name == "uncoupled-pump":
+        assert np.array_equal(basis.right, np.eye(4)) and np.array_equal(basis.left, np.eye(4))
+    if name.startswith("no-"):  # a probe without strength keeps the phase 1
+        assert sp.va[1, 0] == 1 if name == "no-a-photons" else sp.vc[3, 2] == 1
+    couplings = perturb._layout(table.E.base, table.order + 1)[0]  # the vector E and A view
+    for c, v in enumerate((sp.va, sp.vc)):
+        dense = basis.left @ v @ basis.right
+        for s, expected in enumerate((dense, dense.T)):
+            for part in (np.real, np.imag):
+                ulp = np.spacing(np.abs(part(expected)))
+                assert np.all(np.abs(part(couplings[c, s]) - part(expected)) <= ulp), (c, s)
 
 
 @pytest.mark.parametrize("lossy", [False, True])

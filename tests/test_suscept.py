@@ -164,6 +164,18 @@ def test_overflowing_cumulative_detuning_is_the_out_of_range_pole(route, gamma):
         route(cfg)
 
 
+def test_overflowing_pole_term_is_out_of_range_not_its_pole():
+    # delta_1 = 1e200 makes D overflow: inf is no zero of D, and with D = inf the
+    # closed forms would read a finite 0
+    assert not model.near_pole(np.inf, np.inf)
+    cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 1e200, 0.5, 0.5, gamma=(0.1, 0.1, 0.1))
+    with pytest.raises(PoleError, match="outside double range"):
+        suscept.susceptibility_point(cfg)
+    wide = make_config(0.01, 1.0, 0.01, 1, 0, 1, 1e308, 0.5, 0.5, gamma=(0.1, 0.1, 0.1))
+    result = suscept.sweep(wide, "db", -1.0, 1.0, 5)
+    assert result.reasons == dict.fromkeys(range(5), model.POLES[model.OUT_OF_RANGE - 1])
+
+
 def test_hermitian_limit_matches_kerr_coefficients(reference_config):
     co = effective.coefficients(reference_config)
     ea, ec = model.perturbation_strengths(reference_config)
