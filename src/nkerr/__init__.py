@@ -20,7 +20,7 @@ from .perturb import (DressedBasis, SeriesTable, build_series, dressed_basis,
                       evaluate_energy)
 from .suscept import (Coherences, SusceptibilityPoint, Sweep, SweepRow, chi1, chi3_cross,
                       chi3_self, coherence_coefficients, coherences,
-                      susceptibility_point, sweep)
+                      susceptibility_point, sweep, sweep_at, sweep_grid)
 
 __version__ = "0.1.0"
 
@@ -36,5 +36,5 @@ __all__ = [
     "propagate", "track_ground",
     "Coherences", "SusceptibilityPoint", "Sweep", "SweepRow", "chi1", "chi3_cross",
     "chi3_self", "coherence_coefficients", "coherences", "susceptibility_point", "sweep",
-    "__version__",
+    "sweep_at", "sweep_grid", "__version__",
 ]

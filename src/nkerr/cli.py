@@ -16,29 +16,36 @@ runs once: ``scenario_config`` checks the shape (objects, keys, numbers that
 are not bools and fit a float); ``FieldMode`` and ``SystemConfig`` check the
 values, and their ValueError becomes a ScenarioError naming the mode or gamma.
 
-``nkerr sweep`` writes its CSV from the sweep's arrays, ``SWEEP_CHUNK_ROWS``
-rows at a time, so the text of the whole file is never held at once.  The
-``%.17g`` conversions take more of its time than the closed forms, so a
-column whose bits do not change within a chunk is converted once for the
-chunk: on a ``dc`` sweep that is chi1 and chi3_self, whose closed forms read
-only delta_1 and delta_2, and a row costs 3 conversions instead of 7.  Each
-row is independent, so the rows are cut into contiguous parts of whole
-chunks, one per CPU the process may run on (``os.sched_getaffinity``) and no
-more than there are chunks, and the parts are formatted at the same time.  The
-process forks a child for each part after the first: a forked child sees the
-sweep's arrays copy-on-write, so nothing is pickled and nothing is imported
-again.  A child only formats text and calls no BLAS routine, so no lock
-another thread held at the fork is needed; it writes its part chunk by chunk
-into an unlinked temporary file and leaves by ``os._exit``, so no stdio buffer
-it inherited is flushed twice.  The parent writes part 0 straight into
-``--out``, then reaps the children in row order and copies each part in blocks
-of ``_COPY_CHARS``; no process holds more than a chunk or a block of text, and
+``nkerr sweep`` holds only the grid of detunings (``suscept.sweep_grid``, 8
+bytes a row).  It evaluates the closed forms on ``SWEEP_CHUNK_ROWS`` rows at
+a time (``suscept.sweep_at``) and writes each chunk's text before the next,
+so beyond the grid a process holds O(chunk) memory whatever ``--steps`` is.
+Every row depends on its own detuning only, so a chunk has the bits of the
+same rows of the whole grid's ``Sweep``.  Before ``--out`` is truncated, one
+point is evaluated: a term that no grid point changes and that leaves double
+range exits 3 there, and ``--out`` keeps its bytes.  The ``%.17g``
+conversions take more of its time than the closed forms, so a column whose
+bits do not change within a chunk is converted once for the chunk: on a
+``dc`` sweep that is chi1 and chi3_self, whose closed forms read only
+delta_1 and delta_2, and a row costs 3 conversions instead of 7.  The rows
+are cut into contiguous parts of whole chunks, one per CPU the process may
+run on (``os.sched_getaffinity``) and no more than there are chunks, and the
+parts are evaluated and formatted at the same time.  The process forks a
+child for each part after the first: a forked child sees the grid
+copy-on-write, so nothing is pickled and nothing is imported again.  A
+child calls no BLAS routine (the closed forms are elementwise ufuncs, the
+rest is text), so no lock another thread held at the fork is needed; it
+writes its part chunk by chunk into an unlinked temporary file and leaves
+by ``os._exit``, so no stdio buffer it inherited is flushed twice.  The
+parent writes part 0 straight into ``--out``, then reaps the children in
+row order and copies each part's bytes in blocks of ``shutil.COPY_BUFSIZE``;
 the temporary files together hold the parts after the first.  A child that
 fails is an output error (exit 2).  With one CPU, a sweep of one chunk, or a
 platform without ``os.fork`` or ``os.sched_getaffinity``, nothing is forked.
 
 Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
-arguments (including non-finite ``--lo/--hi/--t``) or an output file that
+arguments (including non-finite ``--lo/--hi/--t`` and a ``--steps`` whose grid
+does not fit in memory) or an output file that
 cannot be written, 3 domain error (a pole, including a closed form whose
 terms leave double range, or a degeneracy), 4 regime refusal (a command that
 needs the lossless regime was given decay rates).  ``coeffs`` and ``evolve``
@@ -58,7 +65,7 @@ import shutil
 import signal
 import sys
 import tempfile
-from typing import Any, NoReturn, TextIO
+from typing import Any, BinaryIO, Callable, NoReturn, TextIO
 
 import numpy as np
 
@@ -69,11 +76,12 @@ from .model import FieldMode, SystemConfig
 
 _DOMAIN_ERRORS = (PoleError, DegeneracyError, NotResonantError, TrackingError, ConvergenceError)
 
-# Rows formatted per write of the sweep CSV; the whole file as one string
-# would take more memory than the sweep itself.
+# Rows evaluated and formatted per write of the sweep CSV; a process holds
+# the closed forms and the text of one chunk at a time.
 SWEEP_CHUNK_ROWS = 4096
-# Characters per read when a child's part is copied into --out.
-_COPY_CHARS = 1 << 20
+
+# (start, stop) -> the Sweep of rows [start, stop) of the grid.
+_Rows = Callable[[int, int], suscept.Sweep]
 
 # A token that is a negative decimal number, exponent allowed: an option's value.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -159,16 +167,20 @@ def _cmd_coeffs(args, out: TextIO) -> int:
 
 def _cmd_sweep(args, out: TextIO) -> int:
     config = load_scenario(args.scenario)
-    if args.steps < 2:
-        raise ValueError(f"steps must be >= 2, got {args.steps}")
-    # an unwritable --out fails before the sweep, and a failed sweep keeps its bytes
-    with open(args.out, "a", encoding="utf-8"):
+    grid = suscept.sweep_grid(args.lo, args.hi, args.steps)
+
+    def rows(start: int, stop: int) -> suscept.Sweep:
+        return suscept.sweep_at(config, args.axis, grid[start:stop])
+
+    # an unwritable --out fails before anything is evaluated, and a term that
+    # no grid point changes fails on one point before --out loses its bytes
+    with open(args.out, "ab"):
         pass
-    result = suscept.sweep(config, args.axis, args.lo, args.hi, args.steps)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid\n")
-        _write_sweep_rows(fh, result)
-    out.write(f"wrote {len(result)} rows to {args.out}\n")
+    rows(0, 1)
+    with open(args.out, "wb") as fh:
+        fh.write(b"axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid\n")
+        _write_sweep_rows(fh, rows, len(grid))
+    out.write(f"wrote {len(grid)} rows to {args.out}\n")
     return 0
 
 
@@ -179,15 +191,14 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _write_sweep_rows(fh: TextIO, result: suscept.Sweep) -> None:
-    """Write the rows to ``fh`` in contiguous parts, formatted in parallel.
+def _write_sweep_rows(fh: BinaryIO, rows: _Rows, n: int) -> None:
+    """Write the ``n`` rows to ``fh`` in contiguous parts, evaluated and formatted in parallel.
 
-    Part 0 is formatted here, every later part in a forked child into an
+    Part 0 is written here, every later part in a forked child into an
     unlinked temporary file that is then copied after it (see the module
     docstring).  Raises OSError if a child fails; every child is reaped on
     every path.
     """
-    n = len(result)
     chunks = -(-n // SWEEP_CHUNK_ROWS)
     parts = min(_usable_cpus(), chunks)
     bounds = [k * chunks // parts * SWEEP_CHUNK_ROWS for k in range(parts)] + [n]
@@ -195,69 +206,71 @@ def _write_sweep_rows(fh: TextIO, result: suscept.Sweep) -> None:
     with contextlib.ExitStack() as files:
         try:
             for start, stop in zip(bounds[1:-1], bounds[2:]):
-                part = files.enter_context(
-                    tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                part = files.enter_context(tempfile.TemporaryFile())
                 pid = os.fork()
                 if pid == 0:
-                    _write_part_and_exit(part, result, start, stop)
+                    _write_part_and_exit(part, rows, start, stop)
                 children.append((pid, part, start, stop))
-            _write_row_range(fh, result, 0, bounds[1])
+            _write_row_range(fh, rows, 0, bounds[1])
             while children:
                 pid, part, start, stop = children[0]
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del children[0]
                 if code != 0:
-                    raise OSError(f"formatting sweep rows {start}..{stop - 1} failed "
+                    raise OSError(f"writing sweep rows {start}..{stop - 1} failed "
                                   f"in process {pid} (exit code {code})")
                 part.seek(0)
-                shutil.copyfileobj(part, fh, _COPY_CHARS)
+                shutil.copyfileobj(part, fh)
         finally:
             for pid, *_ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _write_part_and_exit(part: TextIO, result: suscept.Sweep, start: int,
-                         stop: int) -> NoReturn:
+def _write_part_and_exit(part: BinaryIO, rows: _Rows, start: int, stop: int) -> NoReturn:
     """A forked child's whole life: write rows [start, stop) to ``part``, then exit."""
     code = 1
     try:
-        _write_row_range(part, result, start, stop)
+        _write_row_range(part, rows, start, stop)
         part.flush()
         code = 0
     finally:
         os._exit(code)
 
 
-def _write_row_range(fh: TextIO, result: suscept.Sweep, start: int, stop: int) -> None:
-    """Rows [start, stop), chunk by chunk from ``start``, each field the text of ``_fmt``.
+def _write_row_range(fh: BinaryIO, rows: _Rows, start: int, stop: int) -> None:
+    """Rows [start, stop), evaluated and formatted one chunk at a time from ``start``."""
+    for lo in range(start, stop, SWEEP_CHUNK_ROWS):
+        fh.write(_chunk_text(rows(lo, min(lo + SWEEP_CHUNK_ROWS, stop))).encode())
 
-    A column whose bits are the same on every row of a chunk is formatted
-    once, into that chunk's row template (on a ``dc`` sweep, the four chi1
-    and chi3_self columns); the others go through one %-format per row.
-    The test compares bits, not floats: 0.0 == -0.0, yet they print as "0"
-    and "-0", and a lossless sweep mixes both in one column.  The NaN of an
-    invalid row is one more bit pattern, so its chunk needs no special case.
+
+def _chunk_text(result: suscept.Sweep) -> str:
+    """The CSV rows of ``result`` as one chunk, each field the text of ``_fmt``.
+
+    A column whose bits are the same on every row is formatted once, into
+    the chunk's row template (on a ``dc`` sweep, the four chi1 and chi3_self
+    columns); the others go through one %-format per row.  The test compares
+    bits, not floats: 0.0 == -0.0, yet they print as "0" and "-0", and a
+    lossless sweep mixes both in one column.  The NaN of an invalid row is
+    one more bit pattern, so its chunk needs no special case.
     """
     columns = (result.value, result.chi1.real, result.chi1.imag, result.chi3_self.real,
                result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
-    for lo in range(start, stop, SWEEP_CHUNK_ROWS):
-        chunk = slice(lo, min(lo + SWEEP_CHUNK_ROWS, stop))
-        fields, varying = [], []
-        for column in columns:
-            bits = column[chunk].view(np.int64)
-            if (bits == bits[0]).all():
-                fields.append(_fmt(column[lo]))
-            else:
-                fields.append("%.17g")
-                varying.append(column[chunk].tolist())
-        valid_row = ",".join([result.axis, *fields, "1\n"])
-        invalid_row = f"{result.axis},{fields[0]},,,,,,,0\n"
-        ok = result.valid[chunk].tolist()
-        rows = zip(*varying) if varying else [()] * len(ok)
-        head = slice(1 if fields[0] == "%.17g" else 0)  # the value in ``row``, if it varies
-        fh.write("".join([valid_row % row if k else invalid_row % row[head]
-                          for k, row in zip(ok, rows)]))
+    fields, varying = [], []
+    for column in columns:
+        bits = column.view(np.int64)
+        if (bits == bits[0]).all():
+            fields.append(_fmt(column[0]))
+        else:
+            fields.append("%.17g")
+            varying.append(column.tolist())
+    valid_row = ",".join([result.axis, *fields, "1\n"])
+    invalid_row = f"{result.axis},{fields[0]},,,,,,,0\n"
+    ok = result.valid.tolist()
+    rows = zip(*varying) if varying else [()] * len(ok)
+    head = slice(1 if fields[0] == "%.17g" else 0)  # the value in ``row``, if it varies
+    return "".join([valid_row % row if k else invalid_row % row[head]
+                    for k, row in zip(ok, rows)])
 
 
 def _cmd_evolve(args, out: TextIO) -> int:

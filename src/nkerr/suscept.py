@@ -7,10 +7,13 @@ ground ket and bra series, and ``coherence_coefficients`` is their truncated
 product (``perturb.series_product``), so no sampling is involved.  The
 closed forms are written once, on numpy arrays of the single-photon
 detunings: a single configuration is a grid of one point, and a sweep
-evaluates its whole grid in one pass, marking the rows where a pole sits
-instead of stopping there.  Which pole sits at a point is one code per point
-from the table ``model.POLES``; a susceptibility that is not finite is its
-last entry.
+evaluates the grid values it is given in one pass, marking the rows where a
+pole sits instead of stopping there.  A sweep is two steps, the grid
+(``sweep_grid``) and the closed forms at its values (``sweep_at``); each row
+depends on its own value only, so a grid may be evaluated in slices, as
+``nkerr sweep`` does chunk by chunk.  Which pole sits at a point is one code
+per point from the table ``model.POLES``; a susceptibility that is not
+finite is its last entry.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -224,23 +227,35 @@ def coherence_coefficients(config: SystemConfig, order: int = 3,
     return perturb.series_product(kets[..., ket_level], bras[..., bra_level])
 
 
-def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,
-          steps: int) -> Sweep:
-    """Evaluate the three susceptibilities on a uniform inclusive grid.
+def sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    """The uniform inclusive grid of a sweep, ``np.linspace(lo, hi, steps)``.
 
-    The whole grid is evaluated at once.  Grid points where a closed-form
-    denominator vanishes or a susceptibility is not finite are reported as
-    invalid rows rather than aborting the sweep; each carries the message
-    ``susceptibility_point`` raises there.  PoleError where a term that does not
-    depend on the grid is outside double range.
+    ValueError for fewer than 2 steps, a bound that is not finite, or a grid
+    too large to allocate.
     """
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not np.all(np.isfinite((lo, hi))):
         raise ValueError(f"lo and hi must be finite, got {lo!r} and {hi!r}")
-    value = np.linspace(lo, hi, steps)
+    try:
+        return np.linspace(lo, hi, steps)
+    except MemoryError:
+        raise ValueError(f"steps={steps} is too many: the grid does not fit in memory") from None
+
+
+def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:
+    """The three susceptibilities where the ``axis`` detuning takes each value of a 1-D array.
+
+    Points where a closed-form denominator vanishes or a susceptibility is
+    not finite are reported as invalid rows rather than aborting the sweep;
+    each carries the message ``susceptibility_point`` raises there.  Each row
+    depends on its own value only, so the ``Sweep`` of a slice of a grid is
+    that slice of the grid's ``Sweep``, bit for bit.  PoleError where a term
+    that does not depend on ``value`` is outside double range.
+    """
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
+    value = np.asarray(value, dtype=float)
     deltas = [config.mode_a.delta, config.mode_b.delta, config.mode_c.delta]
     deltas[_AXES.index(axis)] = value
     forms = _closed_forms(config, *deltas)
@@ -248,3 +263,13 @@ def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,
     reasons = {int(k): model.POLES[forms.pole[k] - 1] for k in np.flatnonzero(forms.pole)}
     chis = [np.where(valid, chi, np.nan) for chi in forms[:3]]
     return Sweep(axis, value, *chis, valid, reasons)
+
+
+def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,
+          steps: int) -> Sweep:
+    """``sweep_at`` on ``sweep_grid(lo, hi, steps)``, the whole grid in one call.
+
+    ``nkerr sweep`` calls the two steps itself, so that it evaluates the grid
+    one chunk at a time.
+    """
+    return sweep_at(config, axis, sweep_grid(lo, hi, steps))

@@ -5,7 +5,6 @@ inline); the same checks back the ``nkerr validate`` command.
 """
 
 import dataclasses
-import io
 import json
 import subprocess
 import sys
@@ -15,7 +14,7 @@ import pytest
 
 from nkerr import cli, effective, model, validate
 
-TRUE_WRITER = cli._write_row_range
+TRUE_WRITER = cli._chunk_text
 
 RESULTS = {r.number: r for r in validate.run_all(seed=0)}
 
@@ -56,19 +55,19 @@ def test_criterion_10_catches_planted_forbidden_coupling(monkeypatch):
     assert not validate._criterion_10(validate._Draws(0, [], [])).passed
 
 
-def _writer_sampling_constancy_at_the_ends(fh, result, start, stop):
+def _writer_sampling_constancy_at_the_ends(result):
     columns = (result.value, result.chi1.real, result.chi1.imag, result.chi3_self.real,
                result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
-    ends = [column[[start, stop - 1]].view(np.int64) for column in columns]
-    for k in range(start, stop):
-        fields = (cli._fmt(c[start] if e[0] == e[1] else c[k]) for c, e in zip(columns, ends))
-        fh.write(",".join([result.axis, *fields, "1\n"]))
+    ends = [column[[0, -1]].view(np.int64) for column in columns]
+    rows = []
+    for k in range(len(result)):
+        fields = (cli._fmt(c[0] if e[0] == e[1] else c[k]) for c, e in zip(columns, ends))
+        rows.append(",".join([result.axis, *fields, "1\n"]))
+    return "".join(rows)
 
 
-def _writer_dropping_the_sign_of_zero(fh, result, start, stop):
-    part = io.StringIO()
-    TRUE_WRITER(part, result, start, stop)
-    fh.write(part.getvalue().replace(",-0,", ",0,"))
+def _writer_dropping_the_sign_of_zero(result):
+    return TRUE_WRITER(result).replace(",-0,", ",0,")
 
 
 # chi3c_im is even in delta_3, so its first and last rows on criterion 11's
@@ -76,7 +75,7 @@ def _writer_dropping_the_sign_of_zero(fh, result, start, stop):
 @pytest.mark.parametrize("writer", [_writer_sampling_constancy_at_the_ends,
                                     _writer_dropping_the_sign_of_zero])
 def test_criterion_11_catches_a_planted_row_writer(monkeypatch, writer):
-    monkeypatch.setattr(cli, "_write_row_range", writer)
+    monkeypatch.setattr(cli, "_chunk_text", writer)
     assert not validate._criterion_11(validate._Draws(0, [], [])).passed
 
 

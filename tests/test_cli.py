@@ -4,8 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -397,7 +397,7 @@ def test_sweep_unwritable_out_fails_before_sweeping(tmp_path, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before --out was opened")
 
-    monkeypatch.setattr(suscept, "sweep", no_sweep)
+    monkeypatch.setattr(suscept, "sweep_at", no_sweep)
     spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
     opath = tmp_path / "missing-dir" / "out.csv"
     assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
@@ -411,6 +411,21 @@ def test_sweep_too_few_steps_leaves_out_untouched(tmp_path):
     assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
                      "--steps", "1", "--out", str(opath)], stdout=io.StringIO()) == 2
     assert opath.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_sweep_grid_too_large_to_allocate_exit2(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("planted: the grid does not fit")
+
+    monkeypatch.setattr(np, "linspace", no_memory)  # so nothing is allocated for real
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
+    opath = tmp_path / "out.csv"
+    opath.write_bytes(b"kept,1\n")
+    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
+                     "--steps", "1000000000000", "--out", str(opath)], stdout=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments:") and err.count("\n") == 1
+    assert opath.read_bytes() == b"kept,1\n"
 
 
 def test_failed_sweep_keeps_the_bytes_of_out(tmp_path, capsys):
@@ -497,23 +512,28 @@ def _use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
+def _counting_fork(forks):
+    """``os.fork`` that appends each child's pid to ``forks``."""
+    true_fork = os.fork
+
+    def fork():
+        pid = true_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    return fork
+
+
 def test_sweep_csv_same_bytes_for_every_part_count(tmp_path, monkeypatch):
     # at two parts, the pole row 2*chunk is the first row of the second part
     spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
-    true_fork = os.fork
     blobs = {}
     for cpus in (1, 2, 3, 4):
         forks = []
-
-        def counting_fork():
-            pid = true_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
         with monkeypatch.context() as m:
             _use_cpus(m, cpus)
-            m.setattr(os, "fork", _refuse_fork if cpus == 1 else counting_fork)
+            m.setattr(os, "fork", _refuse_fork if cpus == 1 else _counting_fork(forks))
             opath = tmp_path / f"cpus{cpus}.csv"
             assert cli.main(_chunked_sweep_args(spath, opath), stdout=io.StringIO()) == 0
         assert len(forks) == cpus - 1
@@ -554,6 +574,54 @@ def test_sweep_part_failure_is_output_error_and_reaps_every_child(
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_failed_sweep_of_several_parts_exits_3_before_forking(tmp_path, monkeypatch, capsys):
+    # three chunks on three CPUs: the out-of-range |g_a|^4 is found on one point
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    spath = write_scenario(tmp_path, scenario_doc(ga=1e100))
+    opath = tmp_path / "out.csv"
+    opath.write_bytes(b"kept,1\n")
+    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
+                     "--steps", str(3 * cli.SWEEP_CHUNK_ROWS), "--out", str(opath)],
+                    stdout=io.StringIO()) == 3
+    assert opath.read_bytes() == b"kept,1\n"
+    assert capsys.readouterr().err == "domain error: pole: a term is outside double range\n"
+
+
+def test_sweep_of_several_parts_to_dev_null(tmp_path, monkeypatch):
+    # the second part's bytes are copied into a file that is not a regular file
+    forks = []
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", _counting_fork(forks))
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
+    assert cli.main(_chunked_sweep_args(spath, os.devnull), stdout=io.StringIO()) == 0
+    assert len(forks) == 1
+
+
+def test_sweep_memory_grows_with_steps_by_the_grid_only(tmp_path, monkeypatch):
+    # one process: at 4*chunk+1 rows against chunk+1, the traced peak may grow by
+    # the grid's 8 bytes a row and a fixed slack; evaluating the whole grid at
+    # once grew it by ~60 bytes a row
+    _use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g1": 0.1, "g2": 0.1, "g3": 0.4}))
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "0.7",
+                             "--steps", str(steps), "--out", str(tmp_path / "out.csv")],
+                            stdout=io.StringIO()) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    chunk = cli.SWEEP_CHUNK_ROWS
+    peak(chunk + 1)  # pays one-off allocations
+    growth = peak(4 * chunk + 1) - peak(chunk + 1)
+    assert growth <= 8 * 3 * chunk + 64 * 1024
+
+
 def test_sweep_byte_identical_across_processes_and_hash_seeds(tmp_path):
     spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -581,6 +649,14 @@ def _per_field_rows(result, start=0, stop=None):
             fields = [cli._fmt(result.value[k])] + [""] * 6 + ["0"]
         rows.append(",".join([result.axis, *fields]) + "\n")
     return "".join(rows)
+
+
+def _sweep_rows(result, start, stop):
+    """Rows [start, stop) of a Sweep as a Sweep of their own."""
+    reasons = {k - start: r for k, r in result.reasons.items() if start <= k < stop}
+    return suscept.Sweep(result.axis, result.value[start:stop], result.chi1[start:stop],
+                         result.chi3_self[start:stop], result.chi3_cross[start:stop],
+                         result.valid[start:stop], reasons)
 
 
 _POOL = (0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 5e-324, -1e308)
@@ -615,10 +691,9 @@ def _hand_sweeps(draw):
 def test_row_writer_formats_each_field_as_fmt_does(case):
     # zeros of both signs, invalid rows, constant runs across and inside chunks
     result, chunk_rows, start, stop = case
-    fh = io.StringIO()
-    with mock.patch.object(cli, "SWEEP_CHUNK_ROWS", chunk_rows):
-        cli._write_row_range(fh, result, start, stop)
-    assert fh.getvalue() == _per_field_rows(result, start, stop)
+    text = "".join(cli._chunk_text(_sweep_rows(result, lo, min(lo + chunk_rows, stop)))
+                   for lo in range(start, stop, chunk_rows))
+    assert text == _per_field_rows(result, start, stop)
 
 
 @pytest.mark.parametrize("axis, lo, hi", [("da", "-1", "1"), ("db", "-1", "1"),
