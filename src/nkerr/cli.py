@@ -51,6 +51,11 @@ terms leave double range, or a degeneracy), 4 regime refusal (a command that
 needs the lossless regime was given decay rates).  ``coeffs`` and ``evolve``
 print only finite numbers, as does every valid ``sweep`` row; a sweep's
 detuning-independent terms or an ``evolve`` phase beyond double range exit 3.
+
+Importing this module loads only ``errors`` and ``model`` of the package; a
+command imports what it runs when it runs: ``coeffs`` loads ``effective``,
+``sweep`` loads ``suscept`` and ``perturb``, and ``evolve`` and ``validate``
+load ``validate``, which loads every module.
 """
 
 from __future__ import annotations
@@ -65,14 +70,16 @@ import shutil
 import signal
 import sys
 import tempfile
-from typing import Any, BinaryIO, Callable, NoReturn, TextIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NoReturn, TextIO
 
 import numpy as np
 
-from . import effective, suscept
 from .errors import (ConvergenceError, DegeneracyError, NotHermitianError,
                      NotResonantError, PoleError, ScenarioError, TrackingError)
 from .model import FieldMode, SystemConfig
+
+if TYPE_CHECKING:
+    from . import suscept
 
 _DOMAIN_ERRORS = (PoleError, DegeneracyError, NotResonantError, TrackingError, ConvergenceError)
 
@@ -81,7 +88,7 @@ _DOMAIN_ERRORS = (PoleError, DegeneracyError, NotResonantError, TrackingError, C
 SWEEP_CHUNK_ROWS = 4096
 
 # (start, stop) -> the Sweep of rows [start, stop) of the grid.
-_Rows = Callable[[int, int], suscept.Sweep]
+_Rows = Callable[[int, int], "suscept.Sweep"]
 
 # A token that is a negative decimal number, exponent allowed: an option's value.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -154,6 +161,8 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_coeffs(args, out: TextIO) -> int:
+    from . import effective
+
     config = load_scenario(args.scenario)
     co = effective.coefficients(config)
     report = f"L={_fmt(co.linear)} S={_fmt(co.self_kerr)} K={_fmt(co.cross_kerr)}\n"
@@ -166,6 +175,8 @@ def _cmd_coeffs(args, out: TextIO) -> int:
 
 
 def _cmd_sweep(args, out: TextIO) -> int:
+    from . import suscept
+
     config = load_scenario(args.scenario)
     grid = suscept.sweep_grid(args.lo, args.hi, args.steps)
 
@@ -274,7 +285,7 @@ def _chunk_text(result: suscept.Sweep) -> str:
 
 
 def _cmd_evolve(args, out: TextIO) -> int:
-    from . import validate  # here, so coeffs and sweep never load it
+    from . import validate
 
     config = load_scenario(args.scenario)
     eff_phase, oracle_phase, diff, bound = validate.phase_comparison(config, args.t)

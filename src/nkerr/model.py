@@ -170,7 +170,7 @@ def pump_coupling(config: SystemConfig) -> float:
 
 def matrix_scale(h: np.ndarray) -> float:
     """max(1, Frobenius norm of h), summed as ``np.linalg.norm`` sums it (of h / max|h_ij|
-    where that overflows): the size that eigenvalue gaps and residuals of h are judged against."""
+    where that overflows): the size that residuals of eigenpairs of h are judged against."""
     flat = h.ravel(order="K")
     with np.errstate(over="ignore"):
         squares = flat.real.dot(flat.real) + flat.imag.dot(flat.imag)

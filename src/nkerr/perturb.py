@@ -52,12 +52,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneracyError
-from .model import PerturbationSplit, matrix_scale
+from .model import PerturbationSplit
 
 DEGENERACY_TOL = 1e-8
 
@@ -80,8 +81,13 @@ class DressedBasis:
 def dressed_basis(h0: np.ndarray) -> DressedBasis:
     """Diagonalise the pump block exactly; reject near-degenerate spectra.
 
-    Roots and gaps are taken on Python complex numbers, which round as numpy's
-    do here, but ``nrm`` stays numpy: Python's complex division does not.
+    Two eigenvalues are near-degenerate where their gap is below
+    ``DEGENERACY_TOL`` times the size of the entries that set them, at least
+    1: the pump block's norm for the dressed pair, |h33| for bare level 4
+    and 0 for bare level 1.  A far level therefore leaves the gaps of the
+    near ones at their own scale.  Roots and gaps are taken on Python complex
+    numbers, which round as numpy's do here, but ``nrm`` stays numpy:
+    Python's complex division does not.
     """
     rows = h0.tolist()
     d1, x = rows[1][1:3]  # x = Omega_b / 2
@@ -106,10 +112,12 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
             left[idx, 1] = y / nrm
             left[idx, 2] = shift / nrm
 
-    scale = matrix_scale(h0)
+    block = math.hypot(abs(d1), abs(x), abs(y), abs(d2))
+    sizes = (0.0, block, block, abs(lam[3]))  # of the entries that set each eigenvalue
     for i in range(4):
         for j in range(i + 1, 4):
             gap = abs(lam[i] - lam[j])
+            scale = max(1.0, sizes[i], sizes[j])
             if gap < DEGENERACY_TOL * scale:
                 raise DegeneracyError(
                     f"unperturbed spectrum is near-degenerate: eigenvalues {i + 1} and "

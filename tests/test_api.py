@@ -1,14 +1,42 @@
 import ast
+import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import nkerr
+
+
+# the names of __all__ that dir() omits and that a star import leaves unbound,
+# in a package none of whose names has been looked up yet
+_UNLISTED_AND_UNBOUND = """import json, nkerr
+listed, namespace = set(dir(nkerr)), {}
+exec("from nkerr import *", namespace)
+print(json.dumps([sorted(set(nkerr.__all__) - names) for names in (listed, set(namespace))]))
+"""
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in nkerr.__all__ if not hasattr(nkerr, name)]
     assert not missing
+    # each name is its defining module's object, not a copy
+    for name in nkerr.__all__:
+        obj = getattr(nkerr, name)
+        if name != "__version__":
+            assert obj is getattr(importlib.import_module(obj.__module__), name)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        nkerr.no_such_name
+    env = dict(os.environ, PYTHONPATH=str(Path(nkerr.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _UNLISTED_AND_UNBOUND],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def test_every_exported_function_and_class_has_a_docstring():

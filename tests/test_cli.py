@@ -797,15 +797,17 @@ def test_evolve_at_extreme_time_prints_finite_values_or_exits3(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("db", [0.1, 0.25])
-def test_evolve_with_detuning_past_1e154_exits3_without_warning(tmp_path, capsys, db):
-    # the squared entries of the manifold matrix leave double range; its scale must not
+def test_evolve_with_detuning_past_1e154_prints_finite_values_without_warning(
+        tmp_path, capsys, db):
+    # the squared entries of the manifold matrix leave double range; the
+    # residual scale of exact_eigensystem must not, and the far bare level 4
+    # must not make the dressed pair's gaps near-degenerate
     spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=db, dc=1e200, ga=0.01, gc=0.01))
     out = io.StringIO()
-    assert cli.main(["evolve", spath, "--t", "1"], stdout=out) == 3
-    assert out.getvalue() == ""
-    err = capsys.readouterr().err
-    assert err.startswith("domain error: unperturbed spectrum is near-degenerate")
-    assert err.endswith("(tolerance 1.0e-08 x 1.000e+200)\n")
+    assert cli.main(["evolve", spath, "--t", "1"], stdout=out) == 0
+    values = dict(line.split("=") for line in out.getvalue().splitlines())
+    assert len(values) == 5 and all(math.isfinite(float(v)) for v in values.values())
+    assert capsys.readouterr().err == ""
 
 
 def test_evolve_near_degenerate_exit3(tmp_path, capsys):
@@ -824,9 +826,37 @@ def test_validate_reports_are_deterministic():
     assert a.getvalue() == b.getvalue()
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    code = "import sys, nkerr.cli; sys.exit('mpmath' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+_CLI_MODULES = {"nkerr", "nkerr.cli", "nkerr.errors", "nkerr.model"}
+
+# runs ``nkerr.cli.main`` on its arguments (none: the import alone), then
+# writes the nkerr and mpmath modules it loaded to stderr
+_REPORT_LOADED = """import sys
+import nkerr.cli
+code = nkerr.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(*(m for m in sys.modules if m.split(".")[0] in ("nkerr", "mpmath")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("args, loaded", [
+    ([], _CLI_MODULES),
+    (["coeffs"], _CLI_MODULES | {"nkerr.effective"}),
+    (["sweep", "--axis", "dc", "--lo", "0.4", "--hi", "0.6", "--steps", "5", "--out", "x.csv"],
+     _CLI_MODULES | {"nkerr.suscept", "nkerr.perturb"}),
+    (["evolve", "--t", "1"], _CLI_MODULES | {"nkerr.effective", "nkerr.oracle",
+                                            "nkerr.perturb", "nkerr.suscept", "nkerr.validate"}),
+], ids=["import", "coeffs", "sweep", "evolve"])
+def test_command_loads_only_its_modules(tmp_path, args, loaded):
+    # a fresh interpreter: no module another test loaded is counted, and a
+    # command whose module import is missing fails here with a NameError
+    if args:
+        args = [args[0], write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5,
+                                                               ga=0.01, gc=0.01)), *args[1:]]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _REPORT_LOADED, *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stderr.split()) == loaded
 
 
 def test_console_entry_point_runs():
