@@ -30,23 +30,32 @@ bits do not change within a chunk is converted once for the chunk: on a
 delta_1 and delta_2, and a row costs 3 conversions instead of 7.  The rows
 are cut into contiguous parts of whole chunks, one per CPU the process may
 run on (``os.sched_getaffinity``) and no more than there are chunks, and the
-parts are evaluated and formatted at the same time.  The process forks a
-child for each part after the first: a forked child sees the grid
-copy-on-write, so nothing is pickled and nothing is imported again.  A
-child calls no BLAS routine (the closed forms are elementwise ufuncs, the
-rest is text), so no lock another thread held at the fork is needed; it
-writes its part chunk by chunk into an unlinked temporary file and leaves
-by ``os._exit``, so no stdio buffer it inherited is flushed twice.  The
-parent writes part 0 straight into ``--out``, then reaps the children in
-row order and copies each part's bytes in blocks of ``shutil.COPY_BUFSIZE``;
-the temporary files together hold the parts after the first.  A child that
-fails is an output error (exit 2).  With one CPU, a sweep of one chunk, or a
-platform without ``os.fork`` or ``os.sched_getaffinity``, nothing is forked.
+parts are evaluated and formatted at the same time: the process writes part
+0 straight into ``--out`` while a child of ``_forked`` writes each later
+part chunk by chunk, seeing the grid copy-on-write, so nothing is pickled
+and nothing is imported again.  The process then copies the children's
+parts after it in row order, in blocks of ``shutil.COPY_BUFSIZE``; the
+temporary files together hold the parts after the first.  With one CPU, a
+sweep of one chunk, or a platform without ``os.fork`` or
+``os.sched_getaffinity``, nothing is forked.
+
+The package forks in one place, ``_forked``, which the sweep and
+``validate.run_all`` share.  It forks a child per job; the child runs its
+job on an unlinked temporary file of its own and leaves by ``os._exit``, so
+no stdio buffer it inherited is flushed twice.  The parent reaps the
+children in job order and reads their files, and on every path it kills
+and reaps each child still running when it leaves the block.  A child
+inherits only the thread that forked it.  The process's other threads are
+the BLAS pool of numpy's OpenBLAS, which OpenBLAS stops before a fork
+(``pthread_atfork``) and a child starts afresh if it needs one, and the
+parent forks between BLAS calls; so a child that calls LAPACK, as the
+criteria of ``validate`` do, needs no lock that a thread missing from it
+held.  A child that fails is an output error (exit 2) in either command.
 
 Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
 arguments (including non-finite ``--lo/--hi/--t`` and a ``--steps`` whose grid
-does not fit in memory) or an output file that
-cannot be written, 3 domain error (a pole, including a closed form whose
+does not fit in memory), an output file that
+cannot be written or a forked child that fails, 3 domain error (a pole, including a closed form whose
 terms leave double range, or a degeneracy), 4 regime refusal (a command that
 needs the lossless regime was given decay rates).  ``coeffs`` and ``evolve``
 print only finite numbers, as does every valid ``sweep`` row; a sweep's
@@ -54,8 +63,11 @@ detuning-independent terms or an ``evolve`` phase beyond double range exit 3.
 
 Importing this module loads only ``errors`` and ``model`` of the package; a
 command imports what it runs when it runs: ``coeffs`` loads ``effective``,
-``sweep`` loads ``suscept`` and ``perturb``, and ``evolve`` and ``validate``
-load ``validate``, which loads every module.
+``sweep`` loads ``suscept`` and ``perturb``, ``evolve`` loads ``effective``,
+``oracle`` and ``perturb``, and ``validate`` loads every module.  Under
+``python -m nkerr.cli`` this file runs once: the running ``__main__`` module
+is registered as ``nkerr.cli`` before the command runs, so ``validate``'s
+import of ``cli`` (criterion 11 drives ``cli.main``) finds it.
 """
 
 from __future__ import annotations
@@ -70,7 +82,7 @@ import shutil
 import signal
 import sys
 import tempfile
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NoReturn, TextIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -89,6 +101,9 @@ SWEEP_CHUNK_ROWS = 4096
 
 # (start, stop) -> the Sweep of rows [start, stop) of the grid.
 _Rows = Callable[[int, int], "suscept.Sweep"]
+
+# (pid, exit code, output file) of each child of ``_forked``, as it is reaped
+_Reaped = Iterator[tuple[int, int, BinaryIO]]
 
 # A token that is a negative decimal number, exponent allowed: an option's value.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -205,44 +220,66 @@ def _usable_cpus() -> int:
 def _write_sweep_rows(fh: BinaryIO, rows: _Rows, n: int) -> None:
     """Write the ``n`` rows to ``fh`` in contiguous parts, evaluated and formatted in parallel.
 
-    Part 0 is written here, every later part in a forked child into an
-    unlinked temporary file that is then copied after it (see the module
-    docstring).  Raises OSError if a child fails; every child is reaped on
-    every path.
+    Part 0 is written here, every later part by a child of ``_forked`` into
+    its temporary file, which is then copied after it (see the module
+    docstring).  Raises OSError if a child fails.
     """
     chunks = -(-n // SWEEP_CHUNK_ROWS)
     parts = min(_usable_cpus(), chunks)
     bounds = [k * chunks // parts * SWEEP_CHUNK_ROWS for k in range(parts)] + [n]
-    children = []  # (pid, part file, first row, end row) not yet reaped, in row order
+    ranges = list(zip(bounds[1:-1], bounds[2:]))
+    jobs = [lambda part, start=start, stop=stop: _write_row_range(part, rows, start, stop)
+            for start, stop in ranges]
+    with _forked(jobs) as reaped:
+        _write_row_range(fh, rows, 0, bounds[1])
+        for (start, stop), (pid, code, part) in zip(ranges, reaped):
+            if code != 0:
+                raise OSError(f"writing sweep rows {start}..{stop - 1} failed "
+                              f"in process {pid} (exit code {code})")
+            shutil.copyfileobj(part, fh)
+
+
+@contextlib.contextmanager
+def _forked(jobs: list[Callable[[BinaryIO], None]]) -> Iterator[_Reaped]:
+    """Run each job in a forked child; the block reaps the children in job order.
+
+    Child k calls ``jobs[k](file)`` on an unlinked temporary file of its own,
+    flushes it and leaves by ``os._exit``: code 0 if the job returned, 1 if
+    it raised.  The block gets an iterator that waits for each child in job
+    order and yields its (pid, exit code, file rewound to its start).  On
+    leaving the block every child not yet reaped is killed and reaped, on
+    every path.
+    """
+    children = []  # (pid, file) not yet reaped, in job order
     with contextlib.ExitStack() as files:
         try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
+            for job in jobs:
                 part = files.enter_context(tempfile.TemporaryFile())
                 pid = os.fork()
                 if pid == 0:
-                    _write_part_and_exit(part, rows, start, stop)
-                children.append((pid, part, start, stop))
-            _write_row_range(fh, rows, 0, bounds[1])
-            while children:
-                pid, part, start, stop = children[0]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                if code != 0:
-                    raise OSError(f"writing sweep rows {start}..{stop - 1} failed "
-                                  f"in process {pid} (exit code {code})")
-                part.seek(0)
-                shutil.copyfileobj(part, fh)
+                    _run_and_exit(job, part)
+                children.append((pid, part))
+
+            def reaped() -> _Reaped:
+                while children:
+                    pid, part = children[0]
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del children[0]
+                    part.seek(0)
+                    yield pid, code, part
+
+            yield reaped()
         finally:
-            for pid, *_ in children:
+            for pid, _ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _write_part_and_exit(part: BinaryIO, rows: _Rows, start: int, stop: int) -> NoReturn:
-    """A forked child's whole life: write rows [start, stop) to ``part``, then exit."""
+def _run_and_exit(job: Callable[[BinaryIO], None], part: BinaryIO) -> NoReturn:
+    """A forked child's whole life: run ``job`` on ``part``, flush it, then exit."""
     code = 1
     try:
-        _write_row_range(part, rows, start, stop)
+        job(part)
         part.flush()
         code = 0
     finally:
@@ -285,10 +322,10 @@ def _chunk_text(result: suscept.Sweep) -> str:
 
 
 def _cmd_evolve(args, out: TextIO) -> int:
-    from . import validate
+    from . import oracle
 
     config = load_scenario(args.scenario)
-    eff_phase, oracle_phase, diff, bound = validate.phase_comparison(config, args.t)
+    eff_phase, oracle_phase, diff, bound = oracle.phase_comparison(config, args.t)
     out.write(f"t={_fmt(args.t)}\n")
     out.write(f"effective_phase={_fmt(eff_phase)}\n")
     out.write(f"oracle_phase={_fmt(oracle_phase)}\n")
@@ -366,4 +403,10 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
+    # under ``python -m``, ``validate``'s import of this module finds it here
+    # instead of executing this file a second time; ``runpy.run_module``
+    # without ``alter_sys`` runs it in a namespace of no module, and then
+    # ``sys.modules["__main__"]`` is its caller, which is not registered
+    if vars(sys.modules[__name__]) is globals():
+        sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     entry()

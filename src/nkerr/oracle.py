@@ -13,7 +13,9 @@ sampling to choose.  The only code this shares
 with the perturbation side is the generic product ``perturb.series_product``,
 which ``build_series`` does not use; the tests pin that product against
 per-entry sums, so the continuant and the Rayleigh-Schrodinger recursion
-stay two independent routes to the same coefficients.
+stay two independent routes to the same coefficients.  ``phase_comparison``
+is where the two sides meet: it sets the effective phase of ``effective``
+against exact propagation, for ``nkerr evolve`` and acceptance criterion 6.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import model, perturb
+from . import effective, model, perturb
 from .errors import ConvergenceError, DegeneracyError, TrackingError
-from .model import PerturbationSplit
+from .model import PerturbationSplit, SystemConfig
 
 RESIDUAL_TOL = 1e-12
 TRACK_STEPS = 32  # fixed path resolution keeps tracking bit-reproducible
@@ -83,6 +85,29 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     with model.in_double_range(), np.errstate(over="raise", invalid="raise"):
         phases = np.exp(-1j * sol.eigenvalues * t)
     return v @ (phases * coeffs)
+
+
+def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, float]:
+    """Effective and propagated phase of the relaxed ground state at time t.
+
+    Returns the effective phase -(L n_a + S n_a^2 + K n_a n_c) t, the phase
+    of the level-1 amplitude under exact propagation, their difference
+    wrapped to [-pi, pi) and its leakage bound 10 eps^2, all four finite.
+    Raises DegeneracyError unless the unperturbed spectrum is cleanly gapped,
+    and the out-of-range PoleError where t is too large for either phase.
+    """
+    co = effective.coefficients(cfg)
+    perturb.dressed_basis(model.split(cfg).h0)
+    eff_phase = -effective.phase_angle(co, cfg.mode_a.n, cfg.mode_c.n, t)
+    with model.in_double_range():
+        bound = 10.0 * max(model.perturbation_strengths(cfg)) ** 2
+    model.check_finite(eff_phase, bound)
+    psi0 = np.zeros(4, dtype=complex)
+    psi0[0] = 1.0
+    amp = complex(propagate(model.build_hamiltonian(cfg), psi0, t)[0])
+    oracle_phase = math.atan2(amp.imag, amp.real)
+    diff = (oracle_phase - eff_phase + math.pi) % (2.0 * math.pi) - math.pi
+    return eff_phase, oracle_phase, diff, bound
 
 
 def _walk_ground(split: PerturbationSplit, path: Sequence[tuple[float, float]]) -> complex:

@@ -16,6 +16,23 @@ the 3<->4 coherence rho43, criterion 8 off rho21, and both compare it with
 the closed form.  Criterion 10 checks the parity of the exact (LAPACK)
 ground eigenvalue in each probe strength, which a coupling the
 N-configuration forbids would break.
+
+``run_all`` makes the draws once, then runs the criteria on as many
+processes as the process may use CPUs (``cli._usable_cpus``) and no more
+than there are criteria: itself and children of ``cli._forked``.  The
+criteria's indices wait in a pipe, costliest first, and each process reads
+one at a time, so the heavy criteria (1, 7, 8, 10 and 11 take 85-90% of the
+time) spread over the processes and none is left to run alone at the end.  A
+child sees this process's memory as it was at the fork, copy-on-write: the
+draws, every loaded module and any patch a test made.  It pickles {index:
+CheckResult or exception} into its temporary file, which ``run_all``
+unpickles.  A criterion reads only the draws and its own random stream
+``_rng(seed, lane)``, and changes nothing another reads, so its result does
+not depend on which process runs it or when.  ``run_all`` puts the results
+back in criterion order and raises the first exception in that order, so the
+report, the exit code and the exception are those of a serial run.  With one
+usable CPU, or where ``os.fork`` is missing, the criteria run one after
+another in this process.
 """
 
 from __future__ import annotations
@@ -24,9 +41,10 @@ import io
 import json
 import math
 import os
+import pickle
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
 
@@ -34,8 +52,7 @@ from . import cli, effective, model, oracle, perturb, suscept
 from .errors import DegeneracyError
 from .model import FieldMode, PerturbationSplit, SystemConfig
 
-__all__ = ["CheckResult", "make_config", "phase_comparison", "run_all", "report_lines",
-           "run_report"]
+__all__ = ["CheckResult", "make_config", "run_all", "report_lines", "run_report"]
 
 
 @dataclass(frozen=True)
@@ -123,29 +140,6 @@ def _random_config(rng: np.random.Generator, lossy: bool) -> SystemConfig:
 
 def _rng(seed: int, lane: int) -> np.random.Generator:
     return np.random.default_rng([seed, lane])
-
-
-def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, float]:
-    """Effective and propagated phase of the relaxed ground state at time t.
-
-    Returns the effective phase -(L n_a + S n_a^2 + K n_a n_c) t, the phase
-    of the level-1 amplitude under exact propagation, their difference
-    wrapped to [-pi, pi) and its leakage bound 10 eps^2, all four finite.
-    Raises DegeneracyError unless the unperturbed spectrum is cleanly gapped,
-    and the out-of-range PoleError where t is too large for either phase.
-    """
-    co = effective.coefficients(cfg)
-    perturb.dressed_basis(model.split(cfg).h0)
-    eff_phase = -effective.phase_angle(co, cfg.mode_a.n, cfg.mode_c.n, t)
-    with model.in_double_range():
-        bound = 10.0 * max(model.perturbation_strengths(cfg)) ** 2
-    model.check_finite(eff_phase, bound)
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[0] = 1.0
-    amp = complex(oracle.propagate(model.build_hamiltonian(cfg), psi0, t)[0])
-    oracle_phase = math.atan2(amp.imag, amp.real)
-    diff = (oracle_phase - eff_phase + math.pi) % (2.0 * math.pi) - math.pi
-    return eff_phase, oracle_phase, diff, bound
 
 
 # -- criteria ---------------------------------------------------------------
@@ -254,7 +248,7 @@ def _criterion_6(draws: _Draws) -> CheckResult:
     chk = _Checker()
     cfg = _reference_config()
     t = (math.pi / 4.0) / abs(effective.coefficients(cfg).cross_kerr)
-    _, _, diff, bound = phase_comparison(cfg, t)
+    _, _, diff, bound = oracle.phase_comparison(cfg, t)
     chk.expect(abs(diff) <= bound, f"|phase difference| <= {bound:g}", abs(diff), bound)
     return CheckResult(6, "phase evolution vs propagation", chk.passed, chk.detail)
 
@@ -377,9 +371,59 @@ _CRITERIA: list[Callable[[_Draws], CheckResult]] = [
 ]
 
 
+# Criterion numbers by falling cost in a fresh ``validate`` process (8, 11
+# and 7 take ~10 ms each, 5 takes 0.4 ms): handed out in this order, the
+# heavy criteria spread over the processes and the last ones out are short.
+_COSTLIEST_FIRST = (8, 11, 7, 10, 1, 2, 3, 4, 9, 6, 5)
+
+
 def run_all(seed: int) -> list[CheckResult]:
+    """Every criterion's result, in criterion order, run on up to one process per CPU.
+
+    Raises the first exception a criterion raised, in criterion order, and
+    ChildProcessError if a forked process ended without giving the results
+    of the criteria it took (see the module docstring).
+    """
     draws = _Draws(seed, _resonant_configs(seed), _oracle_draws(seed))
-    return [crit(draws) for crit in _CRITERIA]
+    processes = min(cli._usable_cpus(), len(_CRITERIA))
+    if processes == 1:
+        return [crit(draws) for crit in _CRITERIA]
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb", buffering=0) as queue:
+        with open(write_end, "wb", buffering=0) as feed:
+            feed.write(bytes(number - 1 for number in _COSTLIEST_FIRST))
+        jobs = [lambda part: pickle.dump(_run_from(queue, draws), part)] * (processes - 1)
+        failed = []  # (pid, exit code) of each child that gave no results
+        with cli._forked(jobs) as reaped:
+            results = _run_from(queue, draws)
+            for pid, code, part in reaped:
+                if code == 0:
+                    results.update(pickle.load(part))
+                else:
+                    failed.append((pid, code))
+    if missing := [k + 1 for k in range(len(_CRITERIA)) if k not in results]:
+        raise ChildProcessError(
+            f"no result for criteria {', '.join(map(str, missing))}: "
+            + ", ".join(f"process {pid} exited with code {code}" for pid, code in failed))
+    ordered = [results[k] for k in range(len(_CRITERIA))]
+    for result in ordered:
+        if isinstance(result, Exception):
+            raise result
+    return ordered
+
+
+def _run_from(queue: BinaryIO, draws: _Draws) -> dict[int, CheckResult | Exception]:
+    """Run criteria by the indices read from ``queue``, one at a time, until it is empty.
+
+    A criterion that raises gives its exception as its result.
+    """
+    results = {}
+    while index := queue.read(1):
+        try:
+            results[index[0]] = _CRITERIA[index[0]](draws)
+        except Exception as exc:  # run_all raises it in criterion order
+            results[index[0]] = exc
+    return results
 
 
 def report_lines(results: list[CheckResult]) -> list[str]:

@@ -5,7 +5,10 @@ inline); the same checks back the ``nkerr validate`` command.
 """
 
 import dataclasses
+import io
 import json
+import os
+import select
 import subprocess
 import sys
 
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from nkerr import cli, effective, model, validate
+from nkerr.errors import DegeneracyError
 
 TRUE_WRITER = cli._chunk_text
 
@@ -127,3 +131,116 @@ def test_sweep_command_byte_identical_across_processes(tmp_path):
     assert blobs[0] == blobs[1]
     header = blobs[0].decode("utf-8").splitlines()[0]
     assert header == "axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid"
+
+
+# -- the criteria on several processes --------------------------------------
+
+def _refuse_fork():
+    raise AssertionError("run_all forked")
+
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
+def test_run_all_same_results_on_one_and_on_three_processes(monkeypatch):
+    # the planted error makes criteria 3, 4 and 5 fail, so their details count too
+    true_coefficients = effective.coefficients
+    forks = []
+    true_fork = os.fork
+
+    def fork():
+        pid = true_fork()
+        forks.append(pid)
+        return pid
+
+    def planted(cfg):
+        co = true_coefficients(cfg)
+        return dataclasses.replace(co, cross_kerr=co.cross_kerr * (1 + 1e-7),
+                                   self_kerr=co.self_kerr * (1 + 1e-7))
+
+    for seed, coefficients in [*((seed, true_coefficients) for seed in range(6)), (0, planted)]:
+        with monkeypatch.context() as m:
+            m.setattr(effective, "coefficients", coefficients)
+            _use_cpus(m, 1)
+            m.setattr(os, "fork", _refuse_fork)
+            serial = validate.run_all(seed)
+            _use_cpus(m, 3)
+            m.setattr(os, "fork", fork)
+            assert validate.run_all(seed) == serial
+        assert len(forks) == 2
+        forks.clear()
+    assert [r.number for r in serial if not r.passed] == [3, 4, 5] and serial[2].detail
+    assert sorted(validate._COSTLIEST_FIRST) == [r.number for r in serial]
+
+
+@pytest.fixture
+def child_signal():
+    """A pipe on which a forked child writes the number of each criterion it starts."""
+    read_end, write_end = os.pipe()
+    yield read_end, write_end
+    os.close(read_end)
+    os.close(write_end)
+
+
+def _plant_in_children(monkeypatch, child_signal, end_child):
+    """Every criterion started in a forked child signals its number, then calls ``end_child``.
+
+    The parent runs the true criteria, its first only once a child has
+    signalled, so at least one criterion is sure to run in a child.
+    """
+    parent = os.getpid()
+    read_end, write_end = child_signal
+
+    def planted(number, criterion):
+        def run(draws):
+            if os.getpid() != parent:
+                os.write(write_end, bytes([number]))
+                end_child()
+            assert select.select([read_end], [], [], 60)[0], "no child started a criterion"
+            return criterion(draws)
+        return run
+
+    monkeypatch.setattr(validate, "_CRITERIA",
+                        [planted(k, c) for k, c in enumerate(validate._CRITERIA, 1)])
+    _use_cpus(monkeypatch, 3)
+
+
+def _raise_degeneracy():
+    raise DegeneracyError("x")
+
+
+def test_run_all_raises_a_criterions_exception_from_a_child(monkeypatch, child_signal):
+    _plant_in_children(monkeypatch, child_signal, _raise_degeneracy)
+    with pytest.raises(DegeneracyError) as info:
+        validate.run_all(0)
+    assert info.value.args == ("x",)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_validate_exits_3_on_a_criterions_exception_serial_or_from_a_child(
+        monkeypatch, capsys, child_signal):
+    with monkeypatch.context() as m:
+        _use_cpus(m, 1)
+        m.setattr(validate, "_CRITERIA", [*validate._CRITERIA[:6],
+                                          lambda draws: _raise_degeneracy()])
+        assert cli.main(["validate", "--seed", "0"], stdout=io.StringIO()) == 3
+    serial = capsys.readouterr().err
+    _plant_in_children(monkeypatch, child_signal, _raise_degeneracy)
+    out = io.StringIO()
+    assert cli.main(["validate", "--seed", "0"], stdout=out) == 3
+    assert capsys.readouterr().err == serial == "domain error: x\n"
+    assert out.getvalue() == ""
+
+
+def test_run_all_names_the_criteria_a_dead_child_took(monkeypatch, child_signal):
+    _plant_in_children(monkeypatch, child_signal, lambda: os._exit(9))
+    with pytest.raises(ChildProcessError) as info:
+        validate.run_all(0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    taken = sorted(os.read(child_signal[0], 64))  # each child died in its first criterion
+    assert str(info.value).startswith(
+        f"no result for criteria {', '.join(map(str, taken))}: process ")
+    assert "exited with code 9" in str(info.value)

@@ -843,8 +843,7 @@ sys.exit(code)
     (["coeffs"], _CLI_MODULES | {"nkerr.effective"}),
     (["sweep", "--axis", "dc", "--lo", "0.4", "--hi", "0.6", "--steps", "5", "--out", "x.csv"],
      _CLI_MODULES | {"nkerr.suscept", "nkerr.perturb"}),
-    (["evolve", "--t", "1"], _CLI_MODULES | {"nkerr.effective", "nkerr.oracle",
-                                            "nkerr.perturb", "nkerr.suscept", "nkerr.validate"}),
+    (["evolve", "--t", "1"], _CLI_MODULES | {"nkerr.effective", "nkerr.oracle", "nkerr.perturb"}),
 ], ids=["import", "coeffs", "sweep", "evolve"])
 def test_command_loads_only_its_modules(tmp_path, args, loaded):
     # a fresh interpreter: no module another test loaded is counted, and a
@@ -857,6 +856,27 @@ def test_command_loads_only_its_modules(tmp_path, args, loaded):
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stderr.split()) == loaded
+
+
+# ``runpy._run_module_as_main`` is what ``python -m nkerr.cli`` calls
+_RUN_AS_MAIN = """import atexit, runpy, sys
+atexit.register(lambda modules=sys.modules: print(
+    modules["nkerr.cli"] is modules["__main__"], file=sys.stderr))
+sys.argv = ["nkerr", "validate", "--seed", "0"]
+runpy._run_module_as_main("nkerr.cli")
+"""
+
+
+def test_cli_py_runs_once_under_python_dash_m():
+    # validate imports nkerr.cli for criterion 11; it must find the running module
+    from nkerr import validate
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _RUN_AS_MAIN],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "True\n"
+    assert proc.stdout == validate.run_report(0)[0]
 
 
 def test_console_entry_point_runs():
