@@ -3,6 +3,9 @@
 Each criterion takes the run's ``_Draws``: the user seed, from which it draws
 its own deterministic random stream, and the draws two criteria share, made
 once per run, so a given seed always produces a byte-identical report.
+Every stream is the standard library's seeded Mersenne Twister
+(``random.Random``, via ``_rng(seed, lane)``), which a ``validate`` process
+has loaded already, so no run imports ``numpy.random``.
 Checks that need random scenarios use couplings, detunings and margins chosen
 to keep every draw well inside the perturbative regime and away from the
 closed-form poles.  Criteria 2 and 5 read the same 3 Raman-resonant
@@ -42,6 +45,7 @@ import json
 import math
 import os
 import pickle
+import random
 import tempfile
 from dataclasses import dataclass, replace
 from typing import BinaryIO, Callable, NamedTuple
@@ -119,7 +123,14 @@ def _well_conditioned(cfg: SystemConfig) -> bool:
     return _dressed_gaps_ok(cfg, 0.25)
 
 
-def _random_config(rng: np.random.Generator, lossy: bool) -> SystemConfig:
+def _random_config(rng: _Stream | np.random.Generator, lossy: bool) -> SystemConfig:
+    """The first draw from ``rng`` that passes ``_well_conditioned``.
+
+    ``rng`` is a criterion's ``_Stream`` or, in the tests, a numpy
+    ``Generator``: both give ``uniform(lo, hi)`` and half-open
+    ``integers(lo, hi)``, and three scalar ``uniform`` calls on a
+    ``Generator`` give the same values as one ``size=3`` call.
+    """
     while True:
         ga = rng.uniform(0.006, 0.018)
         gc = rng.uniform(0.006, 0.018)
@@ -132,14 +143,30 @@ def _random_config(rng: np.random.Generator, lossy: bool) -> SystemConfig:
         dc = rng.uniform(-0.9, 0.9)
         gamma = (0.0, 0.0, 0.0)
         if lossy:
-            gamma = rng.uniform(0.05, 0.25, size=3)
+            gamma = tuple(rng.uniform(0.05, 0.25) for _ in range(3))
         cfg = make_config(ga, gb, gc, na, nb, nc, da, db, dc, gamma)
         if _well_conditioned(cfg):
             return cfg
 
 
-def _rng(seed: int, lane: int) -> np.random.Generator:
-    return np.random.default_rng([seed, lane])
+class _Stream(random.Random):
+    """Python's Mersenne Twister with numpy's half-open ``integers(lo, hi)``."""
+
+    def integers(self, lo: int, hi: int) -> int:
+        return self.randrange(lo, hi)
+
+
+def _rng(seed: int, lane: int) -> _Stream:
+    """The random stream of one lane of a run: ``random.Random`` seeded by "seed/lane".
+
+    ``random`` is loaded in every ``validate`` process already (``cli``
+    imports ``tempfile``, which imports it), so the draws cost no import;
+    ``numpy.random`` would add 13-15 ms and ~6 MB to the process.  A str
+    seed is hashed with SHA-512, not ``hash()``, so the stream does not
+    depend on ``PYTHONHASHSEED``, and each lane's string gives its own
+    stream.
+    """
+    return _Stream(f"{seed}/{lane}")
 
 
 # -- criteria ---------------------------------------------------------------
@@ -371,10 +398,10 @@ _CRITERIA: list[Callable[[_Draws], CheckResult]] = [
 ]
 
 
-# Criterion numbers by falling cost in a fresh ``validate`` process (8, 11
-# and 7 take ~10 ms each, 5 takes 0.4 ms): handed out in this order, the
-# heavy criteria spread over the processes and the last ones out are short.
-_COSTLIEST_FIRST = (8, 11, 7, 10, 1, 2, 3, 4, 9, 6, 5)
+# Criterion numbers by falling cost in a fresh ``validate`` process (11
+# takes ~9 ms, 7 and 8 ~7 ms each, 5 takes 0.4 ms): handed out in this order,
+# the heavy criteria spread over the processes and the last ones out are short.
+_COSTLIEST_FIRST = (11, 7, 8, 10, 1, 4, 2, 3, 9, 6, 5)
 
 
 def run_all(seed: int) -> list[CheckResult]:
@@ -382,8 +409,11 @@ def run_all(seed: int) -> list[CheckResult]:
 
     Raises the first exception a criterion raised, in criterion order, and
     ChildProcessError if a forked process ended without giving the results
-    of the criteria it took (see the module docstring).
+    of the criteria it took (see the module docstring), and ValueError for a
+    negative seed.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     draws = _Draws(seed, _resonant_configs(seed), _oracle_draws(seed))
     processes = min(cli._usable_cpus(), len(_CRITERIA))
     if processes == 1:

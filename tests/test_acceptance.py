@@ -99,6 +99,25 @@ def test_validate_report_text_seed_zero():
         "all criteria passed\n")
 
 
+def test_criterion_streams_give_pinned_draws():
+    # random.Random's stream for a str seed is fixed by the Python version;
+    # a version that changes it changes every validate scenario
+    assert validate._random_config(validate._rng(0, 7), lossy=True) == validate.make_config(
+        0.017821755813870514, 1.030375330499513, 0.008147365876357207, 3, 1, 1,
+        -0.5634764429390793, 0.10453731523118803, -0.3520125153213526,
+        gamma=(0.14348811768563757, 0.1701700515711926, 0.2235528258833871))
+
+
+def test_random_config_draws_from_a_numpy_generator_as_before():
+    # the tests' numpy Generators must see the same configurations as when
+    # _random_config drew the decay rates with one size=3 call
+    rng = np.random.default_rng([0, 7])
+    assert validate._random_config(rng, lossy=True) == validate.make_config(
+        0.010879067499576331, 0.9611647431824198, 0.017887173363176977, 2, 1, 1,
+        -0.7890301369731798, 0.4937952609234407, 0.7514802921891671,
+        gamma=(0.13837346132819045, 0.08363517675901486, 0.12990257734589195))
+
+
 def test_validate_command_exits_zero_on_seed_zero(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "nkerr.cli", "validate", "--seed", "0"],
                           capture_output=True, text=True)

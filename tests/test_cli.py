@@ -826,17 +826,28 @@ def test_validate_reports_are_deterministic():
     assert a.getvalue() == b.getvalue()
 
 
+def test_validate_rejects_a_negative_seed_and_runs_a_huge_one(capsys):
+    out = io.StringIO()
+    assert cli.main(["validate", "--seed", "-1"], stdout=out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments: ") and err.count("\n") == 1
+    assert out.getvalue() == ""
+    assert cli.main(["validate", "--seed", "99999999999999999999999"], stdout=out) == 0
+    assert out.getvalue().endswith("all criteria passed\n")
+
+
 _CLI_MODULES = {"nkerr", "nkerr.cli", "nkerr.errors", "nkerr.model"}
 
 # runs ``nkerr.cli.main`` on its arguments (none: the import alone), then
-# writes the nkerr and mpmath modules it loaded to stderr
+# writes the nkerr and mpmath modules it loaded, and numpy.random if it did,
+# to stderr
 _REPORT_LOADED = """import sys
 import nkerr.cli
 code = nkerr.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(*(m for m in sys.modules if m.split(".")[0] in ("nkerr", "mpmath")), file=sys.stderr)
+print(*(m for m in sys.modules
+        if m.split(".")[0] in ("nkerr", "mpmath") or m == "numpy.random"), file=sys.stderr)
 sys.exit(code)
 """
-
 
 @pytest.mark.parametrize("args, loaded", [
     ([], _CLI_MODULES),
@@ -844,17 +855,21 @@ sys.exit(code)
     (["sweep", "--axis", "dc", "--lo", "0.4", "--hi", "0.6", "--steps", "5", "--out", "x.csv"],
      _CLI_MODULES | {"nkerr.suscept", "nkerr.perturb"}),
     (["evolve", "--t", "1"], _CLI_MODULES | {"nkerr.effective", "nkerr.oracle", "nkerr.perturb"}),
-], ids=["import", "coeffs", "sweep", "evolve"])
+    (["validate", "--seed", "0"], _CLI_MODULES | {"nkerr.effective", "nkerr.oracle",
+                                                   "nkerr.perturb", "nkerr.suscept",
+                                                   "nkerr.validate"}),
+], ids=["import", "coeffs", "sweep", "evolve", "validate"])
 def test_command_loads_only_its_modules(tmp_path, args, loaded):
     # a fresh interpreter: no module another test loaded is counted, and a
     # command whose module import is missing fails here with a NameError
-    if args:
+    if args and args[0] != "validate":  # every other command reads a scenario
         args = [args[0], write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5,
                                                                ga=0.01, gc=0.01)), *args[1:]]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-W", "error", "-c", _REPORT_LOADED, *args],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert "numpy.random" not in proc.stderr.split()
     assert set(proc.stderr.split()) == loaded
 
 
