@@ -37,5 +37,6 @@ print(f"  K from the pure form:    {pure_cross_kerr(resonant):.6e}")
 
 print("\n== how to make K large ==")
 print("  K ~ -|g_a g_c|^2 / (delta_3 |g_b|^2 (n_b+1)) on resonance, so a small")
-print("  three-photon detuning delta_3 buys interaction strength; the sweep demo")
-print("  shows what that costs in absorption.")
+print("  three-photon detuning delta_3 buys interaction strength; 'nkerr sweep'")
+print("  over delta_3 shows what that costs in absorption, and 'nkerr validate'")
+print("  criterion 9 checks its shape.")

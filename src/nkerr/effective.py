@@ -17,6 +17,7 @@ of those two rules.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from . import model
@@ -85,9 +86,15 @@ def pure_cross_kerr(config: SystemConfig) -> float:
 
 
 def phase_angle(coeffs: KerrCoefficients, n_a: int, n_c: int, t: float) -> float:
-    """Angle (L*n_a + S*n_a**2 + K*n_a*n_c)*t the Fock product |n_a, n_c> turns by."""
-    if n_a < 0 or n_c < 0:
-        raise ValueError("photon numbers must be >= 0")
+    """Angle (L*n_a + S*n_a**2 + K*n_a*n_c)*t the Fock product |n_a, n_c> turns by.
+
+    ValueError unless n_a and n_c are integers >= 0 (as ``FieldMode`` takes
+    them) and t is finite.
+    """
+    if not (model._is_photon_number(n_a) and model._is_photon_number(n_c)):
+        raise ValueError(f"photon numbers must be integers >= 0, got {n_a!r} and {n_c!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     return (coeffs.linear * n_a + coeffs.self_kerr * n_a**2
             + coeffs.cross_kerr * n_a * n_c) * t
 

@@ -52,6 +52,11 @@ def _is_finite(value, isfinite) -> bool:
         return False
 
 
+def _is_photon_number(n) -> bool:
+    """Whether ``n`` is an integer >= 0, numpy's included; a bool or a float is not."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 0
+
+
 @dataclass(frozen=True)
 class FieldMode:
     """One driving mode: complex coupling, single-photon detuning, photon number."""
@@ -64,7 +69,7 @@ class FieldMode:
     def __post_init__(self) -> None:
         if self.label not in _LABELS:
             raise ValueError(f"unknown mode label {self.label!r}; expected one of {_LABELS}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        if not _is_photon_number(self.n):
             raise ValueError(f"photon number must be an integer >= 0, got {self.n!r}")
         if not (_is_finite(self.g, cmath.isfinite) and _is_finite(self.delta, math.isfinite)):
             raise ValueError(f"coupling and detuning must be finite numbers, got g={self.g!r}, "

@@ -287,7 +287,12 @@ def power_sum(c: np.ndarray, x, y):
 
 def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
                     total_order: int) -> complex:
-    """Partial sum of the ground eigenvalue series; ValueError for n != 1 or an order not built."""
+    """Partial sum of the ground eigenvalue series.
+
+    ValueError for n != 1, an order not built, or a non-finite eps_a or eps_c.
+    """
+    if not (math.isfinite(eps_a) and math.isfinite(eps_c)):
+        raise ValueError(f"eps_a and eps_c must be finite, got {eps_a!r} and {eps_c!r}")
     if n != 1 or not 0 <= total_order <= table.order:
         raise ValueError(f"order {total_order} of state {n} is not in this table "
                          f"of the ground state to total order {table.order}")

@@ -251,11 +251,14 @@ def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:
     each carries the message ``susceptibility_point`` raises there.  Each row
     depends on its own value only, so the ``Sweep`` of a slice of a grid is
     that slice of the grid's ``Sweep``, bit for bit.  PoleError where a term
-    that does not depend on ``value`` is outside double range.
+    that does not depend on ``value`` is outside double range, and ValueError
+    unless ``value`` is 1-D and finite.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
     value = np.asarray(value, dtype=float)
+    if value.ndim != 1 or not np.isfinite(value).all():
+        raise ValueError(f"the {axis} values must be a 1-D array of finite numbers")
     deltas = [config.mode_a.delta, config.mode_b.delta, config.mode_c.delta]
     deltas[_AXES.index(axis)] = value
     forms = _closed_forms(config, *deltas)

@@ -20,22 +20,23 @@ the closed form.  Criterion 10 checks the parity of the exact (LAPACK)
 ground eigenvalue in each probe strength, which a coupling the
 N-configuration forbids would break.
 
-``run_all`` makes the draws once, then runs the criteria on as many
-processes as the process may use CPUs (``cli._usable_cpus``) and no more
-than there are criteria: itself and children of ``cli._forked``.  The
-criteria's indices wait in a pipe, costliest first, and each process reads
-one at a time, so the heavy criteria (1, 7, 8, 10 and 11 take 85-90% of the
-time) spread over the processes and none is left to run alone at the end.  A
-child sees this process's memory as it was at the fork, copy-on-write: the
-draws, every loaded module and any patch a test made.  It pickles {index:
-CheckResult or exception} into its temporary file, which ``run_all``
-unpickles.  A criterion reads only the draws and its own random stream
-``_rng(seed, lane)``, and changes nothing another reads, so its result does
-not depend on which process runs it or when.  ``run_all`` puts the results
-back in criterion order and raises the first exception in that order, so the
-report, the exit code and the exception are those of a serial run.  With one
-usable CPU, or where ``os.fork`` is missing, the criteria run one after
-another in this process.
+``_CRITERIA`` is the one table of (report name, function); a criterion's
+number is its position + 1, and its function records into the ``_Checker``
+it is handed.  ``run_all`` makes the draws once, then runs the criteria on
+as many processes as the process may use CPUs (``cli._usable_cpus``) and no
+more than there are criteria: itself and children of ``cli._forked``, none
+with one usable CPU or where ``os.fork`` is missing.  The criteria's indices
+wait in a pipe, costliest first, and each process reads one at a time, so
+the heavy criteria (1, 7, 8, 10 and 11 take 85-90% of the time) spread over
+the processes and none is left to run alone at the end.  A child sees this
+process's memory as it was at the fork, copy-on-write: the draws, every
+loaded module and any patch a test made.  It pickles {index: CheckResult or
+exception} into its temporary file, which ``run_all`` unpickles.  A
+criterion reads only the draws and its own random stream ``_rng(seed,
+lane)``, and changes nothing another reads, so its result does not depend
+on which process runs it or when.  ``run_all`` puts the results back in
+criterion order and raises the first exception in that order, so the
+report, the exit code and the exception are the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -79,11 +80,9 @@ class _Checker:
             self.passed = False
             self.detail = f"expected={expected!r}, actual={actual!r}, tolerance={tolerance!r}"
 
-    def close(self, expected: complex, actual: complex, rel_tol: float,
-              floor: float = 0.0) -> None:
-        bound = rel_tol * max(abs(expected), abs(actual), floor)
-        self.expect(abs(expected - actual) <= bound, expected, actual,
-                    f"rel {rel_tol:g}" + (f" floor {floor:g}" if floor else ""))
+    def close(self, expected: complex, actual: complex, rel_tol: float) -> None:
+        bound = rel_tol * max(abs(expected), abs(actual))
+        self.expect(abs(expected - actual) <= bound, expected, actual, f"rel {rel_tol:g}")
 
 
 def make_config(ga, gb, gc, na, nb, nc, da, db, dc, gamma=(0.0, 0.0, 0.0)) -> SystemConfig:
@@ -171,9 +170,7 @@ def _rng(seed: int, lane: int) -> _Stream:
 
 # -- criteria ---------------------------------------------------------------
 
-def _criterion_1(draws: _Draws) -> CheckResult:
-    chk = _Checker()
-    cfg = _reference_config()
+def _criterion_1(draws: _Draws, chk: _Checker) -> None:
     residuals = []
     for scale in (1.0, 0.5):
         scaled = make_config(0.01 * scale, 1.0, 0.01 * scale, 1, 0, 1, 0.3, 0.1, 0.5)
@@ -185,7 +182,6 @@ def _criterion_1(draws: _Draws) -> CheckResult:
     chk.expect(residuals[0] <= 1e-9, "residual <= 1e-9", residuals[0], 1e-9)
     ratio = residuals[0] / residuals[1]
     chk.expect(32.0 <= ratio <= 128.0, "ratio in [32, 128]", ratio, "[32, 128]")
-    return CheckResult(1, "series-vs-exact", chk.passed, chk.detail)
 
 
 def _resonant_configs(seed: int) -> list[SystemConfig]:
@@ -201,8 +197,7 @@ def _resonant_configs(seed: int) -> list[SystemConfig]:
     return out
 
 
-def _criterion_2(draws: _Draws) -> CheckResult:
-    chk = _Checker()
+def _criterion_2(draws: _Draws, chk: _Checker) -> None:
     for cfg in draws.resonant:
         co = effective.coefficients(cfg)
         chk.expect(co.linear == 0.0, 0.0, co.linear, "exact")
@@ -211,7 +206,6 @@ def _criterion_2(draws: _Draws) -> CheckResult:
         table = perturb.build_series(sp, 1, 4)
         folded = sp.eps_a**2 * table.E[0, 2, 0] + sp.eps_a**4 * table.E[0, 4, 0]
         chk.expect(abs(folded) < 1e-13, "|folded (2,0)+(4,0)| < 1e-13", abs(folded), 1e-13)
-    return CheckResult(2, "dark-state cancellation", chk.passed, chk.detail)
 
 
 _OracleDraws = list[tuple[SystemConfig, PerturbationSplit, np.ndarray]]
@@ -236,52 +230,39 @@ class _Draws(NamedTuple):
     oracle: _OracleDraws  # criteria 3 and 4
 
 
-def _criterion_3(draws: _Draws) -> CheckResult:
-    chk = _Checker()
+def _criterion_3(draws: _Draws, chk: _Checker) -> None:
     for cfg, sp, series in draws.oracle:
         folded = sp.eps_a**2 * sp.eps_c**2 * complex(series[2, 2])
         expected = effective.coefficients(cfg).cross_kerr * cfg.mode_a.n * cfg.mode_c.n
         chk.close(expected, folded, 1e-11)
-    return CheckResult(3, "cross-Kerr closed form vs FD oracle", chk.passed, chk.detail)
 
 
-def _criterion_4(draws: _Draws) -> CheckResult:
-    chk = _Checker()
+def _criterion_4(draws: _Draws, chk: _Checker) -> None:
     for cfg, sp, series in draws.oracle:
         folded = sp.eps_a**4 * complex(series[4, 0])
         expected = effective.coefficients(cfg).self_kerr * cfg.mode_a.n**2
         chk.close(expected, folded, 1e-11)
         # the |g_b|^4 variant must be cleanly rejected whenever |g_a| != |g_b|
-        d1, d2, d3 = cfg.detunings()
-        gb2n = model.pump_coupling(cfg)
-        dk = d1 * d2 - gb2n
-        s_variant = d2 * (d2**2 + gb2n) * abs(cfg.mode_b.g) ** 4 / dk**3
-        wrong = s_variant * cfg.mode_a.n**2
+        wrong = expected * abs(cfg.mode_b.g) ** 4 / abs(cfg.mode_a.g) ** 4
         rel = abs(folded - wrong) / max(abs(folded), abs(wrong))
         chk.expect(rel > 1e-4, "variant rejected by > 1e-4", rel, "> 1e-4")
-    return CheckResult(4, "self-Kerr |g_a|^4 form adjudicated", chk.passed, chk.detail)
 
 
-def _criterion_5(draws: _Draws) -> CheckResult:
-    chk = _Checker()
+def _criterion_5(draws: _Draws, chk: _Checker) -> None:
     for cfg in draws.resonant:
         full = effective.coefficients(cfg).cross_kerr
         pure = effective.pure_cross_kerr(cfg)
         chk.close(full, pure, 1e-12)
-    return CheckResult(5, "pure cross-Kerr consistency", chk.passed, chk.detail)
 
 
-def _criterion_6(draws: _Draws) -> CheckResult:
-    chk = _Checker()
+def _criterion_6(draws: _Draws, chk: _Checker) -> None:
     cfg = _reference_config()
     t = (math.pi / 4.0) / abs(effective.coefficients(cfg).cross_kerr)
     _, _, diff, bound = oracle.phase_comparison(cfg, t)
     chk.expect(abs(diff) <= bound, f"|phase difference| <= {bound:g}", abs(diff), bound)
-    return CheckResult(6, "phase evolution vs propagation", chk.passed, chk.detail)
 
 
-def _criterion_7(draws: _Draws) -> CheckResult:
-    chk = _Checker()
+def _criterion_7(draws: _Draws, chk: _Checker) -> None:
     rng = _rng(draws.seed, 7)
     for _ in range(20):
         cfg = _random_config(rng, lossy=True)
@@ -289,11 +270,9 @@ def _criterion_7(draws: _Draws) -> CheckResult:
         t = suscept.coherence_coefficients(cfg, 3, "rho43")
         seen_from_c = -abs(cfg.mode_a.g) ** 2 * abs(cfg.mode_c.g) ** 2 * complex(t[2, 1])
         chk.close(suscept.chi3_cross(cfg), seen_from_c / (6 * ea**2 * ec**2), 1e-9)
-    return CheckResult(7, "chi3 symmetry identity", chk.passed, chk.detail)
 
 
-def _criterion_8(draws: _Draws) -> CheckResult:
-    chk = _Checker()
+def _criterion_8(draws: _Draws, chk: _Checker) -> None:
     rng = _rng(draws.seed, 8)
     configs = [_random_config(rng, lossy=False) for _ in range(10)]
     configs += [_random_config(rng, lossy=True) for _ in range(10)]
@@ -307,11 +286,9 @@ def _criterion_8(draws: _Draws) -> CheckResult:
         chk.close(chi.chi1, -ga2 * t10 / ea**2, 1e-6)
         chk.close(chi.chi3_self, -ga2**2 * t30 / (3 * ea**4), 1e-6)
         chk.close(chi.chi3_cross, -ga2 * gc2 * t12 / (6 * ea**2 * ec**2), 1e-6)
-    return CheckResult(8, "chi closed forms vs coherence oracle", chk.passed, chk.detail)
 
 
-def _criterion_9(draws: _Draws) -> CheckResult:
-    chk = _Checker()
+def _criterion_9(draws: _Draws, chk: _Checker) -> None:
     gamma3 = 0.4
     cfg = make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.0,
                       gamma=(0.0, 0.0, gamma3))
@@ -336,11 +313,9 @@ def _criterion_9(draws: _Draws) -> CheckResult:
                gamma3, vals[int(np.argmax(re))], "one grid step")
     chk.expect(abs(vals[int(np.argmin(re))] + gamma3) <= step + 1e-12,
                -gamma3, vals[int(np.argmin(re))], "one grid step")
-    return CheckResult(9, "cross-Kerr absorption structure", chk.passed, chk.detail)
 
 
-def _criterion_10(draws: _Draws) -> CheckResult:
-    chk = _Checker()
+def _criterion_10(draws: _Draws, chk: _Checker) -> None:
     rng = _rng(draws.seed, 10)
     for _ in range(20):
         sp = model.split(_random_config(rng, lossy=False))
@@ -349,11 +324,9 @@ def _criterion_10(draws: _Draws) -> CheckResult:
         e = energy(x, y)
         for flipped in (energy(-x, y), energy(x, -y)):
             chk.expect(abs(e - flipped) <= 1e-14, e, flipped, 1e-14)
-    return CheckResult(10, "parity of corrections", chk.passed, chk.detail)
 
 
-def _criterion_11(draws: _Draws) -> CheckResult:
-    chk = _Checker()
+def _criterion_11(draws: _Draws, chk: _Checker) -> None:
     scenario = {
         "modes": {
             "a": {"g_re": 0.05, "g_im": 0.0, "delta": 0.0, "n": 1},
@@ -388,13 +361,20 @@ def _criterion_11(draws: _Draws) -> CheckResult:
         for k, line in enumerate(lines[1:42]):  # as text, so the sign of a zero counts
             row = ",".join(["dc", *(cli._fmt(column[k]) for column in columns), "1"])
             chk.expect(line == row, row, line, "exact row")
-    return CheckResult(11, "CLI determinism and CSV format", chk.passed, chk.detail)
 
 
-_CRITERIA: list[Callable[[_Draws], CheckResult]] = [
-    _criterion_1, _criterion_2, _criterion_3, _criterion_4, _criterion_5,
-    _criterion_6, _criterion_7, _criterion_8, _criterion_9, _criterion_10,
-    _criterion_11,
+_CRITERIA: list[tuple[str, Callable[[_Draws, _Checker], None]]] = [
+    ("series-vs-exact", _criterion_1),
+    ("dark-state cancellation", _criterion_2),
+    ("cross-Kerr closed form vs FD oracle", _criterion_3),
+    ("self-Kerr |g_a|^4 form adjudicated", _criterion_4),
+    ("pure cross-Kerr consistency", _criterion_5),
+    ("phase evolution vs propagation", _criterion_6),
+    ("chi3 symmetry identity", _criterion_7),
+    ("chi closed forms vs coherence oracle", _criterion_8),
+    ("cross-Kerr absorption structure", _criterion_9),
+    ("parity of corrections", _criterion_10),
+    ("CLI determinism and CSV format", _criterion_11),
 ]
 
 
@@ -407,17 +387,16 @@ _COSTLIEST_FIRST = (11, 7, 8, 10, 1, 4, 2, 3, 9, 6, 5)
 def run_all(seed: int) -> list[CheckResult]:
     """Every criterion's result, in criterion order, run on up to one process per CPU.
 
-    Raises the first exception a criterion raised, in criterion order, and
-    ChildProcessError if a forked process ended without giving the results
-    of the criteria it took (see the module docstring), and ValueError for a
-    negative seed.
+    This process and one forked child per further CPU take the criteria
+    from one queue (see the module docstring).  Raises the first exception
+    a criterion raised, in criterion order, ChildProcessError if a forked
+    process ended without giving the results of the criteria it took, and
+    ValueError for a negative seed.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     draws = _Draws(seed, _resonant_configs(seed), _oracle_draws(seed))
     processes = min(cli._usable_cpus(), len(_CRITERIA))
-    if processes == 1:
-        return [crit(draws) for crit in _CRITERIA]
     read_end, write_end = os.pipe()
     with open(read_end, "rb", buffering=0) as queue:
         with open(write_end, "wb", buffering=0) as feed:
@@ -445,14 +424,20 @@ def run_all(seed: int) -> list[CheckResult]:
 def _run_from(queue: BinaryIO, draws: _Draws) -> dict[int, CheckResult | Exception]:
     """Run criteria by the indices read from ``queue``, one at a time, until it is empty.
 
-    A criterion that raises gives its exception as its result.
+    Each criterion records into a fresh ``_Checker``, which gives its
+    ``CheckResult``; a criterion that raises gives its exception instead.
     """
     results = {}
     while index := queue.read(1):
+        k = index[0]
+        name, criterion = _CRITERIA[k]
+        chk = _Checker()
         try:
-            results[index[0]] = _CRITERIA[index[0]](draws)
+            criterion(draws, chk)
         except Exception as exc:  # run_all raises it in criterion order
-            results[index[0]] = exc
+            results[k] = exc
+        else:
+            results[k] = CheckResult(k + 1, name, chk.passed, chk.detail)
     return results
 
 

@@ -56,7 +56,9 @@ def test_criterion_10_catches_planted_forbidden_coupling(monkeypatch):
         return dataclasses.replace(sp, va=va)
 
     monkeypatch.setattr(model, "split", planted)
-    assert not validate._criterion_10(validate._Draws(0, [], [])).passed
+    chk = validate._Checker()
+    validate._criterion_10(validate._Draws(0, [], []), chk)
+    assert not chk.passed
 
 
 def _writer_sampling_constancy_at_the_ends(result):
@@ -80,7 +82,9 @@ def _writer_dropping_the_sign_of_zero(result):
                                     _writer_dropping_the_sign_of_zero])
 def test_criterion_11_catches_a_planted_row_writer(monkeypatch, writer):
     monkeypatch.setattr(cli, "_chunk_text", writer)
-    assert not validate._criterion_11(validate._Draws(0, [], [])).passed
+    chk = validate._Checker()
+    validate._criterion_11(validate._Draws(0, [], []), chk)
+    assert not chk.passed
 
 
 def test_validate_report_text_seed_zero():
@@ -212,16 +216,16 @@ def _plant_in_children(monkeypatch, child_signal, end_child):
     read_end, write_end = child_signal
 
     def planted(number, criterion):
-        def run(draws):
+        def run(draws, chk):
             if os.getpid() != parent:
                 os.write(write_end, bytes([number]))
                 end_child()
             assert select.select([read_end], [], [], 60)[0], "no child started a criterion"
-            return criterion(draws)
+            criterion(draws, chk)
         return run
 
-    monkeypatch.setattr(validate, "_CRITERIA",
-                        [planted(k, c) for k, c in enumerate(validate._CRITERIA, 1)])
+    monkeypatch.setattr(validate, "_CRITERIA", [
+        (name, planted(k, c)) for k, (name, c) in enumerate(validate._CRITERIA, 1)])
     _use_cpus(monkeypatch, 3)
 
 
@@ -242,8 +246,9 @@ def test_validate_exits_3_on_a_criterions_exception_serial_or_from_a_child(
         monkeypatch, capsys, child_signal):
     with monkeypatch.context() as m:
         _use_cpus(m, 1)
-        m.setattr(validate, "_CRITERIA", [*validate._CRITERIA[:6],
-                                          lambda draws: _raise_degeneracy()])
+        criteria = list(validate._CRITERIA)
+        criteria[6] = (criteria[6][0], lambda draws, chk: _raise_degeneracy())
+        m.setattr(validate, "_CRITERIA", criteria)
         assert cli.main(["validate", "--seed", "0"], stdout=io.StringIO()) == 3
     serial = capsys.readouterr().err
     _plant_in_children(monkeypatch, child_signal, _raise_degeneracy)

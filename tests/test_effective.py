@@ -151,3 +151,20 @@ def test_effective_phase_rejects_negative_occupation():
     co = effective.KerrCoefficients(0.0, 0.0, -1.0)
     with pytest.raises(ValueError):
         effective.effective_phase(co, -1, 0, 1.0)
+
+
+@pytest.mark.parametrize("n_a, n_c, t, match", [
+    (1.5, 1, 1.0, "photon numbers"), (1, 2.0, 1.0, "photon numbers"),
+    (True, 1, 1.0, "photon numbers"), (1, False, 1.0, "photon numbers"),
+    (1, 1, float("nan"), "t must be finite"), (1, 1, float("inf"), "t must be finite")])
+def test_phase_angle_rejects_a_non_integer_photon_number_or_non_finite_time(n_a, n_c, t, match):
+    co = effective.KerrCoefficients(0.3, 0.02, -0.5)
+    for f in (effective.phase_angle, effective.effective_phase):
+        with pytest.raises(ValueError, match=match):
+            f(co, n_a, n_c, t)
+
+
+def test_phase_angle_takes_numpy_integer_photon_numbers():
+    co = effective.KerrCoefficients(0.3, 0.02, -0.5)
+    assert effective.phase_angle(co, np.int64(2), np.int32(3), 1.5) == \
+        effective.phase_angle(co, 2, 3, 1.5)

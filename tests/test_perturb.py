@@ -331,6 +331,14 @@ def test_missing_order_raises(reference_config):
         perturb.evaluate_energy(table, 2, 0.01, 0.01, 1)  # only the ground state is built
 
 
+@pytest.mark.parametrize("eps_a, eps_c", [(float("nan"), 0.01), (0.01, float("inf")),
+                                          (-float("inf"), 0.0)])
+def test_evaluate_energy_rejects_nonfinite_strengths(reference_config, eps_a, eps_c):
+    table = perturb.build_series(model.split(reference_config), 1, 4)
+    with pytest.raises(ValueError, match="eps_a and eps_c must be finite"):
+        perturb.evaluate_energy(table, 1, eps_a, eps_c, 4)
+
+
 def test_build_series_propagates_degeneracy():
     cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.0, 0.0, 0.0)  # delta_3 = 0
     with pytest.raises(DegeneracyError):

@@ -321,6 +321,13 @@ def test_sweep_rejects_non_finite_bounds(reference_config, lo, hi):
         suscept.sweep(reference_config, "dc", lo, hi, 5)
 
 
+@pytest.mark.parametrize("value", [[0.1, float("nan")], [float("inf"), 0.2], [-float("inf")],
+                                   [[0.1, 0.2]], 0.1])
+def test_sweep_at_rejects_values_not_one_dimensional_or_not_finite(reference_config, value):
+    with pytest.raises(ValueError, match="1-D array of finite numbers"):
+        suscept.sweep_at(reference_config, "dc", value)
+
+
 _SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
 
 
