@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import model
 from .errors import NotHermitianError, NotResonantError
@@ -27,8 +27,7 @@ from .model import SystemConfig
 RESONANCE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class KerrCoefficients:
+class KerrCoefficients(NamedTuple):
     """Angular-frequency coefficients of the effective photon-number evolution.
 
     The relaxed ground state accumulates phase exp(-i*(L*n_a + S*n_a**2 +
@@ -91,7 +90,7 @@ def phase_angle(coeffs: KerrCoefficients, n_a: int, n_c: int, t: float) -> float
     ValueError unless n_a and n_c are integers >= 0 (as ``FieldMode`` takes
     them) and t is finite.
     """
-    if not (model._is_photon_number(n_a) and model._is_photon_number(n_c)):
+    if not (model._is_nonnegative_int(n_a) and model._is_nonnegative_int(n_c)):
         raise ValueError(f"photon numbers must be integers >= 0, got {n_a!r} and {n_c!r}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")

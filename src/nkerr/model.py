@@ -18,6 +18,13 @@ Conventions used throughout the package:
 * ``POLES`` is the one ordered table of where a closed form has no value:
   ``pole_terms`` gives each denominator with the scale it is judged against
   (``near_pole``), and ``pole_code`` names the first pole at each point.
+* Every immutable record the package returns is a ``typing.NamedTuple``, so
+  it unpacks, indexes and compares equal to a tuple of the same values;
+  assigning a field raises AttributeError, and ``record._replace(...)`` is a
+  changed copy.  ``@dataclass(frozen=True)`` is kept only where a class needs
+  more: ``FieldMode`` and ``SystemConfig`` check and coerce their fields in
+  ``__post_init__``, and ``suscept.Sweep`` defines its own length, indexing
+  and iteration.
 """
 
 from __future__ import annotations
@@ -52,8 +59,11 @@ def _is_finite(value, isfinite) -> bool:
         return False
 
 
-def _is_photon_number(n) -> bool:
-    """Whether ``n`` is an integer >= 0, numpy's included; a bool or a float is not."""
+def _is_nonnegative_int(n) -> bool:
+    """Whether ``n`` is an integer >= 0, numpy's included; a bool or a float is not.
+
+    The one rule for a photon number and for a series order or state index.
+    """
     return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 0
 
 
@@ -69,7 +79,7 @@ class FieldMode:
     def __post_init__(self) -> None:
         if self.label not in _LABELS:
             raise ValueError(f"unknown mode label {self.label!r}; expected one of {_LABELS}")
-        if not _is_photon_number(self.n):
+        if not _is_nonnegative_int(self.n):
             raise ValueError(f"photon number must be an integer >= 0, got {self.n!r}")
         if not (_is_finite(self.g, cmath.isfinite) and _is_finite(self.delta, math.isfinite)):
             raise ValueError(f"coupling and detuning must be finite numbers, got g={self.g!r}, "
@@ -123,8 +133,7 @@ class ManifoldIndex(NamedTuple):
     n_c: int
 
 
-@dataclass(frozen=True)
-class PerturbationSplit:
+class PerturbationSplit(NamedTuple):
     """Decomposition H = h0 + eps_a*va + eps_c*vc; the probe phases sit in va and vc.
 
     ``va`` is nonzero only on the (1,2)/(2,1) entries and ``vc`` only on

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,12 +32,14 @@ from .model import PerturbationSplit, SystemConfig
 
 RESIDUAL_TOL = 1e-12
 TRACK_STEPS = 32  # fixed path resolution keeps tracking bit-reproducible
+# Up to this matrix scale, the 4 squared entries (each <= (2 scale)^2) of a
+# residual column sum within double range.
+_SQUARES_FIT = 1e153
 
 _BARE_GROUND = np.array([1, 0, 0, 0], dtype=complex)  # bare level 1, where every walk starts
 
 
-@dataclass(frozen=True)
-class EigenSolution:
+class EigenSolution(NamedTuple):
     """All four eigenpairs, sorted by ascending real part then imaginary part."""
 
     eigenvalues: np.ndarray
@@ -59,9 +60,13 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
             v = v[:, order]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    r = h @ v - v * w  # column norms summed as np.linalg.norm sums them
-    residuals = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
-    bound = RESIDUAL_TOL * model.matrix_scale(h)
+    scale = model.matrix_scale(h)
+    r = h @ v - v * w
+    if scale <= _SQUARES_FIT:  # column norms summed as np.linalg.norm sums them
+        residuals = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
+    else:  # where those squares could overflow; hypot squares no entry
+        residuals = np.hypot.reduce(np.abs(r), axis=0)
+    bound = RESIDUAL_TOL * scale
     if residuals.max() > bound:
         raise ConvergenceError(
             f"eigenpair residual {residuals.max():.3e} exceeds contract {bound:.3e}")
@@ -171,10 +176,11 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     fixes one more total degree in (u, v); the slope
     f4'(0) = -(h11 h22 - G_b) h33 is a number, so no series is divided.
     Raises :class:`DegeneracyError` where the unperturbed spectrum is
-    near-degenerate, which includes a vanishing slope.
+    near-degenerate, which includes a vanishing slope, and ValueError unless
+    order is an integer >= 0.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    if not model._is_nonnegative_int(order):
+        raise ValueError(f"order must be an integer >= 0, got {order!r}")
     perturb.dressed_basis(split.h0)
     h0, va, vc = split.h0, split.va, split.vc
     n = order // 2 + 1  # terms per axis in (u, v)

@@ -53,18 +53,17 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegeneracyError
-from .model import PerturbationSplit
+from .model import PerturbationSplit, _is_nonnegative_int
 
 DEGENERACY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class DressedBasis:
+class DressedBasis(NamedTuple):
     """Eigensystem of the unperturbed operator in physical label order.
 
     Index 0 is bare level 1 (eigenvalue 0), indices 1 and 2 are the minus-
@@ -127,8 +126,7 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     return DressedBasis(eigenvalues=np.array(lam), right=right, left=left)
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesTable:
+class SeriesTable(NamedTuple):
     """Energy corrections and dressed-basis state coefficients of the ground state.
 
     Made by :func:`build_series` and read straight from its arrays.
@@ -138,7 +136,9 @@ class SeriesTable:
     Series s = 0 is the primary one, s = 1 its companion for the transposed
     problem: ``basis.right @ A[0, p, q]`` is the order-(p, q) ket correction
     in the bare basis and ``A[1, p, q] @ basis.left`` the bra correction,
-    which in the Hermitian case is the conjugated ket.
+    which in the Hermitian case is the conjugated ket.  Like every record of
+    the package it is a tuple, so two tables compare by their fields, not by
+    identity.
     """
 
     basis: DressedBasis
@@ -251,12 +251,14 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     allowed entry of ``basis.left @ v @ basis.right``, v = ``split.va`` or
     ``split.vc``, has one nonzero term: a probe entry of v times one entry of
     the basis, taken on Python complex numbers.  Each order is one
-    gather-multiply-reduce over its terms in ``_order_plan``.
+    gather-multiply-reduce over its terms in ``_order_plan``.  ValueError
+    unless n is the integer 1 and max_order an integer >= 0.
     """
-    if n != 1:  # n stays here and in evaluate_energy only as perfbench/series_loop.py passes it
-        raise ValueError(f"only the ground state n = 1 is built, got n = {n}")
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
+    # n stays here and in evaluate_energy only as perfbench/series_loop.py passes it
+    if not (_is_nonnegative_int(n) and n == 1):
+        raise ValueError(f"only the ground state, the integer n = 1, is built, got n = {n!r}")
+    if not _is_nonnegative_int(max_order):
+        raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
     basis, size = dressed_basis(split.h0), max_order + 1
     w = np.zeros(_SERIES + 10 * size * size, dtype=complex)
     _, e, a = _layout(w, size)
@@ -289,13 +291,15 @@ def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
                     total_order: int) -> complex:
     """Partial sum of the ground eigenvalue series.
 
-    ValueError for n != 1, an order not built, or a non-finite eps_a or eps_c.
+    ValueError unless n is the integer 1 and total_order an integer order the
+    table holds, or for a non-finite eps_a or eps_c.
     """
     if not (math.isfinite(eps_a) and math.isfinite(eps_c)):
         raise ValueError(f"eps_a and eps_c must be finite, got {eps_a!r} and {eps_c!r}")
-    if n != 1 or not 0 <= total_order <= table.order:
-        raise ValueError(f"order {total_order} of state {n} is not in this table "
-                         f"of the ground state to total order {table.order}")
+    if not (_is_nonnegative_int(n) and n == 1 and _is_nonnegative_int(total_order)
+            and total_order <= table.order):
+        raise ValueError(f"total_order {total_order!r} of state {n!r} is not in this table: "
+                         f"it holds integer orders 0..{table.order} of the ground state n = 1")
     e = table.E[0, :total_order + 1, :total_order + 1]
     if total_order < table.order:  # entries above the built order are already zeros
         d = np.arange(total_order + 1)

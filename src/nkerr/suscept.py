@@ -60,8 +60,7 @@ _AXES = ("da", "db", "dc")  # each sweeps the single-photon detuning of modes a,
 
 _LEVELS = {"rho21": (1, 0), "rho43": (3, 2)}  # (ket level, bra level) of each coherence
 
-@dataclass(frozen=True)
-class SusceptibilityPoint:
+class SusceptibilityPoint(NamedTuple):
     """The three probe susceptibilities evaluated at one configuration."""
 
     chi1: complex
@@ -69,16 +68,14 @@ class SusceptibilityPoint:
     chi3_cross: complex
 
 
-@dataclass(frozen=True)
-class Coherences:
+class Coherences(NamedTuple):
     """Off-diagonal density-matrix elements of the relaxed ground state."""
 
     rho21: complex
     rho43: complex
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point of a detuning sweep; ``point`` is None where a pole sits."""
 
     axis: SweepAxis
@@ -200,10 +197,11 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     order >= 3.  The bra side comes from the companion series of the
     perturbation table, so the lossless limit is the ordinary conjugate.
     Each call builds its own split and table, even where the caller already
-    holds those of the same configuration.
+    holds those of the same configuration.  ValueError unless order is an
+    integer >= 1.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    if not (model._is_nonnegative_int(order) and order >= 1):
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
     sp = model.split(config)
     table = perturb.build_series(sp, 1, order)
     powers = np.arange(order + 1)
@@ -218,7 +216,10 @@ def coherence_coefficients(config: SystemConfig, order: int = 3,
 
     c[p, q] is the order-(p, q) Cauchy product of the ket and bra series of
     the relaxed ground state, for p + q <= order; higher entries are zero.
+    ValueError unless order is an integer >= 0.
     """
+    if not model._is_nonnegative_int(order):
+        raise ValueError(f"order must be an integer >= 0, got {order!r}")
     if element not in _LEVELS:
         raise ValueError(f"element must be one of {sorted(_LEVELS)}, got {element!r}")
     table = perturb.build_series(model.split(config), 1, order)

@@ -48,7 +48,7 @@ import os
 import pickle
 import random
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
@@ -60,8 +60,7 @@ from .model import FieldMode, PerturbationSplit, SystemConfig
 __all__ = ["CheckResult", "make_config", "run_all", "report_lines", "run_report"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     name: str
     passed: bool

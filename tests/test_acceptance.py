@@ -4,7 +4,6 @@ Each test prints its own PASS/FAIL line (run with ``pytest -s`` to see them
 inline); the same checks back the ``nkerr validate`` command.
 """
 
-import dataclasses
 import io
 import json
 import os
@@ -38,7 +37,7 @@ def test_criterion_catches_planted_coefficient_error(monkeypatch, field, number)
 
     def planted(cfg):
         co = true_coefficients(cfg)
-        return dataclasses.replace(co, **{field: getattr(co, field) * (1 + 1e-7)})
+        return co._replace(**{field: getattr(co, field) * (1 + 1e-7)})
 
     monkeypatch.setattr(effective, "coefficients", planted)
     result = {r.number: r for r in validate.run_all(seed=0)}[number]
@@ -53,7 +52,7 @@ def test_criterion_10_catches_planted_forbidden_coupling(monkeypatch):
         sp = true_split(cfg)
         va = sp.va.copy()
         va[0, 3] = va[3, 0] = 0.5
-        return dataclasses.replace(sp, va=va)
+        return sp._replace(va=va)
 
     monkeypatch.setattr(model, "split", planted)
     chk = validate._Checker()
@@ -179,8 +178,8 @@ def test_run_all_same_results_on_one_and_on_three_processes(monkeypatch):
 
     def planted(cfg):
         co = true_coefficients(cfg)
-        return dataclasses.replace(co, cross_kerr=co.cross_kerr * (1 + 1e-7),
-                                   self_kerr=co.self_kerr * (1 + 1e-7))
+        return co._replace(cross_kerr=co.cross_kerr * (1 + 1e-7),
+                           self_kerr=co.self_kerr * (1 + 1e-7))
 
     for seed, coefficients in [*((seed, true_coefficients) for seed in range(6)), (0, planted)]:
         with monkeypatch.context() as m:

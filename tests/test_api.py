@@ -1,8 +1,11 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -77,3 +80,53 @@ def test_pole_messages_are_written_only_in_model():
                     (_literal_text(node) or "").startswith("pole:")):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+# each record's fields in order, and the defaults of those that have one
+_RECORDS = {
+    "model.PerturbationSplit": (("h0", "va", "vc", "eps_a", "eps_c"), {}),
+    "perturb.DressedBasis": (("eigenvalues", "right", "left"), {}),
+    "perturb.SeriesTable": (("basis", "order", "E", "A"), {}),
+    "oracle.EigenSolution": (("eigenvalues", "eigenvectors", "residuals"), {}),
+    "effective.KerrCoefficients": (("linear", "self_kerr", "cross_kerr"), {}),
+    "suscept.SusceptibilityPoint": (("chi1", "chi3_self", "chi3_cross"), {}),
+    "suscept.Coherences": (("rho21", "rho43"), {}),
+    "suscept.SweepRow": (("axis", "value", "point", "valid", "reason"), {"reason": None}),
+    "validate.CheckResult": (("number", "name", "passed", "detail"), {"detail": ""}),
+}
+
+
+def _record(path):
+    module, name = path.split(".")
+    return getattr(importlib.import_module(f"nkerr.{module}"), name)
+
+
+def test_only_classes_that_need_more_than_a_named_tuple_are_dataclasses():
+    # FieldMode and SystemConfig check their fields in __post_init__, Sweep
+    # defines its own len, indexing and iteration; every other record is a NamedTuple
+    found = set()
+    for info in pkgutil.iter_modules(nkerr.__path__):
+        module = importlib.import_module(f"nkerr.{info.name}")
+        found |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if inspect.isclass(obj) and obj.__module__ == module.__name__
+                  and dataclasses.is_dataclass(obj)}
+    assert found == {"model.FieldMode", "model.SystemConfig", "suscept.Sweep"}
+
+
+@pytest.mark.parametrize("path", sorted(_RECORDS))
+def test_records_are_named_tuples_with_their_fields_repr_and_pickle(path):
+    cls = _record(path)
+    fields, defaults = _RECORDS[path]
+    assert issubclass(cls, tuple) and cls._fields == fields
+    assert cls._field_defaults == defaults
+    values = [f"v{k}" for k in range(len(fields))]
+    record = cls(*values)
+    assert record == tuple(values)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{field}={value!r}" for field, value in zip(fields, values)) + ")"
+    copy = pickle.loads(pickle.dumps(record))  # CheckResult crosses processes in run_all
+    assert type(copy) is cls and copy == record
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert record._replace(**{fields[0]: 0}) == (0, *values[1:])

@@ -1,4 +1,6 @@
 import cmath
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +88,25 @@ def test_eigensystem_route_is_chosen_by_exact_hermiticity(monkeypatch):
     h[2, 1] = np.nextafter(h[2, 1].real, 2.0) + 1j * h[2, 1].imag  # one ulp off Hermitian
     oracle.exact_eigensystem(h)
     assert calls == ["eigh", "eig"]
+
+
+@pytest.mark.parametrize("gamma_3", [0.0, 0.2])  # the eigh and the eig route
+def test_residual_contract_is_judged_without_overflow(gamma_3):
+    # at g_a = 1e200 the squares of the residual entries (~1e184) leave double
+    # range, while the residuals are ~1e-16 of the matrix scale
+    cfg = make_config(1e200, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5, (0.0, 0.0, gamma_3))
+    sp, h = model.split(cfg), model.build_hamiltonian(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = oracle.exact_eigensystem(h)
+        ground = (oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c),
+                  oracle.track_ground(sp))
+    assert all(cmath.isfinite(value) for value in ground)
+    r = h @ sol.eigenvectors - sol.eigenvectors * sol.eigenvalues
+    norms = [math.hypot(*column) for column in np.abs(r).T]  # overflows no square
+    assert sol.residuals.max() > 1e180
+    assert np.allclose(sol.residuals, norms, rtol=1e-14, atol=0)  # small columns too
+    assert sol.residuals.max() <= oracle.RESIDUAL_TOL * model.matrix_scale(h)
 
 
 # -- propagation -------------------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nkerr import effective, model, oracle, perturb, validate
+from nkerr import effective, model, oracle, perturb, suscept, validate
 from nkerr.errors import DegeneracyError
 
 import cauchy
@@ -310,6 +310,38 @@ def test_build_series_rejects_bad_arguments(reference_config, n, max_order):
     with pytest.raises(ValueError):
         perturb.build_series(sp, n, max_order)
     assert perturb._order_plan.cache_info().currsize == 0  # never reaches the plan
+
+
+_REFERENCE = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+_ORDER_CALLS = {  # each entry point of an order or a state index, and its message
+    "build_series max_order": (lambda sp, k: perturb.build_series(sp, 1, k),
+                               r"max_order must be an integer >= 0, got"),
+    "build_series n": (lambda sp, k: perturb.build_series(sp, k, 2), r"is built, got n = "),
+    "evaluate_energy total_order": (lambda sp, k: perturb.evaluate_energy(
+        perturb.build_series(sp, 1, 2), 1, sp.eps_a, sp.eps_c, k),
+        r"total_order .+ of state 1 is not in this table"),
+    "evaluate_energy n": (lambda sp, k: perturb.evaluate_energy(
+        perturb.build_series(sp, 1, 2), k, sp.eps_a, sp.eps_c, 2),
+        r"total_order 2 of state .+ is not in this table"),
+    "ground_series order": (lambda sp, k: oracle.ground_series(sp, k),
+                            r"^order must be an integer >= 0, got"),
+    "coherences order": (lambda sp, k: suscept.coherences(_REFERENCE, k),
+                         r"^order must be an integer >= 1, got"),
+    "coherence_coefficients order": (lambda sp, k: suscept.coherence_coefficients(_REFERENCE, k),
+                                     r"^order must be an integer >= 0, got"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_ORDER_CALLS))
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, np.float64(1.0), np.bool_(True), "1", None])
+def test_orders_and_states_are_integers_where_they_enter(call, bad):
+    # an order or n that is not an integer is a ValueError naming the argument,
+    # not numpy's TypeError, and True is not 1; numpy integers are accepted
+    sp = model.split(_REFERENCE)
+    entry, message = _ORDER_CALLS[call]
+    with pytest.raises(ValueError, match=message):
+        entry(sp, bad)
+    entry(sp, np.int64(1))
 
 
 def test_order_plan_is_read_only():
