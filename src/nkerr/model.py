@@ -21,10 +21,13 @@ Conventions used throughout the package:
 * Every immutable record the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
-  changed copy.  ``@dataclass(frozen=True)`` is kept only where a class needs
-  more: ``FieldMode`` and ``SystemConfig`` check and coerce their fields in
-  ``__post_init__``, and ``suscept.Sweep`` defines its own length, indexing
-  and iteration.
+  changed copy.  A record that holds numpy arrays (``PerturbationSplit``,
+  ``perturb.DressedBasis`` and ``SeriesTable``, ``oracle.EigenSolution``)
+  equals itself, but comparing it with another such record raises numpy's
+  ValueError, and hashing it raises TypeError.  ``@dataclass(frozen=True)``
+  is kept only where a class needs more: ``FieldMode`` and ``SystemConfig``
+  check and coerce their fields in ``__post_init__``, and ``suscept.Sweep``
+  defines its own length, indexing and iteration.
 """
 
 from __future__ import annotations

@@ -32,9 +32,6 @@ from .model import PerturbationSplit, SystemConfig
 
 RESIDUAL_TOL = 1e-12
 TRACK_STEPS = 32  # fixed path resolution keeps tracking bit-reproducible
-# Up to this matrix scale, the 4 squared entries (each <= (2 scale)^2) of a
-# residual column sum within double range.
-_SQUARES_FIT = 1e153
 
 _BARE_GROUND = np.array([1, 0, 0, 0], dtype=complex)  # bare level 1, where every walk starts
 
@@ -62,10 +59,7 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     scale = model.matrix_scale(h)
     r = h @ v - v * w
-    if scale <= _SQUARES_FIT:  # column norms summed as np.linalg.norm sums them
-        residuals = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
-    else:  # where those squares could overflow; hypot squares no entry
-        residuals = np.hypot.reduce(np.abs(r), axis=0)
+    residuals = np.hypot.reduce(np.abs(r), axis=0)  # column norms; squares no entry
     bound = RESIDUAL_TOL * scale
     if residuals.max() > bound:
         raise ConvergenceError(

@@ -137,8 +137,9 @@ class SeriesTable(NamedTuple):
     problem: ``basis.right @ A[0, p, q]`` is the order-(p, q) ket correction
     in the bare basis and ``A[1, p, q] @ basis.left`` the bra correction,
     which in the Hermitian case is the conjugated ket.  Like every record of
-    the package it is a tuple, so two tables compare by their fields, not by
-    identity.
+    the package it is a tuple; since it holds arrays, a table equals itself,
+    but comparing two tables raises numpy's ValueError and hashing one
+    raises TypeError.
     """
 
     basis: DressedBasis

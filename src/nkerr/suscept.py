@@ -216,10 +216,8 @@ def coherence_coefficients(config: SystemConfig, order: int = 3,
 
     c[p, q] is the order-(p, q) Cauchy product of the ket and bra series of
     the relaxed ground state, for p + q <= order; higher entries are zero.
-    ValueError unless order is an integer >= 0.
+    ValueError unless order is an integer >= 0, raised by build_series.
     """
-    if not model._is_nonnegative_int(order):
-        raise ValueError(f"order must be an integer >= 0, got {order!r}")
     if element not in _LEVELS:
         raise ValueError(f"element must be one of {sorted(_LEVELS)}, got {element!r}")
     table = perturb.build_series(model.split(config), 1, order)

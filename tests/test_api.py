@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import nkerr
+from conftest import make_config
+from nkerr import model, perturb
 
 
 # the names of __all__ that dir() omits and that a star import leaves unbound,
@@ -130,3 +132,15 @@ def test_records_are_named_tuples_with_their_fields_repr_and_pickle(path):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     assert record._replace(**{fields[0]: 0}) == (0, *values[1:])
+
+
+def test_records_that_hold_arrays_equal_only_themselves_and_do_not_hash():
+    # a tuple compares its fields, and two numpy arrays have no single truth value
+    sp = model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5))
+    table, again = perturb.build_series(sp, 1, 2), perturb.build_series(sp, 1, 2)
+    assert table == table and table in [table]
+    with pytest.raises(ValueError, match="truth value of an array"):
+        assert table == again
+    for record in (table, table.basis, sp):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)

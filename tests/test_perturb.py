@@ -328,7 +328,7 @@ _ORDER_CALLS = {  # each entry point of an order or a state index, and its messa
     "coherences order": (lambda sp, k: suscept.coherences(_REFERENCE, k),
                          r"^order must be an integer >= 1, got"),
     "coherence_coefficients order": (lambda sp, k: suscept.coherence_coefficients(_REFERENCE, k),
-                                     r"^order must be an integer >= 0, got"),
+                                     r"order must be an integer >= 0, got"),
 }
 
 
