@@ -39,18 +39,15 @@ temporary files together hold the parts after the first.  With one CPU, a
 sweep of one chunk, or a platform without ``os.fork`` or
 ``os.sched_getaffinity``, nothing is forked.
 
-The package forks in one place, ``_forked``, which the sweep and
-``validate.run_all`` share.  It forks a child per job; the child runs its
-job on an unlinked temporary file of its own and leaves by ``os._exit``, so
-no stdio buffer it inherited is flushed twice.  The parent reaps the
-children in job order and reads their files, and on every path it kills
-and reaps each child still running when it leaves the block.  A child
-inherits only the thread that forked it.  The process's other threads are
-the BLAS pool of numpy's OpenBLAS, which OpenBLAS stops before a fork
-(``pthread_atfork``) and a child starts afresh if it needs one, and the
-parent forks between BLAS calls; so a child that calls LAPACK, as the
-criteria of ``validate`` do, needs no lock that a thread missing from it
-held.  A child that fails is an output error (exit 2) in either command.
+The package forks in one place, ``_forked``, which only the sweep uses.
+It forks a child per job; the child runs its job on an unlinked temporary
+file of its own and leaves by ``os._exit``, so no stdio buffer it inherited
+is flushed twice.  The parent reaps the children in job order and reads
+their files, and on every path it kills and reaps each child still running
+when it leaves the block.  A child inherits only the thread that forked it.
+The process's other threads are the BLAS pool of numpy's OpenBLAS, which
+OpenBLAS stops before a fork (``pthread_atfork``) and a child starts afresh
+if it needs one.  A child that fails is an output error (exit 2).
 
 Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
 arguments (including non-finite ``--lo/--hi/--t`` and a ``--steps`` whose grid

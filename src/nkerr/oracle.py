@@ -45,7 +45,16 @@ class EigenSolution(NamedTuple):
 
 
 def exact_eigensystem(h: np.ndarray) -> EigenSolution:
-    """Dense eigensolution with an explicit residual contract; exactly Hermitian h takes eigh."""
+    """Dense eigensolution with an explicit residual contract; exactly Hermitian h takes eigh.
+
+    Raises ConvergenceError where LAPACK fails or a residual, NaN included,
+    exceeds ``RESIDUAL_TOL`` times ``model.matrix_scale(h)``, and the
+    out-of-range PoleError where that scale leaves double range, as no
+    residual could then be judged against it.
+    """
+    bound = RESIDUAL_TOL * model.matrix_scale(h)
+    if bound == math.inf:
+        model.raise_at_pole(model.OUT_OF_RANGE)
     try:
         if (h == h.conj().T).all():
             w, v = np.linalg.eigh(h)
@@ -57,11 +66,9 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
             v = v[:, order]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    scale = model.matrix_scale(h)
     r = h @ v - v * w
     residuals = np.hypot.reduce(np.abs(r), axis=0)  # column norms; squares no entry
-    bound = RESIDUAL_TOL * scale
-    if residuals.max() > bound:
+    if not residuals.max() <= bound:
         raise ConvergenceError(
             f"eigenpair residual {residuals.max():.3e} exceeds contract {bound:.3e}")
     return EigenSolution(eigenvalues=w, eigenvectors=v, residuals=residuals)

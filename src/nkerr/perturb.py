@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneracyError
-from .model import PerturbationSplit, _is_nonnegative_int
+from .model import OUT_OF_RANGE, PerturbationSplit, _is_nonnegative_int, raise_at_pole
 
 DEGENERACY_TOL = 1e-8
 
@@ -84,9 +84,11 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     ``DEGENERACY_TOL`` times the size of the entries that set them, at least
     1: the pump block's norm for the dressed pair, |h33| for bare level 4
     and 0 for bare level 1.  A far level therefore leaves the gaps of the
-    near ones at their own scale.  Roots and gaps are taken on Python complex
-    numbers, which round as numpy's do here, but ``nrm`` stays numpy:
-    Python's complex division does not.
+    near ones at their own scale.  Raises the out-of-range PoleError where a
+    dressed eigenvalue, or a square on the way to one, leaves double range.
+    Roots and gaps are taken on Python complex numbers, which round as
+    numpy's do here, but ``nrm`` stays numpy: Python's complex division
+    does not.
     """
     rows = h0.tolist()
     d1, x = rows[1][1:3]  # x = Omega_b / 2
@@ -98,10 +100,15 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
         lam = [0j, d1, d2, rows[3][3]]
         right[1, 1] = left[1, 1] = right[2, 2] = left[2, 2] = 1.0
     else:
-        root = cmath.sqrt((d1 - d2) ** 2 + 4.0 * x * y + 0.0j)
+        try:  # Python's complex ** raises OverflowError past double range
+            root = cmath.sqrt((d1 - d2) ** 2 + 4.0 * x * y + 0.0j)
+        except OverflowError:
+            raise_at_pole(OUT_OF_RANGE)
         lam = [0j, 0.5 * ((d1 + d2) - root), 0.5 * ((d1 + d2) + root), rows[3][3]]
+        if not all(map(cmath.isfinite, lam)):  # a NaN gap would pass the test below
+            raise_at_pole(OUT_OF_RANGE)
         for idx in (1, 2):
-            shift = lam[idx] - d1
+            shift = lam[idx] - d1  # no larger than d1 - d2 or root, so shift**2 fits
             pairing = x * y + shift**2
             nrm = np.sqrt(pairing + 0.0j)
             if nrm == 0:

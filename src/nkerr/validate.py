@@ -22,21 +22,13 @@ N-configuration forbids would break.
 
 ``_CRITERIA`` is the one table of (report name, function); a criterion's
 number is its position + 1, and its function records into the ``_Checker``
-it is handed.  ``run_all`` makes the draws once, then runs the criteria on
-as many processes as the process may use CPUs (``cli._usable_cpus``) and no
-more than there are criteria: itself and children of ``cli._forked``, none
-with one usable CPU or where ``os.fork`` is missing.  The criteria's indices
-wait in a pipe, costliest first, and each process reads one at a time, so
-the heavy criteria (1, 7, 8, 10 and 11 take 85-90% of the time) spread over
-the processes and none is left to run alone at the end.  A child sees this
-process's memory as it was at the fork, copy-on-write: the draws, every
-loaded module and any patch a test made.  It pickles {index: CheckResult or
-exception} into its temporary file, which ``run_all`` unpickles.  A
-criterion reads only the draws and its own random stream ``_rng(seed,
-lane)``, and changes nothing another reads, so its result does not depend
-on which process runs it or when.  ``run_all`` puts the results back in
-criterion order and raises the first exception in that order, so the
-report, the exit code and the exception are the same on any number of CPUs.
+it is handed.  ``run_all`` makes the draws once, then runs the criteria one
+after another in this process, in criterion order, on any number of CPUs,
+so a profiler or tracer of the process sees every criterion.  A criterion
+reads only the draws and its own random stream ``_rng(seed, lane)``, and
+changes nothing another reads, so its result does not depend on what ran
+before it.  A criterion's exception leaves ``run_all`` as it is raised, so
+the first in criterion order is the one a run raises.
 """
 
 from __future__ import annotations
@@ -45,11 +37,10 @@ import io
 import json
 import math
 import os
-import pickle
 import random
 import tempfile
 from dataclasses import replace
-from typing import BinaryIO, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -377,66 +368,20 @@ _CRITERIA: list[tuple[str, Callable[[_Draws, _Checker], None]]] = [
 ]
 
 
-# Criterion numbers by falling cost in a fresh ``validate`` process (11
-# takes ~9 ms, 7 and 8 ~7 ms each, 5 takes 0.4 ms): handed out in this order,
-# the heavy criteria spread over the processes and the last ones out are short.
-_COSTLIEST_FIRST = (11, 7, 8, 10, 1, 4, 2, 3, 9, 6, 5)
-
-
 def run_all(seed: int) -> list[CheckResult]:
-    """Every criterion's result, in criterion order, run on up to one process per CPU.
+    """Every criterion's result, in criterion order, run in this process.
 
-    This process and one forked child per further CPU take the criteria
-    from one queue (see the module docstring).  Raises the first exception
-    a criterion raised, in criterion order, ChildProcessError if a forked
-    process ended without giving the results of the criteria it took, and
-    ValueError for a negative seed.
+    Raises the first exception a criterion raises, and ValueError for a
+    negative seed.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     draws = _Draws(seed, _resonant_configs(seed), _oracle_draws(seed))
-    processes = min(cli._usable_cpus(), len(_CRITERIA))
-    read_end, write_end = os.pipe()
-    with open(read_end, "rb", buffering=0) as queue:
-        with open(write_end, "wb", buffering=0) as feed:
-            feed.write(bytes(number - 1 for number in _COSTLIEST_FIRST))
-        jobs = [lambda part: pickle.dump(_run_from(queue, draws), part)] * (processes - 1)
-        failed = []  # (pid, exit code) of each child that gave no results
-        with cli._forked(jobs) as reaped:
-            results = _run_from(queue, draws)
-            for pid, code, part in reaped:
-                if code == 0:
-                    results.update(pickle.load(part))
-                else:
-                    failed.append((pid, code))
-    if missing := [k + 1 for k in range(len(_CRITERIA)) if k not in results]:
-        raise ChildProcessError(
-            f"no result for criteria {', '.join(map(str, missing))}: "
-            + ", ".join(f"process {pid} exited with code {code}" for pid, code in failed))
-    ordered = [results[k] for k in range(len(_CRITERIA))]
-    for result in ordered:
-        if isinstance(result, Exception):
-            raise result
-    return ordered
-
-
-def _run_from(queue: BinaryIO, draws: _Draws) -> dict[int, CheckResult | Exception]:
-    """Run criteria by the indices read from ``queue``, one at a time, until it is empty.
-
-    Each criterion records into a fresh ``_Checker``, which gives its
-    ``CheckResult``; a criterion that raises gives its exception instead.
-    """
-    results = {}
-    while index := queue.read(1):
-        k = index[0]
-        name, criterion = _CRITERIA[k]
+    results = []
+    for number, (name, criterion) in enumerate(_CRITERIA, 1):
         chk = _Checker()
-        try:
-            criterion(draws, chk)
-        except Exception as exc:  # run_all raises it in criterion order
-            results[k] = exc
-        else:
-            results[k] = CheckResult(k + 1, name, chk.passed, chk.detail)
+        criterion(draws, chk)
+        results.append(CheckResult(number, name, chk.passed, chk.detail))
     return results
 
 

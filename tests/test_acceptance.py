@@ -7,7 +7,6 @@ inline); the same checks back the ``nkerr validate`` command.
 import io
 import json
 import os
-import select
 import subprocess
 import sys
 
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 from nkerr import cli, effective, model, validate
-from nkerr.errors import DegeneracyError
+from nkerr.errors import DegeneracyError, PoleError
 
 TRUE_WRITER = cli._chunk_text
 
@@ -155,115 +154,46 @@ def test_sweep_command_byte_identical_across_processes(tmp_path):
     assert header == "axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid"
 
 
-# -- the criteria on several processes --------------------------------------
+# -- running the criteria ---------------------------------------------------
 
-def _refuse_fork():
-    raise AssertionError("run_all forked")
-
-
-def _use_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-
-
-def test_run_all_same_results_on_one_and_on_three_processes(monkeypatch):
-    # the planted error makes criteria 3, 4 and 5 fail, so their details count too
+def test_run_all_reports_the_criteria_a_planted_error_fails(monkeypatch):
+    # the planted error makes criteria 3, 4 and 5 fail, each with a detail
     true_coefficients = effective.coefficients
-    forks = []
-    true_fork = os.fork
-
-    def fork():
-        pid = true_fork()
-        forks.append(pid)
-        return pid
 
     def planted(cfg):
         co = true_coefficients(cfg)
         return co._replace(cross_kerr=co.cross_kerr * (1 + 1e-7),
                            self_kerr=co.self_kerr * (1 + 1e-7))
 
-    for seed, coefficients in [*((seed, true_coefficients) for seed in range(6)), (0, planted)]:
-        with monkeypatch.context() as m:
-            m.setattr(effective, "coefficients", coefficients)
-            _use_cpus(m, 1)
-            m.setattr(os, "fork", _refuse_fork)
-            serial = validate.run_all(seed)
-            _use_cpus(m, 3)
-            m.setattr(os, "fork", fork)
-            assert validate.run_all(seed) == serial
-        assert len(forks) == 2
-        forks.clear()
-    assert [r.number for r in serial if not r.passed] == [3, 4, 5] and serial[2].detail
-    assert sorted(validate._COSTLIEST_FIRST) == [r.number for r in serial]
+    monkeypatch.setattr(effective, "coefficients", planted)
+    results = validate.run_all(0)
+    assert [r.number for r in results] == list(range(1, 12))
+    failed = [r for r in results if not r.passed]
+    assert [r.number for r in failed] == [3, 4, 5] and all(r.detail for r in failed)
 
 
-@pytest.fixture
-def child_signal():
-    """A pipe on which a forked child writes the number of each criterion it starts."""
-    read_end, write_end = os.pipe()
-    yield read_end, write_end
-    os.close(read_end)
-    os.close(write_end)
+def _refuse_fork():
+    raise AssertionError("run_all forked")
 
 
-def _plant_in_children(monkeypatch, child_signal, end_child):
-    """Every criterion started in a forked child signals its number, then calls ``end_child``.
-
-    The parent runs the true criteria, its first only once a child has
-    signalled, so at least one criterion is sure to run in a child.
-    """
-    parent = os.getpid()
-    read_end, write_end = child_signal
-
-    def planted(number, criterion):
-        def run(draws, chk):
-            if os.getpid() != parent:
-                os.write(write_end, bytes([number]))
-                end_child()
-            assert select.select([read_end], [], [], 60)[0], "no child started a criterion"
-            criterion(draws, chk)
-        return run
-
-    monkeypatch.setattr(validate, "_CRITERIA", [
-        (name, planted(k, c)) for k, (name, c) in enumerate(validate._CRITERIA, 1)])
-    _use_cpus(monkeypatch, 3)
+def test_run_all_never_forks(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert validate.run_all(0) == list(RESULTS.values())
 
 
-def _raise_degeneracy():
-    raise DegeneracyError("x")
+def _raising(exc):
+    def criterion(draws, chk):
+        raise exc
+    return criterion
 
 
-def test_run_all_raises_a_criterions_exception_from_a_child(monkeypatch, child_signal):
-    _plant_in_children(monkeypatch, child_signal, _raise_degeneracy)
-    with pytest.raises(DegeneracyError) as info:
-        validate.run_all(0)
-    assert info.value.args == ("x",)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_validate_exits_3_on_a_criterions_exception_serial_or_from_a_child(
-        monkeypatch, capsys, child_signal):
-    with monkeypatch.context() as m:
-        _use_cpus(m, 1)
-        criteria = list(validate._CRITERIA)
-        criteria[6] = (criteria[6][0], lambda draws, chk: _raise_degeneracy())
-        m.setattr(validate, "_CRITERIA", criteria)
-        assert cli.main(["validate", "--seed", "0"], stdout=io.StringIO()) == 3
-    serial = capsys.readouterr().err
-    _plant_in_children(monkeypatch, child_signal, _raise_degeneracy)
+def test_validate_exits_3_on_the_first_criterions_exception(monkeypatch, capsys):
+    criteria = list(validate._CRITERIA)
+    criteria[6] = (criteria[6][0], _raising(DegeneracyError("x")))
+    criteria[8] = (criteria[8][0], _raising(PoleError("y")))
+    monkeypatch.setattr(validate, "_CRITERIA", criteria)
     out = io.StringIO()
     assert cli.main(["validate", "--seed", "0"], stdout=out) == 3
-    assert capsys.readouterr().err == serial == "domain error: x\n"
+    assert capsys.readouterr().err == "domain error: x\n"
     assert out.getvalue() == ""
-
-
-def test_run_all_names_the_criteria_a_dead_child_took(monkeypatch, child_signal):
-    _plant_in_children(monkeypatch, child_signal, lambda: os._exit(9))
-    with pytest.raises(ChildProcessError) as info:
-        validate.run_all(0)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    taken = sorted(os.read(child_signal[0], 64))  # each child died in its first criterion
-    assert str(info.value).startswith(
-        f"no result for criteria {', '.join(map(str, taken))}: process ")
-    assert "exited with code 9" in str(info.value)

@@ -109,6 +109,36 @@ def test_residual_contract_is_judged_without_overflow(gamma_3):
     assert sol.residuals.max() <= oracle.RESIDUAL_TOL * model.matrix_scale(h)
 
 
+def test_eigensystem_of_a_matrix_whose_scale_leaves_double_range_is_a_pole_error():
+    # the bound RESIDUAL_TOL * inf once passed an inf eigenvalue and residual
+    big = 1e308
+    h = np.array([[0, big, 0, 0], [big, big, big, 0], [0, big, -big, 0], [0, 0, 0, 1]],
+                 dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError, match="outside double range"):
+            oracle.exact_eigensystem(h)
+
+
+@pytest.mark.parametrize("route, lossy", [("eigh", False), ("eig", True)])
+def test_eigensystem_rejects_a_nan_residual(reference_config, lossy_config, monkeypatch,
+                                            route, lossy):
+    solve = getattr(np.linalg, route)
+
+    def nan_column(h):
+        w, v = solve(h)
+        v = v.copy()
+        v[:, 0] = np.nan
+        return w, v
+
+    monkeypatch.setattr(np.linalg, route, nan_column)
+    h = model.build_hamiltonian(lossy_config if lossy else reference_config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="residual nan exceeds contract"):
+            oracle.exact_eigensystem(h)
+
+
 # -- propagation -------------------------------------------------------------
 
 def test_propagate_identity_at_t0(lossy_config):

@@ -1,11 +1,12 @@
 import cmath
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nkerr import effective, model, oracle, perturb, suscept, validate
-from nkerr.errors import DegeneracyError
+from nkerr.errors import DegeneracyError, PoleError
 
 import cauchy
 import series_reference
@@ -54,6 +55,21 @@ def test_dressed_basis_rejects_near_degenerate_gap_and_defective_pair():
     # d1 - d2 = 2i and x*y = 1: the pair is one Jordan block, with no left/right pairing
     with pytest.raises(DegeneracyError, match="defective"):
         perturb.dressed_basis(_h0(0.0, -2j, 0.7, 2.0))
+
+
+# a dressed eigenvalue past double range once gave inf+nanj, whose NaN gaps
+# passed the degeneracy test; (d1 - d2)**2 past it raised OverflowError
+@pytest.mark.parametrize("args", [(0.01, 1.0, 0.01, 1, 0, 1, 1.7e308, 0.0, -1e308),
+                                  (0.01, 1e200, 0.01, 1, 0, 1, 0.3, 0.1, 0.5),
+                                  (0.01, 1.0, 0.01, 1, 0, 1, 1e200, 2e200, 0.0)])
+def test_dressed_eigenvalue_beyond_double_range_is_a_pole_error(args):
+    sp = model.split(make_config(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda sp: perturb.dressed_basis(sp.h0),
+                     lambda sp: perturb.build_series(sp, 1, 2), oracle.track_ground):
+            with pytest.raises(PoleError, match="outside double range"):
+                call(sp)
 
 
 def test_dressed_basis_eigen_residuals():
