@@ -899,3 +899,39 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "coeffs" in proc.stdout and "sweep" in proc.stdout
+
+
+# -- gated bytes -------------------------------------------------------------
+
+# The stdout of each command and the CSV of each sweep below, as the package
+# wrote them when the corpus was committed.  A change that alters any of
+# these bytes fails here; the corpus is rewritten only together with an
+# explicit decision to change the gated output.
+_GATED = Path(__file__).resolve().parent / "gated"
+_GATED_SCENARIOS = ("reference", "raman", "n_a-2", "dc-1e200", "strong", "lossy")
+_GATED_RUNS = (
+    [(f"coeffs-{s}", ["coeffs", s]) for s in _GATED_SCENARIOS]
+    + [(f"evolve-{s}-t{t}", ["evolve", s, "--t", t])
+       for s in _GATED_SCENARIOS for t in ("0.5", "1", "1e3")]
+    + [(f"validate-seed{seed}", ["validate", "--seed", str(seed)]) for seed in range(6)])
+
+
+@pytest.mark.parametrize("name, argv", _GATED_RUNS, ids=[name for name, _ in _GATED_RUNS])
+def test_gated_stdout_matches_the_corpus(name, argv):
+    if argv[0] != "validate":
+        argv = [argv[0], str(_GATED / f"{argv[1]}.json"), *argv[2:]]
+    out = io.StringIO()
+    code = cli.main(argv, stdout=out)
+    assert code == (4 if "lossy" in name else 0)  # the lossy scenario is refused
+    assert out.getvalue() == (_GATED / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("scenario, axis", [("lossy", "dc"), ("reference", "da")])
+def test_gated_sweep_csv_matches_the_corpus(tmp_path, scenario, axis):
+    opath = tmp_path / "out.csv"
+    assert cli.main(["sweep", str(_GATED / f"{scenario}.json"), "--axis", axis, "--lo", "-2",
+                     "--hi", "2", "--steps", "41", "--out", str(opath)],
+                    stdout=io.StringIO()) == 0
+    assert opath.read_bytes() == (_GATED / f"sweep-{scenario}-{axis}.csv").read_bytes(), (
+        "the sweep CSV differs from the corpus; its bytes are known to depend on numpy's "
+        "complex arithmetic, which differs with the X86_V3 (AVX2/FMA) SIMD group on or off")
