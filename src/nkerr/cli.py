@@ -30,31 +30,27 @@ bits do not change within a chunk is converted once for the chunk: on a
 delta_1 and delta_2, and a row costs 3 conversions instead of 7.  The rows
 are cut into contiguous parts of whole chunks, one per CPU the process may
 run on (``os.sched_getaffinity``) and no more than there are chunks, and the
-parts are evaluated and formatted at the same time: the process writes part
-0 straight into ``--out`` while a child of ``_forked`` writes each later
-part chunk by chunk, seeing the grid copy-on-write, so nothing is pickled
-and nothing is imported again.  The process then copies the children's
-parts after it in row order, in blocks of ``shutil.COPY_BUFSIZE``; the
-temporary files together hold the parts after the first.  With one CPU, a
-sweep of one chunk, or a platform without ``os.fork`` or
-``os.sched_getaffinity``, nothing is forked.
-
-The package forks in one place, ``_forked``, which only the sweep uses.
-It forks a child per job; the child runs its job on an unlinked temporary
-file of its own and leaves by ``os._exit``, so no stdio buffer it inherited
-is flushed twice.  The parent reaps the children in job order and reads
-their files, and on every path it kills and reaps each child still running
-when it leaves the block.  A child inherits only the thread that forked it.
-The process's other threads are the BLAS pool of numpy's OpenBLAS, which
-OpenBLAS stops before a fork (``pthread_atfork``) and a child starts afresh
-if it needs one.  A child that fails is an output error (exit 2).
+parts are evaluated and formatted at the same time.  The process forks a
+child for each part after the first: a child sees the grid copy-on-write, so
+nothing is pickled and nothing is imported again.  It writes its part chunk
+by chunk into an unlinked temporary file of its own and leaves by
+``os._exit``, so no stdio buffer it inherited is flushed twice.  A child
+inherits only the thread that forked it; the process's other threads are the
+BLAS pool of numpy's OpenBLAS, which OpenBLAS stops before a fork
+(``pthread_atfork``) and a child starts afresh if it needs one.  The process
+writes part 0 straight into ``--out``, then reaps the children in row order
+and copies each part after it in blocks of ``shutil.COPY_BUFSIZE``; the
+temporary files together hold the parts after the first.  On every path it
+kills and reaps each child still running when it stops.  A child that fails
+is an output error (exit 2).  With one CPU, a sweep of one chunk, or a
+platform without ``os.fork`` or ``os.sched_getaffinity``, nothing is forked.
 
 Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
 arguments (including non-finite ``--lo/--hi/--t`` and a ``--steps`` whose grid
-does not fit in memory), an output file that
-cannot be written or a forked child that fails, 3 domain error (a pole, including a closed form whose
-terms leave double range, or a degeneracy), 4 regime refusal (a command that
-needs the lossless regime was given decay rates).  ``coeffs`` and ``evolve``
+does not fit in memory), an output file that cannot be written or a forked
+child that fails, 3 domain error (a pole, including a closed form whose terms
+leave double range, or a degeneracy), 4 regime refusal (a command that needs
+the lossless regime was given decay rates).  ``coeffs`` and ``evolve``
 print only finite numbers, as does every valid ``sweep`` row; a sweep's
 detuning-independent terms or an ``evolve`` phase beyond double range exit 3.
 
@@ -79,7 +75,7 @@ import shutil
 import signal
 import sys
 import tempfile
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, NoReturn, TextIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NoReturn, TextIO
 
 import numpy as np
 
@@ -98,9 +94,6 @@ SWEEP_CHUNK_ROWS = 4096
 
 # (start, stop) -> the Sweep of rows [start, stop) of the grid.
 _Rows = Callable[[int, int], "suscept.Sweep"]
-
-# (pid, exit code, output file) of each child of ``_forked``, as it is reaped
-_Reaped = Iterator[tuple[int, int, BinaryIO]]
 
 # A token that is a negative decimal number, exponent allowed: an option's value.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -217,66 +210,44 @@ def _usable_cpus() -> int:
 def _write_sweep_rows(fh: BinaryIO, rows: _Rows, n: int) -> None:
     """Write the ``n`` rows to ``fh`` in contiguous parts, evaluated and formatted in parallel.
 
-    Part 0 is written here, every later part by a child of ``_forked`` into
-    its temporary file, which is then copied after it (see the module
-    docstring).  Raises OSError if a child fails.
+    Part 0 is written here, every later part by a forked child into an
+    unlinked temporary file that is then copied after it (see the module
+    docstring).  Raises OSError if a child fails; every child is reaped on
+    every path.
     """
     chunks = -(-n // SWEEP_CHUNK_ROWS)
     parts = min(_usable_cpus(), chunks)
     bounds = [k * chunks // parts * SWEEP_CHUNK_ROWS for k in range(parts)] + [n]
-    ranges = list(zip(bounds[1:-1], bounds[2:]))
-    jobs = [lambda part, start=start, stop=stop: _write_row_range(part, rows, start, stop)
-            for start, stop in ranges]
-    with _forked(jobs) as reaped:
-        _write_row_range(fh, rows, 0, bounds[1])
-        for (start, stop), (pid, code, part) in zip(ranges, reaped):
-            if code != 0:
-                raise OSError(f"writing sweep rows {start}..{stop - 1} failed "
-                              f"in process {pid} (exit code {code})")
-            shutil.copyfileobj(part, fh)
-
-
-@contextlib.contextmanager
-def _forked(jobs: list[Callable[[BinaryIO], None]]) -> Iterator[_Reaped]:
-    """Run each job in a forked child; the block reaps the children in job order.
-
-    Child k calls ``jobs[k](file)`` on an unlinked temporary file of its own,
-    flushes it and leaves by ``os._exit``: code 0 if the job returned, 1 if
-    it raised.  The block gets an iterator that waits for each child in job
-    order and yields its (pid, exit code, file rewound to its start).  On
-    leaving the block every child not yet reaped is killed and reaped, on
-    every path.
-    """
-    children = []  # (pid, file) not yet reaped, in job order
+    children = []  # (pid, part file, first row, end row) not yet reaped, in row order
     with contextlib.ExitStack() as files:
         try:
-            for job in jobs:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
                 part = files.enter_context(tempfile.TemporaryFile())
                 pid = os.fork()
                 if pid == 0:
-                    _run_and_exit(job, part)
-                children.append((pid, part))
-
-            def reaped() -> _Reaped:
-                while children:
-                    pid, part = children[0]
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    del children[0]
-                    part.seek(0)
-                    yield pid, code, part
-
-            yield reaped()
+                    _write_part_and_exit(part, rows, start, stop)
+                children.append((pid, part, start, stop))
+            _write_row_range(fh, rows, 0, bounds[1])
+            while children:
+                pid, part, start, stop = children[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if code != 0:
+                    raise OSError(f"writing sweep rows {start}..{stop - 1} failed "
+                                  f"in process {pid} (exit code {code})")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
         finally:
-            for pid, _ in children:
+            for pid, *_ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _run_and_exit(job: Callable[[BinaryIO], None], part: BinaryIO) -> NoReturn:
-    """A forked child's whole life: run ``job`` on ``part``, flush it, then exit."""
+def _write_part_and_exit(part: BinaryIO, rows: _Rows, start: int, stop: int) -> NoReturn:
+    """A forked child's whole life: write rows [start, stop) to ``part``, then exit."""
     code = 1
     try:
-        job(part)
+        _write_row_range(part, rows, start, stop)
         part.flush()
         code = 0
     finally:
