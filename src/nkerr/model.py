@@ -187,13 +187,14 @@ def pump_coupling(config: SystemConfig) -> float:
 
 def matrix_scale(h: np.ndarray) -> float:
     """max(1, Frobenius norm of h), summed as ``np.linalg.norm`` sums it (of h / max|h_ij|
-    where that overflows): the size that residuals of eigenpairs of h are judged against."""
+    where that overflows): the size that residuals of eigenpairs of h are judged against.
+    NaN where h holds a NaN, inf where it holds an inf and no NaN."""
     flat = h.ravel(order="K")
     with np.errstate(over="ignore"):
         squares = flat.real.dot(flat.real) + flat.imag.dot(flat.imag)
         if not math.isfinite(squares) and (largest := np.max(np.abs(flat))) < math.inf:
             return float(largest) * matrix_scale(flat / largest)
-    return max(1.0, math.sqrt(squares))
+    return max(math.sqrt(squares), 1.0)  # a NaN comes first, so it is kept
 
 
 def near_pole(value, scale):

@@ -49,11 +49,12 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
 
     Raises ConvergenceError where LAPACK fails or a residual, NaN included,
     exceeds ``RESIDUAL_TOL`` times ``model.matrix_scale(h)``, and the
-    out-of-range PoleError where that scale leaves double range, as no
+    out-of-range PoleError before LAPACK runs where that scale is not finite
+    (h holds a NaN or an inf, or its norm leaves double range), as no
     residual could then be judged against it.
     """
     bound = RESIDUAL_TOL * model.matrix_scale(h)
-    if bound == math.inf:
+    if not bound < math.inf:
         model.raise_at_pole(model.OUT_OF_RANGE)
     try:
         if (h == h.conj().T).all():

@@ -23,12 +23,12 @@ N-configuration forbids would break.
 ``_CRITERIA`` is the one table of (report name, function); a criterion's
 number is its position + 1, and its function records into the ``_Checker``
 it is handed.  ``run_all`` makes the draws once, then runs the criteria one
-after another in this process, in criterion order, on any number of CPUs,
-so a profiler or tracer of the process sees every criterion.  A criterion
-reads only the draws and its own random stream ``_rng(seed, lane)``, and
-changes nothing another reads, so its result does not depend on what ran
-before it.  A criterion's exception leaves ``run_all`` as it is raised, so
-the first in criterion order is the one a run raises.
+after another in this process, in criterion order, so a profiler or tracer
+of the process sees every criterion.  A criterion reads only the draws and
+its own random stream ``_rng(seed, lane)``, and changes nothing another
+reads, so its result does not depend on what ran before it.  A criterion's
+exception leaves ``run_all`` as it is raised, so the first in criterion
+order is the one a run raises.
 """
 
 from __future__ import annotations
@@ -246,10 +246,13 @@ def _criterion_5(draws: _Draws, chk: _Checker) -> None:
 
 
 def _criterion_6(draws: _Draws, chk: _Checker) -> None:
-    cfg = _reference_config()
-    t = (math.pi / 4.0) / abs(effective.coefficients(cfg).cross_kerr)
-    _, _, diff, bound = oracle.phase_comparison(cfg, t)
-    chk.expect(abs(diff) <= bound, f"|phase difference| <= {bound:g}", abs(diff), bound)
+    # at t = pi/(4|K|) on the reference, L t is a multiple of pi and n_a = 1;
+    # the second scenario's phase also sees the sign of L and S's n_a**2
+    second = make_config(0.01, 1.0, 0.01, 2, 0, 3, 0.3, 0.1, 0.5)
+    for cfg, fraction in ((_reference_config(), 1.0), (second, 0.37)):
+        t = fraction * (math.pi / 4.0) / abs(effective.coefficients(cfg).cross_kerr)
+        _, _, diff, bound = oracle.phase_comparison(cfg, t)
+        chk.expect(abs(diff) <= bound, f"|phase difference| <= {bound:g}", abs(diff), bound)
 
 
 def _criterion_7(draws: _Draws, chk: _Checker) -> None:

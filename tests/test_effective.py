@@ -63,6 +63,24 @@ def test_pure_cross_kerr_rejects_what_delta_2_changes(da, db, dc):
         effective.pure_cross_kerr(cfg)
 
 
+@pytest.mark.parametrize("d1, gb, d2, refusal", [
+    # |delta_2| against 1e-12 max(1, |delta_1|); G_b = 100 leaves the product test slack
+    (5.0, 10.0, 4.9e-12, None), (5.0, 10.0, 5.1e-12, "Raman-resonant"),
+    (0.5, 10.0, 0.9e-12, None), (0.5, 10.0, 1.1e-12, "Raman-resonant"),
+    # |delta_1 delta_2| against 1e-12 G_b, with G_b = 4 and 0.25
+    (5.0, 2.0, 7.9e-13, None), (5.0, 2.0, 8.1e-13, "small against G_b"),
+    (0.5, 0.5, 4.9e-13, None), (0.5, 0.5, 5.1e-13, "small against G_b"),
+])
+def test_pure_cross_kerr_at_each_edge_of_its_resonance_tolerance(d1, gb, d2, refusal):
+    cfg = make_config(0.01, gb, 0.01, 1, 0, 1, d1, d1 - d2, 0.5)
+    if refusal is None:
+        assert effective.pure_cross_kerr(cfg) == pytest.approx(
+            effective.coefficients(cfg).cross_kerr, rel=1e-10)
+    else:
+        with pytest.raises(NotResonantError, match=refusal):
+            effective.pure_cross_kerr(cfg)
+
+
 def test_delta3_pole_rejected():
     cfg = make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.4, 0.4, -0.0)
     with pytest.raises(PoleError, match="delta_3"):

@@ -278,3 +278,6 @@ def test_matrix_scale_is_the_norm_and_rescales_only_past_double_range():
                                                              rel=1e-15)
     assert model.matrix_scale(np.diag([0.0, 0.3, 0.25, 1e200])) == 1e200
     assert model.matrix_scale(np.diag([0.0, 1e308, np.inf, 1.0])) == np.inf  # not rescaled
+    # a NaN is kept, also beside an inf: max(1.0, nan) is 1.0
+    assert np.isnan(model.matrix_scale(np.diag([0.0, np.nan, 0.0, 0.0])))
+    assert np.isnan(model.matrix_scale(np.diag([0.0, np.nan, np.inf, 0.0])))

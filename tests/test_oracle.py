@@ -120,6 +120,17 @@ def test_eigensystem_of_a_matrix_whose_scale_leaves_double_range_is_a_pole_error
             oracle.exact_eigensystem(h)
 
 
+@pytest.mark.parametrize("h", [np.diag([0.0, np.nan, 0.0, 0.0]),
+                               np.diag([0.0, np.nan, np.inf, 0.0])], ids=["nan", "nan-and-inf"])
+def test_eigensystem_of_a_matrix_holding_a_nan_is_a_pole_error(monkeypatch, h):
+    # the scale is NaN, so the error comes before LAPACK, which would raise
+    # ConvergenceError on such a matrix
+    monkeypatch.setattr(np.linalg, "eig", None)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    with pytest.raises(PoleError, match="outside double range"):
+        oracle.exact_eigensystem(h)
+
+
 @pytest.mark.parametrize("route, lossy", [("eigh", False), ("eig", True)])
 def test_eigensystem_rejects_a_nan_residual(reference_config, lossy_config, monkeypatch,
                                             route, lossy):

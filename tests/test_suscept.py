@@ -132,6 +132,19 @@ def test_chi_near_pole_rejected_relative_to_scale(chi, deltas, match):
         chi(cfg)
 
 
+@pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.12, 0.2, 0.07)], ids=["lossless", "lossy"])
+def test_a_tiny_nonzero_probe_is_no_pole(gamma):
+    # eps_a = 0 and eps_c = 0 are judged against a scale of 0, and every chi
+    # is independent of the probe strengths
+    weak = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5, gamma=gamma)
+    tiny = make_config(1e-20, 1.0, 1e-20, 1, 0, 1, 0.3, 0.1, 0.5, gamma=gamma)
+    pairs = [*zip(suscept.susceptibility_point(tiny), suscept.susceptibility_point(weak)),
+             (suscept.chi1(tiny), suscept.chi1(weak)),
+             (suscept.chi3_cross(tiny), suscept.chi3_cross(weak))]
+    for got, want in pairs:
+        assert cmath.isclose(got, want, rel_tol=1e-12)
+
+
 def test_outside_double_range_is_a_pole():
     # Raman resonance with G_b = 1e-300: D**3 underflows to 0 in chi3_self and
     # D**2 leaves chi3_cross infinite, while chi1 = 0 is computed
