@@ -22,12 +22,11 @@ Conventions used throughout the package:
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
   changed copy.  A record that holds numpy arrays (``PerturbationSplit``,
-  ``perturb.DressedBasis`` and ``SeriesTable``, ``oracle.EigenSolution``)
-  equals itself, but comparing it with another such record raises numpy's
-  ValueError, and hashing it raises TypeError.  ``@dataclass(frozen=True)``
-  is kept only where a class needs more: ``FieldMode`` and ``SystemConfig``
-  check and coerce their fields in ``__post_init__``, and ``suscept.Sweep``
-  defines its own length, indexing and iteration.
+  ``perturb.DressedBasis`` and ``SeriesTable``, ``oracle.EigenSolution``,
+  ``suscept.Sweep``) equals itself, but comparing it with another such
+  record raises numpy's ValueError, and hashing it raises TypeError.
+  ``@dataclass(frozen=True)`` is kept only on ``FieldMode`` and
+  ``SystemConfig``, which check and coerce their fields in ``__post_init__``.
 """
 
 from __future__ import annotations

@@ -99,7 +99,9 @@ def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, 
 
     Returns the effective phase -(L n_a + S n_a^2 + K n_a n_c) t, the phase
     of the level-1 amplitude under exact propagation, their difference
-    wrapped to [-pi, pi) and its leakage bound 10 eps^2, all four finite.
+    wrapped to [-pi, pi) and its leakage bound 10 eps^2, all four finite.  With
+    eps the larger probe strength, the bound rules anything out only for
+    eps < sqrt(pi/10) ~ 0.56, where it is below pi.
     Raises DegeneracyError unless the unperturbed spectrum is cleanly gapped,
     and the out-of-range PoleError where t is too large for either phase.
     """

@@ -46,8 +46,7 @@ identities are what the oracle tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -75,23 +74,13 @@ class Coherences(NamedTuple):
     rho43: complex
 
 
-class SweepRow(NamedTuple):
-    """One grid point of a detuning sweep; ``point`` is None where a pole sits."""
-
-    axis: SweepAxis
-    value: float
-    point: SusceptibilityPoint | None
-    valid: bool
-    reason: str | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class Sweep:
+class Sweep(NamedTuple):
     """A detuning sweep as arrays over its grid ``value``.
 
     The susceptibilities are NaN on invalid rows; ``reasons`` maps the index
-    of each invalid row to the pole that sits there.  ``len()``, indexing and
-    iteration give one ``SweepRow`` per grid point.
+    of each invalid row to the pole that sits there.  ``len()`` of a
+    ``Sweep`` is its number of fields; its number of rows is
+    ``len(sweep.value)``.
     """
 
     axis: SweepAxis
@@ -101,25 +90,6 @@ class Sweep:
     chi3_cross: np.ndarray
     valid: np.ndarray
     reasons: dict[int, str]
-
-    def __len__(self) -> int:
-        return len(self.value)
-
-    def __getitem__(self, k: int) -> SweepRow:
-        k = range(len(self))[k]
-        return self._row(k, *(column[k].item() for column in self._columns()))
-
-    def __iter__(self) -> Iterator[SweepRow]:
-        return map(self._row, range(len(self)), *(column.tolist() for column in self._columns()))
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.value, self.valid, self.chi1, self.chi3_self, self.chi3_cross
-
-    def _row(self, k: int, value: float, valid: bool, chi1: complex, chi3_self: complex,
-             chi3_cross: complex) -> SweepRow:
-        if not valid:
-            return SweepRow(self.axis, value, None, False, self.reasons[k])
-        return SweepRow(self.axis, value, SusceptibilityPoint(chi1, chi3_self, chi3_cross), True)
 
 
 class _ClosedForms(NamedTuple):
@@ -266,12 +236,3 @@ def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:
     chis = [np.where(valid, chi, np.nan) for chi in forms[:3]]
     return Sweep(axis, value, *chis, valid, reasons)
 
-
-def sweep(config: SystemConfig, axis: SweepAxis, lo: float, hi: float,
-          steps: int) -> Sweep:
-    """``sweep_at`` on ``sweep_grid(lo, hi, steps)``, the whole grid in one call.
-
-    ``nkerr sweep`` calls the two steps itself, so that it evaluates the grid
-    one chunk at a time.
-    """
-    return sweep_at(config, axis, sweep_grid(lo, hi, steps))

@@ -252,6 +252,8 @@ def _criterion_6(draws: _Draws, chk: _Checker) -> None:
     for cfg, fraction in ((_reference_config(), 1.0), (second, 0.37)):
         t = fraction * (math.pi / 4.0) / abs(effective.coefficients(cfg).cross_kerr)
         _, _, diff, bound = oracle.phase_comparison(cfg, t)
+        # the difference is wrapped to [-pi, pi), so a bound of pi or more rules out nothing
+        chk.expect(bound < math.pi, "leakage bound < pi", bound, "pi")
         chk.expect(abs(diff) <= bound, f"|phase difference| <= {bound:g}", abs(diff), bound)
 
 
@@ -285,8 +287,8 @@ def _criterion_9(draws: _Draws, chk: _Checker) -> None:
     gamma3 = 0.4
     cfg = make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.0,
                       gamma=(0.0, 0.0, gamma3))
-    s = suscept.sweep(cfg, "dc", -2.0, 2.0, 101)
-    chk.expect(len(s) == 101, 101, len(s), "grid size")
+    s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-2.0, 2.0, 101))
+    chk.expect(len(s.value) == 101, 101, len(s.value), "grid size")
     chk.expect(bool(s.valid.all()), "all rows valid", int(s.valid.sum()), 101)
     re, im, vals = s.chi3_cross.real, s.chi3_cross.imag, s.value
     for k, d3 in enumerate(vals):
@@ -295,7 +297,7 @@ def _criterion_9(draws: _Draws, chk: _Checker) -> None:
         ratio = re[k] / im[k]
         chk.expect(abs(ratio - d3 / gamma3) <= 1e-12 * max(1.0, abs(d3 / gamma3)),
                    d3 / gamma3, ratio, "1e-12")
-    mid = len(s) // 2
+    mid = len(vals) // 2
     chk.expect(int(np.argmax(im)) == mid, mid, int(np.argmax(im)), "Im peak at delta_3=0")
     sym = np.max(np.abs(im - im[::-1]))
     chk.expect(sym <= 1e-12 * np.max(np.abs(im)), "Im even", sym, "1e-12 relative")
@@ -348,7 +350,7 @@ def _criterion_11(draws: _Draws, chk: _Checker) -> None:
         chk.expect(text.endswith("\n"), "trailing newline", repr(text[-1:]), "exact")
         chk.expect(len(lines) == 43, 43, len(lines), "41 rows + header + trailing newline")
         cfg = cli.scenario_config(scenario)
-        s = suscept.sweep(cfg, "dc", -2.0, 2.0, 41)
+        s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-2.0, 2.0, 41))
         columns = (s.value, s.chi1.real, s.chi1.imag, s.chi3_self.real, s.chi3_self.imag,
                    s.chi3_cross.real, s.chi3_cross.imag)
         for k, line in enumerate(lines[1:42]):  # as text, so the sign of a zero counts

@@ -59,12 +59,23 @@ def test_criterion_10_catches_planted_forbidden_coupling(monkeypatch):
     assert not chk.passed
 
 
+def test_criterion_6_refuses_a_leakage_bound_of_pi_or_more(monkeypatch):
+    # the corpus's strong probe has eps = 1, so its bound 10 is wider than any
+    # wrapped phase difference, which lies in [-pi, pi)
+    strong = cli.load_scenario(os.path.join(os.path.dirname(__file__), "gated", "strong.json"))
+    monkeypatch.setattr(validate, "_reference_config", lambda: strong)
+    chk = validate._Checker()
+    validate._criterion_6(validate._Draws(0, [], []), chk)
+    assert not chk.passed
+    assert chk.detail.endswith("tolerance='pi'"), chk.detail
+
+
 def _writer_sampling_constancy_at_the_ends(result):
     columns = (result.value, result.chi1.real, result.chi1.imag, result.chi3_self.real,
                result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
     ends = [column[[0, -1]].view(np.int64) for column in columns]
     rows = []
-    for k in range(len(result)):
+    for k in range(len(result.value)):
         fields = (cli._fmt(c[0] if e[0] == e[1] else c[k]) for c, e in zip(columns, ends))
         rows.append(",".join([result.axis, *fields, "1\n"]))
     return "".join(rows)
@@ -83,6 +94,7 @@ def test_criterion_11_catches_a_planted_row_writer(monkeypatch, writer):
     chk = validate._Checker()
     validate._criterion_11(validate._Draws(0, [], []), chk)
     assert not chk.passed
+    assert chk.detail.endswith("tolerance='exact row'"), chk.detail
 
 
 def test_validate_report_text_seed_zero():

@@ -15,7 +15,7 @@ import pytest
 
 import nkerr
 from conftest import make_config
-from nkerr import model, perturb
+from nkerr import model, perturb, suscept
 
 
 # the names of __all__ that dir() omits and that a star import leaves unbound,
@@ -93,7 +93,8 @@ _RECORDS = {
     "effective.KerrCoefficients": (("linear", "self_kerr", "cross_kerr"), {}),
     "suscept.SusceptibilityPoint": (("chi1", "chi3_self", "chi3_cross"), {}),
     "suscept.Coherences": (("rho21", "rho43"), {}),
-    "suscept.SweepRow": (("axis", "value", "point", "valid", "reason"), {"reason": None}),
+    "suscept.Sweep": (("axis", "value", "chi1", "chi3_self", "chi3_cross", "valid", "reasons"),
+                      {}),
     "validate.CheckResult": (("number", "name", "passed", "detail"), {"detail": ""}),
 }
 
@@ -104,15 +105,15 @@ def _record(path):
 
 
 def test_only_classes_that_need_more_than_a_named_tuple_are_dataclasses():
-    # FieldMode and SystemConfig check their fields in __post_init__, Sweep
-    # defines its own len, indexing and iteration; every other record is a NamedTuple
+    # FieldMode and SystemConfig check their fields in __post_init__; every
+    # other record is a NamedTuple
     found = set()
     for info in pkgutil.iter_modules(nkerr.__path__):
         module = importlib.import_module(f"nkerr.{info.name}")
         found |= {f"{info.name}.{name}" for name, obj in vars(module).items()
                   if inspect.isclass(obj) and obj.__module__ == module.__name__
                   and dataclasses.is_dataclass(obj)}
-    assert found == {"model.FieldMode", "model.SystemConfig", "suscept.Sweep"}
+    assert found == {"model.FieldMode", "model.SystemConfig"}
 
 
 @pytest.mark.parametrize("path", sorted(_RECORDS))
@@ -136,11 +137,16 @@ def test_records_are_named_tuples_with_their_fields_repr_and_pickle(path):
 
 def test_records_that_hold_arrays_equal_only_themselves_and_do_not_hash():
     # a tuple compares its fields, and two numpy arrays have no single truth value
-    sp = model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5))
+    cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+    sp = model.split(cfg)
     table, again = perturb.build_series(sp, 1, 2), perturb.build_series(sp, 1, 2)
     assert table == table and table in [table]
     with pytest.raises(ValueError, match="truth value of an array"):
         assert table == again
-    for record in (table, table.basis, sp):
+    sweep = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-1.0, 1.0, 3))
+    assert sweep == sweep
+    with pytest.raises(ValueError, match="truth value of an array"):
+        assert sweep == suscept.sweep_at(cfg, "dc", sweep.value)
+    for record in (table, table.basis, sp, sweep):
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)

@@ -485,16 +485,15 @@ def test_sweep_csv_across_chunks_matches_per_row_rendering(tmp_path):
     opath = tmp_path / "out.csv"
     argv = _chunked_sweep_args(spath, opath)
     assert cli.main(argv, stdout=io.StringIO()) == 0
-    result = suscept.sweep(cli.load_scenario(spath), "dc", -1.0, 0.5, int(argv[-3]))
+    result = suscept.sweep_at(cli.load_scenario(spath), "dc",
+                              suscept.sweep_grid(-1.0, 0.5, int(argv[-3])))
     assert list(map(int, (~result.valid).nonzero()[0])) == [2 * cli.SWEEP_CHUNK_ROWS]
     expected = ["axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid"]
-    for row in result:
-        fields = [row.axis, cli._fmt(row.value)]
-        if row.valid:
-            p = row.point
-            fields += [cli._fmt(x) for x in (p.chi1.real, p.chi1.imag, p.chi3_self.real,
-                                              p.chi3_self.imag, p.chi3_cross.real,
-                                              p.chi3_cross.imag)] + ["1"]
+    for value, valid, *chis in zip(*(column.tolist() for column in (
+            result.value, result.valid, result.chi1, result.chi3_self, result.chi3_cross))):
+        fields = [result.axis, cli._fmt(value)]
+        if valid:
+            fields += [cli._fmt(x) for chi in chis for x in (chi.real, chi.imag)] + ["1"]
         else:
             fields += [""] * 6 + ["0"]
         expected.append(",".join(fields))
@@ -642,7 +641,7 @@ def _per_field_rows(result, start=0, stop=None):
     columns = (result.value, result.chi1.real, result.chi1.imag, result.chi3_self.real,
                result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
     rows = []
-    for k in range(start, len(result) if stop is None else stop):
+    for k in range(start, len(result.value) if stop is None else stop):
         if result.valid[k]:
             fields = [cli._fmt(column[k]) for column in columns] + ["1"]
         else:
@@ -679,7 +678,7 @@ def _hand_sweeps(draw):
     for re, im in zip(parts[::2], parts[1::2]):
         chi = np.empty(n, dtype=complex)
         chi.real, chi.imag = re, im
-        chis.append(np.where(valid, chi, np.nan))  # what suscept.sweep puts on invalid rows
+        chis.append(np.where(valid, chi, np.nan))  # what sweep_at puts on invalid rows
     reasons = {int(k): "pole" for k in np.flatnonzero(~valid)}
     result = suscept.Sweep(draw(st.sampled_from(["da", "db", "dc"])), value, *chis, valid,
                            reasons)
@@ -705,7 +704,8 @@ def test_sweep_csv_keeps_signed_zeros_and_constant_columns(tmp_path, axis, lo, h
     opath = tmp_path / "out.csv"
     assert cli.main(["sweep", spath, "--axis", axis, "--lo", lo, "--hi", hi, "--steps", "9",
                      "--out", str(opath)], stdout=io.StringIO()) == 0
-    result = suscept.sweep(cli.load_scenario(spath), axis, float(lo), float(hi), 9)
+    result = suscept.sweep_at(cli.load_scenario(spath), axis,
+                              suscept.sweep_grid(float(lo), float(hi), 9))
     rows = opath.read_text(encoding="utf-8").split("\n", 1)[1]
     assert rows == _per_field_rows(result)
     fields = [row.split(",") for row in rows.splitlines()]
@@ -726,7 +726,7 @@ def test_sweep_past_double_range_writes_invalid_rows_without_warning(tmp_path, c
     assert capsys.readouterr().err == ""
     lines = opath.read_text(encoding="utf-8").splitlines()
     assert lines[1:] == ["dc,-1,,,,,,,0", "dc,0,,,,,,,0", "dc,1,,,,,,,0"]
-    result = suscept.sweep(cli.load_scenario(spath), "dc", -1.0, 1.0, 3)
+    result = suscept.sweep_at(cli.load_scenario(spath), "dc", suscept.sweep_grid(-1.0, 1.0, 3))
     assert result.reasons == dict.fromkeys(range(3), model.POLES[model.OUT_OF_RANGE - 1])
 
 

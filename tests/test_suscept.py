@@ -153,12 +153,13 @@ def test_outside_double_range_is_a_pole():
     for closed_form in (suscept.chi3_self, suscept.chi3_cross, suscept.susceptibility_point):
         with pytest.raises(PoleError, match="outside double range"):
             closed_form(cfg)
-    s = suscept.sweep(cfg, "dc", -1.0, 1.0, 3)
+    s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-1.0, 1.0, 3))
     out_of_range = model.POLES[model.OUT_OF_RANGE - 1]
     assert s.reasons == {0: out_of_range, 1: model.POLES[model.THREE_PHOTON - 1],
                          2: out_of_range}
     with pytest.raises(PoleError, match="outside double range"):  # |g_a|**4 overflows
-        suscept.sweep(make_config(1e100, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5), "dc", -1.0, 1.0, 3)
+        suscept.sweep_at(make_config(1e100, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5), "dc",
+                         suscept.sweep_grid(-1.0, 1.0, 3))
 
 
 @pytest.mark.parametrize("route", [
@@ -186,7 +187,7 @@ def test_overflowing_pole_term_is_out_of_range_not_its_pole():
     with pytest.raises(PoleError, match="outside double range"):
         suscept.susceptibility_point(cfg)
     wide = make_config(0.01, 1.0, 0.01, 1, 0, 1, 1e308, 0.5, 0.5, gamma=(0.1, 0.1, 0.1))
-    result = suscept.sweep(wide, "db", -1.0, 1.0, 5)
+    result = suscept.sweep_at(wide, "db", suscept.sweep_grid(-1.0, 1.0, 5))
     assert result.reasons == dict.fromkeys(range(5), model.POLES[model.OUT_OF_RANGE - 1])
 
 
@@ -295,43 +296,43 @@ def test_coherence_coefficients_match_extraction_of_partial_sums(lossy):
 # -- sweeps ------------------------------------------------------------------
 
 def test_sweep_two_steps_gives_endpoints(reference_config):
-    rows = suscept.sweep(reference_config, "da", -1.0, 1.0, 2)
-    assert [r.value for r in rows] == [-1.0, 1.0]
-    assert all(r.valid for r in rows)
+    s = suscept.sweep_at(reference_config, "da", suscept.sweep_grid(-1.0, 1.0, 2))
+    assert s.value.tolist() == [-1.0, 1.0]
+    assert s.valid.all()
 
 
 def test_sweep_chi1_real_part_crosses_raman_point():
     # scanning the a-detuning through delta_2 = 0 flips the dispersive sign
     cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, 0.0, 0.0, 0.9,
                       gamma=(0.05, 0.05, 0.05))
-    rows = suscept.sweep(cfg, "da", -0.25, 0.25, 41)
-    re = [r.point.chi1.real for r in rows]
-    mid = len(rows) // 2
-    assert abs(re[mid]) < 1e-10 * max(abs(x) for x in re)  # dark point
+    re = suscept.sweep_at(cfg, "da", suscept.sweep_grid(-0.25, 0.25, 41)).chi1.real
+    mid = len(re) // 2
+    assert abs(re[mid]) < 1e-10 * np.max(np.abs(re))  # dark point
     assert re[mid - 1] * re[mid + 1] < 0
 
 
 def test_sweep_emits_gap_row_at_pole():
     # gamma_3 = 0 and the grid hits delta_3 = 0 exactly
     cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, 0.3, 0.3, 0.5)
-    rows = suscept.sweep(cfg, "dc", -1.0, 1.0, 3)
-    assert [r.valid for r in rows] == [True, False, True]
-    assert rows[1].point is None
-    assert "delta_3" in rows[1].reason
+    s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-1.0, 1.0, 3))
+    assert s.valid.tolist() == [True, False, True]
+    assert list(s.reasons) == [1] and "delta_3" in s.reasons[1]
+    for chi in (s.chi1, s.chi3_self, s.chi3_cross):  # NaN on the invalid row only
+        assert np.isnan(chi).tolist() == [False, True, False]
 
 
 def test_sweep_rejects_bad_arguments(reference_config):
     with pytest.raises(ValueError):
-        suscept.sweep(reference_config, "dx", 0.0, 1.0, 5)
+        suscept.sweep_at(reference_config, "dx", suscept.sweep_grid(0.0, 1.0, 5))
     with pytest.raises(ValueError):
-        suscept.sweep(reference_config, "da", 0.0, 1.0, 1)
+        suscept.sweep_grid(0.0, 1.0, 1)
 
 
 @pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("inf")),
                                     (float("-inf"), 1.0), (0.0, float("nan"))])
 def test_sweep_rejects_non_finite_bounds(reference_config, lo, hi):
     with pytest.raises(ValueError, match="finite"):
-        suscept.sweep(reference_config, "dc", lo, hi, 5)
+        suscept.sweep_grid(lo, hi, 5)
 
 
 @pytest.mark.parametrize("value", [[0.1, float("nan")], [float("inf"), 0.2], [-float("inf")],
@@ -377,7 +378,7 @@ def _sliced_sweeps(draw):
 def test_sweep_of_a_slice_is_the_slice_of_the_sweep_bit_for_bit(case):
     # nkerr sweep evaluates its grid chunk by chunk; its CSV bytes rest on this
     cfg, axis, lo, hi, steps, a, b, pole_row = case
-    whole = suscept.sweep(cfg, axis, lo, hi, steps)
+    whole = suscept.sweep_at(cfg, axis, suscept.sweep_grid(lo, hi, steps))
     assert pole_row is None or not whole.valid[pole_row]
     part = suscept.sweep_at(cfg, axis, whole.value[a:b])
     for name in ("value", "chi1", "chi3_self", "chi3_cross", "valid"):
@@ -388,31 +389,16 @@ def test_sweep_of_a_slice_is_the_slice_of_the_sweep_bit_for_bit(case):
 def test_sweep_even_odd_structure_about_resonance():
     cfg = make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.0,
                       gamma=(0.0, 0.0, 0.4))
-    rows = suscept.sweep(cfg, "dc", -2.0, 2.0, 101)
-    im = np.array([r.point.chi3_cross.imag for r in rows])
-    re = np.array([r.point.chi3_cross.real for r in rows])
+    s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-2.0, 2.0, 101))
+    assert s.valid.all()
+    im, re = s.chi3_cross.imag, s.chi3_cross.real
     assert np.max(np.abs(im - im[::-1])) < 1e-12 * np.max(np.abs(im))
     assert np.max(np.abs(re + re[::-1])) < 1e-12 * np.max(np.abs(re))
     assert int(np.argmax(im)) == 50
 
 
-def test_sweep_len_indexing_and_iteration_give_rows():
-    cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, 0.3, 0.3, 0.5)
-    s = suscept.sweep(cfg, "dc", -1.0, 1.0, 3)
-    assert len(s) == 3
-    rows = list(s)
-    assert all(isinstance(r, suscept.SweepRow) for r in rows)
-    assert sum(1 for r in s if r.valid) == 2  # a second pass, as a row counter makes
-    assert rows == [s[0], s[1], s[2]] and s[-1] == rows[2]
-    with pytest.raises(IndexError):
-        s[3]
-    assert s.reasons == {1: rows[1].reason}
-    assert np.isnan(s.chi3_cross[1]) and not np.isnan(s.chi3_cross[[0, 2]]).any()
-
-
-def _bits(point):
-    return struct.pack("<6d", *(v for z in (point.chi1, point.chi3_self, point.chi3_cross)
-                                for v in (z.real, z.imag)))
+def _bits(chi1, chi3_self, chi3_cross):
+    return struct.pack("<6d", *(v for z in (chi1, chi3_self, chi3_cross) for v in (z.real, z.imag)))
 
 
 # Dyadic detunings on a grid of step 1/128 put exact poles on grid points:
@@ -423,17 +409,19 @@ def _bits(point):
                                         ((0.0, 0.0, 0.0), 0)])
 def test_sweep_rows_equal_scalar_point_bit_for_bit(axis, gamma, n_c):
     cfg = make_config(0.012, 0.5, 0.009, 2, 1, n_c, 0.5, 0.5, 0.25, gamma=gamma)
-    s = suscept.sweep(cfg, axis, -1.0, 1.0, 257)
+    s = suscept.sweep_at(cfg, axis, suscept.sweep_grid(-1.0, 1.0, 257))
     attr = {"da": "mode_a", "db": "mode_b", "dc": "mode_c"}[axis]
-    for row in s:
-        mode = dataclasses.replace(getattr(cfg, attr), delta=row.value)
+    for k, value in enumerate(s.value.tolist()):
+        mode = dataclasses.replace(getattr(cfg, attr), delta=value)
         at = dataclasses.replace(cfg, **{attr: mode})
-        if row.valid:
-            assert _bits(row.point) == _bits(suscept.susceptibility_point(at))
+        if s.valid[k]:
+            assert k not in s.reasons
+            assert (_bits(s.chi1[k], s.chi3_self[k], s.chi3_cross[k])
+                    == _bits(*suscept.susceptibility_point(at)))
         else:
             with pytest.raises(PoleError) as exc:
                 suscept.susceptibility_point(at)
-            assert row.reason == str(exc.value)
+            assert s.reasons[k] == str(exc.value)
     seen = {word for r in s.reasons.values() for word in ("n_b", "delta_3", "eps_c") if word in r}
     lossless = gamma == (0.0, 0.0, 0.0)
     expected = {"delta_3": lossless, "n_b": lossless and axis != "dc", "eps_c": n_c == 0}
