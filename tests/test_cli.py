@@ -488,19 +488,9 @@ def test_sweep_csv_across_chunks_matches_per_row_rendering(tmp_path):
     result = suscept.sweep_at(cli.load_scenario(spath), "dc",
                               suscept.sweep_grid(-1.0, 0.5, int(argv[-3])))
     assert list(map(int, (~result.valid).nonzero()[0])) == [2 * cli.SWEEP_CHUNK_ROWS]
-    expected = ["axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid"]
-    for value, valid, *chis in zip(*(column.tolist() for column in (
-            result.value, result.valid, result.chi1, result.chi3_self, result.chi3_cross))):
-        fields = [result.axis, cli._fmt(value)]
-        if valid:
-            fields += [cli._fmt(x) for chi in chis for x in (chi.real, chi.imag)] + ["1"]
-        else:
-            fields += [""] * 6 + ["0"]
-        expected.append(",".join(fields))
-    lines = opath.read_text(encoding="utf-8").split("\n")
-    assert len(lines) == len(expected) + 1 and lines[-1] == ""
-    for got, want in zip(lines, expected):
-        assert got == want
+    header = "axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid\n"
+    lines = opath.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines == (header + _per_field_rows(result)).splitlines(keepends=True)
 
 
 def _refuse_fork():
