@@ -268,7 +268,8 @@ def _chunk_text(result: suscept.Sweep) -> str:
     columns); the others go through one %-format per row.  The test compares
     bits, not floats: 0.0 == -0.0, yet they print as "0" and "-0", and a
     lossless sweep mixes both in one column.  The NaN of an invalid row is
-    one more bit pattern, so its chunk needs no special case.
+    one more bit pattern, so its chunk needs no special case; a row is
+    written as invalid where its pole code is not 0.
     """
     columns = (result.value, result.chi1.real, result.chi1.imag, result.chi3_self.real,
                result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
@@ -282,11 +283,11 @@ def _chunk_text(result: suscept.Sweep) -> str:
             varying.append(column.tolist())
     valid_row = ",".join([result.axis, *fields, "1\n"])
     invalid_row = f"{result.axis},{fields[0]},,,,,,,0\n"
-    ok = result.valid.tolist()
-    rows = zip(*varying) if varying else [()] * len(ok)
+    poles = result.pole.tolist()
+    rows = zip(*varying) if varying else [()] * len(poles)
     head = slice(1 if fields[0] == "%.17g" else 0)  # the value in ``row``, if it varies
-    return "".join([valid_row % row if k else invalid_row % row[head]
-                    for k, row in zip(ok, rows)])
+    return "".join([invalid_row % row[head] if pole else valid_row % row
+                    for pole, row in zip(poles, rows)])
 
 
 def _cmd_evolve(args, out: TextIO) -> int:

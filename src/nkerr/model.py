@@ -18,6 +18,8 @@ Conventions used throughout the package:
 * ``POLES`` is the one ordered table of where a closed form has no value:
   ``pole_terms`` gives each denominator with the scale it is judged against
   (``near_pole``), and ``pole_code`` names the first pole at each point.
+  That code is the one pole decision callers read: a ``suscept.Sweep``
+  carries it per row, and a single point raises its message.
 * Every immutable record the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a

@@ -12,8 +12,9 @@ pole sits instead of stopping there.  A sweep is two steps, the grid
 (``sweep_grid``) and the closed forms at its values (``sweep_at``); each row
 depends on its own value only, so a grid may be evaluated in slices, as
 ``nkerr sweep`` does chunk by chunk.  Which pole sits at a point is one code
-per point from the table ``model.POLES``; a susceptibility that is not
-finite is its last entry.
+per point from the table ``model.POLES``, and a sweep hands it out as its
+``pole`` array; a susceptibility that is not finite is its last entry.  A
+closed form's poles are those of its denominators (``_DENOMINATORS``).
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -77,10 +78,12 @@ class Coherences(NamedTuple):
 class Sweep(NamedTuple):
     """A detuning sweep as arrays over its grid ``value``.
 
-    The susceptibilities are NaN on invalid rows; ``reasons`` maps the index
-    of each invalid row to the pole that sits there.  ``len()`` of a
-    ``Sweep`` is its number of fields; its number of rows is
-    ``len(sweep.value)``.
+    Every field but ``axis`` is an array over the rows, so a slice of each
+    field is the sweep of that slice of the grid.  ``pole`` is the
+    ``model.pole_code`` of each row: 0 on a valid row, else k where
+    ``model.POLES[k - 1]`` is the pole that sits there; the
+    susceptibilities are NaN where it is not 0.  ``len()`` of a ``Sweep`` is
+    its number of fields; its number of rows is ``len(sweep.value)``.
     """
 
     axis: SweepAxis
@@ -88,30 +91,24 @@ class Sweep(NamedTuple):
     chi1: np.ndarray
     chi3_self: np.ndarray
     chi3_cross: np.ndarray
-    valid: np.ndarray
-    reasons: dict[int, str]
+    pole: np.ndarray
 
 
-class _ClosedForms(NamedTuple):
-    chi1: np.ndarray
-    chi3_self: np.ndarray
-    chi3_cross: np.ndarray
-    pole: np.ndarray  # model pole code of each point
-
-
-_CHI1_POLES = (model.PUMP_PAIR, model.PROBE_A)  # chi1 and chi3_self have only these
-_POLES = (*_CHI1_POLES, model.THREE_PHOTON, model.PROBE_C)
+# The poles of each closed form: the model pole codes of its denominators.
+_DENOMINATORS = dict(chi1=(model.PUMP_PAIR, model.PROBE_A),
+                     chi3_self=(model.PUMP_PAIR, model.PROBE_A),
+                     chi3_cross=(model.PUMP_PAIR, model.PROBE_A, model.THREE_PHOTON, model.PROBE_C))
 
 
 def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c,
-                  poles: tuple[int, ...] = _POLES, checked: slice = slice(3)) -> _ClosedForms:
-    """chi1, chi3_self and chi3_cross at arrays of single-photon detunings.
+                  forms: tuple[str, ...] = tuple(_DENOMINATORS)) -> tuple[dict, np.ndarray]:
+    """({name: values} of chi1, chi3_self and chi3_cross, pole code) at arrays of detunings.
 
     Scalars broadcast.  Every quantity is an array of the common shape, so an
     element does not depend on how many points are evaluated with it.  Values
-    where a pole sits are not meaningful; ``pole`` is ``model.pole_code`` of
-    ``poles`` and of the forms ``checked``.  PoleError where a term that does
-    not depend on the detunings leaves double range.
+    where a pole sits are not meaningful; the pole code is ``model.pole_code``
+    of the denominators of the named ``forms`` and of their values.  PoleError
+    where a term that does not depend on the detunings leaves double range.
     """
     da, db, dc = np.broadcast_arrays(*(np.atleast_1d(np.asarray(d, dtype=float))
                                        for d in (delta_a, delta_b, delta_c)))
@@ -121,41 +118,42 @@ def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c,
         terms = model.pole_terms(config, da, db, dc)
         (den, _), (eps_a, _), (pole3, _), (eps_c, _), (gb2n, _) = terms
         ga2 = abs(config.mode_a.g) ** 2
-        chis = (ga2 * (1j * g2 - d2) / (eps_a**2 * den),
-                (2.0 * ga2**2 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
-                 / (3.0 * eps_a**4 * den**3)),
-                (ga2 * gb2n * abs(config.mode_c.g) ** 2
-                 / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2)))
-        return _ClosedForms(*chis, model.pole_code(terms, poles, *chis[checked]))
+        chis = dict(zip(_DENOMINATORS, (
+            ga2 * (1j * g2 - d2) / (eps_a**2 * den),
+            (2.0 * ga2**2 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
+             / (3.0 * eps_a**4 * den**3)),
+            (ga2 * gb2n * abs(config.mode_c.g) ** 2
+             / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2)))))
+        poles = sorted({k for form in forms for k in _DENOMINATORS[form]})
+        return chis, model.pole_code(terms, poles, *map(chis.get, forms))
 
 
-def _at_config(config: SystemConfig, poles: tuple[int, ...] = _POLES,
-               checked: slice = slice(3)) -> _ClosedForms:
-    """The closed forms at the configuration's own detunings; PoleError at a pole."""
-    forms = _closed_forms(config, config.mode_a.delta, config.mode_b.delta,
-                          config.mode_c.delta, poles, checked)
-    model.raise_at_pole(forms.pole[0])
-    return forms
+def _at_config(config: SystemConfig, forms: tuple[str, ...] = tuple(_DENOMINATORS)) -> list:
+    """The named closed forms at the configuration's own detunings; PoleError at a pole of one."""
+    deltas = config.mode_a.delta, config.mode_b.delta, config.mode_c.delta
+    chis, pole = _closed_forms(config, *deltas, forms)
+    model.raise_at_pole(pole[0])
+    return [complex(chis[form][0]) for form in forms]
 
 
 def chi1(config: SystemConfig) -> complex:
     """Linear susceptibility of the 1<->2 probe."""
-    return complex(_at_config(config, _CHI1_POLES, slice(0, 1)).chi1[0])
+    return _at_config(config, ("chi1",))[0]
 
 
 def chi3_self(config: SystemConfig) -> complex:
     """Self-Kerr susceptibility of the 1<->2 probe."""
-    return complex(_at_config(config, _CHI1_POLES, slice(1, 2)).chi3_self[0])
+    return _at_config(config, ("chi3_self",))[0]
 
 
 def chi3_cross(config: SystemConfig) -> complex:
     """Cross-Kerr susceptibility coupling the two probes."""
-    return complex(_at_config(config, _POLES, slice(2, 3)).chi3_cross[0])
+    return _at_config(config, ("chi3_cross",))[0]
 
 
 def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
     """All three susceptibilities from one run of the closed forms; PoleError at any pole."""
-    return SusceptibilityPoint(*(complex(chi[0]) for chi in _at_config(config)[:3]))
+    return SusceptibilityPoint(*_at_config(config))
 
 
 def coherences(config: SystemConfig, order: int = 3) -> Coherences:
@@ -199,11 +197,11 @@ def coherence_coefficients(config: SystemConfig, order: int = 3,
 def sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
     """The uniform inclusive grid of a sweep, ``np.linspace(lo, hi, steps)``.
 
-    ValueError for fewer than 2 steps, a bound that is not finite, or a grid
-    too large to allocate.
+    ValueError for ``steps`` that is not an integer >= 2, a bound that is not
+    finite, or a grid too large to allocate.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    if not (model._is_nonnegative_int(steps) and steps >= 2):
+        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if not np.all(np.isfinite((lo, hi))):
         raise ValueError(f"lo and hi must be finite, got {lo!r} and {hi!r}")
     try:
@@ -216,12 +214,13 @@ def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:
     """The three susceptibilities where the ``axis`` detuning takes each value of a 1-D array.
 
     Points where a closed-form denominator vanishes or a susceptibility is
-    not finite are reported as invalid rows rather than aborting the sweep;
-    each carries the message ``susceptibility_point`` raises there.  Each row
-    depends on its own value only, so the ``Sweep`` of a slice of a grid is
-    that slice of the grid's ``Sweep``, bit for bit.  PoleError where a term
-    that does not depend on ``value`` is outside double range, and ValueError
-    unless ``value`` is 1-D and finite.
+    not finite are reported as invalid rows rather than aborting the sweep:
+    their susceptibilities are NaN and their ``pole`` is the code of the
+    message ``susceptibility_point`` raises there.  Each row depends on its
+    own value only, so the ``Sweep`` of a slice of a grid is that slice of
+    the grid's ``Sweep``, bit for bit.  PoleError where a term that does not
+    depend on ``value`` is outside double range, and ValueError unless
+    ``value`` is 1-D and finite.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
@@ -230,9 +229,6 @@ def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:
         raise ValueError(f"the {axis} values must be a 1-D array of finite numbers")
     deltas = [config.mode_a.delta, config.mode_b.delta, config.mode_c.delta]
     deltas[_AXES.index(axis)] = value
-    forms = _closed_forms(config, *deltas)
-    valid = forms.pole == 0
-    reasons = {int(k): model.POLES[forms.pole[k] - 1] for k in np.flatnonzero(forms.pole)}
-    chis = [np.where(valid, chi, np.nan) for chi in forms[:3]]
-    return Sweep(axis, value, *chis, valid, reasons)
+    chis, pole = _closed_forms(config, *deltas)
+    return Sweep(axis, value, *(np.where(pole == 0, chi, np.nan) for chi in chis.values()), pole)
 

@@ -289,7 +289,7 @@ def _criterion_9(draws: _Draws, chk: _Checker) -> None:
                       gamma=(0.0, 0.0, gamma3))
     s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-2.0, 2.0, 101))
     chk.expect(len(s.value) == 101, 101, len(s.value), "grid size")
-    chk.expect(bool(s.valid.all()), "all rows valid", int(s.valid.sum()), 101)
+    chk.expect(not s.pole.any(), "all rows valid", int(np.count_nonzero(s.pole == 0)), 101)
     re, im, vals = s.chi3_cross.real, s.chi3_cross.imag, s.value
     for k, d3 in enumerate(vals):
         if abs(d3) < 1e-9:
@@ -377,10 +377,10 @@ def run_all(seed: int) -> list[CheckResult]:
     """Every criterion's result, in criterion order, run in this process.
 
     Raises the first exception a criterion raises, and ValueError for a
-    negative seed.
+    seed that is not an integer >= 0 (a bool or a float is not one).
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if not model._is_nonnegative_int(seed):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     draws = _Draws(seed, _resonant_configs(seed), _oracle_draws(seed))
     results = []
     for number, (name, criterion) in enumerate(_CRITERIA, 1):

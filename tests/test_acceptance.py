@@ -184,6 +184,26 @@ def test_run_all_reports_the_criteria_a_planted_error_fails(monkeypatch):
     assert [r.number for r in failed] == [3, 4, 5] and all(r.detail for r in failed)
 
 
+@pytest.mark.parametrize("seed", [1.0, True, "1", -1], ids=["float", "bool", "str", "negative"])
+def test_run_all_refuses_a_seed_that_is_not_an_integer_at_least_zero(seed):
+    # the streams are seeded by the text "seed/lane": 1.0 would draw other scenarios than 1
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}$"):
+        validate.run_all(seed)
+
+
+def test_run_all_draws_the_same_for_a_numpy_integer_seed(monkeypatch):
+    seen = []
+
+    def record(draws, chk):
+        oracle_configs = [cfg for cfg, _, _ in draws.oracle]
+        seen.append((draws.resonant, oracle_configs, validate._rng(draws.seed, 7).random()))
+
+    monkeypatch.setattr(validate, "_CRITERIA", [("draws", record)])
+    validate.run_all(np.int64(1))
+    validate.run_all(1)
+    assert seen[0] == seen[1]
+
+
 def _refuse_fork():
     raise AssertionError("run_all forked")
 

@@ -93,8 +93,7 @@ _RECORDS = {
     "effective.KerrCoefficients": (("linear", "self_kerr", "cross_kerr"), {}),
     "suscept.SusceptibilityPoint": (("chi1", "chi3_self", "chi3_cross"), {}),
     "suscept.Coherences": (("rho21", "rho43"), {}),
-    "suscept.Sweep": (("axis", "value", "chi1", "chi3_self", "chi3_cross", "valid", "reasons"),
-                      {}),
+    "suscept.Sweep": (("axis", "value", "chi1", "chi3_self", "chi3_cross", "pole"), {}),
     "validate.CheckResult": (("number", "name", "passed", "detail"), {"detail": ""}),
 }
 
@@ -127,7 +126,7 @@ def test_records_are_named_tuples_with_their_fields_repr_and_pickle(path):
     assert record == tuple(values)
     assert repr(record) == f"{cls.__name__}(" + ", ".join(
         f"{field}={value!r}" for field, value in zip(fields, values)) + ")"
-    copy = pickle.loads(pickle.dumps(record))  # CheckResult crosses processes in run_all
+    copy = pickle.loads(pickle.dumps(record))  # unpickles to its own class, not a tuple
     assert type(copy) is cls and copy == record
     for field in fields:
         with pytest.raises(AttributeError):

@@ -487,7 +487,7 @@ def test_sweep_csv_across_chunks_matches_per_row_rendering(tmp_path):
     assert cli.main(argv, stdout=io.StringIO()) == 0
     result = suscept.sweep_at(cli.load_scenario(spath), "dc",
                               suscept.sweep_grid(-1.0, 0.5, int(argv[-3])))
-    assert list(map(int, (~result.valid).nonzero()[0])) == [2 * cli.SWEEP_CHUNK_ROWS]
+    assert np.flatnonzero(result.pole).tolist() == [2 * cli.SWEEP_CHUNK_ROWS]
     header = "axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid\n"
     lines = opath.read_text(encoding="utf-8").splitlines(keepends=True)
     assert lines == (header + _per_field_rows(result)).splitlines(keepends=True)
@@ -632,7 +632,7 @@ def _per_field_rows(result, start=0, stop=None):
                result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
     rows = []
     for k in range(start, len(result.value) if stop is None else stop):
-        if result.valid[k]:
+        if result.pole[k] == 0:
             fields = [cli._fmt(column[k]) for column in columns] + ["1"]
         else:
             fields = [cli._fmt(result.value[k])] + [""] * 6 + ["0"]
@@ -642,10 +642,7 @@ def _per_field_rows(result, start=0, stop=None):
 
 def _sweep_rows(result, start, stop):
     """Rows [start, stop) of a Sweep as a Sweep of their own."""
-    reasons = {k - start: r for k, r in result.reasons.items() if start <= k < stop}
-    return suscept.Sweep(result.axis, result.value[start:stop], result.chi1[start:stop],
-                         result.chi3_self[start:stop], result.chi3_cross[start:stop],
-                         result.valid[start:stop], reasons)
+    return suscept.Sweep(result.axis, *(field[start:stop] for field in result[1:]))
 
 
 _POOL = (0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 5e-324, -1e308)
@@ -663,15 +660,14 @@ def _hand_sweeps(draw):
     """A hand-built Sweep, a chunk size and a row range [start, stop) of it."""
     n = draw(st.integers(1, 24))
     value, *parts = (_runs(draw, n, st.sampled_from(_POOL)) for _ in range(7))
-    valid = _runs(draw, n, st.sampled_from([True, True, True, False]))
+    codes = [0, 0, 0, model.PUMP_PAIR, 0, 0, 0, model.OUT_OF_RANGE]  # 3 in 4 rows valid
+    pole = _runs(draw, n, st.sampled_from(codes))
     chis = []
     for re, im in zip(parts[::2], parts[1::2]):
         chi = np.empty(n, dtype=complex)
         chi.real, chi.imag = re, im
-        chis.append(np.where(valid, chi, np.nan))  # what sweep_at puts on invalid rows
-    reasons = {int(k): "pole" for k in np.flatnonzero(~valid)}
-    result = suscept.Sweep(draw(st.sampled_from(["da", "db", "dc"])), value, *chis, valid,
-                           reasons)
+        chis.append(np.where(pole == 0, chi, np.nan))  # what sweep_at puts on invalid rows
+    result = suscept.Sweep(draw(st.sampled_from(["da", "db", "dc"])), value, *chis, pole)
     start = draw(st.integers(0, n - 1))
     return result, draw(st.integers(1, 6)), start, draw(st.integers(start + 1, n))
 
@@ -717,7 +713,7 @@ def test_sweep_past_double_range_writes_invalid_rows_without_warning(tmp_path, c
     lines = opath.read_text(encoding="utf-8").splitlines()
     assert lines[1:] == ["dc,-1,,,,,,,0", "dc,0,,,,,,,0", "dc,1,,,,,,,0"]
     result = suscept.sweep_at(cli.load_scenario(spath), "dc", suscept.sweep_grid(-1.0, 1.0, 3))
-    assert result.reasons == dict.fromkeys(range(3), model.POLES[model.OUT_OF_RANGE - 1])
+    assert result.pole.tolist() == [model.OUT_OF_RANGE] * 3
 
 
 # -- evolve ------------------------------------------------------------------

@@ -154,9 +154,7 @@ def test_outside_double_range_is_a_pole():
         with pytest.raises(PoleError, match="outside double range"):
             closed_form(cfg)
     s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-1.0, 1.0, 3))
-    out_of_range = model.POLES[model.OUT_OF_RANGE - 1]
-    assert s.reasons == {0: out_of_range, 1: model.POLES[model.THREE_PHOTON - 1],
-                         2: out_of_range}
+    assert s.pole.tolist() == [model.OUT_OF_RANGE, model.THREE_PHOTON, model.OUT_OF_RANGE]
     with pytest.raises(PoleError, match="outside double range"):  # |g_a|**4 overflows
         suscept.sweep_at(make_config(1e100, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5), "dc",
                          suscept.sweep_grid(-1.0, 1.0, 3))
@@ -188,7 +186,7 @@ def test_overflowing_pole_term_is_out_of_range_not_its_pole():
         suscept.susceptibility_point(cfg)
     wide = make_config(0.01, 1.0, 0.01, 1, 0, 1, 1e308, 0.5, 0.5, gamma=(0.1, 0.1, 0.1))
     result = suscept.sweep_at(wide, "db", suscept.sweep_grid(-1.0, 1.0, 5))
-    assert result.reasons == dict.fromkeys(range(5), model.POLES[model.OUT_OF_RANGE - 1])
+    assert result.pole.tolist() == [model.OUT_OF_RANGE] * 5
 
 
 def test_hermitian_limit_matches_kerr_coefficients(reference_config):
@@ -298,7 +296,7 @@ def test_coherence_coefficients_match_extraction_of_partial_sums(lossy):
 def test_sweep_two_steps_gives_endpoints(reference_config):
     s = suscept.sweep_at(reference_config, "da", suscept.sweep_grid(-1.0, 1.0, 2))
     assert s.value.tolist() == [-1.0, 1.0]
-    assert s.valid.all()
+    assert s.pole.tolist() == [0, 0]
 
 
 def test_sweep_chi1_real_part_crosses_raman_point():
@@ -315,8 +313,8 @@ def test_sweep_emits_gap_row_at_pole():
     # gamma_3 = 0 and the grid hits delta_3 = 0 exactly
     cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, 0.3, 0.3, 0.5)
     s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-1.0, 1.0, 3))
-    assert s.valid.tolist() == [True, False, True]
-    assert list(s.reasons) == [1] and "delta_3" in s.reasons[1]
+    assert s.pole.tolist() == [0, model.THREE_PHOTON, 0]
+    assert "delta_3" in model.POLES[s.pole[1] - 1]
     for chi in (s.chi1, s.chi3_self, s.chi3_cross):  # NaN on the invalid row only
         assert np.isnan(chi).tolist() == [False, True, False]
 
@@ -326,6 +324,16 @@ def test_sweep_rejects_bad_arguments(reference_config):
         suscept.sweep_at(reference_config, "dx", suscept.sweep_grid(0.0, 1.0, 5))
     with pytest.raises(ValueError):
         suscept.sweep_grid(0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("steps", [3.0, "3", True, 1, -1])
+def test_sweep_grid_refuses_steps_that_are_not_an_integer_at_least_two(steps):
+    with pytest.raises(ValueError, match=f"steps must be an integer >= 2, got {steps!r}$"):
+        suscept.sweep_grid(0.0, 1.0, steps)
+
+
+def test_sweep_grid_takes_a_numpy_integer_steps():
+    assert suscept.sweep_grid(0.0, 1.0, np.int64(3)).tolist() == [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("inf")),
@@ -379,18 +387,18 @@ def test_sweep_of_a_slice_is_the_slice_of_the_sweep_bit_for_bit(case):
     # nkerr sweep evaluates its grid chunk by chunk; its CSV bytes rest on this
     cfg, axis, lo, hi, steps, a, b, pole_row = case
     whole = suscept.sweep_at(cfg, axis, suscept.sweep_grid(lo, hi, steps))
-    assert pole_row is None or not whole.valid[pole_row]
+    assert pole_row is None or whole.pole[pole_row] != 0
     part = suscept.sweep_at(cfg, axis, whole.value[a:b])
-    for name in ("value", "chi1", "chi3_self", "chi3_cross", "valid"):
+    assert part.axis == whole.axis
+    for name in suscept.Sweep._fields[1:]:  # every field but the axis is an array over the rows
         assert getattr(part, name).tobytes() == getattr(whole, name)[a:b].tobytes(), name
-    assert part.reasons == {k - a: r for k, r in whole.reasons.items() if a <= k < b}
 
 
 def test_sweep_even_odd_structure_about_resonance():
     cfg = make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.0,
                       gamma=(0.0, 0.0, 0.4))
     s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-2.0, 2.0, 101))
-    assert s.valid.all()
+    assert not s.pole.any()
     im, re = s.chi3_cross.imag, s.chi3_cross.real
     assert np.max(np.abs(im - im[::-1])) < 1e-12 * np.max(np.abs(im))
     assert np.max(np.abs(re + re[::-1])) < 1e-12 * np.max(np.abs(re))
@@ -414,15 +422,15 @@ def test_sweep_rows_equal_scalar_point_bit_for_bit(axis, gamma, n_c):
     for k, value in enumerate(s.value.tolist()):
         mode = dataclasses.replace(getattr(cfg, attr), delta=value)
         at = dataclasses.replace(cfg, **{attr: mode})
-        if s.valid[k]:
-            assert k not in s.reasons
+        if s.pole[k] == 0:
             assert (_bits(s.chi1[k], s.chi3_self[k], s.chi3_cross[k])
                     == _bits(*suscept.susceptibility_point(at)))
         else:
             with pytest.raises(PoleError) as exc:
                 suscept.susceptibility_point(at)
-            assert s.reasons[k] == str(exc.value)
-    seen = {word for r in s.reasons.values() for word in ("n_b", "delta_3", "eps_c") if word in r}
+            assert model.POLES[s.pole[k] - 1] == str(exc.value)
+    reasons = [model.POLES[code - 1] for code in s.pole[s.pole != 0]]
+    seen = {word for r in reasons for word in ("n_b", "delta_3", "eps_c") if word in r}
     lossless = gamma == (0.0, 0.0, 0.0)
     expected = {"delta_3": lossless, "n_b": lossless and axis != "dc", "eps_c": n_c == 0}
     assert seen == {word for word, present in expected.items() if present}
