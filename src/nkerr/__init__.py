@@ -1,6 +1,6 @@
 """Cross-Kerr response of a four-level atom in the N-configuration.
 
-A numpy library (plus a small CLI) that builds the single-manifold matrix of
+A library (plus a small CLI) that builds the single-manifold matrix of
 the driven atom, expands its ground eigenvalue as a double power series in
 the two probe strengths, evaluates the closed-form linear / self-Kerr /
 cross-Kerr coefficients and complex susceptibilities, and cross-checks every
@@ -8,7 +8,8 @@ closed form against exact diagonalization.
 
 Importing the package loads none of its modules: a name of ``__all__`` (or
 a module's name) imports its module on first use (PEP 562), so
-``import nkerr.cli`` loads only the modules the CLI itself needs.
+``import nkerr.cli`` loads only the modules the CLI itself needs, and no
+numpy: the Kerr coefficients are computed in Python floats.
 """
 
 import importlib

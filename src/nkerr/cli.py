@@ -54,13 +54,14 @@ the lossless regime was given decay rates).  ``coeffs`` and ``evolve``
 print only finite numbers, as does every valid ``sweep`` row; a sweep's
 detuning-independent terms or an ``evolve`` phase beyond double range exit 3.
 
-Importing this module loads only ``errors`` and ``model`` of the package; a
-command imports what it runs when it runs: ``coeffs`` loads ``effective``,
-``sweep`` loads ``suscept`` and ``perturb``, ``evolve`` loads ``effective``,
-``oracle`` and ``perturb``, and ``validate`` loads every module.  Under
-``python -m nkerr.cli`` this file runs once: the running ``__main__`` module
-is registered as ``nkerr.cli`` before the command runs, so ``validate``'s
-import of ``cli`` (criterion 11 drives ``cli.main``) finds it.
+Importing this module loads only ``errors`` and ``model`` of the package, and
+no numpy; a command imports what it runs when it runs: ``coeffs`` loads
+``effective`` and still no numpy (it computes in Python floats), ``sweep``
+loads ``suscept`` and ``perturb``, ``evolve`` loads ``effective``, ``oracle``
+and ``perturb``, and ``validate`` loads every module; those three load numpy.
+Under ``python -m nkerr.cli`` this file runs once: the running ``__main__``
+module is registered as ``nkerr.cli`` before the command runs, so
+``validate``'s import of ``cli`` (criterion 11 drives ``cli.main``) finds it.
 """
 
 from __future__ import annotations
@@ -76,8 +77,6 @@ import signal
 import sys
 import tempfile
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NoReturn, TextIO
-
-import numpy as np
 
 from .errors import (ConvergenceError, DegeneracyError, NotHermitianError,
                      NotResonantError, PoleError, ScenarioError, TrackingError)
@@ -275,7 +274,7 @@ def _chunk_text(result: suscept.Sweep) -> str:
                result.chi3_self.imag, result.chi3_cross.real, result.chi3_cross.imag)
     fields, varying = [], []
     for column in columns:
-        bits = column.view(np.int64)
+        bits = column.view("int64")
         if (bits == bits[0]).all():
             fields.append(_fmt(column[0]))
         else:

@@ -16,10 +16,13 @@ Conventions used throughout the package:
   for mode "c"; this fixed phase placement is normative for everything
   downstream.
 * ``POLES`` is the one ordered table of where a closed form has no value:
-  ``pole_terms`` gives each denominator with the scale it is judged against
+  ``pole_terms`` gives each denominator with the scales it is judged against
   (``near_pole``), and ``pole_code`` names the first pole at each point.
   That code is the one pole decision callers read: a ``suscept.Sweep``
-  carries it per row, and a single point raises its message.
+  carries it per row, and a single point raises its message.  The three are
+  one body for numpy arrays (``suscept``) and Python floats, on which
+  (``check_poles``, ``check_finite``) they make no numpy value.  Only the
+  functions that build or measure matrices import numpy, when they run.
 * Every immutable record the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
@@ -36,12 +39,14 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import sys
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from .errors import PoleError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ModeLabel = Literal["a", "b", "c"]
 
@@ -49,13 +54,18 @@ _LABELS = ("a", "b", "c")
 
 # A denominator within this fraction of the size of the terms it sums is
 # rounding noise around a pole, not a value.
-POLE_RTOL = 4 * float(np.finfo(float).eps)
+POLE_RTOL = 4 * sys.float_info.epsilon
+
+
+def _is_numpy(value, kind: str) -> bool:
+    """Whether ``value`` is a ``numpy.<kind>``; none is before numpy is loaded."""
+    return "numpy" in sys.modules and isinstance(value, getattr(sys.modules["numpy"], kind))
 
 
 def _is_finite(value, isfinite) -> bool:
-    """Whether ``isfinite`` holds for ``value``; a bool, a non-number or an integer
-    beyond double range is not a finite number."""
-    if isinstance(value, (bool, np.bool_)):
+    """Whether ``isfinite`` holds for ``value``; a bool (numpy's included), a
+    non-number or an integer beyond double range is not a finite number."""
+    if isinstance(value, bool) or _is_numpy(value, "bool_"):
         return False
     try:
         return isfinite(value)
@@ -68,7 +78,7 @@ def _is_nonnegative_int(n) -> bool:
 
     The one rule for a photon number and for a series order or state index.
     """
-    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 0
+    return not isinstance(n, bool) and (isinstance(n, int) or _is_numpy(n, "integer")) and n >= 0
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,7 @@ def matrix_scale(h: np.ndarray) -> float:
     """max(1, Frobenius norm of h), summed as ``np.linalg.norm`` sums it (of h / max|h_ij|
     where that overflows): the size that residuals of eigenpairs of h are judged against.
     NaN where h holds a NaN, inf where it holds an inf and no NaN."""
+    import numpy as np
     flat = h.ravel(order="K")
     with np.errstate(over="ignore"):
         squares = flat.real.dot(flat.real) + flat.imag.dot(flat.imag)
@@ -198,10 +209,13 @@ def matrix_scale(h: np.ndarray) -> float:
     return max(math.sqrt(squares), 1.0)  # a NaN comes first, so it is kept
 
 
-def near_pole(value, scale):
-    """Where ``value`` is finite and within ``POLE_RTOL`` of ``scale`` of zero; arrays
-    broadcast.  A term that overflows is out of range, not at its pole."""
-    return (np.abs(value) <= POLE_RTOL * scale) & np.isfinite(value)
+def near_pole(value, *scales):
+    """Where ``value`` is finite and within ``POLE_RTOL`` of the largest of ``scales``
+    of zero; Python numbers or arrays, which broadcast.  A term that overflows is
+    out of range, not at its pole."""
+    size = abs(value)  # at most RTOL * max(scales) is at most RTOL * one of them
+    hit = sum(size <= POLE_RTOL * scale for scale in scales) > 0
+    return hit & (value * 0 == 0)  # value * 0 is NaN where value is inf or NaN
 
 
 # Each closed-form pole as its PoleError message, in the order a point
@@ -220,29 +234,28 @@ PUMP_PAIR, PROBE_A, THREE_PHOTON, PROBE_C, PUMP, OUT_OF_RANGE = range(1, len(POL
 
 
 def pole_terms(config: SystemConfig, delta_a, delta_b, delta_c) -> tuple:
-    """(value, scale) of the denominator of each pole in ``POLES`` but the last.
+    """(value, *scales) of the denominator of each pole in ``POLES`` but the last.
 
-    The single-photon detunings are scalars or arrays.  A scale is the size of
-    the terms its value sums; eps_a, eps_c and G_b have scale 0.
+    The single-photon detunings are Python floats or arrays.  The scales are
+    the sizes of the terms its value sums; eps_a, eps_c and G_b have scale 0.
     """
     d1, d2, d3 = multi_photon_detunings(delta_a, delta_b, delta_c)
     g1, g2, g3 = config.gamma
     gb2n = pump_coupling(config)
     pair = (g1 + 1j * d1) * (g2 + 1j * d2)
-    scale3 = np.maximum(np.maximum(abs(delta_a), abs(delta_b)), np.maximum(abs(delta_c), g3))
-    return ((pair + gb2n, np.maximum(abs(pair), gb2n)), (probe_strength(config.mode_a), 0.0),
-            (d3 - 1j * g3, scale3), (probe_strength(config.mode_c), 0.0), (gb2n, 0.0))
+    return ((pair + gb2n, abs(pair), gb2n), (probe_strength(config.mode_a), 0.0),
+            (d3 - 1j * g3, abs(delta_a), abs(delta_b), abs(delta_c), g3),
+            (probe_strength(config.mode_c), 0.0), (gb2n, 0.0))
 
 
-def pole_code(terms: tuple, poles: tuple[int, ...], *values) -> np.ndarray:
+def pole_code(terms: tuple, poles: tuple[int, ...], *values):
     """At each point, the first of ``poles`` whose term is ``near_pole``; else
     ``OUT_OF_RANGE`` where one of ``values`` or of the terms of ``poles`` is not
-    finite; else 0."""
-    code = np.zeros((), dtype=int)
-    for v in (*values, *(terms[k - 1][0] for k in poles)):
-        code = np.where(np.isfinite(v), code, OUT_OF_RANGE)
+    finite; else 0.  An int for Python numbers, an int array for arrays."""
+    # v * 0 is 0 where v is finite and NaN where it is not, so is their sum
+    code = OUT_OF_RANGE * (sum(v * 0 for v in (*values, *(terms[k - 1][0] for k in poles))) != 0)
     for k in reversed(poles):  # so that the first pole is written last
-        code = np.where(near_pole(*terms[k - 1]), k, code)
+        code = code + (k - code) * near_pole(*terms[k - 1])
     return code
 
 
@@ -277,6 +290,7 @@ def _pump_block(config: SystemConfig) -> np.ndarray:
 
     The ``OUT_OF_RANGE`` PoleError where delta_2 or delta_3 overflows.
     """
+    import numpy as np
     d = config.detunings()
     if not (math.isfinite(d.delta2) and math.isfinite(d.delta3)):
         raise_at_pole(OUT_OF_RANGE)
@@ -293,6 +307,7 @@ def _pump_block(config: SystemConfig) -> np.ndarray:
 
 def build_hamiltonian(config: SystemConfig) -> np.ndarray:
     """Single-manifold 4x4 matrix with complex diagonal delta_j - i*gamma_j."""
+    import numpy as np
     om_a = rabi_frequency(config.mode_a)
     om_c = rabi_frequency(config.mode_c)
     h = _pump_block(config)
@@ -305,6 +320,7 @@ def build_hamiltonian(config: SystemConfig) -> np.ndarray:
 
 def split(config: SystemConfig) -> PerturbationSplit:
     """Split the manifold matrix into the pump block plus the two probe couplings."""
+    import numpy as np
     om_a = rabi_frequency(config.mode_a)
     om_c = rabi_frequency(config.mode_c)
     # unit phases taken directly from the Rabi frequencies; dividing by the

@@ -102,13 +102,14 @@ _DENOMINATORS = dict(chi1=(model.PUMP_PAIR, model.PROBE_A),
 
 def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c,
                   forms: tuple[str, ...] = tuple(_DENOMINATORS)) -> tuple[dict, np.ndarray]:
-    """({name: values} of chi1, chi3_self and chi3_cross, pole code) at arrays of detunings.
+    """({name: values} of the named ``forms``, pole code) at arrays of detunings.
 
     Scalars broadcast.  Every quantity is an array of the common shape, so an
     element does not depend on how many points are evaluated with it.  Values
     where a pole sits are not meaningful; the pole code is ``model.pole_code``
     of the denominators of the named ``forms`` and of their values.  PoleError
-    where a term that does not depend on the detunings leaves double range.
+    where a term of a named form that does not depend on the detunings leaves
+    double range; the other forms are not evaluated.
     """
     da, db, dc = np.broadcast_arrays(*(np.atleast_1d(np.asarray(d, dtype=float))
                                        for d in (delta_a, delta_b, delta_c)))
@@ -116,16 +117,17 @@ def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c,
     with model.in_double_range(), np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _, d2, _ = model.multi_photon_detunings(da, db, dc)
         terms = model.pole_terms(config, da, db, dc)
-        (den, _), (eps_a, _), (pole3, _), (eps_c, _), (gb2n, _) = terms
+        (den, *_), (eps_a, _), (pole3, *_), (eps_c, _), (gb2n, _) = terms
         ga2 = abs(config.mode_a.g) ** 2
-        chis = dict(zip(_DENOMINATORS, (
-            ga2 * (1j * g2 - d2) / (eps_a**2 * den),
-            (2.0 * ga2**2 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
-             / (3.0 * eps_a**4 * den**3)),
-            (ga2 * gb2n * abs(config.mode_c.g) ** 2
-             / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2)))))
+        closed_forms = dict(
+            chi1=lambda: ga2 * (1j * g2 - d2) / (eps_a**2 * den),
+            chi3_self=lambda: (2.0 * ga2**2 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
+                               / (3.0 * eps_a**4 * den**3)),
+            chi3_cross=lambda: (ga2 * gb2n * abs(config.mode_c.g) ** 2
+                                / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2)))
+        chis = {form: closed_forms[form]() for form in forms}
         poles = sorted({k for form in forms for k in _DENOMINATORS[form]})
-        return chis, model.pole_code(terms, poles, *map(chis.get, forms))
+        return chis, model.pole_code(terms, poles, *chis.values())
 
 
 def _at_config(config: SystemConfig, forms: tuple[str, ...] = tuple(_DENOMINATORS)) -> list:

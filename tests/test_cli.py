@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nkerr import cli, effective, model, suscept
-from nkerr.errors import ScenarioError
+from nkerr.errors import PoleError, ScenarioError
+
+from conftest import make_config
 
 
 def scenario_doc(da=0.0, db=0.0, dc=5.0, ga=0.1, gc=0.1, gamma=None):
@@ -281,27 +285,77 @@ def _extreme_doc(rng, k):
     return doc
 
 
+_AXES = ("da", "db", "dc")
+
+
+def _fuzz_scenarios():
+    """The 320 seeded (document, sweep axis, lo, hi) of the exit-code fuzz."""
+    rng = np.random.default_rng(13)
+    for k in range(320):
+        doc = _extreme_doc(rng, k)
+        yield doc, _AXES[k % 3], _extreme(rng), _extreme(rng)
+
+
 def test_exit_codes_and_finite_output_under_extreme_inputs(tmp_path):
     # every failure maps to a documented exit code, and nothing non-finite is
     # printed as a value: coeffs stdout and valid sweep rows stay finite
-    rng = np.random.default_rng(13)
     opath = tmp_path / "out.csv"
-    for k in range(320):
-        doc = _extreme_doc(rng, k)
+    for doc, axis, lo, hi in _fuzz_scenarios():
         spath = write_scenario(tmp_path, doc)
         out = io.StringIO()
         assert cli.main(["coeffs", spath], stdout=out) in (0, 2, 3, 4), doc
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), doc
         opath.unlink(missing_ok=True)
-        code = cli.main(["sweep", spath, "--axis", "da db dc".split()[k % 3],
-                         f"--lo={_extreme(rng)!r}", f"--hi={_extreme(rng)!r}", "--steps", "5",
-                         "--out", str(opath)], stdout=io.StringIO())
+        code = cli.main(["sweep", spath, "--axis", axis, f"--lo={lo!r}", f"--hi={hi!r}",
+                         "--steps", "5", "--out", str(opath)], stdout=io.StringIO())
         assert code in (0, 2, 3, 4), doc
         if code == 0:
             rows = opath.read_text(encoding="utf-8").splitlines()[1:]
             assert len(rows) == 5
             assert not [row for row in rows if row.endswith(",1") and
                         ("nan" in row or "inf" in row)], doc
+
+
+def _pole_code(config, deltas):
+    """The code of the first of every pole with a term at the detunings (Python
+    floats or arrays), or "raise" where a term that does not depend on them
+    leaves double range."""
+    try:
+        with model.in_double_range(), np.errstate(divide="ignore", invalid="ignore",
+                                                  over="ignore"):
+            return model.pole_code(model.pole_terms(config, *deltas),
+                                   range(1, model.OUT_OF_RANGE))
+    except PoleError:
+        return "raise"
+
+
+def test_scalar_and_array_pole_codes_agree():
+    # the pole table is one body for Python floats (coeffs) and arrays (sweep):
+    # both reach the same code on the fuzz scenarios and their sweep grids, at
+    # detunings of +-1e200, and on the grids whose poles sit on grid points
+    cases = []
+    for doc, axis, lo, hi in _fuzz_scenarios():
+        with contextlib.suppress(ScenarioError):
+            config = cli.scenario_config(doc)
+            cases += [(config, axis, [None, *np.linspace(lo, hi, 5).tolist()])]
+    ref = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+    for gamma in ((0.0, 0.0, 0.0), (0.12, 0.2, 0.07)):
+        cases += [(replace(ref, gamma=gamma), axis, [1e200, -1e200]) for axis in _AXES]
+        for n_c in (0, 1):  # test_suscept's bit-for-bit sweep grids
+            grid = make_config(0.012, 0.5, 0.009, 2, 1, n_c, 0.5, 0.5, 0.25, gamma=gamma)
+            cases += [(grid, axis, np.linspace(-1.0, 1.0, 257).tolist()) for axis in _AXES]
+    seen = set()
+    for config, axis, values in cases:
+        for value in values:
+            deltas = [config.mode_a.delta, config.mode_b.delta, config.mode_c.delta]
+            if value is not None:
+                deltas[_AXES.index(axis)] = value
+            scalar = _pole_code(config, deltas)
+            array = _pole_code(config, [np.array([d]) for d in deltas])
+            assert type(scalar) in (int, str)  # the scalar path makes no numpy value
+            assert scalar == (array if isinstance(array, str) else array[0]), (config, deltas)
+            seen.add(scalar)
+    assert seen == {"raise", *range(model.OUT_OF_RANGE + 1)}  # every outcome is reached
 
 
 def test_evolve_and_pure_line_under_extreme_inputs(tmp_path):
@@ -825,13 +879,14 @@ def test_validate_rejects_a_negative_seed_and_runs_a_huge_one(capsys):
 _CLI_MODULES = {"nkerr", "nkerr.cli", "nkerr.errors", "nkerr.model"}
 
 # runs ``nkerr.cli.main`` on its arguments (none: the import alone), then
-# writes the nkerr and mpmath modules it loaded, and numpy.random if it did,
-# to stderr
+# writes the nkerr and mpmath modules it loaded, and numpy and numpy.random
+# if it did, to stderr
 _REPORT_LOADED = """import sys
 import nkerr.cli
 code = nkerr.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(*(m for m in sys.modules
-        if m.split(".")[0] in ("nkerr", "mpmath") or m == "numpy.random"), file=sys.stderr)
+        if m.split(".")[0] in ("nkerr", "mpmath") or m in ("numpy", "numpy.random")),
+      file=sys.stderr)
 sys.exit(code)
 """
 
@@ -839,11 +894,12 @@ sys.exit(code)
     ([], _CLI_MODULES),
     (["coeffs"], _CLI_MODULES | {"nkerr.effective"}),
     (["sweep", "--axis", "dc", "--lo", "0.4", "--hi", "0.6", "--steps", "5", "--out", "x.csv"],
-     _CLI_MODULES | {"nkerr.suscept", "nkerr.perturb"}),
-    (["evolve", "--t", "1"], _CLI_MODULES | {"nkerr.effective", "nkerr.oracle", "nkerr.perturb"}),
+     _CLI_MODULES | {"nkerr.suscept", "nkerr.perturb", "numpy"}),
+    (["evolve", "--t", "1"], _CLI_MODULES | {"nkerr.effective", "nkerr.oracle", "nkerr.perturb",
+                                             "numpy"}),
     (["validate", "--seed", "0"], _CLI_MODULES | {"nkerr.effective", "nkerr.oracle",
                                                    "nkerr.perturb", "nkerr.suscept",
-                                                   "nkerr.validate"}),
+                                                   "nkerr.validate", "numpy"}),
 ], ids=["import", "coeffs", "sweep", "evolve", "validate"])
 def test_command_loads_only_its_modules(tmp_path, args, loaded):
     # a fresh interpreter: no module another test loaded is counted, and a
@@ -910,6 +966,32 @@ def test_gated_stdout_matches_the_corpus(name, argv):
     code = cli.main(argv, stdout=out)
     assert code == (4 if "lossy" in name else 0)  # the lossy scenario is refused
     assert out.getvalue() == (_GATED / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# runs ``cli.main(["coeffs", path])`` on each path in one process, prints the
+# [exit code, stdout] of each as JSON, and fails if numpy was loaded
+_COEFFS_WITHOUT_NUMPY = """import io, json, sys
+from nkerr import cli
+runs = []
+for path in sys.argv[1:]:
+    out = io.StringIO()
+    runs.append([cli.main(["coeffs", path], stdout=out), out.getvalue()])
+assert "numpy" not in sys.modules, "coeffs loaded numpy"
+print(json.dumps(runs))
+"""
+
+
+def test_gated_coeffs_in_a_process_without_numpy():
+    # in this process conftest has loaded numpy already, so the corpus test
+    # above never runs a path taken only where numpy is absent; this does
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _COEFFS_WITHOUT_NUMPY,
+                           *(str(_GATED / f"{s}.json") for s in _GATED_SCENARIOS)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [4 if s == "lossy" else 0, (_GATED / f"coeffs-{s}.txt").read_text(encoding="utf-8")]
+        for s in _GATED_SCENARIOS]
 
 
 @pytest.mark.parametrize("scenario, axis", [("lossy", "dc"), ("reference", "da")])

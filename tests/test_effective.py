@@ -97,6 +97,7 @@ def test_pump_pole_rejected():
 @pytest.mark.parametrize("da, db, dc, match", [
     (1.0, 1e-16, 0.5, "n_b"),  # D_K = -1.1e-16 against delta_1*delta_2 = 1
     (0.1, 0.3, 0.2, "delta_3"),  # delta_3 = 2.8e-17 against detunings of 0.3
+    (-1.0, 1.0, 2.0 + 3 * 2**-51, "delta_3"),  # delta_3 = 1.3e-15 against |delta_c| = 2
 ])
 def test_near_pole_rejected_relative_to_scale(da, db, dc, match):
     cfg = make_config(0.1, 1.0, 0.1, 1, 0, 1, da, db, dc)

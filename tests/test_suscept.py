@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +126,7 @@ def test_chi_poles_raise():
     (suscept.chi3_self, (1.0, 1e-16, 0.5), "n_b"),
     (suscept.chi3_cross, (1.0, 1e-16, 0.5), "n_b"),
     (suscept.chi3_cross, (0.1, 0.3, 0.2), "delta_3"),  # delta_3 = 2.8e-17 against 0.3
+    (suscept.chi3_cross, (-1.0, 1.0, 2.0 + 3 * 2**-51), "delta_3"),  # 1.3e-15 against 2
 ])
 def test_chi_near_pole_rejected_relative_to_scale(chi, deltas, match):
     cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, *deltas)
@@ -158,6 +160,19 @@ def test_outside_double_range_is_a_pole():
     with pytest.raises(PoleError, match="outside double range"):  # |g_a|**4 overflows
         suscept.sweep_at(make_config(1e100, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5), "dc",
                          suscept.sweep_grid(-1.0, 1.0, 3))
+
+
+def test_a_form_is_evaluated_without_the_terms_of_the_others():
+    # at g_a = 1e80, |g_a|**4 of chi3_self leaves double range, while chi1 and
+    # chi3_cross read |g_a|**2 / eps_a**2 = 1/n_a only: their values at g_a = 0.01
+    big = make_config(1e80, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5)
+    weak = make_config(0.01, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5)
+    for closed_form in (suscept.chi1, suscept.chi3_cross):
+        assert cmath.isclose(closed_form(big), closed_form(weak),
+                             rel_tol=4 * sys.float_info.epsilon)
+    for closed_form in (suscept.chi3_self, suscept.susceptibility_point):
+        with pytest.raises(PoleError, match="outside double range"):
+            closed_form(big)
 
 
 @pytest.mark.parametrize("route", [
