@@ -98,7 +98,9 @@ class FieldMode:
         if not (_is_finite(self.g, cmath.isfinite) and _is_finite(self.delta, math.isfinite)):
             raise ValueError(f"coupling and detuning must be finite numbers, got g={self.g!r}, "
                              f"delta={self.delta!r}")
-        # a Python float, so that a sum of detunings overflows to inf without a warning
+        # Python numbers: a sum of detunings overflows to inf and a power of |g|
+        # raises OverflowError, where numpy's would warn first
+        object.__setattr__(self, "g", complex(self.g))
         object.__setattr__(self, "delta", float(self.delta))
 
 
@@ -176,9 +178,7 @@ def multi_photon_detunings(delta_a: float, delta_b: float, delta_c: float) -> Mu
 
 def rabi_frequency(mode: FieldMode) -> complex:
     """Rabi frequency of a mode; mode "b" couples to n+1 photons, "a" and "c" to n."""
-    if mode.label == "b":
-        return 2.0 * complex(mode.g) * math.sqrt(mode.n + 1)
-    return 2.0 * complex(mode.g) * math.sqrt(mode.n)
+    return 2.0 * mode.g * math.sqrt(mode.n + 1 if mode.label == "b" else mode.n)
 
 
 def probe_strength(mode: FieldMode) -> float:

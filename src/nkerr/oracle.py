@@ -171,7 +171,7 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
 
     The eigenvalue is that of ``h0 + x*va + y*vc`` continuously connected to
     0 at x = y = 0; c has the (order+1, order+1) layout of
-    ``build_series(split, 1, order).E[0]`` and its entries with p + q > order
+    ``build_series(split, 1, order).E`` and its entries with p + q > order
     are zero.  Only the products P_a, G_b, P_c of the off-diagonal pairs
     enter det(H - E), so E is a double series in u = x**2 and v = y**2, the
     root with E(0, 0) = 0 of the continuant f1 = -E,

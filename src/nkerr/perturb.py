@@ -8,11 +8,11 @@ state coefficients expressed in the dressed eigenbasis of the unperturbed
 operator, for the relaxed ground state (dressed index 0) only.
 
 Layout.  A double series c[p, q] is a dense (n, n) array; this is the only
-layout in the package.  The ground state's series are ``E[s, p, q]`` and
+layout in the package.  The ground state's series are ``E[p, q]`` and
 ``A[s, p, q, m]`` of :class:`SeriesTable`, contiguous views of the one work
 vector that ``build_series`` fills by total order p + q, after the dressed
-couplings ``left @ v @ right`` of both probes (transposed for s = 1), of
-which it writes only the entries the selection rules below allow.  Each
+couplings ``left @ v @ right`` of both probes, of which it writes only the
+entries the selection rules below allow.  Each
 entry reads only entries of lower total order; a table is bit-reproducible
 and extending ``max_order`` never changes lower entries.  ``series_product``
 is the one product of two series in this layout, truncated below total
@@ -22,7 +22,7 @@ Selection rules.  In the N-configuration probe a couples only bare levels
 1 <-> 2 and probe c only 3 <-> 4, so in the dressed basis eps_a moves index
 0 <-> {1, 2} and eps_c moves {1, 2} <-> 3.  A coefficient A[s, p, q, m] is
 therefore zero unless the parities of (p, q) link index 0 to m, and
-E[s, p, q] is zero unless p and q are both even.  ``_order_plan`` lists,
+E[p, q] is zero unless p and q are both even.  ``_order_plan`` lists,
 once per ``max_order``, only the products these rules allow, as
 flat index arrays into the work vector, which holds the dressed couplings
 before E and A; ``build_series`` then fills each order with a single
@@ -35,17 +35,18 @@ recursion is then the matching *left* eigenvector (biorthogonal pairing,
 the left rows are exactly the conjugated kets, so the Hermitian textbook
 recursion is recovered without branching; with decay this pairing is the
 analytic continuation of the Hermitian formulas in the complex detunings,
-which is how the loss model is defined in the first place.
+which is how the loss model is defined in the first place.  The perturbed
+bra is the ket of the transposed problem, which needs no series of its own:
+the dressed couplings form the chain 0 - {1, 2} - 3, so the diagonal
+P = diag(1, f_a, f_a, f_a f_c), with f_a = V[0, m] / V[m, 0] for m = 1 and 2
+alike and f_c = vc[2, 3] / vc[3, 2], turns each into its transpose,
+P V P^-1 = V^T.  P commutes with the unperturbed operator and fixes index 0,
+so the transposed problem has the energies E and the states ``A[1]`` = P A[0].
 
 Normalisation.  The diagonal coefficient at each order is fixed by the
-order-by-order expansion of the state norm.  The conjugated coefficients
-appearing there are supplied by a companion series for the transposed
-problem (conjugated couplings, identical complex detunings), which this
-module computes in lockstep.  For real couplings the companion series
-coincides with the primary one; in the Hermitian case it is its complex
-conjugate, which makes the diagonal coefficients real.  The residual phase
-freedom is fixed by assigning the same value to both series' diagonal
-entries at every order.
+order-by-order expansion of the norm, the sum over r of P[r] A[0] A[0], with
+bra and ket given the same diagonal entry.  P is 1 for real couplings; in the
+Hermitian case the bra is the conjugated ket, so those entries are real.
 """
 
 from __future__ import annotations
@@ -137,13 +138,13 @@ class SeriesTable(NamedTuple):
     """Energy corrections and dressed-basis state coefficients of the ground state.
 
     Made by :func:`build_series` and read straight from its arrays.
-    ``E[s, p, q]`` is the order-(p, q) eigenvalue correction and
+    ``E[p, q]`` is the order-(p, q) eigenvalue correction and
     ``A[s, p, q, :]`` the dressed-basis coefficients of the order-(p, q)
     state correction, for p + q <= ``order``; higher entries are zero.
-    Series s = 0 is the primary one, s = 1 its companion for the transposed
-    problem: ``basis.right @ A[0, p, q]`` is the order-(p, q) ket correction
-    in the bare basis and ``A[1, p, q] @ basis.left`` the bra correction,
-    which in the Hermitian case is the conjugated ket.  Like every record of
+    ``basis.right @ A[0, p, q]`` is the order-(p, q) ket correction in the
+    bare basis and ``A[1, p, q] @ basis.left`` the bra correction, where
+    ``A[1]`` is P A[0] with the diagonal P of the module docstring; in the
+    Hermitian case the bra is the conjugated ket.  Like every record of
     the package it is a tuple; since it holds arrays, a table equals itself,
     but comparing two tables raises numpy's ValueError and hashing one
     raises TypeError.
@@ -176,91 +177,91 @@ def series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # probe-a and probe-c transitions that reach it from dressed index 0: probe a
 # moves 0 <-> {1, 2}, probe c moves {1, 2} <-> 3.
 _CLASS = np.array([0b00, 0b10, 0b10, 0b11])
-_SERIES = 64  # w[:_SERIES] holds the dressed couplings as [coupling, s, m, j]
-# The eight couplings [coupling, m, j] these rules allow, in the order
-# build_series computes them, and their flat slots in w for s = 0 and then,
-# transposed, for s = 1; the rest of w[:_SERIES] is never read and stays zero.
+# The eight dressed couplings [coupling, m, j] these rules allow, in the order
+# of their slots w[:8] in the work vector, where build_series computes them.
 _ALLOWED = [(0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 2, 0), (1, 1, 3), (1, 2, 3), (1, 3, 1), (1, 3, 2)]
-_COUPLING_SLOTS = np.ravel_multi_index(
-    np.transpose([(c, 0, m, j) for c, m, j in _ALLOWED] + [(c, 1, j, m) for c, m, j in _ALLOWED]),
-    (2, 2, 4, 4))
+_COUPLINGS = len(_ALLOWED)
 
 
 def _layout(w: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The dressed couplings, E and A of a work vector for ``size`` orders per axis, as views."""
-    split = _SERIES + 2 * size * size
-    return (w[:_SERIES].reshape(2, 2, 4, 4), w[_SERIES:split].reshape(2, size, size),
+    split = _COUPLINGS + size * size
+    return (w[:_COUPLINGS], w[_COUPLINGS:split].reshape(size, size),
             w[split:].reshape(2, size, size, 4))
 
 
 @functools.cache
-def _order_plan(max_order: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Flat terms of every structurally nonzero entry of the two series, by total order.
+def _order_plan(max_order: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple, ...]]:
+    """Flat terms of every structurally nonzero entry of the series, by total order.
 
-    For each order d = 1..max_order: the two factors' slots in the work
-    vector of :func:`_layout` and the coefficient of each term, the start of
-    each entry's terms, the entry's slot and its divisor index.  Entries are
-    listed by (p, s, m) and their terms in an order fixed by (p, q, m) alone,
-    so a table's lower orders never depend on ``max_order``.
+    Every term's coefficient, the dressed index r whose P[r] scales it (0,
+    where P is 1, outside the norm expansion), and for each order
+    d = 1..max_order the slice of the terms it owns, the two factors' slots
+    in the work vector of :func:`_layout`, the start of each entry's terms,
+    the entry's slot and its divisor index; the arrays are read-only.
+    Entries are listed by (p, m) and their terms in an order fixed by
+    (p, q, m) alone, so a table's lower orders never depend on ``max_order``.
     """
     size = max_order + 1
-    couplings, e, a = _layout(np.arange(_SERIES + 10 * size * size), size)
+    couplings, e, a = _layout(np.arange(_COUPLINGS + 9 * size * size), size)
+    coupling = dict(zip(_ALLOWED, couplings))
 
     def nonzero(p, q, m):  # E, at m = 4, sits in the class of m = 0
         return _CLASS[m % 4] == 2 * (p % 2) + q % 2
 
-    def slot(p, q, s, m):  # of A[s, p, q, m], or of E[s, p, q] for m = 4
-        return e[s, p, q] if m == 4 else a[s, p, q, m]
+    def slot(p, q, m):  # of A[0, p, q, m], or of E[p, q] for m = 4
+        return e[p, q] if m == 4 else a[0, p, q, m]
 
-    plan = []
+    coef, bra, steps, first = [], [], [], 0
     for d in range(1, max_order + 1):
-        left, right, coef, counts, out, div = [], [], [], [], [], []
+        left, right, counts, out, div = [], [], [], [], []
         for p in range(d + 1):
             q = d - p
             lower = [(i, j) for i in range(p + 1) for j in range(q + 1) if 0 < i + j < d]
-            for s in (0, 1):
-                for m in range(5):
-                    if not nonzero(p, q, m):
-                        continue
-                    row = m % 4  # E, at m = 4, is row 0 of the eigenvalue equation
-                    if m == 0:  # the norm expansion; the same value in both series fixes the phase
-                        terms = [(slot(i, j, 1, r), slot(p - i, q - j, 0, r), -0.5)
-                                 for i, j in lower for r in range(4)
-                                 if nonzero(i, j, r) and nonzero(p - i, q - j, r)]
-                    else:
-                        # A coupling element between two entries of the right classes
-                        # is one the selection rules allow; c = 0 is va, c = 1 vc.
-                        terms = [(couplings[c, s, row, j], slot(p - dp, q - dq, s, j), 1.0)
-                                 for c, (dp, dq) in enumerate(((1, 0), (0, 1)))
-                                 if p >= dp and q >= dq
-                                 for j in range(4) if nonzero(p - dp, q - dq, j)]
-                        terms += [(slot(i, j, s, 4), slot(p - i, q - j, s, row), -1.0)
-                                  for i, j in lower
-                                  if nonzero(i, j, 4) and nonzero(p - i, q - j, row)]
-                    if terms:  # an entry without terms stays zero
-                        for column, values in zip((left, right, coef), zip(*terms)):
-                            column.extend(values)
-                        counts.append(len(terms))
-                        out.append(slot(p, q, s, m))
-                        div.append(row)
-        arrays = (np.array(left), np.array(right), np.array(coef, dtype=complex),
-                  np.cumsum([0] + counts[:-1]), np.array(out), np.array(div))
-        for array in arrays:
-            array.setflags(write=False)
-        plan.append(arrays)
-    return tuple(plan)
+            for m in range(5):
+                if not nonzero(p, q, m):
+                    continue
+                row = m % 4  # E, at m = 4, is row 0 of the eigenvalue equation
+                if m == 0:  # the norm expansion: bra entry P[r] A[0, i, j, r] times ket
+                    terms = [(slot(i, j, r), slot(p - i, q - j, r), -0.5, r)
+                             for i, j in lower for r in range(4)
+                             if nonzero(i, j, r) and nonzero(p - i, q - j, r)]
+                else:
+                    # A coupling element between two entries of the right classes
+                    # is one the selection rules allow; c = 0 is va, c = 1 vc.
+                    terms = [(coupling[c, row, j], slot(p - dp, q - dq, j), 1.0, 0)
+                             for c, (dp, dq) in enumerate(((1, 0), (0, 1)))
+                             if p >= dp and q >= dq
+                             for j in range(4) if nonzero(p - dp, q - dq, j)]
+                    terms += [(slot(i, j, 4), slot(p - i, q - j, row), -1.0, 0)
+                              for i, j in lower
+                              if nonzero(i, j, 4) and nonzero(p - i, q - j, row)]
+                if terms:  # an entry without terms stays zero
+                    for column, values in zip((left, right, coef, bra), zip(*terms)):
+                        column.extend(values)
+                    counts.append(len(terms))
+                    out.append(slot(p, q, m))
+                    div.append(row)
+        steps.append((slice(first, len(coef)), *map(np.array, (left, right)),
+                      np.cumsum([0] + counts[:-1]), np.array(out), np.array(div)))
+        first = len(coef)
+    coef, bra = np.array(coef, dtype=complex), np.array(bra, dtype=int)
+    for array in (coef, bra, *(x for step in steps for x in step[1:])):
+        array.setflags(write=False)
+    return coef, bra, tuple(steps)
 
 
 def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
     """Fill the ground-state table with every order p + q <= max_order, one fused step per order.
 
-    Both series live in one complex work vector ``w`` that holds the dressed
+    The series lives in one complex work vector ``w`` that holds the dressed
     couplings, then E and A; the table's arrays are views of it.  Each
     allowed entry of ``basis.left @ v @ basis.right``, v = ``split.va`` or
     ``split.vc``, has one nonzero term: a probe entry of v times one entry of
     the basis, taken on Python complex numbers.  Each order is one
-    gather-multiply-reduce over its terms in ``_order_plan``.  ValueError
-    unless n is the integer 1 and max_order an integer >= 0.
+    gather-multiply-reduce over its terms in ``_order_plan``, whose norm
+    terms are scaled by P first; ``A[1]`` is P A[0].  ValueError unless n is
+    the integer 1 and max_order an integer >= 0.
     """
     # n stays here and in evaluate_energy only as perfbench/series_loop.py passes it
     if not (_is_nonnegative_int(n) and n == 1):
@@ -268,23 +269,29 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     if not _is_nonnegative_int(max_order):
         raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
     basis, size = dressed_basis(split.h0), max_order + 1
-    w = np.zeros(_SERIES + 10 * size * size, dtype=complex)
+    w = np.zeros(_COUPLINGS + 9 * size * size, dtype=complex)
     _, e, a = _layout(w, size)
     # Each is one rounded product, as in the matrix product; + 0j turns a -0
-    # part into the +0 that the matrix product's sum gives.  s = 1 sees the transposes.
+    # part into the +0 that the matrix product's sum gives.
     left, right = basis.left.tolist(), basis.right.tolist()
     a01, a10 = split.va.item(0, 1), split.va.item(1, 0)
     c23, c32 = split.vc.item(2, 3), split.vc.item(3, 2)
-    allowed = [a01 * right[1][1] + 0j, a01 * right[1][2] + 0j,
-               left[1][1] * a10 + 0j, left[2][1] * a10 + 0j,
-               left[1][2] * c23 + 0j, left[2][2] * c23 + 0j,
-               c32 * right[2][1] + 0j, c32 * right[2][2] + 0j]
-    w[_COUPLING_SLOTS] = allowed * 2
-    a[:, 0, 0, 0] = 1.0  # E[:, 0, 0] is the ground eigenvalue 0, as w starts
+    w[:_COUPLINGS] = [a01 * right[1][1] + 0j, a01 * right[1][2] + 0j,
+                      left[1][1] * a10 + 0j, left[2][1] * a10 + 0j,
+                      left[1][2] * c23 + 0j, left[2][2] * c23 + 0j,
+                      c32 * right[2][1] + 0j, c32 * right[2][2] + 0j]
+    # P of the module docstring; model.split makes y = conj(x), 0 only with the pump off
+    x, y = split.h0.item(1, 2), split.h0.item(2, 1)
+    f_a = a01 / a10 * (x / y if y else 1.0)
+    phase = np.array([1.0, f_a, f_a, f_a * (c23 / c32)])
+    a[0, 0, 0, 0] = 1.0  # E[0, 0] is the ground eigenvalue 0, as w starts
     divisor = -basis.eigenvalues
     divisor[0] = 1.0  # E and the diagonal entry, which the norm expansion fixes
-    for left, right, coef, starts, out, div in _order_plan(max_order):
-        w[out] = np.add.reduceat(w[left] * w[right] * coef, starts) / divisor[div]
+    coef, bra, steps = _order_plan(max_order)
+    coef = coef * phase[bra]
+    for terms, left, right, starts, out, div in steps:
+        w[out] = np.add.reduceat(w[left] * w[right] * coef[terms], starts) / divisor[div]
+    np.multiply(a[0], phase, out=a[1])
     return SeriesTable(basis, max_order, e, a)
 
 
@@ -308,7 +315,7 @@ def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
             and total_order <= table.order):
         raise ValueError(f"total_order {total_order!r} of state {n!r} is not in this table: "
                          f"it holds integer orders 0..{table.order} of the ground state n = 1")
-    e = table.E[0, :total_order + 1, :total_order + 1]
+    e = table.E[:total_order + 1, :total_order + 1]
     if total_order < table.order:  # entries above the built order are already zeros
         d = np.arange(total_order + 1)
         e = np.where(d[:, None] + d <= total_order, e, 0.0)

@@ -164,8 +164,8 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     Each is the product of the ket and bra partial sums, both from one
     series table: the dressed coefficients are summed at (eps_a, eps_c)
     first, then taken to the bare basis.  Cross-Kerr content requires
-    order >= 3.  The bra side comes from the companion series of the
-    perturbation table, so the lossless limit is the ordinary conjugate.
+    order >= 3.  The bra side is the table's bra series ``A[1]``, so the
+    lossless limit is the ordinary conjugate.
     Each call builds its own split and table, even where the caller already
     holds those of the same configuration.  ValueError unless order is an
     integer >= 1.
@@ -200,12 +200,13 @@ def sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
     """The uniform inclusive grid of a sweep, ``np.linspace(lo, hi, steps)``.
 
     ValueError for ``steps`` that is not an integer >= 2, a bound that is not
-    finite, or a grid too large to allocate.
+    finite or a span ``hi - lo`` that is not, or a grid too large to allocate.
     """
     if not (model._is_nonnegative_int(steps) and steps >= 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    if not np.all(np.isfinite((lo, hi))):
-        raise ValueError(f"lo and hi must be finite, got {lo!r} and {hi!r}")
+    if not (np.all(np.isfinite((lo, hi))) and np.isfinite(float(hi) - float(lo))):
+        raise ValueError(f"lo and hi must be finite and hi - lo within double range, "
+                         f"got {lo!r} and {hi!r}")
     try:
         return np.linspace(lo, hi, steps)
     except MemoryError:

@@ -438,6 +438,19 @@ def test_sweep_nonfinite_bound_exit2(tmp_path, bound, value):
     assert not opath.exists()
 
 
+def test_sweep_span_outside_double_range_exit2_without_warning(tmp_path):
+    # each bound is finite but hi - lo is not: the bounds are refused, not the dc values
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
+    opath = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "nkerr.cli", "sweep", spath, "--axis", "dc",
+                           "--lo", "-1e308", "--hi", "1e308", "--steps", "5", "--out", str(opath)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("invalid arguments: lo and hi") and proc.stderr.count("\n") == 1
+    assert "Warning" not in proc.stderr and not opath.exists()
+
+
 def test_sweep_unwritable_out_exit2(tmp_path, capsys):
     spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
     opath = tmp_path / "missing-dir" / "out.csv"

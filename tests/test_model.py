@@ -226,6 +226,16 @@ def test_numpy_float_detunings_overflow_to_the_out_of_range_pole():
         model.split(cfg)
 
 
+def test_numpy_float_coupling_overflows_to_the_out_of_range_pole():
+    # |g_a|**2 of g_a = 1e200: a Python complex raises OverflowError, which the
+    # closed form reports as the out-of-range pole, where np.float64 would warn
+    cfg = make_config(np.float64(1e200), 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+    assert all(type(mode.g) is complex for mode in (cfg.mode_a, cfg.mode_b, cfg.mode_c))
+    assert cfg.mode_a.g == 1e200
+    with pytest.raises(PoleError, match="outside double range"):
+        effective.coefficients(cfg)
+
+
 def test_decay_rates_normalised_to_a_tuple_of_floats():
     cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5, gamma=[0, 0.0, np.float64(0.0)])
     assert cfg.gamma == (0.0, 0.0, 0.0) and all(type(g) is float for g in cfg.gamma)

@@ -278,7 +278,7 @@ def test_ground_series_matches_build_series_through_order_8(lane, lossy):
     for cfg in _seed_zero_configs(lane, lossy):
         sp = model.split(cfg)
         exact = oracle.ground_series(sp, 8)
-        series = perturb.build_series(sp, 1, 8).E[0]
+        series = perturb.build_series(sp, 1, 8).E
         for d in range(9):
             on = degree == d
             assert np.max(np.abs(exact[on] - series[on])) <= 1e-13 * np.max(np.abs(series[on]))

@@ -97,7 +97,7 @@ def test_dressed_basis_hermitian_left_is_conjugate():
 
 def test_first_order_energy_vanishes(reference_config):
     table = perturb.build_series(model.split(reference_config), 1, 1)
-    assert table.E[0, 1, 0] == 0
+    assert table.E[1, 0] == 0
 
 
 def test_second_order_energy_matches_closed_form(reference_config):
@@ -106,7 +106,7 @@ def test_second_order_energy_matches_closed_form(reference_config):
     d1, d2, _ = reference_config.detunings()
     oa2 = abs(model.rabi_frequency(reference_config.mode_a)) ** 2
     ob2 = abs(model.rabi_frequency(reference_config.mode_b)) ** 2
-    folded = sp.eps_a**2 * table.E[0, 2, 0]
+    folded = sp.eps_a**2 * table.E[2, 0]
     assert folded == pytest.approx(-d2 * oa2 / (4 * d1 * d2 - ob2), rel=1e-12)
 
 
@@ -118,7 +118,7 @@ def test_mixed_fourth_order_on_raman_resonance():
     oa2 = abs(model.rabi_frequency(cfg.mode_a)) ** 2
     ob2 = abs(model.rabi_frequency(cfg.mode_b)) ** 2
     oc2 = abs(model.rabi_frequency(cfg.mode_c)) ** 2
-    folded = sp.eps_a**2 * sp.eps_c**2 * table.E[0, 2, 2]
+    folded = sp.eps_a**2 * sp.eps_c**2 * table.E[2, 2]
     assert folded == pytest.approx(-oa2 * oc2 / (4 * d3 * ob2), rel=1e-12)
 
 
@@ -164,8 +164,8 @@ def test_first_order_coefficients_vs_fd_eigenvector(reference_config):
 def test_build_series_order_zero(reference_config):
     table = perturb.build_series(model.split(reference_config), 1, 0)
     assert table.order == 0
-    assert table.E.shape == (2, 1, 1) and table.A.shape == (2, 1, 1, 4)
-    assert table.E[0, 0, 0] == 0
+    assert table.E.shape == (1, 1) and table.A.shape == (2, 1, 1, 4)
+    assert table.E[0, 0] == 0
 
 
 def test_parity_zeros(reference_config):
@@ -175,7 +175,7 @@ def test_parity_zeros(reference_config):
         for p in range(d + 1):
             q = d - p
             if p % 2 or q % 2:
-                assert np.all(table.E[:, p, q] == 0)
+                assert table.E[p, q] == 0
             for m, parity in reach.items():
                 if (p % 2, q % 2) != parity:
                     assert np.all(table.A[:, p, q, m] == 0)
@@ -191,7 +191,7 @@ def _selection_rule_configs():
 
 def test_selection_rules_zero_entries_exactly():
     # Probe a moves dressed index 0 <-> {1, 2} and probe c moves {1, 2} <-> 3, so
-    # A[s, p, q, m] needs the (p, q) parity that links index 0 to m, and E even p, q.
+    # A[s, p, q, m] needs the (p, q) parity that links index 0 to m, and E[p, q] even p, q.
     reach = np.array([0b00, 0b10, 0b10, 0b11])  # bits (p mod 2, q mod 2) from index 0
     bits = np.arange(9) % 2
     parity = 2 * bits[:, None] + bits
@@ -200,7 +200,7 @@ def test_selection_rules_zero_entries_exactly():
     for cfg in _selection_rule_configs():
         sp = model.split(cfg)
         table = perturb.build_series(sp, 1, 8)
-        assert np.all(table.E[:, forbid_e] == 0) and np.all(table.A[:, forbid_a] == 0)
+        assert np.all(table.E[forbid_e] == 0) and np.all(table.A[:, forbid_a] == 0)
         # the unpruned recursion puts only rounding there
         ref = series_reference.build_series(sp, 8)
         assert np.max(np.abs(ref.E[:, forbid_e])) <= 1e-15 * np.max(np.abs(ref.E))
@@ -211,7 +211,7 @@ def test_dark_state_cancellation():
     cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.3, 0.5)  # delta_2 = 0
     sp = model.split(cfg)
     table = perturb.build_series(sp, 1, 4)
-    folded = sp.eps_a**2 * table.E[0, 2, 0] + sp.eps_a**4 * table.E[0, 4, 0]
+    folded = sp.eps_a**2 * table.E[2, 0] + sp.eps_a**4 * table.E[4, 0]
     assert abs(folded) < 1e-13
 
 
@@ -219,7 +219,7 @@ def test_hermitian_corrections_are_real(reference_config):
     table = perturb.build_series(model.split(reference_config), 1, 4)
     for d in range(5):
         for p in range(d + 1):
-            assert abs(table.E[0, p, d - p].imag) < 1e-13
+            assert abs(table.E[p, d - p].imag) < 1e-13
 
 
 def test_normalization_residual_every_order(lossy_config):
@@ -252,7 +252,7 @@ def test_order_independence_bit_identical(reference_config, lossy_config):
         for k in range(8):
             tk = perturb.build_series(sp, 1, k)
             low = d[:k + 1, :k + 1] <= k
-            assert np.array_equal(tk.E[:, low], t8.E[:, :k + 1, :k + 1][:, low])
+            assert np.array_equal(tk.E[low], t8.E[:k + 1, :k + 1][low])
             assert np.array_equal(tk.A[:, low], t8.A[:, :k + 1, :k + 1][:, low])
 
 
@@ -283,10 +283,38 @@ def test_coupling_block_is_the_projected_probe_matrices(name):
     couplings = perturb._layout(table.E.base, table.order + 1)[0]  # the vector E and A view
     for c, v in enumerate((sp.va, sp.vc)):
         dense = basis.left @ v @ basis.right
-        for s, expected in enumerate((dense, dense.T)):
-            for part in (np.real, np.imag):
-                ulp = np.spacing(np.abs(part(expected)))
-                assert np.all(np.abs(part(couplings[c, s]) - part(expected)) <= ulp), (c, s)
+        written = np.zeros((4, 4), dtype=complex)
+        for k, (coupling, m, j) in enumerate(perturb._ALLOWED):
+            if coupling == c:
+                written[m, j] = couplings[k]
+        for part in (np.real, np.imag):
+            ulp = np.spacing(np.abs(part(dense)))
+            assert np.all(np.abs(part(written) - part(dense)) <= ulp), c
+
+
+def _bra_identity_configs(count=12):
+    """Seeded draws, half lossy: real, negative g_a, random phases, and with
+    random phases the pump off, no a-photons and no c-coupling."""
+    rng = np.random.default_rng(29)
+    for k in range(count):
+        cfg = validate._random_config(rng, bool(k % 2))
+        phased = _complex_couplings(cfg, rng)
+        yield from (cfg, replace(cfg, mode_a=replace(cfg.mode_a, g=-cfg.mode_a.g)), phased,
+                    replace(phased, mode_b=replace(phased.mode_b, g=0.0)),
+                    replace(phased, mode_a=replace(phased.mode_a, n=0)),
+                    replace(phased, mode_c=replace(phased.mode_c, g=0.0)))
+
+
+def test_bra_series_is_the_phased_ket_series():
+    # The reference builds the bra series from the transposed couplings, which
+    # are P v P^-1 for a diagonal P: its eigenvalue is the ket's and its state P A[0].
+    for cfg in _bra_identity_configs():
+        sp = model.split(cfg)
+        table = perturb.build_series(sp, 1, 8)
+        ref = series_reference.build_series(sp, 8)
+        for s in (0, 1):
+            assert np.max(np.abs(table.E - ref.E[s])) <= 1e-14 * np.max(np.abs(ref.E)), (cfg, s)
+        assert np.max(np.abs(table.A[1] - ref.A[1])) <= 1e-14 * np.max(np.abs(ref.A[1])), cfg
 
 
 @pytest.mark.parametrize("lossy", [False, True])
@@ -361,12 +389,17 @@ def test_orders_and_states_are_integers_where_they_enter(call, bad):
 
 
 def test_order_plan_is_read_only():
-    plan = perturb._order_plan(3)
-    assert len(plan) == 3  # one step per total order 1..max_order
-    for step in plan:
-        for array in step:
-            with pytest.raises(ValueError):
-                array[0] = 0
+    coef, bra, steps = perturb._order_plan(3)
+    assert len(steps) == 3  # one step per total order 1..max_order
+    for array in (coef, bra, *(x for step in steps for x in step[1:])):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_order_plan_holds_one_series():
+    # the bra series is the ket's times its phases, so the plan fills only the ket's
+    coef, bra, steps = perturb._order_plan(8)
+    assert len(coef) == len(bra) == steps[-1][0].stop == 314
 
 
 def test_missing_order_raises(reference_config):
@@ -409,7 +442,7 @@ def test_evaluate_energy_is_the_partial_sum_of_the_table(reference_config, lossy
         table = perturb.build_series(model.split(cfg), 1, 8)
         for x, y in ((0.4, 0.3), (-0.25, 0.5)):
             for order in range(table.order + 1):
-                terms = [table.E[0, p, q] * x**p * y**q
+                terms = [table.E[p, q] * x**p * y**q
                          for p in range(order + 1) for q in range(order + 1 - p)]
                 got = perturb.evaluate_energy(table, 1, x, y, order)
                 assert abs(got - sum(terms)) <= 1e-15 * sum(map(abs, terms))
@@ -452,7 +485,7 @@ def test_corrections_match_fd_of_exact_eigenvalue(cfg_args):
         for p in range(d + 1):
             q = d - p
             fd = c[p, q]
-            en = table.E[0, p, q]
+            en = table.E[p, q]
             assert abs(fd - en) <= 1e-5 * max(abs(fd), abs(en), 1e-8)
     # E(0, q) is exactly zero: no a-photon, no coupling to level 1.  The
     # extraction radius must not be set by bare level 4, which would put the

@@ -351,6 +351,14 @@ def test_sweep_grid_takes_a_numpy_integer_steps():
     assert suscept.sweep_grid(0.0, 1.0, np.int64(3)).tolist() == [0.0, 0.5, 1.0]
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (np.float64(1e308), np.float64(-1e308))])
+def test_sweep_grid_refuses_a_span_outside_double_range(lo, hi):
+    # hi - lo overflows, so linspace would warn and fill the grid with inf and NaN
+    with pytest.raises(ValueError, match="within double range") as exc:
+        suscept.sweep_grid(lo, hi, 5)
+    assert str(exc.value).endswith(f"got {lo!r} and {hi!r}")
+
+
 @pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("inf")),
                                     (float("-inf"), 1.0), (0.0, float("nan"))])
 def test_sweep_rejects_non_finite_bounds(reference_config, lo, hi):
