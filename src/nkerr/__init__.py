@@ -29,8 +29,8 @@ _EXPORTS = {
     "oracle": ("EigenSolution", "exact_eigensystem", "ground_eigenvalue_function",
                "ground_series", "propagate", "track_ground"),
     "suscept": ("Coherences", "SusceptibilityPoint", "Sweep", "chi1", "chi3_cross",
-                "chi3_self", "coherence_coefficients", "coherences", "susceptibility_point",
-                "sweep_at", "sweep_grid"),
+                "chi3_self", "chis_from_coherences", "coherence_coefficients", "coherences",
+                "susceptibility_point", "sweep_at", "sweep_grid"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

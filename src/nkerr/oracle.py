@@ -180,8 +180,8 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     fixes one more total degree in (u, v); the slope
     f4'(0) = -(h11 h22 - G_b) h33 is a number, so no series is divided.
     Raises :class:`DegeneracyError` where the unperturbed spectrum is
-    near-degenerate, which includes a vanishing slope, and ValueError unless
-    order is an integer >= 0.
+    near-degenerate, which includes a vanishing slope, ValueError unless order
+    is an integer >= 0, and the out-of-range PoleError where a pass overflows.
     """
     if not model._is_nonnegative_int(order):
         raise ValueError(f"order must be an integer >= 0, got {order!r}")
@@ -190,20 +190,19 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     n = order // 2 + 1  # terms per axis in (u, v)
     mul = perturb.series_product
 
-    one = np.zeros((n, n), dtype=complex)
+    one, u, e = np.zeros((3, n, n), dtype=complex)
     one[0, 0] = 1.0
-    u = np.zeros((n, n), dtype=complex)
     u[1:2, 0] = 1.0
     v = u.T
-    p_a, g_b, p_c = va[0, 1] * va[1, 0], h0[1, 2] * h0[2, 1], vc[2, 3] * vc[3, 2]
-    slope = -(h0[1, 1] * h0[2, 2] - g_b) * h0[3, 3]
-    e = np.zeros((n, n), dtype=complex)
-    for _ in range(n - 1):
-        f1 = -e
-        f2 = mul(h0[1, 1] * one - e, f1) - p_a * u
-        f3 = mul(h0[2, 2] * one - e, f2) - g_b * f1
-        f4 = mul(h0[3, 3] * one - e, f3) - p_c * mul(v, f2)
-        e = e - f4 / slope
+    with model.in_double_range(), np.errstate(over="raise", invalid="raise"):
+        p_a, g_b, p_c = va[0, 1] * va[1, 0], h0[1, 2] * h0[2, 1], vc[2, 3] * vc[3, 2]
+        slope = -(h0[1, 1] * h0[2, 2] - g_b) * h0[3, 3]
+        for _ in range(n - 1):
+            f1 = -e
+            f2 = mul(h0[1, 1] * one - e, f1) - p_a * u
+            f3 = mul(h0[2, 2] * one - e, f2) - g_b * f1
+            f4 = mul(h0[3, 3] * one - e, f3) - p_c * mul(v, f2)
+            e = e - f4 / slope
     c = np.zeros((order + 1, order + 1), dtype=complex)
     c[::2, ::2] = e
     return c

@@ -54,6 +54,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -110,13 +111,18 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
             raise_at_pole(OUT_OF_RANGE)
         for idx in (1, 2):
             shift = lam[idx] - d1  # no larger than d1 - d2 or root, so shift**2 fits
-            pairing = x * y + shift**2
+            px, py, pairing = x, y, x * y + shift**2
+            if abs(pairing) < sys.float_info.min:  # underflowed (a weak pump): pair at unit
+                e = math.frexp(max(abs(x), abs(y), abs(shift)))[1]  # size; ldexp keeps -0.0
+                px, py, shift = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+                                 for z in (x, y, shift))
+                pairing = px * py + shift**2
             nrm = np.sqrt(pairing + 0.0j)
             if nrm == 0:
                 raise DegeneracyError("dressed pair is defective: left/right pairing vanishes")
-            right[1, idx] = x / nrm
+            right[1, idx] = px / nrm
             right[2, idx] = shift / nrm
-            left[idx, 1] = y / nrm
+            left[idx, 1] = py / nrm
             left[idx, 2] = shift / nrm
 
     block = math.hypot(abs(d1), abs(x), abs(y), abs(d2))

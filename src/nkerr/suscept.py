@@ -1,20 +1,20 @@
 """Complex electrical susceptibilities of the two probe transitions.
 
 Closed forms, the coherence-series route they are validated against, and
-detuning sweeps.  The coherence route reads its Taylor coefficients straight
-from the perturbation series arrays: each coherence is a product of the
-ground ket and bra series, and ``coherence_coefficients`` is their truncated
-product (``perturb.series_product``), so no sampling is involved.  The
-closed forms are written once, on numpy arrays of the single-photon
-detunings: a single configuration is a grid of one point, and a sweep
-evaluates the grid values it is given in one pass, marking the rows where a
-pole sits instead of stopping there.  A sweep is two steps, the grid
-(``sweep_grid``) and the closed forms at its values (``sweep_at``); each row
-depends on its own value only, so a grid may be evaluated in slices, as
-``nkerr sweep`` does chunk by chunk.  Which pole sits at a point is one code
-per point from the table ``model.POLES``, and a sweep hands it out as its
-``pole`` array; a susceptibility that is not finite is its last entry.  A
-closed form's poles are those of its denominators (``_DENOMINATORS``).
+detuning sweeps.  ``coherence_coefficients`` reads the Taylor arrays of both
+coherences off one series table, as truncated products of the ground ket and
+bra series (``perturb.series_product``), and ``chis_from_coherences`` reads
+the susceptibilities off them.  The closed forms are written once, on numpy
+arrays of the single-photon detunings: a single configuration is a grid of
+one point, and a sweep evaluates the grid values it is given in one pass,
+marking the rows where a pole sits instead of stopping there.  A sweep is
+two steps, the grid (``sweep_grid``) and the closed forms at its values
+(``sweep_at``); each row depends on its own value only, so a grid may be
+evaluated in slices, as ``nkerr sweep`` does chunk by chunk.  Which pole
+sits at a point is one code per point from the table ``model.POLES``, and a
+sweep hands it out as its ``pole`` array; a susceptibility that is not
+finite is its last entry.  A closed form's poles are those of its
+denominators (``_DENOMINATORS``).
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -30,24 +30,13 @@ are::
 evaluated with the probe strengths eps_a = |g_a| sqrt(n_a) and
 eps_c = |g_c| sqrt(n_c) of the configuration itself, in natural units
 (hbar = eps0 = 1, unit dipole moments).  Only internal consistency is
-meaningful at this normalisation, not laboratory units.  The bridge to the
-coherence route: writing rho21 = sum t^{(p,q)} eps_a^p eps_c^q for the
-relaxed ground state (real positive couplings),
-
-    chi1       = -|g_a|^2 t^{(1,0)} / eps_a^2
-    chi3_self  = -|g_a|^4 t^{(3,0)} / (3 eps_a^4)
-    chi3_cross = -|g_a|^2 |g_c|^2 t^{(1,2)} / (6 eps_a^2 eps_c^2)
-
-and seen from the 3<->4 probe, with rho43 = sum u^{(p,q)} eps_a^p eps_c^q,
-chi3_cross = -|g_a|^2 |g_c|^2 u^{(2,1)} / (6 eps_a^2 eps_c^2) as well;
-in the lossless limit chi1 = -L/eps_a^2, chi3_self = -2S/(3 eps_a^4),
-chi3_cross = -K/(6 eps_a^2 eps_c^2) against the Kerr coefficients.  These
-identities are what the oracle tests pin down.
+meaningful at this normalisation, not laboratory units.
 """
 
 from __future__ import annotations
 
-from typing import Literal, NamedTuple
+import math
+from typing import Any, Literal, NamedTuple
 
 import numpy as np
 
@@ -58,7 +47,7 @@ SweepAxis = Literal["da", "db", "dc"]
 
 _AXES = ("da", "db", "dc")  # each sweeps the single-photon detuning of modes a, b, c
 
-_LEVELS = {"rho21": (1, 0), "rho43": (3, 2)}  # (ket level, bra level) of each coherence
+_LEVELS = ((1, 0), (3, 2))  # (ket level, bra level) of rho21 and of rho43
 
 class SusceptibilityPoint(NamedTuple):
     """The three probe susceptibilities evaluated at one configuration."""
@@ -69,10 +58,10 @@ class SusceptibilityPoint(NamedTuple):
 
 
 class Coherences(NamedTuple):
-    """Off-diagonal density-matrix elements of the relaxed ground state."""
+    """rho21 and rho43 of the relaxed ground state: values, Taylor arrays or chis read off them."""
 
-    rho21: complex
-    rho43: complex
+    rho21: Any
+    rho43: Any
 
 
 class Sweep(NamedTuple):
@@ -161,14 +150,12 @@ def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
 def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     """rho21 and rho43 of the relaxed ground state built to the given total order.
 
-    Each is the product of the ket and bra partial sums, both from one
-    series table: the dressed coefficients are summed at (eps_a, eps_c)
-    first, then taken to the bare basis.  Cross-Kerr content requires
-    order >= 3.  The bra side is the table's bra series ``A[1]``, so the
-    lossless limit is the ordinary conjugate.
-    Each call builds its own split and table, even where the caller already
-    holds those of the same configuration.  ValueError unless order is an
-    integer >= 1.
+    Each is the product of the ket and bra partial sums, both from one series
+    table: the dressed coefficients are summed at (eps_a, eps_c) first, then
+    taken to the bare basis.  Cross-Kerr content requires order >= 3.  The
+    bra side is the table's bra series ``A[1]``, so the lossless limit is the
+    ordinary conjugate.  Each call builds its own split and table, even where
+    the caller already holds them.  ValueError unless order is an integer >= 1.
     """
     if not (model._is_nonnegative_int(order) and order >= 1):
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
@@ -177,34 +164,53 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     powers = np.arange(order + 1)
     dressed = sp.eps_a**powers @ (sp.eps_c**powers @ table.A)  # [s, m]
     ket, bra = table.basis.right @ dressed[0], dressed[1] @ table.basis.left
-    return Coherences(*(complex(ket[k] * bra[b]) for k, b in _LEVELS.values()))
+    return Coherences(*(complex(ket[k] * bra[b]) for k, b in _LEVELS))
 
 
-def coherence_coefficients(config: SystemConfig, order: int = 3,
-                           element: str = "rho21") -> np.ndarray:
-    """Taylor coefficients c[p, q] of eps_a**p eps_c**q in the chosen coherence.
+def coherence_coefficients(config: SystemConfig, order: int = 3) -> Coherences:
+    """Taylor coefficients c[p, q] of eps_a**p eps_c**q in rho21 and rho43, from one series table.
 
     c[p, q] is the order-(p, q) Cauchy product of the ket and bra series of
     the relaxed ground state, for p + q <= order; higher entries are zero.
     ValueError unless order is an integer >= 0, raised by build_series.
     """
-    if element not in _LEVELS:
-        raise ValueError(f"element must be one of {sorted(_LEVELS)}, got {element!r}")
     table = perturb.build_series(model.split(config), 1, order)
     kets, bras = table.A[0] @ table.basis.right.T, table.A[1] @ table.basis.left  # [p, q, level]
-    ket_level, bra_level = _LEVELS[element]
-    return perturb.series_product(kets[..., ket_level], bras[..., bra_level])
+    return Coherences(*(perturb.series_product(kets[..., k], bras[..., b]) for k, b in _LEVELS))
+
+
+def chis_from_coherences(config: SystemConfig, c: Coherences) -> Coherences:
+    """``Coherences(SusceptibilityPoint(chi1, chi3_self, chi3_cross), chi3_cross)``, per photon.
+
+    ``c`` holds the Taylor arrays t of rho21 and u of rho43, to order >= 3
+    (``coherence_coefficients``).  With eps = |g| sqrt(n), |g|^2 / eps^2 is
+    1/n for each probe, so for real positive couplings::
+
+        chi1 = -t[1, 0] / n_a,   chi3_self = -t[3, 0] / (3 n_a^2),
+        chi3_cross = -t[1, 2] / (6 n_a n_c) = -u[2, 1] / (6 n_a n_c)
+
+    No probe strength enters, so these check a closed form's eps normalisation
+    too.  The probe's PoleError where n_a or n_c is 0.
+    """
+    n_a, n_c = config.mode_a.n, config.mode_c.n
+    model.raise_at_pole(model.PROBE_A if n_a == 0 else model.PROBE_C if n_c == 0 else 0)
+    t, u = c
+    cross = 6 * n_a * n_c
+    chis = SusceptibilityPoint(complex(-t[1, 0] / n_a), complex(-t[3, 0] / (3 * n_a**2)),
+                               complex(-t[1, 2] / cross))
+    return Coherences(chis, complex(-u[2, 1] / cross))
 
 
 def sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
     """The uniform inclusive grid of a sweep, ``np.linspace(lo, hi, steps)``.
 
-    ValueError for ``steps`` that is not an integer >= 2, a bound that is not
-    finite or a span ``hi - lo`` that is not, or a grid too large to allocate.
+    ValueError for ``steps`` that is not an integer >= 2, a bound that is not a
+    finite number (a bool is not) or a span ``hi - lo`` that is not, or a grid too large.
     """
     if not (model._is_nonnegative_int(steps) and steps >= 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    if not (np.all(np.isfinite((lo, hi))) and np.isfinite(float(hi) - float(lo))):
+    if not (model._is_finite(lo, math.isfinite) and model._is_finite(hi, math.isfinite)
+            and math.isfinite(float(hi) - float(lo))):
         raise ValueError(f"lo and hi must be finite and hi - lo within double range, "
                          f"got {lo!r} and {hi!r}")
     try:

@@ -4,21 +4,21 @@ Each criterion takes the run's ``_Draws``: the user seed, from which it draws
 its own deterministic random stream, and the draws two criteria share, made
 once per run, so a given seed always produces a byte-identical report.
 Every stream is the standard library's seeded Mersenne Twister
-(``random.Random``, via ``_rng(seed, lane)``), which a ``validate`` process
-has loaded already, so no run imports ``numpy.random``.
-Checks that need random scenarios use couplings, detunings and margins chosen
-to keep every draw well inside the perturbative regime and away from the
-closed-form poles.  Criteria 2 and 5 read the same 3 Raman-resonant
-configurations.  Criteria 3 and 4 read the Taylor coefficients of the exact
-ground eigenvalue of the same 20 lossless configurations, computed by
-``oracle.ground_series``, which solves the tridiagonal continuant
-det(H - E) = 0 order by order on truncated power series, exact to rounding.
-Criteria 7 and 8 read the coherence coefficients straight from the series
-arrays (``suscept.coherence_coefficients``): criterion 7 reads chi3_cross off
-the 3<->4 coherence rho43, criterion 8 off rho21, and both compare it with
-the closed form.  Criterion 10 checks the parity of the exact (LAPACK)
-ground eigenvalue in each probe strength, which a coupling the
-N-configuration forbids would break.
+(``random.Random``, via ``_rng(seed, lane)``), so no run imports
+``numpy.random``.  Checks that need random scenarios use couplings,
+detunings and margins chosen to keep every draw well inside the perturbative
+regime and away from the closed-form poles.  Criteria 2 and 5 read the same
+3 Raman-resonant configurations.  Criteria 3 and 4 read the Taylor
+coefficients of the exact ground eigenvalue of the same 20 lossless
+configurations, computed by ``oracle.ground_series``, which solves the
+tridiagonal continuant det(H - E) = 0 order by order on truncated power
+series, exact to rounding.
+Criteria 7 and 8 compare the closed forms with the susceptibilities read per
+photon (``suscept.chis_from_coherences``) off both coherences of one series
+table (``suscept.coherence_coefficients``): criterion 7 chi3_cross off the
+3<->4 coherence rho43, criterion 8 all three off rho21.  Criterion 10 checks
+the parity of the exact (LAPACK) ground eigenvalue in each probe strength,
+which a coupling the N-configuration forbids would break.
 
 ``_CRITERIA`` is the one table of (report name, function); a criterion's
 number is its position + 1, and its function records into the ``_Checker``
@@ -140,11 +140,10 @@ def _rng(seed: int, lane: int) -> _Stream:
     """The random stream of one lane of a run: ``random.Random`` seeded by "seed/lane".
 
     ``random`` is loaded in every ``validate`` process already (``cli``
-    imports ``tempfile``, which imports it), so the draws cost no import;
-    ``numpy.random`` would add 13-15 ms and ~6 MB to the process.  A str
-    seed is hashed with SHA-512, not ``hash()``, so the stream does not
-    depend on ``PYTHONHASHSEED``, and each lane's string gives its own
-    stream.
+    imports ``tempfile``, which imports it), so the draws cost no import,
+    where ``numpy.random`` would add 13-15 ms and ~6 MB.  A str seed is
+    hashed with SHA-512, not ``hash()``, so each lane's string gives its own
+    stream, independent of ``PYTHONHASHSEED``.
     """
     return _Stream(f"{seed}/{lane}")
 
@@ -252,32 +251,22 @@ def _criterion_7(draws: _Draws, chk: _Checker) -> None:
     rng = _rng(draws.seed, 7)
     for _ in range(20):
         cfg = _random_config(rng, lossy=True)
-        ea, ec = model.perturbation_strengths(cfg)
-        t = suscept.coherence_coefficients(cfg, 3, "rho43")
-        seen_from_c = -abs(cfg.mode_a.g) ** 2 * abs(cfg.mode_c.g) ** 2 * complex(t[2, 1])
-        chk.close(suscept.chi3_cross(cfg), seen_from_c / (6 * ea**2 * ec**2), 1e-9)
+        bridged = suscept.chis_from_coherences(cfg, suscept.coherence_coefficients(cfg))
+        chk.close(suscept.chi3_cross(cfg), bridged.rho43, 1e-9)
 
 
 def _criterion_8(draws: _Draws, chk: _Checker) -> None:
     rng = _rng(draws.seed, 8)
-    configs = [_random_config(rng, lossy=False) for _ in range(10)]
-    configs += [_random_config(rng, lossy=True) for _ in range(10)]
-    for cfg in configs:
-        ea, ec = model.perturbation_strengths(cfg)
-        ga2 = abs(cfg.mode_a.g) ** 2
-        gc2 = abs(cfg.mode_c.g) ** 2
-        t = suscept.coherence_coefficients(cfg, order=3)
-        t10, t30, t12 = complex(t[1, 0]), complex(t[3, 0]), complex(t[1, 2])
-        chi = suscept.susceptibility_point(cfg)
-        chk.close(chi.chi1, -ga2 * t10 / ea**2, 1e-6)
-        chk.close(chi.chi3_self, -ga2**2 * t30 / (3 * ea**4), 1e-6)
-        chk.close(chi.chi3_cross, -ga2 * gc2 * t12 / (6 * ea**2 * ec**2), 1e-6)
+    for k in range(20):  # 10 lossless draws, then 10 lossy
+        cfg = _random_config(rng, lossy=k >= 10)
+        bridged = suscept.chis_from_coherences(cfg, suscept.coherence_coefficients(cfg))
+        for closed, chi in zip(suscept.susceptibility_point(cfg), bridged.rho21):
+            chk.close(closed, chi, 1e-6)
 
 
 def _criterion_9(draws: _Draws, chk: _Checker) -> None:
     gamma3 = 0.4
-    cfg = make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.0,
-                      gamma=(0.0, 0.0, gamma3))
+    cfg = make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.0, gamma=(0.0, 0.0, gamma3))
     s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-2.0, 2.0, 101))
     chk.expect(len(s.value) == 101, 101, len(s.value), "grid size")
     chk.expect(not s.pole.any(), "all rows valid", int(np.count_nonzero(s.pole == 0)), 101)

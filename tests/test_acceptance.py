@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from nkerr import cli, effective, model, validate
+from nkerr import cli, effective, model, suscept, validate
 from nkerr.errors import DegeneracyError, PoleError
 
 TRUE_WRITER = cli._chunk_text
@@ -41,6 +41,34 @@ def test_criterion_catches_planted_coefficient_error(monkeypatch, field, number)
     monkeypatch.setattr(effective, "coefficients", planted)
     result = {r.number: r for r in validate.run_all(seed=0)}[number]
     assert not result.passed, f"criterion {number} missed a 1e-7 error in {field}"
+
+
+def _criterion_result(number):
+    chk = validate._Checker()
+    validate._CRITERIA[number - 1][1](validate._Draws(0, [], []), chk)
+    return chk
+
+
+def test_criterion_7_catches_a_planted_cross_kerr_error(monkeypatch):
+    # 1e-7 relative, 100 times the criterion's gate, against chi3_cross read off rho43
+    true_chi3_cross = suscept.chi3_cross
+    monkeypatch.setattr(suscept, "chi3_cross", lambda cfg: true_chi3_cross(cfg) * (1 + 1e-7))
+    assert not _criterion_result(7).passed
+
+
+@pytest.mark.parametrize("field", suscept.SusceptibilityPoint._fields)
+def test_criterion_8_catches_a_planted_susceptibility_error(monkeypatch, field):
+    # 1e-5 relative, 10 times the criterion's gate, against the chis read off rho21
+    true_point = suscept.susceptibility_point
+
+    def planted(cfg):
+        chis = true_point(cfg)
+        return chis._replace(**{field: getattr(chis, field) * (1 + 1e-5)})
+
+    monkeypatch.setattr(suscept, "susceptibility_point", planted)
+    chk = _criterion_result(8)
+    assert not chk.passed
+    assert chk.detail.endswith("tolerance='rel 1e-06'")
 
 
 def test_criterion_10_catches_planted_forbidden_coupling(monkeypatch):

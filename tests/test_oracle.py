@@ -295,6 +295,18 @@ def test_ground_series_structural_zeros(reference_config, lossy_config):
         assert c[2, 0] != 0 and c[4, 4] != 0
 
 
+@pytest.mark.parametrize("k", [360, 400, 1000])
+def test_ground_series_past_double_range_is_a_pole_error(k):
+    # every g and delta of the reference times 2**k: the slope overflowed to inf
+    # and left an all-zero series behind a RuntimeWarning
+    s = math.ldexp(1.0, k)
+    cfg = make_config(0.01 * s, s, 0.01 * s, 1, 0, 1, 0.3 * s, 0.1 * s, 0.5 * s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError, match="outside double range"):
+            oracle.ground_series(model.split(cfg), 4)
+
+
 def test_ground_series_low_orders_are_zero(reference_config):
     sp = model.split(reference_config)
     for order in (0, 1):

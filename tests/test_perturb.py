@@ -72,6 +72,25 @@ def test_dressed_eigenvalue_beyond_double_range_is_a_pole_error(args):
                 call(sp)
 
 
+@pytest.mark.parametrize("gb", [1e-160, 1e-200, 1e-300, 5e-324])
+@pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.1, 0.2, 0.1)], ids=["lossless", "lossy"])
+def test_a_weak_pump_builds_and_gives_the_linear_coefficient(gb, gamma):
+    # x*y + shift**2 underflows (to 0 from g_b = 1e-200, to a subnormal at 1e-160),
+    # though the dressed pair is 0.2 apart
+    cfg = make_config(0.01, gb, 0.01, 1, 0, 1, 0.3, 0.1, 0.5, gamma=gamma)
+    sp = model.split(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = perturb.build_series(sp, 1, 2)
+    basis = table.basis
+    assert np.abs(basis.left @ basis.right - np.eye(4)).max() <= 1e-15
+    if cfg.is_hermitian:  # L = eps_a**2 E[2, 0], and chi1 = -E[2, 0] at n_a = 1
+        want, got = effective.coefficients(cfg).linear, sp.eps_a**2 * table.E[2, 0]
+    else:
+        want, got = suscept.chi1(cfg), -table.E[2, 0]
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
 def test_dressed_basis_eigen_residuals():
     h0 = _h0(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j))
     basis = perturb.dressed_basis(h0)

@@ -14,17 +14,9 @@ import cauchy
 from conftest import make_config
 
 
-def _bridge_chis(cfg, order=3):
-    """Susceptibilities extracted from the coherence series, independently
-    of the closed forms."""
-    ea, ec = model.perturbation_strengths(cfg)
-    ga2 = abs(cfg.mode_a.g) ** 2
-    gc2 = abs(cfg.mode_c.g) ** 2
-    t = suscept.coherence_coefficients(cfg, order=order)
-    t10, t30, t12 = t[1, 0], t[3, 0], t[1, 2]
-    return (-ga2 * t10 / ea**2,
-            -ga2**2 * t30 / (3 * ea**4),
-            -ga2 * gc2 * t12 / (6 * ea**2 * ec**2))
+def _bridged(cfg, order=3):
+    """Susceptibilities read off the coherence series, independently of the closed forms."""
+    return suscept.chis_from_coherences(cfg, suscept.coherence_coefficients(cfg, order))
 
 
 # -- closed forms ------------------------------------------------------------
@@ -52,8 +44,7 @@ def test_chi1_absorptive_at_raman_resonance_with_decay():
     assert val.imag > 0
     assert abs(val.real) < 1e-6 * abs(val.imag)
     # and the coherence route agrees
-    c1_bridge, _, _ = _bridge_chis(cfg)
-    assert val == pytest.approx(c1_bridge, rel=1e-8)
+    assert val == pytest.approx(_bridged(cfg).rho21.chi1, rel=1e-8)
 
 
 def test_chi3_self_sign_odd_under_detuning_flip():
@@ -84,23 +75,16 @@ def test_chi3_cross_detuning_flip_conjugates_pole():
     assert b == pytest.approx(-a.conjugate(), rel=1e-12)
 
 
-def _chi3_cross_from_rho43(cfg):
-    """Cross-Kerr susceptibility read off the 3<->4 coherence instead of rho21."""
-    ea, ec = model.perturbation_strengths(cfg)
-    t = suscept.coherence_coefficients(cfg, 3, "rho43")
-    return -abs(cfg.mode_a.g) ** 2 * abs(cfg.mode_c.g) ** 2 * t[2, 1] / (6 * ea**2 * ec**2)
-
-
 def test_conjugate_transition_identity(lossy_config):
     assert suscept.chi3_cross(lossy_config) == pytest.approx(
-        _chi3_cross_from_rho43(lossy_config), rel=1e-9)
+        _bridged(lossy_config).rho43, rel=1e-9)
 
 
 def test_conjugate_transition_identity_random_batch():
     rng = np.random.default_rng(3)
     for _ in range(100):
         cfg = validate._random_config(rng, lossy=True)
-        assert suscept.chi3_cross(cfg) == pytest.approx(_chi3_cross_from_rho43(cfg), rel=1e-9)
+        assert suscept.chi3_cross(cfg) == pytest.approx(_bridged(cfg).rho43, rel=1e-9)
 
 
 def test_hermitian_real_couplings_give_real_chis(reference_config):
@@ -250,15 +234,28 @@ def test_coherence_gauge_covariance_lossy(lossy_config):
 @pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.12, 0.2, 0.07)])
 def test_closed_forms_match_coherence_extraction(gamma):
     cfg = make_config(0.012, 1.1, 0.009, 2, 1, 1, 0.45, -0.2, 0.4, gamma=gamma)
-    c1, c3s, c3c = _bridge_chis(cfg)
+    c1, c3s, c3c = _bridged(cfg).rho21
     assert suscept.chi1(cfg) == pytest.approx(c1, rel=1e-6)
     assert suscept.chi3_self(cfg) == pytest.approx(c3s, rel=1e-6)
     assert suscept.chi3_cross(cfg) == pytest.approx(c3c, rel=1e-6)
 
 
-def test_coherence_evaluator_rejects_unknown_element(reference_config):
-    with pytest.raises(ValueError):
-        suscept.coherence_coefficients(reference_config, element="rho31")
+def test_bridge_reads_each_chi_per_photon_from_its_coefficient():
+    # planted arrays: each chi is minus its coefficient over its photon numbers
+    t, u = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
+    t[1, 0], t[3, 0], t[1, 2], u[2, 1] = 2.0, 3j, 4.0, -5.0
+    cfg = make_config(0.3, 1.0, 0.7, 2, 0, 3, 0.4, 0.1, 0.9)
+    bridged = suscept.chis_from_coherences(cfg, suscept.Coherences(t, u))
+    assert bridged == (suscept.SusceptibilityPoint(-1.0, -0.25j, -4.0 / 36), 5.0 / 36)
+    assert all(type(v) is complex for v in (*bridged.rho21, bridged.rho43))
+
+
+@pytest.mark.parametrize("na, nc, match", [(0, 1, "eps_a"), (1, 0, "eps_c"), (0, 0, "eps_a")])
+def test_bridge_without_probe_photons_is_the_probe_pole(na, nc, match):
+    cfg = make_config(0.02, 1.0, 0.02, na, 0, nc, 0.4, 0.1, 0.9)
+    arrays = suscept.coherence_coefficients(cfg)
+    with pytest.raises(PoleError, match=match):
+        suscept.chis_from_coherences(cfg, arrays)
 
 
 @pytest.mark.parametrize("lossy", [False, True])
@@ -297,9 +294,9 @@ def test_coherence_coefficients_match_extraction_of_partial_sums(lossy):
     rng = np.random.default_rng(11)
     for _ in range(20):
         cfg = validate._random_config(rng, lossy=lossy)
-        for element, levels, entries in (("rho21", (1, 0), [(1, 0), (3, 0), (1, 2)]),
-                                         ("rho43", (3, 2), [(2, 1)])):
-            c = suscept.coherence_coefficients(cfg, 3, element)
+        both = suscept.coherence_coefficients(cfg, 3)
+        for c, levels, entries in ((both.rho21, (1, 0), [(1, 0), (3, 0), (1, 2)]),
+                                   (both.rho43, (3, 2), [(2, 1)])):
             extracted = _extracted_coherence(cfg, 3, *levels)
             for p, q in entries:
                 assert c[p, q] == pytest.approx(extracted[p, q], rel=1e-11)
@@ -359,11 +356,23 @@ def test_sweep_grid_refuses_a_span_outside_double_range(lo, hi):
     assert str(exc.value).endswith(f"got {lo!r} and {hi!r}")
 
 
+# a bound that is not a number once reached np.isfinite's TypeError, and a bool passed as one
 @pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("inf")),
-                                    (float("-inf"), 1.0), (0.0, float("nan"))])
+                                    (float("-inf"), 1.0), (0.0, float("nan")),
+                                    ("0", "1"), (0.0, "1"), (None, 1.0), (True, 1.0),
+                                    (0.0, np.True_), (0.0, 1j),
+                                    pytest.param(0.0, 10**400, id="0.0-10**400")])
 def test_sweep_rejects_non_finite_bounds(reference_config, lo, hi):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="lo and hi must be finite") as exc:
         suscept.sweep_grid(lo, hi, 5)
+    assert str(exc.value).endswith(f"got {lo!r} and {hi!r}")
+
+
+def test_sweep_grid_takes_numpy_and_integer_bounds():
+    want = [0.0, 0.25, 0.5, 0.75, 1.0]
+    for lo, hi in ((np.float64(0.0), np.float64(1.0)), (np.float32(0.0), np.float32(1.0)),
+                   (0, 1), (np.int64(0), np.int64(1))):
+        assert suscept.sweep_grid(lo, hi, 5).tolist() == want
 
 
 @pytest.mark.parametrize("value", [[0.1, float("nan")], [float("inf"), 0.2], [-float("inf")],
