@@ -319,10 +319,16 @@ def build_hamiltonian(config: SystemConfig) -> np.ndarray:
 
 
 def split(config: SystemConfig) -> PerturbationSplit:
-    """Split the manifold matrix into the pump block plus the two probe couplings."""
+    """Split H into the pump block plus the probe couplings; PoleError past double range."""
     import numpy as np
     om_a = rabi_frequency(config.mode_a)
     om_c = rabi_frequency(config.mode_c)
+    try:
+        eps_a, eps_c = abs(om_a) / 2.0, abs(om_c) / 2.0
+    except OverflowError:  # abs of a finite complex past double range
+        eps_a = eps_c = math.inf
+    if not (math.isfinite(eps_a) and math.isfinite(eps_c)):  # 2 g sqrt(n) overflowed
+        raise_at_pole(OUT_OF_RANGE)
     # unit phases taken directly from the Rabi frequencies; dividing by the
     # modulus loses less precision than a phase/exp round trip
     ua = om_a / abs(om_a) if om_a != 0 else 1.0 + 0.0j
@@ -333,8 +339,7 @@ def split(config: SystemConfig) -> PerturbationSplit:
     vc = np.zeros((4, 4), dtype=complex)
     vc[2, 3] = uc.conjugate()
     vc[3, 2] = uc
-    return PerturbationSplit(h0=_pump_block(config), va=va, vc=vc, eps_a=abs(om_a) / 2.0,
-                             eps_c=abs(om_c) / 2.0)
+    return PerturbationSplit(h0=_pump_block(config), va=va, vc=vc, eps_a=eps_a, eps_c=eps_c)
 
 
 def manifold_members(seed: ManifoldIndex) -> list[ManifoldIndex]:

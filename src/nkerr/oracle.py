@@ -7,9 +7,10 @@ eigenvalue from its characteristic polynomial.  The ground branch has one
 rule: walk from bare level 1, keeping the eigenvector of maximal overlap with
 the previous one.  The matrix is tridiagonal, so det(H - E) is a continuant
 in E and the squared probe strengths, and its root is solved order by order
-on truncated double power series (Brent & Kung, J. ACM 25 (1978) 581): the
-coefficients come out exact to rounding, with no step size, radius or
-sampling to choose.  The only code this shares
+on truncated double power series (Brent & Kung, J. ACM 25 (1978) 581): each
+coefficient is exact to rounding relative to the terms it sums, not to itself,
+so a weak pump (G_b << |h11 h22|) loses the cross entry, which falls as G_b;
+there is no step size, radius or sampling to choose.  The only code this shares
 with the perturbation side is the generic product ``perturb.series_product``,
 which ``build_series`` does not use; the tests pin that product against
 per-entry sums, so the continuant and the Rayleigh-Schrodinger recursion

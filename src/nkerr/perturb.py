@@ -54,7 +54,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -68,10 +67,10 @@ DEGENERACY_TOL = 1e-8
 class DressedBasis(NamedTuple):
     """Eigensystem of the unperturbed operator in physical label order.
 
-    Index 0 is bare level 1 (eigenvalue 0), indices 1 and 2 are the minus-
-    and plus-root dressed combinations of bare levels 2 and 3, index 3 is
-    bare level 4.  ``right`` holds kets as columns, ``left`` holds the
-    paired bras as rows with ``left @ right = identity``.
+    Index 0 is bare level 1 (eigenvalue 0), indices 1 and 2 are the dressed
+    states that continue bare levels 2 and 3 as the pump turns off, index 3 is
+    bare level 4.  ``right`` holds kets as columns, ``left`` holds the paired
+    bras as rows with ``left @ right = identity``.
     """
 
     eigenvalues: np.ndarray
@@ -82,50 +81,43 @@ class DressedBasis(NamedTuple):
 def dressed_basis(h0: np.ndarray) -> DressedBasis:
     """Diagonalise the pump block exactly; reject near-degenerate spectra.
 
+    The block [[d1, x], [y, d2]] is solved as in the 2x2 step of the Jacobi
+    method (Golub & Van Loan, Matrix Computations, 4th ed., 8.5), which never
+    cancels: with Delta = d1 - d2, R = sqrt(Delta^2 + 4xy) and w the larger in
+    size of Delta +- R, u = 2y/w, v = 2x/w (0 at w = 0), n = sqrt(1 + uv) and
+    kappa = sqrt(x/y) (1 at x = y = 0) give the kets (kappa, kappa u)/n, (-v, 1)/n
+    and bras (1, v)/(kappa n), (-u, 1)/n; defective where n = 0 or x or y alone is 0.
+
     Two eigenvalues are near-degenerate where their gap is below
     ``DEGENERACY_TOL`` times the size of the entries that set them, at least
     1: the pump block's norm for the dressed pair, |h33| for bare level 4
     and 0 for bare level 1.  A far level therefore leaves the gaps of the
     near ones at their own scale.  Raises the out-of-range PoleError where a
-    dressed eigenvalue, or a square on the way to one, leaves double range.
-    Roots and gaps are taken on Python complex numbers, which round as
-    numpy's do here, but ``nrm`` stays numpy: Python's complex division
-    does not.
+    dressed eigenvalue, the block's norm or a square on the way leaves double range.
     """
     rows = h0.tolist()
     d1, x = rows[1][1:3]  # x = Omega_b / 2
     y, d2 = rows[2][1:3]  # y = conj(Omega_b) / 2
+    delta = d1 - d2
+    try:  # Python's complex ** and abs raise OverflowError past double range
+        root = cmath.sqrt(delta**2 + 4.0 * x * y + 0.0j)
+        w = delta + root if abs(delta + root) > abs(delta - root) else delta - root
+        block = math.hypot(abs(d1), abs(x), abs(y), abs(d2))
+    except OverflowError:
+        raise_at_pole(OUT_OF_RANGE)
+    u, v = (2.0 * y / w, 2.0 * x / w) if w else (0j, 0j)
+    lam = [0j, d1 + x * u, d2 - y * v, rows[3][3]]
+    if not (all(map(cmath.isfinite, (root, *lam))) and block < math.inf):
+        raise_at_pole(OUT_OF_RANGE)  # a NaN gap passes the test below, an inf norm fails it
+    n = cmath.sqrt(1.0 + u * v)
+    if n == 0 or (x == 0) != (y == 0):
+        raise DegeneracyError("dressed pair is defective: left/right pairing vanishes")
+    kappa = cmath.sqrt(x / y) if y else 1.0
     right = np.zeros((4, 4), dtype=complex)
     left = np.zeros((4, 4), dtype=complex)
     right[0, 0] = left[0, 0] = right[3, 3] = left[3, 3] = 1.0
-    if x == 0 and y == 0:  # uncoupled pump: the two-level block is already diagonal
-        lam = [0j, d1, d2, rows[3][3]]
-        right[1, 1] = left[1, 1] = right[2, 2] = left[2, 2] = 1.0
-    else:
-        try:  # Python's complex ** raises OverflowError past double range
-            root = cmath.sqrt((d1 - d2) ** 2 + 4.0 * x * y + 0.0j)
-        except OverflowError:
-            raise_at_pole(OUT_OF_RANGE)
-        lam = [0j, 0.5 * ((d1 + d2) - root), 0.5 * ((d1 + d2) + root), rows[3][3]]
-        if not all(map(cmath.isfinite, lam)):  # a NaN gap would pass the test below
-            raise_at_pole(OUT_OF_RANGE)
-        for idx in (1, 2):
-            shift = lam[idx] - d1  # no larger than d1 - d2 or root, so shift**2 fits
-            px, py, pairing = x, y, x * y + shift**2
-            if abs(pairing) < sys.float_info.min:  # underflowed (a weak pump): pair at unit
-                e = math.frexp(max(abs(x), abs(y), abs(shift)))[1]  # size; ldexp keeps -0.0
-                px, py, shift = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
-                                 for z in (x, y, shift))
-                pairing = px * py + shift**2
-            nrm = np.sqrt(pairing + 0.0j)
-            if nrm == 0:
-                raise DegeneracyError("dressed pair is defective: left/right pairing vanishes")
-            right[1, idx] = px / nrm
-            right[2, idx] = shift / nrm
-            left[idx, 1] = py / nrm
-            left[idx, 2] = shift / nrm
-
-    block = math.hypot(abs(d1), abs(x), abs(y), abs(d2))
+    right[1, 1], right[2, 1], right[1, 2], right[2, 2] = kappa / n, kappa * u / n, -v / n, 1 / n
+    left[1, 1], left[1, 2], left[2, 1], left[2, 2] = 1 / kappa / n, v / kappa / n, -u / n, 1 / n
     sizes = (0.0, block, block, abs(lam[3]))  # of the entries that set each eigenvalue
     for i in range(4):
         for j in range(i + 1, 4):

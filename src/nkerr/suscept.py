@@ -154,17 +154,18 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     table: the dressed coefficients are summed at (eps_a, eps_c) first, then
     taken to the bare basis.  Cross-Kerr content requires order >= 3.  The
     bra side is the table's bra series ``A[1]``, so the lossless limit is the
-    ordinary conjugate.  Each call builds its own split and table, even where
-    the caller already holds them.  ValueError unless order is an integer >= 1.
+    ordinary conjugate.  Each call builds its own split and table.  ValueError
+    unless order is an integer >= 1; the out-of-range PoleError where a sum overflows.
     """
     if not (model._is_nonnegative_int(order) and order >= 1):
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
     sp = model.split(config)
     table = perturb.build_series(sp, 1, order)
     powers = np.arange(order + 1)
-    dressed = sp.eps_a**powers @ (sp.eps_c**powers @ table.A)  # [s, m]
-    ket, bra = table.basis.right @ dressed[0], dressed[1] @ table.basis.left
-    return Coherences(*(complex(ket[k] * bra[b]) for k, b in _LEVELS))
+    with model.in_double_range(), np.errstate(over="raise", invalid="raise"):
+        dressed = sp.eps_a**powers @ (sp.eps_c**powers @ table.A)  # [s, m]
+        ket, bra = table.basis.right @ dressed[0], dressed[1] @ table.basis.left
+        return Coherences(*(complex(ket[k] * bra[b]) for k, b in _LEVELS))
 
 
 def coherence_coefficients(config: SystemConfig, order: int = 3) -> Coherences:

@@ -12,7 +12,7 @@ regime and away from the closed-form poles.  Criteria 2 and 5 read the same
 coefficients of the exact ground eigenvalue of the same 20 lossless
 configurations, computed by ``oracle.ground_series``, which solves the
 tridiagonal continuant det(H - E) = 0 order by order on truncated power
-series, exact to rounding.
+series, exact to rounding relative to the terms each coefficient sums.
 Criteria 7 and 8 compare the closed forms with the susceptibilities read per
 photon (``suscept.chis_from_coherences``) off both coherences of one series
 table (``suscept.coherence_coefficients``): criterion 7 chi3_cross off the

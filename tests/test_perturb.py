@@ -37,9 +37,11 @@ def test_dressed_basis_resonant_pump():
 
 
 def test_dressed_basis_uncoupled_pump_returns_bare():
-    basis = perturb.dressed_basis(_h0(3.0, 1.0, 5.0, 0.0))
-    assert np.allclose(basis.eigenvalues, [0, 3, 1, 5])
-    assert np.allclose(basis.right, np.eye(4))
+    for d1, d2 in ((3.0, 1.0), (1.0, 3.0)):  # index 1 is bare level 2 on either side
+        basis = perturb.dressed_basis(_h0(d1, d2, 5.0, 0.0))
+        assert np.allclose(basis.eigenvalues, [0, d1, d2, 5])
+        assert np.allclose(basis.right, np.eye(4))
+        assert np.allclose(basis.left, np.eye(4))
 
 
 def test_dressed_basis_degeneracy_rejected():
@@ -52,9 +54,18 @@ def test_dressed_basis_rejects_near_degenerate_gap_and_defective_pair():
     # bare level 4 1e-12 above the minus root, the dressed value -1 of (0, 0, 2.0)
     with pytest.raises(DegeneracyError, match="near-degenerate: eigenvalues 2 and 4"):
         perturb.dressed_basis(_h0(0.0, 0.0, -1.0 + 1e-12, 2.0))
+    # delta_b = 0 with the pump off: Delta = R = 0, so w = 0 and the pair coincides
+    with pytest.raises(DegeneracyError, match="near-degenerate: eigenvalues 2 and 3"):
+        perturb.dressed_basis(_h0(0.3, 0.3, 0.7, 0.0))
     # d1 - d2 = 2i and x*y = 1: the pair is one Jordan block, with no left/right pairing
     with pytest.raises(DegeneracyError, match="defective"):
         perturb.dressed_basis(_h0(0.0, -2j, 0.7, 2.0))
+    # a one-sided pump: no diagonal P turns its couplings into their transpose
+    for x, y in ((0.5, 0.0), (0.0, 0.5)):
+        h0 = _h0(0.3, 0.2, 0.7, 0.0)
+        h0[1, 2], h0[2, 1] = x, y
+        with pytest.raises(DegeneracyError, match="defective"):
+            perturb.dressed_basis(h0)
 
 
 # a dressed eigenvalue past double range once gave inf+nanj, whose NaN gaps
@@ -72,16 +83,18 @@ def test_dressed_eigenvalue_beyond_double_range_is_a_pole_error(args):
                 call(sp)
 
 
-@pytest.mark.parametrize("gb", [1e-160, 1e-200, 1e-300, 5e-324])
+@pytest.mark.parametrize("gb", [1e-3, 1e-6, 1e-9, 1e-12, 1e-50, 1e-100,
+                                1e-160, 1e-200, 1e-300, 5e-324])
 @pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.1, 0.2, 0.1)], ids=["lossless", "lossy"])
 def test_a_weak_pump_builds_and_gives_the_linear_coefficient(gb, gamma):
-    # x*y + shift**2 underflows (to 0 from g_b = 1e-200, to a subnormal at 1e-160),
-    # though the dressed pair is 0.2 apart
+    # The dressed pair is 0.1 apart, while x*y underflows from g_b = 1e-160 on.
+    # Each dressed vector's level-3 part, ~x/(d1 - d2), once came from a shift
+    # that cancelled, and the cross-Kerr entry was off by 8|K| from g_b = 1e-10 on.
     cfg = make_config(0.01, gb, 0.01, 1, 0, 1, 0.3, 0.1, 0.5, gamma=gamma)
     sp = model.split(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = perturb.build_series(sp, 1, 2)
+        table = perturb.build_series(sp, 1, 4)
     basis = table.basis
     assert np.abs(basis.left @ basis.right - np.eye(4)).max() <= 1e-15
     if cfg.is_hermitian:  # L = eps_a**2 E[2, 0], and chi1 = -E[2, 0] at n_a = 1
@@ -89,6 +102,16 @@ def test_a_weak_pump_builds_and_gives_the_linear_coefficient(gb, gamma):
     else:
         want, got = suscept.chi1(cfg), -table.E[2, 0]
     assert abs(got - want) <= 1e-15 * abs(want)
+    if gb < 1e-100:  # K and chi3_cross go as G_b, which underflows
+        return
+    if cfg.is_hermitian:
+        want = effective.coefficients(cfg).cross_kerr
+        got = [sp.eps_a**2 * sp.eps_c**2 * table.E[2, 2]]
+    else:  # from rho21 and from rho43
+        want = suscept.chi3_cross(cfg)
+        chis, chi43 = suscept.chis_from_coherences(cfg, suscept.coherence_coefficients(cfg))
+        got = [chis.chi3_cross, chi43]
+    assert all(abs(g - want) <= 1e-14 * abs(want) for g in got)
 
 
 def test_dressed_basis_eigen_residuals():

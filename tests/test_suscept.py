@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -159,21 +160,46 @@ def test_a_form_is_evaluated_without_the_terms_of_the_others():
             closed_form(big)
 
 
-@pytest.mark.parametrize("route", [
-    suscept.susceptibility_point,
-    suscept.coherences,
-    suscept.coherence_coefficients,
-    lambda cfg: perturb.build_series(model.split(cfg), 1, 2),
-    lambda cfg: oracle.ground_series(model.split(cfg), 2),
-    lambda cfg: oracle.track_ground(model.split(cfg)),
-], ids=["susceptibility_point", "coherences", "coherence_coefficients", "build_series",
-        "ground_series", "track_ground"])
+_SERIES_ROUTES = dict(
+    coherences=suscept.coherences,
+    coherence_coefficients=suscept.coherence_coefficients,
+    build_series=lambda cfg: perturb.build_series(model.split(cfg), 1, 2),
+    ground_series=lambda cfg: oracle.ground_series(model.split(cfg), 2),
+    track_ground=lambda cfg: oracle.track_ground(model.split(cfg)))
+
+
+@pytest.mark.parametrize("route", [suscept.susceptibility_point, *_SERIES_ROUTES.values()],
+                         ids=["susceptibility_point", *_SERIES_ROUTES])
 @pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.1, 0.1, 0.1)])
 def test_overflowing_cumulative_detuning_is_the_out_of_range_pole(route, gamma):
     # delta_a = 1e308, delta_b = -1e308: delta_2 = delta_3 = inf
     cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 1e308, -1e308, 0.5, gamma=gamma)
     with pytest.raises(PoleError, match="outside double range"):
         route(cfg)
+
+
+@pytest.mark.parametrize("route", _SERIES_ROUTES.values(), ids=_SERIES_ROUTES)
+@pytest.mark.parametrize("g_a, g_c", [(1e308, 0.01), (0.01, 1e308), (7e307 + 7e307j, 0.01)])
+def test_a_probe_outside_double_range_is_the_out_of_range_pole(route, g_a, g_c):
+    # 2 g sqrt(n) overflows to inf, which once left eps = inf and NaN phases in
+    # the split and so NaN series; at 7e307(1 + i) |Omega_a| raised OverflowError
+    cfg = make_config(g_a, 1.0, g_c, 1, 0, 1, 0.3, 0.1, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError, match="outside double range"):
+            route(cfg)
+
+
+@pytest.mark.parametrize("g_a", [1e100, 1e154])
+def test_coherence_sums_outside_double_range_are_the_out_of_range_pole(g_a):
+    # the series is finite, but its partial sums once came out inf (1e100) or,
+    # where eps_a**3 itself overflows, NaN (1e154) behind a RuntimeWarning
+    cfg = make_config(g_a, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(suscept.coherence_coefficients(cfg).rho21).all()
+        with pytest.raises(PoleError, match="outside double range"):
+            suscept.coherences(cfg)
 
 
 def test_overflowing_pole_term_is_out_of_range_not_its_pole():
