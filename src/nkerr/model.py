@@ -21,8 +21,11 @@ Conventions used throughout the package:
   That code is the one pole decision callers read: a ``suscept.Sweep``
   carries it per row, and a single point raises its message.  The three are
   one body for numpy arrays (``suscept``) and Python floats, on which
-  (``check_poles``, ``check_finite``) they make no numpy value.  Only the
-  functions that build or measure matrices import numpy, when they run.
+  (``check_poles``) they make no numpy value.  Only the functions that
+  build or measure matrices import numpy, when they run.
+* A term outside double range is the ``OUT_OF_RANGE`` pole, which each function
+  that derives one raises and no other module names: code that can raise runs
+  in ``in_double_range``, and ``check_finite`` refuses a result that is inf or NaN.
 * Every immutable record the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
@@ -37,7 +40,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -178,12 +180,15 @@ def multi_photon_detunings(delta_a: float, delta_b: float, delta_c: float) -> Mu
 
 def rabi_frequency(mode: FieldMode) -> complex:
     """Rabi frequency of a mode; mode "b" couples to n+1 photons, "a" and "c" to n."""
-    return 2.0 * mode.g * math.sqrt(mode.n + 1 if mode.label == "b" else mode.n)
+    omega = 2.0 * mode.g * math.sqrt(mode.n + 1 if mode.label == "b" else mode.n)
+    check_finite(omega)
+    return omega
 
 
 def probe_strength(mode: FieldMode) -> float:
     """|Omega|/2, the perturbation strength of a probe mode."""
-    return abs(rabi_frequency(mode)) / 2.0
+    with in_double_range():  # abs of a finite complex past double range
+        return abs(rabi_frequency(mode)) / 2.0
 
 
 def perturbation_strengths(config: SystemConfig) -> tuple[float, float]:
@@ -193,7 +198,10 @@ def perturbation_strengths(config: SystemConfig) -> tuple[float, float]:
 
 def pump_coupling(config: SystemConfig) -> float:
     """G_b = |g_b|^2 (n_b + 1) = |Omega_b|^2 / 4, the squared pump coupling."""
-    return abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
+    with in_double_range():
+        gb2n = abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
+    check_finite(gb2n)
+    return gb2n
 
 
 def matrix_scale(h: np.ndarray) -> float:
@@ -272,73 +280,62 @@ def check_poles(config: SystemConfig, *poles: int) -> None:
 
 
 def check_finite(*values) -> None:
-    """The ``OUT_OF_RANGE`` PoleError unless every value is finite."""
-    raise_at_pole(pole_code((), (), *values))
+    """The ``OUT_OF_RANGE`` PoleError unless every value is a finite number."""
+    if not all(map(cmath.isfinite, values)):
+        raise_at_pole(OUT_OF_RANGE)
 
 
-@contextlib.contextmanager
-def in_double_range():
-    """Reraise an ArithmeticError in the block as the ``OUT_OF_RANGE`` PoleError."""
-    try:
-        yield
-    except ArithmeticError as exc:
-        raise PoleError(POLES[OUT_OF_RANGE - 1]) from exc
+class in_double_range:
+    """Reraise an ArithmeticError in the block as the ``OUT_OF_RANGE`` PoleError; a
+    class, as ``contextlib.suppress`` is, costs a fifth of a generator-based manager."""
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None and issubclass(kind, ArithmeticError):
+            raise PoleError(POLES[OUT_OF_RANGE - 1]) from exc
 
 
 def _pump_block(config: SystemConfig) -> np.ndarray:
-    """The manifold matrix without its probe entries: the diagonal and the pump pair.
-
-    The ``OUT_OF_RANGE`` PoleError where delta_2 or delta_3 overflows.
-    """
+    """The manifold matrix without its probe entries; out of range where delta_2 or delta_3 is."""
     import numpy as np
     d = config.detunings()
-    if not (math.isfinite(d.delta2) and math.isfinite(d.delta3)):
-        raise_at_pole(OUT_OF_RANGE)
+    check_finite(d.delta2, d.delta3)
     om_b = rabi_frequency(config.mode_b)
     g1, g2, g3 = config.gamma
     h = np.zeros((4, 4), dtype=complex)
     h[1, 1] = d.delta1 - 1j * g1
     h[2, 2] = d.delta2 - 1j * g2
     h[3, 3] = d.delta3 - 1j * g3
-    h[1, 2] = om_b / 2.0
-    h[2, 1] = np.conj(om_b) / 2.0
+    h[1, 2], h[2, 1] = om_b / 2.0, np.conj(om_b) / 2.0
     return h
 
 
 def build_hamiltonian(config: SystemConfig) -> np.ndarray:
     """Single-manifold 4x4 matrix with complex diagonal delta_j - i*gamma_j."""
     import numpy as np
-    om_a = rabi_frequency(config.mode_a)
-    om_c = rabi_frequency(config.mode_c)
+    om_a, om_c = rabi_frequency(config.mode_a), rabi_frequency(config.mode_c)
     h = _pump_block(config)
-    h[0, 1] = np.conj(om_a) / 2.0
-    h[1, 0] = om_a / 2.0
-    h[2, 3] = np.conj(om_c) / 2.0
-    h[3, 2] = om_c / 2.0
+    h[0, 1], h[1, 0] = np.conj(om_a) / 2.0, om_a / 2.0
+    h[2, 3], h[3, 2] = np.conj(om_c) / 2.0, om_c / 2.0
     return h
 
 
 def split(config: SystemConfig) -> PerturbationSplit:
     """Split H into the pump block plus the probe couplings; PoleError past double range."""
     import numpy as np
-    om_a = rabi_frequency(config.mode_a)
-    om_c = rabi_frequency(config.mode_c)
-    try:
+    om_a, om_c = rabi_frequency(config.mode_a), rabi_frequency(config.mode_c)
+    with in_double_range():  # abs of a finite complex past double range
         eps_a, eps_c = abs(om_a) / 2.0, abs(om_c) / 2.0
-    except OverflowError:  # abs of a finite complex past double range
-        eps_a = eps_c = math.inf
-    if not (math.isfinite(eps_a) and math.isfinite(eps_c)):  # 2 g sqrt(n) overflowed
-        raise_at_pole(OUT_OF_RANGE)
     # unit phases taken directly from the Rabi frequencies; dividing by the
     # modulus loses less precision than a phase/exp round trip
     ua = om_a / abs(om_a) if om_a != 0 else 1.0 + 0.0j
     uc = om_c / abs(om_c) if om_c != 0 else 1.0 + 0.0j
     va = np.zeros((4, 4), dtype=complex)
-    va[0, 1] = ua.conjugate()
-    va[1, 0] = ua
+    va[0, 1], va[1, 0] = ua.conjugate(), ua
     vc = np.zeros((4, 4), dtype=complex)
-    vc[2, 3] = uc.conjugate()
-    vc[3, 2] = uc
+    vc[2, 3], vc[3, 2] = uc.conjugate(), uc
     return PerturbationSplit(h0=_pump_block(config), va=va, vc=vc, eps_a=eps_a, eps_c=eps_c)
 
 
@@ -350,6 +347,8 @@ def manifold_members(seed: ManifoldIndex) -> list[ManifoldIndex]:
     """
     if seed.atomic_level != 1:
         raise ValueError(f"manifold seed must sit on atomic level 1, got {seed.atomic_level}")
+    if not all(map(_is_nonnegative_int, seed[1:])):
+        raise ValueError(f"photon numbers must be integers >= 0, got {seed!r}")
     if seed.n_a < 1:
         raise ValueError("n_a = 0: no 'a' photon to absorb on the 1->2 transition")
     if seed.n_c < 1:

@@ -59,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneracyError
-from .model import OUT_OF_RANGE, PerturbationSplit, _is_nonnegative_int, raise_at_pole
+from .model import PerturbationSplit, _is_nonnegative_int, check_finite, in_double_range
 
 DEGENERACY_TOL = 1e-8
 
@@ -99,16 +99,13 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     d1, x = rows[1][1:3]  # x = Omega_b / 2
     y, d2 = rows[2][1:3]  # y = conj(Omega_b) / 2
     delta = d1 - d2
-    try:  # Python's complex ** and abs raise OverflowError past double range
+    with in_double_range():  # Python's complex ** and abs raise OverflowError past it
         root = cmath.sqrt(delta**2 + 4.0 * x * y + 0.0j)
         w = delta + root if abs(delta + root) > abs(delta - root) else delta - root
         block = math.hypot(abs(d1), abs(x), abs(y), abs(d2))
-    except OverflowError:
-        raise_at_pole(OUT_OF_RANGE)
     u, v = (2.0 * y / w, 2.0 * x / w) if w else (0j, 0j)
     lam = [0j, d1 + x * u, d2 - y * v, rows[3][3]]
-    if not (all(map(cmath.isfinite, (root, *lam))) and block < math.inf):
-        raise_at_pole(OUT_OF_RANGE)  # a NaN gap passes the test below, an inf norm fails it
+    check_finite(root, *lam, block)  # a NaN gap passes the test below, an inf norm fails it
     n = cmath.sqrt(1.0 + u * v)
     if n == 0 or (x == 0) != (y == 0):
         raise DegeneracyError("dressed pair is defective: left/right pairing vanishes")

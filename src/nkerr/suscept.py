@@ -191,11 +191,13 @@ def chis_from_coherences(config: SystemConfig, c: Coherences) -> Coherences:
         chi3_cross = -t[1, 2] / (6 n_a n_c) = -u[2, 1] / (6 n_a n_c)
 
     No probe strength enters, so these check a closed form's eps normalisation
-    too.  The probe's PoleError where n_a or n_c is 0.
+    too.  The probe's PoleError where n_a or n_c is 0, else ValueError below order 3.
     """
     n_a, n_c = config.mode_a.n, config.mode_c.n
     model.raise_at_pole(model.PROBE_A if n_a == 0 else model.PROBE_C if n_c == 0 else 0)
     t, u = c
+    if min(len(t), len(u)) < 4:
+        raise ValueError(f"the Taylor arrays must be of order >= 3, got {min(len(t), len(u)) - 1}")
     cross = 6 * n_a * n_c
     chis = SusceptibilityPoint(complex(-t[1, 0] / n_a), complex(-t[3, 0] / (3 * n_a**2)),
                                complex(-t[1, 2] / cross))

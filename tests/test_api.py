@@ -84,6 +84,17 @@ def test_pole_messages_are_written_only_in_model():
     assert not found
 
 
+def test_out_of_range_is_named_only_in_model():
+    # a term outside double range has one rule, model.in_double_range and
+    # model.check_finite: no other module names the pole, so none hand-rolls it
+    src = Path(nkerr.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             if path.name != "model.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if "OUT_OF_RANGE" in (getattr(node, key, None) for key in ("id", "attr", "name"))]
+    assert not found
+
+
 # each record's fields in order, and the defaults of those that have one
 _RECORDS = {
     "model.PerturbationSplit": (("h0", "va", "vc", "eps_a", "eps_c"), {}),

@@ -116,6 +116,18 @@ def test_outside_double_range_is_a_pole(ga, gb, closed_form):
         closed_form(cfg)
 
 
+@pytest.mark.parametrize("coeffs, n_a, t", [
+    (effective.KerrCoefficients(1e10, 0.0, 0.0), 3, 1e299),  # the angle overflows to inf
+    (effective.KerrCoefficients(1.0, 0.0, 0.0), 10**400, 1.0),  # n_a is past double range
+    (effective.KerrCoefficients(1, 1, 0), 10**200, 1),  # an int angle past double range
+], ids=["angle-inf", "n_a-int-beyond-double", "int-angle-beyond-double"])
+def test_a_phase_outside_double_range_is_the_out_of_range_pole(coeffs, n_a, t):
+    # the angle was inf, or a bare OverflowError, and effective_phase nan+nanj
+    for term in (effective.phase_angle, effective.effective_phase):
+        with pytest.raises(PoleError, match="^pole: a term is outside double range$"):
+            term(coeffs, n_a, 1, t)
+
+
 def test_lossy_config_refused():
     cfg = make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.4, 0.1, 0.6, gamma=(0.1, 0.0, 0.0))
     with pytest.raises(NotHermitianError):

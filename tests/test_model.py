@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nkerr import effective, model
+from nkerr import effective, model, suscept
 from nkerr.errors import PoleError
 from nkerr.model import FieldMode, ManifoldIndex, SystemConfig
 
@@ -181,11 +181,15 @@ def test_manifold_members_generic():
 def test_manifold_members_rejects_missing_a_photon():
     with pytest.raises(ValueError, match="n_a = 0"):
         model.manifold_members(ManifoldIndex(1, 0, 0, 1))
+    with pytest.raises(ValueError, match="photon numbers must be integers >= 0"):
+        model.manifold_members(ManifoldIndex(1, 1.5, 0, 1))  # half an 'a' photon
 
 
 def test_manifold_members_rejects_missing_c_photon():
     with pytest.raises(ValueError, match="n_c = 0"):
         model.manifold_members(ManifoldIndex(1, 2, 0, 0))
+    with pytest.raises(ValueError, match="photon numbers must be integers >= 0"):
+        model.manifold_members(ManifoldIndex(1, 1, -1, 1))  # a negative pump photon number
 
 
 @given(st.integers(min_value=1, max_value=6), photon, st.integers(min_value=1, max_value=6))
@@ -234,6 +238,44 @@ def test_numpy_float_coupling_overflows_to_the_out_of_range_pole():
     assert cfg.mode_a.g == 1e200
     with pytest.raises(PoleError, match="outside double range"):
         effective.coefficients(cfg)
+
+
+_OUT_OF_RANGE = "^pole: a term is outside double range$"
+
+
+@pytest.mark.parametrize("n", [4, 0])
+def test_a_rabi_frequency_outside_double_range_is_the_out_of_range_pole(n):
+    # 2 g sqrt(n) was inf+nanj, or nan+nanj in the vacuum, with no error
+    mode = FieldMode("a", 1e308, 0.0, n)
+    for term in (model.rabi_frequency, model.probe_strength):
+        with pytest.raises(PoleError, match=_OUT_OF_RANGE):
+            term(mode)
+
+
+@pytest.mark.parametrize("g_a, n_a", [(1e308, 1), (1e308, 0), (7e307 * (1 + 1j), 1)])
+def test_a_probe_outside_double_range_is_the_out_of_range_pole_in_every_model_term(g_a, n_a):
+    # the strengths were (inf, 0.01), (nan, 0.01) or a bare OverflowError of
+    # |Omega_a|, and the matrix warned or held NaN; at 7e307(1 + i) only
+    # |Omega_a| leaves double range, so the matrix is finite
+    cfg = make_config(g_a, 1.0, 0.01, n_a, 0, 1, 0.3, 0.1, 0.5)
+    terms = [model.perturbation_strengths, model.split]
+    if abs(g_a) == 1e308:
+        terms.append(model.build_hamiltonian)
+    for term in terms:
+        with pytest.raises(PoleError, match=_OUT_OF_RANGE):
+            term(cfg)
+
+
+@pytest.mark.parametrize("g_b, n_b", [(1e200, 0), (1e154, 1)])
+def test_a_pump_coupling_outside_double_range_is_the_out_of_range_pole(g_b, n_b):
+    # |g_b|**2 raised a bare OverflowError at 1e200; at 1e154 it is 1e308, and
+    # (n_b + 1) = 2 times it overflowed to inf with no error, so a sweep wrote
+    # only invalid rows where G_b = inf does not depend on the swept detuning
+    cfg = make_config(0.01, g_b, 0.01, 1, n_b, 1, 0.3, 0.1, 0.5)
+    with pytest.raises(PoleError, match=_OUT_OF_RANGE):
+        model.pump_coupling(cfg)
+    with pytest.raises(PoleError, match=_OUT_OF_RANGE):
+        suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-1.0, 1.0, 3))
 
 
 def test_decay_rates_normalised_to_a_tuple_of_floats():

@@ -284,6 +284,14 @@ def test_bridge_without_probe_photons_is_the_probe_pole(na, nc, match):
         suscept.chis_from_coherences(cfg, arrays)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_bridge_below_order_3_is_a_value_error(reference_config, order):
+    # t[3, 0] and t[1, 2] are beyond the arrays: a bare IndexError once
+    arrays = suscept.coherence_coefficients(reference_config, order)
+    with pytest.raises(ValueError, match=f"order >= 3, got {order}$"):
+        suscept.chis_from_coherences(reference_config, arrays)
+
+
 @pytest.mark.parametrize("lossy", [False, True])
 def test_coherences_equal_the_product_of_ket_and_bra_partial_sums(lossy):
     rng = np.random.default_rng([17, lossy])
