@@ -80,7 +80,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NoReturn, TextIO
 
 from .errors import (ConvergenceError, DegeneracyError, NotHermitianError,
                      NotResonantError, PoleError, ScenarioError, TrackingError)
-from .model import FieldMode, SystemConfig
+from .model import FieldMode, SystemConfig, _is_finite
 
 if TYPE_CHECKING:
     from . import suscept
@@ -125,7 +125,7 @@ def _finite_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
+    if not _is_finite(value, math.isfinite):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 

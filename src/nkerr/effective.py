@@ -87,12 +87,14 @@ def pure_cross_kerr(config: SystemConfig) -> float:
 def phase_angle(coeffs: KerrCoefficients, n_a: int, n_c: int, t: float) -> float:
     """Angle (L*n_a + S*n_a**2 + K*n_a*n_c)*t the Fock product |n_a, n_c> turns by.
 
-    ValueError unless n_a and n_c are integers >= 0 (as ``FieldMode`` takes
-    them) and t is finite; the out-of-range PoleError where the angle is not.
+    ValueError unless n_a and n_c are integers >= 0, held as Python ints as in ``FieldMode``,
+    and t a finite number (a bool or an int past double range is not); the out-of-range
+    PoleError where the angle is not finite.
     """
     if not (model._is_nonnegative_int(n_a) and model._is_nonnegative_int(n_c)):
         raise ValueError(f"photon numbers must be integers >= 0, got {n_a!r} and {n_c!r}")
-    if not math.isfinite(t):
+    n_a, n_c = int(n_a), int(n_c)
+    if not model._is_finite(t, math.isfinite):
         raise ValueError(f"t must be finite, got {t!r}")
     with model.in_double_range():  # an int past double range raises OverflowError
         angle = (coeffs.linear * n_a + coeffs.self_kerr * n_a**2

@@ -26,6 +26,9 @@ Conventions used throughout the package:
 * A term outside double range is the ``OUT_OF_RANGE`` pole, which each function
   that derives one raises and no other module names: code that can raise runs
   in ``in_double_range``, and ``check_finite`` refuses a result that is inf or NaN.
+* ``_is_finite`` judges each number a caller passes, and no other module calls
+  ``math.isfinite`` or ``cmath.isfinite``: a bool, a non-number or an int past double
+  range is not finite.  A photon number (``_is_nonnegative_int``) is held as a Python int.
 * Every immutable record the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
@@ -101,7 +104,8 @@ class FieldMode:
             raise ValueError(f"coupling and detuning must be finite numbers, got g={self.g!r}, "
                              f"delta={self.delta!r}")
         # Python numbers: a sum of detunings overflows to inf and a power of |g|
-        # raises OverflowError, where numpy's would warn first
+        # or a product with n raises OverflowError, where numpy's would warn first
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "g", complex(self.g))
         object.__setattr__(self, "delta", float(self.delta))
 

@@ -10,13 +10,15 @@ in E and the squared probe strengths, and its root is solved order by order
 on truncated double power series (Brent & Kung, J. ACM 25 (1978) 581): each
 coefficient is exact to rounding relative to the terms it sums, not to itself,
 so a weak pump (G_b << |h11 h22|) loses the cross entry, which falls as G_b;
-there is no step size, radius or sampling to choose.  The only code this shares
-with the perturbation side is the generic product ``perturb.series_product``,
-which ``build_series`` does not use; the tests pin that product against
-per-entry sums, so the continuant and the Rayleigh-Schrodinger recursion
-stay two independent routes to the same coefficients.  ``phase_comparison``
-is where the two sides meet: it sets the effective phase of ``effective``
-against exact propagation, for ``nkerr evolve`` and acceptance criterion 6.
+there is no step size, radius or sampling to choose.  ``track_ground``,
+``ground_series`` and ``phase_comparison`` call ``perturb.dressed_basis`` as a
+degeneracy gate, which decides whether they go on, never a value; the only other
+code shared with the perturbation side is ``perturb.series_product``, which
+``build_series`` does not use and the tests pin against per-entry sums, so the
+continuant and the Rayleigh-Schrodinger recursion stay two independent routes to
+the same coefficients.  ``phase_comparison`` is where the two sides meet: it sets
+the effective phase of ``effective`` against exact propagation, for ``nkerr evolve``
+and acceptance criterion 6.
 """
 
 from __future__ import annotations
@@ -78,10 +80,10 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
 def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*h*t) @ psi0 via spectral decomposition (non-defective inputs).
 
-    Raises the out-of-range PoleError where an exponent -i*lambda*t or its
-    exponential leaves double range.
+    ValueError unless t is a finite number (a bool or an int past double range is not);
+    the out-of-range PoleError where -i*lambda*t or its exponential leaves double range.
     """
-    if not math.isfinite(t):
+    if not model._is_finite(t, math.isfinite):
         raise ValueError(f"t must be finite, got {t!r}")
     psi0 = np.asarray(psi0, dtype=complex)
     if not np.isfinite(psi0).all():
@@ -156,11 +158,11 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
     """Ground eigenvalue of ``h0 + x*va + y*vc`` as a function of (x, y), by LAPACK.
 
     Each call walks one step from bare level 1, so it keeps the eigenvector
-    with the largest level-1 component: unambiguous near (0, 0).  x and y
-    must be finite.
+    with the largest level-1 component: unambiguous near (0, 0).  ValueError
+    unless x and y are finite numbers (a bool or an int past double range is not).
     """
     def f(x: float, y: float) -> complex:
-        if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        if not (model._is_finite(x, cmath.isfinite) and model._is_finite(y, cmath.isfinite)):
             raise ValueError(f"x and y must be finite, got {x!r} and {y!r}")
         return _walk_ground(split, ((x, y),))
     return f

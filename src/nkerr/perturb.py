@@ -59,7 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneracyError
-from .model import PerturbationSplit, _is_nonnegative_int, check_finite, in_double_range
+from .model import (PerturbationSplit, _is_finite, _is_nonnegative_int, check_finite,
+                    in_double_range)
 
 DEGENERACY_TOL = 1e-8
 
@@ -301,10 +302,10 @@ def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
                     total_order: int) -> complex:
     """Partial sum of the ground eigenvalue series.
 
-    ValueError unless n is the integer 1 and total_order an integer order the
-    table holds, or for a non-finite eps_a or eps_c.
+    ValueError unless n is the integer 1, total_order an integer order the table holds,
+    and eps_a and eps_c finite numbers (a bool or an int past double range is not).
     """
-    if not (math.isfinite(eps_a) and math.isfinite(eps_c)):
+    if not (_is_finite(eps_a, math.isfinite) and _is_finite(eps_c, math.isfinite)):
         raise ValueError(f"eps_a and eps_c must be finite, got {eps_a!r} and {eps_c!r}")
     if not (_is_nonnegative_int(n) and n == 1 and _is_nonnegative_int(total_order)
             and total_order <= table.order):

@@ -213,7 +213,7 @@ def sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
     if not (model._is_nonnegative_int(steps) and steps >= 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if not (model._is_finite(lo, math.isfinite) and model._is_finite(hi, math.isfinite)
-            and math.isfinite(float(hi) - float(lo))):
+            and model._is_finite(float(hi) - float(lo), math.isfinite)):
         raise ValueError(f"lo and hi must be finite and hi - lo within double range, "
                          f"got {lo!r} and {hi!r}")
     try:

@@ -95,6 +95,19 @@ def test_out_of_range_is_named_only_in_model():
     assert not found
 
 
+def test_isfinite_is_called_only_in_model():
+    # a number a caller passes has one finite-number rule, model._is_finite: no
+    # other module calls math.isfinite or cmath.isfinite, so none hand-rolls it
+    src = Path(nkerr.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             if path.name != "model.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "isfinite"
+             and getattr(node.func.value, "id", None) in ("math", "cmath")]
+    assert not found
+
+
 # each record's fields in order, and the defaults of those that have one
 _RECORDS = {
     "model.PerturbationSplit": (("h0", "va", "vc", "eps_a", "eps_c"), {}),

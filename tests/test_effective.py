@@ -120,9 +120,11 @@ def test_outside_double_range_is_a_pole(ga, gb, closed_form):
     (effective.KerrCoefficients(1e10, 0.0, 0.0), 3, 1e299),  # the angle overflows to inf
     (effective.KerrCoefficients(1.0, 0.0, 0.0), 10**400, 1.0),  # n_a is past double range
     (effective.KerrCoefficients(1, 1, 0), 10**200, 1),  # an int angle past double range
-], ids=["angle-inf", "n_a-int-beyond-double", "int-angle-beyond-double"])
+    (effective.KerrCoefficients(1e300, 0.0, 0.0), np.int64(10**10), 1.0),  # held as an int
+], ids=["angle-inf", "n_a-int-beyond-double", "int-angle-beyond-double", "n_a-numpy-int"])
 def test_a_phase_outside_double_range_is_the_out_of_range_pole(coeffs, n_a, t):
-    # the angle was inf, or a bare OverflowError, and effective_phase nan+nanj
+    # the angle was inf, or a bare OverflowError, and effective_phase nan+nanj;
+    # a numpy n_a warned of overflow in multiply until phase_angle held it as an int
     for term in (effective.phase_angle, effective.effective_phase):
         with pytest.raises(PoleError, match="^pole: a term is outside double range$"):
             term(coeffs, n_a, 1, t)
@@ -187,7 +189,9 @@ def test_effective_phase_rejects_negative_occupation():
 @pytest.mark.parametrize("n_a, n_c, t, match", [
     (1.5, 1, 1.0, "photon numbers"), (1, 2.0, 1.0, "photon numbers"),
     (True, 1, 1.0, "photon numbers"), (1, False, 1.0, "photon numbers"),
-    (1, 1, float("nan"), "t must be finite"), (1, 1, float("inf"), "t must be finite")])
+    (1, 1, float("nan"), "t must be finite"), (1, 1, float("inf"), "t must be finite"),
+    pytest.param(1, 1, 10**400, "t must be finite", id="int-past-double"),
+    (1, 1, True, "t must be finite"), (1, 1, "x", "t must be finite")])
 def test_phase_angle_rejects_a_non_integer_photon_number_or_non_finite_time(n_a, n_c, t, match):
     co = effective.KerrCoefficients(0.3, 0.02, -0.5)
     for f in (effective.phase_angle, effective.effective_phase):

@@ -218,7 +218,8 @@ def test_non_integer_photon_number_rejected(n):
 
 
 def test_numpy_integer_photon_number_accepted():
-    assert FieldMode("a", 0.1, 0.0, np.int64(2)).n == 2
+    mode = FieldMode("a", 0.1, 0.0, np.int64(2))
+    assert mode.n == 2 and type(mode.n) is int
 
 
 def test_numpy_float_detunings_overflow_to_the_out_of_range_pole():
@@ -266,11 +267,12 @@ def test_a_probe_outside_double_range_is_the_out_of_range_pole_in_every_model_te
             term(cfg)
 
 
-@pytest.mark.parametrize("g_b, n_b", [(1e200, 0), (1e154, 1)])
+@pytest.mark.parametrize("g_b, n_b", [(1e200, 0), (1e154, 1), (1e154, np.int64(1))])
 def test_a_pump_coupling_outside_double_range_is_the_out_of_range_pole(g_b, n_b):
     # |g_b|**2 raised a bare OverflowError at 1e200; at 1e154 it is 1e308, and
     # (n_b + 1) = 2 times it overflowed to inf with no error, so a sweep wrote
-    # only invalid rows where G_b = inf does not depend on the swept detuning
+    # only invalid rows where G_b = inf does not depend on the swept detuning;
+    # a numpy n_b warned of overflow in multiply until FieldMode held it as an int
     cfg = make_config(0.01, g_b, 0.01, 1, n_b, 1, 0.3, 0.1, 0.5)
     with pytest.raises(PoleError, match=_OUT_OF_RANGE):
         model.pump_coupling(cfg)

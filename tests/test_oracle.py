@@ -193,7 +193,8 @@ def test_propagate_phase_tracks_ground_energy(reference_config):
     assert abs(np.angle(overlap) + lam.real * t) < 10 * eps**2
 
 
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"),
+                               pytest.param(10**400, id="int-past-double"), True, "x"])
 def test_propagate_rejects_nonfinite_time(t):
     with pytest.raises(ValueError, match="t must be finite"):
         oracle.propagate(np.eye(4), np.ones(4), t)
@@ -391,7 +392,9 @@ def test_ground_eigenvalue_function_lanes_agree(reference_config, lossy_config):
 
 
 @pytest.mark.parametrize("x, y", [(float("nan"), 0.0), (float("inf"), 0.0),
-                                  (0.01, -float("inf")), (0.0, float("nan"))])
+                                  (0.01, -float("inf")), (0.0, float("nan")),
+                                  pytest.param(10**400, 0.0, id="int-past-double"),
+                                  (0.0, True), ("x", 0.0)])
 def test_ground_eigenvalue_function_rejects_nonfinite_strengths(reference_config, x, y):
     energy = oracle.ground_eigenvalue_function(model.split(reference_config))
     with pytest.raises(ValueError, match="x and y must be finite"):

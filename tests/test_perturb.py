@@ -455,7 +455,8 @@ def test_missing_order_raises(reference_config):
 
 
 @pytest.mark.parametrize("eps_a, eps_c", [(float("nan"), 0.01), (0.01, float("inf")),
-                                          (-float("inf"), 0.0)])
+                                          (-float("inf"), 0.0), (True, 0.01), (0.01, "x"),
+                                          pytest.param(10**400, 0.1, id="int-past-double")])
 def test_evaluate_energy_rejects_nonfinite_strengths(reference_config, eps_a, eps_c):
     table = perturb.build_series(model.split(reference_config), 1, 4)
     with pytest.raises(ValueError, match="eps_a and eps_c must be finite"):
