@@ -15,6 +15,9 @@ Conventions used throughout the package:
   Rabi frequency and (2,1) the unconjugated one, and likewise (3,4)/(4,3)
   for mode "c"; this fixed phase placement is normative for everything
   downstream.
+* ``split`` alone writes the matrix entries, into h0, va and vc, and
+  ``PerturbationSplit.reconstruct`` alone sums them: ``build_hamiltonian`` is
+  ``split(config).reconstruct()``, as is a matrix at other probe strengths after ``_replace``.
 * ``POLES`` is the one ordered table of where a closed form has no value:
   ``pole_terms`` gives each denominator with the scales it is judged against
   (``near_pole``), and ``pole_code`` names the first pole at each point.
@@ -26,9 +29,10 @@ Conventions used throughout the package:
 * A term outside double range is the ``OUT_OF_RANGE`` pole, which each function
   that derives one raises and no other module names: code that can raise runs
   in ``in_double_range``, and ``check_finite`` refuses a result that is inf or NaN.
-* ``_is_finite`` judges each number a caller passes, and no other module calls
-  ``math.isfinite`` or ``cmath.isfinite``: a bool, a non-number or an int past double
-  range is not finite.  A photon number (``_is_nonnegative_int``) is held as a Python int.
+* ``_is_finite`` judges each number a caller passes and ``_finite_array`` each array;
+  no other module calls ``math.isfinite``, ``cmath.isfinite`` or ``np.isfinite``: a
+  bool, a non-number or an int past double range is not finite.  A photon number
+  (``_is_nonnegative_int``) is held as a Python int.
 * Every immutable record the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
@@ -76,6 +80,16 @@ def _is_finite(value, isfinite) -> bool:
         return isfinite(value)
     except (TypeError, OverflowError):
         return False
+
+
+def _finite_array(value, dtype) -> np.ndarray | None:
+    """``value`` as an array of ``dtype``; None where it does not convert or is not finite."""
+    import numpy as np
+    try:
+        array = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return array if np.isfinite(array).all() else None
 
 
 def _is_nonnegative_int(n) -> bool:
@@ -171,6 +185,7 @@ class PerturbationSplit(NamedTuple):
     eps_c: float
 
     def reconstruct(self) -> np.ndarray:
+        """h0 + eps_a*va + eps_c*vc, a new array: the package's one sum of the split."""
         return self.h0 + self.eps_a * self.va + self.eps_c * self.vc
 
 
@@ -301,29 +316,9 @@ class in_double_range:
             raise PoleError(POLES[OUT_OF_RANGE - 1]) from exc
 
 
-def _pump_block(config: SystemConfig) -> np.ndarray:
-    """The manifold matrix without its probe entries; out of range where delta_2 or delta_3 is."""
-    import numpy as np
-    d = config.detunings()
-    check_finite(d.delta2, d.delta3)
-    om_b = rabi_frequency(config.mode_b)
-    g1, g2, g3 = config.gamma
-    h = np.zeros((4, 4), dtype=complex)
-    h[1, 1] = d.delta1 - 1j * g1
-    h[2, 2] = d.delta2 - 1j * g2
-    h[3, 3] = d.delta3 - 1j * g3
-    h[1, 2], h[2, 1] = om_b / 2.0, np.conj(om_b) / 2.0
-    return h
-
-
 def build_hamiltonian(config: SystemConfig) -> np.ndarray:
     """Single-manifold 4x4 matrix with complex diagonal delta_j - i*gamma_j."""
-    import numpy as np
-    om_a, om_c = rabi_frequency(config.mode_a), rabi_frequency(config.mode_c)
-    h = _pump_block(config)
-    h[0, 1], h[1, 0] = np.conj(om_a) / 2.0, om_a / 2.0
-    h[2, 3], h[3, 2] = np.conj(om_c) / 2.0, om_c / 2.0
-    return h
+    return split(config).reconstruct()
 
 
 def split(config: SystemConfig) -> PerturbationSplit:
@@ -332,6 +327,15 @@ def split(config: SystemConfig) -> PerturbationSplit:
     om_a, om_c = rabi_frequency(config.mode_a), rabi_frequency(config.mode_c)
     with in_double_range():  # abs of a finite complex past double range
         eps_a, eps_c = abs(om_a) / 2.0, abs(om_c) / 2.0
+    d = config.detunings()
+    check_finite(d.delta2, d.delta3)
+    om_b = rabi_frequency(config.mode_b)
+    g1, g2, g3 = config.gamma
+    h0 = np.zeros((4, 4), dtype=complex)
+    h0[1, 1] = d.delta1 - 1j * g1
+    h0[2, 2] = d.delta2 - 1j * g2
+    h0[3, 3] = d.delta3 - 1j * g3
+    h0[1, 2], h0[2, 1] = om_b / 2.0, np.conj(om_b) / 2.0
     # unit phases taken directly from the Rabi frequencies; dividing by the
     # modulus loses less precision than a phase/exp round trip
     ua = om_a / abs(om_a) if om_a != 0 else 1.0 + 0.0j
@@ -340,7 +344,7 @@ def split(config: SystemConfig) -> PerturbationSplit:
     va[0, 1], va[1, 0] = ua.conjugate(), ua
     vc = np.zeros((4, 4), dtype=complex)
     vc[2, 3], vc[3, 2] = uc.conjugate(), uc
-    return PerturbationSplit(h0=_pump_block(config), va=va, vc=vc, eps_a=eps_a, eps_c=eps_c)
+    return PerturbationSplit(h0=h0, va=va, vc=vc, eps_a=eps_a, eps_c=eps_c)
 
 
 def manifold_members(seed: ManifoldIndex) -> list[ManifoldIndex]:

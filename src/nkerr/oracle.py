@@ -18,7 +18,7 @@ code shared with the perturbation side is ``perturb.series_product``, which
 continuant and the Rayleigh-Schrodinger recursion stay two independent routes to
 the same coefficients.  ``phase_comparison`` is where the two sides meet: it sets
 the effective phase of ``effective`` against exact propagation, for ``nkerr evolve``
-and acceptance criterion 6.
+and acceptance criterion 6, and takes its gate, its matrix and its bound from one split.
 """
 
 from __future__ import annotations
@@ -80,17 +80,17 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
 def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*h*t) @ psi0 via spectral decomposition (non-defective inputs).
 
-    ValueError unless t is a finite number (a bool or an int past double range is not);
-    the out-of-range PoleError where -i*lambda*t or its exponential leaves double range.
+    ValueError unless t is a finite number (a bool or an int past double range is not) and psi0
+    a finite array; the out-of-range PoleError where -i*lambda*t or its exp leaves double range.
     """
     if not model._is_finite(t, math.isfinite):
         raise ValueError(f"t must be finite, got {t!r}")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if not np.isfinite(psi0).all():
+    state = model._finite_array(psi0, complex)
+    if state is None:
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
     sol = exact_eigensystem(h)
     v = sol.eigenvectors
-    coeffs = np.linalg.solve(v, psi0)
+    coeffs = np.linalg.solve(v, state)
     with model.in_double_range(), np.errstate(over="raise", invalid="raise"):
         phases = np.exp(-1j * sol.eigenvalues * t)
     return v @ (phases * coeffs)
@@ -108,14 +108,13 @@ def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, 
     and the out-of-range PoleError where t is too large for either phase.
     """
     co = effective.coefficients(cfg)
-    perturb.dressed_basis(model.split(cfg).h0)
+    sp = model.split(cfg)
+    perturb.dressed_basis(sp.h0)
     eff_phase = -effective.phase_angle(co, cfg.mode_a.n, cfg.mode_c.n, t)
     with model.in_double_range():
-        bound = 10.0 * max(model.perturbation_strengths(cfg)) ** 2
+        bound = 10.0 * max(sp.eps_a, sp.eps_c) ** 2
     model.check_finite(bound)
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[0] = 1.0
-    amp = complex(propagate(model.build_hamiltonian(cfg), psi0, t)[0])
+    amp = complex(propagate(sp.reconstruct(), _BARE_GROUND, t)[0])
     oracle_phase = math.atan2(amp.imag, amp.real)
     diff = (oracle_phase - eff_phase + math.pi) % (2.0 * math.pi) - math.pi
     return eff_phase, oracle_phase, diff, bound
@@ -129,7 +128,7 @@ def _walk_ground(split: PerturbationSplit, path: Sequence[tuple[float, float]]) 
     """
     bra = _BARE_GROUND  # of the eigenvector followed so far
     for k, (x, y) in enumerate(path, 1):
-        sol = exact_eigensystem(split.h0 + x * split.va + y * split.vc)
+        sol = exact_eigensystem(split._replace(eps_a=x, eps_c=y).reconstruct())
         overlaps = np.abs(bra @ sol.eigenvectors)
         idx = int(np.argmax(overlaps))
         if overlaps[idx] < 0.5:

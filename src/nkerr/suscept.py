@@ -236,8 +236,8 @@ def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
-    value = np.asarray(value, dtype=float)
-    if value.ndim != 1 or not np.isfinite(value).all():
+    value = model._finite_array(value, float)
+    if value is None or value.ndim != 1:
         raise ValueError(f"the {axis} values must be a 1-D array of finite numbers")
     deltas = [config.mode_a.delta, config.mode_b.delta, config.mode_c.delta]
     deltas[_AXES.index(axis)] = value

@@ -95,12 +95,8 @@ def _dressed_gaps_ok(cfg: SystemConfig, min_gap: float) -> bool:
 
 def _well_conditioned(cfg: SystemConfig) -> bool:
     d1, d2, d3 = cfg.detunings()
-    gb2n = model.pump_coupling(cfg)
-    dk = d1 * d2 - gb2n
-    if not 0.4 <= abs(dk) <= 2.5 or abs(d2) < 0.12 or abs(d3) < 0.25:
-        return False
-    den = abs((cfg.gamma[0] + 1j * d1) * (cfg.gamma[1] + 1j * d2) + gb2n)
-    if den < 0.3:
+    den, _, gb2n = model.pole_terms(cfg, cfg.mode_a.delta, cfg.mode_b.delta, cfg.mode_c.delta)[0]
+    if not 0.4 <= abs(d1 * d2 - gb2n) <= 2.5 or abs(d2) < 0.12 or abs(d3) < 0.25 or abs(den) < 0.3:
         return False
     return _dressed_gaps_ok(cfg, 0.25)
 

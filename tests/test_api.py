@@ -96,15 +96,16 @@ def test_out_of_range_is_named_only_in_model():
 
 
 def test_isfinite_is_called_only_in_model():
-    # a number a caller passes has one finite-number rule, model._is_finite: no
-    # other module calls math.isfinite or cmath.isfinite, so none hand-rolls it
+    # a number a caller passes has one finite-number rule, model._is_finite, and an
+    # array one, model._finite_array: no other module calls math.isfinite,
+    # cmath.isfinite or np.isfinite, so none hand-rolls it
     src = Path(nkerr.__file__).parent
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              if path.name != "model.py"
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "isfinite"
-             and getattr(node.func.value, "id", None) in ("math", "cmath")]
+             and getattr(node.func.value, "id", None) in ("math", "cmath", "np")]
     assert not found
 
 

@@ -1,4 +1,5 @@
 import cmath
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -94,20 +95,35 @@ def configs(draw, lossy=True):
     )
 
 
+def _hand_matrix(cfg):
+    """H written out entry by entry from the configuration's fields, and its largest |entry|."""
+    a, b, c = cfg.mode_a, cfg.mode_b, cfg.mode_c
+    pa, pb, pc = a.g * math.sqrt(a.n), b.g * math.sqrt(b.n + 1), c.g * math.sqrt(c.n)
+    g1, g2, g3 = cfg.gamma
+    h = np.array([[0.0, pa.conjugate(), 0.0, 0.0],
+                  [pa, a.delta - 1j * g1, pb, 0.0],
+                  [0.0, pb.conjugate(), a.delta - b.delta - 1j * g2, pc.conjugate()],
+                  [0.0, 0.0, pc, a.delta - b.delta + c.delta - 1j * g3]])
+    return h, np.abs(h).max()
+
+
 @given(configs())
 def test_split_reconstructs_hamiltonian(cfg):
-    sp = model.split(cfg)
-    diff = np.abs(sp.reconstruct() - model.build_hamiltonian(cfg))
-    assert diff.max() < 1e-15
+    # against the matrix written by hand, not against build_hamiltonian, which
+    # is reconstruct; each entry within rel 1e-15 of the largest
+    hand, scale = _hand_matrix(cfg)
+    assert np.abs(model.split(cfg).reconstruct() - hand).max() <= 1e-15 * scale
+    assert np.abs(model.build_hamiltonian(cfg) - hand).max() <= 1e-15 * scale
 
 
 @given(configs())
 def test_split_pump_block_is_the_hamiltonian_without_probe_entries(cfg):
     sp = model.split(cfg)
-    h = model.build_hamiltonian(cfg)
-    h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = 0.0
-    assert np.array_equal(sp.h0, h)
+    hand, scale = _hand_matrix(cfg)
     assert (sp.eps_a, sp.eps_c) == model.perturbation_strengths(cfg)
+    assert (sp.eps_a, sp.eps_c) == pytest.approx((abs(hand[1, 0]), abs(hand[3, 2])), rel=1e-15)
+    hand[0, 1] = hand[1, 0] = hand[2, 3] = hand[3, 2] = 0.0
+    assert np.abs(sp.h0 - hand).max() <= 1e-15 * scale
 
 
 @given(configs(lossy=False))
@@ -257,12 +273,9 @@ def test_a_rabi_frequency_outside_double_range_is_the_out_of_range_pole(n):
 def test_a_probe_outside_double_range_is_the_out_of_range_pole_in_every_model_term(g_a, n_a):
     # the strengths were (inf, 0.01), (nan, 0.01) or a bare OverflowError of
     # |Omega_a|, and the matrix warned or held NaN; at 7e307(1 + i) only
-    # |Omega_a| leaves double range, so the matrix is finite
+    # |Omega_a| leaves double range, which the matrix, split(cfg).reconstruct(), needs too
     cfg = make_config(g_a, 1.0, 0.01, n_a, 0, 1, 0.3, 0.1, 0.5)
-    terms = [model.perturbation_strengths, model.split]
-    if abs(g_a) == 1e308:
-        terms.append(model.build_hamiltonian)
-    for term in terms:
+    for term in (model.perturbation_strengths, model.split, model.build_hamiltonian):
         with pytest.raises(PoleError, match=_OUT_OF_RANGE):
             term(cfg)
 

@@ -206,7 +206,8 @@ def test_propagate_exponent_beyond_double_range_is_a_pole_error(t):
         oracle.propagate(np.diag([0.0, 2.0, -3.0, 5.0]).astype(complex), np.ones(4), t)
 
 
-@pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(0.0, -float("inf")),
+                                   pytest.param(10**400, id="int-past-double")])
 def test_propagate_rejects_nonfinite_state(entry):
     with pytest.raises(ValueError, match="psi0 must be finite"):
         oracle.propagate(np.eye(4), [entry, 0.0, 0.0, 0.0], 1.0)

@@ -410,7 +410,8 @@ def test_sweep_grid_takes_numpy_and_integer_bounds():
 
 
 @pytest.mark.parametrize("value", [[0.1, float("nan")], [float("inf"), 0.2], [-float("inf")],
-                                   [[0.1, 0.2]], 0.1])
+                                   [[0.1, 0.2]], 0.1,
+                                   pytest.param([10**400], id="int-past-double")])
 def test_sweep_at_rejects_values_not_one_dimensional_or_not_finite(reference_config, value):
     with pytest.raises(ValueError, match="1-D array of finite numbers"):
         suscept.sweep_at(reference_config, "dc", value)
