@@ -12,11 +12,10 @@ coefficient is exact to rounding relative to the terms it sums, not to itself,
 so a weak pump (G_b << |h11 h22|) loses the cross entry, which falls as G_b;
 there is no step size, radius or sampling to choose.  ``track_ground``,
 ``ground_series`` and ``phase_comparison`` call ``perturb.dressed_basis`` as a
-degeneracy gate, which decides whether they go on, never a value; the only other
-code shared with the perturbation side is ``perturb.series_product``, which
-``build_series`` does not use and the tests pin against per-entry sums, so the
-continuant and the Rayleigh-Schrodinger recursion stay two independent routes to
-the same coefficients.  ``phase_comparison`` is where the two sides meet: it sets
+degeneracy gate, which decides whether they go on, never a value, and share no
+other code with the perturbation side, so the continuant and the
+Rayleigh-Schrodinger recursion stay two independent routes to the same
+coefficients.  ``phase_comparison`` is where the two sides meet: it sets
 the effective phase of ``effective`` against exact propagation, for ``nkerr evolve``
 and acceptance criterion 6, and takes its gate, its matrix and its bound from one split.
 """
@@ -167,6 +166,23 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
     return f
 
 
+def series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product c[p, q] of two double series a[p, q] and b[p, q] of shape (n, n).
+
+    Terms of total order p + q >= n are dropped; c has the shape of a.  Rows
+    zero-padded to the full product width turn the double series product into
+    one 1-D convolution (Kronecker substitution).
+    """
+    n = len(a)
+    width = 2 * n - 1
+    pad = np.zeros((2, n, width), dtype=complex)
+    pad[0, :, :n], pad[1, :, :n] = a, b
+    c = np.convolve(pad[0].ravel(), pad[1].ravel())[:n * width].reshape(n, width)[:, :n]
+    for p in range(1, n):  # in place: a mask would double the cost at the sizes used
+        c[p, n - p:] = 0.0
+    return c
+
+
 def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     """Taylor coefficients c[p, q] of x**p y**q in the exact ground eigenvalue.
 
@@ -189,7 +205,7 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     perturb.dressed_basis(split.h0)
     h0, va, vc = split.h0, split.va, split.vc
     n = order // 2 + 1  # terms per axis in (u, v)
-    mul = perturb.series_product
+    mul = series_product
 
     one, u, e = np.zeros((3, n, n), dtype=complex)
     one[0, 0] = 1.0

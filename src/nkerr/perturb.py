@@ -14,9 +14,7 @@ vector that ``build_series`` fills by total order p + q, after the dressed
 couplings ``left @ v @ right`` of both probes, of which it writes only the
 entries the selection rules below allow.  Each
 entry reads only entries of lower total order; a table is bit-reproducible
-and extending ``max_order`` never changes lower entries.  ``series_product``
-is the one product of two series in this layout, truncated below total
-order n.
+and extending ``max_order`` never changes lower entries.
 
 Selection rules.  In the N-configuration probe a couples only bare levels
 1 <-> 2 and probe c only 3 <-> 4, so in the dressed basis eps_a moves index
@@ -150,23 +148,6 @@ class SeriesTable(NamedTuple):
     order: int
     E: np.ndarray
     A: np.ndarray
-
-
-def series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product c[p, q] of two double series a[p, q] and b[p, q] of shape (n, n).
-
-    Terms of total order p + q >= n are dropped; c has the shape of a.  Rows
-    zero-padded to the full product width turn the double series product into
-    one 1-D convolution (Kronecker substitution).
-    """
-    n = len(a)
-    width = 2 * n - 1
-    pad = np.zeros((2, n, width), dtype=complex)
-    pad[0, :, :n], pad[1, :, :n] = a, b
-    c = np.convolve(pad[0].ravel(), pad[1].ravel())[:n * width].reshape(n, width)[:, :n]
-    for p in range(1, n):  # in place: a mask would double the cost at the sizes used
-        c[p, n - p:] = 0.0
-    return c
 
 
 # Parity class of each dressed index, as the bits (a, c) of the number of

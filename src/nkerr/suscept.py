@@ -1,20 +1,22 @@
 """Complex electrical susceptibilities of the two probe transitions.
 
-Closed forms, the coherence-series route they are validated against, and
-detuning sweeps.  ``coherence_coefficients`` reads the Taylor arrays of both
-coherences off one series table, as truncated products of the ground ket and
-bra series (``perturb.series_product``), and ``chis_from_coherences`` reads
-the susceptibilities off them.  The closed forms are written once, on numpy
-arrays of the single-photon detunings: a single configuration is a grid of
-one point, and a sweep evaluates the grid values it is given in one pass,
-marking the rows where a pole sits instead of stopping there.  A sweep is
-two steps, the grid (``sweep_grid``) and the closed forms at its values
-(``sweep_at``); each row depends on its own value only, so a grid may be
-evaluated in slices, as ``nkerr sweep`` does chunk by chunk.  Which pole
-sits at a point is one code per point from the table ``model.POLES``, and a
-sweep hands it out as its ``pole`` array; a susceptibility that is not
-finite is its last entry.  A closed form's poles are those of its
-denominators (``_DENOMINATORS``).
+Closed forms, the bridge from a ground-eigenvalue series to them, and
+detuning sweeps.  ``chis_from_energy`` reads the susceptibilities off the
+Taylor array E[p, q] of the ground eigenvalue, whichever route built it:
+by Hellmann-Feynman the Taylor arrays of the coherences are derivatives of
+E, t[p-1, q] = u_a p E[p, q] / 2 for rho21 and u[p, q-1] = u_c q E[p, q] / 2
+for rho43, with the probe phases u_a = ``split.va[1, 0]`` and
+u_c = ``split.vc[3, 2]``, while E carries no phase.  The closed forms are
+written once, on numpy arrays of the single-photon detunings: a single
+configuration is a grid of one point, and a sweep evaluates the grid values
+it is given in one pass, marking the rows where a pole sits instead of
+stopping there.  A sweep is two steps, the grid (``sweep_grid``) and the
+closed forms at its values (``sweep_at``); each row depends on its own value
+only, so a grid may be evaluated in slices, as ``nkerr sweep`` does chunk by
+chunk.  Which pole sits at a point is one code per point from the table
+``model.POLES``, and a sweep hands it out as its ``pole`` array; a
+susceptibility that is not finite is its last entry.  A closed form's poles
+are those of its denominators (``_DENOMINATORS``).
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -36,7 +38,7 @@ meaningful at this normalisation, not laboratory units.
 from __future__ import annotations
 
 import math
-from typing import Any, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -58,10 +60,10 @@ class SusceptibilityPoint(NamedTuple):
 
 
 class Coherences(NamedTuple):
-    """rho21 and rho43 of the relaxed ground state: values, Taylor arrays or chis read off them."""
+    """rho21 and rho43 of the relaxed ground state."""
 
-    rho21: Any
-    rho43: Any
+    rho21: complex
+    rho43: complex
 
 
 class Sweep(NamedTuple):
@@ -168,40 +170,26 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
         return Coherences(*(complex(ket[k] * bra[b]) for k, b in _LEVELS))
 
 
-def coherence_coefficients(config: SystemConfig, order: int = 3) -> Coherences:
-    """Taylor coefficients c[p, q] of eps_a**p eps_c**q in rho21 and rho43, from one series table.
+def chis_from_energy(config: SystemConfig, E: np.ndarray) -> SusceptibilityPoint:
+    """The three susceptibilities read per photon off a ground-eigenvalue series E[p, q].
 
-    c[p, q] is the order-(p, q) Cauchy product of the ket and bra series of
-    the relaxed ground state, for p + q <= order; higher entries are zero.
-    ValueError unless order is an integer >= 0, raised by build_series.
-    """
-    table = perturb.build_series(model.split(config), 1, order)
-    kets, bras = table.A[0] @ table.basis.right.T, table.A[1] @ table.basis.left  # [p, q, level]
-    return Coherences(*(perturb.series_product(kets[..., k], bras[..., b]) for k, b in _LEVELS))
+    E is the Taylor array of eps_a**p eps_c**q in the ground eigenvalue, to
+    order >= 4, as ``perturb.build_series(...).E`` or ``oracle.ground_series``
+    give it.  With eps = |g| sqrt(n), |g|^2 / eps^2 is 1/n for each probe, so::
 
+        chi1 = -E[2, 0] / n_a,   chi3_self = -2 E[4, 0] / (3 n_a^2),
+        chi3_cross = -E[2, 2] / (6 n_a n_c)
 
-def chis_from_coherences(config: SystemConfig, c: Coherences) -> Coherences:
-    """``Coherences(SusceptibilityPoint(chi1, chi3_self, chi3_cross), chi3_cross)``, per photon.
-
-    ``c`` holds the Taylor arrays t of rho21 and u of rho43, to order >= 3
-    (``coherence_coefficients``).  With eps = |g| sqrt(n), |g|^2 / eps^2 is
-    1/n for each probe, so for real positive couplings::
-
-        chi1 = -t[1, 0] / n_a,   chi3_self = -t[3, 0] / (3 n_a^2),
-        chi3_cross = -t[1, 2] / (6 n_a n_c) = -u[2, 1] / (6 n_a n_c)
-
-    No probe strength enters, so these check a closed form's eps normalisation
-    too.  The probe's PoleError where n_a or n_c is 0, else ValueError below order 3.
+    E carries no coupling phase, so these hold for any phases, and no probe
+    strength enters, so they check a closed form's eps normalisation too.
+    The probe's PoleError where n_a or n_c is 0, else ValueError below order 4.
     """
     n_a, n_c = config.mode_a.n, config.mode_c.n
     model.raise_at_pole(model.PROBE_A if n_a == 0 else model.PROBE_C if n_c == 0 else 0)
-    t, u = c
-    if min(len(t), len(u)) < 4:
-        raise ValueError(f"the Taylor arrays must be of order >= 3, got {min(len(t), len(u)) - 1}")
-    cross = 6 * n_a * n_c
-    chis = SusceptibilityPoint(complex(-t[1, 0] / n_a), complex(-t[3, 0] / (3 * n_a**2)),
-                               complex(-t[1, 2] / cross))
-    return Coherences(chis, complex(-u[2, 1] / cross))
+    if len(E) < 5:
+        raise ValueError(f"the eigenvalue series must be of order >= 4, got {len(E) - 1}")
+    return SusceptibilityPoint(complex(-E[2, 0] / n_a), complex(-2 * E[4, 0] / (3 * n_a**2)),
+                               complex(-E[2, 2] / (6 * n_a * n_c)))
 
 
 def sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:

@@ -14,11 +14,12 @@ configurations, computed by ``oracle.ground_series``, which solves the
 tridiagonal continuant det(H - E) = 0 order by order on truncated power
 series, exact to rounding relative to the terms each coefficient sums.
 Criteria 7 and 8 compare the closed forms with the susceptibilities read per
-photon (``suscept.chis_from_coherences``) off both coherences of one series
-table (``suscept.coherence_coefficients``): criterion 7 chi3_cross off the
-3<->4 coherence rho43, criterion 8 all three off rho21.  Criterion 10 checks
-the parity of the exact (LAPACK) ground eigenvalue in each probe strength,
-which a coupling the N-configuration forbids would break.
+photon off a ground-eigenvalue series (``suscept.chis_from_energy``), each
+along its own route: criterion 7 chi3_cross off the exact continuant
+(``oracle.ground_series``), criterion 8 all three off the Rayleigh-Schrodinger
+table (``perturb.build_series``).  Criterion 10 checks the parity of the
+exact (LAPACK) ground eigenvalue in each probe strength, which a coupling the
+N-configuration forbids would break.
 
 ``_CRITERIA`` is the one table of (report name, function); a criterion's
 number is its position + 1, and its function records into the ``_Checker``
@@ -247,17 +248,17 @@ def _criterion_7(draws: _Draws, chk: _Checker) -> None:
     rng = _rng(draws.seed, 7)
     for _ in range(20):
         cfg = _random_config(rng, lossy=True)
-        bridged = suscept.chis_from_coherences(cfg, suscept.coherence_coefficients(cfg))
-        chk.close(suscept.chi3_cross(cfg), bridged.rho43, 1e-9)
+        bridged = suscept.chis_from_energy(cfg, oracle.ground_series(model.split(cfg), 4))
+        chk.close(suscept.chi3_cross(cfg), bridged.chi3_cross, 1e-12)
 
 
 def _criterion_8(draws: _Draws, chk: _Checker) -> None:
     rng = _rng(draws.seed, 8)
     for k in range(20):  # 10 lossless draws, then 10 lossy
         cfg = _random_config(rng, lossy=k >= 10)
-        bridged = suscept.chis_from_coherences(cfg, suscept.coherence_coefficients(cfg))
-        for closed, chi in zip(suscept.susceptibility_point(cfg), bridged.rho21):
-            chk.close(closed, chi, 1e-6)
+        bridged = suscept.chis_from_energy(cfg, perturb.build_series(model.split(cfg), 1, 4).E)
+        for closed, chi in zip(suscept.susceptibility_point(cfg), bridged):
+            chk.close(closed, chi, 1e-12)
 
 
 def _criterion_9(draws: _Draws, chk: _Checker) -> None:

@@ -1,6 +1,19 @@
+import contextlib
+import warnings
+
 import pytest
 
 from nkerr.validate import make_config
+
+# When a @given test is falsified, hypothesis's pytest plugin imports
+# hypothesis.extra._patching, which imports libcst where it is installed, and
+# libcst's import warns DeprecationWarning (mypy_extensions.TypedDict).  Under
+# filterwarnings = ["error"] that warning raised inside the plugin and ended
+# the session with INTERNALERROR.  Imported here once, with that one warning
+# ignored for this import only; every other warning stays an error.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ time with dense Cauchy products over every lower entry, so the tests can pin
 the engine, and the entries it never writes, against a route with another
 term set and summation layout.  It allocates its own arrays and returns
 them in a ``SeriesTable``.  Its ``cauchy_term`` is also the per-entry
-reference for ``perturb.series_product``, the Kronecker-substitution
-product that the coherence coefficients and ``oracle.ground_series`` use.
+reference for ``oracle.series_product``, the Kronecker-substitution
+product that ``oracle.ground_series`` uses.
 """
 
 from __future__ import annotations

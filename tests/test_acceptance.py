@@ -50,25 +50,29 @@ def _criterion_result(number):
 
 
 def test_criterion_7_catches_a_planted_cross_kerr_error(monkeypatch):
-    # 1e-7 relative, 100 times the criterion's gate, against chi3_cross read off rho43
+    # 1e-10 relative, 100 times the criterion's gate, against chi3_cross read off the
+    # exact continuant
     true_chi3_cross = suscept.chi3_cross
-    monkeypatch.setattr(suscept, "chi3_cross", lambda cfg: true_chi3_cross(cfg) * (1 + 1e-7))
-    assert not _criterion_result(7).passed
+    monkeypatch.setattr(suscept, "chi3_cross", lambda cfg: true_chi3_cross(cfg) * (1 + 1e-10))
+    chk = _criterion_result(7)
+    assert not chk.passed
+    assert chk.detail.endswith("tolerance='rel 1e-12'")
 
 
 @pytest.mark.parametrize("field", suscept.SusceptibilityPoint._fields)
 def test_criterion_8_catches_a_planted_susceptibility_error(monkeypatch, field):
-    # 1e-5 relative, 10 times the criterion's gate, against the chis read off rho21
+    # 1e-10 relative, 100 times the criterion's gate, against the chis read off the
+    # Rayleigh-Schrodinger table
     true_point = suscept.susceptibility_point
 
     def planted(cfg):
         chis = true_point(cfg)
-        return chis._replace(**{field: getattr(chis, field) * (1 + 1e-5)})
+        return chis._replace(**{field: getattr(chis, field) * (1 + 1e-10)})
 
     monkeypatch.setattr(suscept, "susceptibility_point", planted)
     chk = _criterion_result(8)
     assert not chk.passed
-    assert chk.detail.endswith("tolerance='rel 1e-06'")
+    assert chk.detail.endswith("tolerance='rel 1e-12'")
 
 
 def test_criterion_10_catches_planted_forbidden_coupling(monkeypatch):

@@ -15,9 +15,26 @@ import cauchy
 from conftest import make_config
 
 
-def _bridged(cfg, order=3):
-    """Susceptibilities read off the coherence series, independently of the closed forms."""
-    return suscept.chis_from_coherences(cfg, suscept.coherence_coefficients(cfg, order))
+# the two routes to the ground eigenvalue's Taylor array E[p, q]
+_ENERGY_ROUTES = dict(build_series=lambda sp: perturb.build_series(sp, 1, 4).E,
+                      ground_series=lambda sp: oracle.ground_series(sp, 4))
+
+
+def _bridged(cfg, route="build_series"):
+    """Susceptibilities read off a ground-eigenvalue series, independently of the closed forms."""
+    return suscept.chis_from_energy(cfg, _ENERGY_ROUTES[route](model.split(cfg)))
+
+
+def _phased_draws(seed, lossy):
+    """20 seeded draws, each coupling turned by a random phase."""
+    rng = np.random.default_rng([seed, lossy])
+    draws = []
+    for _ in range(20):
+        cfg = validate._random_config(rng, lossy=lossy)
+        draws.append(dataclasses.replace(cfg, **{
+            f"mode_{m}": dataclasses.replace(mode, g=mode.g * cmath.exp(2j * np.pi * rng.random()))
+            for m, mode in zip("abc", (cfg.mode_a, cfg.mode_b, cfg.mode_c))}))
+    return draws
 
 
 # -- closed forms ------------------------------------------------------------
@@ -44,8 +61,8 @@ def test_chi1_absorptive_at_raman_resonance_with_decay():
     val = suscept.chi1(cfg)
     assert val.imag > 0
     assert abs(val.real) < 1e-6 * abs(val.imag)
-    # and the coherence route agrees
-    assert val == pytest.approx(_bridged(cfg).rho21.chi1, rel=1e-8)
+    # and the eigenvalue-series route agrees
+    assert val == pytest.approx(_bridged(cfg).chi1, rel=1e-8)
 
 
 def test_chi3_self_sign_odd_under_detuning_flip():
@@ -78,14 +95,15 @@ def test_chi3_cross_detuning_flip_conjugates_pole():
 
 def test_conjugate_transition_identity(lossy_config):
     assert suscept.chi3_cross(lossy_config) == pytest.approx(
-        _bridged(lossy_config).rho43, rel=1e-9)
+        _bridged(lossy_config, "ground_series").chi3_cross, rel=1e-9)
 
 
 def test_conjugate_transition_identity_random_batch():
     rng = np.random.default_rng(3)
     for _ in range(100):
         cfg = validate._random_config(rng, lossy=True)
-        assert suscept.chi3_cross(cfg) == pytest.approx(_bridged(cfg).rho43, rel=1e-9)
+        assert suscept.chi3_cross(cfg) == pytest.approx(
+            _bridged(cfg, "ground_series").chi3_cross, rel=1e-9)
 
 
 def test_hermitian_real_couplings_give_real_chis(reference_config):
@@ -162,7 +180,6 @@ def test_a_form_is_evaluated_without_the_terms_of_the_others():
 
 _SERIES_ROUTES = dict(
     coherences=suscept.coherences,
-    coherence_coefficients=suscept.coherence_coefficients,
     build_series=lambda cfg: perturb.build_series(model.split(cfg), 1, 2),
     ground_series=lambda cfg: oracle.ground_series(model.split(cfg), 2),
     track_ground=lambda cfg: oracle.track_ground(model.split(cfg)))
@@ -197,7 +214,7 @@ def test_coherence_sums_outside_double_range_are_the_out_of_range_pole(g_a):
     cfg = make_config(g_a, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isfinite(suscept.coherence_coefficients(cfg).rho21).all()
+        assert np.isfinite(perturb.build_series(model.split(cfg), 1, 3).A).all()
         with pytest.raises(PoleError, match="outside double range"):
             suscept.coherences(cfg)
 
@@ -260,46 +277,42 @@ def test_coherence_gauge_covariance_lossy(lossy_config):
 @pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.12, 0.2, 0.07)])
 def test_closed_forms_match_coherence_extraction(gamma):
     cfg = make_config(0.012, 1.1, 0.009, 2, 1, 1, 0.45, -0.2, 0.4, gamma=gamma)
-    c1, c3s, c3c = _bridged(cfg).rho21
+    c1, c3s, c3c = _bridged(cfg)
     assert suscept.chi1(cfg) == pytest.approx(c1, rel=1e-6)
     assert suscept.chi3_self(cfg) == pytest.approx(c3s, rel=1e-6)
     assert suscept.chi3_cross(cfg) == pytest.approx(c3c, rel=1e-6)
 
 
 def test_bridge_reads_each_chi_per_photon_from_its_coefficient():
-    # planted arrays: each chi is minus its coefficient over its photon numbers
-    t, u = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
-    t[1, 0], t[3, 0], t[1, 2], u[2, 1] = 2.0, 3j, 4.0, -5.0
+    # a planted series: each chi is its coefficient over its photon numbers
+    e = np.zeros((5, 5), dtype=complex)
+    e[2, 0], e[4, 0], e[2, 2] = 2.0, 3j, 4.0
     cfg = make_config(0.3, 1.0, 0.7, 2, 0, 3, 0.4, 0.1, 0.9)
-    bridged = suscept.chis_from_coherences(cfg, suscept.Coherences(t, u))
-    assert bridged == (suscept.SusceptibilityPoint(-1.0, -0.25j, -4.0 / 36), 5.0 / 36)
-    assert all(type(v) is complex for v in (*bridged.rho21, bridged.rho43))
+    bridged = suscept.chis_from_energy(cfg, e)
+    assert bridged == suscept.SusceptibilityPoint(-1.0, -0.5j, -4.0 / 36)
+    assert all(type(v) is complex for v in bridged)
 
 
 @pytest.mark.parametrize("na, nc, match", [(0, 1, "eps_a"), (1, 0, "eps_c"), (0, 0, "eps_a")])
 def test_bridge_without_probe_photons_is_the_probe_pole(na, nc, match):
     cfg = make_config(0.02, 1.0, 0.02, na, 0, nc, 0.4, 0.1, 0.9)
-    arrays = suscept.coherence_coefficients(cfg)
+    e = perturb.build_series(model.split(cfg), 1, 4).E
     with pytest.raises(PoleError, match=match):
-        suscept.chis_from_coherences(cfg, arrays)
+        suscept.chis_from_energy(cfg, e)
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_bridge_below_order_3_is_a_value_error(reference_config, order):
-    # t[3, 0] and t[1, 2] are beyond the arrays: a bare IndexError once
-    arrays = suscept.coherence_coefficients(reference_config, order)
-    with pytest.raises(ValueError, match=f"order >= 3, got {order}$"):
-        suscept.chis_from_coherences(reference_config, arrays)
+    # E to order k + 1 holds the coherences to order k (t[p - 1, q] is E[p, q]'s), so
+    # below coherence order 3 E[4, 0] is beyond E, or a zero above the order built
+    e = perturb.build_series(model.split(reference_config), 1, order + 1).E
+    with pytest.raises(ValueError, match=f"order >= 4, got {order + 1}$"):
+        suscept.chis_from_energy(reference_config, e)
 
 
 @pytest.mark.parametrize("lossy", [False, True])
 def test_coherences_equal_the_product_of_ket_and_bra_partial_sums(lossy):
-    rng = np.random.default_rng([17, lossy])
-    for _ in range(20):
-        cfg = validate._random_config(rng, lossy=lossy)
-        cfg = dataclasses.replace(cfg, **{
-            f"mode_{m}": dataclasses.replace(mode, g=mode.g * cmath.exp(2j * np.pi * rng.random()))
-            for m, mode in zip("abc", (cfg.mode_a, cfg.mode_b, cfg.mode_c))})
+    for cfg in _phased_draws(17, lossy):
         x, y = model.perturbation_strengths(cfg)
         for order in (1, 3, 5):
             table = perturb.build_series(model.split(cfg), 1, order)
@@ -324,17 +337,25 @@ def _extracted_coherence(cfg, order, ket_level, bra_level):
 
 
 @pytest.mark.parametrize("lossy", [False, True])
-def test_coherence_coefficients_match_extraction_of_partial_sums(lossy):
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        cfg = validate._random_config(rng, lossy=lossy)
-        both = suscept.coherence_coefficients(cfg, 3)
-        for c, levels, entries in ((both.rho21, (1, 0), [(1, 0), (3, 0), (1, 2)]),
-                                   (both.rho43, (3, 2), [(2, 1)])):
-            extracted = _extracted_coherence(cfg, 3, *levels)
-            for p, q in entries:
-                assert c[p, q] == pytest.approx(extracted[p, q], rel=1e-11)
-            assert not c[np.add.outer(range(4), range(4)) > 3].any()
+def test_coherences_are_derivatives_of_the_ground_eigenvalue(lossy):
+    # Hellmann-Feynman, t[p - 1, q] = u_a p E[p, q] / 2 and u[p, q - 1] = u_c q E[p, q] / 2,
+    # which chis_from_energy rests on: the ket and bra series against the exact continuant
+    for cfg in _phased_draws(11, lossy):
+        sp = model.split(cfg)
+        e, u_a, u_c = oracle.ground_series(sp, 4), sp.va[1, 0], sp.vc[3, 2]
+        t, u = _extracted_coherence(cfg, 3, 1, 0), _extracted_coherence(cfg, 3, 3, 2)
+        for got, want in ((t[1, 0], u_a * e[2, 0]), (t[3, 0], 2 * u_a * e[4, 0]),
+                          (t[1, 2], u_a * e[2, 2]), (u[2, 1], u_c * e[2, 2])):
+            assert got == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_chis_from_energy_match_the_closed_forms_at_any_coupling_phases(lossy):
+    for cfg in _phased_draws(11, lossy):
+        closed = suscept.susceptibility_point(cfg)
+        for route in _ENERGY_ROUTES:
+            for want, got in zip(closed, _bridged(cfg, route)):
+                assert cmath.isclose(got, want, rel_tol=1e-12), route
 
 
 # -- sweeps ------------------------------------------------------------------
