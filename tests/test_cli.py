@@ -963,7 +963,8 @@ def test_console_entry_point_runs():
 # these bytes fails here; the corpus is rewritten only together with an
 # explicit decision to change the gated output.
 _GATED = Path(__file__).resolve().parent / "gated"
-_GATED_SCENARIOS = ("reference", "raman", "n_a-2", "dc-1e200", "strong", "lossy")
+_GATED_SCENARIOS = ("reference", "raman", "n_a-2", "dc-1e200", "strong", "lossy", "complex",
+                    "weak-pump")
 _GATED_RUNS = (
     [(f"coeffs-{s}", ["coeffs", s]) for s in _GATED_SCENARIOS]
     + [(f"evolve-{s}-t{t}", ["evolve", s, "--t", t])
@@ -1007,7 +1008,8 @@ def test_gated_coeffs_in_a_process_without_numpy():
         for s in _GATED_SCENARIOS]
 
 
-@pytest.mark.parametrize("scenario, axis", [("lossy", "dc"), ("reference", "da")])
+@pytest.mark.parametrize("scenario, axis", [("lossy", "dc"), ("reference", "da"), ("complex", "dc"),
+                                            ("weak-pump", "dc")])
 def test_gated_sweep_csv_matches_the_corpus(tmp_path, scenario, axis):
     opath = tmp_path / "out.csv"
     assert cli.main(["sweep", str(_GATED / f"{scenario}.json"), "--axis", axis, "--lo", "-2",
