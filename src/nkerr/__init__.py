@@ -28,9 +28,8 @@ _EXPORTS = {
     "effective": ("KerrCoefficients", "coefficients", "effective_phase", "pure_cross_kerr"),
     "oracle": ("EigenSolution", "exact_eigensystem", "ground_eigenvalue_function",
                "ground_series", "propagate", "track_ground"),
-    "suscept": ("Coherences", "SusceptibilityPoint", "Sweep", "chi1", "chi3_cross",
-                "chi3_self", "chis_from_energy", "coherences", "susceptibility_point",
-                "sweep_at", "sweep_grid"),
+    "suscept": ("Coherences", "SusceptibilityPoint", "Sweep", "chis_from_energy", "coherences",
+                "susceptibility_point", "sweep_at", "sweep_grid"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

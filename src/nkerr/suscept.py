@@ -15,8 +15,10 @@ closed forms at its values (``sweep_at``); each row depends on its own value
 only, so a grid may be evaluated in slices, as ``nkerr sweep`` does chunk by
 chunk.  Which pole sits at a point is one code per point from the table
 ``model.POLES``, and a sweep hands it out as its ``pole`` array; a
-susceptibility that is not finite is its last entry.  A closed form's poles
-are those of its denominators (``_DENOMINATORS``).
+susceptibility that is not finite is its last entry.  The three closed forms
+share that one code: ``susceptibility_point`` is the one-row case of
+``sweep_at`` and raises the message of the row's code, so whether a point
+has a value does not depend on which susceptibility the caller reads.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -85,22 +87,14 @@ class Sweep(NamedTuple):
     pole: np.ndarray
 
 
-# The poles of each closed form: the model pole codes of its denominators.
-_DENOMINATORS = dict(chi1=(model.PUMP_PAIR, model.PROBE_A),
-                     chi3_self=(model.PUMP_PAIR, model.PROBE_A),
-                     chi3_cross=(model.PUMP_PAIR, model.PROBE_A, model.THREE_PHOTON, model.PROBE_C))
-
-
-def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c,
-                  forms: tuple[str, ...] = tuple(_DENOMINATORS)) -> tuple[dict, np.ndarray]:
-    """({name: values} of the named ``forms``, pole code) at arrays of detunings.
+def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c) -> tuple[tuple, np.ndarray]:
+    """((chi1, chi3_self, chi3_cross), pole code) at arrays of detunings.
 
     Scalars broadcast.  Every quantity is an array of the common shape, so an
     element does not depend on how many points are evaluated with it.  Values
-    where a pole sits are not meaningful; the pole code is ``model.pole_code``
-    of the denominators of the named ``forms`` and of their values.  PoleError
-    where a term of a named form that does not depend on the detunings leaves
-    double range; the other forms are not evaluated.
+    where a pole sits are not meaningful; the one pole code is ``model.pole_code``
+    of the four denominators and the three values.  PoleError where a term
+    that does not depend on the detunings leaves double range.
     """
     da, db, dc = np.broadcast_arrays(*(np.atleast_1d(np.asarray(d, dtype=float))
                                        for d in (delta_a, delta_b, delta_c)))
@@ -110,43 +104,22 @@ def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c,
         terms = model.pole_terms(config, da, db, dc)
         (den, *_), (eps_a, _), (pole3, *_), (eps_c, _), (gb2n, _) = terms
         ga2 = abs(config.mode_a.g) ** 2
-        closed_forms = dict(
-            chi1=lambda: ga2 * (1j * g2 - d2) / (eps_a**2 * den),
-            chi3_self=lambda: (2.0 * ga2**2 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
-                               / (3.0 * eps_a**4 * den**3)),
-            chi3_cross=lambda: (ga2 * gb2n * abs(config.mode_c.g) ** 2
-                                / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2)))
-        chis = {form: closed_forms[form]() for form in forms}
-        poles = sorted({k for form in forms for k in _DENOMINATORS[form]})
-        return chis, model.pole_code(terms, poles, *chis.values())
-
-
-def _at_config(config: SystemConfig, forms: tuple[str, ...] = tuple(_DENOMINATORS)) -> list:
-    """The named closed forms at the configuration's own detunings; PoleError at a pole of one."""
-    deltas = config.mode_a.delta, config.mode_b.delta, config.mode_c.delta
-    chis, pole = _closed_forms(config, *deltas, forms)
-    model.raise_at_pole(pole[0])
-    return [complex(chis[form][0]) for form in forms]
-
-
-def chi1(config: SystemConfig) -> complex:
-    """Linear susceptibility of the 1<->2 probe."""
-    return _at_config(config, ("chi1",))[0]
-
-
-def chi3_self(config: SystemConfig) -> complex:
-    """Self-Kerr susceptibility of the 1<->2 probe."""
-    return _at_config(config, ("chi3_self",))[0]
-
-
-def chi3_cross(config: SystemConfig) -> complex:
-    """Cross-Kerr susceptibility coupling the two probes."""
-    return _at_config(config, ("chi3_cross",))[0]
+        chis = (ga2 * (1j * g2 - d2) / (eps_a**2 * den),
+                (2.0 * ga2**2 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
+                 / (3.0 * eps_a**4 * den**3)),
+                (ga2 * gb2n * abs(config.mode_c.g) ** 2
+                 / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2)))
+        poles = model.PUMP_PAIR, model.PROBE_A, model.THREE_PHOTON, model.PROBE_C
+        return chis, model.pole_code(terms, poles, *chis)
 
 
 def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
-    """All three susceptibilities from one run of the closed forms; PoleError at any pole."""
-    return SusceptibilityPoint(*_at_config(config))
+    """The three susceptibilities at the configuration's own detunings, the one-row
+    case of ``sweep_at``; PoleError with the message of the row's pole code."""
+    deltas = config.mode_a.delta, config.mode_b.delta, config.mode_c.delta
+    chis, pole = _closed_forms(config, *deltas)
+    model.raise_at_pole(pole[0])
+    return SusceptibilityPoint(*(complex(chi[0]) for chi in chis))
 
 
 def coherences(config: SystemConfig, order: int = 3) -> Coherences:
@@ -182,12 +155,16 @@ def chis_from_energy(config: SystemConfig, E: np.ndarray) -> SusceptibilityPoint
 
     E carries no coupling phase, so these hold for any phases, and no probe
     strength enters, so they check a closed form's eps normalisation too.
-    The probe's PoleError where n_a or n_c is 0, else ValueError below order 4.
+    The probe's PoleError where n_a or n_c is 0, else ValueError unless E is
+    a 2-D array of finite numbers (a nested list is one) of at least 5 x 5.
     """
     n_a, n_c = config.mode_a.n, config.mode_c.n
     model.raise_at_pole(model.PROBE_A if n_a == 0 else model.PROBE_C if n_c == 0 else 0)
-    if len(E) < 5:
-        raise ValueError(f"the eigenvalue series must be of order >= 4, got {len(E) - 1}")
+    E = model._finite_array(E, complex)
+    if E is None or E.ndim != 2:
+        raise ValueError("the eigenvalue series must be a 2-D array of finite numbers")
+    if min(E.shape) < 5:
+        raise ValueError(f"the eigenvalue series must be of order >= 4, got {min(E.shape) - 1}")
     return SusceptibilityPoint(complex(-E[2, 0] / n_a), complex(-2 * E[4, 0] / (3 * n_a**2)),
                                complex(-E[2, 2] / (6 * n_a * n_c)))
 
@@ -230,5 +207,5 @@ def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:
     deltas = [config.mode_a.delta, config.mode_b.delta, config.mode_c.delta]
     deltas[_AXES.index(axis)] = value
     chis, pole = _closed_forms(config, *deltas)
-    return Sweep(axis, value, *(np.where(pole == 0, chi, np.nan) for chi in chis.values()), pole)
+    return Sweep(axis, value, *(np.where(pole == 0, chi, np.nan) for chi in chis), pole)
 

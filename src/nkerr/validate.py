@@ -15,11 +15,12 @@ tridiagonal continuant det(H - E) = 0 order by order on truncated power
 series, exact to rounding relative to the terms each coefficient sums.
 Criteria 7 and 8 compare the closed forms with the susceptibilities read per
 photon off a ground-eigenvalue series (``suscept.chis_from_energy``), each
-along its own route: criterion 7 chi3_cross off the exact continuant
-(``oracle.ground_series``), criterion 8 all three off the Rayleigh-Schrodinger
-table (``perturb.build_series``).  Criterion 10 checks the parity of the
-exact (LAPACK) ground eigenvalue in each probe strength, which a coupling the
-N-configuration forbids would break.
+along its own route: criterion 7 the chi3_cross of
+``suscept.susceptibility_point`` with the one off the exact continuant
+(``oracle.ground_series``), criterion 8 all three off the
+Rayleigh-Schrodinger table (``perturb.build_series``).  Criterion 10 checks
+the parity of the exact (LAPACK) ground eigenvalue in each probe strength,
+which a coupling the N-configuration forbids would break.
 
 ``_CRITERIA`` is the one table of (report name, function); a criterion's
 number is its position + 1, and its function records into the ``_Checker``
@@ -249,7 +250,7 @@ def _criterion_7(draws: _Draws, chk: _Checker) -> None:
     for _ in range(20):
         cfg = _random_config(rng, lossy=True)
         bridged = suscept.chis_from_energy(cfg, oracle.ground_series(model.split(cfg), 4))
-        chk.close(suscept.chi3_cross(cfg), bridged.chi3_cross, 1e-12)
+        chk.close(suscept.susceptibility_point(cfg).chi3_cross, bridged.chi3_cross, 1e-12)
 
 
 def _criterion_8(draws: _Draws, chk: _Checker) -> None:

@@ -52,8 +52,13 @@ def _criterion_result(number):
 def test_criterion_7_catches_a_planted_cross_kerr_error(monkeypatch):
     # 1e-10 relative, 100 times the criterion's gate, against chi3_cross read off the
     # exact continuant
-    true_chi3_cross = suscept.chi3_cross
-    monkeypatch.setattr(suscept, "chi3_cross", lambda cfg: true_chi3_cross(cfg) * (1 + 1e-10))
+    true_point = suscept.susceptibility_point
+
+    def planted(cfg):
+        chis = true_point(cfg)
+        return chis._replace(chi3_cross=chis.chi3_cross * (1 + 1e-10))
+
+    monkeypatch.setattr(suscept, "susceptibility_point", planted)
     chk = _criterion_result(7)
     assert not chk.passed
     assert chk.detail.endswith("tolerance='rel 1e-12'")

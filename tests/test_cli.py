@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from nkerr import cli, effective, model, suscept
 from nkerr.errors import PoleError, ScenarioError
 
-from conftest import make_config
+from conftest import extreme, extreme_doc, fuzz_scenarios, make_config
 
 
 def scenario_doc(da=0.0, db=0.0, dc=5.0, ga=0.1, gc=0.1, gamma=None):
@@ -263,44 +263,14 @@ def test_coeffs_lossy_refused_exit4(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
-def _extreme(rng):
-    """0, +-10**k for k uniform in [-300, 200], or U(-2, 2), a third of the time each."""
-    kind = rng.integers(3)
-    if kind == 0:
-        return 0.0
-    if kind == 1:
-        return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 200))
-    return float(rng.uniform(-2, 2))
-
-
-def _extreme_doc(rng, k):
-    """A scenario of ``_extreme`` values; lossy for odd k, Raman-resonant, where
-    the pure form is reported, for k divisible by 4."""
-    doc = {"modes": {label: {"g_re": _extreme(rng), "g_im": _extreme(rng) * (k % 3 == 0),
-                             "delta": _extreme(rng), "n": int(rng.choice([0, 1, 2, 5]))}
-                     for label in "abc"},
-           "gamma": {key: _extreme(rng) * (k % 2) for key in ("g1", "g2", "g3")}}
-    if k % 4 == 0:
-        doc["modes"]["b"]["delta"] = doc["modes"]["a"]["delta"]
-    return doc
-
-
 _AXES = ("da", "db", "dc")
-
-
-def _fuzz_scenarios():
-    """The 320 seeded (document, sweep axis, lo, hi) of the exit-code fuzz."""
-    rng = np.random.default_rng(13)
-    for k in range(320):
-        doc = _extreme_doc(rng, k)
-        yield doc, _AXES[k % 3], _extreme(rng), _extreme(rng)
 
 
 def test_exit_codes_and_finite_output_under_extreme_inputs(tmp_path):
     # every failure maps to a documented exit code, and nothing non-finite is
     # printed as a value: coeffs stdout and valid sweep rows stay finite
     opath = tmp_path / "out.csv"
-    for doc, axis, lo, hi in _fuzz_scenarios():
+    for doc, axis, lo, hi in fuzz_scenarios():
         spath = write_scenario(tmp_path, doc)
         out = io.StringIO()
         assert cli.main(["coeffs", spath], stdout=out) in (0, 2, 3, 4), doc
@@ -334,7 +304,7 @@ def test_scalar_and_array_pole_codes_agree():
     # both reach the same code on the fuzz scenarios and their sweep grids, at
     # detunings of +-1e200, and on the grids whose poles sit on grid points
     cases = []
-    for doc, axis, lo, hi in _fuzz_scenarios():
+    for doc, axis, lo, hi in fuzz_scenarios():
         with contextlib.suppress(ScenarioError):
             config = cli.scenario_config(doc)
             cases += [(config, axis, [None, *np.linspace(lo, hi, 5).tolist()])]
@@ -364,7 +334,7 @@ def test_evolve_and_pure_line_under_extreme_inputs(tmp_path):
     rng = np.random.default_rng(31)
     pure_lines = 0
     for k in range(160):
-        doc = _extreme_doc(rng, k)
+        doc = extreme_doc(rng, k)
         if k % 4 == 2:  # near Raman resonance: delta_2 = 1e-13 delta_1, delta_1 delta_2 any size
             doc["modes"]["b"]["delta"] = doc["modes"]["a"]["delta"] * (1 - 1e-13)
         spath = write_scenario(tmp_path, doc)
@@ -376,7 +346,7 @@ def test_evolve_and_pure_line_under_extreme_inputs(tmp_path):
             pure = float(lines[1].split()[1].split("=")[1])
             assert abs(pure - general) <= 1e-12 * abs(general), doc
             pure_lines += 1
-        for t in (1.0, -1e3, _extreme(rng)):
+        for t in (1.0, -1e3, extreme(rng)):
             out = io.StringIO()
             assert cli.main(["evolve", spath, f"--t={t!r}"], stdout=out) in (0, 2, 3, 4), doc
             assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), doc

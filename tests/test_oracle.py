@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nkerr import model, oracle, perturb, validate
+from nkerr import model, oracle, perturb, suscept, validate
 from nkerr.errors import ConvergenceError, DegeneracyError, PoleError, TrackingError
 from nkerr.oracle import EigenSolution
 
@@ -307,6 +307,23 @@ def test_ground_series_past_double_range_is_a_pole_error(k):
         warnings.simplefilter("error")
         with pytest.raises(PoleError, match="outside double range"):
             oracle.ground_series(model.split(cfg), 4)
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_ground_series_refuses_a_pump_too_weak_for_its_cross_entry(lossy):
+    # under a weak pump the cross entry sums terms |h11 h22| / G_b times its
+    # size; it is returned within 1e-8 of the closed form, or refused
+    rng = np.random.default_rng([20, lossy])
+    for cfg in (validate._random_config(rng, lossy=lossy) for _ in range(20)):
+        for g_b in (1e-2, 1e-3, 1e-6, 1e-9, 1e-12, 1e-50, 1e-100, 1e-200, 1e-300):
+            weak = replace(cfg, mode_b=replace(cfg.mode_b, g=g_b))
+            try:
+                e = oracle.ground_series(model.split(weak), 4)
+            except PoleError as exc:
+                assert g_b < 1e-3 and str(exc) == model.POLES[model.PUMP - 1]
+                continue
+            want = suscept.susceptibility_point(weak).chi3_cross
+            assert abs(suscept.chis_from_energy(weak, e).chi3_cross - want) <= 1e-8 * abs(want)
 
 
 def test_ground_series_low_orders_are_zero(reference_config):

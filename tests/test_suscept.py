@@ -1,5 +1,7 @@
 import cmath
+import contextlib
 import dataclasses
+import re
 import struct
 import sys
 import warnings
@@ -8,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nkerr import effective, model, oracle, perturb, suscept, validate
-from nkerr.errors import PoleError
+from nkerr import cli, effective, model, oracle, perturb, suscept, validate
+from nkerr.errors import PoleError, ScenarioError
 
 import cauchy
-from conftest import make_config
+from conftest import fuzz_scenarios, make_config
 
 
 # the two routes to the ground eigenvalue's Taylor array E[p, q]
@@ -42,8 +44,9 @@ def _phased_draws(seed, lossy):
 def test_dark_state_zeros():
     cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, 0.4, 0.4, 0.9,
                       gamma=(0.1, 0.0, 0.05))  # delta_2 = 0, gamma_2 = 0
-    assert suscept.chi1(cfg) == 0
-    assert suscept.chi3_self(cfg) == 0
+    point = suscept.susceptibility_point(cfg)
+    assert point.chi1 == 0
+    assert point.chi3_self == 0
 
 
 def test_chi1_two_level_dispersive_limit():
@@ -52,13 +55,13 @@ def test_chi1_two_level_dispersive_limit():
     cfg = make_config(0.02, 0.0, 0.02, 1, 0, 1, delta, 0.0, 0.9)
     ea, _ = model.perturbation_strengths(cfg)
     expected = abs(cfg.mode_a.g) ** 2 / (ea**2 * delta)
-    assert suscept.chi1(cfg) == pytest.approx(expected, rel=1e-13)
+    assert suscept.susceptibility_point(cfg).chi1 == pytest.approx(expected, rel=1e-13)
 
 
 def test_chi1_absorptive_at_raman_resonance_with_decay():
     cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, 0.0, 0.0, 0.9,
                       gamma=(0.0, 0.3, 0.0))
-    val = suscept.chi1(cfg)
+    val = suscept.susceptibility_point(cfg).chi1
     assert val.imag > 0
     assert abs(val.real) < 1e-6 * abs(val.imag)
     # and the eigenvalue-series route agrees
@@ -68,15 +71,15 @@ def test_chi1_absorptive_at_raman_resonance_with_decay():
 def test_chi3_self_sign_odd_under_detuning_flip():
     cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, 0.5, 0.2, 0.9)
     flipped = make_config(0.02, 1.0, 0.02, 1, 0, 1, -0.5, -0.2, 0.9)
-    a = suscept.chi3_self(cfg)
-    b = suscept.chi3_self(flipped)
+    a = suscept.susceptibility_point(cfg).chi3_self
+    b = suscept.susceptibility_point(flipped).chi3_self
     assert a == pytest.approx(-b, rel=1e-12)
 
 
 def test_chi3_cross_lorentzian_structure():
     cfg = make_config(0.05, 1.0, 0.05, 1, 0, 1, 0.0, 0.0, 0.7,
                       gamma=(0.0, 0.0, 0.4))
-    val = suscept.chi3_cross(cfg)
+    val = suscept.susceptibility_point(cfg).chi3_cross
     d3 = 0.7
     g3 = 0.4
     assert val.real / val.imag == pytest.approx(d3 / g3, rel=1e-12)
@@ -88,13 +91,13 @@ def test_chi3_cross_detuning_flip_conjugates_pole():
                       base["nc"], 0.0, 0.0, 0.7, gamma=(0.0, 0.0, 0.4))
     neg = make_config(base["ga"], base["gb"], base["gc"], base["na"], base["nb"],
                       base["nc"], 0.0, 0.0, -0.7, gamma=(0.0, 0.0, 0.4))
-    a = suscept.chi3_cross(cfg)
-    b = suscept.chi3_cross(neg)
+    a = suscept.susceptibility_point(cfg).chi3_cross
+    b = suscept.susceptibility_point(neg).chi3_cross
     assert b == pytest.approx(-a.conjugate(), rel=1e-12)
 
 
 def test_conjugate_transition_identity(lossy_config):
-    assert suscept.chi3_cross(lossy_config) == pytest.approx(
+    assert suscept.susceptibility_point(lossy_config).chi3_cross == pytest.approx(
         _bridged(lossy_config, "ground_series").chi3_cross, rel=1e-9)
 
 
@@ -102,39 +105,40 @@ def test_conjugate_transition_identity_random_batch():
     rng = np.random.default_rng(3)
     for _ in range(100):
         cfg = validate._random_config(rng, lossy=True)
-        assert suscept.chi3_cross(cfg) == pytest.approx(
+        assert suscept.susceptibility_point(cfg).chi3_cross == pytest.approx(
             _bridged(cfg, "ground_series").chi3_cross, rel=1e-9)
 
 
 def test_hermitian_real_couplings_give_real_chis(reference_config):
-    for f in (suscept.chi1, suscept.chi3_self, suscept.chi3_cross):
-        val = f(reference_config)
+    for val in suscept.susceptibility_point(reference_config):
         assert abs(val.imag) < 1e-13 * max(1.0, abs(val.real))
 
 
 def test_chi_poles_raise():
     no_a = make_config(0.0, 1.0, 0.02, 1, 0, 1, 0.4, 0.1, 0.9)
     with pytest.raises(PoleError, match="eps_a"):
-        suscept.chi1(no_a)
+        suscept.susceptibility_point(no_a)
     no_c = make_config(0.02, 1.0, 0.02, 1, 0, 0, 0.4, 0.1, 0.9)
     with pytest.raises(PoleError, match="eps_c"):
-        suscept.chi3_cross(no_c)
+        suscept.susceptibility_point(no_c)
     pole3 = make_config(0.02, 1.0, 0.02, 1, 0, 1, 0.4, 0.4, 0.0)  # delta_3 = 0, gamma_3 = 0
     with pytest.raises(PoleError, match="delta_3"):
-        suscept.chi3_cross(pole3)
+        suscept.susceptibility_point(pole3)
 
 
 @pytest.mark.parametrize("chi, deltas, match", [
-    (suscept.chi1, (1.0, 1e-16, 0.5), "n_b"),  # D = 1.1e-16 against terms of 1
-    (suscept.chi3_self, (1.0, 1e-16, 0.5), "n_b"),
-    (suscept.chi3_cross, (1.0, 1e-16, 0.5), "n_b"),
-    (suscept.chi3_cross, (0.1, 0.3, 0.2), "delta_3"),  # delta_3 = 2.8e-17 against 0.3
-    (suscept.chi3_cross, (-1.0, 1.0, 2.0 + 3 * 2**-51), "delta_3"),  # 1.3e-15 against 2
+    ("chi1", (1.0, 1e-16, 0.5), "n_b"),  # D = 1.1e-16 against terms of 1
+    ("chi3_self", (1.0, 1e-16, 0.5), "n_b"),
+    ("chi3_cross", (1.0, 1e-16, 0.5), "n_b"),
+    ("chi3_cross", (0.1, 0.3, 0.2), "delta_3"),  # delta_3 = 2.8e-17 against 0.3
+    ("chi3_cross", (-1.0, 1.0, 2.0 + 3 * 2**-51), "delta_3"),  # 1.3e-15 against 2
 ])
 def test_chi_near_pole_rejected_relative_to_scale(chi, deltas, match):
+    # the point raises, and the sweep row at the same detunings has no value
     cfg = make_config(0.02, 1.0, 0.02, 1, 0, 1, *deltas)
     with pytest.raises(PoleError, match=match):
-        chi(cfg)
+        suscept.susceptibility_point(cfg)
+    assert np.isnan(getattr(suscept.sweep_at(cfg, "da", [deltas[0]]), chi)[0])
 
 
 @pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.12, 0.2, 0.07)], ids=["lossless", "lossy"])
@@ -143,39 +147,24 @@ def test_a_tiny_nonzero_probe_is_no_pole(gamma):
     # is independent of the probe strengths
     weak = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5, gamma=gamma)
     tiny = make_config(1e-20, 1.0, 1e-20, 1, 0, 1, 0.3, 0.1, 0.5, gamma=gamma)
-    pairs = [*zip(suscept.susceptibility_point(tiny), suscept.susceptibility_point(weak)),
-             (suscept.chi1(tiny), suscept.chi1(weak)),
-             (suscept.chi3_cross(tiny), suscept.chi3_cross(weak))]
-    for got, want in pairs:
+    for got, want in zip(suscept.susceptibility_point(tiny), suscept.susceptibility_point(weak)):
         assert cmath.isclose(got, want, rel_tol=1e-12)
 
 
 def test_outside_double_range_is_a_pole():
     # Raman resonance with G_b = 1e-300: D**3 underflows to 0 in chi3_self and
-    # D**2 leaves chi3_cross infinite, while chi1 = 0 is computed
+    # D**2 leaves chi3_cross infinite, so the point raises although chi1 = 0;
+    # at g_a = 1e80 |g_a|**4 of chi3_self overflows, while chi1 would be finite
     cfg = make_config(0.1, 1e-150, 0.1, 1, 0, 1, 0.3, 0.3, -1.0)
-    assert suscept.chi1(cfg) == 0
-    for closed_form in (suscept.chi3_self, suscept.chi3_cross, suscept.susceptibility_point):
+    big = make_config(1e80, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5)
+    for point in (cfg, big):
         with pytest.raises(PoleError, match="outside double range"):
-            closed_form(cfg)
+            suscept.susceptibility_point(point)
     s = suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-1.0, 1.0, 3))
     assert s.pole.tolist() == [model.OUT_OF_RANGE, model.THREE_PHOTON, model.OUT_OF_RANGE]
     with pytest.raises(PoleError, match="outside double range"):  # |g_a|**4 overflows
         suscept.sweep_at(make_config(1e100, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5), "dc",
                          suscept.sweep_grid(-1.0, 1.0, 3))
-
-
-def test_a_form_is_evaluated_without_the_terms_of_the_others():
-    # at g_a = 1e80, |g_a|**4 of chi3_self leaves double range, while chi1 and
-    # chi3_cross read |g_a|**2 / eps_a**2 = 1/n_a only: their values at g_a = 0.01
-    big = make_config(1e80, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5)
-    weak = make_config(0.01, 1.0, 0.1, 1, 0, 1, 0.3, 0.1, 0.5)
-    for closed_form in (suscept.chi1, suscept.chi3_cross):
-        assert cmath.isclose(closed_form(big), closed_form(weak),
-                             rel_tol=4 * sys.float_info.epsilon)
-    for closed_form in (suscept.chi3_self, suscept.susceptibility_point):
-        with pytest.raises(PoleError, match="outside double range"):
-            closed_form(big)
 
 
 _SERIES_ROUTES = dict(
@@ -234,11 +223,10 @@ def test_overflowing_pole_term_is_out_of_range_not_its_pole():
 def test_hermitian_limit_matches_kerr_coefficients(reference_config):
     co = effective.coefficients(reference_config)
     ea, ec = model.perturbation_strengths(reference_config)
-    assert suscept.chi1(reference_config) == pytest.approx(-co.linear / ea**2, rel=1e-12)
-    assert suscept.chi3_self(reference_config) == pytest.approx(
-        -2 * co.self_kerr / (3 * ea**4), rel=1e-12)
-    assert suscept.chi3_cross(reference_config) == pytest.approx(
-        -co.cross_kerr / (6 * ea**2 * ec**2), rel=1e-12)
+    point = suscept.susceptibility_point(reference_config)
+    assert point.chi1 == pytest.approx(-co.linear / ea**2, rel=1e-12)
+    assert point.chi3_self == pytest.approx(-2 * co.self_kerr / (3 * ea**4), rel=1e-12)
+    assert point.chi3_cross == pytest.approx(-co.cross_kerr / (6 * ea**2 * ec**2), rel=1e-12)
 
 
 # -- coherences --------------------------------------------------------------
@@ -277,10 +265,8 @@ def test_coherence_gauge_covariance_lossy(lossy_config):
 @pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.12, 0.2, 0.07)])
 def test_closed_forms_match_coherence_extraction(gamma):
     cfg = make_config(0.012, 1.1, 0.009, 2, 1, 1, 0.45, -0.2, 0.4, gamma=gamma)
-    c1, c3s, c3c = _bridged(cfg)
-    assert suscept.chi1(cfg) == pytest.approx(c1, rel=1e-6)
-    assert suscept.chi3_self(cfg) == pytest.approx(c3s, rel=1e-6)
-    assert suscept.chi3_cross(cfg) == pytest.approx(c3c, rel=1e-6)
+    for closed, bridged in zip(suscept.susceptibility_point(cfg), _bridged(cfg)):
+        assert closed == pytest.approx(bridged, rel=1e-6)
 
 
 def test_bridge_reads_each_chi_per_photon_from_its_coefficient():
@@ -308,6 +294,24 @@ def test_bridge_below_order_3_is_a_value_error(reference_config, order):
     e = perturb.build_series(model.split(reference_config), 1, order + 1).E
     with pytest.raises(ValueError, match=f"order >= 4, got {order + 1}$"):
         suscept.chis_from_energy(reference_config, e)
+
+
+_E = perturb.build_series(model.split(make_config(0.3, 1.0, 0.7, 2, 0, 3, 0.4, 0.1, 0.9)), 1, 4).E
+
+
+@pytest.mark.parametrize("e, accepted", [
+    (np.full((5, 5), np.nan), False), (_E.tolist(), True), (_E[:, :2], False), (_E[2], False),
+    (_E[None], False), ([["a"] * 5] * 5, False), ([[0] * 5] * 4 + [[0] * 4], False),
+], ids=["all-nan", "nested-list", "5x2", "1-d", "3-d", "strings", "ragged"])
+def test_bridge_takes_a_finite_2d_series_of_at_least_5_by_5_or_raises_value_error(e, accepted):
+    # a nested list is accepted, as sweep_at accepts one; anything else that is
+    # not a 2-D finite array of order >= 4 is the documented ValueError
+    cfg = make_config(0.3, 1.0, 0.7, 2, 0, 3, 0.4, 0.1, 0.9)
+    if accepted:
+        assert suscept.chis_from_energy(cfg, e) == suscept.chis_from_energy(cfg, _E)
+        return
+    with pytest.raises(ValueError, match="the eigenvalue series must be"):
+        suscept.chis_from_energy(cfg, e)
 
 
 @pytest.mark.parametrize("lossy", [False, True])
@@ -497,6 +501,31 @@ def _bits(chi1, chi3_self, chi3_cross):
     return struct.pack("<6d", *(v for z in (chi1, chi3_self, chi3_cross) for v in (z.real, z.imag)))
 
 
+def _assert_rows_are_points(cfg, axis, grid):
+    """The sweep of ``grid``, after checking that each row is the scalar point at
+    its value bit for bit, or raises the message of the row's pole code; where
+    the sweep raises, the point at each value raises the same."""
+    attr = {"da": "mode_a", "db": "mode_b", "dc": "mode_c"}[axis]
+    points = [dataclasses.replace(cfg, **{attr: dataclasses.replace(getattr(cfg, attr), delta=v)})
+              for v in grid.tolist()]
+    try:
+        s = suscept.sweep_at(cfg, axis, grid)
+    except PoleError as exc:
+        for at in points:
+            with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
+                suscept.susceptibility_point(at)
+        return None
+    for k, at in enumerate(points):
+        if s.pole[k] == 0:
+            assert (_bits(s.chi1[k], s.chi3_self[k], s.chi3_cross[k])
+                    == _bits(*suscept.susceptibility_point(at)))
+        else:
+            with pytest.raises(PoleError) as exc:
+                suscept.susceptibility_point(at)
+            assert model.POLES[s.pole[k] - 1] == str(exc.value)
+    return s
+
+
 # Dyadic detunings on a grid of step 1/128 put exact poles on grid points:
 # lossless, delta_3 = 0 at da = 0.25, db = 0.75, dc = 0 and D = 0 at
 # da = 1, db = -0.5 (G_b = 0.5).
@@ -505,20 +534,21 @@ def _bits(chi1, chi3_self, chi3_cross):
                                         ((0.0, 0.0, 0.0), 0)])
 def test_sweep_rows_equal_scalar_point_bit_for_bit(axis, gamma, n_c):
     cfg = make_config(0.012, 0.5, 0.009, 2, 1, n_c, 0.5, 0.5, 0.25, gamma=gamma)
-    s = suscept.sweep_at(cfg, axis, suscept.sweep_grid(-1.0, 1.0, 257))
-    attr = {"da": "mode_a", "db": "mode_b", "dc": "mode_c"}[axis]
-    for k, value in enumerate(s.value.tolist()):
-        mode = dataclasses.replace(getattr(cfg, attr), delta=value)
-        at = dataclasses.replace(cfg, **{attr: mode})
-        if s.pole[k] == 0:
-            assert (_bits(s.chi1[k], s.chi3_self[k], s.chi3_cross[k])
-                    == _bits(*suscept.susceptibility_point(at)))
-        else:
-            with pytest.raises(PoleError) as exc:
-                suscept.susceptibility_point(at)
-            assert model.POLES[s.pole[k] - 1] == str(exc.value)
+    s = _assert_rows_are_points(cfg, axis, suscept.sweep_grid(-1.0, 1.0, 257))
     reasons = [model.POLES[code - 1] for code in s.pole[s.pole != 0]]
     seen = {word for r in reasons for word in ("n_b", "delta_3", "eps_c") if word in r}
     lossless = gamma == (0.0, 0.0, 0.0)
     expected = {"delta_3": lossless, "n_b": lossless and axis != "dc", "eps_c": n_c == 0}
     assert seen == {word for word, present in expected.items() if present}
+
+
+def test_sweep_rows_equal_scalar_point_bit_for_bit_on_the_fuzz_grids():
+    # the 5-step grids of the CLI's exit-code fuzz: couplings, detunings and
+    # decay rates up to 1e200 and down to 1e-300, where every pole code is reached
+    codes = set()
+    for doc, axis, lo, hi in fuzz_scenarios():
+        with contextlib.suppress(ScenarioError):
+            s = _assert_rows_are_points(cli.scenario_config(doc), axis,
+                                        suscept.sweep_grid(lo, hi, 5))
+            codes |= {"raise"} if s is None else set(s.pole.tolist())
+    assert codes == {"raise", *range(model.OUT_OF_RANGE + 1)} - {model.PUMP}
