@@ -3,7 +3,6 @@ import contextlib
 import dataclasses
 import re
 import struct
-import sys
 import warnings
 
 import numpy as np
