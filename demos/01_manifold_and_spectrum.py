@@ -9,8 +9,7 @@ by the perturbation engine.
 
 import numpy as np
 
-from nkerr import (ManifoldIndex, build_hamiltonian, dressed_basis,
-                   exact_eigensystem, manifold_members, split)
+from nkerr import ManifoldIndex, dressed_basis, exact_eigensystem, manifold_members, split
 from nkerr.model import FieldMode, SystemConfig
 
 np.set_printoptions(precision=6, suppress=True, linewidth=100)
@@ -29,7 +28,8 @@ print("\n== multi-photon detunings ==")
 d = config.detunings()
 print(f"  delta_1 = {d.delta1}, delta_2 = {d.delta2}, delta_3 = {d.delta3}")
 
-h = build_hamiltonian(config)
+sp = split(config)
+h = sp.reconstruct()
 print("\n== manifold matrix (hbar = 1) ==")
 print(h.real)
 print(f"  hermitian: {np.allclose(h, h.conj().T)}")
@@ -37,7 +37,6 @@ print(f"  hermitian: {np.allclose(h, h.conj().T)}")
 print("\n== exact spectrum vs dressed decomposition ==")
 sol = exact_eigensystem(h)
 print(f"  exact eigenvalues:   {np.sort(sol.eigenvalues.real)}")
-sp = split(config)
 basis = dressed_basis(sp.h0)
 print(f"  unperturbed dressed: {np.sort(basis.eigenvalues.real)}")
 print(f"  probe strengths:     eps_a = {sp.eps_a}, eps_c = {sp.eps_c}")

@@ -21,13 +21,13 @@ _EXPORTS = {
     "errors": ("ConvergenceError", "DegeneracyError", "NKerrError", "NotHermitianError",
                "NotResonantError", "PoleError", "ScenarioError", "TrackingError"),
     "model": ("FieldMode", "ManifoldIndex", "MultiPhotonDetunings", "PerturbationSplit",
-              "SystemConfig", "build_hamiltonian", "manifold_members",
-              "multi_photon_detunings", "perturbation_strengths", "rabi_frequency", "split"),
+              "SystemConfig", "manifold_members", "multi_photon_detunings",
+              "rabi_frequency", "split"),
     "perturb": ("DressedBasis", "SeriesTable", "build_series", "dressed_basis",
                 "evaluate_energy"),
     "effective": ("KerrCoefficients", "coefficients", "effective_phase", "pure_cross_kerr"),
     "oracle": ("EigenSolution", "exact_eigensystem", "ground_eigenvalue_function",
-               "ground_series", "propagate", "track_ground"),
+               "ground_series", "propagate"),
     "suscept": ("Coherences", "SusceptibilityPoint", "Sweep", "chis_from_energy", "coherences",
                 "susceptibility_point", "sweep_at", "sweep_grid"),
 }

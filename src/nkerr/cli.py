@@ -23,7 +23,8 @@ so beyond the grid a process holds O(chunk) memory whatever ``--steps`` is.
 Every row depends on its own detuning only, so a chunk has the bits of the
 same rows of the whole grid's ``Sweep``.  Before ``--out`` is truncated, one
 point is evaluated: a term that no grid point changes and that leaves double
-range exits 3 there, and ``--out`` keeps its bytes.  The ``%.17g``
+range exits 3 there, and ``--out`` keeps its bytes, or is not made where
+there was none.  The ``%.17g``
 conversions take more of its time than the closed forms, so a column whose
 bits do not change within a chunk is converted once for the chunk: on a
 ``dc`` sweep that is chi1 and chi3_self, whose closed forms read only
@@ -188,10 +189,17 @@ def _cmd_sweep(args, out: TextIO) -> int:
         return suscept.sweep_at(config, args.axis, grid[start:stop])
 
     # an unwritable --out fails before anything is evaluated, and a term that
-    # no grid point changes fails on one point before --out loses its bytes
+    # no grid point changes fails on one point before --out loses its bytes,
+    # or, where there was no --out, before an empty one is left behind
+    created = not os.path.lexists(args.out)
     with open(args.out, "ab"):
         pass
-    rows(0, 1)
+    try:
+        rows(0, 1)
+    except BaseException:
+        if created:
+            os.unlink(args.out)
+        raise
     with open(args.out, "wb") as fh:
         fh.write(b"axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid\n")
         _write_sweep_rows(fh, rows, len(grid))

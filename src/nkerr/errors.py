@@ -30,7 +30,7 @@ class ConvergenceError(NKerrError):
 
 
 class TrackingError(NKerrError):
-    """Continuity tracking of an eigenbranch lost its target."""
+    """No eigenvector has a level-1 component of at least 0.5, so no ground branch is chosen."""
 
 
 class ScenarioError(NKerrError):

@@ -16,8 +16,8 @@ Conventions used throughout the package:
   for mode "c"; this fixed phase placement is normative for everything
   downstream.
 * ``split`` alone writes the matrix entries, into h0, va and vc, and
-  ``PerturbationSplit.reconstruct`` alone sums them: ``build_hamiltonian`` is
-  ``split(config).reconstruct()``, as is a matrix at other probe strengths after ``_replace``.
+  ``PerturbationSplit.reconstruct`` alone sums them: the matrix is
+  ``split(config).reconstruct()``, and one at other probe strengths is that after ``_replace``.
 * ``POLES`` is the one ordered table of where a closed form has no value:
   ``pole_terms`` gives each denominator with the scales it is judged against
   (``near_pole``), and ``pole_code`` names the first pole at each point.
@@ -210,11 +210,6 @@ def probe_strength(mode: FieldMode) -> float:
         return abs(rabi_frequency(mode)) / 2.0
 
 
-def perturbation_strengths(config: SystemConfig) -> tuple[float, float]:
-    """(eps_a, eps_c) = (|Omega_a|/2, |Omega_c|/2) for the configuration."""
-    return probe_strength(config.mode_a), probe_strength(config.mode_c)
-
-
 def pump_coupling(config: SystemConfig) -> float:
     """G_b = |g_b|^2 (n_b + 1) = |Omega_b|^2 / 4, the squared pump coupling."""
     with in_double_range():
@@ -314,11 +309,6 @@ class in_double_range:
     def __exit__(self, kind, exc, traceback) -> None:
         if kind is not None and issubclass(kind, ArithmeticError):
             raise PoleError(POLES[OUT_OF_RANGE - 1]) from exc
-
-
-def build_hamiltonian(config: SystemConfig) -> np.ndarray:
-    """Single-manifold 4x4 matrix with complex diagonal delta_j - i*gamma_j."""
-    return split(config).reconstruct()
 
 
 def split(config: SystemConfig) -> PerturbationSplit:

@@ -4,39 +4,39 @@ Everything here is deliberately decoupled from the perturbation engine so the
 two can cross-check each other: eigensystems come from LAPACK, time evolution
 from spectral decomposition, and the Taylor coefficients of the ground
 eigenvalue from its characteristic polynomial.  The ground branch has one
-rule: walk from bare level 1, keeping the eigenvector of maximal overlap with
-the previous one.  The matrix is tridiagonal, so det(H - E) is a continuant
-in E and the squared probe strengths, and its root is solved order by order
-on truncated double power series (Brent & Kung, J. ACM 25 (1978) 581): each
-coefficient is exact to rounding relative to the terms it sums, not to itself,
-so a weak pump (G_b << |h11 h22|), which would lose the cross entry, is
-refused; there is no step size, radius or sampling to choose.  ``track_ground``,
-``ground_series`` and ``phase_comparison`` call ``perturb.dressed_basis`` as a
-degeneracy gate, which decides whether they go on, never a value, and share no
-other code with the perturbation side, so the continuant and the
-Rayleigh-Schrodinger recursion stay two independent routes to the same
-coefficients.  ``phase_comparison`` is where the two sides meet: it sets
-the effective phase of ``effective`` against exact propagation, for ``nkerr evolve``
-and acceptance criterion 6, and takes its gate, its matrix and its bound from one split.
+rule: the eigenvector with the largest level-1 component.  The matrix is
+tridiagonal, so det(H - E) is a continuant in E and the squared probe
+strengths, and its root is solved order by order on truncated double power
+series (Brent & Kung, J. ACM 25 (1978) 581): each coefficient is exact to
+rounding relative to the terms it sums, not to itself, so a weak pump
+(G_b << |h11 h22|), which would lose the cross entry, is refused; there is no
+step size, radius or sampling to choose.  ``ground_series`` and
+``phase_comparison`` call ``perturb.dressed_basis`` as a degeneracy gate,
+which decides whether they go on, never a value, and share no other code
+with the perturbation side, so the continuant and the Rayleigh-Schrodinger
+recursion stay two independent routes to the same coefficients.
+``phase_comparison`` is where the two sides meet: it sets the effective phase
+of ``effective`` against exact propagation, for ``nkerr evolve`` and
+acceptance criterion 6, and takes its gate, its matrix and its bound from one split.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import effective, model, perturb
-from .errors import ConvergenceError, DegeneracyError, TrackingError
+from .errors import ConvergenceError, TrackingError
 from .model import PerturbationSplit, SystemConfig
 
 RESIDUAL_TOL = 1e-12
-TRACK_STEPS = 32  # fixed path resolution keeps tracking bit-reproducible
+COND_TOL = 1e8  # the largest eigenvector condition number that propagate accepts
 WEAK_PUMP_TOL = 1e-9  # the largest r = eps |h11 h22| / G_b that ground_series accepts
 
-_BARE_GROUND = np.array([1, 0, 0, 0], dtype=complex)  # bare level 1, where every walk starts
+_BARE_GROUND = np.array([1, 0, 0, 0], dtype=complex)  # bare level 1
 
 
 class EigenSolution(NamedTuple):
@@ -82,6 +82,8 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
 
     ValueError unless t is a finite number (a bool or an int past double range is not) and psi0
     a finite array; the out-of-range PoleError where -i*lambda*t or its exp leaves double range.
+    ConvergenceError where the eigenvector matrix's 1-norm condition number (at most 4 for a
+    Hermitian h) exceeds ``COND_TOL`` = 1e8, as for a defective h: psi0's coefficients are lost.
     """
     if not model._is_finite(t, math.isfinite):
         raise ValueError(f"t must be finite, got {t!r}")
@@ -90,6 +92,8 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"psi0 must be finite, got {psi0!r}")
     sol = exact_eigensystem(h)
     v = sol.eigenvectors
+    if not (cond := np.linalg.cond(v, 1)) <= COND_TOL:  # no SVD; a NaN is refused too
+        raise ConvergenceError(f"eigenvector condition number {cond:.3e} exceeds {COND_TOL:.0e}")
     coeffs = np.linalg.solve(v, state)
     with model.in_double_range(), np.errstate(over="raise", invalid="raise"):
         phases = np.exp(-1j * sol.eigenvalues * t)
@@ -120,50 +124,23 @@ def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, 
     return eff_phase, oracle_phase, diff, bound
 
 
-def _walk_ground(split: PerturbationSplit, path: Sequence[tuple[float, float]]) -> complex:
-    """Eigenvalue reached by following bare level 1 along ``path`` of (x, y) strengths.
-
-    Each step keeps the eigenvector of maximal overlap with the previous one;
-    an overlap below 0.5 raises :class:`TrackingError`.
-    """
-    bra = _BARE_GROUND  # of the eigenvector followed so far
-    for k, (x, y) in enumerate(path, 1):
-        sol = exact_eigensystem(split._replace(eps_a=x, eps_c=y).reconstruct())
-        overlaps = np.abs(bra @ sol.eigenvectors)
-        idx = int(np.argmax(overlaps))
-        if overlaps[idx] < 0.5:
-            raise TrackingError(
-                f"lost the ground branch at step {k}/{len(path)}: "
-                f"best overlap {overlaps[idx]:.3f} < 0.5")
-        bra = sol.eigenvectors[:, idx].conj()
-    return complex(sol.eigenvalues[idx])
-
-
-def track_ground(split: PerturbationSplit) -> complex:
-    """Eigenvalue continuously connected to bare level 1 as the probes ramp on.
-
-    Walks ``TRACK_STEPS`` uniform increments of both probe strengths, from 0
-    to (eps_a, eps_c).
-    """
-    try:
-        perturb.dressed_basis(split.h0)
-    except DegeneracyError as exc:
-        raise TrackingError(f"cannot identify the ground branch: {exc}") from exc
-    scales = [k / TRACK_STEPS for k in range(1, TRACK_STEPS + 1)]
-    return _walk_ground(split, [(s * split.eps_a, s * split.eps_c) for s in scales])
-
-
 def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, float], complex]:
     """Ground eigenvalue of ``h0 + x*va + y*vc`` as a function of (x, y), by LAPACK.
 
-    Each call walks one step from bare level 1, so it keeps the eigenvector
-    with the largest level-1 component: unambiguous near (0, 0).  ValueError
-    unless x and y are finite numbers (a bool or an int past double range is not).
+    Each call solves the one matrix and keeps the eigenvector with the
+    largest level-1 component: unambiguous near (0, 0).  A largest component
+    below 0.5 raises :class:`TrackingError`.  ValueError unless x and y are
+    finite numbers (a bool or an int past double range is not).
     """
     def f(x: float, y: float) -> complex:
         if not (model._is_finite(x, cmath.isfinite) and model._is_finite(y, cmath.isfinite)):
             raise ValueError(f"x and y must be finite, got {x!r} and {y!r}")
-        return _walk_ground(split, ((x, y),))
+        sol = exact_eigensystem(split._replace(eps_a=x, eps_c=y).reconstruct())
+        overlaps = np.abs(sol.eigenvectors[0])
+        idx = int(np.argmax(overlaps))
+        if overlaps[idx] < 0.5:
+            raise TrackingError(f"lost the ground branch: best overlap {overlaps[idx]:.3f} < 0.5")
+        return complex(sol.eigenvalues[idx])
     return f
 
 

@@ -155,7 +155,7 @@ def _criterion_1(draws: _Draws, chk: _Checker) -> None:
         sp = model.split(scaled)
         table = perturb.build_series(sp, 1, 4)
         approx = perturb.evaluate_energy(table, 1, sp.eps_a, sp.eps_c, 4)
-        exact = oracle.track_ground(sp)
+        exact = oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
         residuals.append(abs(approx - exact))
     chk.expect(residuals[0] <= 1e-9, "residual <= 1e-9", residuals[0], 1e-9)
     ratio = residuals[0] / residuals[1]

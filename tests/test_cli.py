@@ -614,6 +614,16 @@ def test_failed_sweep_of_several_parts_exits_3_before_forking(tmp_path, monkeypa
     assert capsys.readouterr().err == "domain error: pole: a term is outside double range\n"
 
 
+def test_failed_one_point_check_leaves_no_out_where_there_was_none(tmp_path, capsys):
+    # |g_a|^4 leaves double range on every row; a 0-byte --out was left behind
+    spath = write_scenario(tmp_path, scenario_doc(ga=1e200, gamma={"g3": 0.4}))
+    opath = tmp_path / "out.csv"
+    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
+                     "--steps", "3", "--out", str(opath)], stdout=io.StringIO()) == 3
+    assert not opath.exists()
+    assert capsys.readouterr().err == "domain error: pole: a term is outside double range\n"
+
+
 def test_sweep_of_several_parts_to_dev_null(tmp_path, monkeypatch):
     # the second part's bytes are copied into a file that is not a regular file
     forks = []

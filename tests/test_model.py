@@ -42,19 +42,19 @@ def test_rabi_frequency_mode_a_vacuum_vanishes():
 
 def test_build_hamiltonian_zero_config():
     cfg = make_config(0.0, 0.0, 0.0, 1, 0, 1, 0.0, 0.0, 0.0)
-    assert np.array_equal(model.build_hamiltonian(cfg), np.zeros((4, 4)))
+    assert np.array_equal(model.split(cfg).reconstruct(), np.zeros((4, 4)))
 
 
 def test_build_hamiltonian_hermitian_when_lossless():
     cfg = make_config(0.3 + 0.1j, 1.2 - 0.4j, 0.2j, 2, 1, 3, 0.7, -0.3, 0.9)
-    h = model.build_hamiltonian(cfg)
+    h = model.split(cfg).reconstruct()
     assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
 
 def test_build_hamiltonian_dressed_eigenvalues():
     # only the pump on: eigenvalues are the bare zeros plus the +-|Omega_b|/2 pair
     cfg = make_config(0.0, 1.0, 0.0, 1, 0, 1, 0.0, 0.0, 0.0)
-    h = model.build_hamiltonian(cfg)
+    h = model.split(cfg).reconstruct()
     eig = np.sort(np.linalg.eigvalsh(h))
     assert eig == pytest.approx([-1.0, 0.0, 0.0, 1.0], abs=1e-12)
 
@@ -62,7 +62,7 @@ def test_build_hamiltonian_dressed_eigenvalues():
 def test_hamiltonian_diagonal_carries_complex_detunings():
     cfg = make_config(0.01, 1.0, 0.02, 1, 0, 1, 0.3, 0.1, 0.5,
                       gamma=(0.1, 0.2, 0.3))
-    h = model.build_hamiltonian(cfg)
+    h = model.split(cfg).reconstruct()
     d1, d2, d3 = cfg.detunings()
     assert h[0, 0] == 0
     assert h[1, 1] == d1 - 0.1j
@@ -72,7 +72,7 @@ def test_hamiltonian_diagonal_carries_complex_detunings():
 
 def test_hamiltonian_coupling_pattern_zeros():
     cfg = make_config(0.3 + 0.1j, 1.2, 0.2j, 2, 1, 3, 0.7, -0.3, 0.9)
-    h = model.build_hamiltonian(cfg)
+    h = model.split(cfg).reconstruct()
     for i, j in [(0, 2), (0, 3), (1, 3), (2, 0), (3, 0), (3, 1)]:
         assert h[i, j] == 0
 
@@ -109,18 +109,17 @@ def _hand_matrix(cfg):
 
 @given(configs())
 def test_split_reconstructs_hamiltonian(cfg):
-    # against the matrix written by hand, not against build_hamiltonian, which
-    # is reconstruct; each entry within rel 1e-15 of the largest
+    # against the matrix written by hand; each entry within rel 1e-15 of the largest
     hand, scale = _hand_matrix(cfg)
     assert np.abs(model.split(cfg).reconstruct() - hand).max() <= 1e-15 * scale
-    assert np.abs(model.build_hamiltonian(cfg) - hand).max() <= 1e-15 * scale
 
 
 @given(configs())
 def test_split_pump_block_is_the_hamiltonian_without_probe_entries(cfg):
     sp = model.split(cfg)
     hand, scale = _hand_matrix(cfg)
-    assert (sp.eps_a, sp.eps_c) == model.perturbation_strengths(cfg)
+    assert (sp.eps_a, sp.eps_c) == (model.probe_strength(cfg.mode_a),
+                                    model.probe_strength(cfg.mode_c))
     assert (sp.eps_a, sp.eps_c) == pytest.approx((abs(hand[1, 0]), abs(hand[3, 2])), rel=1e-15)
     hand[0, 1] = hand[1, 0] = hand[2, 3] = hand[3, 2] = 0.0
     assert np.abs(sp.h0 - hand).max() <= 1e-15 * scale
@@ -128,13 +127,13 @@ def test_split_pump_block_is_the_hamiltonian_without_probe_entries(cfg):
 
 @given(configs(lossy=False))
 def test_hermitian_iff_lossless(cfg):
-    h = model.build_hamiltonian(cfg)
+    h = model.split(cfg).reconstruct()
     assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
 
 @given(configs())
 def test_trace_identity(cfg):
-    h = model.build_hamiltonian(cfg)
+    h = model.split(cfg).reconstruct()
     d1, d2, d3 = cfg.detunings()
     g1, g2, g3 = cfg.gamma
     expected = (d1 + d2 + d3) - 1j * (g1 + g2 + g3)
@@ -143,7 +142,7 @@ def test_trace_identity(cfg):
 
 def test_lossy_hamiltonian_not_hermitian():
     cfg = make_config(0.01, 1.0, 0.02, 1, 0, 1, 0.3, 0.1, 0.5, gamma=(0.1, 0.0, 0.0))
-    h = model.build_hamiltonian(cfg)
+    h = model.split(cfg).reconstruct()
     assert np.max(np.abs(h - h.conj().T)) > 1e-3
 
 
@@ -170,7 +169,7 @@ def test_split_degenerates_without_a_photons():
     cfg = make_config(0.5, 1.0, 0.25, 0, 0, 1, 0.1, 0.2, 0.3)
     sp = model.split(cfg)
     assert sp.eps_a == 0.0
-    diff = np.abs(sp.h0 + sp.eps_c * sp.vc - model.build_hamiltonian(cfg))
+    diff = np.abs(sp.h0 + sp.eps_c * sp.vc - sp.reconstruct())
     assert diff.max() < 1e-15
 
 
@@ -275,7 +274,7 @@ def test_a_probe_outside_double_range_is_the_out_of_range_pole_in_every_model_te
     # |Omega_a|, and the matrix warned or held NaN; at 7e307(1 + i) only
     # |Omega_a| leaves double range, which the matrix, split(cfg).reconstruct(), needs too
     cfg = make_config(g_a, 1.0, 0.01, n_a, 0, 1, 0.3, 0.1, 0.5)
-    for term in (model.perturbation_strengths, model.split, model.build_hamiltonian):
+    for term in (lambda cfg: model.probe_strength(cfg.mode_a), model.split):
         with pytest.raises(PoleError, match=_OUT_OF_RANGE):
             term(cfg)
 

@@ -31,19 +31,19 @@ def test_eigensystem_diagonal_matrix():
 
 def test_eigensystem_dressed_pair():
     cfg = make_config(0.0, 1.0, 0.0, 1, 0, 1, 0.0, 0.0, 0.0)
-    sol = oracle.exact_eigensystem(model.build_hamiltonian(cfg))
+    sol = oracle.exact_eigensystem(model.split(cfg).reconstruct())
     assert np.allclose(sol.eigenvalues, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_eigensystem_sorted_deterministically(lossy_config):
-    h = model.build_hamiltonian(lossy_config)
+    h = model.split(lossy_config).reconstruct()
     w = oracle.exact_eigensystem(h).eigenvalues
     key = sorted(range(4), key=lambda k: (w[k].real, w[k].imag))
     assert key == [0, 1, 2, 3]
 
 
 def test_eigensystem_reconstruction(lossy_config):
-    h = model.build_hamiltonian(lossy_config)
+    h = model.split(lossy_config).reconstruct()
     sol = oracle.exact_eigensystem(h)
     v = sol.eigenvectors
     recon = v @ np.diag(sol.eigenvalues) @ np.linalg.inv(v)
@@ -51,7 +51,7 @@ def test_eigensystem_reconstruction(lossy_config):
 
 
 def test_eigensystem_hermitian_unitary_basis(reference_config):
-    h = model.build_hamiltonian(reference_config)
+    h = model.split(reference_config).reconstruct()
     sol = oracle.exact_eigensystem(h)
     v = sol.eigenvectors
     assert np.linalg.norm(v.conj().T @ v - np.eye(4)) < 1e-12
@@ -70,7 +70,7 @@ def test_eigensystem_rejects_a_perturbed_eigenvector(reference_config, lossy_con
         return w, v
 
     monkeypatch.setattr(np.linalg, route, perturbed)
-    h = model.build_hamiltonian(lossy_config if lossy else reference_config)
+    h = model.split(lossy_config if lossy else reference_config).reconstruct()
     with pytest.raises(ConvergenceError, match="exceeds contract"):
         oracle.exact_eigensystem(h)
 
@@ -82,7 +82,7 @@ def test_eigensystem_route_is_chosen_by_exact_hermiticity(monkeypatch):
         monkeypatch.setattr(np.linalg, route,
                             lambda h, route=route, solve=solve: calls.append(route) or solve(h))
     cfg = make_config(0.3 * cmath.exp(0.4j), 1.1 * cmath.exp(-2.1j), 0.2j, 1, 0, 1, 0.3, 0.1, 0.5)
-    h = model.build_hamiltonian(cfg)
+    h = model.split(cfg).reconstruct()
     assert np.array_equal(h, h.conj().T)
     oracle.exact_eigensystem(h)
     h[2, 1] = np.nextafter(h[2, 1].real, 2.0) + 1j * h[2, 1].imag  # one ulp off Hermitian
@@ -95,13 +95,13 @@ def test_residual_contract_is_judged_without_overflow(gamma_3):
     # at g_a = 1e200 the squares of the residual entries (~1e184) leave double
     # range, while the residuals are ~1e-16 of the matrix scale
     cfg = make_config(1e200, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5, (0.0, 0.0, gamma_3))
-    sp, h = model.split(cfg), model.build_hamiltonian(cfg)
+    sp = model.split(cfg)
+    h = sp.reconstruct()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = oracle.exact_eigensystem(h)
-        ground = (oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c),
-                  oracle.track_ground(sp))
-    assert all(cmath.isfinite(value) for value in ground)
+        ground = oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
+    assert cmath.isfinite(ground)
     r = h @ sol.eigenvectors - sol.eigenvectors * sol.eigenvalues
     norms = [math.hypot(*column) for column in np.abs(r).T]  # overflows no square
     assert sol.residuals.max() > 1e180
@@ -143,7 +143,7 @@ def test_eigensystem_rejects_a_nan_residual(reference_config, lossy_config, monk
         return w, v
 
     monkeypatch.setattr(np.linalg, route, nan_column)
-    h = model.build_hamiltonian(lossy_config if lossy else reference_config)
+    h = model.split(lossy_config if lossy else reference_config).reconstruct()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="residual nan exceeds contract"):
@@ -153,7 +153,7 @@ def test_eigensystem_rejects_a_nan_residual(reference_config, lossy_config, monk
 # -- propagation -------------------------------------------------------------
 
 def test_propagate_identity_at_t0(lossy_config):
-    h = model.build_hamiltonian(lossy_config)
+    h = model.split(lossy_config).reconstruct()
     psi0 = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
     assert np.allclose(oracle.propagate(h, psi0, 0.0), psi0, atol=1e-14)
 
@@ -167,7 +167,7 @@ def test_propagate_diagonal_phases():
 
 
 def test_propagate_group_property(reference_config):
-    h = model.build_hamiltonian(reference_config)
+    h = model.split(reference_config).reconstruct()
     psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
     a = oracle.propagate(h, psi0, 0.8 + 1.9)
     b = oracle.propagate(h, oracle.propagate(h, psi0, 0.8), 1.9)
@@ -175,21 +175,21 @@ def test_propagate_group_property(reference_config):
 
 
 def test_propagate_preserves_norm_hermitian(reference_config):
-    h = model.build_hamiltonian(reference_config)
+    h = model.split(reference_config).reconstruct()
     psi0 = np.array([0.6, 0.48j, -0.36, 0.48], dtype=complex)
     out = oracle.propagate(h, psi0, 37.0)
     assert abs(np.linalg.norm(out) - np.linalg.norm(psi0)) < 1e-12
 
 
 def test_propagate_phase_tracks_ground_energy(reference_config):
-    h = model.build_hamiltonian(reference_config)
+    sp = model.split(reference_config)
     psi0 = np.zeros(4, dtype=complex)
     psi0[0] = 1.0
-    lam = oracle.track_ground(model.split(reference_config))
+    lam = oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
     t = 200.0
-    out = oracle.propagate(h, psi0, t)
+    out = oracle.propagate(sp.reconstruct(), psi0, t)
     overlap = complex(np.vdot(psi0, out))
-    eps = max(model.perturbation_strengths(reference_config))
+    eps = max(sp.eps_a, sp.eps_c)
     assert abs(np.angle(overlap) + lam.real * t) < 10 * eps**2
 
 
@@ -206,6 +206,16 @@ def test_propagate_exponent_beyond_double_range_is_a_pole_error(t):
         oracle.propagate(np.diag([0.0, 2.0, -3.0, 5.0]).astype(complex), np.ones(4), t)
 
 
+def test_propagate_refuses_a_defective_matrix():
+    # nilpotent h: exp(-iht) psi0 is (1 - 1j, 1, 1, 1) at t = 1, but the two
+    # parallel eigenvectors LAPACK returns pass the residual contract, and the
+    # spectral sum came out (0, 1, 1, 1)
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1] = 1.0
+    with pytest.raises(ConvergenceError, match="condition number .* exceeds 1e"):
+        oracle.propagate(h, np.ones(4), 1.0)
+
+
 @pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(0.0, -float("inf")),
                                    pytest.param(10**400, id="int-past-double")])
 def test_propagate_rejects_nonfinite_state(entry):
@@ -213,25 +223,28 @@ def test_propagate_rejects_nonfinite_state(entry):
         oracle.propagate(np.eye(4), [entry, 0.0, 0.0, 0.0], 1.0)
 
 
-# -- ground tracking ---------------------------------------------------------
+# -- exact ground eigenvalue ------------------------------------------------
+
+def _ground(cfg):
+    sp = model.split(cfg)
+    return oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
+
 
 def test_track_ground_weak_config(reference_config):
-    lam = oracle.track_ground(model.split(reference_config))
+    lam = _ground(reference_config)
     assert abs(lam.imag) < 1e-13
     assert abs(lam) < 1e-3  # ground shift is O(eps^2)
 
 
 def test_track_ground_rejects_degenerate_spectrum():
     sp = model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.1 - 0.3 + 1e-12))
-    with pytest.raises(TrackingError):
-        oracle.track_ground(sp)
     with pytest.raises(DegeneracyError):
         oracle.ground_series(sp, 4)
 
 
 def test_track_ground_deterministic(reference_config):
-    a = oracle.track_ground(model.split(reference_config))
-    b = oracle.track_ground(model.split(reference_config))
+    a = _ground(reference_config)
+    b = _ground(reference_config)
     assert a == b
 
 
@@ -244,13 +257,17 @@ def _phased(cfg, rng):
 
 @pytest.mark.parametrize("lossy", [False, True])
 def test_both_entry_points_pick_the_same_branch(lossy):
-    # the one-step walk and the ramp end on the same matrix and the same branch
+    # LAPACK's eigenvalue with the largest level-1 component against the order-8
+    # Rayleigh-Schrodinger sum, which follows bare level 1: every other
+    # eigenvalue is at least 0.3 away, so a wrong branch fails
     rng = np.random.default_rng([12, lossy])
     for _ in range(20):
         cfg = _phased(validate._random_config(rng, lossy=lossy), rng)
         sp = model.split(cfg)
+        series = perturb.evaluate_energy(perturb.build_series(sp, 1, 8), 1,
+                                         sp.eps_a, sp.eps_c, 8)
         assert oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c) == \
-            oracle.track_ground(sp)
+            pytest.approx(series, rel=0, abs=1e-10)
 
 
 def test_both_entry_points_raise_where_no_eigenvector_overlaps_level_1(
@@ -263,8 +280,6 @@ def test_both_entry_points_raise_where_no_eigenvector_overlaps_level_1(
     sp = model.split(reference_config)
     with pytest.raises(TrackingError, match="overlap 0.400 < 0.5"):
         oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
-    with pytest.raises(TrackingError, match="overlap 0.400 < 0.5"):
-        oracle.track_ground(sp)
 
 
 # -- exact ground series ----------------------------------------------------
