@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * hbar = 1 and epsilon_0 = 1, so couplings, detunings and decay rates are
-  all angular frequencies.
+  all angular frequencies.  A gate judges a size against the entries it sums,
+  not a floor of 1, so it has no unit; only ``effective.pure_cross_kerr`` keeps one.
 * Atomic levels 1..4 map onto rows/columns 0..3 of the canonical basis, in
   that order.  All matrices are plain complex numpy arrays.
 * Mode "a" drives the 1<->2 transition, mode "b" drives 2<->3 and mode "c"
@@ -218,19 +219,6 @@ def pump_coupling(config: SystemConfig) -> float:
     return gb2n
 
 
-def matrix_scale(h: np.ndarray) -> float:
-    """max(1, Frobenius norm of h), summed as ``np.linalg.norm`` sums it (of h / max|h_ij|
-    where that overflows): the size that residuals of eigenpairs of h are judged against.
-    NaN where h holds a NaN, inf where it holds an inf and no NaN."""
-    import numpy as np
-    flat = h.ravel(order="K")
-    with np.errstate(over="ignore"):
-        squares = flat.real.dot(flat.real) + flat.imag.dot(flat.imag)
-        if not math.isfinite(squares) and (largest := np.max(np.abs(flat))) < math.inf:
-            return float(largest) * matrix_scale(flat / largest)
-    return max(math.sqrt(squares), 1.0)  # a NaN comes first, so it is kept
-
-
 def near_pole(value, *scales):
     """Where ``value`` is finite and within ``POLE_RTOL`` of the largest of ``scales``
     of zero; Python numbers or arrays, which broadcast.  A term that overflows is
@@ -291,6 +279,14 @@ def check_poles(config: SystemConfig, *poles: int) -> None:
     """PoleError at the first of ``poles`` that the configuration sits on."""
     deltas = config.mode_a.delta, config.mode_b.delta, config.mode_c.delta
     raise_at_pole(pole_code(pole_terms(config, *deltas), poles))
+
+
+def check_pump(gb: float, pair: float, tol: float) -> None:
+    """Where r = eps ``pair`` / G_b > ``tol``: the ``PUMP`` pole at G_b = 0, else G_b and r."""
+    if (size := sys.float_info.epsilon * pair) > tol * gb:
+        raise_at_pole(PUMP if gb == 0 else 0)
+        raise PoleError(f"pole: |g_b|^2 (n_b+1) = {gb:.3e} is near 0: "
+                        f"r = eps |h11 h22| / G_b = {size / gb:.3e} > {tol:.0e}")
 
 
 def check_finite(*values) -> None:

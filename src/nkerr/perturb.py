@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -87,12 +88,12 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     kappa = sqrt(x/y) (1 at x = y = 0) give the kets (kappa, kappa u)/n, (-v, 1)/n
     and bras (1, v)/(kappa n), (-u, 1)/n; defective where n = 0 or x or y alone is 0.
 
-    Two eigenvalues are near-degenerate where their gap is below
-    ``DEGENERACY_TOL`` times the size of the entries that set them, at least
-    1: the pump block's norm for the dressed pair, |h33| for bare level 4
-    and 0 for bare level 1.  A far level therefore leaves the gaps of the
-    near ones at their own scale.  Raises the out-of-range PoleError where a
-    dressed eigenvalue, the block's norm or a square on the way leaves double range.
+    Two eigenvalues are near-degenerate where their gap is at most
+    ``DEGENERACY_TOL`` times the larger size of the entries that set them, with
+    no floor: the pump block's norm for the dressed pair and bare level 1 (0 has
+    no size), |h33| for bare level 4.  So a far level leaves the near ones' gaps
+    at their own scale.  Raises the out-of-range PoleError where a dressed
+    eigenvalue, the block's norm or a square on the way leaves double range.
     """
     rows = h0.tolist()
     d1, x = rows[1][1:3]  # x = Omega_b / 2
@@ -114,17 +115,12 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     right[0, 0] = left[0, 0] = right[3, 3] = left[3, 3] = 1.0
     right[1, 1], right[2, 1], right[1, 2], right[2, 2] = kappa / n, kappa * u / n, -v / n, 1 / n
     left[1, 1], left[1, 2], left[2, 1], left[2, 2] = 1 / kappa / n, v / kappa / n, -u / n, 1 / n
-    sizes = (0.0, block, block, abs(lam[3]))  # of the entries that set each eigenvalue
-    for i in range(4):
-        for j in range(i + 1, 4):
-            gap = abs(lam[i] - lam[j])
-            scale = max(1.0, sizes[i], sizes[j])
-            if gap < DEGENERACY_TOL * scale:
-                raise DegeneracyError(
-                    f"unperturbed spectrum is near-degenerate: eigenvalues {i + 1} and "
-                    f"{j + 1} separated by only {gap:.3e} "
-                    f"(tolerance {DEGENERACY_TOL:.1e} x {scale:.3e})"
-                )
+    for i, j in itertools.combinations(range(4), 2):  # bare level 4 is set by h33 alone
+        gap, scale = abs(lam[i] - lam[j]), max(block, abs(lam[3])) if j == 3 else block
+        if gap <= DEGENERACY_TOL * scale:  # so a zero gap at zero scale is refused
+            raise DegeneracyError(
+                f"unperturbed spectrum is near-degenerate: eigenvalues {i + 1} and {j + 1} "
+                f"separated by only {gap:.3e} (tolerance {DEGENERACY_TOL:.1e} x {scale:.3e})")
     return DressedBasis(eigenvalues=np.array(lam), right=right, left=left)
 
 

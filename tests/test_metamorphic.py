@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from nkerr import effective, model, oracle, perturb, suscept, validate
+from nkerr.errors import DegeneracyError
 from conftest import make_config
 
 ORDER = 6
@@ -74,10 +75,11 @@ def _scale_alike(got, want):
     return all(g == w or abs(g - w) <= POW_RTOL * abs(w) for g, w in zip(got, want))
 
 
-def _order_scale(k, offset):
-    """lambda**(offset - p - q) on the (p, q) grid of a series table, exactly."""
-    p, q = np.indices((ORDER + 1, ORDER + 1))
-    return np.ldexp(1.0, k * (offset - p - q))
+def _order_scale(k, offset, order=ORDER):
+    """lambda**(offset - p - q) on the (p, q) grid of a series table, exactly; 1
+    past the table's order, where its entries are zero."""
+    p, q = np.indices((order + 1, order + 1))
+    return np.ldexp(1.0, np.where(p + q <= order, k * (offset - p - q), 0))
 
 
 # -- scaling -----------------------------------------------------------------
@@ -111,6 +113,76 @@ def test_exact_ground_series_scales_like_the_energy_corrections():
         series = oracle.ground_series(model.split(cfg), ORDER)
         scaled = oracle.ground_series(model.split(_scaled(cfg, k)), ORDER)
         assert np.array_equal(scaled, series * _order_scale(k, 1)), (cfg, k)
+
+
+# Units far from 1: every gate judges a size against the entries it sums, so
+# the series of a draw are refused in no unit where they are accepted in one.
+# At order 4 every entry stays a normal double down to 2**(300 * -3).
+WIDE_K = (-150, -100, -60, -30, -26, 100, 300)
+WIDE_ORDER = 4
+
+
+@pytest.mark.parametrize("series", [lambda sp: perturb.build_series(sp, 1, WIDE_ORDER).E,
+                                    lambda sp: oracle.ground_series(sp, WIDE_ORDER)],
+                         ids=["build_series", "ground_series"])
+def test_energy_series_scale_bit_for_bit_in_units_far_from_one(series):
+    scales = {k: _order_scale(k, 1, WIDE_ORDER) for k in WIDE_K}
+    for cfg, _ in DRAWS:
+        want = series(model.split(cfg))
+        for k, scale in scales.items():
+            assert np.array_equal(series(model.split(_scaled(cfg, k))), want * scale), (cfg, k)
+
+
+def _near_threshold_blocks(n=400):
+    """``n`` seeded pump blocks h0, half lossy, in units 2**U(-4, 4), each with
+    one gap within a factor of 2 of ``DEGENERACY_TOL`` times its block's norm:
+    bare level 4 near bare level 1 or near a dressed level, the dressed pair
+    near each other under a weak pump, or a dressed level near 0."""
+    rng = np.random.default_rng(9)
+    blocks = []
+    for i in range(n):
+        unit = 2.0 ** rng.uniform(-4, 4)
+        gamma = rng.uniform(0, 1, 3) * unit if i % 2 else np.zeros(3)
+        d1, d2 = rng.uniform(-1, 1, 2) * unit
+        x = rng.uniform(0.1, 1) * unit * cmath.exp(2j * np.pi * rng.random())
+        t = (2.0 ** rng.uniform(-1, 1) * perturb.DEGENERACY_TOL
+             * cmath.exp(2j * np.pi * rng.random()))
+        kind = i // 2 % 4
+        if kind == 1:
+            x, d2, gamma[1] = x * abs(t), d1 + abs(t) * unit, gamma[0]
+        h11, h22 = d1 - 1j * gamma[0], d2 - 1j * gamma[1]
+        if kind == 2:  # h11 h22 = |x|**2 (1 + t)
+            h11 = abs(x) ** 2 / h22 * (1 + t)
+        h0 = np.zeros((4, 4), dtype=complex)
+        h0[1, 1], h0[2, 2], h0[1, 2], h0[2, 1] = h11, h22, x, x.conjugate()
+        norm = np.linalg.norm(h0)
+        if kind == 0:
+            h0[3, 3] = t * norm
+        elif kind == 3:
+            h0[3, 3] = np.linalg.eigvals(h0[1:3, 1:3])[rng.integers(2)] + t * norm
+        else:
+            h0[3, 3] = rng.uniform(-1, 1) * unit - 1j * gamma[2]
+        blocks.append(h0)
+    return blocks
+
+
+def test_dressed_basis_refuses_a_block_in_every_unit_or_in_none():
+    refused = 0
+    for h0 in _near_threshold_blocks():
+        try:
+            want = perturb.dressed_basis(h0)
+        except DegeneracyError:
+            want = None
+        refused += want is None
+        for k in range(-60, 61):
+            try:
+                got = perturb.dressed_basis(2.0**k * h0)
+            except DegeneracyError:
+                assert want is None, (h0, k)
+                continue
+            assert want is not None, (h0, k)
+            assert np.array_equal(got.eigenvalues, 2.0**k * want.eigenvalues), (h0, k)
+    assert 100 < refused < 300  # the blocks straddle the threshold
 
 
 # the dyadic grids of test_suscept's bit-for-bit sweep test, whose poles sit on grid points

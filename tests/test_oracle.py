@@ -106,7 +106,7 @@ def test_residual_contract_is_judged_without_overflow(gamma_3):
     norms = [math.hypot(*column) for column in np.abs(r).T]  # overflows no square
     assert sol.residuals.max() > 1e180
     assert np.allclose(sol.residuals, norms, rtol=1e-14, atol=0)  # small columns too
-    assert sol.residuals.max() <= oracle.RESIDUAL_TOL * model.matrix_scale(h)
+    assert sol.residuals.max() <= oracle.RESIDUAL_TOL * math.hypot(*np.abs(h).flat)
 
 
 def test_eigensystem_of_a_matrix_whose_scale_leaves_double_range_is_a_pole_error():
@@ -230,19 +230,19 @@ def _ground(cfg):
     return oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
 
 
-def test_track_ground_weak_config(reference_config):
+def test_ground_eigenvalue_function_weak_config(reference_config):
     lam = _ground(reference_config)
     assert abs(lam.imag) < 1e-13
     assert abs(lam) < 1e-3  # ground shift is O(eps^2)
 
 
-def test_track_ground_rejects_degenerate_spectrum():
+def test_ground_series_rejects_degenerate_spectrum():
     sp = model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.1 - 0.3 + 1e-12))
     with pytest.raises(DegeneracyError):
         oracle.ground_series(sp, 4)
 
 
-def test_track_ground_deterministic(reference_config):
+def test_ground_eigenvalue_function_deterministic(reference_config):
     a = _ground(reference_config)
     b = _ground(reference_config)
     assert a == b
@@ -335,10 +335,34 @@ def test_ground_series_refuses_a_pump_too_weak_for_its_cross_entry(lossy):
             try:
                 e = oracle.ground_series(model.split(weak), 4)
             except PoleError as exc:
-                assert g_b < 1e-3 and str(exc) == model.POLES[model.PUMP - 1]
+                assert g_b < 1e-3 and str(exc) == _pump_refusal(model.split(weak))
                 continue
             want = suscept.susceptibility_point(weak).chi3_cross
             assert abs(suscept.chis_from_energy(weak, e).chi3_cross - want) <= 1e-8 * abs(want)
+
+
+def _pump_refusal(sp):
+    """The message ``ground_series`` refuses the pump of ``sp`` with: the pole
+    where G_b = 0, else G_b and r = eps |h11 h22| / G_b."""
+    gb = abs(sp.h0[1, 2] * sp.h0[2, 1])
+    if gb == 0:
+        return model.POLES[model.PUMP - 1]
+    r = np.finfo(float).eps * abs(sp.h0[1, 1] * sp.h0[2, 2]) / gb
+    return f"pole: |g_b|^2 (n_b+1) = {gb:.3e} is near 0: r = eps |h11 h22| / G_b = {r:.3e} > 1e-09"
+
+
+@pytest.mark.parametrize("g_b, message", [
+    (1e-6, "pole: |g_b|^2 (n_b+1) = 1.000e-12 is near 0: r = eps |h11 h22| / G_b = 1.332e-05"
+           " > 1e-09"),
+    (0.0, "pole: |g_b|^2 (n_b+1) = 0"),
+    (1e-200, "pole: |g_b|^2 (n_b+1) = 0")], ids=["weak", "zero", "underflows-to-zero"])
+def test_a_weak_pump_is_told_from_a_zero_pump(g_b, message):
+    # G_b = 1e-12 is small against |h11 h22| = 0.06, not zero: the refusal names
+    # G_b and r; G_b = 0, also where |g_b|^2 underflows, keeps the pump's pole
+    sp = model.split(make_config(0.01, g_b, 0.01, 1, 0, 1, 0.3, 0.1, 0.5))
+    with pytest.raises(PoleError) as info:
+        oracle.ground_series(sp, 4)
+    assert str(info.value) == message
 
 
 def test_ground_series_low_orders_are_zero(reference_config):

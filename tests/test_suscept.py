@@ -175,7 +175,7 @@ _SERIES_ROUTES = dict(
     coherences=suscept.coherences,
     build_series=lambda cfg: perturb.build_series(model.split(cfg), 1, 2),
     ground_series=lambda cfg: oracle.ground_series(model.split(cfg), 2),
-    track_ground=_exact_ground)  # the LAPACK eigenvalue, under its former route's id
+    ground_eigenvalue_function=_exact_ground)
 
 
 @pytest.mark.parametrize("route", [suscept.susceptibility_point, *_SERIES_ROUTES.values()],
