@@ -13,12 +13,14 @@ it is given in one pass, marking the rows where a pole sits instead of
 stopping there.  A sweep is two steps, the grid (``sweep_grid``) and the
 closed forms at its values (``sweep_at``); each row depends on its own value
 only, so a grid may be evaluated in slices, as ``nkerr sweep`` does chunk by
-chunk.  Which pole sits at a point is one code per point from the table
-``model.POLES``, and a sweep hands it out as its ``pole`` array; a
-susceptibility that is not finite is its last entry.  The three closed forms
-share that one code: ``susceptibility_point`` is the one-row case of
-``sweep_at`` and raises the message of the row's code, so whether a point
-has a value does not depend on which susceptibility the caller reads.
+chunk.  The series engine ``perturb`` is imported by ``coherences`` alone,
+so a sweep does not load it.  Which pole sits at a point is one code per
+point from the table ``model.POLES``, and a sweep hands it out as its
+``pole`` array; a susceptibility that is not finite is its last entry.  The
+three closed forms share that one code: ``susceptibility_point`` is the
+one-row case of ``sweep_at`` and raises the message of the row's code, so
+whether a point has a value does not depend on which susceptibility the
+caller reads.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -44,7 +46,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from . import model, perturb
+from . import model
 from .model import SystemConfig
 
 SweepAxis = Literal["da", "db", "dc"]
@@ -129,9 +131,12 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     table: the dressed coefficients are summed at (eps_a, eps_c) first, then
     taken to the bare basis.  Cross-Kerr content requires order >= 3.  The
     bra side is the table's bra series ``A[1]``, so the lossless limit is the
-    ordinary conjugate.  Each call builds its own split and table.  ValueError
-    unless order is an integer >= 1; the out-of-range PoleError where a sum overflows.
+    ordinary conjugate.  Each call builds its own split and table, and imports
+    ``perturb``.  ValueError unless order is an integer >= 1; the out-of-range
+    PoleError where a sum overflows.
     """
+    from . import perturb
+
     if not (model._is_nonnegative_int(order) and order >= 1):
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
     sp = model.split(config)

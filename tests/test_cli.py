@@ -567,6 +567,29 @@ def test_sweep_csv_same_bytes_for_every_part_count(tmp_path, monkeypatch):
     assert blobs[2] == blobs[1] and blobs[3] == blobs[1] and blobs[4] == blobs[1]
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sweep_csv_same_bytes_for_every_chunk_size(tmp_path, monkeypatch, cpus):
+    # 12289 rows with the pole dc = 0 on row 8192: 4 chunks at 4096 rows a
+    # chunk, 13 at 1024 and 13 at 1000, the last of one row at 4096 and 1024;
+    # on 3 CPUs the later parts start at rows 4096 and 8192, or 4000 and 8000
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
+    blobs = {}
+    for rows in (4096, 1024, 1000):
+        forks = []
+        with monkeypatch.context() as m:
+            m.setattr(cli, "SWEEP_CHUNK_ROWS", rows)
+            _use_cpus(m, cpus)
+            m.setattr(os, "fork", _refuse_fork if cpus == 1 else _counting_fork(forks))
+            opath = tmp_path / f"rows{rows}.csv"
+            assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "0.5",
+                             "--steps", "12289", "--out", str(opath)], stdout=io.StringIO()) == 0
+        assert len(forks) == cpus - 1
+        blobs[rows] = opath.read_bytes()
+    assert blobs[1024] == blobs[4096] and blobs[1000] == blobs[4096]
+    assert blobs[4096].count(b"\n") == 12290
+    assert blobs[4096].splitlines()[8193] == b"dc,0,,,,,,,0"
+
+
 def test_sweep_of_one_chunk_never_forks(tmp_path, monkeypatch):
     _use_cpus(monkeypatch, 4)
     monkeypatch.setattr(os, "fork", _refuse_fork)
@@ -656,6 +679,27 @@ def test_sweep_memory_grows_with_steps_by_the_grid_only(tmp_path, monkeypatch):
     peak(chunk + 1)  # pays one-off allocations
     growth = peak(4 * chunk + 1) - peak(chunk + 1)
     assert growth <= 8 * 3 * chunk + 64 * 1024
+
+
+@pytest.mark.parametrize("axis", ["dc", "da"])
+def test_sweep_working_set_beyond_the_grid_is_under_1_mib(tmp_path, monkeypatch, axis):
+    # one process, after a warm-up run: the traced peak of a 20001-row sweep
+    # less its grid (8 bytes a row) is one chunk's arrays and text and the
+    # command's own objects: 0.5 MB on dc and 0.7 MB on da, where all seven
+    # columns vary, at 1024-row chunks; 1.9 and 2.7 MB at 4096
+    _use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    spath = write_scenario(tmp_path, scenario_doc(gamma={"g1": 0.1, "g2": 0.1, "g3": 0.4}))
+    argv = ["sweep", spath, "--axis", axis, "--lo", "-1", "--hi", "0.7", "--steps", "20001",
+            "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv, stdout=io.StringIO()) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv, stdout=io.StringIO()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * 20001 <= 1024 * 1024
 
 
 def test_sweep_byte_identical_across_processes_and_hash_seeds(tmp_path):
@@ -887,7 +931,7 @@ sys.exit(code)
     ([], _CLI_MODULES),
     (["coeffs"], _CLI_MODULES | {"nkerr.effective"}),
     (["sweep", "--axis", "dc", "--lo", "0.4", "--hi", "0.6", "--steps", "5", "--out", "x.csv"],
-     _CLI_MODULES | {"nkerr.suscept", "nkerr.perturb", "numpy"}),
+     _CLI_MODULES | {"nkerr.suscept", "numpy"}),
     (["evolve", "--t", "1"], _CLI_MODULES | {"nkerr.effective", "nkerr.oracle", "nkerr.perturb",
                                              "numpy"}),
     (["validate", "--seed", "0"], _CLI_MODULES | {"nkerr.effective", "nkerr.oracle",
@@ -906,6 +950,34 @@ def test_command_loads_only_its_modules(tmp_path, args, loaded):
     assert proc.returncode == 0, proc.stderr
     assert "numpy.random" not in proc.stderr.split()
     assert set(proc.stderr.split()) == loaded
+
+
+# imports ``nkerr.suscept`` alone and writes the nkerr modules loaded, then
+# runs ``coherences`` and writes them again, one line each, to stderr
+_SUSCEPT_THEN_COHERENCES = """import sys
+from nkerr import model, suscept
+def loaded():
+    print(*sorted(m for m in sys.modules if m.split(".")[0] == "nkerr"), file=sys.stderr)
+loaded()
+modes = [model.FieldMode(label, g, delta, n) for label, g, delta, n in
+         (("a", 0.01, 0.3, 1), ("b", 1.0, 0.1, 0), ("c", 0.01, 0.5, 1))]
+rho = suscept.coherences(model.SystemConfig(*modes, (0.0, 0.0, 0.0)))
+loaded()
+print(repr(rho))
+"""
+
+
+def test_suscept_loads_the_series_engine_only_for_coherences():
+    # a fresh interpreter: the closed forms and sweeps never need perturb
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _SUSCEPT_THEN_COHERENCES],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = (set(line.split()) for line in proc.stderr.splitlines())
+    assert before == {"nkerr", "nkerr.errors", "nkerr.model", "nkerr.suscept"}
+    assert after == before | {"nkerr.perturb"}
+    reference = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+    assert proc.stdout == f"{suscept.coherences(reference)!r}\n"
 
 
 # ``runpy._run_module_as_main`` is what ``python -m nkerr.cli`` calls
@@ -944,7 +1016,7 @@ def test_console_entry_point_runs():
 # explicit decision to change the gated output.
 _GATED = Path(__file__).resolve().parent / "gated"
 _GATED_SCENARIOS = ("reference", "raman", "n_a-2", "dc-1e200", "strong", "lossy", "complex",
-                    "weak-pump")
+                    "weak-pump", "large-n")
 _GATED_RUNS = (
     [(f"coeffs-{s}", ["coeffs", s]) for s in _GATED_SCENARIOS]
     + [(f"evolve-{s}-t{t}", ["evolve", s, "--t", t])
@@ -989,7 +1061,7 @@ def test_gated_coeffs_in_a_process_without_numpy():
 
 
 @pytest.mark.parametrize("scenario, axis", [("lossy", "dc"), ("reference", "da"), ("complex", "dc"),
-                                            ("weak-pump", "dc")])
+                                            ("weak-pump", "dc"), ("large-n", "dc")])
 def test_gated_sweep_csv_matches_the_corpus(tmp_path, scenario, axis):
     opath = tmp_path / "out.csv"
     assert cli.main(["sweep", str(_GATED / f"{scenario}.json"), "--axis", axis, "--lo", "-2",
