@@ -17,11 +17,13 @@ are not bools and fit a float); ``FieldMode`` and ``SystemConfig`` check the
 values, and their ValueError becomes a ScenarioError naming the mode or gamma.
 
 ``nkerr sweep`` holds only the grid of detunings (``suscept.sweep_grid``, 8
-bytes a row).  It evaluates the closed forms on ``SWEEP_CHUNK_ROWS`` (1024)
+bytes a row).  It evaluates the closed forms on ``SWEEP_CHUNK_ROWS`` (512)
 rows at a time (``suscept.sweep_at``) and writes each chunk's text before the
 next, so beyond the grid a process holds one chunk whatever ``--steps`` is:
-0.5 MB at the ``tracemalloc`` peak of a ``dc`` sweep, 0.7 MB on ``da``, where
-all seven columns vary.  Every row depends on its own detuning only, so a
+0.30 MB at the ``tracemalloc`` peak of a ``dc`` sweep, 0.37 MB on ``da``, where
+all seven columns vary.  On a ``dc`` sweep only the delta_3 terms of the
+closed forms run over a chunk's rows, so a chunk's ``sweep_at`` costs about
+0.1 ms, most of it fixed.  Every row depends on its own detuning only, so a
 chunk has the bits of the same rows of the whole grid's ``Sweep``, and the
 CSV has the same bytes at any chunk size.  Before ``--out`` is truncated, one
 point is evaluated: a term that no grid point changes and that leaves double
@@ -92,8 +94,8 @@ _DOMAIN_ERRORS = (PoleError, DegeneracyError, NotResonantError, TrackingError, C
 
 # Rows evaluated and formatted per write of the sweep CSV.  A 100001-row sweep
 # peaked at 32.8 MB RSS with 4096 rows, 30.5 with 1024 and 30.1 with 512, and
-# each chunk adds ``sweep_at``'s fixed cost of 0.1-0.2 ms.
-SWEEP_CHUNK_ROWS = 1024
+# each chunk adds ``sweep_at``'s fixed cost of about 0.1 ms.
+SWEEP_CHUNK_ROWS = 512
 
 # (start, stop) -> the Sweep of rows [start, stop) of the grid.
 _Rows = Callable[[int, int], "suscept.Sweep"]

@@ -30,7 +30,7 @@ class ConvergenceError(NKerrError):
 
 
 class TrackingError(NKerrError):
-    """No eigenvector has a level-1 component of at least 0.5, so no ground branch is chosen."""
+    """The ground branch is not certified: its Bauer-Fike disc around 0 is not isolated."""
 
 
 class ScenarioError(NKerrError):

@@ -4,17 +4,19 @@ Everything here is deliberately decoupled from the perturbation engine so the
 two can cross-check each other: eigensystems come from LAPACK, time evolution
 from spectral decomposition, and the Taylor coefficients of the ground
 eigenvalue from its characteristic polynomial.  The ground branch has one
-rule: the eigenvector with the largest level-1 component.  The matrix is
-tridiagonal, so det(H - E) is a continuant in E and the squared probe
-strengths, and its root is solved order by order on truncated double power
-series (Brent & Kung, J. ACM 25 (1978) 581): each coefficient is exact to
-rounding relative to the terms it sums, not to itself, so a weak pump
-(G_b << |h11 h22|), which would lose the cross entry, is refused; there is no
-step size, radius or sampling to choose.  ``ground_series`` and
-``phase_comparison`` call ``perturb.dressed_basis`` as a degeneracy gate,
-which decides whether they go on, never a value, and share no other code
-with the perturbation side, so the continuant and the Rayleigh-Schrodinger
-recursion stay two independent routes to the same coefficients.
+rule: the one eigenvalue in a Bauer-Fike disc around 0 that no other
+eigenvalue can reach.  The matrix is tridiagonal, so det(H - E) is a
+continuant in E and the squared probe strengths, and its root is solved
+order by order on truncated double power series (Brent & Kung, J. ACM 25
+(1978) 581): each coefficient is exact to rounding relative to the terms it
+sums, not to itself, so a weak pump (G_b << |h11 h22|), which would lose the
+cross entry, is refused; there is no step size, radius or sampling to
+choose.  ``ground_series``, ``phase_comparison`` and
+``ground_eigenvalue_function`` call ``perturb.dressed_basis`` as a gate (the
+degeneracy test, and the disc's radius and gap), which decides whether they
+go on, never a value, and share no other code with the perturbation side,
+so the continuant and the Rayleigh-Schrodinger recursion stay two
+independent routes to the same coefficients.
 ``phase_comparison`` is where the two sides meet: it sets the effective phase
 of ``effective`` against exact propagation, for ``nkerr evolve`` and
 acceptance criterion 6, and takes its gate, its matrix and its bound from one split.
@@ -127,20 +129,34 @@ def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, 
 def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, float], complex]:
     """Ground eigenvalue of ``h0 + x*va + y*vc`` as a function of (x, y), by LAPACK.
 
-    Each call solves the one matrix and keeps the eigenvector with the
-    largest level-1 component: unambiguous near (0, 0).  A largest component
-    below 0.5 raises :class:`TrackingError`.  ValueError unless x and y are
-    finite numbers (a bool or an int past double range is not).
+    The branch is certified by a Bauer-Fike disc (Numer. Math. 2, 137
+    (1960)): with h0 = R diag(lambda) R^-1, R = ``dressed_basis(h0).right``,
+    every eigenvalue lies within r = kappa(R) max(|x|, |y|) of an eigenvalue
+    of h0, since va and vc act on disjoint level pairs and so
+    ||x*va + y*vc|| = max(|x|, |y|) in the 1-norm.  Where r < gap/2, with gap
+    the smallest |lambda_k| over k >= 1, the disc |E| <= r holds exactly one
+    eigenvalue all along t*(x, y) for t in [0, 1]: the branch connected to 0,
+    which each call returns after solving the one matrix.  kappa = ||R||_1
+    ||R^-1||_1 and gap are computed once per factory call.  Elsewhere the
+    call raises :class:`TrackingError` naming r and gap/2.  ValueError unless
+    x and y are finite numbers (a bool or an int past double range is not);
+    the factory raises DegeneracyError where h0 is near-degenerate.
     """
+    basis = perturb.dressed_basis(split.h0)
+    kappa = float(np.abs([basis.right, basis.left]).sum(axis=1).max(axis=1).prod())  # 1-norms
+    half_gap = min(map(abs, basis.eigenvalues.tolist()[1:])) / 2.0
+
     def f(x: float, y: float) -> complex:
         if not (model._is_finite(x, cmath.isfinite) and model._is_finite(y, cmath.isfinite)):
             raise ValueError(f"x and y must be finite, got {x!r} and {y!r}")
-        sol = exact_eigensystem(split._replace(eps_a=x, eps_c=y).reconstruct())
-        overlaps = np.abs(sol.eigenvectors[0])
-        idx = int(np.argmax(overlaps))
-        if overlaps[idx] < 0.5:
-            raise TrackingError(f"lost the ground branch: best overlap {overlaps[idx]:.3f} < 0.5")
-        return complex(sol.eigenvalues[idx])
+        r = kappa * max(abs(x), abs(y))
+        if r < half_gap:
+            sol = exact_eigensystem(split._replace(eps_a=x, eps_c=y).reconstruct())
+            inside = [e for e in sol.eigenvalues.tolist() if abs(e) <= r]
+            if len(inside) == 1:
+                return inside[0]
+        raise TrackingError(f"ground branch not certified: the Bauer-Fike radius r = {r:.3e} "
+                            f"must be below gap/2 = {half_gap:.3e} and hold one eigenvalue")
     return f
 
 
@@ -181,7 +197,8 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     chi3_cross read off E was within 3.5 r of the closed form, relative.
     Raises :class:`DegeneracyError` where the unperturbed spectrum is
     near-degenerate, which includes a vanishing slope, ValueError unless order
-    is an integer >= 0, and the out-of-range PoleError where a pass overflows.
+    is an integer >= 0, and the out-of-range PoleError where a pass overflows
+    or the slope underflows to 0.
     """
     if not model._is_nonnegative_int(order):
         raise ValueError(f"order must be an integer >= 0, got {order!r}")
@@ -194,7 +211,7 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     one[0, 0] = 1.0
     u[1:2, 0] = 1.0
     v = u.T
-    with model.in_double_range(), np.errstate(over="raise", invalid="raise"):
+    with model.in_double_range(), np.errstate(over="raise", invalid="raise", divide="raise"):
         p_a, g_b, p_c = va[0, 1] * va[1, 0], h0[1, 2] * h0[2, 1], vc[2, 3] * vc[3, 2]
         pair = h0[1, 1] * h0[2, 2]
         model.check_pump(float(abs(g_b)), float(abs(pair)), WEAK_PUMP_TOL)

@@ -234,7 +234,8 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     the basis, taken on Python complex numbers.  Each order is one
     gather-multiply-reduce over its terms in ``_order_plan``, whose norm
     terms are scaled by P first; ``A[1]`` is P A[0].  ValueError unless n is
-    the integer 1 and max_order an integer >= 0.
+    the integer 1 and max_order an integer >= 0; the out-of-range PoleError
+    where an entry of E or A leaves double range.
     """
     # n stays here and in evaluate_energy only as perfbench/series_loop.py passes it
     if not (_is_nonnegative_int(n) and n == 1):
@@ -261,10 +262,11 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     divisor = -basis.eigenvalues
     divisor[0] = 1.0  # E and the diagonal entry, which the norm expansion fixes
     coef, bra, steps = _order_plan(max_order)
-    coef = coef * phase[bra]
-    for terms, left, right, starts, out, div in steps:
-        w[out] = np.add.reduceat(w[left] * w[right] * coef[terms], starts) / divisor[div]
-    np.multiply(a[0], phase, out=a[1])
+    with in_double_range(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        coef = coef * phase[bra]
+        for terms, left, right, starts, out, div in steps:
+            w[out] = np.add.reduceat(w[left] * w[right] * coef[terms], starts) / divisor[div]
+        np.multiply(a[0], phase, out=a[1])
     return SeriesTable(basis, max_order, e, a)
 
 
@@ -280,7 +282,8 @@ def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
     """Partial sum of the ground eigenvalue series.
 
     ValueError unless n is the integer 1, total_order an integer order the table holds,
-    and eps_a and eps_c finite numbers (a bool or an int past double range is not).
+    and eps_a and eps_c finite numbers (a bool or an int past double range is not);
+    the out-of-range PoleError where a power or the sum leaves double range.
     """
     if not (_is_finite(eps_a, math.isfinite) and _is_finite(eps_c, math.isfinite)):
         raise ValueError(f"eps_a and eps_c must be finite, got {eps_a!r} and {eps_c!r}")
@@ -292,4 +295,5 @@ def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
     if total_order < table.order:  # entries above the built order are already zeros
         d = np.arange(total_order + 1)
         e = np.where(d[:, None] + d <= total_order, e, 0.0)
-    return complex(power_sum(e, eps_a, eps_c))
+    with in_double_range(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        return complex(power_sum(e, eps_a, eps_c))

@@ -10,12 +10,15 @@ u_c = ``split.vc[3, 2]``, while E carries no phase.  The closed forms are
 written once, on numpy arrays of the single-photon detunings: a single
 configuration is a grid of one point, and a sweep evaluates the grid values
 it is given in one pass, marking the rows where a pole sits instead of
-stopping there.  A sweep is two steps, the grid (``sweep_grid``) and the
-closed forms at its values (``sweep_at``); each row depends on its own value
-only, so a grid may be evaluated in slices, as ``nkerr sweep`` does chunk by
-chunk.  The series engine ``perturb`` is imported by ``coherences`` alone,
-so a sweep does not load it.  Which pole sits at a point is one code per
-point from the table ``model.POLES``, and a sweep hands it out as its
+stopping there.  Each term has the shape of the detunings it reads, so a
+term that the swept detuning does not enter is evaluated once, on one
+element, as in a one-row point; no bit moves for it (``_closed_forms``).
+A sweep is two steps, the grid (``sweep_grid``) and the closed forms at its
+values (``sweep_at``); each row depends on its own value only, so a grid may
+be evaluated in slices, as ``nkerr sweep`` does chunk by chunk.  The series
+engine ``perturb`` is imported by ``coherences`` alone, so a sweep does not
+load it.  Which pole sits at a point is one code per point from the table
+``model.POLES``, and a sweep hands it out as its
 ``pole`` array; a susceptibility that is not finite is its last entry.  The
 three closed forms share that one code: ``susceptibility_point`` is the
 one-row case of ``sweep_at`` and raises the message of the row's code, so
@@ -92,14 +95,19 @@ class Sweep(NamedTuple):
 def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c) -> tuple[tuple, np.ndarray]:
     """((chi1, chi3_self, chi3_cross), pole code) at arrays of detunings.
 
-    Scalars broadcast.  Every quantity is an array of the common shape, so an
-    element does not depend on how many points are evaluated with it.  Values
-    where a pole sits are not meaningful; the one pole code is ``model.pole_code``
-    of the four denominators and the three values.  PoleError where a term
-    that does not depend on the detunings leaves double range.
+    A scalar detuning is a one-element array, and each term keeps the shape
+    of the detunings it reads: on a ``dc`` sweep, D, chi1, chi3_self and the
+    pump-pair pole are evaluated once, on one element, and only delta_3, the
+    three-photon pole and chi3_cross run over the rows; the pole code has
+    the common shape.  No bit moves for it: a constant term is computed on
+    one element, as in a one-row point, and an element does not depend on
+    how many points are evaluated with it (the scalar-point, slice and
+    corpus tests pin both).  Values where a pole sits are not meaningful;
+    the one pole code is ``model.pole_code`` of the four denominators and
+    the three values.  PoleError where a term that does not depend on the
+    detunings leaves double range.
     """
-    da, db, dc = np.broadcast_arrays(*(np.atleast_1d(np.asarray(d, dtype=float))
-                                       for d in (delta_a, delta_b, delta_c)))
+    da, db, dc = (np.atleast_1d(np.asarray(d, dtype=float)) for d in (delta_a, delta_b, delta_c))
     g2 = config.gamma[1]
     with model.in_double_range(), np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _, d2, _ = model.multi_photon_detunings(da, db, dc)

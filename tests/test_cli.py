@@ -570,11 +570,12 @@ def test_sweep_csv_same_bytes_for_every_part_count(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_sweep_csv_same_bytes_for_every_chunk_size(tmp_path, monkeypatch, cpus):
     # 12289 rows with the pole dc = 0 on row 8192: 4 chunks at 4096 rows a
-    # chunk, 13 at 1024 and 13 at 1000, the last of one row at 4096 and 1024;
-    # on 3 CPUs the later parts start at rows 4096 and 8192, or 4000 and 8000
+    # chunk, 13 at 1024, 13 at 1000 and 25 at 512, the last of one row at
+    # 4096, 1024 and 512; on 3 CPUs the later parts start at rows 4096 and
+    # 8192, or 4000 and 8000
     spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
     blobs = {}
-    for rows in (4096, 1024, 1000):
+    for rows in (4096, 1024, 1000, 512):
         forks = []
         with monkeypatch.context() as m:
             m.setattr(cli, "SWEEP_CHUNK_ROWS", rows)
@@ -585,7 +586,7 @@ def test_sweep_csv_same_bytes_for_every_chunk_size(tmp_path, monkeypatch, cpus):
                              "--steps", "12289", "--out", str(opath)], stdout=io.StringIO()) == 0
         assert len(forks) == cpus - 1
         blobs[rows] = opath.read_bytes()
-    assert blobs[1024] == blobs[4096] and blobs[1000] == blobs[4096]
+    assert all(blob == blobs[4096] for blob in blobs.values())
     assert blobs[4096].count(b"\n") == 12290
     assert blobs[4096].splitlines()[8193] == b"dc,0,,,,,,,0"
 
@@ -682,11 +683,12 @@ def test_sweep_memory_grows_with_steps_by_the_grid_only(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("axis", ["dc", "da"])
-def test_sweep_working_set_beyond_the_grid_is_under_1_mib(tmp_path, monkeypatch, axis):
+def test_sweep_working_set_beyond_the_grid_is_under_half_a_mib(tmp_path, monkeypatch, axis):
     # one process, after a warm-up run: the traced peak of a 20001-row sweep
     # less its grid (8 bytes a row) is one chunk's arrays and text and the
-    # command's own objects: 0.5 MB on dc and 0.7 MB on da, where all seven
-    # columns vary, at 1024-row chunks; 1.9 and 2.7 MB at 4096
+    # command's own objects: 0.30 MB on dc and 0.37 MB on da, where all seven
+    # columns vary, at 512-row chunks; 0.57 and 0.70 MB at 1024, 1.9 and 2.7 MB
+    # at 4096
     _use_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", _refuse_fork)
     spath = write_scenario(tmp_path, scenario_doc(gamma={"g1": 0.1, "g2": 0.1, "g3": 0.4}))
@@ -699,7 +701,7 @@ def test_sweep_working_set_beyond_the_grid_is_under_1_mib(tmp_path, monkeypatch,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - 8 * 20001 <= 1024 * 1024
+    assert peak - 8 * 20001 <= 512 * 1024
 
 
 def test_sweep_byte_identical_across_processes_and_hash_seeds(tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import warnings
 from dataclasses import replace
@@ -93,15 +94,16 @@ def test_eigensystem_route_is_chosen_by_exact_hermiticity(monkeypatch):
 @pytest.mark.parametrize("gamma_3", [0.0, 0.2])  # the eigh and the eig route
 def test_residual_contract_is_judged_without_overflow(gamma_3):
     # at g_a = 1e200 the squares of the residual entries (~1e184) leave double
-    # range, while the residuals are ~1e-16 of the matrix scale
+    # range, while the residuals are ~1e-16 of the matrix scale; so far outside
+    # the perturbative region no ground branch is certified
     cfg = make_config(1e200, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5, (0.0, 0.0, gamma_3))
     sp = model.split(cfg)
     h = sp.reconstruct()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = oracle.exact_eigensystem(h)
-        ground = oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
-    assert cmath.isfinite(ground)
+        with pytest.raises(TrackingError, match="not certified"):
+            oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
     r = h @ sol.eigenvectors - sol.eigenvectors * sol.eigenvalues
     norms = [math.hypot(*column) for column in np.abs(r).T]  # overflows no square
     assert sol.residuals.max() > 1e180
@@ -270,16 +272,58 @@ def test_both_entry_points_pick_the_same_branch(lossy):
             pytest.approx(series, rel=0, abs=1e-10)
 
 
-def test_both_entry_points_raise_where_no_eigenvector_overlaps_level_1(
-        reference_config, monkeypatch):
-    column = np.array([0.4, np.sqrt(0.84), 0.0, 0.0], dtype=complex)  # unit, overlap 0.4
-    planted = EigenSolution(eigenvalues=np.arange(4, dtype=complex),
-                            eigenvectors=np.column_stack([column] * 4),
-                            residuals=np.zeros(4))
+@pytest.mark.parametrize("eigenvalues", [(0.0, 1e-3, 1.0, 2.0), (1.0, 2.0, 3.0, 4.0)],
+                         ids=["two-in-the-disc", "none-in-the-disc"])
+def test_a_disc_without_exactly_one_computed_eigenvalue_raises(
+        reference_config, monkeypatch, eigenvalues):
+    planted = EigenSolution(eigenvalues=np.array(eigenvalues, dtype=complex),
+                            eigenvectors=np.eye(4, dtype=complex), residuals=np.zeros(4))
     monkeypatch.setattr(oracle, "exact_eigensystem", lambda h: planted)
     sp = model.split(reference_config)
-    with pytest.raises(TrackingError, match="overlap 0.400 < 0.5"):
+    with pytest.raises(TrackingError, match="not certified"):
         oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
+
+
+def test_the_dark_state_beyond_the_disc_is_refused_not_replaced():
+    # Raman-resonant, G_b = 1.21: at x = 2 the eigenvector with the largest
+    # level-1 component (0.646) is a bright state at -2.0907-0.0456j, while the
+    # branch connected to 0 is the dark state at about -2.6e-5
+    sp = model.split(make_config(0.01, 1.1, 0.012, 1, 0, 1, 0.4, 0.4, 0.7, (0.1, 0.0, 0.2)))
+    energy = oracle.ground_eigenvalue_function(sp)
+    assert abs(energy(sp.eps_a, sp.eps_c)) < 1e-7
+    with pytest.raises(TrackingError, match=r"r = 3\.972e\+00 must be below gap/2 = 3\.640e-01"):
+        energy(2.0, 5e-3)
+
+
+def test_every_certified_value_is_the_branch_connected_to_zero():
+    # 120 draws, half lossy, half Raman-resonant (gamma_2 = 0), a third with
+    # random coupling phases, at x = y = s: each value the disc certifies is
+    # where a 100-step walk from 0 along t*(s, s) ends, the walk keeping the
+    # eigenvalue nearest its last; the disc's isolation holds all along it
+    rng = np.random.default_rng(24)
+    splits = []
+    for i in range(120):
+        cfg = validate._random_config(rng, lossy=i % 2 == 1)
+        if i % 4 < 2:
+            cfg = replace(cfg, mode_b=replace(cfg.mode_b, delta=cfg.mode_a.delta),
+                          gamma=(cfg.gamma[0], 0.0, cfg.gamma[2]))
+        if i % 3 == 0:
+            cfg = _phased(cfg, rng)
+        splits.append(model.split(cfg))
+    certified = {}
+    for k, sp in enumerate(splits):
+        energy = oracle.ground_eigenvalue_function(sp)
+        for s in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
+            with contextlib.suppress(TrackingError):
+                certified[k, s] = energy(s, s)
+    assert sum(s == 0.05 for _, s in certified) > 100
+    t = np.linspace(0.0, 1.0, 101)[:, None, None]
+    walks = np.linalg.eigvals([splits[k]._replace(eps_a=t * s, eps_c=t * s).reconstruct()
+                               for k, s in certified])  # (point, step, 4)
+    last = np.zeros(len(certified), dtype=complex)
+    for step in walks.transpose(1, 0, 2):
+        last = step[np.arange(len(last)), np.argmin(np.abs(step - last[:, None]), axis=1)]
+    assert np.abs(np.array(list(certified.values())) - last).max() <= 1e-12
 
 
 # -- exact ground series ----------------------------------------------------

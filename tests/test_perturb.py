@@ -83,6 +83,28 @@ def test_dressed_eigenvalue_beyond_double_range_is_a_pole_error(args):
                 call(sp)
 
 
+def _reference_in_units(s):
+    """The reference scenario with every coupling and detuning multiplied by s."""
+    return make_config(0.01 * s, 1.0 * s, 0.01 * s, 1, 0, 1, 0.3 * s, 0.1 * s, 0.5 * s)
+
+
+# finite inputs whose series or sum are not doubles: at eps = 1e80 the sum's
+# eps**4 overflowed into nan+nanj, at s = 1e-80 A[p, q] ~ s**-(p + q)
+# overflowed while E stayed finite, and at s = 1e-160 the continuant's slope
+# ~ s**3 underflowed to 0 and was divided by
+@pytest.mark.parametrize("call", [
+    lambda: perturb.evaluate_energy(
+        perturb.build_series(model.split(_reference_in_units(1.0)), 1, 4), 1, 1e80, 1e80, 4),
+    lambda: perturb.build_series(model.split(_reference_in_units(1e-80)), 1, 4),
+    lambda: oracle.ground_series(model.split(_reference_in_units(1e-160)), 4),
+], ids=["evaluate_energy", "build_series", "ground_series"])
+def test_a_series_outside_double_range_is_the_out_of_range_pole(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError, match="outside double range"):
+            call()
+
+
 @pytest.mark.parametrize("gb", [1e-3, 1e-6, 1e-9, 1e-12, 1e-50, 1e-100,
                                 1e-160, 1e-200, 1e-300, 5e-324])
 @pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.1, 0.2, 0.1)], ids=["lossless", "lossy"])
