@@ -17,22 +17,17 @@ are not bools and fit a float); ``FieldMode`` and ``SystemConfig`` check the
 values, and their ValueError becomes a ScenarioError naming the mode or gamma.
 
 ``nkerr sweep`` holds only the grid of detunings (``suscept.sweep_grid``, 8
-bytes a row).  It evaluates the closed forms on ``SWEEP_CHUNK_ROWS`` (512)
-rows at a time (``suscept.sweep_at``) and writes each chunk's text before the
-next, so beyond the grid a process holds one chunk whatever ``--steps`` is:
-0.30 MB at the ``tracemalloc`` peak of a ``dc`` sweep, 0.37 MB on ``da``, where
-all seven columns vary.  On a ``dc`` sweep only the delta_3 terms of the
-closed forms run over a chunk's rows, so a chunk's ``sweep_at`` costs about
-0.1 ms, most of it fixed.  Every row depends on its own detuning only, so a
-chunk has the bits of the same rows of the whole grid's ``Sweep``, and the
-CSV has the same bytes at any chunk size.  Before ``--out`` is truncated, one
-point is evaluated: a term that no grid point changes and that leaves double
-range exits 3 there, and ``--out`` keeps its bytes, or is not made where
-there was none.  The ``%.17g`` conversions take more of its time than the
-closed forms, so a column whose
-bits do not change within a chunk is converted once for the chunk: on a
-``dc`` sweep that is chi1 and chi3_self, whose closed forms read only
-delta_1 and delta_2, and a row costs 3 conversions instead of 7.  The rows
+bytes a row).  It evaluates the closed forms on ``SWEEP_CHUNK_ROWS`` rows at a
+time (``suscept.sweep_at``) and writes each chunk's text before the next, so
+beyond the grid a process holds one chunk whatever ``--steps`` is.  Every row
+depends on its own detuning only, so a chunk has the bits of the same rows of
+the whole grid's ``Sweep``, and the CSV has the same bytes at any chunk size.
+Before ``--out`` is truncated, one point is evaluated: a term that no grid
+point changes and that leaves double range exits 3 there, and ``--out`` keeps
+its bytes, or is not made where there was none.  The ``%.17g`` conversions
+take more of its time than the closed forms, so a column whose bits do not
+change within a chunk is converted once for the chunk (``_chunk_text``): on a
+``dc`` sweep a row costs 3 conversions instead of 7.  The rows
 are cut into contiguous parts of whole chunks, one per CPU the process may
 run on (``os.sched_getaffinity``) and no more than there are chunks, and the
 parts are evaluated and formatted at the same time.  The process forks a
@@ -53,9 +48,10 @@ platform without ``os.fork`` or ``os.sched_getaffinity``, nothing is forked.
 Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
 arguments (including non-finite ``--lo/--hi/--t`` and a ``--steps`` whose grid
 does not fit in memory), an output file that cannot be written or a forked
-child that fails, 3 domain error (a pole, including a closed form whose terms
-leave double range, or a degeneracy), 4 regime refusal (a command that needs
-the lossless regime was given decay rates).  ``coeffs`` and ``evolve``
+child that fails, 3 domain error (any other error of the package, such as a
+pole, including a closed form whose terms leave double range, or a
+degeneracy), 4 regime refusal (a command that needs the lossless regime was
+given decay rates).  ``coeffs`` and ``evolve``
 print only finite numbers, as does every valid ``sweep`` row; a sweep's
 detuning-independent terms or an ``evolve`` phase beyond double range exit 3.
 
@@ -83,18 +79,17 @@ import sys
 import tempfile
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NoReturn, TextIO
 
-from .errors import (ConvergenceError, DegeneracyError, NotHermitianError,
-                     NotResonantError, PoleError, ScenarioError, TrackingError)
+from .errors import NKerrError, NotHermitianError, NotResonantError, ScenarioError
 from .model import FieldMode, SystemConfig, _is_finite
 
 if TYPE_CHECKING:
     from . import suscept
 
-_DOMAIN_ERRORS = (PoleError, DegeneracyError, NotResonantError, TrackingError, ConvergenceError)
-
 # Rows evaluated and formatted per write of the sweep CSV.  A 100001-row sweep
-# peaked at 32.8 MB RSS with 4096 rows, 30.5 with 1024 and 30.1 with 512, and
-# each chunk adds ``sweep_at``'s fixed cost of about 0.1 ms.
+# peaked at 32.8 MB RSS with 4096 rows, 30.5 with 1024 and 30.1 with 512, where
+# beyond the grid a chunk peaks at 0.30 MB (tracemalloc) on a ``dc`` sweep and
+# 0.37 MB on ``da``, where all seven columns vary; each chunk adds ``sweep_at``'s
+# fixed cost of about 0.1 ms.
 SWEEP_CHUNK_ROWS = 512
 
 # (start, stop) -> the Sweep of rows [start, stop) of the grid.
@@ -178,7 +173,8 @@ def _cmd_coeffs(args, out: TextIO) -> int:
     report = f"L={_fmt(co.linear)} S={_fmt(co.self_kerr)} K={_fmt(co.cross_kerr)}\n"
     with contextlib.suppress(NotResonantError):  # off resonance: no pure-kerr line
         pure = effective.pure_cross_kerr(config)
-        if abs(pure - co.cross_kerr) <= 1e-12 * abs(co.cross_kerr):  # criterion 5's tolerance
+        # criterion 5's rule, validate._Checker.close at rel 1e-12
+        if abs(pure - co.cross_kerr) <= 1e-12 * max(abs(co.cross_kerr), abs(pure)):
             report += f"pure-kerr K={_fmt(pure)} (agrees with the general form)\n"
     out.write(report)
     return 0
@@ -368,7 +364,7 @@ def main(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
     except NotHermitianError as exc:
         print(f"regime refusal: {exc}", file=sys.stderr)
         return 4
-    except _DOMAIN_ERRORS as exc:
+    except NKerrError as exc:  # every other error of the package is a domain error
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -29,7 +29,8 @@ Conventions used throughout the package:
   build or measure matrices import numpy, when they run.
 * A term outside double range is the ``OUT_OF_RANGE`` pole, which each function
   that derives one raises and no other module names: code that can raise runs
-  in ``in_double_range``, and ``check_finite`` refuses a result that is inf or NaN.
+  in ``in_double_range``, numpy arithmetic in ``numpy_range`` inside it too, and
+  ``check_finite`` refuses a result that is inf or NaN.
 * ``_is_finite`` judges each number a caller passes and ``_finite_array`` each array;
   no other module calls ``math.isfinite``, ``cmath.isfinite`` or ``np.isfinite``: a
   bool, a non-number or an int past double range is not finite.  A photon number
@@ -200,7 +201,8 @@ def multi_photon_detunings(delta_a: float, delta_b: float, delta_c: float) -> Mu
 
 def rabi_frequency(mode: FieldMode) -> complex:
     """Rabi frequency of a mode; mode "b" couples to n+1 photons, "a" and "c" to n."""
-    omega = 2.0 * mode.g * math.sqrt(mode.n + 1 if mode.label == "b" else mode.n)
+    with in_double_range():  # a photon number past double range is no float
+        omega = 2.0 * mode.g * math.sqrt(mode.n + 1 if mode.label == "b" else mode.n)
     check_finite(omega)
     return omega
 
@@ -305,6 +307,14 @@ class in_double_range:
     def __exit__(self, kind, exc, traceback) -> None:
         if kind is not None and issubclass(kind, ArithmeticError):
             raise PoleError(POLES[OUT_OF_RANGE - 1]) from exc
+
+
+def numpy_range():
+    """numpy's half of ``in_double_range``, entered inside it: a new ``np.errstate``
+    under which an overflow, an invalid result or a division by zero raises
+    FloatingPointError, an ArithmeticError, where numpy would warn."""
+    import numpy as np
+    return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 def split(config: SystemConfig) -> PerturbationSplit:

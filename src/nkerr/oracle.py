@@ -96,7 +96,7 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     if not (cond := np.linalg.cond(v, 1)) <= COND_TOL:  # no SVD; a NaN is refused too
         raise ConvergenceError(f"eigenvector condition number {cond:.3e} exceeds {COND_TOL:.0e}")
     coeffs = np.linalg.solve(v, state)
-    with model.in_double_range(), np.errstate(over="raise", invalid="raise"):
+    with model.in_double_range(), model.numpy_range():
         phases = np.exp(-1j * sol.eigenvalues * t)
     return v @ (phases * coeffs)
 
@@ -211,7 +211,7 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     one[0, 0] = 1.0
     u[1:2, 0] = 1.0
     v = u.T
-    with model.in_double_range(), np.errstate(over="raise", invalid="raise", divide="raise"):
+    with model.in_double_range(), model.numpy_range():
         p_a, g_b, p_c = va[0, 1] * va[1, 0], h0[1, 2] * h0[2, 1], vc[2, 3] * vc[3, 2]
         pair = h0[1, 1] * h0[2, 2]
         model.check_pump(float(abs(g_b)), float(abs(pair)), WEAK_PUMP_TOL)

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import DegeneracyError
 from .model import (PerturbationSplit, _is_finite, _is_nonnegative_int, check_finite,
-                    in_double_range)
+                    in_double_range, numpy_range)
 
 DEGENERACY_TOL = 1e-8
 
@@ -262,7 +262,7 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     divisor = -basis.eigenvalues
     divisor[0] = 1.0  # E and the diagonal entry, which the norm expansion fixes
     coef, bra, steps = _order_plan(max_order)
-    with in_double_range(), np.errstate(over="raise", invalid="raise", divide="raise"):
+    with in_double_range(), numpy_range():
         coef = coef * phase[bra]
         for terms, left, right, starts, out, div in steps:
             w[out] = np.add.reduceat(w[left] * w[right] * coef[terms], starts) / divisor[div]
@@ -295,5 +295,5 @@ def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
     if total_order < table.order:  # entries above the built order are already zeros
         d = np.arange(total_order + 1)
         e = np.where(d[:, None] + d <= total_order, e, 0.0)
-    with in_double_range(), np.errstate(over="raise", invalid="raise", divide="raise"):
+    with in_double_range(), numpy_range():
         return complex(power_sum(e, eps_a, eps_c))

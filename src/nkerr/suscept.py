@@ -10,20 +10,16 @@ u_c = ``split.vc[3, 2]``, while E carries no phase.  The closed forms are
 written once, on numpy arrays of the single-photon detunings: a single
 configuration is a grid of one point, and a sweep evaluates the grid values
 it is given in one pass, marking the rows where a pole sits instead of
-stopping there.  Each term has the shape of the detunings it reads, so a
-term that the swept detuning does not enter is evaluated once, on one
-element, as in a one-row point; no bit moves for it (``_closed_forms``).
-A sweep is two steps, the grid (``sweep_grid``) and the closed forms at its
-values (``sweep_at``); each row depends on its own value only, so a grid may
-be evaluated in slices, as ``nkerr sweep`` does chunk by chunk.  The series
-engine ``perturb`` is imported by ``coherences`` alone, so a sweep does not
-load it.  Which pole sits at a point is one code per point from the table
-``model.POLES``, and a sweep hands it out as its
-``pole`` array; a susceptibility that is not finite is its last entry.  The
-three closed forms share that one code: ``susceptibility_point`` is the
-one-row case of ``sweep_at`` and raises the message of the row's code, so
-whether a point has a value does not depend on which susceptibility the
-caller reads.
+stopping there.  A sweep is two steps, the grid (``sweep_grid``) and the
+closed forms at its values (``sweep_at``); each row depends on its own value
+only, so a grid may be evaluated in slices, as ``nkerr sweep`` does chunk by
+chunk.  The series engine ``perturb`` is imported by ``coherences`` alone, so
+a sweep does not load it.  Which pole sits at a point is one code per point
+from the table ``model.POLES``, and a sweep hands it out as its ``pole``
+array; a susceptibility that is not finite is its last entry.  The three
+closed forms share that one code: ``susceptibility_point`` is the one-row
+case of ``sweep_at`` and raises the message of the row's code, so whether a
+point has a value does not depend on which susceptibility the caller reads.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -150,7 +146,7 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     sp = model.split(config)
     table = perturb.build_series(sp, 1, order)
     powers = np.arange(order + 1)
-    with model.in_double_range(), np.errstate(over="raise", invalid="raise"):
+    with model.in_double_range(), model.numpy_range():
         dressed = sp.eps_a**powers @ (sp.eps_c**powers @ table.A)  # [s, m]
         ket, bra = table.basis.right @ dressed[0], dressed[1] @ table.basis.left
         return Coherences(*(complex(ket[k] * bra[b]) for k, b in _LEVELS))
@@ -169,7 +165,9 @@ def chis_from_energy(config: SystemConfig, E: np.ndarray) -> SusceptibilityPoint
     E carries no coupling phase, so these hold for any phases, and no probe
     strength enters, so they check a closed form's eps normalisation too.
     The probe's PoleError where n_a or n_c is 0, else ValueError unless E is
-    a 2-D array of finite numbers (a nested list is one) of at least 5 x 5.
+    a 2-D array of finite numbers (a nested list is one) of at least 5 x 5,
+    and the out-of-range PoleError where a quotient or a photon number leaves
+    double range.
     """
     n_a, n_c = config.mode_a.n, config.mode_c.n
     model.raise_at_pole(model.PROBE_A if n_a == 0 else model.PROBE_C if n_c == 0 else 0)
@@ -178,8 +176,9 @@ def chis_from_energy(config: SystemConfig, E: np.ndarray) -> SusceptibilityPoint
         raise ValueError("the eigenvalue series must be a 2-D array of finite numbers")
     if min(E.shape) < 5:
         raise ValueError(f"the eigenvalue series must be of order >= 4, got {min(E.shape) - 1}")
-    return SusceptibilityPoint(complex(-E[2, 0] / n_a), complex(-2 * E[4, 0] / (3 * n_a**2)),
-                               complex(-E[2, 2] / (6 * n_a * n_c)))
+    with model.in_double_range(), model.numpy_range():
+        return SusceptibilityPoint(complex(-E[2, 0] / n_a), complex(-2 * E[4, 0] / (3 * n_a**2)),
+                                   complex(-E[2, 2] / (6 * n_a * n_c)))
 
 
 def sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:

@@ -103,21 +103,15 @@ def _well_conditioned(cfg: SystemConfig) -> bool:
     return _dressed_gaps_ok(cfg, 0.25)
 
 
-def _random_config(rng: _Stream | np.random.Generator, lossy: bool) -> SystemConfig:
-    """The first draw from ``rng`` that passes ``_well_conditioned``.
-
-    ``rng`` is a criterion's ``_Stream`` or, in the tests, a numpy
-    ``Generator``: both give ``uniform(lo, hi)`` and half-open
-    ``integers(lo, hi)``, and three scalar ``uniform`` calls on a
-    ``Generator`` give the same values as one ``size=3`` call.
-    """
+def _random_config(rng: random.Random, lossy: bool) -> SystemConfig:
+    """The first draw from ``rng``, a criterion's stream, that passes ``_well_conditioned``."""
     while True:
         ga = rng.uniform(0.006, 0.018)
         gc = rng.uniform(0.006, 0.018)
         gb = rng.uniform(0.9, 1.3)
-        na = int(rng.integers(1, 4))
-        nb = int(rng.integers(0, 2))
-        nc = int(rng.integers(1, 4))
+        na = rng.randrange(1, 4)
+        nb = rng.randrange(0, 2)
+        nc = rng.randrange(1, 4)
         da = rng.uniform(-0.9, 0.9)
         db = rng.uniform(-0.9, 0.9)
         dc = rng.uniform(-0.9, 0.9)
@@ -127,14 +121,7 @@ def _random_config(rng: _Stream | np.random.Generator, lossy: bool) -> SystemCon
             return cfg
 
 
-class _Stream(random.Random):
-    """Python's Mersenne Twister with numpy's half-open ``integers(lo, hi)``."""
-
-    def integers(self, lo: int, hi: int) -> int:
-        return self.randrange(lo, hi)
-
-
-def _rng(seed: int, lane: int) -> _Stream:
+def _rng(seed: int, lane: int) -> random.Random:
     """The random stream of one lane of a run: ``random.Random`` seeded by "seed/lane".
 
     ``random`` is loaded in every ``validate`` process already (``cli``
@@ -143,7 +130,7 @@ def _rng(seed: int, lane: int) -> _Stream:
     hashed with SHA-512, not ``hash()``, so each lane's string gives its own
     stream, independent of ``PYTHONHASHSEED``.
     """
-    return _Stream(f"{seed}/{lane}")
+    return random.Random(f"{seed}/{lane}")
 
 
 # -- criteria ---------------------------------------------------------------

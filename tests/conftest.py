@@ -1,4 +1,5 @@
 import contextlib
+import types
 import warnings
 
 import numpy as np
@@ -15,6 +16,11 @@ from nkerr.validate import make_config
 with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
+
+
+def numpy_draws(rng):
+    """A numpy ``Generator`` as the ``random.Random`` that ``validate._random_config`` reads."""
+    return types.SimpleNamespace(uniform=rng.uniform, randrange=rng.integers)
 
 
 @pytest.fixture

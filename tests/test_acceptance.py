@@ -16,6 +16,8 @@ import pytest
 from nkerr import cli, effective, model, suscept, validate
 from nkerr.errors import DegeneracyError, PoleError
 
+from conftest import numpy_draws
+
 TRUE_WRITER = cli._chunk_text
 
 RESULTS = {r.number: r for r in validate.run_all(seed=0)}
@@ -160,10 +162,10 @@ def test_criterion_streams_give_pinned_draws():
 
 
 def test_random_config_draws_from_a_numpy_generator_as_before():
-    # the tests' numpy Generators must see the same configurations as when
-    # _random_config drew the decay rates with one size=3 call
+    # the tests' numpy Generators, through conftest.numpy_draws, must see the same
+    # configurations as when _random_config drew the decay rates with one size=3 call
     rng = np.random.default_rng([0, 7])
-    assert validate._random_config(rng, lossy=True) == validate.make_config(
+    assert validate._random_config(numpy_draws(rng), lossy=True) == validate.make_config(
         0.010879067499576331, 0.9611647431824198, 0.017887173363176977, 2, 1, 1,
         -0.7890301369731798, 0.4937952609234407, 0.7514802921891671,
         gamma=(0.13837346132819045, 0.08363517675901486, 0.12990257734589195))

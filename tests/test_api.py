@@ -109,6 +109,27 @@ def test_isfinite_is_called_only_in_model():
     assert not found
 
 
+def test_numpy_flags_are_set_only_in_model():
+    # numpy's half of the out-of-range rule is model.numpy_range: no other module
+    # sets numpy's error flags to raise, and only suscept._closed_forms enters an
+    # np.errstate, to ignore what a sweep marks per row instead of raising
+    src = Path(nkerr.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): func.name for func in ast.walk(tree)  # the innermost, walked last
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(func)}
+        found += [(path.name, owner.get(id(node)),
+                   sorted({getattr(k.value, "value", None) for k in node.keywords}))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("errstate", "seterr")]
+    assert found == [("suscept.py", "_closed_forms", ["ignore"])]
+
+
 # each record's fields in order, and the defaults of those that have one
 _RECORDS = {
     "model.PerturbationSplit": (("h0", "va", "vc", "eps_a", "eps_c"), {}),

@@ -204,12 +204,14 @@ def test_coeffs_delta3_pole_exit3(tmp_path, capsys):
 
 
 def test_coeffs_near_pole_exit3(tmp_path, capsys):
-    # delta_1*delta_2 - |g_b|^2 = -1.1e-16, rounding noise against terms of 1
-    path = write_scenario(tmp_path, scenario_doc(da=1.0, db=1e-16, dc=0.5))
-    out = io.StringIO()
-    assert cli.main(["coeffs", path], stdout=out) == 3
-    assert out.getvalue() == ""
-    assert "pole:" in capsys.readouterr().err
+    # delta_1*delta_2 - |g_b|^2 = -1.1e-16, rounding noise against terms of 1; a
+    # photon number past double range is the out-of-range pole
+    for doc, pole in ((scenario_doc(da=1.0, db=1e-16, dc=0.5), model.PUMP_PAIR),
+                      (_edited(("modes.a.n", 10**400)), model.OUT_OF_RANGE)):
+        out = io.StringIO()
+        assert cli.main(["coeffs", write_scenario(tmp_path, doc)], stdout=out) == 3
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == f"domain error: {model.POLES[pole - 1]}\n"
 
 
 def test_coeffs_pole_in_pure_form_writes_nothing(tmp_path, capsys):
@@ -466,13 +468,15 @@ def test_sweep_grid_too_large_to_allocate_exit2(tmp_path, monkeypatch, capsys):
 
 
 def test_failed_sweep_keeps_the_bytes_of_out(tmp_path, capsys):
-    spath = write_scenario(tmp_path, scenario_doc(ga=1e100))  # |g_a|^4 leaves double range
+    # |g_a|^4 leaves double range, or the photon number n_a does
     opath = tmp_path / "out.csv"
-    opath.write_bytes(b"kept,1\n")
-    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
-                     "--steps", "3", "--out", str(opath)], stdout=io.StringIO()) == 3
-    assert opath.read_bytes() == b"kept,1\n"
-    assert capsys.readouterr().err == "domain error: pole: a term is outside double range\n"
+    for doc in (scenario_doc(ga=1e100), _edited(("modes.a.n", 10**400))):
+        opath.write_bytes(b"kept,1\n")
+        assert cli.main(["sweep", write_scenario(tmp_path, doc), "--axis", "dc", "--lo", "-1",
+                         "--hi", "1", "--steps", "3", "--out", str(opath)],
+                        stdout=io.StringIO()) == 3
+        assert opath.read_bytes() == b"kept,1\n"
+        assert capsys.readouterr().err == "domain error: pole: a term is outside double range\n"
 
 
 @pytest.mark.parametrize("value", ["-1e-3", "-2E+1", "-.5e0"])
@@ -639,13 +643,15 @@ def test_failed_sweep_of_several_parts_exits_3_before_forking(tmp_path, monkeypa
 
 
 def test_failed_one_point_check_leaves_no_out_where_there_was_none(tmp_path, capsys):
-    # |g_a|^4 leaves double range on every row; a 0-byte --out was left behind
-    spath = write_scenario(tmp_path, scenario_doc(ga=1e200, gamma={"g3": 0.4}))
+    # |g_a|^4 or the photon number n_a leaves double range on every row; a
+    # 0-byte --out was left behind
     opath = tmp_path / "out.csv"
-    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
-                     "--steps", "3", "--out", str(opath)], stdout=io.StringIO()) == 3
-    assert not opath.exists()
-    assert capsys.readouterr().err == "domain error: pole: a term is outside double range\n"
+    for doc in (scenario_doc(ga=1e200, gamma={"g3": 0.4}), _edited(("modes.a.n", 10**400))):
+        assert cli.main(["sweep", write_scenario(tmp_path, doc), "--axis", "dc", "--lo", "-1",
+                         "--hi", "1", "--steps", "3", "--out", str(opath)],
+                        stdout=io.StringIO()) == 3
+        assert not opath.exists()
+        assert capsys.readouterr().err == "domain error: pole: a term is outside double range\n"
 
 
 def test_sweep_of_several_parts_to_dev_null(tmp_path, monkeypatch):
@@ -855,13 +861,15 @@ def test_evolve_quarter_pi_cross_phase(tmp_path):
 _EVOLVE_DOCS = {"strong": scenario_doc(da=0.7, db=0.0, dc=0.9, ga=1.0, gc=0.1),
                 "reference": scenario_doc(da=0.3, db=0.1, dc=0.5, ga=0.01, gc=0.01),
                 "huge-probe-c": _edited(("modes.a.g_re", 1e-30), ("modes.c.g_re", 1e154),
-                                           ("modes.c.n", 5))}
+                                           ("modes.c.n", 5)),
+                "huge-n_a": _edited(("modes.a.n", 10**400))}
 
 
 @pytest.mark.parametrize("name, t, code", [
     ("strong", "1.7e308", 3), ("strong", "-1.7e308", 3), ("strong", "1e300", 0),
     ("strong", "1e30", 0), ("reference", "1.7e308", 3), ("reference", "-1.7e308", 3),
-    ("reference", "1e308", 0), ("reference", "-1e300", 0), ("huge-probe-c", "1", 3)])
+    ("reference", "1e308", 0), ("reference", "-1e300", 0), ("huge-probe-c", "1", 3),
+    ("huge-n_a", "1", 3)])
 def test_evolve_at_extreme_time_prints_finite_values_or_exits3(tmp_path, capsys, name, t, code):
     # the effective phase, or an exponent of the propagation, may leave double range
     out = io.StringIO()

@@ -24,7 +24,7 @@ import pytest
 
 from nkerr import effective, model, oracle, perturb, suscept, validate
 from nkerr.errors import DegeneracyError
-from conftest import make_config
+from conftest import make_config, numpy_draws
 
 ORDER = 6
 POW_RTOL = 8 * np.finfo(float).eps
@@ -51,7 +51,7 @@ def _draws(n=400):
     rng = np.random.default_rng(7)
     draws = []
     for i in range(n):
-        cfg = validate._random_config(rng, lossy=i % 2 == 1)
+        cfg = validate._random_config(numpy_draws(rng), lossy=i % 2 == 1)
         if rng.random() < 0.25:
             cfg = _turned(cfg, rng)
         draws.append((cfg, int(rng.integers(-20, 21))))

@@ -259,20 +259,25 @@ def test_numpy_float_coupling_overflows_to_the_out_of_range_pole():
 _OUT_OF_RANGE = "^pole: a term is outside double range$"
 
 
-@pytest.mark.parametrize("n", [4, 0])
-def test_a_rabi_frequency_outside_double_range_is_the_out_of_range_pole(n):
-    # 2 g sqrt(n) was inf+nanj, or nan+nanj in the vacuum, with no error
-    mode = FieldMode("a", 1e308, 0.0, n)
+@pytest.mark.parametrize("g, n", [(1e308, 4), (1e308, 0), (0.01, 10**400), (0.01, 10**309)],
+                         ids=["4", "0", "10**400", "10**309"])
+def test_a_rabi_frequency_outside_double_range_is_the_out_of_range_pole(g, n):
+    # 2 g sqrt(n) was inf+nanj, or nan+nanj in the vacuum, with no error; a
+    # photon number past double range raised a bare OverflowError in sqrt
+    mode = FieldMode("a", g, 0.0, n)
     for term in (model.rabi_frequency, model.probe_strength):
         with pytest.raises(PoleError, match=_OUT_OF_RANGE):
             term(mode)
 
 
-@pytest.mark.parametrize("g_a, n_a", [(1e308, 1), (1e308, 0), (7e307 * (1 + 1j), 1)])
+@pytest.mark.parametrize("g_a, n_a", [(1e308, 1), (1e308, 0), (7e307 * (1 + 1j), 1),
+                                      pytest.param(0.01, 10**400, id="0.01-10**400"),
+                                      pytest.param(0.01, 10**309, id="0.01-10**309")])
 def test_a_probe_outside_double_range_is_the_out_of_range_pole_in_every_model_term(g_a, n_a):
     # the strengths were (inf, 0.01), (nan, 0.01) or a bare OverflowError of
     # |Omega_a|, and the matrix warned or held NaN; at 7e307(1 + i) only
-    # |Omega_a| leaves double range, which the matrix, split(cfg).reconstruct(), needs too
+    # |Omega_a| leaves double range, which the matrix, split(cfg).reconstruct(), needs too;
+    # split raised a bare OverflowError for a photon number past double range
     cfg = make_config(g_a, 1.0, 0.01, n_a, 0, 1, 0.3, 0.1, 0.5)
     for term in (lambda cfg: model.probe_strength(cfg.mode_a), model.split):
         with pytest.raises(PoleError, match=_OUT_OF_RANGE):

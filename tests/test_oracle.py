@@ -12,7 +12,7 @@ from nkerr.errors import ConvergenceError, DegeneracyError, PoleError, TrackingE
 from nkerr.oracle import EigenSolution
 
 import cauchy
-from conftest import make_config
+from conftest import make_config, numpy_draws
 
 
 # -- exact eigensystem -------------------------------------------------------
@@ -264,7 +264,7 @@ def test_both_entry_points_pick_the_same_branch(lossy):
     # eigenvalue is at least 0.3 away, so a wrong branch fails
     rng = np.random.default_rng([12, lossy])
     for _ in range(20):
-        cfg = _phased(validate._random_config(rng, lossy=lossy), rng)
+        cfg = _phased(validate._random_config(numpy_draws(rng), lossy=lossy), rng)
         sp = model.split(cfg)
         series = perturb.evaluate_energy(perturb.build_series(sp, 1, 8), 1,
                                          sp.eps_a, sp.eps_c, 8)
@@ -303,7 +303,7 @@ def test_every_certified_value_is_the_branch_connected_to_zero():
     rng = np.random.default_rng(24)
     splits = []
     for i in range(120):
-        cfg = validate._random_config(rng, lossy=i % 2 == 1)
+        cfg = validate._random_config(numpy_draws(rng), lossy=i % 2 == 1)
         if i % 4 < 2:
             cfg = replace(cfg, mode_b=replace(cfg.mode_b, delta=cfg.mode_a.delta),
                           gamma=(cfg.gamma[0], 0.0, cfg.gamma[2]))
@@ -330,7 +330,7 @@ def test_every_certified_value_is_the_branch_connected_to_zero():
 
 def _seed_zero_configs(lane, lossy):
     rng = np.random.default_rng([0, lane])
-    return [validate._random_config(rng, lossy=lossy) for _ in range(20)]
+    return [validate._random_config(numpy_draws(rng), lossy=lossy) for _ in range(20)]
 
 
 @pytest.mark.parametrize("lane, lossy", [(34, False), (7, True)])
@@ -373,7 +373,7 @@ def test_ground_series_refuses_a_pump_too_weak_for_its_cross_entry(lossy):
     # under a weak pump the cross entry sums terms |h11 h22| / G_b times its
     # size; it is returned within 1e-8 of the closed form, or refused
     rng = np.random.default_rng([20, lossy])
-    for cfg in (validate._random_config(rng, lossy=lossy) for _ in range(20)):
+    for cfg in (validate._random_config(numpy_draws(rng), lossy=lossy) for _ in range(20)):
         for g_b in (1e-2, 1e-3, 1e-6, 1e-9, 1e-12, 1e-50, 1e-100, 1e-200, 1e-300):
             weak = replace(cfg, mode_b=replace(cfg.mode_b, g=g_b))
             try:

@@ -10,7 +10,7 @@ from nkerr.errors import DegeneracyError, PoleError
 
 import cauchy
 import series_reference
-from conftest import make_config
+from conftest import make_config, numpy_draws
 
 
 def _h0(d1, d2, d3, ob):
@@ -247,7 +247,7 @@ def test_parity_zeros(reference_config):
 def _selection_rule_configs():
     """Lossless and lossy configurations with complex couplings, and one with the pump off."""
     rng = np.random.default_rng(17)
-    lossless, lossy = (_complex_couplings(validate._random_config(rng, loss), rng)
+    lossless, lossy = (_complex_couplings(validate._random_config(numpy_draws(rng), loss), rng)
                        for loss in (False, True))
     return lossless, lossy, replace(lossy, mode_b=replace(lossy.mode_b, g=0.0))
 
@@ -307,7 +307,7 @@ def test_order_independence_bit_identical(reference_config, lossy_config):
     d = np.add.outer(np.arange(9), np.arange(9))
     rng = np.random.default_rng(3)
     phased_lossy = _complex_couplings(lossy_config, rng)
-    phased_lossless = _complex_couplings(validate._random_config(rng, False), rng)
+    phased_lossless = _complex_couplings(validate._random_config(numpy_draws(rng), False), rng)
     uncoupled = replace(phased_lossy, mode_b=replace(phased_lossy.mode_b, g=0.0))
     for cfg in (reference_config, phased_lossy, phased_lossless, uncoupled):
         sp = model.split(cfg)
@@ -322,8 +322,8 @@ def test_order_independence_bit_identical(reference_config, lossy_config):
 def _coupling_configs():
     """Seeded lossless, lossy and random-phase draws, the pump off, and each probe off."""
     rng = np.random.default_rng(23)
-    lossless, lossy = (validate._random_config(rng, loss) for loss in (False, True))
-    phased = [_complex_couplings(validate._random_config(rng, loss), rng)
+    lossless, lossy = (validate._random_config(numpy_draws(rng), loss) for loss in (False, True))
+    phased = [_complex_couplings(validate._random_config(numpy_draws(rng), loss), rng)
               for loss in (False, True)]
     return {"lossless": lossless, "lossy": lossy, "phased-lossless": phased[0],
             "phased-lossy": phased[1],
@@ -360,7 +360,7 @@ def _bra_identity_configs(count=12):
     random phases the pump off, no a-photons and no c-coupling."""
     rng = np.random.default_rng(29)
     for k in range(count):
-        cfg = validate._random_config(rng, bool(k % 2))
+        cfg = validate._random_config(numpy_draws(rng), bool(k % 2))
         phased = _complex_couplings(cfg, rng)
         yield from (cfg, replace(cfg, mode_a=replace(cfg.mode_a, g=-cfg.mode_a.g)), phased,
                     replace(phased, mode_b=replace(phased.mode_b, g=0.0)),
@@ -385,7 +385,7 @@ def test_batched_series_matches_per_entry_recursion(lossy):
     # the batch sums each entry in another order than the recursion it replaced
     rng = np.random.default_rng([11, 1])
     for _ in range(20):
-        sp = model.split(_complex_couplings(validate._random_config(rng, lossy), rng))
+        sp = model.split(_complex_couplings(validate._random_config(numpy_draws(rng), lossy), rng))
         table = perturb.build_series(sp, 1, 8)
         ref = series_reference.build_series(sp, 8)
         assert np.max(np.abs(table.E - ref.E)) <= 1e-14 * np.max(np.abs(ref.E))

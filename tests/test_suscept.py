@@ -13,7 +13,7 @@ from nkerr import cli, effective, model, oracle, perturb, suscept, validate
 from nkerr.errors import PoleError, ScenarioError
 
 import cauchy
-from conftest import fuzz_scenarios, make_config
+from conftest import fuzz_scenarios, make_config, numpy_draws
 
 
 # the two routes to the ground eigenvalue's Taylor array E[p, q]
@@ -31,7 +31,7 @@ def _phased_draws(seed, lossy):
     rng = np.random.default_rng([seed, lossy])
     draws = []
     for _ in range(20):
-        cfg = validate._random_config(rng, lossy=lossy)
+        cfg = validate._random_config(numpy_draws(rng), lossy=lossy)
         draws.append(dataclasses.replace(cfg, **{
             f"mode_{m}": dataclasses.replace(mode, g=mode.g * cmath.exp(2j * np.pi * rng.random()))
             for m, mode in zip("abc", (cfg.mode_a, cfg.mode_b, cfg.mode_c))}))
@@ -103,7 +103,7 @@ def test_conjugate_transition_identity(lossy_config):
 def test_conjugate_transition_identity_random_batch():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        cfg = validate._random_config(rng, lossy=True)
+        cfg = validate._random_config(numpy_draws(rng), lossy=True)
         assert suscept.susceptibility_point(cfg).chi3_cross == pytest.approx(
             _bridged(cfg, "ground_series").chi3_cross, rel=1e-9)
 
@@ -189,11 +189,15 @@ def test_overflowing_cumulative_detuning_is_the_out_of_range_pole(route, gamma):
 
 
 @pytest.mark.parametrize("route", _SERIES_ROUTES.values(), ids=_SERIES_ROUTES)
-@pytest.mark.parametrize("g_a, g_c", [(1e308, 0.01), (0.01, 1e308), (7e307 + 7e307j, 0.01)])
-def test_a_probe_outside_double_range_is_the_out_of_range_pole(route, g_a, g_c):
+@pytest.mark.parametrize("g_a, g_c, n_a", [
+    (1e308, 0.01, 1), (0.01, 1e308, 1), (7e307 + 7e307j, 0.01, 1), (0.01, 0.01, 10**400),
+    (0.01, 0.01, 10**309)], ids=["1e+308-0.01", "0.01-1e+308", "(7e+307+7e+307j)-0.01",
+                                 "n_a=10**400", "n_a=10**309"])
+def test_a_probe_outside_double_range_is_the_out_of_range_pole(route, g_a, g_c, n_a):
     # 2 g sqrt(n) overflows to inf, which once left eps = inf and NaN phases in
-    # the split and so NaN series; at 7e307(1 + i) |Omega_a| raised OverflowError
-    cfg = make_config(g_a, 1.0, g_c, 1, 0, 1, 0.3, 0.1, 0.5)
+    # the split and so NaN series; at 7e307(1 + i) |Omega_a| raised OverflowError,
+    # and so did sqrt(n_a) for a photon number past double range
+    cfg = make_config(g_a, 1.0, g_c, n_a, 0, 1, 0.3, 0.1, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PoleError, match="outside double range"):
@@ -290,6 +294,19 @@ def test_bridge_without_probe_photons_is_the_probe_pole(na, nc, match):
     e = perturb.build_series(model.split(cfg), 1, 4).E
     with pytest.raises(PoleError, match=match):
         suscept.chis_from_energy(cfg, e)
+
+
+@pytest.mark.parametrize("na, e40", [(1, 1.5e308), (10**160, 1.0)],
+                         ids=["E40=1.5e308", "n_a=10**160"])
+def test_bridge_outside_double_range_is_the_out_of_range_pole(na, e40):
+    # -2 E[4, 0] overflowed to chi3_self = -inf+nanj behind a RuntimeWarning, and
+    # 3 n_a**2 past double range raised a bare OverflowError
+    e = np.ones((5, 5), dtype=complex)
+    e[4, 0] = e40
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError, match="^pole: a term is outside double range$"):
+            suscept.chis_from_energy(make_config(0.02, 1.0, 0.02, na, 0, 1, 0.4, 0.1, 0.9), e)
 
 
 @pytest.mark.parametrize("order", [1, 2])
