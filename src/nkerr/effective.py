@@ -1,17 +1,17 @@
 """Closed-form linear, self-Kerr and cross-Kerr response of the relaxed atom.
 
 The coefficients are defined in the lossless regime only (decay belongs to
-the susceptibility module).  In terms of the multi-photon detunings and
-``G_b = |g_b|^2 (n_b + 1)`` the shared pole structure is
-``D_K = delta_1*delta_2 - G_b``; the cross-Kerr coefficient additionally
-diverges at delta_3 = 0.  The poles are read from ``model.POLES``: at gamma = 0
-D_K = -D, its pump-pair entry, and ``pure_cross_kerr`` reads its delta_3 and
-G_b entries.  A result outside double range is its last entry.  The n_a**2
-scaling of the fourth-order eigenvalue correction forces the self-Kerr
-numerator to carry |g_a|^4; this form is cross-validated against Taylor
-extraction of the exact ground eigenvalue in the test suite.  ``phase_angle``
-and the Raman test in ``pure_cross_kerr`` are the package's only definitions
-of those two rules.
+the susceptibility module).  ``_kerr`` alone writes them, with no guard, in
+terms of the multi-photon detunings, ``G_b = |g_b|^2 (n_b + 1)`` and the
+pump-pair denominator D of ``model.POLES``, which at gamma = 0 is
+``G_b - delta_1*delta_2``; the cross-Kerr coefficient additionally diverges at
+delta_3 = 0.  The guards are the callers': ``coefficients`` reads D, delta_3
+and G_b off the pole terms it checks, and ``pure_cross_kerr`` its G_b.  A
+result outside double range is the table's last entry.  The n_a**2 scaling of
+the fourth-order eigenvalue correction forces the self-Kerr numerator to carry
+|g_a|^4; this form is cross-validated against Taylor extraction of the exact
+ground eigenvalue in the test suite.  ``phase_angle`` and the Raman test in
+``pure_cross_kerr`` are the package's only definitions of those two rules.
 """
 
 from __future__ import annotations
@@ -46,21 +46,24 @@ def _require_lossless(config: SystemConfig) -> None:
             "the lossy response is given by the susceptibilities ('nkerr sweep')")
 
 
+def _kerr(d2, d3, den, ga2, gb2n, gc2) -> tuple:
+    """(L, S, K) = (delta_2 |g_a|^2 / D, -delta_2 (delta_2^2 + G_b) |g_a|^4 / D^3,
+    -|g_a|^2 G_b |g_c|^2 / (delta_3 D^2)) with D = ``den``: arithmetic only, so it
+    runs on any number type, exact rationals included; the callers guard it."""
+    return (d2 * ga2 / den, -d2 * (d2**2 + gb2n) * ga2**2 / den**3,
+            -ga2 * gb2n * gc2 / (d3 * den**2))
+
+
 def coefficients(config: SystemConfig) -> KerrCoefficients:
     """Linear, self-Kerr and cross-Kerr coefficients of the relaxed ground state."""
     _require_lossless(config)
-    d1, d2, d3 = config.detunings()
     with model.in_double_range():
-        ga2 = abs(config.mode_a.g) ** 2
-        gc2 = abs(config.mode_c.g) ** 2
-        gb2n = model.pump_coupling(config)
-        model.check_poles(config, model.PUMP_PAIR, model.THREE_PHOTON)
-        dk = d1 * d2 - gb2n
-        linear = -d2 * ga2 / dk
-        self_kerr = d2 * (d2**2 + gb2n) * ga2**2 / dk**3
-        cross_kerr = -ga2 * gb2n * gc2 / (d3 * dk**2)
-    model.check_finite(linear, self_kerr, cross_kerr)
-    return KerrCoefficients(linear=linear, self_kerr=self_kerr, cross_kerr=cross_kerr)
+        ga2, gc2 = abs(config.mode_a.g) ** 2, abs(config.mode_c.g) ** 2
+        (den, *_), _, (pole3, *_), _, (gb2n, _) = model.check_poles(
+            config, model.PUMP_PAIR, model.THREE_PHOTON)
+        coeffs = _kerr(config.detunings().delta2, pole3.real, den.real, ga2, gb2n, gc2)
+    model.check_finite(*coeffs)
+    return KerrCoefficients(*coeffs)
 
 
 def pure_cross_kerr(config: SystemConfig) -> float:
@@ -75,8 +78,7 @@ def pure_cross_kerr(config: SystemConfig) -> float:
     if abs(d2) > RESONANCE_RTOL * max(1.0, abs(d1)):
         raise NotResonantError(f"delta_2 = {d2!r} is not Raman-resonant")
     with model.in_double_range():
-        gb2n = model.pump_coupling(config)
-        model.check_poles(config, model.THREE_PHOTON, model.PUMP)
+        *_, (gb2n, _) = model.check_poles(config, model.THREE_PHOTON, model.PUMP)
         if abs(d1 * d2) > RESONANCE_RTOL * gb2n:
             raise NotResonantError(f"delta_1*delta_2 = {d1 * d2!r} is not small against G_b")
         pure = -abs(config.mode_a.g) ** 2 * abs(config.mode_c.g) ** 2 / (d3 * gb2n)

@@ -277,10 +277,12 @@ def raise_at_pole(code) -> None:
         raise PoleError(POLES[code - 1])
 
 
-def check_poles(config: SystemConfig, *poles: int) -> None:
-    """PoleError at the first of ``poles`` that the configuration sits on."""
-    deltas = config.mode_a.delta, config.mode_b.delta, config.mode_c.delta
-    raise_at_pole(pole_code(pole_terms(config, *deltas), poles))
+def check_poles(config: SystemConfig, *poles: int) -> tuple:
+    """PoleError at the first of ``poles`` that the configuration sits on; else
+    the ``pole_terms`` it checked, at the configuration's own detunings."""
+    terms = pole_terms(config, config.mode_a.delta, config.mode_b.delta, config.mode_c.delta)
+    raise_at_pole(pole_code(terms, poles))
+    return terms
 
 
 def check_pump(gb: float, pair: float, tol: float) -> None:

@@ -41,6 +41,7 @@ meaningful at this normalisation, not laboratory units.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -88,6 +89,16 @@ class Sweep(NamedTuple):
     pole: np.ndarray
 
 
+def _chis(d2, g2, ga2, gb2n, gc2, eps_a, eps_c, den, pole3, i=1j) -> tuple:
+    """(chi1, chi3_self, chi3_cross) of the module docstring, with D = ``den``,
+    delta_3 - i*gamma_3 = ``pole3`` and the imaginary unit ``i``: arithmetic
+    only, so it runs on any number type, exact rationals included; the caller
+    guards it."""
+    return (ga2 * (i * g2 - d2) / (eps_a**2 * den),
+            2 * ga2**2 * (i * g2 - d2) * ((g2 + i * d2) ** 2 - gb2n) / (3 * eps_a**4 * den**3),
+            ga2 * gb2n * gc2 / (6 * eps_a**2 * eps_c**2 * pole3 * den**2))
+
+
 def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c) -> tuple[tuple, np.ndarray]:
     """((chi1, chi3_self, chi3_cross), pole code) at arrays of detunings.
 
@@ -104,17 +115,12 @@ def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c) -> tuple[tupl
     detunings leaves double range.
     """
     da, db, dc = (np.atleast_1d(np.asarray(d, dtype=float)) for d in (delta_a, delta_b, delta_c))
-    g2 = config.gamma[1]
     with model.in_double_range(), np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _, d2, _ = model.multi_photon_detunings(da, db, dc)
         terms = model.pole_terms(config, da, db, dc)
         (den, *_), (eps_a, _), (pole3, *_), (eps_c, _), (gb2n, _) = terms
-        ga2 = abs(config.mode_a.g) ** 2
-        chis = (ga2 * (1j * g2 - d2) / (eps_a**2 * den),
-                (2.0 * ga2**2 * (1j * g2 - d2) * ((g2 + 1j * d2) ** 2 - gb2n)
-                 / (3.0 * eps_a**4 * den**3)),
-                (ga2 * gb2n * abs(config.mode_c.g) ** 2
-                 / (6.0 * eps_a**2 * eps_c**2 * pole3 * den**2)))
+        chis = _chis(d2, config.gamma[1], abs(config.mode_a.g) ** 2, gb2n,
+                     abs(config.mode_c.g) ** 2, eps_a, eps_c, den, pole3)
         poles = model.PUMP_PAIR, model.PROBE_A, model.THREE_PHOTON, model.PROBE_C
         return chis, model.pole_code(terms, poles, *chis)
 
@@ -194,9 +200,11 @@ def sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
         raise ValueError(f"lo and hi must be finite and hi - lo within double range, "
                          f"got {lo!r} and {hi!r}")
     try:
-        return np.linspace(lo, hi, steps)
+        if steps <= sys.maxsize // 8:  # numpy raises IndexError or ValueError past its byte count
+            return np.linspace(lo, hi, steps)
     except MemoryError:
-        raise ValueError(f"steps={steps} is too many: the grid does not fit in memory") from None
+        pass
+    raise ValueError(f"steps={steps} is too many: the grid does not fit in memory")
 
 
 def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:

@@ -130,6 +130,28 @@ def test_numpy_flags_are_set_only_in_model():
     assert found == [("suscept.py", "_closed_forms", ["ignore"])]
 
 
+@pytest.mark.parametrize("module, name", [("effective", "_kerr"), ("suscept", "_chis")])
+def test_the_closed_form_kernels_are_plain_arithmetic(module, name):
+    # the body reads only its parameters and its own locals through int
+    # constants and binary and unary operators: no call, attribute, subscript
+    # or module-level name, so a kernel runs on any number type (exact
+    # rationals in test_exact.py) and its guards stay with its callers
+    func = ast.parse(textwrap.dedent(inspect.getsource(
+        getattr(importlib.import_module(f"nkerr.{module}"), name)))).body[0]
+    body = func.body[1:] if ast.get_docstring(func) else func.body
+    names = {arg.arg for arg in func.args.args} | {
+        node.id for stmt in body for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    allowed = (ast.Return, ast.Assign, ast.Tuple, ast.BinOp, ast.UnaryOp, ast.operator,
+               ast.unaryop, ast.expr_context)
+    found = [f"{type(node).__name__}:{getattr(node, 'id', getattr(node, 'value', ''))}"
+             for stmt in body for node in ast.walk(stmt)
+             if not (isinstance(node, allowed)
+                     or isinstance(node, ast.Name) and node.id in names
+                     or isinstance(node, ast.Constant) and type(node.value) is int)]
+    assert not found
+
+
 # each record's fields in order, and the defaults of those that have one
 _RECORDS = {
     "model.PerturbationSplit": (("h0", "va", "vc", "eps_a", "eps_c"), {}),

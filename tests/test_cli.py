@@ -456,15 +456,21 @@ def test_sweep_grid_too_large_to_allocate_exit2(tmp_path, monkeypatch, capsys):
     def no_memory(*args, **kwargs):
         raise MemoryError("planted: the grid does not fit")
 
-    monkeypatch.setattr(np, "linspace", no_memory)  # so nothing is allocated for real
     spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
     opath = tmp_path / "out.csv"
     opath.write_bytes(b"kept,1\n")
-    assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
-                     "--steps", "1000000000000", "--out", str(opath)], stdout=io.StringIO()) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid arguments:") and err.count("\n") == 1
-    assert opath.read_bytes() == b"kept,1\n"
+    # past sys.maxsize // 8 steps numpy's linspace raises IndexError or
+    # ValueError of its own, so sweep_grid refuses them before numpy runs
+    for steps in (10**12, 2**63 - 1, 2**63):
+        with monkeypatch.context() as patch:
+            if steps <= sys.maxsize // 8:
+                patch.setattr(np, "linspace", no_memory)  # so nothing is allocated for real
+            assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
+                             "--steps", str(steps), "--out", str(opath)],
+                            stdout=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments:") and err.count("\n") == 1
+        assert opath.read_bytes() == b"kept,1\n"
 
 
 def test_failed_sweep_keeps_the_bytes_of_out(tmp_path, capsys):
