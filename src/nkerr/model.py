@@ -85,9 +85,13 @@ def _is_finite(value, isfinite) -> bool:
 
 
 def _finite_array(value, dtype) -> np.ndarray | None:
-    """``value`` as an array of ``dtype``; None where it does not convert or is not finite."""
+    """``value`` as an array of ``dtype``, float or complex; None where it does not
+    convert or is not finite, or where numpy holds it as bools, strings or, for a
+    float, complex numbers, as ``_is_finite`` refuses them one by one."""
     import numpy as np
     try:
+        if np.asarray(value).dtype.kind not in ("iufcO" if dtype is complex else "iufO"):
+            return None
         array = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         return None

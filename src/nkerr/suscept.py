@@ -1,25 +1,27 @@
 """Complex electrical susceptibilities of the two probe transitions.
 
-Closed forms, the bridge from a ground-eigenvalue series to them, and
-detuning sweeps.  ``chis_from_energy`` reads the susceptibilities off the
-Taylor array E[p, q] of the ground eigenvalue, whichever route built it:
-by Hellmann-Feynman the Taylor arrays of the coherences are derivatives of
-E, t[p-1, q] = u_a p E[p, q] / 2 for rho21 and u[p, q-1] = u_c q E[p, q] / 2
+Two routes reach the three susceptibilities, each one guard-free kernel
+behind one guarded entry.  The closed forms are ``_chis`` behind
+``sweep_at``, which evaluates them on numpy arrays of the single-photon
+detunings and marks the rows where a pole sits instead of stopping there;
+``susceptibility_point`` is the one-row ``sweep_at`` and raises the message
+of that row's pole code, so a point and a sweep cannot drift apart, and a
+point has all three values or none.  The bridge is ``_chis_from_series``
+behind ``chis_from_energy``, which reads the susceptibilities off the Taylor
+array E[p, q] of the ground eigenvalue, whichever route built it: by
+Hellmann-Feynman the Taylor arrays of the coherences are derivatives of E,
+t[p-1, q] = u_a p E[p, q] / 2 for rho21 and u[p, q-1] = u_c q E[p, q] / 2
 for rho43, with the probe phases u_a = ``split.va[1, 0]`` and
-u_c = ``split.vc[3, 2]``, while E carries no phase.  The closed forms are
-written once, on numpy arrays of the single-photon detunings: a single
-configuration is a grid of one point, and a sweep evaluates the grid values
-it is given in one pass, marking the rows where a pole sits instead of
-stopping there.  A sweep is two steps, the grid (``sweep_grid``) and the
-closed forms at its values (``sweep_at``); each row depends on its own value
-only, so a grid may be evaluated in slices, as ``nkerr sweep`` does chunk by
-chunk.  The series engine ``perturb`` is imported by ``coherences`` alone, so
-a sweep does not load it.  Which pole sits at a point is one code per point
-from the table ``model.POLES``, and a sweep hands it out as its ``pole``
-array; a susceptibility that is not finite is its last entry.  The three
-closed forms share that one code: ``susceptibility_point`` is the one-row
-case of ``sweep_at`` and raises the message of the row's code, so whether a
-point has a value does not depend on which susceptibility the caller reads.
+u_c = ``split.vc[3, 2]``, while E carries no phase.  A kernel is arithmetic
+only, so it runs on exact rationals too.
+
+A sweep is two steps, the grid (``sweep_grid``) and the closed forms at its
+values (``sweep_at``); each row depends on its own value only, so a grid may
+be evaluated in slices, as ``nkerr sweep`` does chunk by chunk.  The series
+engine ``perturb`` is imported by ``coherences`` alone, so a sweep does not
+load it.  Which pole sits at a point is one code per point from the table
+``model.POLES``, and a sweep hands it out as its ``pole`` array; a
+susceptibility that is not finite is its last entry.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -99,39 +101,12 @@ def _chis(d2, g2, ga2, gb2n, gc2, eps_a, eps_c, den, pole3, i=1j) -> tuple:
             ga2 * gb2n * gc2 / (6 * eps_a**2 * eps_c**2 * pole3 * den**2))
 
 
-def _closed_forms(config: SystemConfig, delta_a, delta_b, delta_c) -> tuple[tuple, np.ndarray]:
-    """((chi1, chi3_self, chi3_cross), pole code) at arrays of detunings.
-
-    A scalar detuning is a one-element array, and each term keeps the shape
-    of the detunings it reads: on a ``dc`` sweep, D, chi1, chi3_self and the
-    pump-pair pole are evaluated once, on one element, and only delta_3, the
-    three-photon pole and chi3_cross run over the rows; the pole code has
-    the common shape.  No bit moves for it: a constant term is computed on
-    one element, as in a one-row point, and an element does not depend on
-    how many points are evaluated with it (the scalar-point, slice and
-    corpus tests pin both).  Values where a pole sits are not meaningful;
-    the one pole code is ``model.pole_code`` of the four denominators and
-    the three values.  PoleError where a term that does not depend on the
-    detunings leaves double range.
-    """
-    da, db, dc = (np.atleast_1d(np.asarray(d, dtype=float)) for d in (delta_a, delta_b, delta_c))
-    with model.in_double_range(), np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, d2, _ = model.multi_photon_detunings(da, db, dc)
-        terms = model.pole_terms(config, da, db, dc)
-        (den, *_), (eps_a, _), (pole3, *_), (eps_c, _), (gb2n, _) = terms
-        chis = _chis(d2, config.gamma[1], abs(config.mode_a.g) ** 2, gb2n,
-                     abs(config.mode_c.g) ** 2, eps_a, eps_c, den, pole3)
-        poles = model.PUMP_PAIR, model.PROBE_A, model.THREE_PHOTON, model.PROBE_C
-        return chis, model.pole_code(terms, poles, *chis)
-
-
 def susceptibility_point(config: SystemConfig) -> SusceptibilityPoint:
-    """The three susceptibilities at the configuration's own detunings, the one-row
-    case of ``sweep_at``; PoleError with the message of the row's pole code."""
-    deltas = config.mode_a.delta, config.mode_b.delta, config.mode_c.delta
-    chis, pole = _closed_forms(config, *deltas)
-    model.raise_at_pole(pole[0])
-    return SusceptibilityPoint(*(complex(chi[0]) for chi in chis))
+    """The three susceptibilities at the configuration's own detunings: the one-row
+    ``sweep_at``, and PoleError with the message of that row's pole code."""
+    row = sweep_at(config, "da", [config.mode_a.delta])
+    model.raise_at_pole(row.pole[0])
+    return SusceptibilityPoint(*(complex(chi[0]) for chi in row[2:5]))  # the row's three chi's
 
 
 def coherences(config: SystemConfig, order: int = 3) -> Coherences:
@@ -163,7 +138,8 @@ def chis_from_energy(config: SystemConfig, E: np.ndarray) -> SusceptibilityPoint
 
     E is the Taylor array of eps_a**p eps_c**q in the ground eigenvalue, to
     order >= 4, as ``perturb.build_series(...).E`` or ``oracle.ground_series``
-    give it.  With eps = |g| sqrt(n), |g|^2 / eps^2 is 1/n for each probe, so::
+    give it.  With eps = |g| sqrt(n), |g|^2 / eps^2 is 1/n for each probe, so
+    the kernel ``_chis_from_series`` computes::
 
         chi1 = -E[2, 0] / n_a,   chi3_self = -2 E[4, 0] / (3 n_a^2),
         chi3_cross = -E[2, 2] / (6 n_a n_c)
@@ -183,8 +159,15 @@ def chis_from_energy(config: SystemConfig, E: np.ndarray) -> SusceptibilityPoint
     if min(E.shape) < 5:
         raise ValueError(f"the eigenvalue series must be of order >= 4, got {min(E.shape) - 1}")
     with model.in_double_range(), model.numpy_range():
-        return SusceptibilityPoint(complex(-E[2, 0] / n_a), complex(-2 * E[4, 0] / (3 * n_a**2)),
-                                   complex(-E[2, 2] / (6 * n_a * n_c)))
+        chis = _chis_from_series(E[2, 0], E[4, 0], E[2, 2], n_a, n_c)
+        return SusceptibilityPoint(*map(complex, chis))
+
+
+def _chis_from_series(e20, e40, e22, n_a, n_c) -> tuple:
+    """(chi1, chi3_self, chi3_cross) of ``chis_from_energy`` from E[2, 0], E[4, 0]
+    and E[2, 2]: arithmetic only, so it runs on any number type, exact
+    rationals included; the caller guards it."""
+    return -e20 / n_a, -2 * e40 / (3 * n_a**2), -e22 / (6 * n_a * n_c)
 
 
 def sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -213,9 +196,12 @@ def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:
     Points where a closed-form denominator vanishes or a susceptibility is
     not finite are reported as invalid rows rather than aborting the sweep:
     their susceptibilities are NaN and their ``pole`` is the code of the
-    message ``susceptibility_point`` raises there.  Each row depends on its
-    own value only, so the ``Sweep`` of a slice of a grid is that slice of
-    the grid's ``Sweep``, bit for bit.  PoleError where a term that does not
+    message ``susceptibility_point`` raises there.  A detuning off the axis
+    is one element, and each term keeps the shape of the detunings it reads:
+    on a ``dc`` sweep only delta_3, the three-photon pole and chi3_cross run
+    over the rows.  An element does not depend on how many are evaluated
+    with it, so the ``Sweep`` of a slice of a grid is that slice of the
+    grid's ``Sweep``, bit for bit.  PoleError where a term that does not
     depend on ``value`` is outside double range, and ValueError unless
     ``value`` is 1-D and finite.
     """
@@ -224,8 +210,15 @@ def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:
     value = model._finite_array(value, float)
     if value is None or value.ndim != 1:
         raise ValueError(f"the {axis} values must be a 1-D array of finite numbers")
-    deltas = [config.mode_a.delta, config.mode_b.delta, config.mode_c.delta]
+    deltas = [np.atleast_1d(mode.delta) for mode in (config.mode_a, config.mode_b, config.mode_c)]
     deltas[_AXES.index(axis)] = value
-    chis, pole = _closed_forms(config, *deltas)
+    with model.in_double_range(), np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, d2, _ = model.multi_photon_detunings(*deltas)
+        terms = model.pole_terms(config, *deltas)
+        (den, *_), (eps_a, _), (pole3, *_), (eps_c, _), (gb2n, _) = terms
+        chis = _chis(d2, config.gamma[1], abs(config.mode_a.g) ** 2, gb2n,
+                     abs(config.mode_c.g) ** 2, eps_a, eps_c, den, pole3)
+        poles = model.PUMP_PAIR, model.PROBE_A, model.THREE_PHOTON, model.PROBE_C
+        pole = model.pole_code(terms, poles, *chis)
     return Sweep(axis, value, *(np.where(pole == 0, chi, np.nan) for chi in chis), pole)
 

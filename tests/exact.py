@@ -1,9 +1,10 @@
 """Exact Gaussian rationals re + i*im, with ``fractions.Fraction`` parts.
 
-Standard library only.  The closed-form kernels ``effective._kerr`` and
-``suscept._chis`` use nothing but +, -, *, / and integer powers, so on these
-numbers they give the exact value of the formula they implement; fed the
-exact values of a float call's inputs, they give that call's true error.
+Standard library only.  The kernels ``effective._kerr``, ``suscept._chis``
+and ``suscept._chis_from_series`` use nothing but +, -, *, / and integer
+powers, so on these numbers they give the exact value of the formula they
+implement; fed the exact values of a float call's inputs, they give that
+call's true error.
 """
 
 from __future__ import annotations

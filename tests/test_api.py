@@ -111,7 +111,7 @@ def test_isfinite_is_called_only_in_model():
 
 def test_numpy_flags_are_set_only_in_model():
     # numpy's half of the out-of-range rule is model.numpy_range: no other module
-    # sets numpy's error flags to raise, and only suscept._closed_forms enters an
+    # sets numpy's error flags to raise, and only suscept.sweep_at enters an
     # np.errstate, to ignore what a sweep marks per row instead of raising
     src = Path(nkerr.__file__).parent
     found = []
@@ -127,10 +127,11 @@ def test_numpy_flags_are_set_only_in_model():
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and getattr(node.func, "attr", getattr(node.func, "id", None))
                   in ("errstate", "seterr")]
-    assert found == [("suscept.py", "_closed_forms", ["ignore"])]
+    assert found == [("suscept.py", "sweep_at", ["ignore"])]
 
 
-@pytest.mark.parametrize("module, name", [("effective", "_kerr"), ("suscept", "_chis")])
+@pytest.mark.parametrize("module, name", [("effective", "_kerr"), ("suscept", "_chis"),
+                                          ("suscept", "_chis_from_series")])
 def test_the_closed_form_kernels_are_plain_arithmetic(module, name):
     # the body reads only its parameters and its own locals through int
     # constants and binary and unary operators: no call, attribute, subscript

@@ -1,5 +1,6 @@
-"""The closed-form kernels on exact rationals: the true error of each float
-route, and the Kerr kernel against the exact continuant.
+"""The closed-form and bridge kernels on exact rationals: the true error of
+each float route, and the Kerr kernel and the chi's through the bridge against
+the exact continuant.
 
 Both sides of each ``==`` are rational functions of the inputs, so equality
 at random rational points is a proof up to a chance below d/|S| per point
@@ -11,7 +12,7 @@ import random
 from fractions import Fraction
 
 from exact import I, lift
-from nkerr import effective, model, suscept, validate
+from nkerr import effective, model, oracle, perturb, suscept, validate
 
 U = Fraction(1, 2**53)  # the unit roundoff of a double
 
@@ -21,6 +22,13 @@ U = Fraction(1, 2**53)  # the unit roundoff of a double
 # 8.0 u for the chi's and 2.5, 7.0 and 4.7 u for L, S and K
 CHI_BOUNDS = 8, 16, 12
 KERR_BOUNDS = 4, 12, 8
+# the bridge's chi's from each order-4 series route, against the bridge on the
+# exact continuant at the exact float entries of the split; over 24000 seeded
+# draws of validate._random_config, half of them lossy, the worst was 9.7,
+# 13.2 and 15.8 u from oracle.ground_series and 33.5, 40.6 and 22.5 u from
+# perturb.build_series at order 4
+GROUND_SERIES_BOUNDS = 16, 24, 24
+BUILD_SERIES_BOUNDS = 48, 64, 32
 
 
 def _exact_inputs(cfg):
@@ -106,3 +114,45 @@ def test_kerr_kernel_is_the_exact_continuant_at_random_rational_points():
         assert effective._kerr(d2, d3, gb2n - d1 * d2, ga2, gb2n, gc2) == (
             ga2 * e[1, 0], ga2**2 * e[2, 0], ga2 * gc2 * e[1, 1])
 
+
+def test_bridge_is_the_closed_forms_on_the_exact_continuant_at_random_rational_points():
+    # chis_from_energy reads E[2, 0], E[4, 0] and E[2, 2], the coefficients of
+    # u, u^2 and u v in E(u, v) with u = eps_a^2 and v = eps_c^2; eps_a and eps_c
+    # are drawn and |g|^2 = eps^2 / n, so every input is exact.  k % 2 picks
+    # lossless or lossy and k % 3 == 2 a Raman point (delta_2 = gamma_2 = 0),
+    # where chi1 and chi3_self are exactly 0
+    rng = random.Random("bridge continuant")
+    for k in range(24):
+        raman = k % 3 == 2
+        d1, d2, d3 = (_rational(rng) for _ in range(3))
+        g1, g2, g3 = (_rational(rng, positive=True) if k % 2 else Fraction(0) for _ in range(3))
+        if raman:
+            d2 = g2 = Fraction(0)
+        n_a, n_c = rng.randint(1, 9), rng.randint(1, 9)
+        eps_a, eps_c, gb2n = (_rational(rng, positive=True) for _ in range(3))
+        den = (g1 + I * d1) * (g2 + I * d2) + gb2n
+        closed = suscept._chis(d2, g2, eps_a**2 / n_a, gb2n, eps_c**2 / n_c, eps_a, eps_c,
+                               den, d3 - I * g3, I)
+        e = _continuant_root(d1 - I * g1, d2 - I * g2, d3 - I * g3, gb2n)
+        assert closed == suscept._chis_from_series(e[1, 0], e[2, 0], e[1, 1], n_a, n_c), k
+        assert not raman or closed[:2] == (0, 0), k
+
+
+def test_float_bridge_is_within_a_few_u_of_its_exact_value():
+    # the exact value is the bridge on the exact continuant at the exact float
+    # entries of the split: the phase products P_a = va[0, 1] va[1, 0] and
+    # P_c = vc[2, 3] vc[3, 2] round off 1, and E(u, v) is then e(P_a u, P_c v)
+    rng = random.Random("exact bridge")
+    routes = ((lambda sp: oracle.ground_series(sp, 4), GROUND_SERIES_BOUNDS),
+              (lambda sp: perturb.build_series(sp, 1, 4).E, BUILD_SERIES_BOUNDS))
+    for k in range(40):
+        cfg = validate._random_config(rng, lossy=k % 2 == 1)
+        sp = model.split(cfg)
+        h, va, vc = ([[lift(x) for x in row] for row in m.tolist()] for m in sp[:3])
+        e = _continuant_root(h[1][1], h[2][2], h[3][3], h[1][2] * h[2][1])
+        p_a, p_c = va[0][1] * va[1][0], vc[2][3] * vc[3][2]
+        exact = suscept._chis_from_series(p_a * e[1, 0], p_a**2 * e[2, 0], p_a * p_c * e[1, 1],
+                                          cfg.mode_a.n, cfg.mode_c.n)
+        for series, bounds in routes:
+            for value, x, bound in zip(suscept.chis_from_energy(cfg, series(sp)), exact, bounds):
+                assert _within(value, x, bound), (k, value, x)

@@ -225,6 +225,15 @@ def test_propagate_rejects_nonfinite_state(entry):
         oracle.propagate(np.eye(4), [entry, 0.0, 0.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("state", [[True, False, False, False], np.eye(4, dtype=bool)[0]],
+                         ids=["list", "array"])
+def test_propagate_rejects_a_bool_state(state):
+    # a bool is not a finite number, as for t; a list mixing bools with
+    # floats is a float array to numpy, and is propagated
+    with pytest.raises(ValueError, match="psi0 must be finite"):
+        oracle.propagate(np.eye(4), state, 1.0)
+
+
 # -- exact ground eigenvalue ------------------------------------------------
 
 def _ground(cfg):
@@ -259,8 +268,9 @@ def _phased(cfg, rng):
 
 @pytest.mark.parametrize("lossy", [False, True])
 def test_both_entry_points_pick_the_same_branch(lossy):
-    # LAPACK's eigenvalue with the largest level-1 component against the order-8
-    # Rayleigh-Schrodinger sum, which follows bare level 1: every other
+    # the one LAPACK eigenvalue in the Bauer-Fike disc around 0 (the ground
+    # eigenvalue function) against the order-8 Rayleigh-Schrodinger sum, which
+    # follows the branch connected to 0 (the series entry): every other
     # eigenvalue is at least 0.3 away, so a wrong branch fails
     rng = np.random.default_rng([12, lossy])
     for _ in range(20):
@@ -421,19 +431,19 @@ def test_ground_series_low_orders_are_zero(reference_config):
 
 # -- Cauchy extraction (the helper tests/cauchy.py) -------------------------
 
-def test_fd_constant_function():
+def test_cauchy_constant_function():
     c = cauchy.taylor_coefficients(lambda x, y: np.full_like(x, 3.25), 1.0)
     assert c[0, 0] == pytest.approx(3.25, abs=1e-12)
     c[0, 0] = 0.0
     assert np.max(np.abs(c)) < 1e-12
 
 
-def test_fd_zeroth_order_is_plain_evaluation():
+def test_cauchy_zeroth_order_is_plain_evaluation():
     c = cauchy.taylor_coefficients(lambda x, y: np.exp(x - 2 * y) * (2.5 - 1j), 0.1)
     assert c[0, 0] == pytest.approx(2.5 - 1j, abs=1e-14)
 
 
-def test_fd_exact_on_monomials():
+def test_cauchy_exact_on_monomials():
     # every monomial kept by an n-node rule comes back as a single entry
     n = 8
     for p in range(n // 2):
@@ -447,7 +457,7 @@ def test_fd_exact_on_monomials():
         cauchy.taylor_coefficients(lambda x, y: x ** (n // 2) * y, 1.0, nodes=n)
 
 
-def test_fd_taylor_normalisation():
+def test_cauchy_taylor_normalisation():
     # returns series coefficients, not bare derivatives
     c = cauchy.taylor_coefficients(lambda x, y: np.exp(x + 0.5 * y), 0.5)
     assert c[2, 0] == pytest.approx(0.5, rel=1e-8)
@@ -456,7 +466,7 @@ def test_fd_taylor_normalisation():
     assert c[2, 2] == pytest.approx(1 / 16, rel=1e-8)
 
 
-def test_fd_bad_step_raises(reference_config):
+def test_cauchy_bad_step_raises(reference_config):
     # radius outside the disc of convergence of 1/(1 - x), and too close to its edge
     f = lambda x, y: 1.0 / (1.0 - x) + 0 * y
     for radius in (2.0, 0.9):
@@ -470,7 +480,7 @@ def test_fd_bad_step_raises(reference_config):
                                    8 * cauchy.extraction_radius(sp))
 
 
-def test_fd_rejects_unsupported_orders():
+def test_cauchy_rejects_unsupported_orders():
     f = lambda x, y: x
     for radius in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):

@@ -324,7 +324,9 @@ _E = perturb.build_series(model.split(make_config(0.3, 1.0, 0.7, 2, 0, 3, 0.4, 0
 @pytest.mark.parametrize("e, accepted", [
     (np.full((5, 5), np.nan), False), (_E.tolist(), True), (_E[:, :2], False), (_E[2], False),
     (_E[None], False), ([["a"] * 5] * 5, False), ([[0] * 5] * 4 + [[0] * 4], False),
-], ids=["all-nan", "nested-list", "5x2", "1-d", "3-d", "strings", "ragged"])
+    (_E.astype(str), False), (_E != 0, False),
+], ids=["all-nan", "nested-list", "5x2", "1-d", "3-d", "strings", "ragged", "numeric-strings",
+        "bools"])
 def test_bridge_takes_a_finite_2d_series_of_at_least_5_by_5_or_raises_value_error(e, accepted):
     # a nested list is accepted, as sweep_at accepts one; anything else that is
     # not a 2-D finite array of order >= 4 is the documented ValueError
@@ -459,8 +461,14 @@ def test_sweep_grid_takes_numpy_and_integer_bounds():
 
 @pytest.mark.parametrize("value", [[0.1, float("nan")], [float("inf"), 0.2], [-float("inf")],
                                    [[0.1, 0.2]], 0.1,
-                                   pytest.param([10**400], id="int-past-double")])
+                                   pytest.param([10**400], id="int-past-double"),
+                                   pytest.param([True, False], id="bools"),
+                                   pytest.param(["0.5"], id="numeric-string"),
+                                   pytest.param(np.array([1 + 1j]), id="complex-array"),
+                                   pytest.param([1 + 1j], id="complex-list")])
 def test_sweep_at_rejects_values_not_one_dimensional_or_not_finite(reference_config, value):
+    # a bool, a string or a complex number is not a finite number, as for a
+    # scalar detuning; a complex array is refused before numpy drops its imaginary part
     with pytest.raises(ValueError, match="1-D array of finite numbers"):
         suscept.sweep_at(reference_config, "dc", value)
 
