@@ -19,6 +19,8 @@ Conventions used throughout the package:
 * ``split`` alone writes the matrix entries, into h0, va and vc, and
   ``PerturbationSplit.reconstruct`` alone sums them: the matrix is
   ``split(config).reconstruct()``, and one at other probe strengths is that after ``_replace``.
+  ``split`` hands its last split, whose arrays are read-only, to a call with
+  the same configuration object (``is``: an equal one can differ in signed zeros).
 * ``POLES`` is the one ordered table of where a closed form has no value:
   ``pole_terms`` gives each denominator with the scales it is judged against
   (``near_pole``), and ``pole_code`` names the first pole at each point.
@@ -96,6 +98,12 @@ def _finite_array(value, dtype) -> np.ndarray | None:
     except (TypeError, ValueError, OverflowError):
         return None
     return array if np.isfinite(array).all() else None
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    """Refuse writes into arrays that a memo hands to every caller."""
+    for array in arrays:
+        array.setflags(write=False)
 
 
 def _is_nonnegative_int(n) -> bool:
@@ -180,8 +188,9 @@ class PerturbationSplit(NamedTuple):
 
     ``va`` is nonzero only on the (1,2)/(2,1) entries and ``vc`` only on
     (3,4)/(4,3), each with unit modulus; the strengths are
-    eps_a = |Omega_a|/2 and eps_c = |Omega_c|/2.  Arrays are shared, not
-    copied; treat them as read-only.
+    eps_a = |Omega_a|/2 and eps_c = |Omega_c|/2.  The arrays that ``split``
+    makes are read-only, as it hands them to each caller of the same
+    configuration; ``_replace`` shares them, and ``reconstruct`` makes a new one.
     """
 
     h0: np.ndarray
@@ -323,8 +332,20 @@ def numpy_range():
     return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
+# The last configuration split and its split; object() is no configuration.
+_SPLIT_MEMO: tuple = (object(), None)
+
+
 def split(config: SystemConfig) -> PerturbationSplit:
-    """Split H into the pump block plus the probe couplings; PoleError past double range."""
+    """Split H into the pump block plus the probe couplings; PoleError past double range.
+
+    A call with the configuration object of the last call that returned gives
+    back that split.
+    """
+    global _SPLIT_MEMO
+    last, sp = _SPLIT_MEMO
+    if last is config:
+        return sp
     import numpy as np
     om_a, om_c = rabi_frequency(config.mode_a), rabi_frequency(config.mode_c)
     with in_double_range():  # abs of a finite complex past double range
@@ -346,7 +367,10 @@ def split(config: SystemConfig) -> PerturbationSplit:
     va[0, 1], va[1, 0] = ua.conjugate(), ua
     vc = np.zeros((4, 4), dtype=complex)
     vc[2, 3], vc[3, 2] = uc.conjugate(), uc
-    return PerturbationSplit(h0=h0, va=va, vc=vc, eps_a=eps_a, eps_c=eps_c)
+    _read_only(h0, va, vc)
+    sp = PerturbationSplit(h0=h0, va=va, vc=vc, eps_a=eps_a, eps_c=eps_c)
+    _SPLIT_MEMO = config, sp
+    return sp
 
 
 def manifold_members(seed: ManifoldIndex) -> list[ManifoldIndex]:

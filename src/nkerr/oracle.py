@@ -136,14 +136,21 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
     ||x*va + y*vc|| = max(|x|, |y|) in the 1-norm.  Where r < gap/2, with gap
     the smallest |lambda_k| over k >= 1, the disc |E| <= r holds exactly one
     eigenvalue all along t*(x, y) for t in [0, 1]: the branch connected to 0,
-    which each call returns after solving the one matrix.  kappa = ||R||_1
-    ||R^-1||_1 and gap are computed once per factory call.  Elsewhere the
+    which each call returns after solving the one matrix.  R is the identity
+    outside its 2x2 block R2, so kappa = ||R||_1 ||R^-1||_1
+    = max(1, column sums of |R2|) max(1, column sums of |R2^-1|); it and gap
+    are computed once per factory call, on Python floats.  Elsewhere the
     call raises :class:`TrackingError` naming r and gap/2.  ValueError unless
     x and y are finite numbers (a bool or an int past double range is not);
     the factory raises DegeneracyError where h0 is near-degenerate.
     """
     basis = perturb.dressed_basis(split.h0)
-    kappa = float(np.abs([basis.right, basis.left]).sum(axis=1).max(axis=1).prod())  # 1-norms
+
+    def norm1(m: np.ndarray) -> float:  # of a matrix that is the identity outside m[1:3, 1:3]
+        (a, b), (c, d) = (row[1:3] for row in m.tolist()[1:3])
+        return max(1.0, abs(a) + abs(c), abs(b) + abs(d))
+
+    kappa = norm1(basis.right) * norm1(basis.left)
     half_gap = min(map(abs, basis.eigenvalues.tolist()[1:])) / 2.0
 
     def f(x: float, y: float) -> complex:

@@ -14,7 +14,15 @@ vector that ``build_series`` fills by total order p + q, after the dressed
 couplings ``left @ v @ right`` of both probes, of which it writes only the
 entries the selection rules below allow.  Each
 entry reads only entries of lower total order; a table is bit-reproducible
-and extending ``max_order`` never changes lower entries.
+and extending ``max_order`` never changes lower entries.  So a lower order of
+the same split is read off the last table: ``build_series`` gathers it from
+that table's work vector, the bits of a build of its own.
+
+Memos.  ``dressed_basis`` and ``build_series`` each keep their last result
+as one module-level (key, value) tuple, read once and replaced in one
+assignment, so a thread sees a whole pair; the key is the dtype, shape and
+bytes of the arrays read, so equal values with other bits (a signed zero)
+build again.  An error is never kept, and every array returned is read-only.
 
 Selection rules.  In the N-configuration probe a couples only bare levels
 1 <-> 2 and probe c only 3 <-> 4, so in the dressed basis eps_a moves index
@@ -58,8 +66,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneracyError
-from .model import (PerturbationSplit, _is_finite, _is_nonnegative_int, check_finite,
-                    in_double_range, numpy_range)
+from .model import (PerturbationSplit, _is_finite, _is_nonnegative_int, _read_only,
+                    check_finite, in_double_range, numpy_range)
 
 DEGENERACY_TOL = 1e-8
 
@@ -70,12 +78,25 @@ class DressedBasis(NamedTuple):
     Index 0 is bare level 1 (eigenvalue 0), indices 1 and 2 are the dressed
     states that continue bare levels 2 and 3 as the pump turns off, index 3 is
     bare level 4.  ``right`` holds kets as columns, ``left`` holds the paired
-    bras as rows with ``left @ right = identity``.
+    bras as rows with ``left @ right = identity``.  The arrays are read-only:
+    :func:`dressed_basis` hands the same ones to each caller of the same h0.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
+
+
+_IDENTITY = np.eye(4, dtype=complex)
+# The last h0's fingerprint and basis, and the last split's and its table;
+# object() matches no key.
+_BASIS_MEMO: tuple = (object(), None)
+_SERIES_MEMO: tuple = (object(), None)
+
+
+def _fingerprint(array: np.ndarray) -> tuple:
+    """dtype, shape and bytes: two arrays that share them hold the same values."""
+    return array.dtype, array.shape, array.tobytes()
 
 
 def dressed_basis(h0: np.ndarray) -> DressedBasis:
@@ -93,8 +114,16 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     no floor: the pump block's norm for the dressed pair and bare level 1 (0 has
     no size), |h33| for bare level 4.  So a far level leaves the near ones' gaps
     at their own scale.  Raises the out-of-range PoleError where a dressed
-    eigenvalue, the block's norm or a square on the way leaves double range.
+    eigenvalue, the block's norm or a square on the way leaves double range,
+    and ValueError unless h0 is a 4 x 4 numpy array of numbers.  A call with
+    the h0 of the last call that returned gives back that basis.
     """
+    global _BASIS_MEMO
+    if not (isinstance(h0, np.ndarray) and h0.shape == (4, 4) and h0.dtype.kind in "iufc"):
+        raise ValueError(f"h0 must be a 4 x 4 numpy array of numbers, got {h0!r}")
+    key, basis = _BASIS_MEMO
+    if key == (fingerprint := _fingerprint(h0)):
+        return basis
     rows = h0.tolist()
     d1, x = rows[1][1:3]  # x = Omega_b / 2
     y, d2 = rows[2][1:3]  # y = conj(Omega_b) / 2
@@ -110,18 +139,19 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     if n == 0 or (x == 0) != (y == 0):
         raise DegeneracyError("dressed pair is defective: left/right pairing vanishes")
     kappa = cmath.sqrt(x / y) if y else 1.0
-    right = np.zeros((4, 4), dtype=complex)
-    left = np.zeros((4, 4), dtype=complex)
-    right[0, 0] = left[0, 0] = right[3, 3] = left[3, 3] = 1.0
-    right[1, 1], right[2, 1], right[1, 2], right[2, 2] = kappa / n, kappa * u / n, -v / n, 1 / n
-    left[1, 1], left[1, 2], left[2, 1], left[2, 2] = 1 / kappa / n, v / kappa / n, -u / n, 1 / n
     for i, j in itertools.combinations(range(4), 2):  # bare level 4 is set by h33 alone
         gap, scale = abs(lam[i] - lam[j]), max(block, abs(lam[3])) if j == 3 else block
         if gap <= DEGENERACY_TOL * scale:  # so a zero gap at zero scale is refused
             raise DegeneracyError(
                 f"unperturbed spectrum is near-degenerate: eigenvalues {i + 1} and {j + 1} "
                 f"separated by only {gap:.3e} (tolerance {DEGENERACY_TOL:.1e} x {scale:.3e})")
-    return DressedBasis(eigenvalues=np.array(lam), right=right, left=left)
+    right, left = _IDENTITY.copy(), _IDENTITY.copy()
+    right[1, 1], right[2, 1], right[1, 2], right[2, 2] = kappa / n, kappa * u / n, -v / n, 1 / n
+    left[1, 1], left[1, 2], left[2, 1], left[2, 2] = 1 / kappa / n, v / kappa / n, -u / n, 1 / n
+    basis = DressedBasis(eigenvalues=np.array(lam), right=right, left=left)
+    _read_only(*basis)
+    _BASIS_MEMO = fingerprint, basis
+    return basis
 
 
 class SeriesTable(NamedTuple):
@@ -134,7 +164,9 @@ class SeriesTable(NamedTuple):
     ``basis.right @ A[0, p, q]`` is the order-(p, q) ket correction in the
     bare basis and ``A[1, p, q] @ basis.left`` the bra correction, where
     ``A[1]`` is P A[0] with the diagonal P of the module docstring; in the
-    Hermitian case the bra is the conjugated ket.  Like every record of
+    Hermitian case the bra is the conjugated ket.  E and A are read-only
+    views of one work vector; a call that repeats the last build returns
+    its table again.  Like every record of
     the package it is a tuple; since it holds arrays, a table equals itself,
     but comparing two tables raises numpy's ValueError and hashing one
     raises TypeError.
@@ -219,9 +251,26 @@ def _order_plan(max_order: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple, ..
                       np.cumsum([0] + counts[:-1]), np.array(out), np.array(div)))
         first = len(coef)
     coef, bra = np.array(coef, dtype=complex), np.array(bra, dtype=int)
-    for array in (coef, bra, *(x for step in steps for x in step[1:])):
-        array.setflags(write=False)
+    _read_only(coef, bra, *(x for step in steps for x in step[1:]))
     return coef, bra, tuple(steps)
+
+
+@functools.cache
+def _prefix_slots(order: int, max_order: int) -> np.ndarray:
+    """The slot in an order-``order`` work vector of each slot of an order-``max_order`` one.
+
+    An entry of total order <= max_order keeps its own; one above reads an
+    entry that no build writes, as a build of max_order leaves it: E[0, 1],
+    and A[s, 0, 0, m] for m = 1, 2, 3 and A[s, 0, 1, 0], which P turns into
+    the zeros of a build of its own; the array is read-only.
+    """
+    couplings, e, a = _layout(np.arange(_COUPLINGS + 9 * (order + 1) ** 2), order + 1)
+    low = [(p, q, p + q <= max_order) for p in range(max_order + 1) for q in range(max_order + 1)]
+    slots = np.array([*couplings, *(e[p, q] if kept else e[0, 1] for p, q, kept in low),
+                      *(a[s, p, q, m] if kept else a[s, 0, int(m == 0), m]
+                        for s in range(2) for p, q, kept in low for m in range(4))])
+    _read_only(slots)
+    return slots
 
 
 def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
@@ -233,16 +282,27 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     ``split.vc``, has one nonzero term: a probe entry of v times one entry of
     the basis, taken on Python complex numbers.  Each order is one
     gather-multiply-reduce over its terms in ``_order_plan``, whose norm
-    terms are scaled by P first; ``A[1]`` is P A[0].  ValueError unless n is
-    the integer 1 and max_order an integer >= 0; the out-of-range PoleError
-    where an entry of E or A leaves double range.
+    terms are scaled by P first; ``A[1]`` is P A[0].  Where h0, va and vc
+    have the bytes of the last table's, one of order max_order is that table
+    and one of lower order is gathered from its work vector.  ValueError
+    unless n is the integer 1 and max_order an integer >= 0; the
+    out-of-range PoleError where an entry of E or A leaves double range.
     """
+    global _SERIES_MEMO
     # n stays here and in evaluate_energy only as perfbench/series_loop.py passes it
     if not (_is_nonnegative_int(n) and n == 1):
         raise ValueError(f"only the ground state, the integer n = 1, is built, got n = {n!r}")
     if not _is_nonnegative_int(max_order):
         raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
     basis, size = dressed_basis(split.h0), max_order + 1
+    key, last = _SERIES_MEMO
+    fingerprint = tuple(map(_fingerprint, (split.h0, split.va, split.vc)))
+    if key == fingerprint and max_order <= last.order:
+        if max_order == last.order:
+            return last
+        w = last.E.base[_prefix_slots(last.order, max_order)]  # the work vector E views
+        _read_only(w)
+        return SeriesTable(last.basis, max_order, *_layout(w, size)[1:])
     w = np.zeros(_COUPLINGS + 9 * size * size, dtype=complex)
     _, e, a = _layout(w, size)
     # Each is one rounded product, as in the matrix product; + 0j turns a -0
@@ -267,7 +327,10 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         for terms, left, right, starts, out, div in steps:
             w[out] = np.add.reduceat(w[left] * w[right] * coef[terms], starts) / divisor[div]
         np.multiply(a[0], phase, out=a[1])
-    return SeriesTable(basis, max_order, e, a)
+    _read_only(w)  # then its views, which keep the flag they were made with
+    table = SeriesTable(basis, max_order, *_layout(w, size)[1:])
+    _SERIES_MEMO = fingerprint, table
+    return table
 
 
 def power_sum(c: np.ndarray, x, y):

@@ -116,7 +116,9 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     table: the dressed coefficients are summed at (eps_a, eps_c) first, then
     taken to the bare basis.  Cross-Kerr content requires order >= 3.  The
     bra side is the table's bra series ``A[1]``, so the lossless limit is the
-    ordinary conjugate.  Each call builds its own split and table, and imports
+    ordinary conjugate.  It takes the split and table from ``model.split`` and
+    ``perturb.build_series``, which give back the last ones where the caller
+    has just built them for the same configuration object, and imports
     ``perturb``.  ValueError unless order is an integer >= 1; the out-of-range
     PoleError where a sum overflows.
     """

@@ -207,7 +207,10 @@ def test_records_that_hold_arrays_equal_only_themselves_and_do_not_hash():
     # a tuple compares its fields, and two numpy arrays have no single truth value
     cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
     sp = model.split(cfg)
-    table, again = perturb.build_series(sp, 1, 2), perturb.build_series(sp, 1, 2)
+    table = perturb.build_series(sp, 1, 2)
+    # another configuration's: build_series gives a repeated build its last table back
+    again = perturb.build_series(model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.6)),
+                                 1, 2)
     assert table == table and table in [table]
     with pytest.raises(ValueError, match="truth value of an array"):
         assert table == again

@@ -336,3 +336,54 @@ def test_mislabeled_mode_rejected():
             FieldMode("b", 1.0, 0.0, 0),
             FieldMode("c", 0.1, 0.0, 1),
         )
+
+
+def _forget_split():
+    model._SPLIT_MEMO = (object(), None)
+
+
+def test_split_is_remembered_for_the_same_configuration_object_only():
+    a = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+    b = make_config(0.012, 1.1, 0.009, 2, 1, 1, 0.45, -0.2, 0.4, gamma=(0.12, 0.2, 0.07))
+    cold = []
+    for cfg in (a, b):
+        _forget_split()
+        cold.append(model.split(cfg))
+    _forget_split()
+    for cfg, want in zip((a, b, a), (*cold, cold[0])):
+        sp = model.split(cfg)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(sp[:3], want[:3]))
+        assert sp[3:] == want[3:]
+    assert model.split(a) is model.split(a)
+    twin = replace(a)  # equal, not the same object: a split of its own
+    assert twin == a and model.split(twin) is not model.split(a)
+    # equal configurations can split to other bits: a detuning of -0.0 is == 0.0
+    zero = replace(a, mode_a=replace(a.mode_a, delta=0.0))
+    negative = replace(a, mode_a=replace(a.mode_a, delta=-0.0))
+    assert zero == negative
+    _forget_split()
+    bits = [model.split(cfg).h0.tobytes() for cfg in (negative, zero)]
+    assert bits[0] != bits[1]
+    assert [model.split(cfg).h0.tobytes() for cfg in (negative, zero)] == bits
+
+
+def test_split_arrays_are_read_only_and_reconstruct_is_a_new_array():
+    sp = model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5))
+    for array in sp[:3]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[1, 1] = 1.0
+    h = sp.reconstruct()
+    h[1, 1] = 1.0
+    assert h.flags.writeable and sp.h0[1, 1] != 1.0
+
+
+def test_a_split_that_raises_raises_again_with_the_same_message():
+    ok = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+    far = make_config(1e300, 1.0, 0.01, 10**300, 0, 1, 0.3, 0.1, 0.5)
+    model.split(ok)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(PoleError) as info:
+            model.split(far)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == model.POLES[model.OUT_OF_RANGE - 1]

@@ -1,4 +1,7 @@
 import cmath
+import itertools
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -561,3 +564,143 @@ def test_lossy_series_tracks_complex_eigenvalue(lossy_config):
     approx = perturb.evaluate_energy(table, 1, sp.eps_a, sp.eps_c, 4)
     exact = oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
     assert abs(approx - exact) < 1e-8
+
+
+# -- memos -------------------------------------------------------------------
+
+def _forget():
+    """Empty the memos of split, dressed_basis and build_series, so the next call builds."""
+    model._SPLIT_MEMO = perturb._BASIS_MEMO = perturb._SERIES_MEMO = (object(), None)
+
+
+def _cold(sp, order):
+    _forget()
+    return perturb.build_series(sp, 1, order)
+
+
+def _bits(table):
+    return table.E.tobytes(), table.A.tobytes(), table.basis.right.tobytes()
+
+
+def _memo_draws(count=40):
+    """Seeded draws: lossless and lossy, each with and without random coupling phases."""
+    rng = np.random.default_rng(41)
+    for k in range(count):
+        cfg = validate._random_config(numpy_draws(rng), bool(k % 2))
+        yield _complex_couplings(cfg, rng) if k % 4 >= 2 else cfg
+
+
+def test_a_repeated_or_lower_order_table_is_a_cold_build_bit_for_bit():
+    # tobytes compares bits, so a signed zero the gather got wrong shows
+    for cfg in _memo_draws():
+        sp = model.split(cfg)
+        cold = [_bits(_cold(sp, k)) for k in range(9)]
+        for top in range(1, 9):
+            _cold(sp, top)
+            assert _bits(perturb.build_series(sp, 1, top)) == cold[top], (cfg, top)
+            for k in range(top):
+                table = perturb.build_series(sp, 1, k)
+                assert table.order == k and _bits(table) == cold[k], (cfg, top, k)
+            assert perturb.build_series(sp, 1, top) is perturb.build_series(sp, 1, top)
+
+
+def test_memos_follow_their_inputs_through_a_return_to_an_earlier_one():
+    a, b = itertools.islice(_memo_draws(), 2)
+    cold = []
+    for cfg in (a, b):
+        _forget()
+        sp = model.split(cfg)
+        cold.append((sp.h0.tobytes(), perturb.dressed_basis(sp.h0).right.tobytes(),
+                     _bits(perturb.build_series(sp, 1, 8)), _bits(_cold(sp, 3))))
+    _forget()
+    for cfg, want in zip((a, b, a), (*cold, cold[0])):
+        sp = model.split(cfg)
+        got = (sp.h0.tobytes(), perturb.dressed_basis(sp.h0).right.tobytes(),
+               _bits(perturb.build_series(sp, 1, 8)), _bits(perturb.build_series(sp, 1, 3)))
+        assert got == want
+
+
+def test_dressed_basis_memo_tells_dtypes_of_the_same_bytes_apart():
+    # a complex64 h0 is 128 bytes, as a float64 one is: the key holds the dtype
+    c64 = np.diag(np.array([0, 1 + 1j, 2 + 3j, 5 + 7j], dtype=np.complex64))
+    c64[1, 2] = c64[2, 1] = 0.5 + 0.5j
+    f64 = c64.view(np.float64)
+    assert f64.shape == (4, 4) and f64.tobytes() == c64.tobytes()
+    _forget()
+    cold = {h0.dtype: perturb.dressed_basis(h0).eigenvalues.tobytes() for h0 in (c64, f64)}
+    assert cold[c64.dtype] != cold[f64.dtype]
+    for h0 in (c64, f64, c64):
+        assert perturb.dressed_basis(h0).eigenvalues.tobytes() == cold[h0.dtype]
+
+
+def test_a_call_that_raises_raises_again_with_the_same_message():
+    degenerate = _h0(0.3, 0.3, 0.7, 0.0)
+    far = make_config(0.01, 1.0, 0.01, 1, 0, 1, 1.7e308, 0.0, -1e308)
+    calls = [(DegeneracyError, lambda: perturb.dressed_basis(degenerate)),
+             (DegeneracyError, lambda: perturb.build_series(
+                 model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.0, 0.0, 0.0)), 1, 3)),
+             (PoleError, lambda: perturb.dressed_basis(model.split(far).h0))]
+    for kind, call in calls:
+        perturb.build_series(model.split(_REFERENCE), 1, 8)  # something else to remember
+        messages = []
+        for _ in range(2):
+            with pytest.raises(kind) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+def test_returned_arrays_are_read_only():
+    sp = model.split(_REFERENCE)
+    table = perturb.build_series(sp, 1, 8)
+    lower = perturb.build_series(sp, 1, 3)
+    basis = perturb.dressed_basis(sp.h0)
+    for array in (*basis, table.E, table.A, table.E.base, lower.E, lower.A, lower.E.base):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+
+
+@pytest.mark.parametrize("h0", [np.zeros((3, 3)), np.zeros((4, 4, 1)), [[0.0] * 4] * 4,
+                                np.zeros((4, 4), dtype=bool), np.full((4, 4), "0"), None,
+                                np.zeros((4, 4), dtype=object)], ids=str)
+def test_dressed_basis_refuses_anything_but_a_4x4_numeric_array(h0):
+    with pytest.raises(ValueError, match="h0 must be a 4 x 4 numpy array of numbers"):
+        perturb.dressed_basis(h0)
+
+
+def _chain_bits(cfg):
+    """The series loop's chain on one configuration, as bytes."""
+    sp = model.split(cfg)
+    table = perturb.build_series(sp, 1, 8)
+    energy = perturb.evaluate_energy(table, 1, sp.eps_a, sp.eps_c, 8)
+    exact = oracle.ground_eigenvalue_function(sp)(sp.eps_a, sp.eps_c)
+    coh = suscept.coherences(cfg, 3)
+    return (_bits(table), np.array([energy, exact, coh.rho21, coh.rho43]).tobytes(),
+            _bits(perturb.build_series(sp, 1, 3)))
+
+
+def test_threads_on_interleaved_configurations_get_the_serial_bits():
+    configs = list(itertools.islice(_memo_draws(), 8))
+    _forget()
+    serial = [_chain_bits(cfg) for cfg in configs]
+    results, switch = {}, sys.getswitchinterval()
+
+    def work(t):
+        for r in range(6):
+            for i in range(t + r, t + r + len(configs), 2):  # every other one, rotated
+                k = i % len(configs)
+                results.setdefault((t, k), []).append(_chain_bits(configs[k]))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    try:
+        sys.setswitchinterval(1e-6)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4 * len(configs)
+    for (_, k), runs in results.items():
+        assert all(run == serial[k] for run in runs), k
