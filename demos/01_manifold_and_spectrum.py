@@ -1,4 +1,4 @@
-"""Walk through the model layer: manifold bookkeeping, the 4x4 matrix, spectra.
+"""Walk through the model layer: the manifold's four states, the 4x4 matrix, spectra.
 
 A single atom in the N-configuration exchanges photons with three modes, so
 starting from |1, n_a, n_b, n_c> the dynamics closes on just four product
@@ -9,7 +9,7 @@ by the perturbation engine.
 
 import numpy as np
 
-from nkerr import ManifoldIndex, dressed_basis, exact_eigensystem, manifold_members, split
+from nkerr import dressed_basis, exact_eigensystem, split
 from nkerr.model import FieldMode, SystemConfig
 
 np.set_printoptions(precision=6, suppress=True, linewidth=100)
@@ -21,8 +21,11 @@ config = SystemConfig(
 )
 
 print("== resonant manifold ==")
-for member in manifold_members(ManifoldIndex(1, 1, 0, 1)):
-    print(f"  |{member.atomic_level}, {member.n_a}, {member.n_b}, {member.n_c}>")
+# |1, n_a, n_b, n_c> absorbs an 'a' photon, emits a 'b' photon, absorbs a 'c' photon
+na, nb, nc = config.mode_a.n, config.mode_b.n, config.mode_c.n
+for state in [(1, na, nb, nc), (2, na - 1, nb, nc), (3, na - 1, nb + 1, nc),
+              (4, na - 1, nb + 1, nc - 1)]:
+    print("  |%d, %d, %d, %d>" % state)
 
 print("\n== multi-photon detunings ==")
 d = config.detunings()

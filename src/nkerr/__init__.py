@@ -20,12 +20,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ConvergenceError", "DegeneracyError", "NKerrError", "NotHermitianError",
                "NotResonantError", "PoleError", "ScenarioError", "TrackingError"),
-    "model": ("FieldMode", "ManifoldIndex", "MultiPhotonDetunings", "PerturbationSplit",
-              "SystemConfig", "manifold_members", "multi_photon_detunings",
-              "rabi_frequency", "split"),
+    "model": ("FieldMode", "MultiPhotonDetunings", "PerturbationSplit", "SystemConfig",
+              "multi_photon_detunings", "rabi_frequency", "split"),
     "perturb": ("DressedBasis", "SeriesTable", "build_series", "dressed_basis",
                 "evaluate_energy"),
-    "effective": ("KerrCoefficients", "coefficients", "effective_phase", "pure_cross_kerr"),
+    "effective": ("KerrCoefficients", "coefficients", "pure_cross_kerr"),
     "oracle": ("EigenSolution", "exact_eigensystem", "ground_eigenvalue_function",
                "ground_series", "propagate"),
     "suscept": ("Coherences", "SusceptibilityPoint", "Sweep", "chis_from_energy", "coherences",

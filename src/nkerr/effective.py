@@ -16,7 +16,6 @@ ground eigenvalue in the test suite.  ``phase_angle`` and the Raman test in
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -104,7 +103,3 @@ def phase_angle(coeffs: KerrCoefficients, n_a: int, n_c: int, t: float) -> float
         model.check_finite(angle)
     return angle
 
-
-def effective_phase(coeffs: KerrCoefficients, n_a: int, n_c: int, t: float) -> complex:
-    """Phase factor exp(-i*(L*n_a + S*n_a**2 + K*n_a*n_c)*t) on a Fock product."""
-    return cmath.exp(-1j * phase_angle(coeffs, n_a, n_c, t))

@@ -33,10 +33,10 @@ Conventions used throughout the package:
   that derives one raises and no other module names: code that can raise runs
   in ``in_double_range``, numpy arithmetic in ``numpy_range`` inside it too, and
   ``check_finite`` refuses a result that is inf or NaN.
-* ``_is_finite`` judges each number a caller passes and ``_finite_array`` each array;
-  no other module calls ``math.isfinite``, ``cmath.isfinite`` or ``np.isfinite``: a
-  bool, a non-number or an int past double range is not finite.  A photon number
-  (``_is_nonnegative_int``) is held as a Python int.
+* ``_is_finite`` judges each number a caller passes, ``_finite_array`` each array
+  and ``_require_matrices`` each 4 x 4 matrix; no other module calls ``math.isfinite``,
+  ``cmath.isfinite`` or ``np.isfinite``: a bool, a non-number or an int past double
+  range is not finite.  A photon number (``_is_nonnegative_int``) is held as a Python int.
 * Every immutable record the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
@@ -98,6 +98,15 @@ def _finite_array(value, dtype) -> np.ndarray | None:
     except (TypeError, ValueError, OverflowError):
         return None
     return array if np.isfinite(array).all() else None
+
+
+def _require_matrices(**matrices) -> None:
+    """ValueError naming the first of ``matrices`` that is not a 4 x 4 numpy array of
+    numbers (dtype kind ``iufc``): the one rule for a matrix a caller passes."""
+    import numpy as np
+    for name, m in matrices.items():
+        if not (isinstance(m, np.ndarray) and m.shape == (4, 4) and m.dtype.kind in "iufc"):
+            raise ValueError(f"{name} must be a 4 x 4 numpy array of numbers, got {m!r}")
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -172,15 +181,6 @@ class MultiPhotonDetunings(NamedTuple):
     delta1: float
     delta2: float
     delta3: float
-
-
-class ManifoldIndex(NamedTuple):
-    """Product basis label |atomic_level, n_a, n_b, n_c>."""
-
-    atomic_level: int
-    n_a: int
-    n_b: int
-    n_c: int
 
 
 class PerturbationSplit(NamedTuple):
@@ -372,25 +372,3 @@ def split(config: SystemConfig) -> PerturbationSplit:
     _SPLIT_MEMO = config, sp
     return sp
 
-
-def manifold_members(seed: ManifoldIndex) -> list[ManifoldIndex]:
-    """The four product states closed under the interaction, seeded from level 1.
-
-    The prototype manifold absorbs one "a" photon to reach level 2 and emits
-    one "c" photon from level 4, so the seed needs n_a >= 1 and n_c >= 1.
-    """
-    if seed.atomic_level != 1:
-        raise ValueError(f"manifold seed must sit on atomic level 1, got {seed.atomic_level}")
-    if not all(map(_is_nonnegative_int, seed[1:])):
-        raise ValueError(f"photon numbers must be integers >= 0, got {seed!r}")
-    if seed.n_a < 1:
-        raise ValueError("n_a = 0: no 'a' photon to absorb on the 1->2 transition")
-    if seed.n_c < 1:
-        raise ValueError("n_c = 0: no 'c' photon to absorb on the 3->4 transition")
-    na, nb, nc = seed.n_a, seed.n_b, seed.n_c
-    return [
-        seed,
-        ManifoldIndex(2, na - 1, nb, nc),
-        ManifoldIndex(3, na - 1, nb + 1, nc),
-        ManifoldIndex(4, na - 1, nb + 1, nc - 1),
-    ]

@@ -56,7 +56,9 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
     exceeds ``RESIDUAL_TOL`` times the Frobenius norm of h, which has h's unit;
     and the out-of-range PoleError before LAPACK runs where that norm is not
     finite (h holds a NaN or an inf, or its norm leaves double range).
+    ValueError unless h is a 4 x 4 numpy array of numbers.
     """
+    model._require_matrices(h=h)
     bound = RESIDUAL_TOL * math.hypot(*np.abs(h).flat)  # squares no entry
     model.check_finite(bound)
     try:
@@ -81,16 +83,17 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
 def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*h*t) @ psi0 via spectral decomposition (non-defective inputs).
 
-    ValueError unless t is a finite number (a bool or an int past double range is not) and psi0
-    a finite array; the out-of-range PoleError where -i*lambda*t or its exp leaves double range.
+    ValueError unless t is a finite number (a bool or an int past double range is not), psi0
+    a finite vector of 4 entries and h a 4 x 4 numpy array of numbers; the out-of-range
+    PoleError where -i*lambda*t or its exp leaves double range.
     ConvergenceError where the eigenvector matrix's 1-norm condition number (at most 4 for a
     Hermitian h) exceeds ``COND_TOL`` = 1e8, as for a defective h: psi0's coefficients are lost.
     """
     if not model._is_finite(t, math.isfinite):
         raise ValueError(f"t must be finite, got {t!r}")
     state = model._finite_array(psi0, complex)
-    if state is None:
-        raise ValueError(f"psi0 must be finite, got {psi0!r}")
+    if state is None or state.shape != (4,):
+        raise ValueError(f"psi0 must be finite, with 4 entries, got {psi0!r}")
     sol = exact_eigensystem(h)
     v = sol.eigenvectors
     if not (cond := np.linalg.cond(v, 1)) <= COND_TOL:  # no SVD; a NaN is refused too
@@ -142,8 +145,10 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
     are computed once per factory call, on Python floats.  Elsewhere the
     call raises :class:`TrackingError` naming r and gap/2.  ValueError unless
     x and y are finite numbers (a bool or an int past double range is not);
-    the factory raises DegeneracyError where h0 is near-degenerate.
+    the factory raises DegeneracyError where h0 is near-degenerate, and
+    ValueError unless h0, va and vc are 4 x 4 numpy arrays of numbers.
     """
+    model._require_matrices(h0=split.h0, va=split.va, vc=split.vc)
     basis = perturb.dressed_basis(split.h0)
 
     def norm1(m: np.ndarray) -> float:  # of a matrix that is the identity outside m[1:3, 1:3]
@@ -204,11 +209,12 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     chi3_cross read off E was within 3.5 r of the closed form, relative.
     Raises :class:`DegeneracyError` where the unperturbed spectrum is
     near-degenerate, which includes a vanishing slope, ValueError unless order
-    is an integer >= 0, and the out-of-range PoleError where a pass overflows
-    or the slope underflows to 0.
+    is an integer >= 0 and h0, va and vc are 4 x 4 numpy arrays of numbers, and
+    the out-of-range PoleError where a pass overflows or the slope underflows to 0.
     """
     if not model._is_nonnegative_int(order):
         raise ValueError(f"order must be an integer >= 0, got {order!r}")
+    model._require_matrices(h0=split.h0, va=split.va, vc=split.vc)
     perturb.dressed_basis(split.h0)
     h0, va, vc = split.h0, split.va, split.vc
     n = order // 2 + 1  # terms per axis in (u, v)

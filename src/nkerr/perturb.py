@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import DegeneracyError
 from .model import (PerturbationSplit, _is_finite, _is_nonnegative_int, _read_only,
-                    check_finite, in_double_range, numpy_range)
+                    _require_matrices, check_finite, in_double_range, numpy_range)
 
 DEGENERACY_TOL = 1e-8
 
@@ -119,8 +119,7 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     the h0 of the last call that returned gives back that basis.
     """
     global _BASIS_MEMO
-    if not (isinstance(h0, np.ndarray) and h0.shape == (4, 4) and h0.dtype.kind in "iufc"):
-        raise ValueError(f"h0 must be a 4 x 4 numpy array of numbers, got {h0!r}")
+    _require_matrices(h0=h0)
     key, basis = _BASIS_MEMO
     if key == (fingerprint := _fingerprint(h0)):
         return basis
@@ -285,7 +284,8 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     terms are scaled by P first; ``A[1]`` is P A[0].  Where h0, va and vc
     have the bytes of the last table's, one of order max_order is that table
     and one of lower order is gathered from its work vector.  ValueError
-    unless n is the integer 1 and max_order an integer >= 0; the
+    unless n is the integer 1, max_order an integer >= 0 and h0, va and vc
+    4 x 4 numpy arrays of numbers, checked before the memo is read; the
     out-of-range PoleError where an entry of E or A leaves double range.
     """
     global _SERIES_MEMO
@@ -294,6 +294,7 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         raise ValueError(f"only the ground state, the integer n = 1, is built, got n = {n!r}")
     if not _is_nonnegative_int(max_order):
         raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
+    _require_matrices(h0=split.h0, va=split.va, vc=split.vc)
     basis, size = dressed_basis(split.h0), max_order + 1
     key, last = _SERIES_MEMO
     fingerprint = tuple(map(_fingerprint, (split.h0, split.va, split.vc)))

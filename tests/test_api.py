@@ -27,6 +27,20 @@ print(json.dumps([sorted(set(nkerr.__all__) - names) for names in (listed, set(n
 """
 
 
+def test_the_exported_names_are_exactly_these():
+    # adding or removing a public name is an edit of this list
+    assert sorted(nkerr.__all__) == [
+        "Coherences", "ConvergenceError", "DegeneracyError", "DressedBasis", "EigenSolution",
+        "FieldMode", "KerrCoefficients", "MultiPhotonDetunings", "NKerrError",
+        "NotHermitianError", "NotResonantError", "PerturbationSplit", "PoleError",
+        "ScenarioError", "SeriesTable", "SusceptibilityPoint", "Sweep", "SystemConfig",
+        "TrackingError", "__version__", "build_series", "chis_from_energy", "coefficients",
+        "coherences", "dressed_basis", "evaluate_energy", "exact_eigensystem",
+        "ground_eigenvalue_function", "ground_series", "multi_photon_detunings", "propagate",
+        "pure_cross_kerr", "rabi_frequency", "split", "susceptibility_point", "sweep_at",
+        "sweep_grid"]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in nkerr.__all__ if not hasattr(nkerr, name)]
     assert not missing

@@ -123,11 +123,10 @@ def test_outside_double_range_is_a_pole(ga, gb, closed_form):
     (effective.KerrCoefficients(1e300, 0.0, 0.0), np.int64(10**10), 1.0),  # held as an int
 ], ids=["angle-inf", "n_a-int-beyond-double", "int-angle-beyond-double", "n_a-numpy-int"])
 def test_a_phase_outside_double_range_is_the_out_of_range_pole(coeffs, n_a, t):
-    # the angle was inf, or a bare OverflowError, and effective_phase nan+nanj;
-    # a numpy n_a warned of overflow in multiply until phase_angle held it as an int
-    for term in (effective.phase_angle, effective.effective_phase):
-        with pytest.raises(PoleError, match="^pole: a term is outside double range$"):
-            term(coeffs, n_a, 1, t)
+    # the angle was inf, or a bare OverflowError; a numpy n_a warned of
+    # overflow in multiply until phase_angle held it as an int
+    with pytest.raises(PoleError, match="^pole: a term is outside double range$"):
+        effective.phase_angle(coeffs, n_a, 1, t)
 
 
 def test_lossy_config_refused():
@@ -156,34 +155,35 @@ def test_cross_kerr_negative_for_positive_delta3():
         assert effective.coefficients(cfg).cross_kerr < 0
 
 
-def test_effective_phase_trivial_for_empty_a_mode():
+def test_phase_angle_is_zero_for_an_empty_a_mode():
     co = effective.KerrCoefficients(0.3, 0.02, -0.5)
     for t in (0.0, 1.0, 7.5):
-        assert effective.effective_phase(co, 0, 5, t) == 1.0
+        assert effective.phase_angle(co, 0, 5, t) == 0.0
 
 
-def test_effective_phase_pi_flip():
+def test_phase_angle_pi_flip():
     co = effective.KerrCoefficients(0.0, 0.0, -1.0)
-    val = effective.effective_phase(co, 2, 3, math.pi / 6)
-    assert val == pytest.approx(-1.0, abs=1e-14)
+    angle = effective.phase_angle(co, 2, 3, math.pi / 6)
+    assert angle == pytest.approx(-math.pi, abs=1e-14)
+    assert cmath.exp(-1j * angle) == pytest.approx(-1.0, abs=1e-14)
 
 
 @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2),
        st.integers(0, 4), st.integers(0, 4),
        st.floats(-50, 50), st.floats(-50, 50))
-def test_effective_phase_unit_modulus_and_additive(L, S, K, na, nc, t1, t2):
+def test_phase_angle_is_real_and_additive_in_time(L, S, K, na, nc, t1, t2):
     co = effective.KerrCoefficients(L, S, K)
-    p1 = effective.effective_phase(co, na, nc, t1)
-    p2 = effective.effective_phase(co, na, nc, t2)
-    both = effective.effective_phase(co, na, nc, t1 + t2)
-    assert abs(p1) == pytest.approx(1.0, abs=1e-12)
-    assert both == pytest.approx(p1 * p2, abs=1e-9)
+    a1 = effective.phase_angle(co, na, nc, t1)
+    a2 = effective.phase_angle(co, na, nc, t2)
+    both = effective.phase_angle(co, na, nc, t1 + t2)
+    assert type(a1) is float  # so exp(-i*angle) has unit modulus
+    assert both == pytest.approx(a1 + a2, abs=1e-9)
 
 
-def test_effective_phase_rejects_negative_occupation():
+def test_phase_angle_rejects_negative_occupation():
     co = effective.KerrCoefficients(0.0, 0.0, -1.0)
     with pytest.raises(ValueError):
-        effective.effective_phase(co, -1, 0, 1.0)
+        effective.phase_angle(co, -1, 0, 1.0)
 
 
 @pytest.mark.parametrize("n_a, n_c, t, match", [
@@ -194,9 +194,8 @@ def test_effective_phase_rejects_negative_occupation():
     (1, 1, True, "t must be finite"), (1, 1, "x", "t must be finite")])
 def test_phase_angle_rejects_a_non_integer_photon_number_or_non_finite_time(n_a, n_c, t, match):
     co = effective.KerrCoefficients(0.3, 0.02, -0.5)
-    for f in (effective.phase_angle, effective.effective_phase):
-        with pytest.raises(ValueError, match=match):
-            f(co, n_a, n_c, t)
+    with pytest.raises(ValueError, match=match):
+        effective.phase_angle(co, n_a, n_c, t)
 
 
 def test_phase_angle_takes_numpy_integer_photon_numbers():

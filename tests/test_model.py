@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from nkerr import effective, model, suscept
 from nkerr.errors import PoleError
-from nkerr.model import FieldMode, ManifoldIndex, SystemConfig
+from nkerr.model import FieldMode, SystemConfig
 
 from conftest import make_config
 
@@ -171,54 +171,6 @@ def test_split_degenerates_without_a_photons():
     assert sp.eps_a == 0.0
     diff = np.abs(sp.h0 + sp.eps_c * sp.vc - sp.reconstruct())
     assert diff.max() < 1e-15
-
-
-def test_manifold_members_minimal():
-    members = model.manifold_members(ManifoldIndex(1, 1, 0, 1))
-    assert members == [
-        ManifoldIndex(1, 1, 0, 1),
-        ManifoldIndex(2, 0, 0, 1),
-        ManifoldIndex(3, 0, 1, 1),
-        ManifoldIndex(4, 0, 1, 0),
-    ]
-
-
-def test_manifold_members_generic():
-    members = model.manifold_members(ManifoldIndex(1, 5, 2, 3))
-    assert members == [
-        ManifoldIndex(1, 5, 2, 3),
-        ManifoldIndex(2, 4, 2, 3),
-        ManifoldIndex(3, 4, 3, 3),
-        ManifoldIndex(4, 4, 3, 2),
-    ]
-
-
-def test_manifold_members_rejects_missing_a_photon():
-    with pytest.raises(ValueError, match="n_a = 0"):
-        model.manifold_members(ManifoldIndex(1, 0, 0, 1))
-    with pytest.raises(ValueError, match="photon numbers must be integers >= 0"):
-        model.manifold_members(ManifoldIndex(1, 1.5, 0, 1))  # half an 'a' photon
-
-
-def test_manifold_members_rejects_missing_c_photon():
-    with pytest.raises(ValueError, match="n_c = 0"):
-        model.manifold_members(ManifoldIndex(1, 2, 0, 0))
-    with pytest.raises(ValueError, match="photon numbers must be integers >= 0"):
-        model.manifold_members(ManifoldIndex(1, 1, -1, 1))  # a negative pump photon number
-
-
-@given(st.integers(min_value=1, max_value=6), photon, st.integers(min_value=1, max_value=6))
-def test_manifold_bookkeeping_conserved(na, nb, nc):
-    # total "a" quanta  n_a + (level above 1) and "c" quanta are integer-conserved
-    members = model.manifold_members(ManifoldIndex(1, na, nb, nc))
-    seed = members[0]
-    for m in members:
-        absorbed_a = 1 if m.atomic_level >= 2 else 0
-        emitted_b = 1 if m.atomic_level >= 3 else 0
-        absorbed_c = 1 if m.atomic_level >= 4 else 0
-        assert m.n_a + absorbed_a == seed.n_a
-        assert m.n_b - emitted_b == seed.n_b
-        assert m.n_c + absorbed_c == seed.n_c
 
 
 def test_negative_photon_number_rejected():

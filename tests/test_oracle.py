@@ -152,6 +152,17 @@ def test_eigensystem_rejects_a_nan_residual(reference_config, lossy_config, monk
             oracle.exact_eigensystem(h)
 
 
+_NOT_4X4 = [[[0.0] * 4] * 4, np.zeros(4), np.full((4, 4), "0"), np.zeros((3, 4)),
+            np.zeros((4, 4), dtype=bool), np.zeros((4, 4), dtype=object), None]
+_NOT_4X4_IDS = ["nested-list", "1-d", "strings", "3x4", "bools", "objects", "none"]
+
+
+@pytest.mark.parametrize("h", _NOT_4X4, ids=_NOT_4X4_IDS)
+def test_eigensystem_refuses_anything_but_a_4x4_numeric_array(h):
+    with pytest.raises(ValueError, match="^h must be a 4 x 4 numpy array of numbers"):
+        oracle.exact_eigensystem(h)
+
+
 # -- propagation -------------------------------------------------------------
 
 def test_propagate_identity_at_t0(lossy_config):
@@ -231,6 +242,19 @@ def test_propagate_rejects_a_bool_state(state):
     # a bool is not a finite number, as for t; a list mixing bools with
     # floats is a float array to numpy, and is propagated
     with pytest.raises(ValueError, match="psi0 must be finite"):
+        oracle.propagate(np.eye(4), state, 1.0)
+
+
+@pytest.mark.parametrize("h", _NOT_4X4, ids=_NOT_4X4_IDS)
+def test_propagate_refuses_anything_but_a_4x4_numeric_array(h):
+    with pytest.raises(ValueError, match="^h must be a 4 x 4 numpy array of numbers"):
+        oracle.propagate(h, np.ones(4), 1.0)
+
+
+@pytest.mark.parametrize("state", [np.ones(3), [1.0] * 5, np.ones((2, 2)), np.ones((4, 1)), 1.0],
+                         ids=["3", "5", "2x2", "4x1", "scalar"])
+def test_propagate_refuses_a_state_without_4_entries(state):
+    with pytest.raises(ValueError, match="^psi0 must be finite, with 4 entries"):
         oracle.propagate(np.eye(4), state, 1.0)
 
 

@@ -668,6 +668,21 @@ def test_dressed_basis_refuses_anything_but_a_4x4_numeric_array(h0):
         perturb.dressed_basis(h0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("va", np.ones((3, 3))), ("va", [[0.0] * 4] * 4), ("vc", np.zeros((4, 4), dtype=bool)),
+    ("vc", np.full((4, 4), "0")), ("h0", np.zeros((4, 4), dtype=object)), ("h0", None)],
+    ids=["va-3x3", "va-nested-list", "vc-bool", "vc-strings", "h0-object", "h0-none"])
+@pytest.mark.parametrize("route", ["build_series", "ground_series", "ground_eigenvalue_function"])
+def test_split_readers_refuse_an_array_that_is_not_a_4x4_numeric_array(route, field, value):
+    sp = model.split(_REFERENCE)
+    perturb.build_series(sp, 1, 4)  # something to remember
+    call = {"build_series": lambda bad: perturb.build_series(bad, 1, 4),
+            "ground_series": lambda bad: oracle.ground_series(bad, 4),
+            "ground_eigenvalue_function": oracle.ground_eigenvalue_function}[route]
+    with pytest.raises(ValueError, match=f"^{field} must be a 4 x 4 numpy array of numbers"):
+        call(sp._replace(**{field: value}))
+
+
 def _chain_bits(cfg):
     """The series loop's chain on one configuration, as bytes."""
     sp = model.split(cfg)
