@@ -77,8 +77,11 @@ def _is_numpy(value, kind: str) -> bool:
 
 def _is_finite(value, isfinite) -> bool:
     """Whether ``isfinite`` holds for ``value``; a bool (numpy's included), a
-    non-number or an integer beyond double range is not a finite number."""
-    if isinstance(value, bool) or _is_numpy(value, "bool_"):
+    non-number or an integer beyond double range is not a finite number, nor,
+    where ``math.isfinite`` asks for a real one, a numpy complex, whose real part
+    it would take."""
+    if type(value) is not float and (isinstance(value, bool) or _is_numpy(value, "bool_") or (
+            isfinite is math.isfinite and _is_numpy(value, "complexfloating"))):
         return False
     try:
         return isfinite(value)
@@ -89,10 +92,14 @@ def _is_finite(value, isfinite) -> bool:
 def _finite_array(value, dtype) -> np.ndarray | None:
     """``value`` as an array of ``dtype``, float or complex; None where it does not
     convert or is not finite, or where numpy holds it as bools, strings or, for a
-    float, complex numbers, as ``_is_finite`` refuses them one by one."""
+    float, complex numbers, numpy's among objects included, as ``_is_finite``
+    refuses them one by one."""
     import numpy as np
     try:
-        if np.asarray(value).dtype.kind not in ("iufcO" if dtype is complex else "iufO"):
+        held = np.asarray(value)
+        if held.dtype.kind not in ("iufcO" if dtype is complex else "iufO") or (
+                dtype is float and held.dtype.kind == "O"
+                and any(_is_numpy(v, "complexfloating") for v in held.flat)):
             return None
         array = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
@@ -220,18 +227,10 @@ def rabi_frequency(mode: FieldMode) -> complex:
     return omega
 
 
-def probe_strength(mode: FieldMode) -> float:
-    """|Omega|/2, the perturbation strength of a probe mode."""
+def probe_strength(omega: complex) -> float:
+    """eps = |Omega|/2, the perturbation strength of a probe of Rabi frequency ``omega``."""
     with in_double_range():  # abs of a finite complex past double range
-        return abs(rabi_frequency(mode)) / 2.0
-
-
-def pump_coupling(config: SystemConfig) -> float:
-    """G_b = |g_b|^2 (n_b + 1) = |Omega_b|^2 / 4, the squared pump coupling."""
-    with in_double_range():
-        gb2n = abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
-    check_finite(gb2n)
-    return gb2n
+        return abs(omega) / 2.0
 
 
 def near_pole(value, *scales):
@@ -262,15 +261,18 @@ def pole_terms(config: SystemConfig, delta_a, delta_b, delta_c) -> tuple:
     """(value, *scales) of the denominator of each pole in ``POLES`` but the last.
 
     The single-photon detunings are Python floats or arrays.  The scales are
-    the sizes of the terms its value sums; eps_a, eps_c and G_b have scale 0.
+    the sizes of the terms its value sums; eps_a, eps_c and the pump coupling
+    G_b = |g_b|^2 (n_b + 1) = |Omega_b|^2 / 4 have scale 0.
     """
     d1, d2, d3 = multi_photon_detunings(delta_a, delta_b, delta_c)
     g1, g2, g3 = config.gamma
-    gb2n = pump_coupling(config)
+    with in_double_range():
+        gb2n = abs(config.mode_b.g) ** 2 * (config.mode_b.n + 1)
+    check_finite(gb2n)
     pair = (g1 + 1j * d1) * (g2 + 1j * d2)
-    return ((pair + gb2n, abs(pair), gb2n), (probe_strength(config.mode_a), 0.0),
+    return ((pair + gb2n, abs(pair), gb2n), (probe_strength(rabi_frequency(config.mode_a)), 0.0),
             (d3 - 1j * g3, abs(delta_a), abs(delta_b), abs(delta_c), g3),
-            (probe_strength(config.mode_c), 0.0), (gb2n, 0.0))
+            (probe_strength(rabi_frequency(config.mode_c)), 0.0), (gb2n, 0.0))
 
 
 def pole_code(terms: tuple, poles: tuple[int, ...], *values):
@@ -348,8 +350,7 @@ def split(config: SystemConfig) -> PerturbationSplit:
         return sp
     import numpy as np
     om_a, om_c = rabi_frequency(config.mode_a), rabi_frequency(config.mode_c)
-    with in_double_range():  # abs of a finite complex past double range
-        eps_a, eps_c = abs(om_a) / 2.0, abs(om_c) / 2.0
+    eps_a, eps_c = probe_strength(om_a), probe_strength(om_c)
     d = config.detunings()
     check_finite(d.delta2, d.delta3)
     om_b = rabi_frequency(config.mode_b)

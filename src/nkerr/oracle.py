@@ -13,13 +13,15 @@ sums, not to itself, so a weak pump (G_b << |h11 h22|), which would lose the
 cross entry, is refused; there is no step size, radius or sampling to
 choose.  ``ground_series``, ``phase_comparison`` and
 ``ground_eigenvalue_function`` call ``perturb.dressed_basis`` as a gate (the
-degeneracy test, and the disc's radius and gap), which decides whether they
-go on, never a value, and share no other code with the perturbation side,
-so the continuant and the Rayleigh-Schrodinger recursion stay two
-independent routes to the same coefficients.
+degeneracy test, and the disc's radius and gap), and ``ground_series`` also
+``perturb._probe_pairs`` (which entries of va and vc are nonzero); a gate
+decides whether they go on, never a value, and they share no other code with
+the perturbation side, so the continuant and the Rayleigh-Schrodinger
+recursion stay two independent routes to the same coefficients.
 ``phase_comparison`` is where the two sides meet: it sets the effective phase
 of ``effective`` against exact propagation, for ``nkerr evolve`` and
 acceptance criterion 6, and takes its gate, its matrix and its bound from one split.
+It alone imports ``effective``, when it runs, so a series run does not load it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import effective, model, perturb
+from . import model, perturb
 from .errors import ConvergenceError, TrackingError
 from .model import PerturbationSplit, SystemConfig
 
@@ -115,7 +117,10 @@ def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, 
     unit-free bound changes the bytes ``nkerr evolve`` prints, so it waits for that.
     Raises DegeneracyError unless the unperturbed spectrum is cleanly gapped,
     and the out-of-range PoleError where t is too large for either phase.
+    It imports ``effective``, which no other function here uses.
     """
+    from . import effective
+
     co = effective.coefficients(cfg)
     sp = model.split(cfg)
     perturb.dressed_basis(sp.h0)
@@ -146,7 +151,10 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
     call raises :class:`TrackingError` naming r and gap/2.  ValueError unless
     x and y are finite numbers (a bool or an int past double range is not);
     the factory raises DegeneracyError where h0 is near-degenerate, and
-    ValueError unless h0, va and vc are 4 x 4 numpy arrays of numbers.
+    ValueError unless h0, va and vc are 4 x 4 numpy arrays of numbers and h0
+    is nonzero only where ``perturb.dressed_basis`` allows.  The entries of va
+    and vc are not checked, as the matrix is solved whole, though the radius
+    takes them to be the pairs ``model.split`` writes.
     """
     model._require_matrices(h0=split.h0, va=split.va, vc=split.vc)
     basis = perturb.dressed_basis(split.h0)
@@ -209,12 +217,16 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     chi3_cross read off E was within 3.5 r of the closed form, relative.
     Raises :class:`DegeneracyError` where the unperturbed spectrum is
     near-degenerate, which includes a vanishing slope, ValueError unless order
-    is an integer >= 0 and h0, va and vc are 4 x 4 numpy arrays of numbers, and
-    the out-of-range PoleError where a pass overflows or the slope underflows to 0.
+    is an integer >= 0, h0, va and vc are 4 x 4 numpy arrays of numbers, and va
+    and vc are nonzero exactly at the pairs ``model.split`` writes and h0 only
+    where ``perturb.dressed_basis`` allows, as the continuant reads no other
+    entry, and the out-of-range PoleError where a pass overflows or the slope
+    underflows to 0.
     """
     if not model._is_nonnegative_int(order):
         raise ValueError(f"order must be an integer >= 0, got {order!r}")
     model._require_matrices(h0=split.h0, va=split.va, vc=split.vc)
+    perturb._probe_pairs(split.va, split.vc)
     perturb.dressed_basis(split.h0)
     h0, va, vc = split.h0, split.va, split.vc
     n = order // 2 + 1  # terms per axis in (u, v)

@@ -23,6 +23,8 @@ as one module-level (key, value) tuple, read once and replaced in one
 assignment, so a thread sees a whole pair; the key is the dtype, shape and
 bytes of the arrays read, so equal values with other bits (a signed zero)
 build again.  An error is never kept, and every array returned is read-only.
+Which entries of a split are nonzero is checked where a memo misses, as a
+hit's bytes already passed.
 
 Selection rules.  In the N-configuration probe a couples only bare levels
 1 <-> 2 and probe c only 3 <-> 4, so in the dressed basis eps_a moves index
@@ -115,8 +117,10 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     no size), |h33| for bare level 4.  So a far level leaves the near ones' gaps
     at their own scale.  Raises the out-of-range PoleError where a dressed
     eigenvalue, the block's norm or a square on the way leaves double range,
-    and ValueError unless h0 is a 4 x 4 numpy array of numbers.  A call with
-    the h0 of the last call that returned gives back that basis.
+    and ValueError unless h0 is a 4 x 4 numpy array of numbers that is nonzero
+    only where ``model.split`` writes it, at (1, 1), (1, 2), (2, 1), (2, 2) and
+    (3, 3).  A call with the h0 of the last call that returned gives back that
+    basis.
     """
     global _BASIS_MEMO
     _require_matrices(h0=h0)
@@ -124,6 +128,9 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     if key == (fingerprint := _fingerprint(h0)):
         return basis
     rows = h0.tolist()
+    if any(rows[0]) or any(rows[3][:3]) or rows[1][0] or rows[1][3] or rows[2][0] or rows[2][3]:
+        raise ValueError("h0 may be nonzero only at (1, 1), (1, 2), (2, 1), (2, 2) and (3, 3), "
+                         "as split writes it")
     d1, x = rows[1][1:3]  # x = Omega_b / 2
     y, d2 = rows[2][1:3]  # y = conj(Omega_b) / 2
     delta = d1 - d2
@@ -151,6 +158,17 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     _read_only(*basis)
     _BASIS_MEMO = fingerprint, basis
     return basis
+
+
+def _probe_pairs(va: np.ndarray, vc: np.ndarray) -> tuple:
+    """va[0, 1], va[1, 0], vc[2, 3] and vc[3, 2]; ValueError naming va or vc unless
+    it is nonzero exactly at its pair, the entries that ``model.split`` writes."""
+    pairs = a01, a10, c23, c32 = va.item(0, 1), va.item(1, 0), vc.item(2, 3), vc.item(3, 2)
+    if not (a01 and a10 and np.count_nonzero(va) == 2):
+        raise ValueError("va must be nonzero exactly at (0, 1) and (1, 0), as split writes it")
+    if not (c23 and c32 and np.count_nonzero(vc) == 2):
+        raise ValueError("vc must be nonzero exactly at (2, 3) and (3, 2), as split writes it")
+    return pairs
 
 
 class SeriesTable(NamedTuple):
@@ -283,9 +301,11 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     gather-multiply-reduce over its terms in ``_order_plan``, whose norm
     terms are scaled by P first; ``A[1]`` is P A[0].  Where h0, va and vc
     have the bytes of the last table's, one of order max_order is that table
-    and one of lower order is gathered from its work vector.  ValueError
-    unless n is the integer 1, max_order an integer >= 0 and h0, va and vc
-    4 x 4 numpy arrays of numbers, checked before the memo is read; the
+    and one of lower order is gathered from its work vector, with no basis
+    looked up.  ValueError unless n is the integer 1, max_order an integer
+    >= 0 and h0, va and vc 4 x 4 numpy arrays of numbers, checked before the
+    memo is read, and, where it misses, unless va and vc are nonzero exactly
+    at the pairs ``model.split`` writes and h0 as ``dressed_basis`` asks; the
     out-of-range PoleError where an entry of E or A leaves double range.
     """
     global _SERIES_MEMO
@@ -295,7 +315,7 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     if not _is_nonnegative_int(max_order):
         raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
     _require_matrices(h0=split.h0, va=split.va, vc=split.vc)
-    basis, size = dressed_basis(split.h0), max_order + 1
+    size = max_order + 1
     key, last = _SERIES_MEMO
     fingerprint = tuple(map(_fingerprint, (split.h0, split.va, split.vc)))
     if key == fingerprint and max_order <= last.order:
@@ -304,13 +324,13 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         w = last.E.base[_prefix_slots(last.order, max_order)]  # the work vector E views
         _read_only(w)
         return SeriesTable(last.basis, max_order, *_layout(w, size)[1:])
+    a01, a10, c23, c32 = _probe_pairs(split.va, split.vc)
+    basis = dressed_basis(split.h0)
     w = np.zeros(_COUPLINGS + 9 * size * size, dtype=complex)
     _, e, a = _layout(w, size)
     # Each is one rounded product, as in the matrix product; + 0j turns a -0
     # part into the +0 that the matrix product's sum gives.
     left, right = basis.left.tolist(), basis.right.tolist()
-    a01, a10 = split.va.item(0, 1), split.va.item(1, 0)
-    c23, c32 = split.vc.item(2, 3), split.vc.item(3, 2)
     w[:_COUPLINGS] = [a01 * right[1][1] + 0j, a01 * right[1][2] + 0j,
                       left[1][1] * a10 + 0j, left[2][1] * a10 + 0j,
                       left[1][2] * c23 + 0j, left[2][2] * c23 + 0j,

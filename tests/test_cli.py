@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nkerr import cli, effective, model, suscept
+from nkerr import cli, effective, model, oracle, suscept
 from nkerr.errors import PoleError, ScenarioError
 
 from conftest import extreme, extreme_doc, fuzz_scenarios, make_config
@@ -994,6 +994,34 @@ def test_suscept_loads_the_series_engine_only_for_coherences():
     assert after == before | {"nkerr.perturb"}
     reference = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
     assert proc.stdout == f"{suscept.coherences(reference)!r}\n"
+
+
+# imports ``nkerr.oracle`` alone and writes the nkerr modules loaded, then
+# runs ``phase_comparison`` and writes them again, one line each, to stderr
+_ORACLE_THEN_PHASE_COMPARISON = """import sys
+from nkerr import model, oracle
+def loaded():
+    print(*sorted(m for m in sys.modules if m.split(".")[0] == "nkerr"), file=sys.stderr)
+loaded()
+modes = [model.FieldMode(label, g, delta, n) for label, g, delta, n in
+         (("a", 0.01, 0.3, 1), ("b", 1.0, 0.1, 0), ("c", 0.01, 0.5, 1))]
+phases = oracle.phase_comparison(model.SystemConfig(*modes, (0.0, 0.0, 0.0)), 1.0)
+loaded()
+print(repr(phases))
+"""
+
+
+def test_oracle_loads_the_closed_forms_only_for_phase_comparison():
+    # a fresh interpreter: the exact routes of a series run never need effective
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _ORACLE_THEN_PHASE_COMPARISON],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = (set(line.split()) for line in proc.stderr.splitlines())
+    assert before == {"nkerr", "nkerr.errors", "nkerr.model", "nkerr.oracle", "nkerr.perturb"}
+    assert after == before | {"nkerr.effective"}
+    reference = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+    assert proc.stdout == f"{oracle.phase_comparison(reference, 1.0)!r}\n"
 
 
 # ``runpy._run_module_as_main`` is what ``python -m nkerr.cli`` calls

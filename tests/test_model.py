@@ -1,12 +1,13 @@
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nkerr import effective, model, suscept
+from nkerr import effective, model, oracle, perturb, suscept
 from nkerr.errors import PoleError
 from nkerr.model import FieldMode, SystemConfig
 
@@ -118,8 +119,8 @@ def test_split_reconstructs_hamiltonian(cfg):
 def test_split_pump_block_is_the_hamiltonian_without_probe_entries(cfg):
     sp = model.split(cfg)
     hand, scale = _hand_matrix(cfg)
-    assert (sp.eps_a, sp.eps_c) == (model.probe_strength(cfg.mode_a),
-                                    model.probe_strength(cfg.mode_c))
+    _, (eps_a, _), _, (eps_c, _), _ = model.pole_terms(cfg, 0.0, 0.0, 0.0)
+    assert (sp.eps_a, sp.eps_c) == (eps_a, eps_c)
     assert (sp.eps_a, sp.eps_c) == pytest.approx((abs(hand[1, 0]), abs(hand[3, 2])), rel=1e-15)
     hand[0, 1] = hand[1, 0] = hand[2, 3] = hand[3, 2] = 0.0
     assert np.abs(sp.h0 - hand).max() <= 1e-15 * scale
@@ -217,9 +218,10 @@ def test_a_rabi_frequency_outside_double_range_is_the_out_of_range_pole(g, n):
     # 2 g sqrt(n) was inf+nanj, or nan+nanj in the vacuum, with no error; a
     # photon number past double range raised a bare OverflowError in sqrt
     mode = FieldMode("a", g, 0.0, n)
-    for term in (model.rabi_frequency, model.probe_strength):
+    cfg = SystemConfig(mode, FieldMode("b", 1.0, 0.1, 0), FieldMode("c", 0.01, 0.5, 1))
+    for term in (lambda: model.rabi_frequency(mode), lambda: model.pole_terms(cfg, 0.0, 0.1, 0.5)):
         with pytest.raises(PoleError, match=_OUT_OF_RANGE):
-            term(mode)
+            term()
 
 
 @pytest.mark.parametrize("g_a, n_a", [(1e308, 1), (1e308, 0), (7e307 * (1 + 1j), 1),
@@ -231,9 +233,10 @@ def test_a_probe_outside_double_range_is_the_out_of_range_pole_in_every_model_te
     # |Omega_a| leaves double range, which the matrix, split(cfg).reconstruct(), needs too;
     # split raised a bare OverflowError for a photon number past double range
     cfg = make_config(g_a, 1.0, 0.01, n_a, 0, 1, 0.3, 0.1, 0.5)
-    for term in (lambda cfg: model.probe_strength(cfg.mode_a), model.split):
+    for term in (lambda: model.pole_terms(cfg, 0.3, 0.1, 0.5), lambda: model.split(cfg),
+                 lambda: suscept.sweep_at(cfg, "dc", [0.5])):
         with pytest.raises(PoleError, match=_OUT_OF_RANGE):
-            term(cfg)
+            term()
 
 
 @pytest.mark.parametrize("g_b, n_b", [(1e200, 0), (1e154, 1), (1e154, np.int64(1))])
@@ -244,7 +247,7 @@ def test_a_pump_coupling_outside_double_range_is_the_out_of_range_pole(g_b, n_b)
     # a numpy n_b warned of overflow in multiply until FieldMode held it as an int
     cfg = make_config(0.01, g_b, 0.01, 1, n_b, 1, 0.3, 0.1, 0.5)
     with pytest.raises(PoleError, match=_OUT_OF_RANGE):
-        model.pump_coupling(cfg)
+        model.pole_terms(cfg, 0.3, 0.1, 0.5)
     with pytest.raises(PoleError, match=_OUT_OF_RANGE):
         suscept.sweep_at(cfg, "dc", suscept.sweep_grid(-1.0, 1.0, 3))
 
@@ -274,6 +277,49 @@ def test_nonfinite_mode_rejected(g, delta):
 def test_decay_rate_that_is_no_finite_number_is_a_value_error(rate):
     with pytest.raises(ValueError, match="decay rates must be finite"):
         make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.0, 0.0, 0.0, gamma=(0.0, rate, 0.0))
+
+
+_REFERENCE = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+# every entry that asks for a real number, called with z in its place
+_REAL_ENTRIES = {
+    "FieldMode.delta": lambda z: FieldMode("a", 0.01, z, 1),
+    "SystemConfig.gamma": lambda z: replace(_REFERENCE, gamma=(0.0, z, 0.0)),
+    "evaluate_energy eps_a": lambda z: perturb.evaluate_energy(
+        perturb.build_series(model.split(_REFERENCE), 1, 4), 1, z, 0.01, 4),
+    "evaluate_energy eps_c": lambda z: perturb.evaluate_energy(
+        perturb.build_series(model.split(_REFERENCE), 1, 4), 1, 0.01, z, 4),
+    "phase_angle t": lambda z: effective.phase_angle(effective.coefficients(_REFERENCE), 1, 1, z),
+    "propagate t": lambda z: oracle.propagate(np.eye(4), np.eye(4)[0], z),
+    "sweep_grid lo": lambda z: suscept.sweep_grid(z, 1.0, 3),
+    "sweep_grid hi": lambda z: suscept.sweep_grid(-1.0, z, 3),
+    "sweep_at": lambda z: suscept.sweep_at(_REFERENCE, "da", np.array([z], dtype=object)),
+}
+
+
+@pytest.mark.parametrize("z", [np.complex128(0.3 + 1j), np.complex64(0.3 + 1j),
+                               np.complex64(0.3)], ids=["complex128", "complex64", "complex64-real"])
+@pytest.mark.parametrize("entry", sorted(_REAL_ENTRIES))
+def test_a_numpy_complex_is_refused_where_a_real_number_is_asked(entry, z):
+    # math.isfinite and a cast to float took the real part of a numpy complex,
+    # with numpy's ComplexWarning, where a Python complex raises ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            _REAL_ENTRIES[entry](z)
+        with pytest.raises(ValueError, match="finite"):
+            _REAL_ENTRIES[entry](complex(z))
+
+
+@pytest.mark.parametrize("z", [np.complex128(0.3 + 1j), np.complex64(0.3 + 1j)],
+                         ids=["complex128", "complex64"])
+def test_a_numpy_complex_is_taken_where_a_complex_number_is_asked(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mode = FieldMode("a", z, 0.3, 1)
+        assert type(mode.g) is complex and mode.g == complex(z)
+        energy = oracle.ground_eigenvalue_function(model.split(_REFERENCE))
+        x = z * np.float32(1e-3)
+        assert energy(x, x) == energy(complex(x), complex(x))
 
 
 def test_negative_decay_rejected():

@@ -683,6 +683,63 @@ def test_split_readers_refuse_an_array_that_is_not_a_4x4_numeric_array(route, fi
         call(sp._replace(**{field: value}))
 
 
+# (array, entries set, entries cleared): a split built by hand with a coupling
+# that split never writes, or without one that it does
+_PLANTED = {"va-0-2": ("va", [(0, 2), (2, 0)], []), "va-0-3": ("va", [(0, 3), (3, 0)], []),
+            "va-1-0-zero": ("va", [], [(1, 0)]), "va-0-1-zero": ("va", [], [(0, 1)]),
+            "vc-1-3": ("vc", [(1, 3)], []), "vc-3-2-zero": ("vc", [], [(3, 2)]),
+            "h0-0-0": ("h0", [(0, 0)], []), "h0-3-1": ("h0", [(3, 1)], []),
+            "h0-0-3": ("h0", [(0, 3)], [])}
+_PLANTED_MESSAGE = {"va": r"^va must be nonzero exactly at \(0, 1\) and \(1, 0\)",
+                    "vc": r"^vc must be nonzero exactly at \(2, 3\) and \(3, 2\)",
+                    "h0": r"^h0 may be nonzero only at \(1, 1\), \(1, 2\), \(2, 1\), \(2, 2\) "
+                          r"and \(3, 3\)"}
+
+
+def _planted(sp, name):
+    field, set_, cleared = _PLANTED[name]
+    array = getattr(sp, field).copy()
+    for i, j in set_:
+        array[i, j] = 1.0
+    for i, j in cleared:
+        array[i, j] = 0.0
+    return sp._replace(**{field: array})
+
+
+@pytest.mark.parametrize("route, name", [
+    *((route, name) for route in ("build_series", "ground_series") for name in sorted(_PLANTED)),
+    *(("dressed_basis", name) for name in sorted(_PLANTED) if name.startswith("h0"))])
+def test_series_routes_refuse_a_split_with_other_entries_than_split_writes(route, name):
+    # each read only the entries split writes: a planted va[0, 2] left E[2, 0] as
+    # it was, h0[0, 0] left eigenvalue 0, and a zero va[1, 0] divided by zero
+    field = _PLANTED[name][0]
+    sp = model.split(_REFERENCE)
+    call = {"build_series": lambda bad: perturb.build_series(bad, 1, 4),
+            "ground_series": lambda bad: oracle.ground_series(bad, 4),
+            "dressed_basis": lambda bad: perturb.dressed_basis(bad.h0)}[route]
+    bad = _planted(sp, name)
+    for _ in range(2):  # the same bytes again, after a build of the good split
+        perturb.build_series(sp, 1, 8)
+        with pytest.raises(ValueError, match=_PLANTED_MESSAGE[field]):
+            call(bad)
+
+
+def test_a_planted_probe_coupling_is_refused_by_the_series_and_solved_whole_by_the_exact_route():
+    # the exact route stays general: acceptance criterion 10 plants va[0, 3]
+    sp = model.split(_REFERENCE)
+    bad = _planted(sp, "va-0-2")
+    assert perturb.build_series(sp, 1, 4).E[2, 0] == pytest.approx(0.2128, abs=1e-4)
+    for series in (lambda: perturb.build_series(bad, 1, 4), lambda: oracle.ground_series(bad, 4)):
+        with pytest.raises(ValueError, match=_PLANTED_MESSAGE["va"]):
+            series()
+    x = 1e-3
+    planted = oracle.ground_eigenvalue_function(bad)(x, 0.0)
+    assert planted == pytest.approx(-1.6e-6, rel=0.05)
+    assert oracle.ground_eigenvalue_function(sp)(x, 0.0) == pytest.approx(0.2128e-6, rel=1e-3)
+    exact = oracle.exact_eigensystem(bad._replace(eps_a=x, eps_c=0.0).reconstruct())
+    assert planted == min(exact.eigenvalues.tolist(), key=abs)
+
+
 def _chain_bits(cfg):
     """The series loop's chain on one configuration, as bytes."""
     sp = model.split(cfg)
