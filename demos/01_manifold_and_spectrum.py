@@ -40,7 +40,7 @@ print(f"  hermitian: {np.allclose(h, h.conj().T)}")
 print("\n== exact spectrum vs dressed decomposition ==")
 sol = exact_eigensystem(h)
 print(f"  exact eigenvalues:   {np.sort(sol.eigenvalues.real)}")
-basis = dressed_basis(sp.h0)
+basis = dressed_basis(sp)
 print(f"  unperturbed dressed: {np.sort(basis.eigenvalues.real)}")
 print(f"  probe strengths:     eps_a = {sp.eps_a}, eps_c = {sp.eps_c}")
 print("  the probes only nudge the dressed levels; that gap is what the")

@@ -16,11 +16,11 @@ Conventions used throughout the package:
   Rabi frequency and (2,1) the unconjugated one, and likewise (3,4)/(4,3)
   for mode "c"; this fixed phase placement is normative for everything
   downstream.
-* ``split`` alone writes the matrix entries, into h0, va and vc, and
-  ``PerturbationSplit.reconstruct`` alone sums them: the matrix is
-  ``split(config).reconstruct()``, and one at other probe strengths is that after ``_replace``.
-  ``split`` hands its last split, whose arrays are read-only, to a call with
-  the same configuration object (``is``: an equal one can differ in signed zeros).
+* ``split`` gives the matrix's nine numbers, a ``PerturbationSplit``, and
+  ``PerturbationSplit.reconstruct`` alone writes them into a 4 x 4 array: the
+  matrix is ``split(config).reconstruct()``, and one at other probe strengths is
+  that after ``_replace``.  ``split`` hands its last split to a call with the
+  same configuration object (``is``: an equal one can differ in signed zeros).
 * ``POLES`` is the one ordered table of where a closed form has no value:
   ``pole_terms`` gives each denominator with the scales it is judged against
   (``near_pole``), and ``pole_code`` names the first pole at each point.
@@ -35,15 +35,16 @@ Conventions used throughout the package:
   ``check_finite`` refuses a result that is inf or NaN.
 * ``_is_finite`` judges each number a caller passes, ``_finite_array`` each array
   and ``_require_matrices`` each 4 x 4 matrix; no other module calls ``math.isfinite``,
-  ``cmath.isfinite`` or ``np.isfinite``: a bool, a non-number or an int past double
-  range is not finite.  A photon number (``_is_nonnegative_int``) is held as a Python int.
+  ``cmath.isfinite`` or ``np.isfinite``: a bool, a numpy array, a non-number or an int
+  past double range is not a finite number, and a list or an object array is judged
+  one element at a time.  A photon number (``_is_nonnegative_int``) is held as a Python int.
 * Every immutable record the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
-  changed copy.  A record that holds numpy arrays (``PerturbationSplit``,
-  ``perturb.DressedBasis`` and ``SeriesTable``, ``oracle.EigenSolution``,
-  ``suscept.Sweep``) equals itself, but comparing it with another such
-  record raises numpy's ValueError, and hashing it raises TypeError.
+  changed copy.  A record that holds numpy arrays (``perturb.DressedBasis``
+  and ``SeriesTable``, ``oracle.EigenSolution``, ``suscept.Sweep``) equals
+  itself, but comparing it with another such record raises numpy's
+  ValueError, and hashing it raises TypeError.
   ``@dataclass(frozen=True)`` is kept only on ``FieldMode`` and
   ``SystemConfig``, which check and coerce their fields in ``__post_init__``.
 """
@@ -76,12 +77,13 @@ def _is_numpy(value, kind: str) -> bool:
 
 
 def _is_finite(value, isfinite) -> bool:
-    """Whether ``isfinite`` holds for ``value``; a bool (numpy's included), a
-    non-number or an integer beyond double range is not a finite number, nor,
-    where ``math.isfinite`` asks for a real one, a numpy complex, whose real part
-    it would take."""
-    if type(value) is not float and (isinstance(value, bool) or _is_numpy(value, "bool_") or (
-            isfinite is math.isfinite and _is_numpy(value, "complexfloating"))):
+    """Whether ``isfinite`` holds for ``value``; a bool (numpy's included), a numpy
+    array of any shape, a non-number or an integer beyond double range is not a
+    finite number, nor, where ``math.isfinite`` asks for a real one, a numpy
+    complex, whose real part it would take."""
+    if type(value) not in (float, complex) and (
+            isinstance(value, bool) or _is_numpy(value, "bool_") or _is_numpy(value, "ndarray")
+            or (isfinite is math.isfinite and _is_numpy(value, "complexfloating"))):
         return False
     try:
         return isfinite(value)
@@ -91,15 +93,16 @@ def _is_finite(value, isfinite) -> bool:
 
 def _finite_array(value, dtype) -> np.ndarray | None:
     """``value`` as an array of ``dtype``, float or complex; None where it does not
-    convert or is not finite, or where numpy holds it as bools, strings or, for a
-    float, complex numbers, numpy's among objects included, as ``_is_finite``
-    refuses them one by one."""
+    convert or is not finite.  A numpy array of numbers is judged by its dtype, so
+    one of bools, strings or, for a float, complex numbers is refused; anything
+    else, a list or an object array, element by element by ``_is_finite``."""
     import numpy as np
     try:
-        held = np.asarray(value)
-        if held.dtype.kind not in ("iufcO" if dtype is complex else "iufO") or (
-                dtype is float and held.dtype.kind == "O"
-                and any(_is_numpy(v, "complexfloating") for v in held.flat)):
+        if isinstance(value, np.ndarray) and value.dtype.kind != "O":
+            if value.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+                return None
+        elif not all(_is_finite(v, cmath.isfinite if dtype is complex else math.isfinite)
+                     for v in np.asarray(value, dtype=object).flat):
             return None
         array = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
@@ -191,24 +194,39 @@ class MultiPhotonDetunings(NamedTuple):
 
 
 class PerturbationSplit(NamedTuple):
-    """Decomposition H = h0 + eps_a*va + eps_c*vc; the probe phases sit in va and vc.
+    """H = h0 + eps_a*va + eps_c*vc of the N-configuration, as the nine numbers it holds.
 
-    ``va`` is nonzero only on the (1,2)/(2,1) entries and ``vc`` only on
-    (3,4)/(4,3), each with unit modulus; the strengths are
-    eps_a = |Omega_a|/2 and eps_c = |Omega_c|/2.  The arrays that ``split``
-    makes are read-only, as it hands them to each caller of the same
-    configuration; ``_replace`` shares them, and ``reconstruct`` makes a new one.
+    h0 carries the complex detunings ``h11``, ``h22``, ``h33`` (delta_j -
+    i*gamma_j) at (1, 1), (2, 2), (3, 3) and the pump pair ``x`` = Omega_b/2 at
+    (1, 2) and ``y`` = conj(Omega_b)/2 at (2, 1); va carries the unit probe phase
+    ``ua`` = Omega_a/|Omega_a| at (1, 0) and its conjugate at (0, 1), vc ``uc`` at
+    (3, 2) and its conjugate at (2, 3), each 1 where its Rabi frequency is 0; the
+    strengths are eps_a = |Omega_a|/2 and eps_c = |Omega_c|/2.  No other entry
+    exists, so no reader checks a layout: ``perturb.dressed_basis`` refuses a
+    split built by hand with a field that is not a finite number or a zero ua
+    or uc.  A split hashes and compares by value, as the tuple of its numbers.
     """
 
-    h0: np.ndarray
-    va: np.ndarray
-    vc: np.ndarray
+    h11: complex
+    h22: complex
+    h33: complex
+    x: complex
+    y: complex
+    ua: complex
+    uc: complex
     eps_a: float
     eps_c: float
 
     def reconstruct(self) -> np.ndarray:
-        """h0 + eps_a*va + eps_c*vc, a new array: the package's one sum of the split."""
-        return self.h0 + self.eps_a * self.va + self.eps_c * self.vc
+        """h0 + eps_a*va + eps_c*vc as a new array: the one place the package
+        writes the split's numbers into 4 x 4 matrices."""
+        import numpy as np
+        h0, va, vc = np.zeros((3, 4, 4), dtype=complex)
+        h0[1, 1], h0[2, 2], h0[3, 3] = self.h11, self.h22, self.h33
+        h0[1, 2], h0[2, 1] = self.x, self.y
+        va[0, 1], va[1, 0] = self.ua.conjugate(), self.ua
+        vc[2, 3], vc[3, 2] = self.uc.conjugate(), self.uc
+        return h0 + self.eps_a * va + self.eps_c * vc
 
 
 def multi_photon_detunings(delta_a: float, delta_b: float, delta_c: float) -> MultiPhotonDetunings:
@@ -348,28 +366,17 @@ def split(config: SystemConfig) -> PerturbationSplit:
     last, sp = _SPLIT_MEMO
     if last is config:
         return sp
-    import numpy as np
     om_a, om_c = rabi_frequency(config.mode_a), rabi_frequency(config.mode_c)
     eps_a, eps_c = probe_strength(om_a), probe_strength(om_c)
     d = config.detunings()
     check_finite(d.delta2, d.delta3)
     om_b = rabi_frequency(config.mode_b)
     g1, g2, g3 = config.gamma
-    h0 = np.zeros((4, 4), dtype=complex)
-    h0[1, 1] = d.delta1 - 1j * g1
-    h0[2, 2] = d.delta2 - 1j * g2
-    h0[3, 3] = d.delta3 - 1j * g3
-    h0[1, 2], h0[2, 1] = om_b / 2.0, np.conj(om_b) / 2.0
     # unit phases taken directly from the Rabi frequencies; dividing by the
     # modulus loses less precision than a phase/exp round trip
     ua = om_a / abs(om_a) if om_a != 0 else 1.0 + 0.0j
     uc = om_c / abs(om_c) if om_c != 0 else 1.0 + 0.0j
-    va = np.zeros((4, 4), dtype=complex)
-    va[0, 1], va[1, 0] = ua.conjugate(), ua
-    vc = np.zeros((4, 4), dtype=complex)
-    vc[2, 3], vc[3, 2] = uc.conjugate(), uc
-    _read_only(h0, va, vc)
-    sp = PerturbationSplit(h0=h0, va=va, vc=vc, eps_a=eps_a, eps_c=eps_c)
+    sp = PerturbationSplit(d.delta1 - 1j * g1, d.delta2 - 1j * g2, d.delta3 - 1j * g3,
+                           om_b / 2.0, om_b.conjugate() / 2.0, ua, uc, eps_a, eps_c)
     _SPLIT_MEMO = config, sp
     return sp
-

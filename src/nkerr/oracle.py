@@ -13,8 +13,7 @@ sums, not to itself, so a weak pump (G_b << |h11 h22|), which would lose the
 cross entry, is refused; there is no step size, radius or sampling to
 choose.  ``ground_series``, ``phase_comparison`` and
 ``ground_eigenvalue_function`` call ``perturb.dressed_basis`` as a gate (the
-degeneracy test, and the disc's radius and gap), and ``ground_series`` also
-``perturb._probe_pairs`` (which entries of va and vc are nonzero); a gate
+degeneracy test, a split's fields, and the disc's radius and gap); a gate
 decides whether they go on, never a value, and they share no other code with
 the perturbation side, so the continuant and the Rayleigh-Schrodinger
 recursion stay two independent routes to the same coefficients.
@@ -123,7 +122,7 @@ def phase_comparison(cfg: SystemConfig, t: float) -> tuple[float, float, float, 
 
     co = effective.coefficients(cfg)
     sp = model.split(cfg)
-    perturb.dressed_basis(sp.h0)
+    perturb.dressed_basis(sp)
     eff_phase = -effective.phase_angle(co, cfg.mode_a.n, cfg.mode_c.n, t)
     with model.in_double_range():
         bound = 10.0 * max(sp.eps_a, sp.eps_c) ** 2
@@ -138,26 +137,24 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
     """Ground eigenvalue of ``h0 + x*va + y*vc`` as a function of (x, y), by LAPACK.
 
     The branch is certified by a Bauer-Fike disc (Numer. Math. 2, 137
-    (1960)): with h0 = R diag(lambda) R^-1, R = ``dressed_basis(h0).right``,
-    every eigenvalue lies within r = kappa(R) max(|x|, |y|) of an eigenvalue
-    of h0, since va and vc act on disjoint level pairs and so
-    ||x*va + y*vc|| = max(|x|, |y|) in the 1-norm.  Where r < gap/2, with gap
-    the smallest |lambda_k| over k >= 1, the disc |E| <= r holds exactly one
-    eigenvalue all along t*(x, y) for t in [0, 1]: the branch connected to 0,
-    which each call returns after solving the one matrix.  R is the identity
-    outside its 2x2 block R2, so kappa = ||R||_1 ||R^-1||_1
-    = max(1, column sums of |R2|) max(1, column sums of |R2^-1|); it and gap
-    are computed once per factory call, on Python floats.  Elsewhere the
-    call raises :class:`TrackingError` naming r and gap/2.  ValueError unless
-    x and y are finite numbers (a bool or an int past double range is not);
-    the factory raises DegeneracyError where h0 is near-degenerate, and
-    ValueError unless h0, va and vc are 4 x 4 numpy arrays of numbers and h0
-    is nonzero only where ``perturb.dressed_basis`` allows.  The entries of va
-    and vc are not checked, as the matrix is solved whole, though the radius
-    takes them to be the pairs ``model.split`` writes.
+    (1960)): with h0 = R diag(lambda) R^-1, R = ``dressed_basis(split).right``,
+    every eigenvalue lies within r = kappa(R) max(|x ua|, |y uc|) of an
+    eigenvalue of h0, since va and vc act on disjoint level pairs, ua and uc
+    being the only entries a split holds, and so ||x*va + y*vc|| is that
+    maximum in the 1-norm (max(|x|, |y|) for the unit phases ``model.split``
+    makes).  Where r < gap/2, with gap the smallest |lambda_k| over k >= 1,
+    the disc |E| <= r holds exactly one eigenvalue all along t*(x, y) for t
+    in [0, 1]: the branch connected to 0, which each call returns after
+    solving the one matrix.  R is the identity outside its 2x2 block R2, so
+    kappa = ||R||_1 ||R^-1||_1 = max(1, column sums of |R2|) max(1, column
+    sums of |R2^-1|); it and gap are computed once per factory call, on
+    Python floats.  Elsewhere the call raises :class:`TrackingError` naming r
+    and gap/2.  ValueError unless x and y are finite numbers (a bool or an int
+    past double range is not); the factory raises what ``dressed_basis``
+    raises for the split, DegeneracyError where h0 is near-degenerate and
+    ValueError for a split that is not nine finite numbers.
     """
-    model._require_matrices(h0=split.h0, va=split.va, vc=split.vc)
-    basis = perturb.dressed_basis(split.h0)
+    basis = perturb.dressed_basis(split)
 
     def norm1(m: np.ndarray) -> float:  # of a matrix that is the identity outside m[1:3, 1:3]
         (a, b), (c, d) = (row[1:3] for row in m.tolist()[1:3])
@@ -165,11 +162,12 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
 
     kappa = norm1(basis.right) * norm1(basis.left)
     half_gap = min(map(abs, basis.eigenvalues.tolist()[1:])) / 2.0
+    unit_a, unit_c = abs(split.ua), abs(split.uc)
 
     def f(x: float, y: float) -> complex:
         if not (model._is_finite(x, cmath.isfinite) and model._is_finite(y, cmath.isfinite)):
             raise ValueError(f"x and y must be finite, got {x!r} and {y!r}")
-        r = kappa * max(abs(x), abs(y))
+        r = kappa * max(abs(x) * unit_a, abs(y) * unit_c)
         if r < half_gap:
             sol = exact_eigensystem(split._replace(eps_a=x, eps_c=y).reconstruct())
             inside = [e for e in sol.eigenvalues.tolist() if abs(e) <= r]
@@ -217,18 +215,14 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     chi3_cross read off E was within 3.5 r of the closed form, relative.
     Raises :class:`DegeneracyError` where the unperturbed spectrum is
     near-degenerate, which includes a vanishing slope, ValueError unless order
-    is an integer >= 0, h0, va and vc are 4 x 4 numpy arrays of numbers, and va
-    and vc are nonzero exactly at the pairs ``model.split`` writes and h0 only
-    where ``perturb.dressed_basis`` allows, as the continuant reads no other
-    entry, and the out-of-range PoleError where a pass overflows or the slope
-    underflows to 0.
+    is an integer >= 0 and as ``perturb.dressed_basis`` refuses the split, and
+    the out-of-range PoleError where a pass overflows or the slope underflows
+    to 0.
     """
     if not model._is_nonnegative_int(order):
         raise ValueError(f"order must be an integer >= 0, got {order!r}")
-    model._require_matrices(h0=split.h0, va=split.va, vc=split.vc)
-    perturb._probe_pairs(split.va, split.vc)
-    perturb.dressed_basis(split.h0)
-    h0, va, vc = split.h0, split.va, split.vc
+    perturb.dressed_basis(split)
+    h11, h22, h33, ua, uc = split.h11, split.h22, split.h33, split.ua, split.uc
     n = order // 2 + 1  # terms per axis in (u, v)
     mul = series_product
 
@@ -237,15 +231,17 @@ def ground_series(split: PerturbationSplit, order: int) -> np.ndarray:
     u[1:2, 0] = 1.0
     v = u.T
     with model.in_double_range(), model.numpy_range():
-        p_a, g_b, p_c = va[0, 1] * va[1, 0], h0[1, 2] * h0[2, 1], vc[2, 3] * vc[3, 2]
-        pair = h0[1, 1] * h0[2, 2]
-        model.check_pump(float(abs(g_b)), float(abs(pair)), WEAK_PUMP_TOL)
-        slope = -(pair - g_b) * h0[3, 3]
+        p_a, g_b, p_c = ua.conjugate() * ua, split.x * split.y, uc.conjugate() * uc
+        pair = h11 * h22
+        model.check_finite(p_a, g_b, p_c, pair)  # Python's complex product does not raise
+        model.check_pump(abs(g_b), abs(pair), WEAK_PUMP_TOL)
+        slope = -(pair - g_b) * h33
+        model.check_finite(slope)
         for _ in range(n - 1):
             f1 = -e
-            f2 = mul(h0[1, 1] * one - e, f1) - p_a * u
-            f3 = mul(h0[2, 2] * one - e, f2) - g_b * f1
-            f4 = mul(h0[3, 3] * one - e, f3) - p_c * mul(v, f2)
+            f2 = mul(h11 * one - e, f1) - p_a * u
+            f3 = mul(h22 * one - e, f2) - g_b * f1
+            f4 = mul(h33 * one - e, f3) - p_c * mul(v, f2)
             e = e - f4 / slope
     c = np.zeros((order + 1, order + 1), dtype=complex)
     c[::2, ::2] = e

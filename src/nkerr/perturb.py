@@ -19,12 +19,12 @@ the same split is read off the last table: ``build_series`` gathers it from
 that table's work vector, the bits of a build of its own.
 
 Memos.  ``dressed_basis`` and ``build_series`` each keep their last result
-as one module-level (key, value) tuple, read once and replaced in one
-assignment, so a thread sees a whole pair; the key is the dtype, shape and
-bytes of the arrays read, so equal values with other bits (a signed zero)
-build again.  An error is never kept, and every array returned is read-only.
-Which entries of a split are nonzero is checked where a memo misses, as a
-hit's bytes already passed.
+as one module-level (split, value) tuple, read once and replaced in one
+assignment, so a thread sees a whole pair, and give it back only to the same
+split object (``is``), as ``model.split`` does for its configuration: a split
+is an immutable record of numbers, so an equal one built apart (another
+signed zero, say) builds again.  An error is never kept, and every array
+returned is read-only.
 
 Selection rules.  In the N-configuration probe a couples only bare levels
 1 <-> 2 and probe c only 3 <-> 4, so in the dressed basis eps_a moves index
@@ -47,7 +47,7 @@ which is how the loss model is defined in the first place.  The perturbed
 bra is the ket of the transposed problem, which needs no series of its own:
 the dressed couplings form the chain 0 - {1, 2} - 3, so the diagonal
 P = diag(1, f_a, f_a, f_a f_c), with f_a = V[0, m] / V[m, 0] for m = 1 and 2
-alike and f_c = vc[2, 3] / vc[3, 2], turns each into its transpose,
+alike and f_c = conj(u_c) / u_c, turns each into its transpose,
 P V P^-1 = V^T.  P commutes with the unperturbed operator and fixes index 0,
 so the transposed problem has the energies E and the states ``A[1]`` = P A[0].
 
@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import DegeneracyError
 from .model import (PerturbationSplit, _is_finite, _is_nonnegative_int, _read_only,
-                    _require_matrices, check_finite, in_double_range, numpy_range)
+                    check_finite, in_double_range, numpy_range)
 
 DEGENERACY_TOL = 1e-8
 
@@ -81,7 +81,7 @@ class DressedBasis(NamedTuple):
     states that continue bare levels 2 and 3 as the pump turns off, index 3 is
     bare level 4.  ``right`` holds kets as columns, ``left`` holds the paired
     bras as rows with ``left @ right = identity``.  The arrays are read-only:
-    :func:`dressed_basis` hands the same ones to each caller of the same h0.
+    :func:`dressed_basis` hands the same ones to each caller of the same split.
     """
 
     eigenvalues: np.ndarray
@@ -90,56 +90,50 @@ class DressedBasis(NamedTuple):
 
 
 _IDENTITY = np.eye(4, dtype=complex)
-# The last h0's fingerprint and basis, and the last split's and its table;
-# object() matches no key.
+# The last split and its basis, and the last split and its table; object()
+# is no split.
 _BASIS_MEMO: tuple = (object(), None)
 _SERIES_MEMO: tuple = (object(), None)
 
 
-def _fingerprint(array: np.ndarray) -> tuple:
-    """dtype, shape and bytes: two arrays that share them hold the same values."""
-    return array.dtype, array.shape, array.tobytes()
+def dressed_basis(split: PerturbationSplit) -> DressedBasis:
+    """Diagonalise the split's pump block exactly; reject near-degenerate spectra.
 
-
-def dressed_basis(h0: np.ndarray) -> DressedBasis:
-    """Diagonalise the pump block exactly; reject near-degenerate spectra.
-
-    The block [[d1, x], [y, d2]] is solved as in the 2x2 step of the Jacobi
-    method (Golub & Van Loan, Matrix Computations, 4th ed., 8.5), which never
-    cancels: with Delta = d1 - d2, R = sqrt(Delta^2 + 4xy) and w the larger in
-    size of Delta +- R, u = 2y/w, v = 2x/w (0 at w = 0), n = sqrt(1 + uv) and
-    kappa = sqrt(x/y) (1 at x = y = 0) give the kets (kappa, kappa u)/n, (-v, 1)/n
-    and bras (1, v)/(kappa n), (-u, 1)/n; defective where n = 0 or x or y alone is 0.
+    The block [[d1, x], [y, d2]] = [[h11, x], [y, h22]] is solved as in the 2x2
+    step of the Jacobi method (Golub & Van Loan, Matrix Computations, 4th ed.,
+    8.5), which never cancels: with Delta = d1 - d2, R = sqrt(Delta^2 + 4xy) and
+    w the larger in size of Delta +- R, u = 2y/w, v = 2x/w (0 at w = 0),
+    n = sqrt(1 + uv) and kappa = sqrt(x/y) (1 at x = y = 0) give the kets
+    (kappa, kappa u)/n, (-v, 1)/n and bras (1, v)/(kappa n), (-u, 1)/n;
+    defective where n = 0 or x or y alone is 0.
 
     Two eigenvalues are near-degenerate where their gap is at most
     ``DEGENERACY_TOL`` times the larger size of the entries that set them, with
     no floor: the pump block's norm for the dressed pair and bare level 1 (0 has
     no size), |h33| for bare level 4.  So a far level leaves the near ones' gaps
     at their own scale.  Raises the out-of-range PoleError where a dressed
-    eigenvalue, the block's norm or a square on the way leaves double range,
-    and ValueError unless h0 is a 4 x 4 numpy array of numbers that is nonzero
-    only where ``model.split`` writes it, at (1, 1), (1, 2), (2, 1), (2, 2) and
-    (3, 3).  A call with the h0 of the last call that returned gives back that
-    basis.
+    eigenvalue, the block's norm or a square on the way leaves double range.
+    It is the gate every reader of a split passes first: ValueError unless
+    ``split`` is a ``PerturbationSplit`` whose nine fields are finite numbers
+    (``model._is_finite``; a bool or a numpy array is not) with ua and uc
+    nonzero.  A call with the split object of the last call that returned
+    gives back that basis.
     """
     global _BASIS_MEMO
-    _require_matrices(h0=h0)
-    key, basis = _BASIS_MEMO
-    if key == (fingerprint := _fingerprint(h0)):
+    last, basis = _BASIS_MEMO
+    if last is split:
         return basis
-    rows = h0.tolist()
-    if any(rows[0]) or any(rows[3][:3]) or rows[1][0] or rows[1][3] or rows[2][0] or rows[2][3]:
-        raise ValueError("h0 may be nonzero only at (1, 1), (1, 2), (2, 1), (2, 2) and (3, 3), "
-                         "as split writes it")
-    d1, x = rows[1][1:3]  # x = Omega_b / 2
-    y, d2 = rows[2][1:3]  # y = conj(Omega_b) / 2
+    if not (isinstance(split, PerturbationSplit)
+            and all(_is_finite(v, cmath.isfinite) for v in split) and split.ua and split.uc):
+        raise ValueError(f"a split must hold nine finite numbers, ua and uc nonzero, got {split!r}")
+    d1, d2, h33, x, y = map(complex, split[:5])  # Python numbers, whichever a caller built
     delta = d1 - d2
     with in_double_range():  # Python's complex ** and abs raise OverflowError past it
         root = cmath.sqrt(delta**2 + 4.0 * x * y + 0.0j)
         w = delta + root if abs(delta + root) > abs(delta - root) else delta - root
         block = math.hypot(abs(d1), abs(x), abs(y), abs(d2))
     u, v = (2.0 * y / w, 2.0 * x / w) if w else (0j, 0j)
-    lam = [0j, d1 + x * u, d2 - y * v, rows[3][3]]
+    lam = [0j, d1 + x * u, d2 - y * v, h33]
     check_finite(root, *lam, block)  # a NaN gap passes the test below, an inf norm fails it
     n = cmath.sqrt(1.0 + u * v)
     if n == 0 or (x == 0) != (y == 0):
@@ -156,19 +150,8 @@ def dressed_basis(h0: np.ndarray) -> DressedBasis:
     left[1, 1], left[1, 2], left[2, 1], left[2, 2] = 1 / kappa / n, v / kappa / n, -u / n, 1 / n
     basis = DressedBasis(eigenvalues=np.array(lam), right=right, left=left)
     _read_only(*basis)
-    _BASIS_MEMO = fingerprint, basis
+    _BASIS_MEMO = split, basis
     return basis
-
-
-def _probe_pairs(va: np.ndarray, vc: np.ndarray) -> tuple:
-    """va[0, 1], va[1, 0], vc[2, 3] and vc[3, 2]; ValueError naming va or vc unless
-    it is nonzero exactly at its pair, the entries that ``model.split`` writes."""
-    pairs = a01, a10, c23, c32 = va.item(0, 1), va.item(1, 0), vc.item(2, 3), vc.item(3, 2)
-    if not (a01 and a10 and np.count_nonzero(va) == 2):
-        raise ValueError("va must be nonzero exactly at (0, 1) and (1, 0), as split writes it")
-    if not (c23 and c32 and np.count_nonzero(vc) == 2):
-        raise ValueError("vc must be nonzero exactly at (2, 3) and (3, 2), as split writes it")
-    return pairs
 
 
 class SeriesTable(NamedTuple):
@@ -295,17 +278,15 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
 
     The series lives in one complex work vector ``w`` that holds the dressed
     couplings, then E and A; the table's arrays are views of it.  Each
-    allowed entry of ``basis.left @ v @ basis.right``, v = ``split.va`` or
-    ``split.vc``, has one nonzero term: a probe entry of v times one entry of
-    the basis, taken on Python complex numbers.  Each order is one
-    gather-multiply-reduce over its terms in ``_order_plan``, whose norm
-    terms are scaled by P first; ``A[1]`` is P A[0].  Where h0, va and vc
-    have the bytes of the last table's, one of order max_order is that table
-    and one of lower order is gathered from its work vector, with no basis
-    looked up.  ValueError unless n is the integer 1, max_order an integer
-    >= 0 and h0, va and vc 4 x 4 numpy arrays of numbers, checked before the
-    memo is read, and, where it misses, unless va and vc are nonzero exactly
-    at the pairs ``model.split`` writes and h0 as ``dressed_basis`` asks; the
+    allowed entry of ``basis.left @ v @ basis.right``, v = va or vc of the
+    split, has one nonzero term: a probe phase (ua, uc or a conjugate) times
+    one entry of the basis, taken on Python complex numbers.  Each order is
+    one gather-multiply-reduce over its terms in ``_order_plan``, whose norm
+    terms are scaled by P first; ``A[1]`` is P A[0].  Where the split is the
+    object of the last table's build, one of order max_order is that table and
+    one of lower order is gathered from its work vector, with no basis looked
+    up.  ValueError unless n is the integer 1 and max_order an integer >= 0,
+    and, where the memo misses, as ``dressed_basis`` refuses the split; the
     out-of-range PoleError where an entry of E or A leaves double range.
     """
     global _SERIES_MEMO
@@ -314,18 +295,17 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         raise ValueError(f"only the ground state, the integer n = 1, is built, got n = {n!r}")
     if not _is_nonnegative_int(max_order):
         raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
-    _require_matrices(h0=split.h0, va=split.va, vc=split.vc)
     size = max_order + 1
-    key, last = _SERIES_MEMO
-    fingerprint = tuple(map(_fingerprint, (split.h0, split.va, split.vc)))
-    if key == fingerprint and max_order <= last.order:
+    last_split, last = _SERIES_MEMO
+    if last_split is split and max_order <= last.order:
         if max_order == last.order:
             return last
         w = last.E.base[_prefix_slots(last.order, max_order)]  # the work vector E views
         _read_only(w)
         return SeriesTable(last.basis, max_order, *_layout(w, size)[1:])
-    a01, a10, c23, c32 = _probe_pairs(split.va, split.vc)
-    basis = dressed_basis(split.h0)
+    basis = dressed_basis(split)
+    ua, uc, x, y = map(complex, (split.ua, split.uc, split.x, split.y))
+    a01, a10, c23, c32 = ua.conjugate(), ua, uc.conjugate(), uc
     w = np.zeros(_COUPLINGS + 9 * size * size, dtype=complex)
     _, e, a = _layout(w, size)
     # Each is one rounded product, as in the matrix product; + 0j turns a -0
@@ -336,7 +316,6 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
                       left[1][2] * c23 + 0j, left[2][2] * c23 + 0j,
                       c32 * right[2][1] + 0j, c32 * right[2][2] + 0j]
     # P of the module docstring; model.split makes y = conj(x), 0 only with the pump off
-    x, y = split.h0.item(1, 2), split.h0.item(2, 1)
     f_a = a01 / a10 * (x / y if y else 1.0)
     phase = np.array([1.0, f_a, f_a, f_a * (c23 / c32)])
     a[0, 0, 0, 0] = 1.0  # E[0, 0] is the ground eigenvalue 0, as w starts
@@ -350,7 +329,7 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         np.multiply(a[0], phase, out=a[1])
     _read_only(w)  # then its views, which keep the flag they were made with
     table = SeriesTable(basis, max_order, *_layout(w, size)[1:])
-    _SERIES_MEMO = fingerprint, table
+    _SERIES_MEMO = split, table
     return table
 
 

@@ -11,9 +11,9 @@ behind ``chis_from_energy``, which reads the susceptibilities off the Taylor
 array E[p, q] of the ground eigenvalue, whichever route built it: by
 Hellmann-Feynman the Taylor arrays of the coherences are derivatives of E,
 t[p-1, q] = u_a p E[p, q] / 2 for rho21 and u[p, q-1] = u_c q E[p, q] / 2
-for rho43, with the probe phases u_a = ``split.va[1, 0]`` and
-u_c = ``split.vc[3, 2]``, while E carries no phase.  A kernel is arithmetic
-only, so it runs on exact rationals too.
+for rho43, with the probe phases u_a = ``split.ua`` and u_c = ``split.uc``,
+while E carries no phase.  A kernel is arithmetic only, so it runs on exact
+rationals too.
 
 A sweep is two steps, the grid (``sweep_grid``) and the closed forms at its
 values (``sweep_at``); each row depends on its own value only, so a grid may

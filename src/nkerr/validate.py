@@ -89,7 +89,7 @@ def _reference_config() -> SystemConfig:
 
 def _dressed_gaps_ok(cfg: SystemConfig, min_gap: float) -> bool:
     try:
-        lam = perturb.dressed_basis(model.split(cfg).h0).eigenvalues
+        lam = perturb.dressed_basis(model.split(cfg)).eigenvalues
     except DegeneracyError:
         return False
     return all(abs(lam[i] - lam[j]) >= min_gap for i in range(4) for j in range(i + 1, 4))

@@ -20,6 +20,8 @@ import numpy as np
 from nkerr import perturb
 from nkerr.model import PerturbationSplit
 
+from conftest import matrices
+
 NODES = 24
 RADIUS_FRACTION = 0.12
 NEWTON_STEPS = 6
@@ -37,7 +39,7 @@ def ground_eigenvalue_newton(split: PerturbationSplit) -> Callable[..., np.ndarr
     needs.  The callable raises :class:`RuntimeError` if a last update exceeds
     ``NEWTON_RTOL`` of its root.
     """
-    h0, va, vc = split.h0, split.va, split.vc
+    h0, va, vc = matrices(split)
 
     def f(x, y) -> np.ndarray:
         x = np.asarray(x, dtype=complex)[..., None, None]
@@ -74,7 +76,7 @@ def extraction_radius(split: PerturbationSplit) -> float:
     its eigenvalue lambda_4 limits x*y to about |lambda_4| * pair, a scale
     sqrt(|lambda_4| * pair) in each variable, not |lambda_4|.
     """
-    lam = np.abs(perturb.dressed_basis(split.h0).eigenvalues)
+    lam = np.abs(perturb.dressed_basis(split).eigenvalues)
     pair = float(min(lam[1], lam[2]))
     return RADIUS_FRACTION * min(pair, math.sqrt(float(lam[3]) * pair))
 

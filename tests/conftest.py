@@ -23,6 +23,17 @@ def numpy_draws(rng):
     return types.SimpleNamespace(uniform=rng.uniform, randrange=rng.integers)
 
 
+def matrices(split):
+    """h0, va and vc of a split, each written here from its numbers: the
+    package writes them only summed, in ``PerturbationSplit.reconstruct``."""
+    h0, va, vc = np.zeros((3, 4, 4), dtype=complex)
+    h0[1, 1], h0[2, 2], h0[3, 3] = split.h11, split.h22, split.h33
+    h0[1, 2], h0[2, 1] = split.x, split.y
+    va[0, 1], va[1, 0] = np.conj(split.ua), split.ua
+    vc[2, 3], vc[3, 2] = np.conj(split.uc), split.uc
+    return h0, va, vc
+
+
 @pytest.fixture
 def reference_config():
     """Weak-probe benchmark: g_a = g_c = 0.01, resonant pump block detuned."""

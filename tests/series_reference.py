@@ -18,6 +18,8 @@ import numpy as np
 from nkerr.model import PerturbationSplit
 from nkerr.perturb import SeriesTable, dressed_basis
 
+from conftest import matrices
+
 
 def cauchy_term(x: np.ndarray, y: np.ndarray, p: int, q: int) -> complex:
     """Order-(p, q) term of the product of two double series.
@@ -33,12 +35,13 @@ def build_series(split: PerturbationSplit, max_order: int) -> SeriesTable:
     """Fill the ground-state table with every order p + q <= max_order."""
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    basis = dressed_basis(split.h0)
+    basis = dressed_basis(split)
+    _, v_a, v_c = matrices(split)
     e = np.zeros((2, max_order + 1, max_order + 1), dtype=complex)  # E[:, 0, 0] = 0
     a = np.zeros((2, max_order + 1, max_order + 1, 4), dtype=complex)
     a[:, 0, 0, 0] = 1.0
-    vta = basis.left @ split.va @ basis.right
-    vtc = basis.left @ split.vc @ basis.right
+    vta = basis.left @ v_a @ basis.right
+    vtc = basis.left @ v_c @ basis.right
     va = np.stack([vta, vta.T])  # the companion series sees the transposed couplings
     vc = np.stack([vtc, vtc.T])
     gap = -basis.eigenvalues

@@ -83,16 +83,17 @@ def test_criterion_8_catches_a_planted_susceptibility_error(monkeypatch, field):
 
 
 def test_criterion_10_catches_planted_forbidden_coupling(monkeypatch):
-    # probe a coupling levels 1 and 4 directly, which the N-configuration forbids
-    true_split = model.split
+    # probe a coupling levels 1 and 4 directly, which the N-configuration forbids:
+    # no split can hold it, so it is planted as va[0, 3] = va[3, 0] = 0.5 in the
+    # matrix each split writes
+    true_reconstruct = model.PerturbationSplit.reconstruct
 
-    def planted(cfg):
-        sp = true_split(cfg)
-        va = sp.va.copy()
-        va[0, 3] = va[3, 0] = 0.5
-        return sp._replace(va=va)
+    def planted(sp):
+        h = true_reconstruct(sp)
+        h[0, 3] = h[3, 0] = 0.5 * sp.eps_a
+        return h
 
-    monkeypatch.setattr(model, "split", planted)
+    monkeypatch.setattr(model.PerturbationSplit, "reconstruct", planted)
     chk = validate._Checker()
     validate._criterion_10(validate._Draws(0, [], []), chk)
     assert not chk.passed

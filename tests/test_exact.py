@@ -140,17 +140,17 @@ def test_bridge_is_the_closed_forms_on_the_exact_continuant_at_random_rational_p
 
 def test_float_bridge_is_within_a_few_u_of_its_exact_value():
     # the exact value is the bridge on the exact continuant at the exact float
-    # entries of the split: the phase products P_a = va[0, 1] va[1, 0] and
-    # P_c = vc[2, 3] vc[3, 2] round off 1, and E(u, v) is then e(P_a u, P_c v)
+    # numbers of the split: the phase products P_a = conj(ua) ua and
+    # P_c = conj(uc) uc round off 1, and E(u, v) is then e(P_a u, P_c v)
     rng = random.Random("exact bridge")
     routes = ((lambda sp: oracle.ground_series(sp, 4), GROUND_SERIES_BOUNDS),
               (lambda sp: perturb.build_series(sp, 1, 4).E, BUILD_SERIES_BOUNDS))
     for k in range(40):
         cfg = validate._random_config(rng, lossy=k % 2 == 1)
         sp = model.split(cfg)
-        h, va, vc = ([[lift(x) for x in row] for row in m.tolist()] for m in sp[:3])
-        e = _continuant_root(h[1][1], h[2][2], h[3][3], h[1][2] * h[2][1])
-        p_a, p_c = va[0][1] * va[1][0], vc[2][3] * vc[3][2]
+        h11, h22, h33, x, y, ua, uc = map(lift, sp[:7])
+        e = _continuant_root(h11, h22, h33, x * y)
+        p_a, p_c = lift(sp.ua.conjugate()) * ua, lift(sp.uc.conjugate()) * uc
         exact = suscept._chis_from_series(p_a * e[1, 0], p_a**2 * e[2, 0], p_a * p_c * e[1, 1],
                                           cfg.mode_a.n, cfg.mode_c.n)
         for series, bounds in routes:

@@ -134,10 +134,10 @@ def test_energy_series_scale_bit_for_bit_in_units_far_from_one(series):
 
 
 def _near_threshold_blocks(n=400):
-    """``n`` seeded pump blocks h0, half lossy, in units 2**U(-4, 4), each with
-    one gap within a factor of 2 of ``DEGENERACY_TOL`` times its block's norm:
-    bare level 4 near bare level 1 or near a dressed level, the dressed pair
-    near each other under a weak pump, or a dressed level near 0."""
+    """``n`` seeded splits without probes, half lossy, in units 2**U(-4, 4), each
+    with one gap within a factor of 2 of ``DEGENERACY_TOL`` times its pump
+    block's norm: bare level 4 near bare level 1 or near a dressed level, the
+    dressed pair near each other under a weak pump, or a dressed level near 0."""
     rng = np.random.default_rng(9)
     blocks = []
     for i in range(n):
@@ -150,38 +150,43 @@ def _near_threshold_blocks(n=400):
         kind = i // 2 % 4
         if kind == 1:
             x, d2, gamma[1] = x * abs(t), d1 + abs(t) * unit, gamma[0]
-        h11, h22 = d1 - 1j * gamma[0], d2 - 1j * gamma[1]
+        h11, h22 = complex(d1 - 1j * gamma[0]), complex(d2 - 1j * gamma[1])
         if kind == 2:  # h11 h22 = |x|**2 (1 + t)
             h11 = abs(x) ** 2 / h22 * (1 + t)
-        h0 = np.zeros((4, 4), dtype=complex)
-        h0[1, 1], h0[2, 2], h0[1, 2], h0[2, 1] = h11, h22, x, x.conjugate()
-        norm = np.linalg.norm(h0)
+        block = np.array([[h11, x], [x.conjugate(), h22]])
+        norm = np.linalg.norm(block)
         if kind == 0:
-            h0[3, 3] = t * norm
+            h33 = t * norm
         elif kind == 3:
-            h0[3, 3] = np.linalg.eigvals(h0[1:3, 1:3])[rng.integers(2)] + t * norm
+            h33 = np.linalg.eigvals(block)[rng.integers(2)] + t * norm
         else:
-            h0[3, 3] = rng.uniform(-1, 1) * unit - 1j * gamma[2]
-        blocks.append(h0)
+            h33 = rng.uniform(-1, 1) * unit - 1j * gamma[2]
+        blocks.append(model.PerturbationSplit(h11, h22, complex(h33), x, x.conjugate(),
+                                              1 + 0j, 1 + 0j, 0.0, 0.0))
     return blocks
+
+
+def _in_units(sp, scale):
+    """The split with its pump block and level 4 multiplied by ``scale``."""
+    return sp._replace(**{f: scale * getattr(sp, f) for f in ("h11", "h22", "h33", "x", "y")})
 
 
 def test_dressed_basis_refuses_a_block_in_every_unit_or_in_none():
     refused = 0
-    for h0 in _near_threshold_blocks():
+    for sp in _near_threshold_blocks():
         try:
-            want = perturb.dressed_basis(h0)
+            want = perturb.dressed_basis(sp)
         except DegeneracyError:
             want = None
         refused += want is None
         for k in range(-60, 61):
             try:
-                got = perturb.dressed_basis(2.0**k * h0)
+                got = perturb.dressed_basis(_in_units(sp, 2.0**k))
             except DegeneracyError:
-                assert want is None, (h0, k)
+                assert want is None, (sp, k)
                 continue
-            assert want is not None, (h0, k)
-            assert np.array_equal(got.eigenvalues, 2.0**k * want.eigenvalues), (h0, k)
+            assert want is not None, (sp, k)
+            assert np.array_equal(got.eigenvalues, 2.0**k * want.eigenvalues), (sp, k)
     assert 100 < refused < 300  # the blocks straddle the threshold
 
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nkerr import effective, model, oracle, perturb, suscept
+from nkerr import effective, model, oracle, perturb, suscept, validate
 from nkerr.errors import PoleError
 from nkerr.model import FieldMode, SystemConfig
 
-from conftest import make_config
+from conftest import make_config, matrices, numpy_draws
 
 
 def test_multi_photon_detunings_all_resonant():
@@ -123,7 +123,7 @@ def test_split_pump_block_is_the_hamiltonian_without_probe_entries(cfg):
     assert (sp.eps_a, sp.eps_c) == (eps_a, eps_c)
     assert (sp.eps_a, sp.eps_c) == pytest.approx((abs(hand[1, 0]), abs(hand[3, 2])), rel=1e-15)
     hand[0, 1] = hand[1, 0] = hand[2, 3] = hand[3, 2] = 0.0
-    assert np.abs(sp.h0 - hand).max() <= 1e-15 * scale
+    assert np.abs(matrices(sp)[0] - hand).max() <= 1e-15 * scale
 
 
 @given(configs(lossy=False))
@@ -150,9 +150,7 @@ def test_lossy_hamiltonian_not_hermitian():
 def test_split_real_coupling_gives_unit_entries():
     cfg = make_config(0.5, 1.0, 0.25, 2, 0, 1, 0.1, 0.2, 0.3)
     sp = model.split(cfg)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 1] = expected[1, 0] = 1.0
-    assert np.array_equal(sp.va, expected)
+    assert (sp.ua, sp.uc) == (1.0, 1.0)
     assert sp.eps_a == pytest.approx(abs(model.rabi_frequency(cfg.mode_a)) / 2)
 
 
@@ -160,17 +158,18 @@ def test_split_phases_follow_couplings():
     cfg = make_config(0.5 * cmath.exp(0.8j), 1.0, 0.25 * cmath.exp(-1.2j),
                       2, 0, 1, 0.1, 0.2, 0.3)
     sp = model.split(cfg)
-    assert np.angle(sp.va[1, 0]) == pytest.approx(0.8)
-    assert np.angle(sp.vc[3, 2]) == pytest.approx(-1.2)
-    assert abs(sp.va[1, 0]) == pytest.approx(1.0)
-    assert abs(sp.vc[3, 2]) == pytest.approx(1.0)
+    assert cmath.phase(sp.ua) == pytest.approx(0.8)
+    assert cmath.phase(sp.uc) == pytest.approx(-1.2)
+    assert abs(sp.ua) == pytest.approx(1.0)
+    assert abs(sp.uc) == pytest.approx(1.0)
 
 
 def test_split_degenerates_without_a_photons():
     cfg = make_config(0.5, 1.0, 0.25, 0, 0, 1, 0.1, 0.2, 0.3)
     sp = model.split(cfg)
     assert sp.eps_a == 0.0
-    diff = np.abs(sp.h0 + sp.eps_c * sp.vc - sp.reconstruct())
+    h0, _, vc = matrices(sp)
+    diff = np.abs(h0 + sp.eps_c * vc - sp.reconstruct())
     assert diff.max() < 1e-15
 
 
@@ -322,6 +321,50 @@ def test_a_numpy_complex_is_taken_where_a_complex_number_is_asked(z):
         assert energy(x, x) == energy(complex(x), complex(x))
 
 
+@pytest.mark.parametrize("entry", sorted(set(_REAL_ENTRIES) - {"sweep_at"}) + [
+    "FieldMode.g", "ground_eigenvalue_function x"])
+def test_a_zero_dimensional_array_is_no_number(entry):
+    # math.isfinite and cmath.isfinite take a 0-d array's one value, which
+    # then left phase_angle as a numpy float and fed evaluate_energy an array
+    call = {"FieldMode.g": lambda z: FieldMode("a", z, 0.3, 1),
+            "ground_eigenvalue_function x": lambda z: oracle.ground_eigenvalue_function(
+                model.split(_REFERENCE))(z, 0.01)}.get(entry, _REAL_ENTRIES.get(entry))
+    for z in (np.array(0.1), np.array(0.1 + 0j), np.array([0.1])):
+        with pytest.raises(ValueError, match="finite"):
+            call(z)
+    assert not model._is_finite(np.array(0.1), cmath.isfinite)
+
+
+@pytest.mark.parametrize("value", [[np.bool_(True), 0.5], [True, 0.5],
+                                   np.array([True, 0.5], dtype=object), [[0.5], [True]],
+                                   [0.5, "1"], [0.5, np.array(0.5)], [0.5, None]], ids=str)
+def test_a_list_or_object_array_is_judged_one_element_at_a_time(value):
+    # numpy turned each bool into 1.0 before the array was judged, so a sweep
+    # evaluated delta_a = 1.0 where True was passed
+    for dtype in (float, complex):
+        assert model._finite_array(value, dtype) is None
+    with pytest.raises(ValueError, match="finite"):
+        suscept.sweep_at(_REFERENCE, "da", value)
+
+
+@pytest.mark.parametrize("entry", [True, np.bool_(True), "1", None, np.array(0.5)], ids=repr)
+def test_an_eigenvalue_series_as_a_nested_list_is_judged_one_entry_at_a_time(entry):
+    E = [[0.0] * 5 for _ in range(5)]
+    E[2][2] = entry
+    with pytest.raises(ValueError, match="finite"):
+        suscept.chis_from_energy(_REFERENCE, E)
+
+
+def test_a_numeric_array_is_judged_by_its_dtype():
+    # the sweep's chunks keep numpy's one pass: no element is looked at alone
+    grid = np.linspace(-1.0, 1.0, 5)
+    assert model._finite_array(grid, float) is grid
+    assert model._finite_array(grid.astype(complex), complex).dtype == complex
+    for bad in (grid > 0, grid.astype(complex), grid.astype(str)):
+        assert model._finite_array(bad, float) is None
+    assert model._finite_array(np.array([0.5, np.inf]), float) is None
+
+
 def test_negative_decay_rejected():
     with pytest.raises(ValueError, match="decay"):
         make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.0, 0.0, 0.0, gamma=(-0.1, 0.0, 0.0))
@@ -349,9 +392,7 @@ def test_split_is_remembered_for_the_same_configuration_object_only():
         cold.append(model.split(cfg))
     _forget_split()
     for cfg, want in zip((a, b, a), (*cold, cold[0])):
-        sp = model.split(cfg)
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(sp[:3], want[:3]))
-        assert sp[3:] == want[3:]
+        assert np.array(model.split(cfg)).tobytes() == np.array(want).tobytes()
     assert model.split(a) is model.split(a)
     twin = replace(a)  # equal, not the same object: a split of its own
     assert twin == a and model.split(twin) is not model.split(a)
@@ -360,19 +401,44 @@ def test_split_is_remembered_for_the_same_configuration_object_only():
     negative = replace(a, mode_a=replace(a.mode_a, delta=-0.0))
     assert zero == negative
     _forget_split()
-    bits = [model.split(cfg).h0.tobytes() for cfg in (negative, zero)]
+    bits = [np.array(model.split(cfg)).tobytes() for cfg in (negative, zero)]
     assert bits[0] != bits[1]
-    assert [model.split(cfg).h0.tobytes() for cfg in (negative, zero)] == bits
+    assert [np.array(model.split(cfg)).tobytes() for cfg in (negative, zero)] == bits
 
 
-def test_split_arrays_are_read_only_and_reconstruct_is_a_new_array():
+def test_a_split_is_numbers_that_hash_refuse_assignment_and_reconstruct_anew():
     sp = model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5))
-    for array in sp[:3]:
-        with pytest.raises(ValueError, match="read-only"):
-            array[1, 1] = 1.0
+    assert [type(v) for v in sp] == [complex] * 7 + [float] * 2
+    assert {sp: "memo"}[model.PerturbationSplit(*sp)] == "memo"
+    for field in sp._fields:
+        with pytest.raises(AttributeError):
+            setattr(sp, field, 1.0)
     h = sp.reconstruct()
     h[1, 1] = 1.0
-    assert h.flags.writeable and sp.h0[1, 1] != 1.0
+    assert h.flags.writeable and sp.reconstruct()[1, 1] == sp.h11 != 1.0
+
+
+_N_ENTRIES = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (0, 1), (1, 0), (2, 3), (3, 2)]
+
+
+def test_reconstruct_is_nonzero_only_at_the_nine_n_configuration_entries():
+    # every draw puts a nonzero number at most at these entries; a zero coupling
+    # leaves its probe phase 1 and its entries 0
+    rng = np.random.default_rng(53)
+    outside = np.ones((4, 4), dtype=bool)
+    outside[tuple(zip(*_N_ENTRIES))] = False
+    for k in range(200):
+        cfg = validate._random_config(numpy_draws(rng), bool(k % 2))
+        mode = ("mode_a", "mode_b", "mode_c", None)[k % 4]
+        if mode:
+            cfg = replace(cfg, **{mode: replace(getattr(cfg, mode), g=0.0)})
+        sp = model.split(cfg)
+        h = sp.reconstruct()
+        assert not h[outside].any(), cfg
+        assert [h[i, j] for i, j in _N_ENTRIES[:5]] == list(sp[:5])
+        if mode in ("mode_a", "mode_c"):
+            assert (sp.ua if mode == "mode_a" else sp.uc) == 1
+            assert h[(0, 1) if mode == "mode_a" else (2, 3)] == 0
 
 
 def test_a_split_that_raises_raises_again_with_the_same_message():

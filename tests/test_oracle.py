@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -329,6 +330,30 @@ def test_the_dark_state_beyond_the_disc_is_refused_not_replaced():
         energy(2.0, 5e-3)
 
 
+def test_the_bauer_fike_radius_takes_the_size_of_each_probe_phase():
+    # a split holds no probe entry but ua and uc, so ||x*va + y*vc||_1 is
+    # max(|x ua|, |y uc|): a phase of modulus 3, built by hand, triples r, and
+    # an x that the unit phase certifies is refused
+    sp = model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5))
+    for field in ("ua", "uc"):
+        tripled = sp._replace(**{field: 3 * getattr(sp, field)})
+        unit, big = (oracle.ground_eigenvalue_function(s) for s in (sp, tripled))
+        r, half_gap = [], []
+        for energy in (unit, big):
+            with pytest.raises(TrackingError) as info:
+                energy(10.0, 10.0)
+            r1, g1 = re.search(r"r = (\S+) must be below gap/2 = (\S+) ", str(info.value)).groups()
+            r.append(float(r1))
+            half_gap.append(float(g1))
+        assert r[1] == pytest.approx(3 * r[0], rel=1e-3) and half_gap[0] == half_gap[1]
+        x = 0.4 * half_gap[0] / (r[0] / 10.0)  # kappa |x| = 0.4 gap/2
+        xy = (x, 0.0) if field == "ua" else (0.0, x)
+        assert unit(*xy) == min(oracle.exact_eigensystem(
+            sp._replace(eps_a=xy[0], eps_c=xy[1]).reconstruct()).eigenvalues.tolist(), key=abs)
+        with pytest.raises(TrackingError, match="not certified"):
+            big(*xy)
+
+
 def test_every_certified_value_is_the_branch_connected_to_zero():
     # 120 draws, half lossy, half Raman-resonant (gamma_2 = 0), a third with
     # random coupling phases, at x = y = s: each value the disc certifies is
@@ -422,10 +447,10 @@ def test_ground_series_refuses_a_pump_too_weak_for_its_cross_entry(lossy):
 def _pump_refusal(sp):
     """The message ``ground_series`` refuses the pump of ``sp`` with: the pole
     where G_b = 0, else G_b and r = eps |h11 h22| / G_b."""
-    gb = abs(sp.h0[1, 2] * sp.h0[2, 1])
+    gb = abs(sp.x * sp.y)
     if gb == 0:
         return model.POLES[model.PUMP - 1]
-    r = np.finfo(float).eps * abs(sp.h0[1, 1] * sp.h0[2, 2]) / gb
+    r = np.finfo(float).eps * abs(sp.h11 * sp.h22) / gb
     return f"pole: |g_b|^2 (n_b+1) = {gb:.3e} is near 0: r = eps |h11 h22| / G_b = {r:.3e} > 1e-09"
 
 

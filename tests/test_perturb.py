@@ -13,21 +13,18 @@ from nkerr.errors import DegeneracyError, PoleError
 
 import cauchy
 import series_reference
-from conftest import make_config, numpy_draws
+from conftest import make_config, matrices, numpy_draws
 
 
-def _h0(d1, d2, d3, ob):
-    h = np.zeros((4, 4), dtype=complex)
-    h[1, 1], h[2, 2], h[3, 3] = d1, d2, d3
-    h[1, 2] = ob / 2
-    h[2, 1] = np.conj(ob) / 2
-    return h
+def _pump(d1, d2, d3, ob):
+    """A split with complex detunings d1, d2, d3, pump Rabi frequency ob and no probe."""
+    return model.PerturbationSplit(d1, d2, d3, ob / 2, np.conj(ob) / 2, 1 + 0j, 1 + 0j, 0.0, 0.0)
 
 
 # -- dressed basis -----------------------------------------------------------
 
 def test_dressed_basis_resonant_pump():
-    basis = perturb.dressed_basis(_h0(0.0, 0.0, 0.7, 2.0))
+    basis = perturb.dressed_basis(_pump(0.0, 0.0, 0.7, 2.0))
     assert basis.eigenvalues[1] == pytest.approx(-1.0)
     assert basis.eigenvalues[2] == pytest.approx(1.0)
     v_minus = basis.right[:, 1]
@@ -41,7 +38,7 @@ def test_dressed_basis_resonant_pump():
 
 def test_dressed_basis_uncoupled_pump_returns_bare():
     for d1, d2 in ((3.0, 1.0), (1.0, 3.0)):  # index 1 is bare level 2 on either side
-        basis = perturb.dressed_basis(_h0(d1, d2, 5.0, 0.0))
+        basis = perturb.dressed_basis(_pump(d1, d2, 5.0, 0.0))
         assert np.allclose(basis.eigenvalues, [0, d1, d2, 5])
         assert np.allclose(basis.right, np.eye(4))
         assert np.allclose(basis.left, np.eye(4))
@@ -50,25 +47,23 @@ def test_dressed_basis_uncoupled_pump_returns_bare():
 def test_dressed_basis_degeneracy_rejected():
     # delta_3 = 0 collides the two uncoupled levels
     with pytest.raises(DegeneracyError):
-        perturb.dressed_basis(_h0(0.0, 0.0, 0.0, 2.0))
+        perturb.dressed_basis(_pump(0.0, 0.0, 0.0, 2.0))
 
 
 def test_dressed_basis_rejects_near_degenerate_gap_and_defective_pair():
     # bare level 4 1e-12 above the minus root, the dressed value -1 of (0, 0, 2.0)
     with pytest.raises(DegeneracyError, match="near-degenerate: eigenvalues 2 and 4"):
-        perturb.dressed_basis(_h0(0.0, 0.0, -1.0 + 1e-12, 2.0))
+        perturb.dressed_basis(_pump(0.0, 0.0, -1.0 + 1e-12, 2.0))
     # delta_b = 0 with the pump off: Delta = R = 0, so w = 0 and the pair coincides
     with pytest.raises(DegeneracyError, match="near-degenerate: eigenvalues 2 and 3"):
-        perturb.dressed_basis(_h0(0.3, 0.3, 0.7, 0.0))
+        perturb.dressed_basis(_pump(0.3, 0.3, 0.7, 0.0))
     # d1 - d2 = 2i and x*y = 1: the pair is one Jordan block, with no left/right pairing
     with pytest.raises(DegeneracyError, match="defective"):
-        perturb.dressed_basis(_h0(0.0, -2j, 0.7, 2.0))
+        perturb.dressed_basis(_pump(0.0, -2j, 0.7, 2.0))
     # a one-sided pump: no diagonal P turns its couplings into their transpose
     for x, y in ((0.5, 0.0), (0.0, 0.5)):
-        h0 = _h0(0.3, 0.2, 0.7, 0.0)
-        h0[1, 2], h0[2, 1] = x, y
         with pytest.raises(DegeneracyError, match="defective"):
-            perturb.dressed_basis(h0)
+            perturb.dressed_basis(_pump(0.3, 0.2, 0.7, 0.0)._replace(x=x, y=y))
 
 
 # a dressed eigenvalue past double range once gave inf+nanj, whose NaN gaps
@@ -80,7 +75,7 @@ def test_dressed_eigenvalue_beyond_double_range_is_a_pole_error(args):
     sp = model.split(make_config(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda sp: perturb.dressed_basis(sp.h0),
+        for call in (perturb.dressed_basis,
                      lambda sp: perturb.build_series(sp, 1, 2)):
             with pytest.raises(PoleError, match="outside double range"):
                 call(sp)
@@ -94,13 +89,20 @@ def _reference_in_units(s):
 # finite inputs whose series or sum are not doubles: at eps = 1e80 the sum's
 # eps**4 overflowed into nan+nanj, at s = 1e-80 A[p, q] ~ s**-(p + q)
 # overflowed while E stayed finite, and at s = 1e-160 the continuant's slope
-# ~ s**3 underflowed to 0 and was divided by
+# ~ s**3 underflowed to 0 and was divided by; in a gapped pump block of size
+# 1e155 the product h11 h22 overflows, and at 1e150 with h33 ~ 2e150 the slope
+# -(h11 h22 - G_b) h33 does, where a Python complex product gives inf silently
 @pytest.mark.parametrize("call", [
     lambda: perturb.evaluate_energy(
         perturb.build_series(model.split(_reference_in_units(1.0)), 1, 4), 1, 1e80, 1e80, 4),
     lambda: perturb.build_series(model.split(_reference_in_units(1e-80)), 1, 4),
     lambda: oracle.ground_series(model.split(_reference_in_units(1e-160)), 4),
-], ids=["evaluate_energy", "build_series", "ground_series"])
+    lambda: oracle.ground_series(model.split(make_config(
+        0.01, 1.0, 0.01, 1, 0, 1, 1e155, 1e150, 1e154)), 4),
+    lambda: oracle.ground_series(model.split(make_config(
+        0.01, 1e149, 0.01, 1, 0, 1, 1e150, 1e145, 1e150)), 4),
+], ids=["evaluate_energy", "build_series", "ground_series", "ground_series-h11-h22",
+        "ground_series-slope"])
 def test_a_series_outside_double_range_is_the_out_of_range_pole(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -139,8 +141,9 @@ def test_a_weak_pump_builds_and_gives_the_linear_coefficient(gb, gamma):
 
 
 def test_dressed_basis_eigen_residuals():
-    h0 = _h0(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j))
-    basis = perturb.dressed_basis(h0)
+    sp = _pump(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j))
+    h0 = matrices(sp)[0]
+    basis = perturb.dressed_basis(sp)
     norm = np.linalg.norm(h0)
     for k in range(4):
         res = np.linalg.norm(h0 @ basis.right[:, k] - basis.eigenvalues[k] * basis.right[:, k])
@@ -148,14 +151,12 @@ def test_dressed_basis_eigen_residuals():
 
 
 def test_dressed_basis_biorthogonal():
-    h0 = _h0(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j))
-    basis = perturb.dressed_basis(h0)
+    basis = perturb.dressed_basis(_pump(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j)))
     assert np.allclose(basis.left @ basis.right, np.eye(4), atol=1e-13)
 
 
 def test_dressed_basis_hermitian_left_is_conjugate():
-    h0 = _h0(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j))
-    basis = perturb.dressed_basis(h0)
+    basis = perturb.dressed_basis(_pump(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j)))
     assert np.allclose(basis.left, basis.right.conj().T, atol=1e-13)
 
 
@@ -203,7 +204,7 @@ def test_first_order_coefficients_textbook_formula(reference_config):
     table = perturb.build_series(sp, 1, 1)
     basis = table.basis
     for m in (2, 3):
-        elem = basis.left[m - 1] @ sp.va @ basis.right[:, 0]
+        elem = basis.left[m - 1] @ matrices(sp)[1] @ basis.right[:, 0]
         expected = elem / (0.0 - basis.eigenvalues[m - 1])
         assert table.A[0, 1, 0, m - 1] == pytest.approx(expected, rel=1e-13)
 
@@ -216,7 +217,7 @@ def test_first_order_coefficients_vs_fd_eigenvector(reference_config):
     h = 1e-6
 
     def ground_vec(x):
-        sol = oracle.exact_eigensystem(sp.h0 + x * sp.va)
+        sol = oracle.exact_eigensystem(sp._replace(eps_a=x, eps_c=0.0).reconstruct())
         idx = int(np.argmax(np.abs(sol.eigenvectors[0, :])))
         v = sol.eigenvectors[:, idx]
         return v / v[0]  # pin the gauge on the bare level-1 component
@@ -345,9 +346,9 @@ def test_coupling_block_is_the_projected_probe_matrices(name):
     if name == "uncoupled-pump":
         assert np.array_equal(basis.right, np.eye(4)) and np.array_equal(basis.left, np.eye(4))
     if name.startswith("no-"):  # a probe without strength keeps the phase 1
-        assert sp.va[1, 0] == 1 if name == "no-a-photons" else sp.vc[3, 2] == 1
+        assert sp.ua == 1 if name == "no-a-photons" else sp.uc == 1
     couplings = perturb._layout(table.E.base, table.order + 1)[0]  # the vector E and A view
-    for c, v in enumerate((sp.va, sp.vc)):
+    for c, v in enumerate(matrices(sp)[1:]):
         dense = basis.left @ v @ basis.right
         written = np.zeros((4, 4), dtype=complex)
         for k, (coupling, m, j) in enumerate(perturb._ALLOWED):
@@ -610,36 +611,86 @@ def test_memos_follow_their_inputs_through_a_return_to_an_earlier_one():
     for cfg in (a, b):
         _forget()
         sp = model.split(cfg)
-        cold.append((sp.h0.tobytes(), perturb.dressed_basis(sp.h0).right.tobytes(),
+        cold.append((sp.reconstruct().tobytes(), perturb.dressed_basis(sp).right.tobytes(),
                      _bits(perturb.build_series(sp, 1, 8)), _bits(_cold(sp, 3))))
     _forget()
     for cfg, want in zip((a, b, a), (*cold, cold[0])):
         sp = model.split(cfg)
-        got = (sp.h0.tobytes(), perturb.dressed_basis(sp.h0).right.tobytes(),
+        got = (sp.reconstruct().tobytes(), perturb.dressed_basis(sp).right.tobytes(),
                _bits(perturb.build_series(sp, 1, 8)), _bits(perturb.build_series(sp, 1, 3)))
         assert got == want
 
 
-def test_dressed_basis_memo_tells_dtypes_of_the_same_bytes_apart():
-    # a complex64 h0 is 128 bytes, as a float64 one is: the key holds the dtype
-    c64 = np.diag(np.array([0, 1 + 1j, 2 + 3j, 5 + 7j], dtype=np.complex64))
-    c64[1, 2] = c64[2, 1] = 0.5 + 0.5j
-    f64 = c64.view(np.float64)
-    assert f64.shape == (4, 4) and f64.tobytes() == c64.tobytes()
+def _layers(sp):
+    """The bits of a split and of each layer it feeds, built cold: the split's
+    numbers, its matrix, the basis and the tables of order 8 and 3."""
     _forget()
-    cold = {h0.dtype: perturb.dressed_basis(h0).eigenvalues.tobytes() for h0 in (c64, f64)}
-    assert cold[c64.dtype] != cold[f64.dtype]
-    for h0 in (c64, f64, c64):
-        assert perturb.dressed_basis(h0).eigenvalues.tobytes() == cold[h0.dtype]
+    basis = perturb.dressed_basis(sp)
+    return (np.array(sp).tobytes(), sp.reconstruct().tobytes(), basis.eigenvalues.tobytes(),
+            basis.right.tobytes(),
+            basis.left.tobytes(), _bits(perturb.build_series(sp, 1, 8)),
+            _bits(perturb.build_series(sp, 1, 3)))
+
+
+def test_an_equal_split_that_is_another_object_builds_cold_with_the_same_bits():
+    # the memos give a result back to the same object only, so a copy builds again
+    for cfg in itertools.islice(_memo_draws(), 8):
+        sp = model.split(cfg)
+        twin = model.PerturbationSplit(*sp)
+        assert twin == sp and twin is not sp and hash(twin) == hash(sp)
+        cold = _layers(sp)
+        basis, table = perturb.dressed_basis(sp), perturb.build_series(sp, 1, 8)
+        assert perturb.dressed_basis(twin) is not basis
+        assert perturb.build_series(twin, 1, 8) is not table
+        assert perturb.build_series(twin, 1, 8) is perturb.build_series(twin, 1, 8)
+        got = (np.array(twin).tobytes(), twin.reconstruct().tobytes(),
+               *(a.tobytes() for a in perturb.dressed_basis(twin)),
+               _bits(perturb.build_series(twin, 1, 8)), _bits(perturb.build_series(twin, 1, 3)))
+        assert got == cold == _layers(twin)
+
+
+def test_a_split_of_numpy_numbers_reads_as_its_python_numbers():
+    # numpy's scalar arithmetic warns where Python's raises or gives inf, so the
+    # readers take each field as a Python number, as they took the entries of arrays
+    sp = model.split(_REFERENCE)
+    as_numpy = model.PerturbationSplit(*map(np.complex128, sp[:7]), *map(np.float64, sp[7:]))
+    assert _layers(as_numpy) == _layers(sp)
+    far = sp._replace(x=1e200 + 0j, y=1e200 + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (far, far._replace(x=np.complex128(far.x), y=np.complex128(far.y))):
+            for read in _READERS.values():
+                with pytest.raises(PoleError, match="outside double range"):
+                    read(bad)
+
+
+@pytest.mark.parametrize("signed", [  # (g_b, da, db, dc, gamma_3) with a zero to sign
+    lambda z: (1.0, z, 0.1, 0.5, 0.0), lambda z: (1.0, -0.0, z, 0.5, 0.0),
+    lambda z: (1.0, -0.0, 0.0, z, 0.4), lambda z: (complex(z, 1.0), 0.3, 0.1, 0.5, 0.0)],
+    ids=["delta_1", "delta_2", "delta_3", "pump-phase"])
+def test_a_signed_zero_gets_its_own_split_basis_and_table_bits(signed):
+    # -0.0 == 0.0, so the two splits are equal, but their numbers' bits are not,
+    # nor, where the zero reaches them, those of the layers they feed
+    splits, layers = [], []
+    for zero in (0.0, -0.0):
+        gb, da, db, dc, g3 = signed(zero)
+        splits.append(model.split(make_config(0.01, gb, 0.01, 1, 0, 1, da, db, dc, (0, 0, g3))))
+        layers.append(_layers(splits[-1]))
+    assert splits[0] == splits[1] and layers[0] != layers[1]
+    for sp, bits in zip((*splits, splits[0]), (*layers, layers[0])):  # interleaved
+        got = (np.array(sp).tobytes(), sp.reconstruct().tobytes(),
+               *(a.tobytes() for a in perturb.dressed_basis(sp)),
+               _bits(perturb.build_series(sp, 1, 8)), _bits(perturb.build_series(sp, 1, 3)))
+        assert got == bits
 
 
 def test_a_call_that_raises_raises_again_with_the_same_message():
-    degenerate = _h0(0.3, 0.3, 0.7, 0.0)
+    degenerate = _pump(0.3, 0.3, 0.7, 0.0)
     far = make_config(0.01, 1.0, 0.01, 1, 0, 1, 1.7e308, 0.0, -1e308)
     calls = [(DegeneracyError, lambda: perturb.dressed_basis(degenerate)),
              (DegeneracyError, lambda: perturb.build_series(
                  model.split(make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.0, 0.0, 0.0)), 1, 3)),
-             (PoleError, lambda: perturb.dressed_basis(model.split(far).h0))]
+             (PoleError, lambda: perturb.dressed_basis(model.split(far)))]
     for kind, call in calls:
         perturb.build_series(model.split(_REFERENCE), 1, 8)  # something else to remember
         messages = []
@@ -654,90 +705,43 @@ def test_returned_arrays_are_read_only():
     sp = model.split(_REFERENCE)
     table = perturb.build_series(sp, 1, 8)
     lower = perturb.build_series(sp, 1, 3)
-    basis = perturb.dressed_basis(sp.h0)
+    basis = perturb.dressed_basis(sp)
     for array in (*basis, table.E, table.A, table.E.base, lower.E, lower.A, lower.E.base):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
 
 
-@pytest.mark.parametrize("h0", [np.zeros((3, 3)), np.zeros((4, 4, 1)), [[0.0] * 4] * 4,
-                                np.zeros((4, 4), dtype=bool), np.full((4, 4), "0"), None,
-                                np.zeros((4, 4), dtype=object)], ids=str)
-def test_dressed_basis_refuses_anything_but_a_4x4_numeric_array(h0):
-    with pytest.raises(ValueError, match="h0 must be a 4 x 4 numpy array of numbers"):
-        perturb.dressed_basis(h0)
+_READERS = {"dressed_basis": perturb.dressed_basis,
+            "build_series": lambda bad: perturb.build_series(bad, 1, 4),
+            "ground_series": lambda bad: oracle.ground_series(bad, 4),
+            "ground_eigenvalue_function": oracle.ground_eigenvalue_function}
 
 
 @pytest.mark.parametrize("field, value", [
-    ("va", np.ones((3, 3))), ("va", [[0.0] * 4] * 4), ("vc", np.zeros((4, 4), dtype=bool)),
-    ("vc", np.full((4, 4), "0")), ("h0", np.zeros((4, 4), dtype=object)), ("h0", None)],
-    ids=["va-3x3", "va-nested-list", "vc-bool", "vc-strings", "h0-object", "h0-none"])
-@pytest.mark.parametrize("route", ["build_series", "ground_series", "ground_eigenvalue_function"])
-def test_split_readers_refuse_an_array_that_is_not_a_4x4_numeric_array(route, field, value):
+    *((field, value) for field in model.PerturbationSplit._fields
+      for value in ("1", True, None, np.array(0.5))),
+    ("ua", 0j), ("uc", 0.0), ("ua", np.complex128(0)), ("h22", np.bool_(False)),
+    ("x", np.array([0.5])), ("ua", np.array([1.0, 1.0])), ("eps_a", float("inf")),
+    ("y", complex("nan"))], ids=str)
+def test_every_split_reader_refuses_a_field_that_is_no_finite_number_or_a_zero_phase(field, value):
+    # a split holds the N-configuration's nine numbers: the gate in dressed_basis
+    # refuses any other field, and a zero ua or uc, whose va or vc would vanish
     sp = model.split(_REFERENCE)
-    perturb.build_series(sp, 1, 4)  # something to remember
-    call = {"build_series": lambda bad: perturb.build_series(bad, 1, 4),
-            "ground_series": lambda bad: oracle.ground_series(bad, 4),
-            "ground_eigenvalue_function": oracle.ground_eigenvalue_function}[route]
-    with pytest.raises(ValueError, match=f"^{field} must be a 4 x 4 numpy array of numbers"):
-        call(sp._replace(**{field: value}))
+    bad = sp._replace(**{field: value})
+    for name, read in _READERS.items():
+        for _ in range(2):  # after a build of the good split, whose memos must not answer
+            perturb.build_series(sp, 1, 8)
+            with pytest.raises(ValueError, match=r"^a split must hold nine finite numbers"):
+                read(bad)
 
 
-# (array, entries set, entries cleared): a split built by hand with a coupling
-# that split never writes, or without one that it does
-_PLANTED = {"va-0-2": ("va", [(0, 2), (2, 0)], []), "va-0-3": ("va", [(0, 3), (3, 0)], []),
-            "va-1-0-zero": ("va", [], [(1, 0)]), "va-0-1-zero": ("va", [], [(0, 1)]),
-            "vc-1-3": ("vc", [(1, 3)], []), "vc-3-2-zero": ("vc", [], [(3, 2)]),
-            "h0-0-0": ("h0", [(0, 0)], []), "h0-3-1": ("h0", [(3, 1)], []),
-            "h0-0-3": ("h0", [(0, 3)], [])}
-_PLANTED_MESSAGE = {"va": r"^va must be nonzero exactly at \(0, 1\) and \(1, 0\)",
-                    "vc": r"^vc must be nonzero exactly at \(2, 3\) and \(3, 2\)",
-                    "h0": r"^h0 may be nonzero only at \(1, 1\), \(1, 2\), \(2, 1\), \(2, 2\) "
-                          r"and \(3, 3\)"}
-
-
-def _planted(sp, name):
-    field, set_, cleared = _PLANTED[name]
-    array = getattr(sp, field).copy()
-    for i, j in set_:
-        array[i, j] = 1.0
-    for i, j in cleared:
-        array[i, j] = 0.0
-    return sp._replace(**{field: array})
-
-
-@pytest.mark.parametrize("route, name", [
-    *((route, name) for route in ("build_series", "ground_series") for name in sorted(_PLANTED)),
-    *(("dressed_basis", name) for name in sorted(_PLANTED) if name.startswith("h0"))])
-def test_series_routes_refuse_a_split_with_other_entries_than_split_writes(route, name):
-    # each read only the entries split writes: a planted va[0, 2] left E[2, 0] as
-    # it was, h0[0, 0] left eigenvalue 0, and a zero va[1, 0] divided by zero
-    field = _PLANTED[name][0]
+@pytest.mark.parametrize("name", sorted(_READERS))
+def test_split_readers_refuse_what_is_not_a_split(name):
+    # an h0 array, the argument dressed_basis once took, or a plain tuple of the numbers
     sp = model.split(_REFERENCE)
-    call = {"build_series": lambda bad: perturb.build_series(bad, 1, 4),
-            "ground_series": lambda bad: oracle.ground_series(bad, 4),
-            "dressed_basis": lambda bad: perturb.dressed_basis(bad.h0)}[route]
-    bad = _planted(sp, name)
-    for _ in range(2):  # the same bytes again, after a build of the good split
-        perturb.build_series(sp, 1, 8)
-        with pytest.raises(ValueError, match=_PLANTED_MESSAGE[field]):
-            call(bad)
-
-
-def test_a_planted_probe_coupling_is_refused_by_the_series_and_solved_whole_by_the_exact_route():
-    # the exact route stays general: acceptance criterion 10 plants va[0, 3]
-    sp = model.split(_REFERENCE)
-    bad = _planted(sp, "va-0-2")
-    assert perturb.build_series(sp, 1, 4).E[2, 0] == pytest.approx(0.2128, abs=1e-4)
-    for series in (lambda: perturb.build_series(bad, 1, 4), lambda: oracle.ground_series(bad, 4)):
-        with pytest.raises(ValueError, match=_PLANTED_MESSAGE["va"]):
-            series()
-    x = 1e-3
-    planted = oracle.ground_eigenvalue_function(bad)(x, 0.0)
-    assert planted == pytest.approx(-1.6e-6, rel=0.05)
-    assert oracle.ground_eigenvalue_function(sp)(x, 0.0) == pytest.approx(0.2128e-6, rel=1e-3)
-    exact = oracle.exact_eigensystem(bad._replace(eps_a=x, eps_c=0.0).reconstruct())
-    assert planted == min(exact.eigenvalues.tolist(), key=abs)
+    for bad in (matrices(sp)[0], tuple(sp), None):
+        with pytest.raises(ValueError, match=r"^a split must hold nine finite numbers"):
+            _READERS[name](bad)
 
 
 def _chain_bits(cfg):

@@ -371,7 +371,7 @@ def test_coherences_are_derivatives_of_the_ground_eigenvalue(lossy):
     # which chis_from_energy rests on: the ket and bra series against the exact continuant
     for cfg in _phased_draws(11, lossy):
         sp = model.split(cfg)
-        e, u_a, u_c = oracle.ground_series(sp, 4), sp.va[1, 0], sp.vc[3, 2]
+        e, u_a, u_c = oracle.ground_series(sp, 4), sp.ua, sp.uc
         t, u = _extracted_coherence(cfg, 3, 1, 0), _extracted_coherence(cfg, 3, 3, 2)
         for got, want in ((t[1, 0], u_a * e[2, 0]), (t[3, 0], 2 * u_a * e[4, 0]),
                           (t[1, 2], u_a * e[2, 2]), (u[2, 1], u_c * e[2, 2])):
