@@ -33,11 +33,11 @@ Conventions used throughout the package:
   that derives one raises and no other module names: code that can raise runs
   in ``in_double_range``, numpy arithmetic in ``numpy_range`` inside it too, and
   ``check_finite`` refuses a result that is inf or NaN.
-* ``_is_finite`` judges each number a caller passes, ``_finite_array`` each array
-  and ``_require_matrices`` each 4 x 4 matrix; no other module calls ``math.isfinite``,
-  ``cmath.isfinite`` or ``np.isfinite``: a bool, a numpy array, a non-number or an int
-  past double range is not a finite number, and a list or an object array is judged
-  one element at a time.  A photon number (``_is_nonnegative_int``) is held as a Python int.
+* ``_is_finite`` judges each number a caller passes and ``_finite_array`` each
+  array; no other module calls ``math.isfinite``, ``cmath.isfinite`` or
+  ``np.isfinite``: a bool, a numpy array, a non-number or an int past double
+  range is not a finite number, and a list or an object array is judged one
+  element at a time.  A photon number (``_is_nonnegative_int``) is held as a Python int.
 * Every immutable record the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
@@ -108,15 +108,6 @@ def _finite_array(value, dtype) -> np.ndarray | None:
     except (TypeError, ValueError, OverflowError):
         return None
     return array if np.isfinite(array).all() else None
-
-
-def _require_matrices(**matrices) -> None:
-    """ValueError naming the first of ``matrices`` that is not a 4 x 4 numpy array of
-    numbers (dtype kind ``iufc``): the one rule for a matrix a caller passes."""
-    import numpy as np
-    for name, m in matrices.items():
-        if not (isinstance(m, np.ndarray) and m.shape == (4, 4) and m.dtype.kind in "iufc"):
-            raise ValueError(f"{name} must be a 4 x 4 numpy array of numbers, got {m!r}")
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -203,8 +194,9 @@ class PerturbationSplit(NamedTuple):
     (3, 2) and its conjugate at (2, 3), each 1 where its Rabi frequency is 0; the
     strengths are eps_a = |Omega_a|/2 and eps_c = |Omega_c|/2.  No other entry
     exists, so no reader checks a layout: ``perturb.dressed_basis`` refuses a
-    split built by hand with a field that is not a finite number or a zero ua
-    or uc.  A split hashes and compares by value, as the tuple of its numbers.
+    split built by hand with a field that is not a finite Python int, float or
+    complex, or with a zero ua or uc.  ``split`` makes each field a Python
+    number.  A split hashes and compares by value, as the tuple of its numbers.
     """
 
     h11: complex

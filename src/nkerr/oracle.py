@@ -59,7 +59,8 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
     finite (h holds a NaN or an inf, or its norm leaves double range).
     ValueError unless h is a 4 x 4 numpy array of numbers.
     """
-    model._require_matrices(h=h)
+    if not (isinstance(h, np.ndarray) and h.shape == (4, 4) and h.dtype.kind in "iufc"):
+        raise ValueError(f"h must be a 4 x 4 numpy array of numbers, got {h!r}")
     bound = RESIDUAL_TOL * math.hypot(*np.abs(h).flat)  # squares no entry
     model.check_finite(bound)
     try:

@@ -114,19 +114,21 @@ def dressed_basis(split: PerturbationSplit) -> DressedBasis:
     at their own scale.  Raises the out-of-range PoleError where a dressed
     eigenvalue, the block's norm or a square on the way leaves double range.
     It is the gate every reader of a split passes first: ValueError unless
-    ``split`` is a ``PerturbationSplit`` whose nine fields are finite numbers
-    (``model._is_finite``; a bool or a numpy array is not) with ua and uc
-    nonzero.  A call with the split object of the last call that returned
-    gives back that basis.
+    ``split`` is a ``PerturbationSplit`` whose nine fields are Python ints,
+    floats or complex numbers (a bool, a numpy number or array is not), finite
+    by ``model._is_finite``, with ua and uc nonzero; so no reader converts a
+    field.  A call with the split object of the last call that returned gives
+    back that basis.
     """
     global _BASIS_MEMO
     last, basis = _BASIS_MEMO
     if last is split:
         return basis
-    if not (isinstance(split, PerturbationSplit)
-            and all(_is_finite(v, cmath.isfinite) for v in split) and split.ua and split.uc):
+    if not (isinstance(split, PerturbationSplit) and all(
+            type(v) in (int, float, complex) and _is_finite(v, cmath.isfinite) for v in split)
+            and split.ua and split.uc):
         raise ValueError(f"a split must hold nine finite numbers, ua and uc nonzero, got {split!r}")
-    d1, d2, h33, x, y = map(complex, split[:5])  # Python numbers, whichever a caller built
+    d1, d2, h33, x, y = split[:5]
     delta = d1 - d2
     with in_double_range():  # Python's complex ** and abs raise OverflowError past it
         root = cmath.sqrt(delta**2 + 4.0 * x * y + 0.0j)
@@ -304,7 +306,7 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         _read_only(w)
         return SeriesTable(last.basis, max_order, *_layout(w, size)[1:])
     basis = dressed_basis(split)
-    ua, uc, x, y = map(complex, (split.ua, split.uc, split.x, split.y))
+    ua, uc, x, y = split.ua, split.uc, split.x, split.y
     a01, a10, c23, c32 = ua.conjugate(), ua, uc.conjugate(), uc
     w = np.zeros(_COUPLINGS + 9 * size * size, dtype=complex)
     _, e, a = _layout(w, size)

@@ -18,7 +18,8 @@ from conftest import make_config, matrices, numpy_draws
 
 def _pump(d1, d2, d3, ob):
     """A split with complex detunings d1, d2, d3, pump Rabi frequency ob and no probe."""
-    return model.PerturbationSplit(d1, d2, d3, ob / 2, np.conj(ob) / 2, 1 + 0j, 1 + 0j, 0.0, 0.0)
+    ob = complex(ob)
+    return model.PerturbationSplit(d1, d2, d3, ob / 2, ob.conjugate() / 2, 1 + 0j, 1 + 0j, 0.0, 0.0)
 
 
 # -- dressed basis -----------------------------------------------------------
@@ -649,21 +650,6 @@ def test_an_equal_split_that_is_another_object_builds_cold_with_the_same_bits():
         assert got == cold == _layers(twin)
 
 
-def test_a_split_of_numpy_numbers_reads_as_its_python_numbers():
-    # numpy's scalar arithmetic warns where Python's raises or gives inf, so the
-    # readers take each field as a Python number, as they took the entries of arrays
-    sp = model.split(_REFERENCE)
-    as_numpy = model.PerturbationSplit(*map(np.complex128, sp[:7]), *map(np.float64, sp[7:]))
-    assert _layers(as_numpy) == _layers(sp)
-    far = sp._replace(x=1e200 + 0j, y=1e200 + 0j)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for bad in (far, far._replace(x=np.complex128(far.x), y=np.complex128(far.y))):
-            for read in _READERS.values():
-                with pytest.raises(PoleError, match="outside double range"):
-                    read(bad)
-
-
 @pytest.mark.parametrize("signed", [  # (g_b, da, db, dc, gamma_3) with a zero to sign
     lambda z: (1.0, z, 0.1, 0.5, 0.0), lambda z: (1.0, -0.0, z, 0.5, 0.0),
     lambda z: (1.0, -0.0, 0.0, z, 0.4), lambda z: (complex(z, 1.0), 0.3, 0.1, 0.5, 0.0)],
@@ -721,11 +707,13 @@ _READERS = {"dressed_basis": perturb.dressed_basis,
     *((field, value) for field in model.PerturbationSplit._fields
       for value in ("1", True, None, np.array(0.5))),
     ("ua", 0j), ("uc", 0.0), ("ua", np.complex128(0)), ("h22", np.bool_(False)),
+    ("h11", np.complex128(0.3)), ("eps_a", np.float64(0.01)), ("x", np.float32(0.5)),
     ("x", np.array([0.5])), ("ua", np.array([1.0, 1.0])), ("eps_a", float("inf")),
     ("y", complex("nan"))], ids=str)
 def test_every_split_reader_refuses_a_field_that_is_no_finite_number_or_a_zero_phase(field, value):
     # a split holds the N-configuration's nine numbers: the gate in dressed_basis
-    # refuses any other field, and a zero ua or uc, whose va or vc would vanish
+    # refuses any other field, a numpy number included, so no reader converts
+    # one, and a zero ua or uc, whose va or vc would vanish
     sp = model.split(_REFERENCE)
     bad = sp._replace(**{field: value})
     for name, read in _READERS.items():
@@ -742,6 +730,27 @@ def test_split_readers_refuse_what_is_not_a_split(name):
     for bad in (matrices(sp)[0], tuple(sp), None):
         with pytest.raises(ValueError, match=r"^a split must hold nine finite numbers"):
             _READERS[name](bad)
+
+
+def test_a_split_of_python_ints_and_floats_reads_as_its_complex_twin():
+    # the gate takes any Python number, so a real field needs no conversion
+    real = model.PerturbationSplit(0.3, 0.2, 0.5, 1, 1, 1, 1, 0.01, 0.01)
+    twin = model.PerturbationSplit(*map(complex, real[:7]), *real[7:])
+    got, want = ([perturb.dressed_basis(sp).eigenvalues, perturb.build_series(sp, 1, 6).E,
+                  oracle.ground_series(sp, 6),
+                  oracle.ground_eigenvalue_function(sp)(0.01, 0.01)] for sp in (real, twin))
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=1e-14, atol=0.0)
+
+
+def test_every_split_reader_takes_a_pump_past_double_range_as_the_out_of_range_pole():
+    # Python's complex product gives inf where numpy's would warn, and is checked
+    far = model.split(_REFERENCE)._replace(x=1e200 + 0j, y=1e200 + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in _READERS.values():
+            with pytest.raises(PoleError, match="outside double range"):
+                read(far)
 
 
 def _chain_bits(cfg):
