@@ -16,38 +16,40 @@ runs once: ``scenario_config`` checks the shape (objects, keys, numbers that
 are not bools and fit a float); ``FieldMode`` and ``SystemConfig`` check the
 values, and their ValueError becomes a ScenarioError naming the mode or gamma.
 
-``nkerr sweep`` holds only the grid of detunings (``suscept.sweep_grid``, 8
-bytes a row).  It evaluates the closed forms on ``SWEEP_CHUNK_ROWS`` rows at a
-time (``suscept.sweep_at``) and writes each chunk's text before the next, so
-beyond the grid a process holds one chunk whatever ``--steps`` is.  Every row
-depends on its own detuning only, so a chunk has the bits of the same rows of
-the whole grid's ``Sweep``, and the CSV has the same bytes at any chunk size.
-Before ``--out`` is truncated, one point is evaluated: a term that no grid
-point changes and that leaves double range exits 3 there, and ``--out`` keeps
-its bytes, or is not made where there was none.  The ``%.17g`` conversions
-take more of its time than the closed forms, so a column whose bits do not
-change within a chunk is converted once for the chunk (``_chunk_text``): on a
-``dc`` sweep a row costs 3 conversions instead of 7.  The rows
-are cut into contiguous parts of whole chunks, one per CPU the process may
-run on (``os.sched_getaffinity``) and no more than there are chunks, and the
-parts are evaluated and formatted at the same time.  The process forks a
-child for each part after the first: a child sees the grid copy-on-write, so
-nothing is pickled and nothing is imported again.  It writes its part chunk
-by chunk into an unlinked temporary file of its own and leaves by
-``os._exit``, so no stdio buffer it inherited is flushed twice.  A child
-inherits only the thread that forked it; the process's other threads are the
-BLAS pool of numpy's OpenBLAS, which OpenBLAS stops before a fork
-(``pthread_atfork``) and a child starts afresh if it needs one.  The process
-writes part 0 straight into ``--out``, then reaps the children in row order
-and copies each part after it in blocks of ``shutil.COPY_BUFSIZE``; the
-temporary files together hold the parts after the first.  On every path it
-kills and reaps each child still running when it stops.  A child that fails
-is an output error (exit 2).  With one CPU, a sweep of one chunk, or a
-platform without ``os.fork`` or ``os.sched_getaffinity``, nothing is forked.
+``nkerr sweep`` holds one chunk of ``SWEEP_CHUNK_ROWS`` rows whatever
+``--steps`` is.  Each chunk asks ``suscept.sweep_grid`` for its own detunings,
+evaluates the closed forms there (``suscept.sweep_at``) and writes its text
+before the next.  A grid row's bits depend on its index only, and a row of the
+closed forms on its own detuning only, so a chunk has the bits of the same
+rows of the whole grid's ``Sweep``, and the CSV has the same bytes at any
+chunk size.  ``--lo``, ``--hi`` and ``--steps`` are checked, on the grid's
+first row, before ``--out`` is touched.  Before ``--out`` is truncated, one
+point is evaluated: a term that no grid point changes and that leaves double
+range exits 3 there, and ``--out`` keeps its bytes, or is not made where there
+was none.  The ``%.17g`` conversions take more of its time than the closed
+forms, so a column whose bits do not change within a chunk is converted once
+for the chunk (``_chunk_text``): on a ``dc`` sweep a row costs 3 conversions
+instead of 7.  The rows are cut into contiguous parts of whole chunks, one per
+CPU the process may run on (``os.sched_getaffinity``) and no more than there
+are chunks, and the parts are evaluated and formatted at the same time.  The
+process forks a child for each part after the first: a child computes its own
+rows of the grid from the bounds it inherits, so nothing is pickled and
+nothing is imported again.  It writes its part chunk by chunk into an unlinked
+temporary file of its own and leaves by ``os._exit``, so no stdio buffer it
+inherited is flushed twice.  A child inherits only the thread that forked it;
+the process's other threads are the BLAS pool of numpy's OpenBLAS, which
+OpenBLAS stops before a fork (``pthread_atfork``) and a child starts afresh if
+it needs one.  The process writes part 0 straight into ``--out``, then reaps
+the children in row order and copies each part after it in blocks of
+``shutil.COPY_BUFSIZE``; the temporary files together hold the parts after the
+first.  On every path it kills and reaps each child still running when it
+stops.  A child that fails is an output error (exit 2).  With one CPU, a sweep
+of one chunk, or a platform without ``os.fork`` or ``os.sched_getaffinity``,
+nothing is forked.
 
 Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
-arguments (including non-finite ``--lo/--hi/--t`` and a ``--steps`` whose grid
-does not fit in memory), an output file that cannot be written or a forked
+arguments (including non-finite ``--lo/--hi/--t`` and a ``--steps`` past
+``sys.maxsize // 8``), an output file that cannot be written or a forked
 child that fails, 3 domain error (any other error of the package, such as a
 pole, including a closed form whose terms leave double range, or a
 degeneracy), 4 regime refusal (a command that needs the lossless regime was
@@ -85,11 +87,12 @@ from .model import FieldMode, SystemConfig, _is_finite
 if TYPE_CHECKING:
     from . import suscept
 
-# Rows evaluated and formatted per write of the sweep CSV.  A 100001-row sweep
-# peaked at 32.8 MB RSS with 4096 rows, 30.5 with 1024 and 30.1 with 512, where
-# beyond the grid a chunk peaks at 0.30 MB (tracemalloc) on a ``dc`` sweep and
-# 0.37 MB on ``da``, where all seven columns vary; each chunk adds ``sweep_at``'s
-# fixed cost of about 0.1 ms.
+# Rows evaluated and formatted per write of the sweep CSV; a process holds one
+# chunk.  A 100001-row sweep peaked at 32.1 MB RSS (``os.wait4``, 2 CPUs) with
+# 4096 rows, 30.5 with 2048, 29.7 with 1024, 29.3 with 512 and 29.2 with 256,
+# where a chunk peaks at 0.27 MB (tracemalloc) on a ``dc`` sweep and 0.37 MB on
+# ``da``, where all seven columns vary; each chunk adds ``sweep_at``'s fixed
+# cost of about 0.1 ms.
 SWEEP_CHUNK_ROWS = 512
 
 # (start, stop) -> the Sweep of rows [start, stop) of the grid.
@@ -184,10 +187,11 @@ def _cmd_sweep(args, out: TextIO) -> int:
     from . import suscept
 
     config = load_scenario(args.scenario)
-    grid = suscept.sweep_grid(args.lo, args.hi, args.steps)
+    first = suscept.sweep_grid(args.lo, args.hi, args.steps, 0, 1)  # checks lo, hi and steps
 
     def rows(start: int, stop: int) -> suscept.Sweep:
-        return suscept.sweep_at(config, args.axis, grid[start:stop])
+        grid = suscept.sweep_grid(args.lo, args.hi, args.steps, start, stop)
+        return suscept.sweep_at(config, args.axis, grid)
 
     # an unwritable --out fails before anything is evaluated, and a term that
     # no grid point changes fails on one point before --out loses its bytes,
@@ -196,15 +200,15 @@ def _cmd_sweep(args, out: TextIO) -> int:
     with open(args.out, "ab"):
         pass
     try:
-        rows(0, 1)
+        suscept.sweep_at(config, args.axis, first)
     except BaseException:
         if created:
             os.unlink(args.out)
         raise
     with open(args.out, "wb") as fh:
         fh.write(b"axis,value,chi1_re,chi1_im,chi3s_re,chi3s_im,chi3c_re,chi3c_im,valid\n")
-        _write_sweep_rows(fh, rows, len(grid))
-    out.write(f"wrote {len(grid)} rows to {args.out}\n")
+        _write_sweep_rows(fh, rows, args.steps)
+    out.write(f"wrote {args.steps} rows to {args.out}\n")
     return 0
 
 

@@ -297,6 +297,7 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         raise ValueError(f"only the ground state, the integer n = 1, is built, got n = {n!r}")
     if not _is_nonnegative_int(max_order):
         raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
+    max_order = int(max_order)  # a table holds its order as a Python int, numpy's too
     size = max_order + 1
     last_split, last = _SERIES_MEMO
     if last_split is split and max_order <= last.order:

@@ -15,13 +15,15 @@ for rho43, with the probe phases u_a = ``split.ua`` and u_c = ``split.uc``,
 while E carries no phase.  A kernel is arithmetic only, so it runs on exact
 rationals too.
 
-A sweep is two steps, the grid (``sweep_grid``) and the closed forms at its
-values (``sweep_at``); each row depends on its own value only, so a grid may
-be evaluated in slices, as ``nkerr sweep`` does chunk by chunk.  The series
-engine ``perturb`` is imported by ``coherences`` alone, so a sweep does not
-load it.  Which pole sits at a point is one code per point from the table
-``model.POLES``, and a sweep hands it out as its ``pole`` array; a
-susceptibility that is not finite is its last entry.
+A sweep is two steps, rows of the grid (``sweep_grid``) and the closed forms
+at their values (``sweep_at``).  The grid is one function of a row range,
+whose rows are the bits of ``np.linspace``'s: a row depends on its index only,
+and a row of the closed forms on its own value only, so a sweep may be
+evaluated a range of rows at a time, as ``nkerr sweep`` does chunk by chunk
+without holding the whole grid.  The series engine ``perturb`` is imported by
+``coherences`` alone, so a sweep does not load it.  Which pole sits at a point
+is one code per point from the table ``model.POLES``, and a sweep hands it out
+as its ``pole`` array; a susceptibility that is not finite is its last entry.
 
 Conventions.  Absorption enters through complex detunings
 ``delta_j - i*gamma_j``; with ``D = (gamma_1 + i*delta_1)(gamma_2 +
@@ -172,24 +174,56 @@ def _chis_from_series(e20, e40, e22, n_a, n_c) -> tuple:
     return -e20 / n_a, -2 * e40 / (3 * n_a**2), -e22 / (6 * n_a * n_c)
 
 
-def sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    """The uniform inclusive grid of a sweep, ``np.linspace(lo, hi, steps)``.
+def sweep_grid(lo: float, hi: float, steps: int, start: int = 0, stop: int | None = None
+               ) -> np.ndarray:
+    """Rows [start, stop) of the uniform inclusive grid of a sweep, all of them by default.
 
-    ValueError for ``steps`` that is not an integer >= 2, a bound that is not a
-    finite number (a bool is not) or a span ``hi - lo`` that is not, or a grid too large.
+    The grid is ``np.linspace(float(lo), float(hi), steps)`` bit for bit, in
+    linspace's own arithmetic: row k is float(k) * step + lo with ``step =
+    (hi - lo) / (steps - 1)``, or float(k) / (steps - 1) * (hi - lo) where that
+    step underflows to 0, and the last row is hi.  A row's bits depend on k
+    alone, so any range of rows is that slice of the whole grid, and
+    ``nkerr sweep`` asks each chunk for its own rows.  ValueError for
+    ``steps`` that is not an integer >= 2 or is past ``sys.maxsize // 8``
+    (numpy's byte count of the whole grid), a bound that is not a finite
+    number (a bool is not) or a span ``hi - lo`` that is not, rows that are
+    not a range 0 <= start <= stop <= steps, or rows that do not fit in memory.
     """
     if not (model._is_nonnegative_int(steps) and steps >= 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    if steps > sys.maxsize // 8:
+        raise ValueError(f"steps={steps} is too many: the grid has at most "
+                         f"sys.maxsize // 8 = {sys.maxsize // 8} rows")
     if not (model._is_finite(lo, math.isfinite) and model._is_finite(hi, math.isfinite)
             and model._is_finite(float(hi) - float(lo), math.isfinite)):
         raise ValueError(f"lo and hi must be finite and hi - lo within double range, "
                          f"got {lo!r} and {hi!r}")
+    stop = steps if stop is None else stop
+    if not (model._is_nonnegative_int(start) and model._is_nonnegative_int(stop)
+            and start <= stop <= steps):
+        raise ValueError(f"rows [{start!r}, {stop!r}) are not a range of the {steps} rows")
+    lo, hi, div = float(lo), float(hi), int(steps) - 1
+    span = hi - lo
+    # float(k) for each row k, as linspace's arange gives it: each offset
+    # k - int(float(start)) is a small integer, exact as a float, and adding
+    # float(start) rounds once.  Casting an int64 arange would run numpy's
+    # integer-to-float cast, whose first use added 68 KiB to a process's RSS
+    base = float(start)
     try:
-        if steps <= sys.maxsize // 8:  # numpy raises IndexError or ValueError past its byte count
-            return np.linspace(lo, hi, steps)
+        row = np.arange(start - int(base), stop - int(base), dtype=float)
     except MemoryError:
-        pass
-    raise ValueError(f"steps={steps} is too many: the grid does not fit in memory")
+        raise ValueError(f"rows [{start}, {stop}) of the grid do not fit in memory") from None
+    row += base
+    step = span / div
+    if step == 0:  # a subnormal span, as linspace handles it (numpy gh-5437)
+        row /= div
+        row *= span
+    else:
+        row *= step
+    row += lo
+    if start < stop == steps:
+        row[-1] = hi
+    return row
 
 
 def sweep_at(config: SystemConfig, axis: SweepAxis, value) -> Sweep:

@@ -452,22 +452,17 @@ def test_sweep_too_few_steps_leaves_out_untouched(tmp_path):
     assert opath.read_text(encoding="utf-8") == "kept\n"
 
 
-def test_sweep_grid_too_large_to_allocate_exit2(tmp_path, monkeypatch, capsys):
-    def no_memory(*args, **kwargs):
-        raise MemoryError("planted: the grid does not fit")
-
+def test_sweep_steps_past_sys_maxsize_over_8_exit2(tmp_path, capsys):
+    # past sys.maxsize // 8 rows numpy could not index the whole grid; fewer
+    # rows stream chunk by chunk whatever their number
     spath = write_scenario(tmp_path, scenario_doc(gamma={"g3": 0.4}))
     opath = tmp_path / "out.csv"
     opath.write_bytes(b"kept,1\n")
-    # past sys.maxsize // 8 steps numpy's linspace raises IndexError or
-    # ValueError of its own, so sweep_grid refuses them before numpy runs
-    for steps in (10**12, 2**63 - 1, 2**63):
-        with monkeypatch.context() as patch:
-            if steps <= sys.maxsize // 8:
-                patch.setattr(np, "linspace", no_memory)  # so nothing is allocated for real
-            assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
-                             "--steps", str(steps), "--out", str(opath)],
-                            stdout=io.StringIO()) == 2
+    for steps in (2**63 - 1, 2**63):
+        assert steps > sys.maxsize // 8
+        assert cli.main(["sweep", spath, "--axis", "dc", "--lo", "-1", "--hi", "1",
+                         "--steps", str(steps), "--out", str(opath)],
+                        stdout=io.StringIO()) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid arguments:") and err.count("\n") == 1
         assert opath.read_bytes() == b"kept,1\n"
@@ -670,10 +665,10 @@ def test_sweep_of_several_parts_to_dev_null(tmp_path, monkeypatch):
     assert len(forks) == 1
 
 
-def test_sweep_memory_grows_with_steps_by_the_grid_only(tmp_path, monkeypatch):
-    # one process: at 4*chunk+1 rows against chunk+1, the traced peak may grow by
-    # the grid's 8 bytes a row and a fixed slack; evaluating the whole grid at
-    # once grew it by ~60 bytes a row
+def test_sweep_memory_does_not_grow_with_steps(tmp_path, monkeypatch):
+    # one process: at 64*chunk+1 rows against chunk+1, the traced peak grew by
+    # 7 KiB; holding the whole grid grew it by 8 bytes a row (252 KiB here)
+    # and evaluating it at once by ~60
     _use_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", _refuse_fork)
     spath = write_scenario(tmp_path, scenario_doc(gamma={"g1": 0.1, "g2": 0.1, "g3": 0.4}))
@@ -690,17 +685,17 @@ def test_sweep_memory_grows_with_steps_by_the_grid_only(tmp_path, monkeypatch):
 
     chunk = cli.SWEEP_CHUNK_ROWS
     peak(chunk + 1)  # pays one-off allocations
-    growth = peak(4 * chunk + 1) - peak(chunk + 1)
-    assert growth <= 8 * 3 * chunk + 64 * 1024
+    growth = peak(64 * chunk + 1) - peak(chunk + 1)
+    assert growth <= 64 * 1024
 
 
 @pytest.mark.parametrize("axis", ["dc", "da"])
-def test_sweep_working_set_beyond_the_grid_is_under_half_a_mib(tmp_path, monkeypatch, axis):
+def test_sweep_traced_peak_is_under_half_a_mib(tmp_path, monkeypatch, axis):
     # one process, after a warm-up run: the traced peak of a 20001-row sweep
-    # less its grid (8 bytes a row) is one chunk's arrays and text and the
-    # command's own objects: 0.30 MB on dc and 0.37 MB on da, where all seven
-    # columns vary, at 512-row chunks; 0.57 and 0.70 MB at 1024, 1.9 and 2.7 MB
-    # at 4096
+    # is one chunk's arrays and text and the command's own objects: 0.27 MB on
+    # dc and 0.37 MB on da, where all seven columns vary, at 512-row chunks;
+    # 0.51 and 0.71 MB at 1024, 1.9 and 2.7 MB at 4096; holding the grid
+    # added 8 bytes a row, 0.16 MB
     _use_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", _refuse_fork)
     spath = write_scenario(tmp_path, scenario_doc(gamma={"g1": 0.1, "g2": 0.1, "g3": 0.4}))
@@ -713,7 +708,7 @@ def test_sweep_working_set_beyond_the_grid_is_under_half_a_mib(tmp_path, monkeyp
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - 8 * 20001 <= 512 * 1024
+    assert peak <= 512 * 1024
 
 
 def test_sweep_byte_identical_across_processes_and_hash_seeds(tmp_path):

@@ -606,6 +606,18 @@ def test_a_repeated_or_lower_order_table_is_a_cold_build_bit_for_bit():
             assert perturb.build_series(sp, 1, top) is perturb.build_series(sp, 1, top)
 
 
+@pytest.mark.parametrize("order", [np.int64(4), np.int32(4)], ids=["int64", "int32"])
+def test_a_numpy_integer_order_is_held_as_a_python_int(reference_config, order):
+    sp = model.split(reference_config)
+    want = _bits(_cold(sp, 4))
+    cold = _cold(sp, order)
+    _cold(sp, 8)
+    gathered = perturb.build_series(sp, 1, order)  # from the order-8 table's work vector
+    for table in (cold, gathered):
+        assert type(table.order) is int and table.order == 4
+        assert _bits(table) == want
+
+
 def test_memos_follow_their_inputs_through_a_return_to_an_earlier_one():
     a, b = itertools.islice(_memo_draws(), 2)
     cold = []

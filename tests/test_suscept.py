@@ -1,8 +1,10 @@
 import cmath
 import contextlib
 import dataclasses
+import math
 import re
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -457,6 +459,75 @@ def test_sweep_grid_takes_numpy_and_integer_bounds():
     for lo, hi in ((np.float64(0.0), np.float64(1.0)), (np.float32(0.0), np.float32(1.0)),
                    (0, 1), (np.int64(0), np.int64(1))):
         assert suscept.sweep_grid(lo, hi, 5).tolist() == want
+
+
+def _grid_cases():
+    """Seeded (lo, hi, steps): signed zeros, equal and reversed bounds, the span
+    5e-324 whose step underflows to 0, and draws of either sign from 1e-300 to
+    1e300 with steps from 2 to 10**5."""
+    rng = np.random.default_rng(50)
+    cases = [(0.0, 5e-324, 3), (-0.0, 0.0, 5), (0.0, -0.0, 4), (-0.0, -0.0, 3), (1.5, 1.5, 9),
+             (-2.5, -2.5, 2), (1e300, -1e300, 7), (-1e-300, 1e-300, 10**5), (0.7, -1.0, 2)]
+    while len(cases) < 120:
+        lo, hi = (float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+                  for _ in range(2))
+        if math.isfinite(hi - lo):
+            cases.append((lo, hi, int(10 ** rng.uniform(math.log10(2), 5))))
+    return cases
+
+
+def test_sweep_grid_rows_are_the_bits_of_linspace():
+    # nkerr sweep asks each chunk for its own rows and never builds the whole grid
+    rng = np.random.default_rng(51)
+    cases = _grid_cases()
+    for lo, hi, steps in cases:
+        want = np.linspace(lo, hi, steps)
+        assert suscept.sweep_grid(lo, hi, steps).tobytes() == want.tobytes(), (lo, hi, steps)
+        a = int(rng.integers(0, steps + 1))
+        for start, stop in ((a, int(rng.integers(a, steps + 1))), (steps - 1, steps)):
+            got = suscept.sweep_grid(lo, hi, steps, start, stop)
+            assert got.tobytes() == want[start:stop].tobytes(), (lo, hi, steps, start, stop)
+    chunk = cli.SWEEP_CHUNK_ROWS
+    steps = 3 * chunk + 1  # every chunk of nkerr sweep's grid, the last of one row
+    for lo, hi, _ in cases[:30]:
+        want = np.linspace(lo, hi, steps)
+        for start in range(0, steps, chunk):
+            stop = min(start + chunk, steps)
+            got = suscept.sweep_grid(lo, hi, steps, start, stop)
+            assert got.tobytes() == want[start:stop].tobytes(), (lo, hi, start, stop)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, 6), (6, 6), (0.0, 2), (True, 2),
+                                         (0, "2")])
+def test_sweep_grid_refuses_rows_that_are_not_a_range_of_the_grid(start, stop):
+    with pytest.raises(ValueError, match=r"are not a range of the 5 rows$"):
+        suscept.sweep_grid(0.0, 1.0, 5, start, stop)
+
+
+def test_sweep_grid_has_at_most_sys_maxsize_over_8_rows():
+    # no linspace reaches past row 2**53, where float(k) skips integers; its
+    # arithmetic does: float(k) * step + lo, and hi on the last row.  Over
+    # [0, 2**60] the step is 1.0, so each row shows float(k) itself
+    top = sys.maxsize // 8
+    step = 2.0**60 / (top - 1)
+    assert step == 1.0
+    for start in (2**53 - 3, 2**53 + 1, 2**59 + 3, top - 5):
+        stop = min(start + 5, top)
+        want = np.array([float(k) * step + 0.0 for k in range(start, stop)])
+        if stop == top:
+            want[-1] = 2.0**60
+        assert suscept.sweep_grid(0.0, 2.0**60, top, start, stop).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="is too many"):
+        suscept.sweep_grid(-1.0, 1.0, top + 1, 0, 1)
+
+
+def test_sweep_grid_that_does_not_fit_in_memory_is_a_value_error(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("planted: the rows do not fit")
+
+    monkeypatch.setattr(np, "arange", no_memory)  # so nothing is allocated for real
+    with pytest.raises(ValueError, match=r"rows \[0, 1000000000000\) of the grid do not fit"):
+        suscept.sweep_grid(-1.0, 1.0, 10**12)
 
 
 @pytest.mark.parametrize("value", [[0.1, float("nan")], [float("inf"), 0.2], [-float("inf")],
