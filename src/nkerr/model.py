@@ -38,15 +38,17 @@ Conventions used throughout the package:
   ``np.isfinite``: a bool, a numpy array, a non-number or an int past double
   range is not a finite number, and a list or an object array is judged one
   element at a time.  A photon number (``_is_nonnegative_int``) is held as a Python int.
-* Every immutable record the package returns is a ``typing.NamedTuple``, so
+* Every immutable record holds no per-instance ``__dict__``, so none takes a
+  weak reference.  Each one the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
   changed copy.  A record that holds numpy arrays (``perturb.DressedBasis``
   and ``SeriesTable``, ``oracle.EigenSolution``, ``suscept.Sweep``) equals
   itself, but comparing it with another such record raises numpy's
-  ValueError, and hashing it raises TypeError.
-  ``@dataclass(frozen=True)`` is kept only on ``FieldMode`` and
-  ``SystemConfig``, which check and coerce their fields in ``__post_init__``.
+  ValueError, and hashing it raises TypeError.  ``FieldMode`` and
+  ``SystemConfig``, which check and coerce their fields in ``__post_init__``,
+  are ``@dataclass(frozen=True, slots=True)`` instead: ``dataclasses.replace``
+  runs the checks again, and copy and pickle give back the coerced fields.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def _is_nonnegative_int(n) -> bool:
     return not isinstance(n, bool) and (isinstance(n, int) or _is_numpy(n, "integer")) and n >= 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldMode:
     """One driving mode: complex coupling, single-photon detuning, photon number."""
 
@@ -148,7 +150,7 @@ class FieldMode:
         object.__setattr__(self, "delta", float(self.delta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemConfig:
     """Full scenario: the three modes plus decay rates (gamma_1, gamma_2, gamma_3)."""
 

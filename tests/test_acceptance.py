@@ -7,8 +7,10 @@ inline); the same checks back the ``nkerr validate`` command.
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,8 +210,8 @@ def test_sweep_command_byte_identical_across_processes(tmp_path):
 
 # -- running the criteria ---------------------------------------------------
 
-def test_run_all_reports_the_criteria_a_planted_error_fails(monkeypatch):
-    # the planted error makes criteria 3, 4 and 5 fail, each with a detail
+def _plant_kerr_error(monkeypatch):
+    # a relative error of 1e-7 in K and S, which criteria 3, 4 and 5 fail
     true_coefficients = effective.coefficients
 
     def planted(cfg):
@@ -218,10 +220,34 @@ def test_run_all_reports_the_criteria_a_planted_error_fails(monkeypatch):
                            self_kerr=co.self_kerr * (1 + 1e-7))
 
     monkeypatch.setattr(effective, "coefficients", planted)
+
+
+def test_run_all_reports_the_criteria_a_planted_error_fails(monkeypatch):
+    # the planted error makes criteria 3, 4 and 5 fail, each with a detail
+    _plant_kerr_error(monkeypatch)
     results = validate.run_all(0)
     assert [r.number for r in results] == list(range(1, 12))
     failed = [r for r in results if not r.passed]
     assert [r.number for r in failed] == [3, 4, 5] and all(r.detail for r in failed)
+
+
+def test_validate_reports_each_failure_and_exits_1(monkeypatch):
+    _plant_kerr_error(monkeypatch)
+    out = io.StringIO()
+    assert cli.main(["validate", "--seed", "0"], stdout=out) == 1
+    lines = out.getvalue().splitlines()
+    gated = (Path(__file__).resolve().parent / "gated" / "validate-seed0.txt").read_text(
+        encoding="utf-8").splitlines()
+    # criteria 3, 4 and 5 read FAIL, each followed by its first failure; the
+    # other eight lines are the corpus's
+    assert len(lines) == len(gated) + 3 and lines[-1] == "FAILURES present"
+    assert [line for line in lines[:-1] if not line.startswith("  ")] == [
+        line.removesuffix("PASS") + "FAIL" if line.split()[1] in ("03", "04", "05") else line
+        for line in gated[:-1]]
+    for line, after in zip(lines, lines[1:]):
+        assert line.endswith(": FAIL") == after.startswith("  ")
+        if line.endswith(": FAIL"):
+            assert re.fullmatch(r"  first failure: expected=.+, actual=.+, tolerance=.+", after)
 
 
 @pytest.mark.parametrize("seed", [1.0, True, "1", -1], ids=["float", "bool", "str", "negative"])

@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -39,6 +40,15 @@ def test_the_exported_names_are_exactly_these():
         "ground_eigenvalue_function", "ground_series", "multi_photon_detunings", "propagate",
         "pure_cross_kerr", "rabi_frequency", "split", "susceptibility_point", "sweep_at",
         "sweep_grid"]
+
+
+def test_the_readme_library_section_names_exports_and_its_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    called = set(re.findall(r"`([A-Za-z_]+)\(", section))
+    assert called and called <= set(nkerr.__all__)
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    assert capsys.readouterr().out.startswith("KerrCoefficients(linear=")
 
 
 def test_every_exported_name_resolves():
@@ -188,7 +198,8 @@ def _record(path):
 
 def test_only_classes_that_need_more_than_a_named_tuple_are_dataclasses():
     # FieldMode and SystemConfig check their fields in __post_init__; every
-    # other record is a NamedTuple
+    # other record is a NamedTuple.  Both are slotted, so, like the NamedTuples,
+    # no instance carries a __dict__
     found = set()
     for info in pkgutil.iter_modules(nkerr.__path__):
         module = importlib.import_module(f"nkerr.{info.name}")
@@ -196,6 +207,11 @@ def test_only_classes_that_need_more_than_a_named_tuple_are_dataclasses():
                   if inspect.isclass(obj) and obj.__module__ == module.__name__
                   and dataclasses.is_dataclass(obj)}
     assert found == {"model.FieldMode", "model.SystemConfig"}
+    cfg = make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
+    for record in (cfg, cfg.mode_a):
+        cls = type(record)
+        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+        assert not hasattr(record, "__dict__")
 
 
 @pytest.mark.parametrize("path", sorted(_RECORDS))

@@ -1,5 +1,8 @@
 import cmath
+import copy
 import math
+import pickle
+import struct
 import warnings
 from dataclasses import replace
 
@@ -176,6 +179,8 @@ def test_split_degenerates_without_a_photons():
 def test_negative_photon_number_rejected():
     with pytest.raises(ValueError, match="photon number"):
         FieldMode("a", 0.1, 0.0, -1)
+    with pytest.raises(ValueError, match="photon number"):
+        replace(FieldMode("a", 0.1, 0.0, 1), n=-1)
 
 
 @pytest.mark.parametrize("n", [1.5, 1.0, True, "1", None])
@@ -368,6 +373,13 @@ def test_a_numeric_array_is_judged_by_its_dtype():
 def test_negative_decay_rejected():
     with pytest.raises(ValueError, match="decay"):
         make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.0, 0.0, 0.0, gamma=(-0.1, 0.0, 0.0))
+    # other than three rates, through the constructor and through replace
+    cfg = make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.0, 0.0, 0.0)
+    for gamma in ((1.0, 2.0), (0.0,) * 4, ()):
+        with pytest.raises(ValueError, match="gamma must hold exactly three decay rates"):
+            SystemConfig(cfg.mode_a, cfg.mode_b, cfg.mode_c, gamma)
+        with pytest.raises(ValueError, match="gamma must hold exactly three decay rates"):
+            replace(cfg, gamma=gamma)
 
 
 def test_mislabeled_mode_rejected():
@@ -377,6 +389,45 @@ def test_mislabeled_mode_rejected():
             FieldMode("b", 1.0, 0.0, 0),
             FieldMode("c", 0.1, 0.0, 1),
         )
+    # a label outside ("a", "b", "c"), through the constructor and through replace
+    for label in ("d", "A", "", None):
+        with pytest.raises(ValueError, match="unknown mode label"):
+            FieldMode(label, 0.1, 0.0, 1)
+        with pytest.raises(ValueError, match="unknown mode label"):
+            replace(FieldMode("a", 0.1, 0.0, 1), label=label)
+
+
+def _field_bits(cfg):
+    """Each field of ``cfg`` and its modes as its type and bytes, signed zeros apart."""
+    modes = [(m.label, type(m.g), struct.pack("<dd", m.g.real, m.g.imag),
+              type(m.delta), struct.pack("<d", m.delta), type(m.n), m.n)
+             for m in (cfg.mode_a, cfg.mode_b, cfg.mode_c)]
+    return modes, [type(g) for g in cfg.gamma], struct.pack("<3d", *cfg.gamma)
+
+
+_ROUTES = {
+    "constructor": lambda c: SystemConfig(
+        *(FieldMode(m.label, m.g, m.delta, m.n) for m in (c.mode_a, c.mode_b, c.mode_c)), c.gamma),
+    "replace": lambda c: replace(c, **{f"mode_{m.label}": replace(m)
+                                       for m in (c.mode_a, c.mode_b, c.mode_c)}),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{f"pickle-{protocol}": (lambda c, p=protocol: pickle.loads(pickle.dumps(c, protocol=p)))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("gamma", [(0.0, 0.0, 0.0), (0.12, 0.0, 0.07)], ids=["lossless", "lossy"])
+def test_every_way_of_building_a_configuration_gives_its_bits(route, gamma):
+    cfg = make_config(complex(0.01, -0.0), complex(-0.0, 1.0), 0.004 + 0.009j, 1, 0, 2,
+                      -0.0, 0.1, 0.5, gamma=gamma)
+    built = _ROUTES[route](cfg)
+    assert type(built) is SystemConfig and built is not cfg
+    assert built == cfg and hash(built) == hash(cfg)
+    assert _field_bits(built) == _field_bits(cfg)
+    assert math.copysign(1.0, built.mode_a.delta) == -1.0
+    assert not hasattr(built, "__dict__") and not hasattr(built.mode_a, "__dict__")
 
 
 def _forget_split():
