@@ -176,7 +176,8 @@ def _cmd_coeffs(args, out: TextIO) -> int:
     report = f"L={_fmt(co.linear)} S={_fmt(co.self_kerr)} K={_fmt(co.cross_kerr)}\n"
     with contextlib.suppress(NotResonantError):  # off resonance: no pure-kerr line
         pure = effective.pure_cross_kerr(config)
-        # criterion 5's rule, validate._Checker.close at rel 1e-12
+        # criterion 5's rule, validate._Checker.close at rel 1e-12, less its
+        # finite-number test: both values passed model.check_finite in effective
         if abs(pure - co.cross_kerr) <= 1e-12 * max(abs(co.cross_kerr), abs(pure)):
             report += f"pure-kerr K={_fmt(pure)} (agrees with the general form)\n"
     out.write(report)

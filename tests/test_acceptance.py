@@ -155,6 +155,35 @@ def test_validate_report_text_seed_zero():
         "all criteria passed\n")
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("expected, actual, detail", [
+    (INF, 1.0, "expected=inf, actual=1.0"),
+    (1.0, INF, "expected=1.0, actual=inf"),
+    (complex(INF, INF), 2.0, "expected=(inf+infj), actual=2.0"),
+    (INF, INF, "expected=inf, actual=inf"),
+    (NAN, 1.0, "expected=nan, actual=1.0"),
+], ids=["inf-expected", "inf-actual", "complex-inf", "inf-both", "nan"])
+def test_close_fails_where_either_side_is_not_finite(expected, actual, detail):
+    # an infinite side makes rel_tol * max(|expected|, |actual|) infinite, a bound
+    # that any difference but inf - inf or a NaN would meet
+    chk = validate._Checker()
+    chk.close(expected, actual, 1e-12)
+    chk.close(1.0, 1.0, 1e-12)  # a later pass keeps the first failure
+    assert not chk.passed
+    lines = validate.report_lines([validate.CheckResult(7, "x", chk.passed, chk.detail)])
+    assert lines == ["criterion 07 x: FAIL",
+                     f"  first failure: {detail}, tolerance='rel 1e-12'"]
+
+
+def test_draw_filter_refuses_a_degenerate_draw():
+    # the pump is off and delta_1 = 0: D = 0, and levels 0 and 1 are degenerate
+    cfg = validate.make_config(0.01, 0.0, 0.01, 1, 0, 1, 0.0, 0.1, 0.5)
+    assert not validate._dressed_gaps_ok(cfg, 0.25)
+    assert not validate._well_conditioned(cfg)
+
+
 def test_criterion_streams_give_pinned_draws():
     # random.Random's stream for a str seed is fixed by the Python version;
     # a version that changes it changes every validate scenario

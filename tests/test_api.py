@@ -68,6 +68,13 @@ def test_every_exported_name_resolves():
     assert json.loads(proc.stdout) == [[], []]
 
 
+def test_dir_lists_every_export_and_module_sorted():
+    names = dir(nkerr)
+    assert names == sorted(names)
+    assert {*nkerr.__all__, *nkerr._EXPORTS} <= set(names)
+    assert len(nkerr._EXPORTS) == 6
+
+
 def test_every_exported_function_and_class_has_a_docstring():
     # read from the source: the signature that dataclasses and NamedTuples
     # put in a missing __doc__ does not count

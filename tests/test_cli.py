@@ -516,6 +516,22 @@ def test_negative_non_finite_bound_exit2(tmp_path, argv):
     assert not opath.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "evolve"])
+def test_a_bound_or_time_that_is_not_a_number_exits2(tmp_path, capsys, command):
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5, ga=0.01, gc=0.01))
+    opath = tmp_path / "out.csv"
+    argv = {"sweep": ["sweep", spath, "--axis", "dc", "--hi", "1", "--steps", "3",
+                      "--out", str(opath), "--lo", "abc"],
+            "evolve": ["evolve", spath, "--t", "x"]}[command]
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv, stdout=out)
+    assert exc.value.code == 2
+    flag, text = argv[-2:]
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: not a number: {text!r}\n")
+    assert out.getvalue() == "" and not opath.exists()
+
+
 def _chunked_sweep_args(spath, opath):
     """A lossless dc sweep over three chunks and a row; delta_2 = 0, so delta_3 = dc,
     and the exact grid step 0.5/chunk puts the pole dc = 0 on row 2*chunk."""
@@ -596,6 +612,24 @@ def test_sweep_csv_same_bytes_for_every_chunk_size(tmp_path, monkeypatch, cpus):
     assert all(blob == blobs[4096] for blob in blobs.values())
     assert blobs[4096].count(b"\n") == 12290
     assert blobs[4096].splitlines()[8193] == b"dc,0,,,,,,,0"
+
+
+def test_sweep_without_an_affinity_call_runs_on_one_cpu(tmp_path, monkeypatch):
+    # where os.sched_getaffinity is missing, as on macOS, every part is written here
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.3, dc=0.5))
+    forks = []
+    with monkeypatch.context() as m:
+        _use_cpus(m, 2)
+        m.setattr(os, "fork", _counting_fork(forks))
+        assert cli.main(_chunked_sweep_args(spath, tmp_path / "forked.csv"),
+                        stdout=io.StringIO()) == 0
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert cli._usable_cpus() == 1
+    assert cli.main(_chunked_sweep_args(spath, tmp_path / "serial.csv"),
+                    stdout=io.StringIO()) == 0
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
 
 
 def test_sweep_of_one_chunk_never_forks(tmp_path, monkeypatch):
@@ -838,6 +872,19 @@ def test_evolve_nonfinite_time_exit2(tmp_path):
     assert out.getvalue() == ""
 
 
+def test_evolve_exits3_where_the_eigensolver_fails(tmp_path, monkeypatch, capsys):
+    def failing(h):
+        raise np.linalg.LinAlgError("planted")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5, ga=0.01, gc=0.01))
+    out = io.StringIO()
+    assert cli.main(["evolve", spath, "--t", "1"], stdout=out) == 3
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "domain error: eigensolver failed: planted\n"
+
+
 def test_evolve_zero_time(tmp_path):
     spath = write_scenario(tmp_path, scenario_doc(da=0.3, db=0.1, dc=0.5, ga=0.01, gc=0.01))
     out = io.StringIO()
@@ -1075,6 +1122,20 @@ def test_gated_stdout_matches_the_corpus(name, argv, want):
     out = io.StringIO()
     assert cli.main(argv, stdout=out) == want
     assert out.getvalue() == (_GATED / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("scenario, code", [("reference.json", 0), ("missing.json", 2)])
+def test_entry_exits_with_the_code_of_main(monkeypatch, capsys, scenario, code):
+    # entry() is the installed nkerr script's function
+    monkeypatch.setattr(sys, "argv", ["nkerr", "coeffs", str(_GATED / scenario)])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("scenario error: cannot read scenario file:")
+    else:
+        assert out == (_GATED / "coeffs-reference.txt").read_text(encoding="utf-8")
 
 
 def test_readme_usage_lines_exit_as_written(tmp_path, monkeypatch):

@@ -92,6 +92,18 @@ def test_eigensystem_route_is_chosen_by_exact_hermiticity(monkeypatch):
     assert calls == ["eigh", "eig"]
 
 
+@pytest.mark.parametrize("route, lossy", [("eigh", False), ("eig", True)])
+def test_a_failed_eigensolver_is_a_convergence_error(reference_config, lossy_config,
+                                                      monkeypatch, route, lossy):
+    def failing(h):
+        raise np.linalg.LinAlgError("planted")
+
+    monkeypatch.setattr(np.linalg, route, failing)
+    h = model.split(lossy_config if lossy else reference_config).reconstruct()
+    with pytest.raises(ConvergenceError, match="^eigensolver failed: planted$"):
+        oracle.exact_eigensystem(h)
+
+
 @pytest.mark.parametrize("gamma_3", [0.0, 0.2])  # the eigh and the eig route
 def test_residual_contract_is_judged_without_overflow(gamma_3):
     # at g_a = 1e200 the squares of the residual entries (~1e184) leave double
