@@ -292,7 +292,7 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     out-of-range PoleError where an entry of E or A leaves double range.
     """
     global _SERIES_MEMO
-    # n stays here and in evaluate_energy only as perfbench/series_loop.py passes it
+    # n stays here, and n and total_order in evaluate_energy, only as perfbench passes them
     if not (_is_nonnegative_int(n) and n == 1):
         raise ValueError(f"only the ground state, the integer n = 1, is built, got n = {n!r}")
     if not _is_nonnegative_int(max_order):
@@ -337,29 +337,30 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
 
 
 def power_sum(c: np.ndarray, x, y):
-    """sum over (p, q) of c[p, q] x**p y**q, for scalar or array x and y."""
-    xp = np.asarray(x)[..., None] ** np.arange(c.shape[0])
-    yq = np.asarray(y)[..., None] ** np.arange(c.shape[1])
+    """sum over (p, q) of c[p, q] x**p y**q, for scalar or array x and y.
+
+    An integer x or y is raised as a float, so that a large one does not wrap.
+    """
+    xp = np.asarray(x)[..., None] ** np.arange(c.shape[0], dtype=float)
+    yq = np.asarray(y)[..., None] ** np.arange(c.shape[1], dtype=float)
     return np.add.reduce((xp @ c) * yq, axis=-1)
 
 
 def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
                     total_order: int) -> complex:
-    """Partial sum of the ground eigenvalue series.
+    """Partial sum of every order of the table: the ground eigenvalue series to table.order.
 
-    ValueError unless n is the integer 1, total_order an integer order the table holds,
-    and eps_a and eps_c finite numbers (a bool or an int past double range is not);
+    ValueError unless n is the integer 1, total_order the table's order, and
+    eps_a and eps_c finite numbers (a bool or an int past double range is not);
     the out-of-range PoleError where a power or the sum leaves double range.
+    A lower order k is the sum of ``build_series(split, 1, k)``.
     """
     if not (_is_finite(eps_a, math.isfinite) and _is_finite(eps_c, math.isfinite)):
         raise ValueError(f"eps_a and eps_c must be finite, got {eps_a!r} and {eps_c!r}")
     if not (_is_nonnegative_int(n) and n == 1 and _is_nonnegative_int(total_order)
-            and total_order <= table.order):
+            and total_order == table.order):
         raise ValueError(f"total_order {total_order!r} of state {n!r} is not in this table: "
-                         f"it holds integer orders 0..{table.order} of the ground state n = 1")
-    e = table.E[:total_order + 1, :total_order + 1]
-    if total_order < table.order:  # entries above the built order are already zeros
-        d = np.arange(total_order + 1)
-        e = np.where(d[:, None] + d <= total_order, e, 0.0)
+                         f"it holds order {table.order} of the ground state n = 1; a lower "
+                         f"order is the sum of build_series(split, 1, order)")
     with in_double_range(), numpy_range():
-        return complex(power_sum(e, eps_a, eps_c))
+        return complex(power_sum(table.E, eps_a, eps_c))

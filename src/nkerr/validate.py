@@ -91,12 +91,15 @@ def _reference_config() -> SystemConfig:
     return make_config(0.01, 1.0, 0.01, 1, 0, 1, 0.3, 0.1, 0.5)
 
 
-def _dressed_gaps_ok(cfg: SystemConfig, min_gap: float) -> bool:
+_MIN_GAP = 0.25  # the least gap between two dressed levels of a drawn configuration
+
+
+def _dressed_gaps_ok(cfg: SystemConfig) -> bool:
     try:
         lam = perturb.dressed_basis(model.split(cfg)).eigenvalues
     except DegeneracyError:
         return False
-    return all(abs(lam[i] - lam[j]) >= min_gap for i in range(4) for j in range(i + 1, 4))
+    return all(abs(lam[i] - lam[j]) >= _MIN_GAP for i in range(4) for j in range(i + 1, 4))
 
 
 def _well_conditioned(cfg: SystemConfig) -> bool:
@@ -104,7 +107,7 @@ def _well_conditioned(cfg: SystemConfig) -> bool:
     den = model.pole_terms(cfg, cfg.mode_a.delta, cfg.mode_b.delta, cfg.mode_c.delta)[0][0]
     if not 0.4 <= abs(den) <= 2.5 or abs(d2) < 0.12 or abs(d3) < 0.25:
         return False
-    return _dressed_gaps_ok(cfg, 0.25)
+    return _dressed_gaps_ok(cfg)
 
 
 def _random_config(rng: random.Random, lossy: bool) -> SystemConfig:
@@ -161,7 +164,7 @@ def _resonant_configs(seed: int) -> list[SystemConfig]:
         da = cfg.mode_a.delta
         cfg = replace(cfg, mode_b=replace(cfg.mode_b, delta=da))  # delta_2 exactly 0
         d1, d2, d3 = cfg.detunings()
-        if abs(d3) >= 0.25 and _dressed_gaps_ok(cfg, 0.25):
+        if abs(d3) >= 0.25 and _dressed_gaps_ok(cfg):
             out.append(cfg)
     return out
 

@@ -180,7 +180,7 @@ def test_close_fails_where_either_side_is_not_finite(expected, actual, detail):
 def test_draw_filter_refuses_a_degenerate_draw():
     # the pump is off and delta_1 = 0: D = 0, and levels 0 and 1 are degenerate
     cfg = validate.make_config(0.01, 0.0, 0.01, 1, 0, 1, 0.0, 0.1, 0.5)
-    assert not validate._dressed_gaps_ok(cfg, 0.25)
+    assert not validate._dressed_gaps_ok(cfg)
     assert not validate._well_conditioned(cfg)
 
 

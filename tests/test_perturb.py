@@ -430,7 +430,7 @@ _ORDER_CALLS = {  # each entry point of an order or a state index, and its messa
                                r"max_order must be an integer >= 0, got"),
     "build_series n": (lambda sp, k: perturb.build_series(sp, k, 2), r"is built, got n = "),
     "evaluate_energy total_order": (lambda sp, k: perturb.evaluate_energy(
-        perturb.build_series(sp, 1, 2), 1, sp.eps_a, sp.eps_c, k),
+        perturb.build_series(sp, 1, 1), 1, sp.eps_a, sp.eps_c, k),
         r"total_order .+ of state 1 is not in this table"),
     "evaluate_energy n": (lambda sp, k: perturb.evaluate_energy(
         perturb.build_series(sp, 1, 2), k, sp.eps_a, sp.eps_c, 2),
@@ -472,6 +472,8 @@ def test_missing_order_raises(reference_config):
     table = perturb.build_series(model.split(reference_config), 1, 1)
     with pytest.raises(ValueError, match="order 2 of state 1"):
         perturb.evaluate_energy(table, 1, 0.01, 0.01, 2)  # past the built order
+    with pytest.raises(ValueError, match=r"order 0 of state 1 .+build_series"):
+        perturb.evaluate_energy(table, 1, 0.01, 0.01, 0)  # below it: a table of its own
     with pytest.raises(ValueError, match="order -1 of state 1"):
         perturb.evaluate_energy(table, 1, 0.01, 0.01, -1)
     with pytest.raises(ValueError, match="order 1 of state 2"):
@@ -502,17 +504,32 @@ def test_evaluate_energy_at_zero_strength(reference_config):
     assert perturb.evaluate_energy(table, 1, 0.0, 0.0, 4) == 0
 
 
+@pytest.mark.parametrize("n", [1000, np.int64(1000), 2**62, 2**70, 10**30], ids=repr)
+def test_an_integer_strength_is_summed_as_its_float(reference_config, n):
+    # numpy raises an integer to an integer power in int64, which wraps silently
+    table = perturb.build_series(model.split(reference_config), 1, 8)
+    assert perturb.evaluate_energy(table, 1, n, 0.0, 8) == perturb.evaluate_energy(
+        table, 1, float(n), 0.0, 8)
+
+
 def test_evaluate_energy_is_the_partial_sum_of_the_table(reference_config, lossy_config):
     # at strengths of a few tenths every order counts, so a term summed past
-    # the asked order, or one left out, shows far above rounding
+    # the asked order, or one left out, shows far above rounding; each order's
+    # table is gathered from the order-8 build, and its sum is the order-8
+    # table masked to that order, bit for bit
     for cfg in (reference_config, _complex_couplings(lossy_config, np.random.default_rng(5))):
-        table = perturb.build_series(model.split(cfg), 1, 8)
+        sp = model.split(cfg)
+        E8 = perturb.build_series(sp, 1, 8).E
         for x, y in ((0.4, 0.3), (-0.25, 0.5)):
-            for order in range(table.order + 1):
-                terms = [table.E[p, q] * x**p * y**q
+            for order in range(9):
+                table = perturb.build_series(sp, 1, order)
+                terms = [E8[p, q] * x**p * y**q
                          for p in range(order + 1) for q in range(order + 1 - p)]
                 got = perturb.evaluate_energy(table, 1, x, y, order)
                 assert abs(got - sum(terms)) <= 1e-15 * sum(map(abs, terms))
+                p, q = np.indices((order + 1, order + 1))
+                assert got == complex(perturb.power_sum(
+                    np.where(p + q <= order, E8[:order + 1, :order + 1], 0.0), x, y))
 
 
 def test_series_matches_exact_with_eps6_scaling(reference_config):
