@@ -17,9 +17,10 @@ Conventions used throughout the package:
   for mode "c"; this fixed phase placement is normative for everything
   downstream.
 * ``split`` gives the matrix's nine numbers, a ``PerturbationSplit``, and
-  ``PerturbationSplit.reconstruct`` alone writes them into a 4 x 4 array: the
-  matrix is ``split(config).reconstruct()``, and one at other probe strengths is
-  that after ``_replace``.  ``split`` hands its last split to a call with the
+  ``PerturbationSplit.reconstruct`` alone writes them into a 4 x 4 array, one
+  array of Python numbers: the matrix is ``split(config).reconstruct()``, and one
+  at other probe strengths, each a number (nothing broadcasts), is that after
+  ``_replace``.  ``split`` hands its last split to a call with the
   same configuration object (``is``: an equal one can differ in signed zeros).
 * ``POLES`` is the one ordered table of where a closed form has no value:
   ``pole_terms`` gives each denominator with the scales it is judged against
@@ -89,7 +90,7 @@ def _is_finite(value, isfinite) -> bool:
         return False
     try:
         return isfinite(value)
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):  # ValueError: a signaling NaN Decimal
         return False
 
 
@@ -212,15 +213,21 @@ class PerturbationSplit(NamedTuple):
     eps_c: float
 
     def reconstruct(self) -> np.ndarray:
-        """h0 + eps_a*va + eps_c*vc as a new array: the one place the package
-        writes the split's numbers into 4 x 4 matrices."""
+        """h0 + eps_a*va + eps_c*vc as a new 4 x 4 array, the one place the package
+        writes the split's numbers into a matrix: one array of Python numbers.
+
+        A probe entry is its one product, eps_a*conj(ua) at (0, 1), with a -0 part
+        made +0, and an h0 entry adds the signed zeros the two probe terms add
+        where va and vc are 0, so each entry has the bits of numpy's three-matrix
+        sum.  At a complex strength, where numpy's loop may fuse a product's
+        multiply and add, each product is rounded after each operation, on every
+        host.  Each strength is taken as one Python complex, so a numpy float32
+        is widened as the sum widened it, and nothing broadcasts."""
         import numpy as np
-        h0, va, vc = np.zeros((3, 4, 4), dtype=complex)
-        h0[1, 1], h0[2, 2], h0[3, 3] = self.h11, self.h22, self.h33
-        h0[1, 2], h0[2, 1] = self.x, self.y
-        va[0, 1], va[1, 0] = self.ua.conjugate(), self.ua
-        vc[2, 3], vc[3, 2] = self.uc.conjugate(), self.uc
-        return h0 + self.eps_a * va + self.eps_c * vc
+        a, c = complex(self.eps_a), complex(self.eps_c)
+        h11, h22, h33, x, y = (v + a * 0j + c * 0j for v in self[:5])  # the sum's signed zeros
+        return np.array([[0, a * self.ua.conjugate() + 0j, 0, 0], [a * self.ua + 0j, h11, x, 0],
+                         [0, y, h22, c * self.uc.conjugate() + 0j], [0, 0, c * self.uc + 0j, h33]])
 
 
 def multi_photon_detunings(delta_a: float, delta_b: float, delta_c: float) -> MultiPhotonDetunings:

@@ -57,9 +57,11 @@ def exact_eigensystem(h: np.ndarray) -> EigenSolution:
     exceeds ``RESIDUAL_TOL`` times the Frobenius norm of h, which has h's unit;
     and the out-of-range PoleError before LAPACK runs where that norm is not
     finite (h holds a NaN or an inf, or its norm leaves double range).
-    ValueError unless h is a 4 x 4 numpy array of numbers.
+    ValueError unless h is a 4 x 4 numpy array of numbers of a dtype that
+    numpy.linalg takes: integers, float32/64 or complex64/128.
     """
-    if not (isinstance(h, np.ndarray) and h.shape == (4, 4) and h.dtype.kind in "iufc"):
+    if not (isinstance(h, np.ndarray) and h.shape == (4, 4)
+            and (h.dtype.kind in "iu" or h.dtype.char in "fdFD")):
         raise ValueError(f"h must be a 4 x 4 numpy array of numbers, got {h!r}")
     bound = RESIDUAL_TOL * math.hypot(*np.abs(h).flat)  # squares no entry
     model.check_finite(bound)
@@ -86,7 +88,7 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*h*t) @ psi0 via spectral decomposition (non-defective inputs).
 
     ValueError unless t is a finite number (a bool or an int past double range is not), psi0
-    a finite vector of 4 entries and h a 4 x 4 numpy array of numbers; the out-of-range
+    a finite vector of 4 entries and h a 4 x 4 array ``exact_eigensystem`` takes; the out-of-range
     PoleError where -i*lambda*t or its exp leaves double range.
     ConvergenceError where the eigenvector matrix's 1-norm condition number (at most 4 for a
     Hermitian h) exceeds ``COND_TOL`` = 1e8, as for a defective h: psi0's coefficients are lost.

@@ -1,6 +1,8 @@
+import cmath
 import contextlib
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +25,17 @@ def numpy_draws(rng):
     return types.SimpleNamespace(uniform=rng.uniform, randrange=rng.integers)
 
 
+def phased(cfg, rng):
+    """``cfg`` with a random phase on each of the three couplings."""
+    modes = [replace(m, g=abs(m.g) * cmath.exp(1j * rng.uniform(0, 2 * np.pi)))
+             for m in (cfg.mode_a, cfg.mode_b, cfg.mode_c)]
+    return replace(cfg, mode_a=modes[0], mode_b=modes[1], mode_c=modes[2])
+
+
 def matrices(split):
-    """h0, va and vc of a split, each written here from its numbers: the
-    package writes them only summed, in ``PerturbationSplit.reconstruct``."""
+    """h0, va and vc of a split: the tests' own writer of its numbers, which the
+    package does not share.  ``PerturbationSplit.reconstruct`` writes only their
+    sum, one array; h0 + eps_a*va + eps_c*vc from these is its reference."""
     h0, va, vc = np.zeros((3, 4, 4), dtype=complex)
     h0[1, 1], h0[2, 2], h0[3, 3] = split.h11, split.h22, split.h33
     h0[1, 2], h0[2, 1] = split.x, split.y

@@ -1,5 +1,7 @@
 import cmath
 import copy
+import decimal
+import itertools
 import math
 import pickle
 import struct
@@ -14,7 +16,7 @@ from nkerr import effective, model, oracle, perturb, suscept, validate
 from nkerr.errors import PoleError
 from nkerr.model import FieldMode, SystemConfig
 
-from conftest import make_config, matrices, numpy_draws
+from conftest import make_config, matrices, numpy_draws, phased
 
 
 def test_multi_photon_detunings_all_resonant():
@@ -300,6 +302,15 @@ _REAL_ENTRIES = {
 }
 
 
+# every entry that asks for one number, real or complex, called with z in its place
+_NUMBER_ENTRIES = {
+    **{entry: call for entry, call in _REAL_ENTRIES.items() if entry != "sweep_at"},
+    "FieldMode.g": lambda z: FieldMode("a", z, 0.3, 1),
+    "ground_eigenvalue_function x": lambda z: oracle.ground_eigenvalue_function(
+        model.split(_REFERENCE))(z, 0.01),
+}
+
+
 @pytest.mark.parametrize("z", [np.complex128(0.3 + 1j), np.complex64(0.3 + 1j),
                                np.complex64(0.3)], ids=["complex128", "complex64", "complex64-real"])
 @pytest.mark.parametrize("entry", sorted(_REAL_ENTRIES))
@@ -326,18 +337,24 @@ def test_a_numpy_complex_is_taken_where_a_complex_number_is_asked(z):
         assert energy(x, x) == energy(complex(x), complex(x))
 
 
-@pytest.mark.parametrize("entry", sorted(set(_REAL_ENTRIES) - {"sweep_at"}) + [
-    "FieldMode.g", "ground_eigenvalue_function x"])
+@pytest.mark.parametrize("entry", sorted(_NUMBER_ENTRIES))
 def test_a_zero_dimensional_array_is_no_number(entry):
     # math.isfinite and cmath.isfinite take a 0-d array's one value, which
     # then left phase_angle as a numpy float and fed evaluate_energy an array
-    call = {"FieldMode.g": lambda z: FieldMode("a", z, 0.3, 1),
-            "ground_eigenvalue_function x": lambda z: oracle.ground_eigenvalue_function(
-                model.split(_REFERENCE))(z, 0.01)}.get(entry, _REAL_ENTRIES.get(entry))
     for z in (np.array(0.1), np.array(0.1 + 0j), np.array([0.1])):
         with pytest.raises(ValueError, match="finite"):
-            call(z)
+            _NUMBER_ENTRIES[entry](z)
     assert not model._is_finite(np.array(0.1), cmath.isfinite)
+
+
+@pytest.mark.parametrize("entry", sorted(_NUMBER_ENTRIES))
+def test_a_signaling_nan_is_refused_with_the_entrys_own_message(entry):
+    # converting a Decimal sNaN to float raises ValueError("cannot convert
+    # signaling NaN to float"), which _is_finite let through in place of the
+    # entry's own message
+    with pytest.raises(ValueError, match="finite"):
+        _NUMBER_ENTRIES[entry](decimal.Decimal("sNaN"))
+    assert not model._is_finite(decimal.Decimal("sNaN"), cmath.isfinite)
 
 
 @pytest.mark.parametrize("value", [[np.bool_(True), 0.5], [True, 0.5],
@@ -490,6 +507,47 @@ def test_reconstruct_is_nonzero_only_at_the_nine_n_configuration_entries():
         if mode in ("mode_a", "mode_c"):
             assert (sp.ua if mode == "mode_a" else sp.uc) == 1
             assert h[(0, 1) if mode == "mode_a" else (2, 3)] == 0
+
+
+def _sum(sp, eps_a, eps_c):
+    """h0 + eps_a*va + eps_c*vc from the tests' own matrices: reconstruct's reference."""
+    h0, va, vc = matrices(sp)
+    return h0 + eps_a * va + eps_c * vc
+
+
+def test_reconstruct_writes_the_bits_of_the_three_matrix_sum():
+    # 400 draws, half lossy, a third with phased couplings, at the split's own
+    # strengths and at strengths a caller of ground_eigenvalue_function may pass.
+    # At a complex strength, numpy's complex loop may fuse a product's multiply
+    # and add (FMA) where the probe phase is not real; reconstruct's probe entry
+    # is the Python product, rounded after each operation on every host.
+    rng = np.random.default_rng(54)
+    for k in range(400):
+        cfg = validate._random_config(numpy_draws(rng), lossy=k % 2 == 1)
+        sp = model.split(phased(cfg, rng) if k % 3 == 0 else cfg)
+        for a, c in [(sp.eps_a, sp.eps_c), (0.0, 0.0), (-0.0, -0.0), (-sp.eps_a, -sp.eps_c),
+                     (1e-300, 1e-300), (1e300, 1e300), (np.float32(0.1), np.float64(0.2)),
+                     (2e-3 - 1e-3j, -1e-3 + 3e-3j), (-1e-3 - 2e-3j, np.complex64(0.1 - 0.2j))]:
+            h, want = sp._replace(eps_a=a, eps_c=c).reconstruct(), _sum(sp, a, c)
+            if isinstance(a, complex):
+                for (i, j), eps, u in [((0, 1), a, sp.ua.conjugate()), ((1, 0), a, sp.ua),
+                                       ((2, 3), c, sp.uc.conjugate()), ((3, 2), c, sp.uc)]:
+                    product = complex(eps) * u
+                    assert h[i, j] == product, (cfg, a, c)
+                    assert abs(want[i, j] - product) <= 2**-51 * abs(eps), (cfg, a, c)
+                    h[i, j] = want[i, j]
+            assert h.dtype == complex and h.tobytes() == want.tobytes(), (cfg, a, c)
+
+
+def test_reconstruct_keeps_each_signed_zero_of_the_sum():
+    # an h0 part that is -0 stays -0 only where both probe terms add -0 to it,
+    # and a probe product's -0 part is +0, as in the sum
+    sp = model.split(_REFERENCE)._replace(h11=complex(-0.0, -0.0), h22=complex(0.0, -0.0),
+                                          x=complex(-0.0, 0.0), ua=complex(1.0, -0.0))
+    strengths = [0.0, -0.0, 1e-3, -1e-3, 1e-3j, -1e-3j, -1e-3 - 1e-3j, complex(-0.0, -0.0)]
+    for a, c in itertools.product(strengths, repeat=2):
+        h = sp._replace(eps_a=a, eps_c=c).reconstruct()
+        assert h.tobytes() == _sum(sp, a, c).tobytes(), (a, c)
 
 
 def test_a_split_that_raises_raises_again_with_the_same_message():

@@ -13,7 +13,7 @@ from nkerr.errors import ConvergenceError, DegeneracyError, PoleError, TrackingE
 from nkerr.oracle import EigenSolution
 
 import cauchy
-from conftest import make_config, numpy_draws
+from conftest import make_config, matrices, numpy_draws, phased
 
 
 # -- exact eigensystem -------------------------------------------------------
@@ -165,15 +165,28 @@ def test_eigensystem_rejects_a_nan_residual(reference_config, lossy_config, monk
             oracle.exact_eigensystem(h)
 
 
+# numpy.linalg raises TypeError on a float16, longdouble or clongdouble array
 _NOT_4X4 = [[[0.0] * 4] * 4, np.zeros(4), np.full((4, 4), "0"), np.zeros((3, 4)),
-            np.zeros((4, 4), dtype=bool), np.zeros((4, 4), dtype=object), None]
-_NOT_4X4_IDS = ["nested-list", "1-d", "strings", "3x4", "bools", "objects", "none"]
+            np.zeros((4, 4), dtype=bool), np.zeros((4, 4), dtype=object), None,
+            np.eye(4, dtype=np.float16), np.eye(4, dtype=np.longdouble),
+            np.eye(4, dtype=np.clongdouble)]
+_NOT_4X4_IDS = ["nested-list", "1-d", "strings", "3x4", "bools", "objects", "none", "float16",
+                "longdouble", "clongdouble"]
 
 
 @pytest.mark.parametrize("h", _NOT_4X4, ids=_NOT_4X4_IDS)
 def test_eigensystem_refuses_anything_but_a_4x4_numeric_array(h):
     with pytest.raises(ValueError, match="^h must be a 4 x 4 numpy array of numbers"):
         oracle.exact_eigensystem(h)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.int64, np.float32, np.float64,
+                                   np.complex64, np.complex128])
+def test_eigensystem_takes_each_dtype_numpy_linalg_takes(dtype):
+    h = np.diag([0, 1, 2, 3]).astype(dtype)
+    h[1, 0] = 1  # not Hermitian: the eig route
+    assert oracle.exact_eigensystem(h).eigenvalues.tolist() == pytest.approx([0, 1, 2, 3])
+    assert oracle.exact_eigensystem(h.T @ h).eigenvalues.dtype == complex
 
 
 # -- propagation -------------------------------------------------------------
@@ -296,13 +309,6 @@ def test_ground_eigenvalue_function_deterministic(reference_config):
     assert a == b
 
 
-def _phased(cfg, rng):
-    """``cfg`` with a random phase on each of the three couplings."""
-    modes = [replace(m, g=abs(m.g) * cmath.exp(1j * rng.uniform(0, 2 * np.pi)))
-             for m in (cfg.mode_a, cfg.mode_b, cfg.mode_c)]
-    return replace(cfg, mode_a=modes[0], mode_b=modes[1], mode_c=modes[2])
-
-
 @pytest.mark.parametrize("lossy", [False, True])
 def test_both_entry_points_pick_the_same_branch(lossy):
     # the one LAPACK eigenvalue in the Bauer-Fike disc around 0 (the ground
@@ -311,7 +317,7 @@ def test_both_entry_points_pick_the_same_branch(lossy):
     # eigenvalue is at least 0.3 away, so a wrong branch fails
     rng = np.random.default_rng([12, lossy])
     for _ in range(20):
-        cfg = _phased(validate._random_config(numpy_draws(rng), lossy=lossy), rng)
+        cfg = phased(validate._random_config(numpy_draws(rng), lossy=lossy), rng)
         sp = model.split(cfg)
         series = perturb.evaluate_energy(perturb.build_series(sp, 1, 8), 1,
                                          sp.eps_a, sp.eps_c, 8)
@@ -379,7 +385,7 @@ def test_every_certified_value_is_the_branch_connected_to_zero():
             cfg = replace(cfg, mode_b=replace(cfg.mode_b, delta=cfg.mode_a.delta),
                           gamma=(cfg.gamma[0], 0.0, cfg.gamma[2]))
         if i % 3 == 0:
-            cfg = _phased(cfg, rng)
+            cfg = phased(cfg, rng)
         splits.append(model.split(cfg))
     certified = {}
     for k, sp in enumerate(splits):
@@ -389,8 +395,11 @@ def test_every_certified_value_is_the_branch_connected_to_zero():
                 certified[k, s] = energy(s, s)
     assert sum(s == 0.05 for _, s in certified) > 100
     t = np.linspace(0.0, 1.0, 101)[:, None, None]
-    walks = np.linalg.eigvals([splits[k]._replace(eps_a=t * s, eps_c=t * s).reconstruct()
-                               for k, s in certified])  # (point, step, 4)
+    stacks = []
+    for k, s in certified:
+        h0, va, vc = matrices(splits[k])
+        stacks.append(h0 + t * s * (va + vc))
+    walks = np.linalg.eigvals(stacks)  # (point, step, 4)
     last = np.zeros(len(certified), dtype=complex)
     for step in walks.transpose(1, 0, 2):
         last = step[np.arange(len(last)), np.argmin(np.abs(step - last[:, None]), axis=1)]

@@ -530,16 +530,28 @@ def test_sweep_grid_that_does_not_fit_in_memory_is_a_value_error(monkeypatch):
         suscept.sweep_grid(-1.0, 1.0, 10**12)
 
 
+class _Unreadable:
+    """A sequence whose item raises ValueError, so numpy cannot convert it."""
+
+    def __len__(self):
+        return 1
+
+    def __getitem__(self, index):
+        raise ValueError("no item")
+
+
 @pytest.mark.parametrize("value", [[0.1, float("nan")], [float("inf"), 0.2], [-float("inf")],
                                    [[0.1, 0.2]], 0.1,
                                    pytest.param([10**400], id="int-past-double"),
                                    pytest.param([True, False], id="bools"),
                                    pytest.param(["0.5"], id="numeric-string"),
                                    pytest.param(np.array([1 + 1j]), id="complex-array"),
-                                   pytest.param([1 + 1j], id="complex-list")])
+                                   pytest.param([1 + 1j], id="complex-list"),
+                                   pytest.param(_Unreadable(), id="unreadable-sequence")])
 def test_sweep_at_rejects_values_not_one_dimensional_or_not_finite(reference_config, value):
     # a bool, a string or a complex number is not a finite number, as for a
-    # scalar detuning; a complex array is refused before numpy drops its imaginary part
+    # scalar detuning; a complex array is refused before numpy drops its imaginary
+    # part; a sequence numpy cannot read is refused where its conversion raises
     with pytest.raises(ValueError, match="1-D array of finite numbers"):
         suscept.sweep_at(reference_config, "dc", value)
 
