@@ -72,7 +72,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import re
 import shutil
@@ -82,7 +81,7 @@ import tempfile
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NoReturn, TextIO
 
 from .errors import NKerrError, NotHermitianError, NotResonantError, ScenarioError
-from .model import FieldMode, SystemConfig, _is_finite
+from .model import FieldMode, SystemConfig, _finite
 
 if TYPE_CHECKING:
     from . import suscept
@@ -129,9 +128,9 @@ def _finite_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not _is_finite(value, math.isfinite):
+    if (number := _finite(value, float)) is None:
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+    return number
 
 
 def scenario_config(doc: Any) -> SystemConfig:

@@ -16,7 +16,6 @@ ground eigenvalue in the test suite.  ``phase_angle`` and the Raman test in
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from . import model
@@ -95,11 +94,11 @@ def phase_angle(coeffs: KerrCoefficients, n_a: int, n_c: int, t: float) -> float
     if not (model._is_nonnegative_int(n_a) and model._is_nonnegative_int(n_c)):
         raise ValueError(f"photon numbers must be integers >= 0, got {n_a!r} and {n_c!r}")
     n_a, n_c = int(n_a), int(n_c)
-    if not model._is_finite(t, math.isfinite):
+    if (time := model._finite(t, float)) is None:
         raise ValueError(f"t must be finite, got {t!r}")
     with model.in_double_range():  # an int past double range raises OverflowError
         angle = (coeffs.linear * n_a + coeffs.self_kerr * n_a**2
-                 + coeffs.cross_kerr * n_a * n_c) * t
+                 + coeffs.cross_kerr * n_a * n_c) * time
         model.check_finite(angle)
     return angle
 

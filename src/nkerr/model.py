@@ -34,11 +34,12 @@ Conventions used throughout the package:
   that derives one raises and no other module names: code that can raise runs
   in ``in_double_range``, numpy arithmetic in ``numpy_range`` inside it too, and
   ``check_finite`` refuses a result that is inf or NaN.
-* ``_is_finite`` judges each number a caller passes and ``_finite_array`` each
-  array; no other module calls ``math.isfinite``, ``cmath.isfinite`` or
-  ``np.isfinite``: a bool, a numpy array, a non-number or an int past double
-  range is not a finite number, and a list or an object array is judged one
-  element at a time.  A photon number (``_is_nonnegative_int``) is held as a Python int.
+* ``_finite`` judges each number a caller passes and returns the Python float
+  or complex that the entry computes with, and ``_finite_array`` judges each
+  array; no other module names ``isfinite``: a bool, a numpy array, a
+  non-number or an int past double range is not a finite number, and a list or
+  an object array is judged one element at a time.  A photon number
+  (``_is_nonnegative_int``) is held as a Python int.
 * Every immutable record holds no per-instance ``__dict__``, so none takes a
   weak reference.  Each one the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
@@ -79,33 +80,36 @@ def _is_numpy(value, kind: str) -> bool:
     return "numpy" in sys.modules and isinstance(value, getattr(sys.modules["numpy"], kind))
 
 
-def _is_finite(value, isfinite) -> bool:
-    """Whether ``isfinite`` holds for ``value``; a bool (numpy's included), a numpy
-    array of any shape, a non-number or an integer beyond double range is not a
-    finite number, nor, where ``math.isfinite`` asks for a real one, a numpy
-    complex, whose real part it would take."""
+def _finite(value, kind: type):
+    """``kind(value)``, with ``kind`` float or complex, where ``value`` is a finite
+    number; else None.  A bool (numpy's included), a numpy array of any shape, a
+    non-number, an integer beyond double range or a signaling-NaN Decimal is not
+    a finite number, nor, where a float is asked, a complex (numpy's included),
+    whose real part ``math.isfinite`` would take."""
+    isfinite = math.isfinite if kind is float else cmath.isfinite
+    if type(value) is kind:  # the common case, which converts nothing
+        return value if isfinite(value) else None
     if type(value) not in (float, complex) and (
             isinstance(value, bool) or _is_numpy(value, "bool_") or _is_numpy(value, "ndarray")
-            or (isfinite is math.isfinite and _is_numpy(value, "complexfloating"))):
-        return False
-    try:
-        return isfinite(value)
+            or (kind is float and _is_numpy(value, "complexfloating"))):
+        return None
+    try:  # isfinite first: float and complex would parse a str
+        return kind(value) if isfinite(value) else None
     except (TypeError, ValueError, OverflowError):  # ValueError: a signaling NaN Decimal
-        return False
+        return None
 
 
 def _finite_array(value, dtype) -> np.ndarray | None:
     """``value`` as an array of ``dtype``, float or complex; None where it does not
     convert or is not finite.  A numpy array of numbers is judged by its dtype, so
     one of bools, strings or, for a float, complex numbers is refused; anything
-    else, a list or an object array, element by element by ``_is_finite``."""
+    else, a list or an object array, element by element by ``_finite``."""
     import numpy as np
     try:
         if isinstance(value, np.ndarray) and value.dtype.kind != "O":
             if value.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
                 return None
-        elif not all(_is_finite(v, cmath.isfinite if dtype is complex else math.isfinite)
-                     for v in np.asarray(value, dtype=object).flat):
+        elif any(_finite(v, dtype) is None for v in np.asarray(value, dtype=object).flat):
             return None
         array = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
@@ -141,14 +145,14 @@ class FieldMode:
             raise ValueError(f"unknown mode label {self.label!r}; expected one of {_LABELS}")
         if not _is_nonnegative_int(self.n):
             raise ValueError(f"photon number must be an integer >= 0, got {self.n!r}")
-        if not (_is_finite(self.g, cmath.isfinite) and _is_finite(self.delta, math.isfinite)):
+        if (g := _finite(self.g, complex)) is None or (delta := _finite(self.delta, float)) is None:
             raise ValueError(f"coupling and detuning must be finite numbers, got g={self.g!r}, "
                              f"delta={self.delta!r}")
         # Python numbers: a sum of detunings overflows to inf and a power of |g|
         # or a product with n raises OverflowError, where numpy's would warn first
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "g", complex(self.g))
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,14 +166,16 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for mode, label in ((self.mode_a, "a"), (self.mode_b, "b"), (self.mode_c, "c")):
-            if mode.label != label:
-                raise ValueError(f"mode_{label} carries label {mode.label!r}")
-        if len(self.gamma) != 3:
-            raise ValueError("gamma must hold exactly three decay rates")
-        for g in self.gamma:
-            if not _is_finite(g, math.isfinite) or g < 0:
-                raise ValueError(f"decay rates must be finite and >= 0, got {self.gamma}")
-        object.__setattr__(self, "gamma", tuple(map(float, self.gamma)))  # hashable, comparable
+            if not isinstance(mode, FieldMode) or mode.label != label:
+                raise ValueError(f"mode_{label} must be a FieldMode labelled {label!r}: {mode!r}")
+        try:
+            g1, g2, g3 = gamma = tuple(self.gamma)  # an iterator is read once
+        except (TypeError, ValueError):  # not iterable, or not three rates
+            raise ValueError("gamma must hold exactly three decay rates") from None
+        rates = (_finite(g1, float), _finite(g2, float), _finite(g3, float))
+        if None in rates or min(rates) < 0:
+            raise ValueError(f"decay rates must be finite and >= 0, got {gamma}")
+        object.__setattr__(self, "gamma", rates)  # hashable, comparable
 
     @property
     def is_hermitian(self) -> bool:

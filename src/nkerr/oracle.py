@@ -25,7 +25,6 @@ It alone imports ``effective``, when it runs, so a series run does not load it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable, NamedTuple
 
@@ -93,7 +92,7 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     ConvergenceError where the eigenvector matrix's 1-norm condition number (at most 4 for a
     Hermitian h) exceeds ``COND_TOL`` = 1e8, as for a defective h: psi0's coefficients are lost.
     """
-    if not model._is_finite(t, math.isfinite):
+    if (time := model._finite(t, float)) is None:
         raise ValueError(f"t must be finite, got {t!r}")
     state = model._finite_array(psi0, complex)
     if state is None or state.shape != (4,):
@@ -104,7 +103,7 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
         raise ConvergenceError(f"eigenvector condition number {cond:.3e} exceeds {COND_TOL:.0e}")
     coeffs = np.linalg.solve(v, state)
     with model.in_double_range(), model.numpy_range():
-        phases = np.exp(-1j * sol.eigenvalues * t)
+        phases = np.exp(-1j * sol.eigenvalues * time)
     return v @ (phases * coeffs)
 
 
@@ -168,11 +167,11 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
     unit_a, unit_c = abs(split.ua), abs(split.uc)
 
     def f(x: float, y: float) -> complex:
-        if not (model._is_finite(x, cmath.isfinite) and model._is_finite(y, cmath.isfinite)):
+        if (a := model._finite(x, complex)) is None or (c := model._finite(y, complex)) is None:
             raise ValueError(f"x and y must be finite, got {x!r} and {y!r}")
-        r = kappa * max(abs(x) * unit_a, abs(y) * unit_c)
+        r = kappa * max(abs(a) * unit_a, abs(c) * unit_c)
         if r < half_gap:
-            sol = exact_eigensystem(split._replace(eps_a=x, eps_c=y).reconstruct())
+            sol = exact_eigensystem(split._replace(eps_a=a, eps_c=c).reconstruct())
             inside = [e for e in sol.eigenvalues.tolist() if abs(e) <= r]
             if len(inside) == 1:
                 return inside[0]

@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneracyError
-from .model import (PerturbationSplit, _is_finite, _is_nonnegative_int, _read_only,
+from .model import (PerturbationSplit, _finite, _is_nonnegative_int, _read_only,
                     check_finite, in_double_range, numpy_range)
 
 DEGENERACY_TOL = 1e-8
@@ -116,7 +116,7 @@ def dressed_basis(split: PerturbationSplit) -> DressedBasis:
     It is the gate every reader of a split passes first: ValueError unless
     ``split`` is a ``PerturbationSplit`` whose nine fields are Python ints,
     floats or complex numbers (a bool, a numpy number or array is not), finite
-    by ``model._is_finite``, with ua and uc nonzero; so no reader converts a
+    by ``model._finite``, with ua and uc nonzero; so no reader converts a
     field.  A call with the split object of the last call that returned gives
     back that basis.
     """
@@ -124,9 +124,9 @@ def dressed_basis(split: PerturbationSplit) -> DressedBasis:
     last, basis = _BASIS_MEMO
     if last is split:
         return basis
-    if not (isinstance(split, PerturbationSplit) and all(
-            type(v) in (int, float, complex) and _is_finite(v, cmath.isfinite) for v in split)
-            and split.ua and split.uc):
+    if not (isinstance(split, PerturbationSplit) and all(  # each judged as what it is
+            type(v) in (int, float, complex) and _finite(v, float if type(v) is int else type(v))
+            is not None for v in split) and split.ua and split.uc):
         raise ValueError(f"a split must hold nine finite numbers, ua and uc nonzero, got {split!r}")
     d1, d2, h33, x, y = split[:5]
     delta = d1 - d2
@@ -355,7 +355,7 @@ def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
     the out-of-range PoleError where a power or the sum leaves double range.
     A lower order k is the sum of ``build_series(split, 1, k)``.
     """
-    if not (_is_finite(eps_a, math.isfinite) and _is_finite(eps_c, math.isfinite)):
+    if (x := _finite(eps_a, float)) is None or (y := _finite(eps_c, float)) is None:
         raise ValueError(f"eps_a and eps_c must be finite, got {eps_a!r} and {eps_c!r}")
     if not (_is_nonnegative_int(n) and n == 1 and _is_nonnegative_int(total_order)
             and total_order == table.order):
@@ -363,4 +363,4 @@ def evaluate_energy(table: SeriesTable, n: int, eps_a: float, eps_c: float,
                          f"it holds order {table.order} of the ground state n = 1; a lower "
                          f"order is the sum of build_series(split, 1, order)")
     with in_double_range(), numpy_range():
-        return complex(power_sum(table.E, eps_a, eps_c))
+        return complex(power_sum(table.E, x, y))

@@ -44,7 +44,6 @@ meaningful at this normalisation, not laboratory units.
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import Literal, NamedTuple
 
@@ -194,16 +193,16 @@ def sweep_grid(lo: float, hi: float, steps: int, start: int = 0, stop: int | Non
     if steps > sys.maxsize // 8:
         raise ValueError(f"steps={steps} is too many: the grid has at most "
                          f"sys.maxsize // 8 = {sys.maxsize // 8} rows")
-    if not (model._is_finite(lo, math.isfinite) and model._is_finite(hi, math.isfinite)
-            and model._is_finite(float(hi) - float(lo), math.isfinite)):
+    low, high = model._finite(lo, float), model._finite(hi, float)
+    if low is None or high is None or model._finite(high - low, float) is None:
         raise ValueError(f"lo and hi must be finite and hi - lo within double range, "
                          f"got {lo!r} and {hi!r}")
     stop = steps if stop is None else stop
     if not (model._is_nonnegative_int(start) and model._is_nonnegative_int(stop)
             and start <= stop <= steps):
         raise ValueError(f"rows [{start!r}, {stop!r}) are not a range of the {steps} rows")
-    lo, hi, div = float(lo), float(hi), int(steps) - 1
-    span = hi - lo
+    div = int(steps) - 1
+    span = high - low
     # float(k) for each row k, as linspace's arange gives it: each offset
     # k - int(float(start)) is a small integer, exact as a float, and adding
     # float(start) rounds once.  Casting an int64 arange would run numpy's
@@ -220,9 +219,9 @@ def sweep_grid(lo: float, hi: float, steps: int, start: int = 0, stop: int | Non
         row *= span
     else:
         row *= step
-    row += lo
+    row += low
     if start < stop == steps:
-        row[-1] = hi
+        row[-1] = high
     return row
 
 

@@ -35,7 +35,6 @@ order is the one a run raises.
 
 from __future__ import annotations
 
-import cmath
 import io
 import json
 import math
@@ -75,7 +74,7 @@ class _Checker:
 
     def close(self, expected: complex, actual: complex, rel_tol: float) -> None:
         """Both finite, and within ``rel_tol`` of the larger: an inf would widen its own bound."""
-        finite = all(model._is_finite(v, cmath.isfinite) for v in (expected, actual))
+        finite = all(model._finite(v, complex) is not None for v in (expected, actual))
         bound = rel_tol * max(abs(expected), abs(actual))
         self.expect(finite and abs(expected - actual) <= bound, expected, actual,
                     f"rel {rel_tol:g}")

@@ -1,6 +1,7 @@
 import cmath
 import copy
 import decimal
+import fractions
 import itertools
 import math
 import pickle
@@ -291,9 +292,9 @@ _REAL_ENTRIES = {
     "FieldMode.delta": lambda z: FieldMode("a", 0.01, z, 1),
     "SystemConfig.gamma": lambda z: replace(_REFERENCE, gamma=(0.0, z, 0.0)),
     "evaluate_energy eps_a": lambda z: perturb.evaluate_energy(
-        perturb.build_series(model.split(_REFERENCE), 1, 4), 1, z, 0.01, 4),
+        perturb.build_series(model.split(_REFERENCE), 1, 8), 1, z, 0.01, 8),
     "evaluate_energy eps_c": lambda z: perturb.evaluate_energy(
-        perturb.build_series(model.split(_REFERENCE), 1, 4), 1, 0.01, z, 4),
+        perturb.build_series(model.split(_REFERENCE), 1, 8), 1, 0.01, z, 8),
     "phase_angle t": lambda z: effective.phase_angle(effective.coefficients(_REFERENCE), 1, 1, z),
     "propagate t": lambda z: oracle.propagate(np.eye(4), np.eye(4)[0], z),
     "sweep_grid lo": lambda z: suscept.sweep_grid(z, 1.0, 3),
@@ -344,17 +345,32 @@ def test_a_zero_dimensional_array_is_no_number(entry):
     for z in (np.array(0.1), np.array(0.1 + 0j), np.array([0.1])):
         with pytest.raises(ValueError, match="finite"):
             _NUMBER_ENTRIES[entry](z)
-    assert not model._is_finite(np.array(0.1), cmath.isfinite)
+    assert model._finite(np.array(0.1), complex) is None
 
 
 @pytest.mark.parametrize("entry", sorted(_NUMBER_ENTRIES))
 def test_a_signaling_nan_is_refused_with_the_entrys_own_message(entry):
     # converting a Decimal sNaN to float raises ValueError("cannot convert
-    # signaling NaN to float"), which _is_finite let through in place of the
+    # signaling NaN to float"), which the rule let through in place of the
     # entry's own message
     with pytest.raises(ValueError, match="finite"):
         _NUMBER_ENTRIES[entry](decimal.Decimal("sNaN"))
-    assert not model._is_finite(decimal.Decimal("sNaN"), cmath.isfinite)
+    assert model._finite(decimal.Decimal("sNaN"), complex) is None
+
+
+def _bits(value):
+    """An entry's result as bytes: an array's dtype and ``tobytes``, anything else pickled."""
+    return (value.dtype, value.tobytes()) if isinstance(value, np.ndarray) else pickle.dumps(value)
+
+
+@pytest.mark.parametrize("z", [decimal.Decimal("0.001"), fractions.Fraction(1, 1000)],
+                         ids=["Decimal", "Fraction"])
+@pytest.mark.parametrize("entry", sorted(_NUMBER_ENTRIES))
+def test_a_decimal_or_fraction_gives_the_floats_result_bit_for_bit(entry, z):
+    # evaluate_energy, the certified eigenvalue, phase_angle and propagate raised
+    # an arithmetic TypeError on a Decimal, propagate on a Fraction too, and
+    # evaluate_energy summed a Fraction through numpy's object path, 1 ulp off
+    assert _bits(_NUMBER_ENTRIES[entry](z)) == _bits(_NUMBER_ENTRIES[entry](0.001))
 
 
 @pytest.mark.parametrize("value", [[np.bool_(True), 0.5], [True, 0.5],
@@ -391,12 +407,16 @@ def test_negative_decay_rejected():
     with pytest.raises(ValueError, match="decay"):
         make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.0, 0.0, 0.0, gamma=(-0.1, 0.0, 0.0))
     # other than three rates, through the constructor and through replace
+    # or not rates at all; an iterator is read once, each call gets its own
     cfg = make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.0, 0.0, 0.0)
-    for gamma in ((1.0, 2.0), (0.0,) * 4, ()):
+    for gamma in ((1.0, 2.0), (0.0,) * 4, (), None, 0.1, lambda: iter((1.0, 2.0)),
+                  lambda: (r for r in (0.0,) * 4)):
         with pytest.raises(ValueError, match="gamma must hold exactly three decay rates"):
-            SystemConfig(cfg.mode_a, cfg.mode_b, cfg.mode_c, gamma)
+            SystemConfig(cfg.mode_a, cfg.mode_b, cfg.mode_c, gamma() if callable(gamma) else gamma)
         with pytest.raises(ValueError, match="gamma must hold exactly three decay rates"):
-            replace(cfg, gamma=gamma)
+            replace(cfg, gamma=gamma() if callable(gamma) else gamma)
+    for gamma in (iter([0.1, 0.0, 0.2]), (r for r in (0.1, 0.0, 0.2))):
+        assert replace(cfg, gamma=gamma).gamma == (0.1, 0.0, 0.2)
 
 
 def test_mislabeled_mode_rejected():
@@ -406,6 +426,13 @@ def test_mislabeled_mode_rejected():
             FieldMode("b", 1.0, 0.0, 0),
             FieldMode("c", 0.1, 0.0, 1),
         )
+    # no FieldMode at all in a mode's place, which raised AttributeError
+    a, b, c = (FieldMode(label, 0.1, 0.0, 1) for label in "abc")
+    for mode in (None, "a", ("a", 0.1, 0.0, 1)):
+        for modes, name in (((mode, b, c), "mode_a"), ((a, mode, c), "mode_b"),
+                            ((a, b, mode), "mode_c")):
+            with pytest.raises(ValueError, match=f"{name} must be a FieldMode"):
+                SystemConfig(*modes)
     # a label outside ("a", "b", "c"), through the constructor and through replace
     for label in ("d", "A", "", None):
         with pytest.raises(ValueError, match="unknown mode label"):
