@@ -44,10 +44,10 @@ Conventions used throughout the package:
   weak reference.  Each one the package returns is a ``typing.NamedTuple``, so
   it unpacks, indexes and compares equal to a tuple of the same values;
   assigning a field raises AttributeError, and ``record._replace(...)`` is a
-  changed copy.  A record that holds numpy arrays (``perturb.DressedBasis``
-  and ``SeriesTable``, ``oracle.EigenSolution``, ``suscept.Sweep``) equals
-  itself, but comparing it with another such record raises numpy's
-  ValueError, and hashing it raises TypeError.  ``FieldMode`` and
+  changed copy.  A record that holds numpy arrays (``perturb.SeriesTable``,
+  ``oracle.EigenSolution``, ``suscept.Sweep``) equals itself, but comparing it
+  with another such record raises numpy's ValueError once the comparison
+  reaches an array, and hashing it raises TypeError.  ``FieldMode`` and
   ``SystemConfig``, which check and coerce their fields in ``__post_init__``,
   are ``@dataclass(frozen=True, slots=True)`` instead: ``dataclasses.replace``
   runs the checks again, and copy and pickle give back the coerced fields.
@@ -58,6 +58,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, NamedTuple
 
@@ -118,7 +119,9 @@ def _finite_array(value, dtype) -> np.ndarray | None:
 
 
 def _read_only(*arrays: np.ndarray) -> None:
-    """Refuse writes into arrays that a memo hands to every caller."""
+    """Refuse writes into arrays that a memo hands to every caller: a series
+    table's work vector and ``perturb``'s cached plans.  A dressed basis holds
+    no array, only its pump blocks' numbers."""
     for array in arrays:
         array.setflags(write=False)
 
@@ -157,7 +160,10 @@ class FieldMode:
 
 @dataclass(frozen=True, slots=True)
 class SystemConfig:
-    """Full scenario: the three modes plus decay rates (gamma_1, gamma_2, gamma_3)."""
+    """Full scenario: the three modes plus decay rates (gamma_1, gamma_2, gamma_3).
+
+    gamma is read as three rates in the order it gives them, so a set or a
+    mapping, which holds them in no order of the caller's, is refused."""
 
     mode_a: FieldMode
     mode_b: FieldMode
@@ -168,8 +174,8 @@ class SystemConfig:
         for mode, label in ((self.mode_a, "a"), (self.mode_b, "b"), (self.mode_c, "c")):
             if not isinstance(mode, FieldMode) or mode.label != label:
                 raise ValueError(f"mode_{label} must be a FieldMode labelled {label!r}: {mode!r}")
-        try:
-            g1, g2, g3 = gamma = tuple(self.gamma)  # an iterator is read once
+        try:  # an iterator is read once; a set or a mapping has no order to read
+            g1, g2, g3 = gamma = () if isinstance(self.gamma, (Set, Mapping)) else tuple(self.gamma)
         except (TypeError, ValueError):  # not iterable, or not three rates
             raise ValueError("gamma must hold exactly three decay rates") from None
         rates = (_finite(g1, float), _finite(g2, float), _finite(g3, float))

@@ -139,31 +139,32 @@ def ground_eigenvalue_function(split: PerturbationSplit) -> Callable[[float, flo
     """Ground eigenvalue of ``h0 + x*va + y*vc`` as a function of (x, y), by LAPACK.
 
     The branch is certified by a Bauer-Fike disc (Numer. Math. 2, 137
-    (1960)): with h0 = R diag(lambda) R^-1, R = ``dressed_basis(split).right``,
-    every eigenvalue lies within r = kappa(R) max(|x ua|, |y uc|) of an
-    eigenvalue of h0, since va and vc act on disjoint level pairs, ua and uc
-    being the only entries a split holds, and so ||x*va + y*vc|| is that
-    maximum in the 1-norm (max(|x|, |y|) for the unit phases ``model.split``
-    makes).  Where r < gap/2, with gap the smallest |lambda_k| over k >= 1,
-    the disc |E| <= r holds exactly one eigenvalue all along t*(x, y) for t
-    in [0, 1]: the branch connected to 0, which each call returns after
-    solving the one matrix.  R is the identity outside its 2x2 block R2, so
-    kappa = ||R||_1 ||R^-1||_1 = max(1, column sums of |R2|) max(1, column
-    sums of |R2^-1|); it and gap are computed once per factory call, on
-    Python floats.  Elsewhere the call raises :class:`TrackingError` naming r
-    and gap/2.  ValueError unless x and y are finite numbers (a bool or an int
-    past double range is not); the factory raises what ``dressed_basis``
+    (1960)): with h0 = R diag(lambda) R^-1 and R = 1 (+) R2 (+) 1, where the
+    2x2 block R2 is ``dressed_basis(split).right`` and R^-1 = 1 (+) L2 (+) 1
+    with L2 its ``left``, every eigenvalue lies within r = kappa(R)
+    max(|x ua|, |y uc|) of an eigenvalue of h0, since va and vc act on
+    disjoint level pairs, ua and uc being the only entries a split holds, and
+    so ||x*va + y*vc|| is that maximum in the 1-norm (max(|x|, |y|) for the
+    unit phases ``model.split`` makes).  Where r < gap/2, with gap the
+    smallest |lambda_k| over k >= 1, the disc |E| <= r holds exactly one
+    eigenvalue all along t*(x, y) for t in [0, 1]: the branch connected to 0,
+    which each call returns after solving the one matrix.  So kappa =
+    ||R||_1 ||R^-1||_1 = max(1, column sums of |R2|) max(1, column sums of
+    |L2|); it and gap are computed once per factory call, from the basis's
+    Python numbers.  Elsewhere the call raises :class:`TrackingError` naming
+    r and gap/2.  ValueError unless x and y are finite numbers (a bool or an
+    int past double range is not); the factory raises what ``dressed_basis``
     raises for the split, DegeneracyError where h0 is near-degenerate and
     ValueError for a split that is not nine finite numbers.
     """
     basis = perturb.dressed_basis(split)
 
-    def norm1(m: np.ndarray) -> float:  # of a matrix that is the identity outside m[1:3, 1:3]
-        (a, b), (c, d) = (row[1:3] for row in m.tolist()[1:3])
+    def norm1(block) -> float:  # of 1 (+) block (+) 1, the block's rows given
+        (a, b), (c, d) = block
         return max(1.0, abs(a) + abs(c), abs(b) + abs(d))
 
     kappa = norm1(basis.right) * norm1(basis.left)
-    half_gap = min(map(abs, basis.eigenvalues.tolist()[1:])) / 2.0
+    half_gap = min(map(abs, basis.eigenvalues[1:])) / 2.0
     unit_a, unit_c = abs(split.ua), abs(split.uc)
 
     def f(x: float, y: float) -> complex:

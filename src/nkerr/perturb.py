@@ -11,10 +11,11 @@ Layout.  A double series c[p, q] is a dense (n, n) array; this is the only
 layout in the package.  The ground state's series are ``E[p, q]`` and
 ``A[s, p, q, m]`` of :class:`SeriesTable`, contiguous views of the one work
 vector that ``build_series`` fills by total order p + q, after the dressed
-couplings ``left @ v @ right`` of both probes, of which it writes only the
-entries the selection rules below allow.  Each
-entry reads only entries of lower total order; a table is bit-reproducible
-and extending ``max_order`` never changes lower entries.  So a lower order of
+couplings L v R of both probes, with R = 1 (+) R2 (+) 1 and L = 1 (+) L2 (+) 1
+of ``dressed_basis``; it writes only the entries the selection rules below
+allow, each a probe phase times one entry of R2 or L2.  Each entry reads only
+entries of lower total order; a table is bit-reproducible and extending
+``max_order`` never changes lower entries.  So a lower order of
 the same split is read off the last table: ``build_series`` gathers it from
 that table's work vector, the bits of a build of its own.
 
@@ -75,21 +76,24 @@ DEGENERACY_TOL = 1e-8
 
 
 class DressedBasis(NamedTuple):
-    """Eigensystem of the unperturbed operator in physical label order.
+    """Eigensystem of the unperturbed operator in physical label order, as Python numbers.
 
     Index 0 is bare level 1 (eigenvalue 0), indices 1 and 2 are the dressed
     states that continue bare levels 2 and 3 as the pump turns off, index 3 is
-    bare level 4.  ``right`` holds kets as columns, ``left`` holds the paired
-    bras as rows with ``left @ right = identity``.  The arrays are read-only:
-    :func:`dressed_basis` hands the same ones to each caller of the same split.
+    bare level 4; ``eigenvalues`` holds the four.  The kets are the columns of
+    R and the paired bras the rows of L, with L R = identity.  Both are the
+    identity outside the pump block of indices 1 and 2, R = 1 (+) R2 (+) 1 and
+    L = 1 (+) L2 (+) 1, so a basis holds the 2x2 blocks only: ``right`` = R2
+    and ``left`` = L2, each as its rows ((r11, r12), (r21, r22)), every entry
+    a Python complex.  The basis of an equal split built apart is equal and
+    hashes alike.
     """
 
-    eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
+    eigenvalues: tuple[complex, complex, complex, complex]
+    right: tuple[tuple[complex, complex], tuple[complex, complex]]
+    left: tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-_IDENTITY = np.eye(4, dtype=complex)
 # The last split and its basis, and the last split and its table; object()
 # is no split.
 _BASIS_MEMO: tuple = (object(), None)
@@ -135,7 +139,7 @@ def dressed_basis(split: PerturbationSplit) -> DressedBasis:
         w = delta + root if abs(delta + root) > abs(delta - root) else delta - root
         block = math.hypot(abs(d1), abs(x), abs(y), abs(d2))
     u, v = (2.0 * y / w, 2.0 * x / w) if w else (0j, 0j)
-    lam = [0j, d1 + x * u, d2 - y * v, h33]
+    lam = (0j, d1 + x * u, d2 - y * v, complex(h33))  # h33 + 0j would make a -0 +0
     check_finite(root, *lam, block)  # a NaN gap passes the test below, an inf norm fails it
     n = cmath.sqrt(1.0 + u * v)
     if n == 0 or (x == 0) != (y == 0):
@@ -147,11 +151,8 @@ def dressed_basis(split: PerturbationSplit) -> DressedBasis:
             raise DegeneracyError(
                 f"unperturbed spectrum is near-degenerate: eigenvalues {i + 1} and {j + 1} "
                 f"separated by only {gap:.3e} (tolerance {DEGENERACY_TOL:.1e} x {scale:.3e})")
-    right, left = _IDENTITY.copy(), _IDENTITY.copy()
-    right[1, 1], right[2, 1], right[1, 2], right[2, 2] = kappa / n, kappa * u / n, -v / n, 1 / n
-    left[1, 1], left[1, 2], left[2, 1], left[2, 2] = 1 / kappa / n, v / kappa / n, -u / n, 1 / n
-    basis = DressedBasis(eigenvalues=np.array(lam), right=right, left=left)
-    _read_only(*basis)
+    basis = DressedBasis(lam, ((kappa / n, -v / n), (kappa * u / n, 1 / n)),
+                         ((1 / kappa / n, v / kappa / n), (-u / n, 1 / n)))
     _BASIS_MEMO = split, basis
     return basis
 
@@ -163,15 +164,16 @@ class SeriesTable(NamedTuple):
     ``E[p, q]`` is the order-(p, q) eigenvalue correction and
     ``A[s, p, q, :]`` the dressed-basis coefficients of the order-(p, q)
     state correction, for p + q <= ``order``; higher entries are zero.
-    ``basis.right @ A[0, p, q]`` is the order-(p, q) ket correction in the
-    bare basis and ``A[1, p, q] @ basis.left`` the bra correction, where
-    ``A[1]`` is P A[0] with the diagonal P of the module docstring; in the
+    R A[0, p, q] is the order-(p, q) ket correction in the bare basis and
+    A[1, p, q] L the bra correction, with R = 1 (+) ``basis.right`` (+) 1 and
+    L = 1 (+) ``basis.left`` (+) 1, where ``A[1]`` is P A[0] with the diagonal P of the module docstring; in the
     Hermitian case the bra is the conjugated ket.  E and A are read-only
     views of one work vector; a call that repeats the last build returns
     its table again.  Like every record of
     the package it is a tuple; since it holds arrays, a table equals itself,
-    but comparing two tables raises numpy's ValueError and hashing one
-    raises TypeError.
+    but comparing two tables of equal bases and orders raises numpy's
+    ValueError (of unequal ones, they differ), and hashing one raises
+    TypeError.
     """
 
     basis: DressedBasis
@@ -280,11 +282,11 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
 
     The series lives in one complex work vector ``w`` that holds the dressed
     couplings, then E and A; the table's arrays are views of it.  Each
-    allowed entry of ``basis.left @ v @ basis.right``, v = va or vc of the
-    split, has one nonzero term: a probe phase (ua, uc or a conjugate) times
-    one entry of the basis, taken on Python complex numbers.  Each order is
-    one gather-multiply-reduce over its terms in ``_order_plan``, whose norm
-    terms are scaled by P first; ``A[1]`` is P A[0].  Where the split is the
+    allowed entry of L v R, v = va or vc of the split, has one nonzero term:
+    a probe phase (ua, uc or a conjugate) times one entry of the pump block
+    ``basis.left`` = L2 or ``basis.right`` = R2, taken on Python complex
+    numbers.  Each order is one gather-multiply-reduce over its terms in
+    ``_order_plan``, whose norm terms are scaled by P first; ``A[1]`` is P A[0].  Where the split is the
     object of the last table's build, one of order max_order is that table and
     one of lower order is gathered from its work vector, with no basis looked
     up.  ValueError unless n is the integer 1 and max_order an integer >= 0,
@@ -313,17 +315,16 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     _, e, a = _layout(w, size)
     # Each is one rounded product, as in the matrix product; + 0j turns a -0
     # part into the +0 that the matrix product's sum gives.
-    left, right = basis.left.tolist(), basis.right.tolist()
-    w[:_COUPLINGS] = [a01 * right[1][1] + 0j, a01 * right[1][2] + 0j,
-                      left[1][1] * a10 + 0j, left[2][1] * a10 + 0j,
-                      left[1][2] * c23 + 0j, left[2][2] * c23 + 0j,
-                      c32 * right[2][1] + 0j, c32 * right[2][2] + 0j]
+    (r11, r12), (r21, r22) = basis.right
+    (l11, l12), (l21, l22) = basis.left
+    w[:_COUPLINGS] = [a01 * r11 + 0j, a01 * r12 + 0j, l11 * a10 + 0j, l21 * a10 + 0j,
+                      l12 * c23 + 0j, l22 * c23 + 0j, c32 * r21 + 0j, c32 * r22 + 0j]
     # P of the module docstring; model.split makes y = conj(x), 0 only with the pump off
     f_a = a01 / a10 * (x / y if y else 1.0)
     phase = np.array([1.0, f_a, f_a, f_a * (c23 / c32)])
     a[0, 0, 0, 0] = 1.0  # E[0, 0] is the ground eigenvalue 0, as w starts
-    divisor = -basis.eigenvalues
-    divisor[0] = 1.0  # E and the diagonal entry, which the norm expansion fixes
+    # E and the diagonal entry, which the norm expansion fixes, divide by 1
+    divisor = np.array([1.0, *(-e for e in basis.eigenvalues[1:])])
     coef, bra, steps = _order_plan(max_order)
     with in_double_range(), numpy_range():
         coef = coef * phase[bra]

@@ -56,7 +56,6 @@ SweepAxis = Literal["da", "db", "dc"]
 
 _AXES = ("da", "db", "dc")  # each sweeps the single-photon detuning of modes a, b, c
 
-_LEVELS = ((1, 0), (3, 2))  # (ket level, bra level) of rho21 and of rho43
 
 class SusceptibilityPoint(NamedTuple):
     """The three probe susceptibilities evaluated at one configuration."""
@@ -114,8 +113,11 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     """rho21 and rho43 of the relaxed ground state built to the given total order.
 
     Each is the product of the ket and bra partial sums, both from one series
-    table: the dressed coefficients are summed at (eps_a, eps_c) first, then
-    taken to the bare basis.  Cross-Kerr content requires order >= 3.  The
+    table: the dressed coefficients k and b are summed at (eps_a, eps_c) first,
+    then taken to the bare basis through the pump blocks R2 and L2 of
+    ``table.basis``, the only entries of R and L that are not the identity's:
+    rho21 = (r11 k1 + r12 k2) b0 and rho43 = k3 (b1 l12 + b2 l22), on Python
+    complex numbers.  Cross-Kerr content requires order >= 3.  The
     bra side is the table's bra series ``A[1]``, so the lossless limit is the
     ordinary conjugate.  It takes the split and table from ``model.split`` and
     ``perturb.build_series``, which give back the last ones where the caller
@@ -132,8 +134,11 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     powers = np.arange(order + 1)
     with model.in_double_range(), model.numpy_range():
         dressed = sp.eps_a**powers @ (sp.eps_c**powers @ table.A)  # [s, m]
-        ket, bra = table.basis.right @ dressed[0], dressed[1] @ table.basis.left
-        return Coherences(*(complex(ket[k] * bra[b]) for k, b in _LEVELS))
+    (_, k1, k2, k3), (b0, b1, b2, _) = dressed.tolist()
+    _, ((r11, r12), _), ((_, l12), (_, l22)) = table.basis
+    rho = Coherences((r11 * k1 + r12 * k2) * b0, k3 * (b1 * l12 + b2 * l22))
+    model.check_finite(*rho)  # a Python complex product does not raise past range
+    return rho
 
 
 def chis_from_energy(config: SystemConfig, E: np.ndarray) -> SusceptibilityPoint:

@@ -44,6 +44,15 @@ def matrices(split):
     return h0, va, vc
 
 
+def dressed_matrices(basis):
+    """R = 1 (+) R2 (+) 1 and L = 1 (+) L2 (+) 1 of a dressed basis as 4x4
+    arrays: the tests' own writer of its two pump blocks, as ``matrices`` is
+    of a split's numbers."""
+    right, left = np.array([np.eye(4, dtype=complex)] * 2)
+    right[1:3, 1:3], left[1:3, 1:3] = basis.right, basis.left
+    return right, left
+
+
 @pytest.fixture
 def reference_config():
     """Weak-probe benchmark: g_a = g_c = 0.01, resonant pump block detuned."""

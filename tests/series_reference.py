@@ -18,7 +18,7 @@ import numpy as np
 from nkerr.model import PerturbationSplit
 from nkerr.perturb import SeriesTable, dressed_basis
 
-from conftest import matrices
+from conftest import dressed_matrices, matrices
 
 
 def cauchy_term(x: np.ndarray, y: np.ndarray, p: int, q: int) -> complex:
@@ -40,11 +40,12 @@ def build_series(split: PerturbationSplit, max_order: int) -> SeriesTable:
     e = np.zeros((2, max_order + 1, max_order + 1), dtype=complex)  # E[:, 0, 0] = 0
     a = np.zeros((2, max_order + 1, max_order + 1, 4), dtype=complex)
     a[:, 0, 0, 0] = 1.0
-    vta = basis.left @ v_a @ basis.right
-    vtc = basis.left @ v_c @ basis.right
+    right, left = dressed_matrices(basis)
+    vta = left @ v_a @ right
+    vtc = left @ v_c @ right
     va = np.stack([vta, vta.T])  # the companion series sees the transposed couplings
     vc = np.stack([vtc, vtc.T])
-    gap = -basis.eigenvalues
+    gap = -np.array(basis.eigenvalues)
     gap[0] = 1.0  # the diagonal entry comes from the norm expansion instead
     for d in range(1, max_order + 1):
         for p in range(d + 1):

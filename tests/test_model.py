@@ -409,8 +409,10 @@ def test_negative_decay_rejected():
     # other than three rates, through the constructor and through replace
     # or not rates at all; an iterator is read once, each call gets its own
     cfg = make_config(0.1, 1.0, 0.1, 1, 0, 1, 0.0, 0.0, 0.0)
+    # a set or a mapping holds three rates in no order of theirs
     for gamma in ((1.0, 2.0), (0.0,) * 4, (), None, 0.1, lambda: iter((1.0, 2.0)),
-                  lambda: (r for r in (0.0,) * 4)):
+                  lambda: (r for r in (0.0,) * 4), {2.0, 1.0, 0.0},
+                  {0.1: "g1", 0.0: "g2", 0.2: "g3"}):
         with pytest.raises(ValueError, match="gamma must hold exactly three decay rates"):
             SystemConfig(cfg.mode_a, cfg.mode_b, cfg.mode_c, gamma() if callable(gamma) else gamma)
         with pytest.raises(ValueError, match="gamma must hold exactly three decay rates"):

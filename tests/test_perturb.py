@@ -13,7 +13,7 @@ from nkerr.errors import DegeneracyError, PoleError
 
 import cauchy
 import series_reference
-from conftest import make_config, matrices, numpy_draws
+from conftest import dressed_matrices, make_config, matrices, numpy_draws
 
 
 def _pump(d1, d2, d3, ob):
@@ -28,8 +28,9 @@ def test_dressed_basis_resonant_pump():
     basis = perturb.dressed_basis(_pump(0.0, 0.0, 0.7, 2.0))
     assert basis.eigenvalues[1] == pytest.approx(-1.0)
     assert basis.eigenvalues[2] == pytest.approx(1.0)
-    v_minus = basis.right[:, 1]
-    v_plus = basis.right[:, 2]
+    right = dressed_matrices(basis)[0]
+    v_minus = right[:, 1]
+    v_plus = right[:, 2]
     s = 1 / np.sqrt(2)
     assert np.allclose(np.abs(v_minus), [0, s, s, 0], atol=1e-12)
     assert np.allclose(np.abs(v_plus), [0, s, s, 0], atol=1e-12)
@@ -41,8 +42,25 @@ def test_dressed_basis_uncoupled_pump_returns_bare():
     for d1, d2 in ((3.0, 1.0), (1.0, 3.0)):  # index 1 is bare level 2 on either side
         basis = perturb.dressed_basis(_pump(d1, d2, 5.0, 0.0))
         assert np.allclose(basis.eigenvalues, [0, d1, d2, 5])
-        assert np.allclose(basis.right, np.eye(4))
-        assert np.allclose(basis.left, np.eye(4))
+        assert np.allclose(dressed_matrices(basis), np.eye(4))
+
+
+def test_a_dressed_basis_holds_python_complex_numbers_and_no_array():
+    # the eigenvalues and the two 2x2 pump blocks, as rows; the pump off included
+    for sp in (*map(model.split, itertools.islice(_memo_draws(), 8)), _pump(3.0, 1.0, 5.0, 0.0)):
+        basis = perturb.dressed_basis(sp)
+        assert not any(isinstance(field, np.ndarray) for field in basis)
+        (*eigenvalues,), ((r11, r12), (r21, r22)), ((l11, l12), (l21, l22)) = basis
+        numbers = [*eigenvalues, r11, r12, r21, r22, l11, l12, l21, l22]
+        assert len(eigenvalues) == 4 and all(type(v) is complex for v in numbers), basis
+
+
+def test_the_basis_of_an_equal_split_built_apart_is_equal_and_hashes_alike():
+    for cfg in itertools.islice(_memo_draws(), 8):
+        sp = model.split(cfg)
+        basis = perturb.dressed_basis(sp)
+        twin = perturb.dressed_basis(model.PerturbationSplit(*sp))
+        assert twin is not basis and twin == basis and hash(twin) == hash(basis)
 
 
 def test_dressed_basis_degeneracy_rejected():
@@ -123,8 +141,8 @@ def test_a_weak_pump_builds_and_gives_the_linear_coefficient(gb, gamma):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = perturb.build_series(sp, 1, 4)
-    basis = table.basis
-    assert np.abs(basis.left @ basis.right - np.eye(4)).max() <= 1e-15
+    right, left = dressed_matrices(table.basis)
+    assert np.abs(left @ right - np.eye(4)).max() <= 1e-15
     if cfg.is_hermitian:  # L = eps_a**2 E[2, 0], and chi1 = -E[2, 0] at n_a = 1
         want, got = effective.coefficients(cfg).linear, sp.eps_a**2 * table.E[2, 0]
     else:
@@ -145,20 +163,23 @@ def test_dressed_basis_eigen_residuals():
     sp = _pump(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j))
     h0 = matrices(sp)[0]
     basis = perturb.dressed_basis(sp)
+    right = dressed_matrices(basis)[0]
     norm = np.linalg.norm(h0)
     for k in range(4):
-        res = np.linalg.norm(h0 @ basis.right[:, k] - basis.eigenvalues[k] * basis.right[:, k])
+        res = np.linalg.norm(h0 @ right[:, k] - basis.eigenvalues[k] * right[:, k])
         assert res < 1e-12 * max(1.0, norm)
 
 
 def test_dressed_basis_biorthogonal():
     basis = perturb.dressed_basis(_pump(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j)))
-    assert np.allclose(basis.left @ basis.right, np.eye(4), atol=1e-13)
+    right, left = dressed_matrices(basis)
+    assert np.allclose(left @ right, np.eye(4), atol=1e-13)
 
 
 def test_dressed_basis_hermitian_left_is_conjugate():
     basis = perturb.dressed_basis(_pump(0.45, -0.31, 0.9, 2.2 * np.exp(0.7j)))
-    assert np.allclose(basis.left, basis.right.conj().T, atol=1e-13)
+    right, left = dressed_matrices(basis)
+    assert np.allclose(left, right.conj().T, atol=1e-13)
 
 
 # -- recursion ---------------------------------------------------------------
@@ -204,8 +225,9 @@ def test_first_order_coefficients_textbook_formula(reference_config):
     sp = model.split(reference_config)
     table = perturb.build_series(sp, 1, 1)
     basis = table.basis
+    right, left = dressed_matrices(basis)
     for m in (2, 3):
-        elem = basis.left[m - 1] @ matrices(sp)[1] @ basis.right[:, 0]
+        elem = left[m - 1] @ matrices(sp)[1] @ right[:, 0]
         expected = elem / (0.0 - basis.eigenvalues[m - 1])
         assert table.A[0, 1, 0, m - 1] == pytest.approx(expected, rel=1e-13)
 
@@ -214,7 +236,7 @@ def test_first_order_coefficients_vs_fd_eigenvector(reference_config):
     # independent route: differentiate the exact eigenvector itself
     sp = model.split(reference_config)
     table = perturb.build_series(sp, 1, 1)
-    basis = table.basis
+    left = dressed_matrices(table.basis)[1]
     h = 1e-6
 
     def ground_vec(x):
@@ -225,7 +247,7 @@ def test_first_order_coefficients_vs_fd_eigenvector(reference_config):
 
     deriv = (ground_vec(h) - ground_vec(-h)) / (2 * h)
     for m in (2, 3):
-        fd_coeff = basis.left[m - 1] @ deriv
+        fd_coeff = left[m - 1] @ deriv
         assert fd_coeff == pytest.approx(table.A[0, 1, 0, m - 1], rel=1e-6, abs=1e-10)
 
 
@@ -339,18 +361,18 @@ def _coupling_configs():
 
 @pytest.mark.parametrize("name", list(_coupling_configs()))
 def test_coupling_block_is_the_projected_probe_matrices(name):
-    # build_series writes the allowed entries of left @ v @ right from scalars;
+    # build_series writes the allowed entries of L v R from the blocks' numbers;
     # they must be the matrix product's, and every other entry zero
     sp = model.split(_coupling_configs()[name])
     table = perturb.build_series(sp, 1, 3)
-    basis = table.basis
+    right, left = dressed_matrices(table.basis)
     if name == "uncoupled-pump":
-        assert np.array_equal(basis.right, np.eye(4)) and np.array_equal(basis.left, np.eye(4))
+        assert np.array_equal(right, np.eye(4)) and np.array_equal(left, np.eye(4))
     if name.startswith("no-"):  # a probe without strength keeps the phase 1
         assert sp.ua == 1 if name == "no-a-photons" else sp.uc == 1
     couplings = perturb._layout(table.E.base, table.order + 1)[0]  # the vector E and A view
     for c, v in enumerate(matrices(sp)[1:]):
-        dense = basis.left @ v @ basis.right
+        dense = left @ v @ right
         written = np.zeros((4, 4), dtype=complex)
         for k, (coupling, m, j) in enumerate(perturb._ALLOWED):
             if coupling == c:
@@ -597,8 +619,13 @@ def _cold(sp, order):
     return perturb.build_series(sp, 1, order)
 
 
+def _basis_bits(basis):
+    """Each field of a basis as the bytes of an array, so a signed zero shows."""
+    return tuple(np.array(field).tobytes() for field in basis)
+
+
 def _bits(table):
-    return table.E.tobytes(), table.A.tobytes(), table.basis.right.tobytes()
+    return table.E.tobytes(), table.A.tobytes(), _basis_bits(table.basis)
 
 
 def _memo_draws(count=40):
@@ -641,12 +668,12 @@ def test_memos_follow_their_inputs_through_a_return_to_an_earlier_one():
     for cfg in (a, b):
         _forget()
         sp = model.split(cfg)
-        cold.append((sp.reconstruct().tobytes(), perturb.dressed_basis(sp).right.tobytes(),
+        cold.append((sp.reconstruct().tobytes(), _basis_bits(perturb.dressed_basis(sp)),
                      _bits(perturb.build_series(sp, 1, 8)), _bits(_cold(sp, 3))))
     _forget()
     for cfg, want in zip((a, b, a), (*cold, cold[0])):
         sp = model.split(cfg)
-        got = (sp.reconstruct().tobytes(), perturb.dressed_basis(sp).right.tobytes(),
+        got = (sp.reconstruct().tobytes(), _basis_bits(perturb.dressed_basis(sp)),
                _bits(perturb.build_series(sp, 1, 8)), _bits(perturb.build_series(sp, 1, 3)))
         assert got == want
 
@@ -655,10 +682,8 @@ def _layers(sp):
     """The bits of a split and of each layer it feeds, built cold: the split's
     numbers, its matrix, the basis and the tables of order 8 and 3."""
     _forget()
-    basis = perturb.dressed_basis(sp)
-    return (np.array(sp).tobytes(), sp.reconstruct().tobytes(), basis.eigenvalues.tobytes(),
-            basis.right.tobytes(),
-            basis.left.tobytes(), _bits(perturb.build_series(sp, 1, 8)),
+    return (np.array(sp).tobytes(), sp.reconstruct().tobytes(),
+            *_basis_bits(perturb.dressed_basis(sp)), _bits(perturb.build_series(sp, 1, 8)),
             _bits(perturb.build_series(sp, 1, 3)))
 
 
@@ -674,7 +699,7 @@ def test_an_equal_split_that_is_another_object_builds_cold_with_the_same_bits():
         assert perturb.build_series(twin, 1, 8) is not table
         assert perturb.build_series(twin, 1, 8) is perturb.build_series(twin, 1, 8)
         got = (np.array(twin).tobytes(), twin.reconstruct().tobytes(),
-               *(a.tobytes() for a in perturb.dressed_basis(twin)),
+               *_basis_bits(perturb.dressed_basis(twin)),
                _bits(perturb.build_series(twin, 1, 8)), _bits(perturb.build_series(twin, 1, 3)))
         assert got == cold == _layers(twin)
 
@@ -694,7 +719,7 @@ def test_a_signed_zero_gets_its_own_split_basis_and_table_bits(signed):
     assert splits[0] == splits[1] and layers[0] != layers[1]
     for sp, bits in zip((*splits, splits[0]), (*layers, layers[0])):  # interleaved
         got = (np.array(sp).tobytes(), sp.reconstruct().tobytes(),
-               *(a.tobytes() for a in perturb.dressed_basis(sp)),
+               *_basis_bits(perturb.dressed_basis(sp)),
                _bits(perturb.build_series(sp, 1, 8)), _bits(perturb.build_series(sp, 1, 3)))
         assert got == bits
 
@@ -720,8 +745,7 @@ def test_returned_arrays_are_read_only():
     sp = model.split(_REFERENCE)
     table = perturb.build_series(sp, 1, 8)
     lower = perturb.build_series(sp, 1, 3)
-    basis = perturb.dressed_basis(sp)
-    for array in (*basis, table.E, table.A, table.E.base, lower.E, lower.A, lower.E.base):
+    for array in (table.E, table.A, table.E.base, lower.E, lower.A, lower.E.base):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
 

@@ -15,7 +15,7 @@ from nkerr import cli, effective, model, oracle, perturb, suscept, validate
 from nkerr.errors import PoleError, ScenarioError
 
 import cauchy
-from conftest import fuzz_scenarios, make_config, numpy_draws
+from conftest import dressed_matrices, fuzz_scenarios, make_config, numpy_draws
 
 
 # the two routes to the ground eigenvalue's Taylor array E[p, q]
@@ -347,8 +347,9 @@ def test_coherences_equal_the_product_of_ket_and_bra_partial_sums(lossy):
         x, y = sp.eps_a, sp.eps_c
         for order in (1, 3, 5):
             table = perturb.build_series(sp, 1, order)
-            kets = table.A[0] @ table.basis.right.T
-            bras = table.A[1] @ table.basis.left
+            right, left = dressed_matrices(table.basis)
+            kets = table.A[0] @ right.T
+            bras = table.A[1] @ left
             got = suscept.coherences(cfg, order)
             for value, (ket, bra) in ((got.rho21, (1, 0)), (got.rho43, (3, 2))):
                 old = (perturb.power_sum(kets[..., ket], x, y)
@@ -360,8 +361,9 @@ def _extracted_coherence(cfg, order, ket_level, bra_level):
     """Cauchy extraction of the product of the ket and bra partial sums."""
     sp = model.split(cfg)
     table = perturb.build_series(sp, 1, order)
-    ket = (table.A[0] @ table.basis.right.T)[..., ket_level]
-    bra = (table.A[1] @ table.basis.left)[..., bra_level]
+    right, left = dressed_matrices(table.basis)
+    ket = (table.A[0] @ right.T)[..., ket_level]
+    bra = (table.A[1] @ left)[..., bra_level]
     return cauchy.taylor_coefficients(
         lambda x, y: perturb.power_sum(ket, x, y) * perturb.power_sum(bra, x, y),
         cauchy.extraction_radius(sp))
