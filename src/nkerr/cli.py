@@ -36,16 +36,15 @@ process forks a child for each part after the first: a child computes its own
 rows of the grid from the bounds it inherits, so nothing is pickled and
 nothing is imported again.  It writes its part chunk by chunk into an unlinked
 temporary file of its own and leaves by ``os._exit``, so no stdio buffer it
-inherited is flushed twice.  A child inherits only the thread that forked it;
-the process's other threads are the BLAS pool of numpy's OpenBLAS, which
-OpenBLAS stops before a fork (``pthread_atfork``) and a child starts afresh if
-it needs one.  The process writes part 0 straight into ``--out``, then reaps
-the children in row order and copies each part after it in blocks of
-``shutil.COPY_BUFSIZE``; the temporary files together hold the parts after the
-first.  On every path it kills and reaps each child still running when it
-stops.  A child that fails is an output error (exit 2).  With one CPU, a sweep
-of one chunk, or a platform without ``os.fork`` or ``os.sched_getaffinity``,
-nothing is forked.
+inherited is flushed twice.  A child inherits only the thread that forked it,
+and the ``nkerr`` process has no other: ``entry`` starts numpy with one BLAS
+thread unless the user set a count.  The process writes part 0 straight into
+``--out``, then reaps the children in row order and copies each part after it
+in blocks of ``shutil.COPY_BUFSIZE``; the temporary files together hold the
+parts after the first.  On every path it kills and reaps each child still
+running when it stops.  A child that fails is an output error (exit 2).  With
+one CPU, a sweep of one chunk, or a platform without ``os.fork`` or
+``os.sched_getaffinity``, nothing is forked.
 
 Exit codes: 0 success, 1 validation failure, 2 schema error, invalid
 arguments (including non-finite ``--lo/--hi/--t`` and a ``--steps`` past
@@ -57,11 +56,13 @@ given decay rates).  ``coeffs`` and ``evolve``
 print only finite numbers, as does every valid ``sweep`` row; a sweep's
 detuning-independent terms or an ``evolve`` phase beyond double range exit 3.
 
-Importing this module loads only ``errors`` and ``model`` of the package, and
-no numpy; a command imports what it runs when it runs: ``coeffs`` loads
-``effective`` and still no numpy (it computes in Python floats), ``sweep``
-loads ``suscept`` (not ``perturb``), ``evolve`` loads ``effective``, ``oracle``
-and ``perturb``, and ``validate`` loads every module; those three load numpy.
+Importing this module loads only ``errors`` and ``model`` of the package, no
+numpy, and none of ``tempfile``, ``shutil`` and ``signal``, which ``sweep``
+imports as it writes its rows; a command imports what it runs when it runs:
+``coeffs`` loads ``effective`` and still no numpy (it computes in Python
+floats), ``sweep`` loads ``suscept`` (not ``perturb``), ``evolve`` loads
+``effective``, ``oracle`` and ``perturb``, and ``validate`` loads every
+module; those three load numpy.
 Under ``python -m nkerr.cli`` this file runs once: the running ``__main__``
 module is registered as ``nkerr.cli`` before the command runs, so
 ``validate``'s import of ``cli`` (criterion 11 drives ``cli.main``) finds it.
@@ -74,10 +75,7 @@ import contextlib
 import json
 import os
 import re
-import shutil
-import signal
 import sys
-import tempfile
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NoReturn, TextIO
 
 from .errors import NKerrError, NotHermitianError, NotResonantError, ScenarioError
@@ -227,6 +225,10 @@ def _write_sweep_rows(fh: BinaryIO, rows: _Rows, n: int) -> None:
     docstring).  Raises OSError if a child fails; every child is reaped on
     every path.
     """
+    import shutil
+    import signal
+    import tempfile
+
     chunks = -(-n // SWEEP_CHUNK_ROWS)
     parts = min(_usable_cpus(), chunks)
     bounds = [k * chunks // parts * SWEEP_CHUNK_ROWS for k in range(parts)] + [n]
@@ -380,6 +382,14 @@ def main(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
 
 
 def entry() -> None:
+    """The process entry of the ``nkerr`` script and of ``python -m nkerr.cli``.
+
+    It sets each BLAS thread count that the user left unset to 1 before a
+    command imports numpy: no computation here gains from BLAS threads, and a
+    pool costs every process that starts one.  ``main`` sets nothing.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     sys.exit(main())
 
 

@@ -15,17 +15,19 @@ couplings L v R of both probes, with R = 1 (+) R2 (+) 1 and L = 1 (+) L2 (+) 1
 of ``dressed_basis``; it writes only the entries the selection rules below
 allow, each a probe phase times one entry of R2 or L2.  Each entry reads only
 entries of lower total order; a table is bit-reproducible and extending
-``max_order`` never changes lower entries.  So a lower order of
-the same split is read off the last table: ``build_series`` gathers it from
-that table's work vector, the bits of a build of its own.
+``max_order`` never changes lower entries.  A table of lower order is a
+build of its own.
 
-Memos.  ``dressed_basis`` and ``build_series`` each keep their last result
-as one module-level (split, value) tuple, read once and replaced in one
-assignment, so a thread sees a whole pair, and give it back only to the same
-split object (``is``), as ``model.split`` does for its configuration: a split
-is an immutable record of numbers, so an equal one built apart (another
-signed zero, say) builds again.  An error is never kept, and every array
-returned is read-only.
+Memo.  The module keeps one record, (split, basis, table): the last split
+that ``dressed_basis`` or ``build_series`` took, its basis, and the table
+``build_series`` last built of it (None after a cold ``dressed_basis``).  It
+is read once and replaced in one assignment, so a thread sees a whole record.
+``dressed_basis`` gives the basis back only to the same split object
+(``is``), as ``model.split`` does for its configuration: a split is an
+immutable record of numbers, so an equal one built apart (another signed
+zero, say) builds again.  ``build_series`` always builds; only
+``suscept.coherences`` reads the table, through ``_series_at_least``.  An
+error is never kept, and every array returned is read-only.
 
 Selection rules.  In the N-configuration probe a couples only bare levels
 1 <-> 2 and probe c only 3 <-> 4, so in the dressed basis eps_a moves index
@@ -94,10 +96,9 @@ class DressedBasis(NamedTuple):
     left: tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-# The last split and its basis, and the last split and its table; object()
-# is no split.
-_BASIS_MEMO: tuple = (object(), None)
-_SERIES_MEMO: tuple = (object(), None)
+# The last split, its basis and its last table, of the module docstring;
+# object() is no split.
+_MEMO: tuple = (object(), None, None)
 
 
 def dressed_basis(split: PerturbationSplit) -> DressedBasis:
@@ -121,11 +122,11 @@ def dressed_basis(split: PerturbationSplit) -> DressedBasis:
     ``split`` is a ``PerturbationSplit`` whose nine fields are Python ints,
     floats or complex numbers (a bool, a numpy number or array is not), finite
     by ``model._finite``, with ua and uc nonzero; so no reader converts a
-    field.  A call with the split object of the last call that returned gives
-    back that basis.
+    field.  A call with the split object of the memo record gives back its
+    basis; a cold call records (split, basis, None).
     """
-    global _BASIS_MEMO
-    last, basis = _BASIS_MEMO
+    global _MEMO
+    last, basis, _ = _MEMO
     if last is split:
         return basis
     if not (isinstance(split, PerturbationSplit) and all(  # each judged as what it is
@@ -153,7 +154,7 @@ def dressed_basis(split: PerturbationSplit) -> DressedBasis:
                 f"separated by only {gap:.3e} (tolerance {DEGENERACY_TOL:.1e} x {scale:.3e})")
     basis = DressedBasis(lam, ((kappa / n, -v / n), (kappa * u / n, 1 / n)),
                          ((1 / kappa / n, v / kappa / n), (-u / n, 1 / n)))
-    _BASIS_MEMO = split, basis
+    _MEMO = split, basis, None
     return basis
 
 
@@ -166,14 +167,14 @@ class SeriesTable(NamedTuple):
     state correction, for p + q <= ``order``; higher entries are zero.
     R A[0, p, q] is the order-(p, q) ket correction in the bare basis and
     A[1, p, q] L the bra correction, with R = 1 (+) ``basis.right`` (+) 1 and
-    L = 1 (+) ``basis.left`` (+) 1, where ``A[1]`` is P A[0] with the diagonal P of the module docstring; in the
-    Hermitian case the bra is the conjugated ket.  E and A are read-only
-    views of one work vector; a call that repeats the last build returns
-    its table again.  Like every record of
-    the package it is a tuple; since it holds arrays, a table equals itself,
-    but comparing two tables of equal bases and orders raises numpy's
-    ValueError (of unequal ones, they differ), and hashing one raises
-    TypeError.
+    L = 1 (+) ``basis.left`` (+) 1, where ``A[1]`` is P A[0] with the
+    diagonal P of the module docstring; in the Hermitian case the bra is the
+    conjugated ket.  E and A are read-only views of one work vector; each
+    call of ``build_series`` builds a table of its own, which the module's
+    memo record holds until the next.  Like every record of the package it
+    is a tuple; since it holds arrays, a table equals itself, but comparing
+    two tables of equal bases and orders raises numpy's ValueError (of
+    unequal ones, they differ), and hashing one raises TypeError.
     """
 
     basis: DressedBasis
@@ -259,24 +260,6 @@ def _order_plan(max_order: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple, ..
     return coef, bra, tuple(steps)
 
 
-@functools.cache
-def _prefix_slots(order: int, max_order: int) -> np.ndarray:
-    """The slot in an order-``order`` work vector of each slot of an order-``max_order`` one.
-
-    An entry of total order <= max_order keeps its own; one above reads an
-    entry that no build writes, as a build of max_order leaves it: E[0, 1],
-    and A[s, 0, 0, m] for m = 1, 2, 3 and A[s, 0, 1, 0], which P turns into
-    the zeros of a build of its own; the array is read-only.
-    """
-    couplings, e, a = _layout(np.arange(_COUPLINGS + 9 * (order + 1) ** 2), order + 1)
-    low = [(p, q, p + q <= max_order) for p in range(max_order + 1) for q in range(max_order + 1)]
-    slots = np.array([*couplings, *(e[p, q] if kept else e[0, 1] for p, q, kept in low),
-                      *(a[s, p, q, m] if kept else a[s, 0, int(m == 0), m]
-                        for s in range(2) for p, q, kept in low for m in range(4))])
-    _read_only(slots)
-    return slots
-
-
 def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTable:
     """Fill the ground-state table with every order p + q <= max_order, one fused step per order.
 
@@ -286,14 +269,13 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
     a probe phase (ua, uc or a conjugate) times one entry of the pump block
     ``basis.left`` = L2 or ``basis.right`` = R2, taken on Python complex
     numbers.  Each order is one gather-multiply-reduce over its terms in
-    ``_order_plan``, whose norm terms are scaled by P first; ``A[1]`` is P A[0].  Where the split is the
-    object of the last table's build, one of order max_order is that table and
-    one of lower order is gathered from its work vector, with no basis looked
-    up.  ValueError unless n is the integer 1 and max_order an integer >= 0,
-    and, where the memo misses, as ``dressed_basis`` refuses the split; the
+    ``_order_plan``, whose norm terms are scaled by P first; ``A[1]`` is P A[0].
+    Every call builds, a lower order too, and records (split, basis, table)
+    as the module's memo.  ValueError unless n is the integer 1 and max_order
+    an integer >= 0, and as ``dressed_basis`` refuses the split; the
     out-of-range PoleError where an entry of E or A leaves double range.
     """
-    global _SERIES_MEMO
+    global _MEMO
     # n stays here, and n and total_order in evaluate_energy, only as perfbench passes them
     if not (_is_nonnegative_int(n) and n == 1):
         raise ValueError(f"only the ground state, the integer n = 1, is built, got n = {n!r}")
@@ -301,13 +283,6 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
     max_order = int(max_order)  # a table holds its order as a Python int, numpy's too
     size = max_order + 1
-    last_split, last = _SERIES_MEMO
-    if last_split is split and max_order <= last.order:
-        if max_order == last.order:
-            return last
-        w = last.E.base[_prefix_slots(last.order, max_order)]  # the work vector E views
-        _read_only(w)
-        return SeriesTable(last.basis, max_order, *_layout(w, size)[1:])
     basis = dressed_basis(split)
     ua, uc, x, y = split.ua, split.uc, split.x, split.y
     a01, a10, c23, c32 = ua.conjugate(), ua, uc.conjugate(), uc
@@ -333,8 +308,17 @@ def build_series(split: PerturbationSplit, n: int, max_order: int) -> SeriesTabl
         np.multiply(a[0], phase, out=a[1])
     _read_only(w)  # then its views, which keep the flag they were made with
     table = SeriesTable(basis, max_order, *_layout(w, size)[1:])
-    _SERIES_MEMO = split, table
+    _MEMO = split, basis, table
     return table
+
+
+def _series_at_least(split: PerturbationSplit, order: int) -> SeriesTable:
+    """The memo record's table where it is of this split object and of order >= ``order``,
+    else ``build_series(split, 1, order)``."""
+    last, _, table = _MEMO
+    if last is split and table is not None and table.order >= order:
+        return table
+    return build_series(split, 1, order)
 
 
 def power_sum(c: np.ndarray, x, y):

@@ -44,6 +44,7 @@ meaningful at this normalisation, not laboratory units.
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Literal, NamedTuple
 
@@ -113,32 +114,42 @@ def coherences(config: SystemConfig, order: int = 3) -> Coherences:
     """rho21 and rho43 of the relaxed ground state built to the given total order.
 
     Each is the product of the ket and bra partial sums, both from one series
-    table: the dressed coefficients k and b are summed at (eps_a, eps_c) first,
-    then taken to the bare basis through the pump blocks R2 and L2 of
-    ``table.basis``, the only entries of R and L that are not the identity's:
-    rho21 = (r11 k1 + r12 k2) b0 and rho43 = k3 (b1 l12 + b2 l22), on Python
-    complex numbers.  Cross-Kerr content requires order >= 3.  The
-    bra side is the table's bra series ``A[1]``, so the lossless limit is the
-    ordinary conjugate.  It takes the split and table from ``model.split`` and
-    ``perturb.build_series``, which give back the last ones where the caller
-    has just built them for the same configuration object, and imports
-    ``perturb``.  ValueError unless order is an integer >= 1; the out-of-range
-    PoleError where a sum overflows.
+    table: the dressed coefficients k and b are summed over p + q <= order at
+    (eps_a, eps_c) first, through a cached triangle mask, then taken to the
+    bare basis through the pump blocks R2 and L2 of ``table.basis``, the only
+    entries of R and L that are not the identity's: rho21 = (r11 k1 + r12 k2)
+    b0 and rho43 = k3 (b1 l12 + b2 l22), on Python complex numbers.
+    Cross-Kerr content requires order >= 3.  The bra side is the table's bra
+    series ``A[1]``, so the lossless limit is the ordinary conjugate.  The
+    split is ``model.split``'s; the table is the one ``perturb.build_series``
+    last built of that split object where it holds this order, as after the
+    caller's own higher-order build, else a build of this order, with the same
+    sums.  It imports ``perturb``.  ValueError unless order is an integer
+    >= 1; the out-of-range PoleError where a sum overflows.
     """
     from . import perturb
 
     if not (model._is_nonnegative_int(order) and order >= 1):
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
     sp = model.split(config)
-    table = perturb.build_series(sp, 1, order)
+    table = perturb._series_at_least(sp, order)
     powers = np.arange(order + 1)
     with model.in_double_range(), model.numpy_range():
-        dressed = sp.eps_a**powers @ (sp.eps_c**powers @ table.A)  # [s, m]
+        terms = table.A[:, :order + 1, :order + 1] * _triangle(order)
+        dressed = sp.eps_a**powers @ (sp.eps_c**powers @ terms)  # [s, m]
     (_, k1, k2, k3), (b0, b1, b2, _) = dressed.tolist()
     _, ((r11, r12), _), ((_, l12), (_, l22)) = table.basis
     rho = Coherences((r11 * k1 + r12 * k2) * b0, k3 * (b1 * l12 + b2 * l22))
     model.check_finite(*rho)  # a Python complex product does not raise past range
     return rho
+
+
+@functools.cache
+def _triangle(order: int) -> np.ndarray:
+    """1.0 at (p, q) where p + q <= order, else 0.0, shaped to scale A[s, p, q, m]; read-only."""
+    mask = np.tri(order + 1)[::-1, :, None]
+    model._read_only(mask)
+    return mask
 
 
 def chis_from_energy(config: SystemConfig, E: np.ndarray) -> SusceptibilityPoint:

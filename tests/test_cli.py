@@ -975,11 +975,15 @@ def test_validate_rejects_a_negative_seed_and_runs_a_huge_one(capsys):
 
 _CLI_MODULES = {"nkerr", "nkerr.cli", "nkerr.errors", "nkerr.model"}
 
-# runs ``nkerr.cli.main`` on its arguments (none: the import alone), then
-# writes the nkerr and mpmath modules it loaded, and numpy and numpy.random
-# if it did, to stderr
+# writes to stderr the sweep-only modules that ``import nkerr.cli`` loaded and
+# the interpreter had not loaded at its start (a site hook may load some),
+# then runs ``nkerr.cli.main`` on its arguments (none: the import alone) and
+# writes the nkerr and mpmath modules it loaded, and numpy and numpy.random if
+# it did, on a second line
 _REPORT_LOADED = """import sys
+start = set(sys.modules)
 import nkerr.cli
+print(*sorted({"tempfile", "shutil", "signal"} & set(sys.modules) - start), file=sys.stderr)
 code = nkerr.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(*(m for m in sys.modules
         if m.split(".")[0] in ("nkerr", "mpmath") or m in ("numpy", "numpy.random")),
@@ -1008,8 +1012,10 @@ def test_command_loads_only_its_modules(tmp_path, args, loaded):
     proc = subprocess.run([sys.executable, "-W", "error", "-c", _REPORT_LOADED, *args],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert "numpy.random" not in proc.stderr.split()
-    assert set(proc.stderr.split()) == loaded
+    sweep_only, modules = proc.stderr.splitlines()
+    assert sweep_only == ""
+    assert "numpy.random" not in modules.split()
+    assert set(modules.split()) == loaded
 
 
 # imports ``nkerr.suscept`` alone and writes the nkerr modules loaded, then
@@ -1124,9 +1130,51 @@ def test_gated_stdout_matches_the_corpus(name, argv, want):
     assert out.getvalue() == (_GATED / f"{name}.txt").read_text(encoding="utf-8")
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# runs ``nkerr.cli.<first argument>`` on an ``evolve`` of the scenario in the
+# second, then writes each BLAS thread count of the environment (- where it
+# is unset) and whether numpy was loaded to stderr
+_REPORT_THREADS = """import os, sys
+import nkerr.cli
+run, argv = sys.argv[1], ["evolve", sys.argv[2], "--t", "1"]
+try:
+    if run == "entry":
+        sys.argv = ["nkerr", *argv]
+        nkerr.cli.entry()
+    else:
+        sys.exit(nkerr.cli.main(argv))
+finally:
+    print(*(os.environ.get(name, "-") for name in %r), "numpy" in sys.modules,
+          file=sys.stderr)
+""" % (_BLAS_THREADS,)
+
+
+@pytest.mark.parametrize("run, preset, want", [
+    ("entry", {}, "1 1 1"),
+    ("entry", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "4"},
+     "2 3 4"),
+    ("entry", {"OMP_NUM_THREADS": "2"}, "1 2 1"),
+    ("main", {}, "- - -"),
+], ids=["unset", "preset", "one-preset", "main-sets-nothing"])
+def test_entry_starts_numpy_with_one_blas_thread_unless_the_user_set_a_count(run, preset, want):
+    # a fresh interpreter, so the counts are set before anything imports numpy
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _REPORT_THREADS, run,
+                           str(_GATED / "reference.json")], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (_GATED / "evolve-reference-t1.txt").read_text(encoding="utf-8")
+    assert proc.stderr == f"{want} True\n"
+
+
 @pytest.mark.parametrize("scenario, code", [("reference.json", 0), ("missing.json", 2)])
 def test_entry_exits_with_the_code_of_main(monkeypatch, capsys, scenario, code):
-    # entry() is the installed nkerr script's function
+    # entry() is the installed nkerr script's function; it sets the BLAS
+    # thread counts of this process's environment, which monkeypatch restores
+    for name in _BLAS_THREADS:
+        monkeypatch.delenv(name, raising=False)
     monkeypatch.setattr(sys, "argv", ["nkerr", "coeffs", str(_GATED / scenario)])
     with pytest.raises(SystemExit) as exc:
         cli.entry()

@@ -330,7 +330,8 @@ def _complex_couplings(cfg, rng):
 
 
 def test_order_independence_bit_identical(reference_config, lossy_config):
-    # coherences sums the order-3 table, so its entries must be those of any longer one
+    # coherences sums a longer table masked to its order, so an order's entries
+    # must be those of any longer table
     d = np.add.outer(np.arange(9), np.arange(9))
     rng = np.random.default_rng(3)
     phased_lossy = _complex_couplings(lossy_config, rng)
@@ -537,8 +538,8 @@ def test_an_integer_strength_is_summed_as_its_float(reference_config, n):
 def test_evaluate_energy_is_the_partial_sum_of_the_table(reference_config, lossy_config):
     # at strengths of a few tenths every order counts, so a term summed past
     # the asked order, or one left out, shows far above rounding; each order's
-    # table is gathered from the order-8 build, and its sum is the order-8
-    # table masked to that order, bit for bit
+    # table is a build of its own, and its sum is the order-8 table masked to
+    # that order, bit for bit
     for cfg in (reference_config, _complex_couplings(lossy_config, np.random.default_rng(5))):
         sp = model.split(cfg)
         E8 = perturb.build_series(sp, 1, 8).E
@@ -610,8 +611,9 @@ def test_lossy_series_tracks_complex_eigenvalue(lossy_config):
 # -- memos -------------------------------------------------------------------
 
 def _forget():
-    """Empty the memos of split, dressed_basis and build_series, so the next call builds."""
-    model._SPLIT_MEMO = perturb._BASIS_MEMO = perturb._SERIES_MEMO = (object(), None)
+    """Empty the split memo and perturb's memo record, so the next call builds."""
+    model._SPLIT_MEMO = (object(), None)
+    perturb._MEMO = (object(), None, None)
 
 
 def _cold(sp, order):
@@ -637,7 +639,7 @@ def _memo_draws(count=40):
 
 
 def test_a_repeated_or_lower_order_table_is_a_cold_build_bit_for_bit():
-    # tobytes compares bits, so a signed zero the gather got wrong shows
+    # every call builds; tobytes compares bits, so a signed zero that differs shows
     for cfg in _memo_draws():
         sp = model.split(cfg)
         cold = [_bits(_cold(sp, k)) for k in range(9)]
@@ -647,7 +649,19 @@ def test_a_repeated_or_lower_order_table_is_a_cold_build_bit_for_bit():
             for k in range(top):
                 table = perturb.build_series(sp, 1, k)
                 assert table.order == k and _bits(table) == cold[k], (cfg, top, k)
-            assert perturb.build_series(sp, 1, top) is perturb.build_series(sp, 1, top)
+
+
+def test_coherences_off_an_order_8_table_have_the_bits_of_a_build_of_their_order():
+    # after the order-8 build coherences sums that table masked to p + q <= k
+    # and builds nothing; with the record empty it builds order k itself
+    for cfg in _memo_draws():
+        for k in range(1, 9):
+            _forget()
+            perturb.build_series(model.split(cfg), 1, 8)
+            warm = repr(suscept.coherences(cfg, k))
+            assert perturb._MEMO[2].order == 8
+            _forget()
+            assert repr(suscept.coherences(cfg, k)) == warm, (cfg, k)
 
 
 @pytest.mark.parametrize("order", [np.int64(4), np.int32(4)], ids=["int64", "int32"])
@@ -656,8 +670,8 @@ def test_a_numpy_integer_order_is_held_as_a_python_int(reference_config, order):
     want = _bits(_cold(sp, 4))
     cold = _cold(sp, order)
     _cold(sp, 8)
-    gathered = perturb.build_series(sp, 1, order)  # from the order-8 table's work vector
-    for table in (cold, gathered):
+    again = perturb.build_series(sp, 1, order)  # a cold build too, after the order-8 one
+    for table in (cold, again):
         assert type(table.order) is int and table.order == 4
         assert _bits(table) == want
 
@@ -697,7 +711,6 @@ def test_an_equal_split_that_is_another_object_builds_cold_with_the_same_bits():
         basis, table = perturb.dressed_basis(sp), perturb.build_series(sp, 1, 8)
         assert perturb.dressed_basis(twin) is not basis
         assert perturb.build_series(twin, 1, 8) is not table
-        assert perturb.build_series(twin, 1, 8) is perturb.build_series(twin, 1, 8)
         got = (np.array(twin).tobytes(), twin.reconstruct().tobytes(),
                *_basis_bits(perturb.dressed_basis(twin)),
                _bits(perturb.build_series(twin, 1, 8)), _bits(perturb.build_series(twin, 1, 3)))
@@ -745,7 +758,9 @@ def test_returned_arrays_are_read_only():
     sp = model.split(_REFERENCE)
     table = perturb.build_series(sp, 1, 8)
     lower = perturb.build_series(sp, 1, 3)
-    for array in (table.E, table.A, table.E.base, lower.E, lower.A, lower.E.base):
+    # coherences' triangle mask is cached and shared too
+    for array in (table.E, table.A, table.E.base, lower.E, lower.A, lower.E.base,
+                  suscept._triangle(3)):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
 
